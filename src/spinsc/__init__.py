@@ -42,6 +42,7 @@ from .sbg import (
     build_array,
     energy_of,
     generate,
+    generate_array,
     generate_self_control,
     generate_simple,
     make_unit,

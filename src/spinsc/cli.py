@@ -20,7 +20,7 @@ from . import allocator, cost, experiments, fusion
 from .config import ConfigError, RunConfig, load_config
 from .device import WriteDirection, characterization_rows
 from .logic import ScNetlist, cluster_terminals, clusters_of, extract_conflict_sets
-from .sbg import SbgArraySpec, SbgMode, build_array, generate
+from .sbg import SbgArraySpec, SbgMode, build_array, generate_array
 
 # Transistor count per self-control generator cell, used for K_cmos.
 T_PER_SBG = 92
@@ -78,11 +78,13 @@ def cmd_array_report(cfg: RunConfig) -> list[Path]:
     units = build_array(spec, cfg.master_seed, params=cfg.device.params,
                         write_duration_ns=cfg.device.write_duration_ns,
                         read_energy_nj=cfg.device.read_energy_nj,
+                        reset_pulse=cfg.device.reset_pulse,
                         pv_sigmas=cfg.pv_sigmas)
     n = cfg.bitstream_len
+    bits = generate_array(units, n)
     rows = []
     for idx, unit in enumerate(units):
-        density = generate(unit, n).value()
+        density = int(bits[idx].sum()) / n
         rows.append((idx, unit.target_p, density, abs(density - unit.target_p),
                      unit.energy_nj, unit.writes, unit.reads))
     path = out / "array_report.csv"
@@ -96,10 +98,12 @@ def cmd_scc_report(cfg: RunConfig) -> list[Path]:
     rep = cfg.report
     self_rows = experiments.self_scc_table(
         rep.scc_probs, rep.scc_lengths, rep.scc_pairs, cfg.master_seed,
-        mode=cfg.array.mode, params=cfg.device.params)
+        mode=cfg.array.mode, params=cfg.device.params,
+        reset_pulse=cfg.device.reset_pulse)
     cross_rows = experiments.cross_scc_table(
         rep.scc_cross, rep.scc_lengths, rep.scc_pairs, cfg.master_seed,
-        mode=cfg.array.mode, params=cfg.device.params)
+        mode=cfg.array.mode, params=cfg.device.params,
+        reset_pulse=cfg.device.reset_pulse)
     self_path = out / "self_scc.csv"
     cross_path = out / "cross_scc.csv"
     write_csv(self_path, ["p", "n", "mean_abs_scc"], self_rows)
@@ -173,7 +177,8 @@ def cmd_fusion_run(cfg: RunConfig) -> list[Path]:
     pipeline = fusion.FusionPipeline(problem, level_count=fus.level_count,
                                      params=cfg.device.params, mode=cfg.array.mode,
                                      write_duration_ns=cfg.device.write_duration_ns,
-                                     read_energy_nj=cfg.device.read_energy_nj)
+                                     read_energy_nj=cfg.device.read_energy_nj,
+                                     reset_pulse=cfg.device.reset_pulse)
     n = cfg.bitstream_len
     estimate, stats = pipeline.run(n, cfg.master_seed, pv_sigmas=cfg.pv_sigmas)
     exact = fusion.exact_posterior(problem)
@@ -218,7 +223,8 @@ def cmd_pv_sweep(cfg: RunConfig) -> list[Path]:
         rep.sweep_probs, rep.sweep_lengths, rep.sweep_repeats, cfg.master_seed,
         mode=SbgMode.SIMPLE, params=cfg.device.params, pv_sigmas=sigmas,
         write_duration_ns=cfg.device.write_duration_ns,
-        read_energy_nj=cfg.device.read_energy_nj)
+        read_energy_nj=cfg.device.read_energy_nj,
+        reset_pulse=cfg.device.reset_pulse)
     path = out / "pv_sweep.csv"
     write_csv(path, ["n", "avg_error", "max_error"],
               [(r.length, r.avg_error, r.max_error) for r in results])

@@ -23,8 +23,8 @@ import configparser
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .device import MtjParams
-from .sbg import DEFAULT_READ_ENERGY_NJ, DEFAULT_WRITE_DURATION_NS, SbgMode
+from .device import MtjParams, PulseSpec
+from .sbg import DEFAULT_READ_ENERGY_NJ, DEFAULT_WRITE_DURATION_NS, RESET_PULSE, SbgMode
 
 
 class ConfigError(ValueError):
@@ -66,8 +66,19 @@ class DeviceConfig:
     params: MtjParams = field(default_factory=MtjParams)
     write_duration_ns: float = DEFAULT_WRITE_DURATION_NS
     read_energy_nj: float = DEFAULT_READ_ENERGY_NJ
-    reset_voltage: float = 1.8
-    reset_duration_ns: float = 7.0
+    reset_voltage: float = RESET_PULSE.voltage
+    reset_duration_ns: float = RESET_PULSE.duration
+
+    def __post_init__(self) -> None:
+        if self.reset_voltage <= 0:
+            raise ConfigError("reset_voltage must be strictly positive")
+        if self.reset_duration_ns < 0:
+            raise ConfigError("reset_duration must be non-negative")
+
+    @property
+    def reset_pulse(self) -> PulseSpec:
+        return PulseSpec(self.reset_voltage, self.reset_duration_ns,
+                         RESET_PULSE.direction)
 
 
 @dataclass(frozen=True)
@@ -167,6 +178,8 @@ def _apply_fusion(cfg: FusionConfig, key: str, value: str) -> FusionConfig:
         return replace(cfg, grid_w=int(w), grid_h=int(h))
     if key == "target":
         pair = _pairs(value)
+        if len(pair) != 1:
+            raise ConfigError(f"target needs exactly one x,y pair, got {value!r}")
         return replace(cfg, target=pair[0])
     if key == "sensors":
         return replace(cfg, sensors=_pairs(value))

@@ -19,13 +19,14 @@ from .logic import ScNetlist, GateKind, cluster_terminals, clusters_of, extract_
 from .sbg import (
     DEFAULT_READ_ENERGY_NJ,
     DEFAULT_WRITE_DURATION_NS,
+    RESET_PULSE,
     CalibrationCache,
     SbgArraySpec,
     SbgMode,
     build_array,
-    generate,
+    generate_array,
 )
-from .device import MtjParams
+from .device import MtjParams, PulseSpec
 from .seeding import DOMAIN_READINGS, rng_for
 
 CHANNELS = ("d1", "b1", "d2", "b2", "d3", "b3")
@@ -288,13 +289,15 @@ class FusionPipeline:
                  params: MtjParams | None = None,
                  mode: SbgMode = SbgMode.SELF_CONTROL,
                  write_duration_ns: float = DEFAULT_WRITE_DURATION_NS,
-                 read_energy_nj: float = DEFAULT_READ_ENERGY_NJ) -> None:
+                 read_energy_nj: float = DEFAULT_READ_ENERGY_NJ,
+                 reset_pulse: PulseSpec = RESET_PULSE) -> None:
         self.problem = problem
         self.level_count = level_count
         self.params = params or MtjParams()
         self.mode = mode
         self.write_duration_ns = write_duration_ns
         self.read_energy_nj = read_energy_nj
+        self.reset_pulse = reset_pulse
         self.calibration = CalibrationCache()
 
         self.netlist, self.assignment = build_sc_network(problem, level_count)
@@ -350,9 +353,9 @@ class FusionPipeline:
         units = build_array(self.spec, master_seed, params=self.params,
                             write_duration_ns=self.write_duration_ns,
                             read_energy_nj=self.read_energy_nj,
+                            reset_pulse=self.reset_pulse,
                             pv_sigmas=pv_sigmas, calibration=self.calibration)
-        row_streams = [generate(unit, n) for unit in units]
-        row_bits = np.stack([s.bits for s in row_streams])
+        row_bits = generate_array(units, n)
         gathered = row_bits[self.cell_rows]          # (cells, 6, n)
         products = np.bitwise_and.reduce(gathered, axis=1)
         counts = products.sum(axis=1).astype(np.float64)

@@ -8,12 +8,19 @@ reads, and emits XOR(current, last), costing n+1 writes and n+1 reads.
 
 Energy bookkeeping: each pulse contributes V^2 * t / R(state before the
 pulse) in nJ; each read costs a fixed configurable amount.
+
+generate_array runs a whole array in lock-step, one vectorized step per
+cycle over all units, and gives the bits, counters and energy that stepping
+each unit one pulse at a time through the device model would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
+
+import numpy as np
 
 from .device import (
     InstanceFactors,
@@ -23,10 +30,9 @@ from .device import (
     PulseSpec,
     TargetUnreachable,
     WriteDirection,
-    apply_write,
+    base_switching_time,
     calibrate_voltage,
     make_instance,
-    read_state,
     sample_process_variation,
 )
 from .stochastic import Bitstream
@@ -68,17 +74,6 @@ class SbgUnit:
     reads: int = 0
     energy_nj: float = 0.0
 
-    def _pulse(self, pulse: PulseSpec) -> bool:
-        # Energy uses the resistance of the state the pulse sees.
-        self.energy_nj += pulse_energy_nj(pulse, self.mtj.resistance)
-        self.writes += 1
-        return apply_write(self.mtj, pulse)
-
-    def _read(self) -> int:
-        self.reads += 1
-        self.energy_nj += self.read_energy_nj
-        return read_state(self.mtj)
-
 
 class CalibrationCache:
     """Memoizes bisection results; units at one probability level share them."""
@@ -113,6 +108,7 @@ def make_unit(params: MtjParams, mode: SbgMode, target_p: float,
               master_seed: int, unit_id: int, *,
               write_duration_ns: float = DEFAULT_WRITE_DURATION_NS,
               read_energy_nj: float = DEFAULT_READ_ENERGY_NJ,
+              reset_pulse: PulseSpec = RESET_PULSE,
               pv_sigmas: tuple[float, float] | None = None,
               calibration: CalibrationCache | None = None) -> SbgUnit:
     """Build and calibrate one generator.
@@ -137,48 +133,158 @@ def make_unit(params: MtjParams, mode: SbgMode, target_p: float,
                             WriteDirection.AP_TO_P, calibration)
     return SbgUnit(mtj=mtj, mode=mode, target_p=target_p,
                    write_pulse_p2ap=p2ap, write_pulse_ap2p=ap2p,
-                   read_energy_nj=read_energy_nj)
+                   reset_pulse=reset_pulse, read_energy_nj=read_energy_nj)
+
+
+class _Pulse:
+    """One pulse per unit, as arrays over the units.
+
+    The constants come from the scalar device functions, so every switching
+    test and energy term below is the float64 value the per-bit model gives.
+    """
+
+    __slots__ = ("dt", "duration", "target", "energy_p", "energy_ap")
+
+    def __init__(self, units: Sequence[SbgUnit], pulses: Sequence[PulseSpec]) -> None:
+        self.dt = np.array([base_switching_time(u.mtj.params, p, u.mtj.factors)
+                            for u, p in zip(units, pulses)])
+        self.duration = np.array([p.duration for p in pulses])
+        self.target = np.array([p.direction.target is MtjState.AP for p in pulses])
+        # Energy uses the resistance of the state the pulse sees.
+        self.energy_p = np.array([pulse_energy_nj(p, u.mtj.r_p)
+                                  for u, p in zip(units, pulses)])
+        self.energy_ap = np.array([pulse_energy_nj(p, u.mtj.r_ap)
+                                   for u, p in zip(units, pulses)])
+
+    def switches(self, sigma: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Whether a draw z switches: dt * (1 + sigma_rel * z) <= duration.
+
+        A negative switching time is clamped to zero in the device model;
+        durations are non-negative, so the clamp never changes the outcome.
+        """
+        return self.dt * (1.0 + sigma * z) <= self.duration
+
+    def energy(self, state: np.ndarray) -> np.ndarray:
+        return np.where(state, self.energy_ap, self.energy_p)
+
+
+def generate_array(units: Sequence[SbgUnit], n: int) -> np.ndarray:
+    """n bits from every unit, all units stepped together; uint8 (units, n).
+
+    All units must share one mode.  Simple units run reset -> write -> read
+    per bit (2n writes, n reads); self-control units run one initialization
+    cycle (reset, read) and then n write/read cycles toward the opposite of
+    the latched state, emitting XOR(current, last) (n+1 writes and reads).
+
+    The result is the per-bit model's, bit for bit: each unit draws its own
+    normals in the order the per-bit model would, a pulse draws only when it
+    writes toward the other state, and energy is added per unit in cycle
+    order (pulse, then read).  Counters, energy, MTJ state, last_state and
+    each unit's random stream end where n single-bit steps would leave them.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    units = list(units)
+    if not units:
+        return np.zeros((0, n), dtype=np.uint8)
+    modes = {u.mode for u in units}
+    if len(modes) != 1:
+        raise ValueError("units in one generate_array call must share a mode")
+    state = np.array([u.mtj.state is MtjState.AP for u in units])
+    energy = np.array([u.energy_nj for u in units], dtype=np.float64)
+    sigma = np.array([u.mtj.params.sigma_rel for u in units])
+    read_energy = np.array([u.read_energy_nj for u in units], dtype=np.float64)
+    reset = _Pulse(units, [u.reset_pulse for u in units])
+    bits = np.empty((n, len(units)), dtype=bool)
+    if modes == {SbgMode.SIMPLE}:
+        _run_simple(units, n, state, energy, sigma, read_energy, reset, bits)
+        writes, reads = 2 * n, n
+    else:
+        _run_self_control(units, n, state, energy, sigma, read_energy, reset, bits)
+        writes, reads = n + 1, n + 1
+    for i, unit in enumerate(units):
+        unit.writes += writes
+        unit.reads += reads
+        unit.energy_nj = float(energy[i])
+        unit.mtj.state = MtjState(int(state[i]))
+        if unit.mode is SbgMode.SELF_CONTROL:
+            unit.last_state = int(state[i])
+    return np.ascontiguousarray(bits.T, dtype=np.uint8)
+
+
+def _run_simple(units, n, state, energy, sigma, read_energy, reset, bits) -> None:
+    # A cycle draws 0, 1 or 2 normals depending on the state, so each unit
+    # pre-draws the 2n it could need and consumes them through a cursor; a
+    # spare zero row keeps the cursor of a unit that used all 2n in range.
+    write = _Pulse(units, [u.write_pulse_p2ap for u in units])
+    pool = np.zeros((2 * n + 1, len(units)))
+    saved = []
+    for i, unit in enumerate(units):
+        saved.append(unit.mtj.rng.bit_generator.state)
+        pool[:2 * n, i] = unit.mtj.rng.standard_normal(2 * n)
+    reset_ok = reset.switches(sigma, pool)
+    write_ok = write.switches(sigma, pool)
+    cursor = np.zeros(len(units), dtype=np.intp)
+    cols = np.arange(len(units))
+    for k in range(n):
+        for pulse, ok in ((reset, reset_ok), (write, write_ok)):
+            energy += pulse.energy(state)
+            attempt = state != pulse.target
+            state ^= attempt & ok[cursor, cols]
+            cursor += attempt
+        energy += read_energy
+        bits[k] = state
+    # Leave each stream where the per-bit model leaves it: rewind, then
+    # redraw exactly the normals the unit consumed.
+    for i, unit in enumerate(units):
+        unit.mtj.rng.bit_generator.state = saved[i]
+        unit.mtj.rng.standard_normal(int(cursor[i]))
+
+
+def _run_self_control(units, n, state, energy, sigma, read_energy, reset, bits) -> None:
+    # The initialization reset draws only for a unit not yet at its target;
+    # every later cycle writes toward the other state and draws once.
+    p2ap = _Pulse(units, [u.write_pulse_p2ap for u in units])
+    ap2p = _Pulse(units, [u.write_pulse_ap2p for u in units])
+    init_draw = state != reset.target
+    z0 = np.zeros(len(units))
+    z = np.empty((n, len(units)))
+    for i, unit in enumerate(units):
+        if init_draw[i]:
+            z0[i] = unit.mtj.rng.standard_normal()
+        z[:, i] = unit.mtj.rng.standard_normal(n)
+    energy += reset.energy(state)
+    state ^= init_draw & reset.switches(sigma, z0)
+    energy += read_energy
+    flip_from_p = p2ap.switches(sigma, z)
+    flip_from_ap = ap2p.switches(sigma, z)
+    for k in range(n):
+        energy += np.where(state, ap2p.energy_ap, p2ap.energy_p)
+        energy += read_energy
+        flip = np.where(state, flip_from_ap[k], flip_from_p[k])
+        state ^= flip
+        bits[k] = flip
+
+
+def _check_mode(unit: SbgUnit, mode: SbgMode) -> None:
+    if unit.mode is not mode:
+        raise ValueError(f"unit is not configured as a {mode.value} generator")
+
+
+def generate(unit: SbgUnit, n: int) -> Bitstream:
+    return Bitstream(generate_array([unit], n)[0])
 
 
 def generate_simple(unit: SbgUnit, n: int) -> Bitstream:
     """reset -> write -> read per bit; exactly 2n writes and n reads."""
-    if unit.mode is not SbgMode.SIMPLE:
-        raise ValueError("unit is not configured as a simple generator")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    bits = []
-    for _ in range(n):
-        unit._pulse(unit.reset_pulse)
-        unit._pulse(unit.write_pulse_p2ap)
-        bits.append(unit._read())
-    return Bitstream(bits)
+    _check_mode(unit, SbgMode.SIMPLE)
+    return Bitstream(generate_array([unit], n)[0])
 
 
 def generate_self_control(unit: SbgUnit, n: int) -> Bitstream:
     """Initialization cycle plus n write/read cycles emitting XOR(cur, last)."""
-    if unit.mode is not SbgMode.SELF_CONTROL:
-        raise ValueError("unit is not configured as a self-control generator")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    assert unit.write_pulse_ap2p is not None
-    # Initialization: force a known state; the first comparison is discarded.
-    unit._pulse(unit.reset_pulse)
-    unit.last_state = unit._read()
-    bits = []
-    for _ in range(n):
-        pulse = (unit.write_pulse_p2ap if unit.last_state == int(MtjState.P)
-                 else unit.write_pulse_ap2p)
-        unit._pulse(pulse)
-        current = unit._read()
-        bits.append(current ^ unit.last_state)
-        unit.last_state = current
-    return Bitstream(bits)
-
-
-def generate(unit: SbgUnit, n: int) -> Bitstream:
-    if unit.mode is SbgMode.SIMPLE:
-        return generate_simple(unit, n)
-    return generate_self_control(unit, n)
+    _check_mode(unit, SbgMode.SELF_CONTROL)
+    return Bitstream(generate_array([unit], n)[0])
 
 
 def energy_of(unit: SbgUnit) -> float:
@@ -229,6 +335,7 @@ def build_array(spec: SbgArraySpec, master_seed: int, *,
                 params: MtjParams | None = None,
                 write_duration_ns: float = DEFAULT_WRITE_DURATION_NS,
                 read_energy_nj: float = DEFAULT_READ_ENERGY_NJ,
+                reset_pulse: PulseSpec = RESET_PULSE,
                 pv_sigmas: tuple[float, float] | None = None,
                 base_unit_id: int = 0,
                 calibration: CalibrationCache | None = None) -> list[SbgUnit]:
@@ -243,6 +350,7 @@ def build_array(spec: SbgArraySpec, master_seed: int, *,
             units.append(make_unit(params, spec.mode, p, master_seed, unit_id,
                                    write_duration_ns=write_duration_ns,
                                    read_energy_nj=read_energy_nj,
+                                   reset_pulse=reset_pulse,
                                    pv_sigmas=pv_sigmas,
                                    calibration=calibration))
             unit_id += 1

@@ -6,7 +6,9 @@ from itertools import product as iter_product
 
 import numpy as np
 
+from spinsc.device import MtjState, apply_write, read_state
 from spinsc.logic import GateKind, ScNetlist
+from spinsc.sbg import SbgMode, SbgUnit, pulse_energy_nj
 
 
 def brute_force_probability(net: ScNetlist, output_id: str,
@@ -72,3 +74,37 @@ def random_assignment(rng: np.random.Generator, net: ScNetlist,
                       levels: list[float]) -> dict[str, float]:
     return {t: float(levels[int(rng.integers(0, len(levels)))])
             for t in net.terminals}
+
+
+def scalar_generate(unit: SbgUnit, n: int) -> np.ndarray:
+    """Per-bit oracle for sbg.generate_array: one pulse and one read at a
+    time through the device model, updating the unit's counters and energy.
+    """
+
+    def pulse(spec) -> None:
+        # Energy uses the resistance of the state the pulse sees.
+        unit.energy_nj += pulse_energy_nj(spec, unit.mtj.resistance)
+        unit.writes += 1
+        apply_write(unit.mtj, spec)
+
+    def read() -> int:
+        unit.reads += 1
+        unit.energy_nj += unit.read_energy_nj
+        return read_state(unit.mtj)
+
+    bits = []
+    if unit.mode is SbgMode.SIMPLE:
+        for _ in range(n):
+            pulse(unit.reset_pulse)
+            pulse(unit.write_pulse_p2ap)
+            bits.append(read())
+    else:
+        pulse(unit.reset_pulse)
+        unit.last_state = read()
+        for _ in range(n):
+            pulse(unit.write_pulse_p2ap if unit.last_state == int(MtjState.P)
+                  else unit.write_pulse_ap2p)
+            current = read()
+            bits.append(current ^ unit.last_state)
+            unit.last_state = current
+    return np.array(bits, dtype=np.uint8)

@@ -177,3 +177,28 @@ def test_write_pgm_max_normalized(tmp_path):
     write_pgm(path, np.array([[0.0, 0.5], [1.0, 2.0]]))
     data = path.read_bytes()
     assert data == b"P5\n2 2\n255\n" + bytes([0, 64, 128, 255])
+
+
+@pytest.mark.parametrize("command, output", [("array-report", "array_report.csv"),
+                                             ("pv-sweep", "pv_sweep.csv")])
+def test_reset_voltage_key_changes_outputs(tmp_path, config_path, command, output):
+    weak = tmp_path / "weak.cfg"
+    weak.write_text(SMALL_CONFIG + "\n[device]\nreset_voltage = 0.1\n", encoding="utf-8")
+    run_cli("--config", config_path, "--out-dir", tmp_path / "default", command)
+    run_cli("--config", weak, "--out-dir", tmp_path / "weak", command)
+    assert (tmp_path / "default" / output).read_bytes() != (tmp_path / "weak" / output).read_bytes()
+
+
+def test_nonpositive_reset_voltage_is_config_error(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[device]\nreset_voltage = 0\n", encoding="utf-8")
+    assert main(["--config", str(bad), "cost-report"]) == 2
+
+
+@pytest.mark.parametrize("value", ["", "1,2;3,4"])
+def test_fusion_target_needs_one_pair(tmp_path, capsys, value):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[fusion]\ntarget = {value}\n", encoding="utf-8")
+    assert main(["--config", str(bad), "--out-dir", str(tmp_path / "o"), "fusion-run"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1

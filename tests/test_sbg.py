@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spinsc.device import MtjParams, MtjState, PulseSpec, WriteDirection
+from spinsc import experiments
 from spinsc.experiments import density_sweep, prefix, self_scc_table
 from spinsc.sbg import (
     RESET_PULSE,
@@ -80,11 +81,13 @@ def test_pulse_energy_hand_computation():
     assert pulse_energy_nj(PulseSpec(1.166, 5.4, WriteDirection.P_TO_AP), r_p) \
         == pytest.approx(expected, rel=1e-12)
 
+    # A one-bit simple stream from P: the reset and the write both see R_P,
+    # and free reads leave only the two pulses.
     unit = make_unit(PARAMS, SbgMode.SIMPLE, 0.5, 1, 6, read_energy_nj=0.0)
-    unit.mtj.state = MtjState.P
-    unit._pulse(unit.write_pulse_p2ap)
+    assert unit.mtj.state is MtjState.P
+    generate_simple(unit, 1)
     v = unit.write_pulse_p2ap.voltage
-    assert unit.energy_nj == pytest.approx(v ** 2 * 5.4 / r_p, rel=1e-12)
+    assert unit.energy_nj == pytest.approx((1.8 ** 2 * 7.0 + v ** 2 * 5.4) / r_p, rel=1e-12)
 
 
 def test_self_control_energy_at_most_065_of_simple():
@@ -160,6 +163,27 @@ def test_self_scc_decreases_with_length_per_probability():
     for p in probs:
         series = [v for (pp, n, v) in rows if pp == p]
         assert all(a > b for a, b in zip(series, series[1:])), f"p={p}: {series}"
+
+
+def _refuse_build(*args, **kwargs):
+    raise RuntimeError("building started")
+
+
+def test_density_sweep_id_block_boundary(monkeypatch):
+    monkeypatch.setattr(experiments, "make_unit", _refuse_build)
+    with pytest.raises(ValueError, match="unit-id block"):
+        density_sweep((0.5, 0.5), (8,), 5_001, master_seed=1)
+    with pytest.raises(RuntimeError, match="building started"):
+        density_sweep((0.5, 0.5), (8,), 5_000, master_seed=1)
+
+
+def test_self_scc_id_block_boundary(monkeypatch):
+    # 2 * pairs * len(probs) = 40_000 ends just below the cross-SCC block.
+    monkeypatch.setattr(experiments, "make_unit", _refuse_build)
+    with pytest.raises(ValueError, match="unit-id block"):
+        self_scc_table((0.3, 0.7), (8,), 10_001, master_seed=1)
+    with pytest.raises(RuntimeError, match="building started"):
+        self_scc_table((0.3, 0.7), (8,), 10_000, master_seed=1)
 
 
 def test_prefix_helper():
