@@ -53,6 +53,7 @@ from .allocator import (
     UnknownLevel,
     allocate,
     cost_metrics,
+    plan,
     quantize_assignment,
     route,
     size_array,

@@ -86,47 +86,41 @@ def quantize_assignment(values: dict[str, float],
     return {t: quantize_to_levels(v, levels) for t, v in values.items()}
 
 
-def _level_demands(assignment: dict[str, float],
-                   conflict_sets: list[frozenset[str]]) -> dict[float, int]:
-    """Worst per-conflict-set demand for each level under one assignment."""
-    demand: dict[float, int] = {}
-    for group in conflict_sets:
-        per_level: dict[float, int] = {}
-        for t in group:
-            lvl = assignment[t]
-            per_level[lvl] = per_level.get(lvl, 0) + 1
-        for lvl, count in per_level.items():
-            demand[lvl] = max(demand.get(lvl, 0), count)
-    return demand
+def _first_fit(assignment: dict[str, float],
+               conflict_sets: list[frozenset[str]],
+               terminal_order: list[str],
+               capacity: dict[float, int] | None = None) -> dict[str, int]:
+    """The switch controller's choice: each terminal's slot within its level.
 
-
-def _greedy_usage(assignment: dict[str, float],
-                  conflict_sets: list[frozenset[str]],
-                  terminal_order: list[str]) -> dict[float, int]:
-    """Rows per level the first-fit controller consumes, capacity unbounded."""
+    Conflict sets are walked in input order, terminals within a set in
+    terminal_order, then every terminal no set holds; each terminal takes the
+    lowest slot of its level that no placed conflict neighbor holds.
+    capacity gives the rows per level (None: unbounded); a terminal that
+    finds no free row raises CapacityExceeded.
+    """
     adj = conflict_neighbors(conflict_sets)
     order = {t: i for i, t in enumerate(terminal_order)}
-    assigned: dict[str, tuple[float, int]] = {}
-    used: dict[float, int] = {}
+    slot: dict[str, int] = {}
 
     def place(t: str) -> None:
         lvl = assignment[t]
-        blocked = {assigned[nb][1] for nb in adj.get(t, ()) if nb in assigned
-                   and assigned[nb][0] == lvl}
-        row = 0
-        while row in blocked:
-            row += 1
-        assigned[t] = (lvl, row)
-        used[lvl] = max(used.get(lvl, 0), row + 1)
+        blocked = {slot[nb] for nb in adj.get(t, ()) if nb in slot and assignment[nb] == lvl}
+        s = 0
+        while s in blocked:
+            s += 1
+        if capacity is not None and s >= capacity[lvl]:
+            raise CapacityExceeded(
+                lvl, f"conflict sets demand more than {capacity[lvl]} rows of level {lvl}")
+        slot[t] = s
 
     for group in conflict_sets:
         for t in sorted(group, key=order.__getitem__):
-            if t not in assigned:
+            if t not in slot:
                 place(t)
     for t in terminal_order:
-        if t not in assigned:
+        if t not in slot:
             place(t)
-    return used
+    return slot
 
 
 def size_array(conflict_sets: list[frozenset[str]],
@@ -159,9 +153,8 @@ def size_array(conflict_sets: list[frozenset[str]],
     for raw in trace:
         assignment = quantize_assignment(raw, levels_sorted)
         order = terminal_order or sorted(assignment)
-        usage = _greedy_usage(assignment, conflict_sets, order)
-        for lvl, rows in usage.items():
-            need[lvl] = max(need.get(lvl, 0), rows)
+        for t, slot in _first_fit(assignment, conflict_sets, order).items():
+            need[assignment[t]] = max(need.get(assignment[t], 0), slot + 1)
     multiplicity = tuple(max(need.get(lvl, 0), 1) for lvl in levels_sorted)
     return SbgArraySpec(levels_sorted, multiplicity, mode)
 
@@ -175,10 +168,11 @@ def allocate(assignment: dict[str, float], spec: SbgArraySpec,
     ascending order, so identical inputs always yield identical matrices.
     """
     terminals = terminal_order or sorted(assignment)
-    if set(terminals) != set(assignment):
+    known = set(terminals)
+    if known != set(assignment):
         raise ValueError("terminal order must cover exactly the assignment keys")
     for group in conflict_sets:
-        missing = group - set(terminals)
+        missing = group - known
         if missing:
             raise ValueError(f"conflict set members missing from assignment: {sorted(missing)}")
     level_index = {lvl: i for i, lvl in enumerate(spec.levels)}
@@ -187,36 +181,31 @@ def allocate(assignment: dict[str, float], spec: SbgArraySpec,
             raise UnknownLevel(f"terminal {t!r} requests {lvl}, not an array level")
 
     rows_by_level = spec.rows_by_level()
-    adj = conflict_neighbors(conflict_sets)
-    order = {t: i for i, t in enumerate(terminals)}
-    assigned: dict[str, int] = {}
-
-    def place(t: str) -> None:
-        lvl = assignment[t]
-        rows = rows_by_level[lvl]
-        blocked = {assigned[nb] for nb in adj.get(t, ()) if nb in assigned}
-        for row in rows:
-            if row not in blocked:
-                assigned[t] = row
-                return
-        raise CapacityExceeded(
-            lvl, f"conflict sets demand more than {len(rows)} rows of level {lvl}")
-
-    for group in conflict_sets:
-        for t in sorted(group, key=order.__getitem__):
-            if t not in assigned:
-                place(t)
-    for t in terminals:
-        if t not in assigned:
-            place(t)
-
+    slots = _first_fit(assignment, conflict_sets, terminals,
+                       {lvl: len(rows) for lvl, rows in rows_by_level.items()})
     control = np.zeros((spec.total_units, len(terminals)), dtype=np.uint8)
     for j, t in enumerate(terminals):
-        control[assigned[t], j] = 1
+        control[rows_by_level[assignment[t]][slots[t]], j] = 1
     control.flags.writeable = False
     return SwitchMatrix(control=control,
                         row_levels=tuple(spec.row_levels()),
                         col_terminals=tuple(terminals))
+
+
+def plan(cluster_assignment: dict[str, float],
+         cluster_sets: list[frozenset[str]],
+         order: list[str],
+         mode: SbgMode = SbgMode.SELF_CONTROL) -> tuple[SbgArraySpec, SwitchMatrix]:
+    """Size the array for one clustered assignment and allocate it.
+
+    Sizing is the "trace" policy over this assignment alone, so every level
+    gets exactly the rows the first-fit controller consumes; the switch
+    matrix then places each cluster on those rows.
+    """
+    levels = sorted(set(cluster_assignment.values()))
+    spec = size_array(cluster_sets, levels, policy="trace", trace=[cluster_assignment],
+                      terminal_order=order, mode=mode)
+    return spec, allocate(cluster_assignment, spec, cluster_sets, order)
 
 
 def route(matrix: SwitchMatrix, row_streams: list[Bitstream]) -> dict[str, Bitstream]:
@@ -250,7 +239,7 @@ def verify_allocation(matrix: SwitchMatrix,
     if problems:
         return problems
 
-    row_of = {t: matrix.row_of(t) for t in matrix.col_terminals}
+    row_of = dict(zip(matrix.col_terminals, np.argmax(matrix.control, axis=0).tolist()))
     for group in conflict_sets:
         seen: dict[int, str] = {}
         for t in sorted(group):

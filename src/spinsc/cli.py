@@ -99,10 +99,14 @@ def cmd_scc_report(cfg: RunConfig) -> list[Path]:
     self_rows = experiments.self_scc_table(
         rep.scc_probs, rep.scc_lengths, rep.scc_pairs, cfg.master_seed,
         mode=cfg.array.mode, params=cfg.device.params,
+        write_duration_ns=cfg.device.write_duration_ns,
+        read_energy_nj=cfg.device.read_energy_nj,
         reset_pulse=cfg.device.reset_pulse)
     cross_rows = experiments.cross_scc_table(
         rep.scc_cross, rep.scc_lengths, rep.scc_pairs, cfg.master_seed,
         mode=cfg.array.mode, params=cfg.device.params,
+        write_duration_ns=cfg.device.write_duration_ns,
+        read_energy_nj=cfg.device.read_energy_nj,
         reset_pulse=cfg.device.reset_pulse)
     self_path = out / "self_scc.csv"
     cross_path = out / "cross_scc.csv"
@@ -127,29 +131,25 @@ def _load_assignment(path: Path) -> dict[str, float]:
 def cmd_allocate(cfg: RunConfig, netlist_path: Path, assignment_path: Path) -> list[Path]:
     out = _out_dir(cfg)
     net = ScNetlist.parse(netlist_path.read_text(encoding="utf-8"))
-    raw_assignment = _load_assignment(assignment_path)
-    missing = [t for t in net.terminals if t not in raw_assignment]
+    assignment = _load_assignment(assignment_path)
+    missing = [t for t in net.terminals if t not in assignment]
     if missing:
         raise ConfigError(f"assignment misses terminals: {missing}")
+    unknown = sorted(set(assignment) - set(net.terminals))
+    if unknown:
+        raise ConfigError(f"assignment names terminals the netlist lacks: {unknown}")
 
     conflict_sets = extract_conflict_sets(net)
-    levels = sorted(set(raw_assignment.values()))
-    assignment = allocator.quantize_assignment(raw_assignment, levels)
-
     by_value: dict[float, list[str]] = {}
     for t in net.terminals:
         by_value.setdefault(assignment[t], []).append(t)
     classes = [members for _, members in sorted(by_value.items())]
     cluster_map = cluster_terminals(net, conflict_sets, classes)
     clusters = clusters_of(cluster_map)
-    cluster_order = list(clusters)
-    cluster_assignment = {cid: assignment[members[0]] for cid, members in clusters.items()}
-    cluster_sets = [frozenset(cluster_map[t] for t in group) for group in conflict_sets]
-
-    spec = allocator.size_array(cluster_sets, levels, policy="trace",
-                                trace=[cluster_assignment],
-                                terminal_order=cluster_order, mode=cfg.array.mode)
-    matrix = allocator.allocate(cluster_assignment, spec, cluster_sets, cluster_order)
+    spec, matrix = allocator.plan(
+        {cid: assignment[members[0]] for cid, members in clusters.items()},
+        [frozenset(cluster_map[t] for t in group) for group in conflict_sets],
+        list(clusters), cfg.array.mode)
 
     matrix_path = out / "matrix.csv"
     entries = [(int(r), int(c)) for r, c in zip(*np.nonzero(matrix.control))]

@@ -106,6 +106,8 @@ def self_scc_table(probs: tuple[float, ...], lengths: tuple[int, ...],
                    pairs: int, master_seed: int, *,
                    mode: SbgMode = SbgMode.SELF_CONTROL,
                    params: MtjParams | None = None,
+                   write_duration_ns: float = DEFAULT_WRITE_DURATION_NS,
+                   read_energy_nj: float = DEFAULT_READ_ENERGY_NJ,
                    reset_pulse: PulseSpec = RESET_PULSE) -> list[tuple[float, int, float]]:
     """Mean |SCC| between independent generators at one probability.
 
@@ -122,7 +124,9 @@ def self_scc_table(probs: tuple[float, ...], lengths: tuple[int, ...],
     unit_id = SELF_SCC_BASE_ID
     for p in probs:
         units = [make_unit(params, mode, p, master_seed, unit_id + k,
-                           reset_pulse=reset_pulse, calibration=calibration)
+                           write_duration_ns=write_duration_ns,
+                           read_energy_nj=read_energy_nj, reset_pulse=reset_pulse,
+                           calibration=calibration)
                  for k in range(2 * pairs)]
         unit_id += 2 * pairs
         rows.extend((p, n, v) for n, v in zip(lengths, _mean_abs_scc(units, n_max, lengths)))
@@ -133,6 +137,8 @@ def cross_scc_table(prob_pairs: tuple[tuple[float, float], ...],
                     lengths: tuple[int, ...], pairs: int, master_seed: int, *,
                     mode: SbgMode = SbgMode.SELF_CONTROL,
                     params: MtjParams | None = None,
+                    write_duration_ns: float = DEFAULT_WRITE_DURATION_NS,
+                    read_energy_nj: float = DEFAULT_READ_ENERGY_NJ,
                     reset_pulse: PulseSpec = RESET_PULSE
                     ) -> list[tuple[float, float, int, float]]:
     """Mean |SCC| between generators targeting two different probabilities."""
@@ -144,7 +150,9 @@ def cross_scc_table(prob_pairs: tuple[tuple[float, float], ...],
     unit_id = CROSS_SCC_BASE_ID
     for p1, p2 in prob_pairs:
         units = [make_unit(params, mode, (p1, p2)[k % 2], master_seed, unit_id + k,
-                           reset_pulse=reset_pulse, calibration=calibration)
+                           write_duration_ns=write_duration_ns,
+                           read_energy_nj=read_energy_nj, reset_pulse=reset_pulse,
+                           calibration=calibration)
                  for k in range(2 * pairs)]
         unit_id += 2 * pairs
         rows.extend((p1, p2, n, v)

@@ -14,14 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import SwitchMatrix, allocate, size_array
-from .logic import ScNetlist, GateKind, cluster_terminals, clusters_of, extract_conflict_sets
+from .allocator import plan
 from .sbg import (
     DEFAULT_READ_ENERGY_NJ,
     DEFAULT_WRITE_DURATION_NS,
     RESET_PULSE,
     CalibrationCache,
-    SbgArraySpec,
     SbgMode,
     build_array,
     generate_array,
@@ -227,41 +225,6 @@ def quantize_unit_interval(values: np.ndarray, level_count: int) -> np.ndarray:
     return k / level_count
 
 
-def terminal_name(x: int, y: int, channel: str) -> str:
-    return f"x{x}y{y}_{channel}"
-
-
-def cell_output_name(x: int, y: int) -> str:
-    return f"x{x}y{y}"
-
-
-def build_sc_network(problem: FusionProblem,
-                     level_count: int = 64) -> tuple[ScNetlist, dict[str, float]]:
-    """Per-cell 6-input AND chains plus the quantized input assignment.
-
-    Returns one netlist holding W*H independent sub-circuits (6*W*H
-    terminals) and the terminal -> level map derived from the conditioned,
-    quantized likelihood channels.
-    """
-    channels = quantize_unit_interval(condition_channels(likelihood_channels(problem)),
-                                      level_count)
-    net = ScNetlist()
-    assignment: dict[str, float] = {}
-    for x in range(problem.grid_w):
-        for y in range(problem.grid_h):
-            names = [terminal_name(x, y, ch) for ch in CHANNELS]
-            for i, name in enumerate(names):
-                net.add_terminal(name)
-                assignment[name] = float(channels[i, x, y])
-            prev = names[0]
-            for k in range(1, 6):
-                gid = f"x{x}y{y}_m{k}"
-                net.add_gate(gid, GateKind.AND, (prev, names[k]))
-                prev = gid
-            net.add_output(prev)
-    return net, assignment
-
-
 @dataclass
 class FusionRunStats:
     """Accounting from one stochastic inference run."""
@@ -278,7 +241,8 @@ class FusionRunStats:
 
 
 class FusionPipeline:
-    """Prepared network, clustering and allocation for one fusion problem.
+    """Clustering and allocation for one fusion problem, prepared from its
+    quantized channel grid.
 
     Preparation is seed-independent; run() draws fresh generator streams for
     a given seed.  Cells re-use shared rows exactly as the switch matrix
@@ -300,47 +264,36 @@ class FusionPipeline:
         self.reset_pulse = reset_pulse
         self.calibration = CalibrationCache()
 
-        self.netlist, self.assignment = build_sc_network(problem, level_count)
-        self.conflict_sets = extract_conflict_sets(self.netlist)
+        # Each cell is one 6-input AND chain, so its six terminals form one
+        # conflict set and cells share no terminal.  First-fit clustering of
+        # same-level terminals then puts a terminal in its level's cluster
+        # number `rank`, the count of earlier channels of its cell with the
+        # same level (see README, "Preparation").
+        channels = quantize_unit_interval(condition_channels(likelihood_channels(problem)),
+                                          level_count)
+        values, level_ids = np.unique(channels.reshape(6, -1).T, return_inverse=True)
+        level_ids = level_ids.reshape(-1, 6)        # (cells, 6), cells in (x, y) order
+        same = level_ids[:, :, None] == level_ids[:, None, :]
+        rank = np.tril(same, k=-1).sum(axis=2)
+        per_level = np.zeros(values.size, dtype=np.int64)
+        np.maximum.at(per_level, level_ids, rank + 1)
+        cluster_ids = (np.cumsum(per_level) - per_level)[level_ids] + rank
+        names = [f"C{k}" for k in range(int(per_level.sum()))]
+        cluster_assignment = dict(zip(names, np.repeat(values, per_level).tolist()))
+        unique_sets = dict.fromkeys(map(tuple, np.sort(cluster_ids, axis=1).tolist()))
+        self.cluster_sets = [frozenset(names[k] for k in row) for row in unique_sets]
 
-        by_level: dict[float, list[str]] = {}
-        for t in self.netlist.terminals:
-            by_level.setdefault(self.assignment[t], []).append(t)
-        classes = [members for _, members in sorted(by_level.items())]
-        self.cluster_map = cluster_terminals(self.netlist, self.conflict_sets, classes)
-        self.clusters = clusters_of(self.cluster_map)
-        self.cluster_order = list(self.clusters)
-        self.cluster_assignment = {cid: self.assignment[members[0]]
-                                   for cid, members in self.clusters.items()}
-        self.cluster_sets = [frozenset(self.cluster_map[t] for t in group)
-                             for group in self.conflict_sets]
-
-        levels = sorted(set(self.cluster_assignment.values()))
-        self.spec: SbgArraySpec = size_array(
-            self.cluster_sets, levels, policy="trace",
-            trace=[self.cluster_assignment], terminal_order=self.cluster_order,
-            mode=mode)
-        self.matrix: SwitchMatrix = allocate(
-            self.cluster_assignment, self.spec, self.cluster_sets, self.cluster_order)
-
+        self.spec, self.matrix = plan(cluster_assignment, self.cluster_sets, names, mode)
         # Row index of each cell terminal, cells in (x, y) order.
-        col_of = {cid: j for j, cid in enumerate(self.matrix.col_terminals)}
-        row_of_col = np.argmax(self.matrix.control, axis=0)
-        w, h = problem.grid_w, problem.grid_h
-        self.cell_rows = np.empty((w * h, 6), dtype=np.int64)
-        for x in range(w):
-            for y in range(h):
-                for i, ch in enumerate(CHANNELS):
-                    cid = self.cluster_map[terminal_name(x, y, ch)]
-                    self.cell_rows[x * h + y, i] = row_of_col[col_of[cid]]
+        self.cell_rows = np.argmax(self.matrix.control, axis=0)[cluster_ids]
 
     @property
     def num_terminals(self) -> int:
-        return len(self.netlist.terminals)
+        return self.cell_rows.size
 
     @property
     def num_clusters(self) -> int:
-        return len(self.clusters)
+        return self.matrix.num_cols
 
     @property
     def num_units(self) -> int:

@@ -319,7 +319,9 @@ def conflict_neighbors(conflict_sets: list[frozenset[str]]) -> dict[str, set[str
     adj: dict[str, set[str]] = {}
     for group in conflict_sets:
         for t in group:
-            adj.setdefault(t, set()).update(group - {t})
+            adj.setdefault(t, set()).update(group)
+    for t, neighbors in adj.items():
+        neighbors.discard(t)
     return adj
 
 

@@ -6,8 +6,16 @@ from itertools import product as iter_product
 
 import numpy as np
 
+from spinsc.allocator import allocate, size_array
 from spinsc.device import MtjState, apply_write, read_state
-from spinsc.logic import GateKind, ScNetlist
+from spinsc.fusion import (
+    CHANNELS,
+    FusionProblem,
+    condition_channels,
+    likelihood_channels,
+    quantize_unit_interval,
+)
+from spinsc.logic import GateKind, ScNetlist, cluster_terminals, clusters_of, extract_conflict_sets
 from spinsc.sbg import SbgMode, SbgUnit, pulse_energy_nj
 
 
@@ -108,3 +116,65 @@ def scalar_generate(unit: SbgUnit, n: int) -> np.ndarray:
             bits.append(current ^ unit.last_state)
             unit.last_state = current
     return np.array(bits, dtype=np.uint8)
+
+
+def terminal_name(x: int, y: int, channel: str) -> str:
+    return f"x{x}y{y}_{channel}"
+
+
+def build_sc_network(problem: FusionProblem,
+                     level_count: int = 64) -> tuple[ScNetlist, dict[str, float]]:
+    """Per-cell 6-input AND chains plus the quantized input assignment.
+
+    Returns one netlist holding W*H independent sub-circuits (6*W*H
+    terminals) and the terminal -> level map derived from the conditioned,
+    quantized likelihood channels.
+    """
+    channels = quantize_unit_interval(condition_channels(likelihood_channels(problem)),
+                                      level_count)
+    net = ScNetlist()
+    assignment: dict[str, float] = {}
+    for x in range(problem.grid_w):
+        for y in range(problem.grid_h):
+            names = [terminal_name(x, y, ch) for ch in CHANNELS]
+            for i, name in enumerate(names):
+                net.add_terminal(name)
+                assignment[name] = float(channels[i, x, y])
+            prev = names[0]
+            for k in range(1, 6):
+                gid = f"x{x}y{y}_m{k}"
+                net.add_gate(gid, GateKind.AND, (prev, names[k]))
+                prev = gid
+            net.add_output(prev)
+    return net, assignment
+
+
+def generic_fusion_plan(problem: FusionProblem, level_count: int = 64,
+                        mode: SbgMode = SbgMode.SELF_CONTROL):
+    """Oracle for FusionPipeline's preparation: the fusion netlist through the
+    generic conflict extraction, first-fit clustering, sizing and allocation.
+
+    Returns (spec, matrix, cell_rows, num_clusters).
+    """
+    net, assignment = build_sc_network(problem, level_count)
+    conflict_sets = extract_conflict_sets(net)
+    by_level: dict[float, list[str]] = {}
+    for t in net.terminals:
+        by_level.setdefault(assignment[t], []).append(t)
+    classes = [members for _, members in sorted(by_level.items())]
+    cluster_map = cluster_terminals(net, conflict_sets, classes)
+    clusters = clusters_of(cluster_map)
+    order = list(clusters)
+    cluster_assignment = {cid: assignment[members[0]] for cid, members in clusters.items()}
+    cluster_sets = [frozenset(cluster_map[t] for t in group) for group in conflict_sets]
+    spec = size_array(cluster_sets, sorted(set(cluster_assignment.values())), policy="trace",
+                      trace=[cluster_assignment], terminal_order=order, mode=mode)
+    matrix = allocate(cluster_assignment, spec, cluster_sets, order)
+
+    col_of = {cid: j for j, cid in enumerate(matrix.col_terminals)}
+    row_of_col = np.argmax(matrix.control, axis=0)
+    cell_rows = np.array([[row_of_col[col_of[cluster_map[terminal_name(x, y, ch)]]]
+                           for ch in CHANNELS]
+                          for x in range(problem.grid_w) for y in range(problem.grid_h)],
+                         dtype=np.int64)
+    return spec, matrix, cell_rows, len(clusters)

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 import helpers
+import spinsc.allocator as allocator_module
 from spinsc.allocator import (
     CapacityExceeded,
     UnknownLevel,
     allocate,
     cost_metrics,
+    plan,
     quantize_assignment,
     quantize_to_levels,
     route,
@@ -60,6 +62,25 @@ def test_reference_allocation(reference_netlist_text, reference_assignment):
     assert matrix.row_of("T4") == matrix.row_of("T8")
     assert matrix.row_of("T9") != matrix.row_of("T8")
     assert verify_allocation(matrix, sets, reference_assignment) == []
+
+
+def test_plan_sizes_then_allocates_once(monkeypatch, reference_netlist_text,
+                                        reference_assignment):
+    net, sets, spec = reference_setup(reference_netlist_text, reference_assignment)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return allocate(*args, **kwargs)
+
+    monkeypatch.setattr(allocator_module, "allocate", recording)
+    planned_spec, matrix = plan(reference_assignment, sets, net.terminals, SbgMode.SIMPLE)
+    assert planned_spec == SbgArraySpec(spec.levels, spec.multiplicity, SbgMode.SIMPLE)
+    # One positional call, so that a caller's hook sees (assignment, spec, sets, order).
+    assert calls == [((reference_assignment, planned_spec, sets, net.terminals), {})]
+    assert np.array_equal(matrix.control,
+                          allocate(reference_assignment, planned_spec, sets,
+                                   net.terminals).control)
 
 
 def test_single_terminal_single_level():
@@ -169,6 +190,55 @@ def test_verifier_flags_bad_matrices(reference_netlist_text, reference_assignmen
                         col_terminals=matrix.col_terminals)
     messages = verify_allocation(bad2, sets, reference_assignment)
     assert any("share row" in msg for msg in messages)
+
+
+def retarget(matrix, terminal, row):
+    """Copy of matrix with terminal's column moved onto row."""
+    control = matrix.control.copy()
+    j = matrix.col_terminals.index(terminal)
+    control[:, j] = 0
+    control[row, j] = 1
+    return type(matrix)(control=control, row_levels=matrix.row_levels,
+                        col_terminals=matrix.col_terminals)
+
+
+def test_verifier_reports_each_violation(reference_netlist_text, reference_assignment):
+    net, sets, spec = reference_setup(reference_netlist_text, reference_assignment)
+    matrix = allocate(reference_assignment, spec, sets, net.terminals)
+    r1, r6 = matrix.row_of("T1"), matrix.row_of("T6")
+    assert matrix.row_levels[r1] == 0.1 and matrix.row_levels[r6] == 0.7
+
+    # T5 onto T1's row: T5 conflicts with T1 ({T1, T2, T5}) and with T3,
+    # which shares T1's row ({T3, T4, T5}).
+    assert verify_allocation(retarget(matrix, "T5", r1), sets, reference_assignment) == [
+        f"conflicting terminals 'T1' and 'T5' share row {r1}",
+        f"conflicting terminals 'T3' and 'T5' share row {r1}",
+    ]
+    # T6 onto a 0.1 row no conflicting terminal uses: only the level is wrong.
+    assert verify_allocation(retarget(matrix, "T6", r1), sets, reference_assignment) == [
+        f"terminal 'T6' requests 0.7 but row {r1} generates 0.1",
+    ]
+    # T7 onto T6's row: a shared row and a wrong level at once.
+    assert verify_allocation(retarget(matrix, "T7", r6), sets, reference_assignment) == [
+        f"conflicting terminals 'T6' and 'T7' share row {r6}",
+        f"terminal 'T7' requests 0.9 but row {r6} generates 0.7",
+    ]
+
+
+def test_row_of_rejects_columns_without_exactly_one_row(reference_netlist_text,
+                                                        reference_assignment):
+    net, sets, spec = reference_setup(reference_netlist_text, reference_assignment)
+    matrix = allocate(reference_assignment, spec, sets, net.terminals)
+    for rows in ([], [0, 1]):
+        control = matrix.control.copy()
+        control[:, 0] = 0
+        control[rows, 0] = 1
+        bad = type(matrix)(control=control, row_levels=matrix.row_levels,
+                           col_terminals=matrix.col_terminals)
+        with pytest.raises(ValueError, match=f"has {len(rows)} active rows"):
+            bad.row_of(matrix.col_terminals[0])
+        assert verify_allocation(bad, sets, reference_assignment) == [
+            f"column {matrix.col_terminals[0]!r} selects {len(rows)} rows"]
 
 
 def test_cost_metrics_reference_rows():

@@ -3,7 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spinsc import experiments
 from spinsc.cli import main, write_pgm
+from spinsc.sbg import make_unit
 from conftest import REFERENCE_ASSIGNMENT, REFERENCE_NETLIST
 
 SMALL_CONFIG = """\
@@ -92,13 +94,18 @@ def test_scc_report_output(tmp_path, config_path):
     assert len(cross_lines) == 1 + 1 * 2  # one pair x two lengths
 
 
-def test_allocate_command_reports_seven_generators(tmp_path, config_path):
+def write_reference_inputs(tmp_path, assignment_values=REFERENCE_ASSIGNMENT):
     netlist = tmp_path / "reference.net"
     netlist.write_text(REFERENCE_NETLIST, encoding="utf-8")
     assignment = tmp_path / "reference.assign"
     assignment.write_text(
-        "\n".join(f"{t} = {v}" for t, v in REFERENCE_ASSIGNMENT.items()) + "\n",
+        "\n".join(f"{t} = {v}" for t, v in assignment_values.items()) + "\n",
         encoding="utf-8")
+    return netlist, assignment
+
+
+def test_allocate_command_reports_seven_generators(tmp_path, config_path):
+    netlist, assignment = write_reference_inputs(tmp_path)
     out = tmp_path / "out"
     run_cli("--config", config_path, "--out-dir", out, "allocate",
             "--netlist", netlist, "--assignment", assignment)
@@ -109,6 +116,19 @@ def test_allocate_command_reports_seven_generators(tmp_path, config_path):
     matrix_lines = read_lines(out / "matrix.csv")
     assert matrix_lines[0] == "row,col"
     assert len(matrix_lines) == 1 + 7  # one entry per clustered column
+    # Golden bytes of both files: planning must reproduce them exactly.
+    assert (out / "allocate_summary.csv").read_bytes() == (
+        b"m,n_terminals,n_clustered,k_energy,k_cmos\n7,9,7,0.777778,0.836957\n")
+    assert (out / "matrix.csv").read_bytes() == (
+        b"row,col\n" + b"".join(b"%d,%d\n" % (k, k) for k in range(7)))
+
+
+def test_allocate_rejects_terminals_missing_from_netlist(tmp_path, config_path, capsys):
+    netlist, assignment = write_reference_inputs(tmp_path, {**REFERENCE_ASSIGNMENT, "T10": 0.2})
+    assert main(["--config", str(config_path), "--out-dir", str(tmp_path / "o"), "allocate",
+                 "--netlist", str(netlist), "--assignment", str(assignment)]) == 2
+    err = capsys.readouterr().err
+    assert "T10" in err and err.count("\n") == 1
 
 
 def test_fusion_run_outputs(tmp_path, config_path, capsys):
@@ -187,6 +207,28 @@ def test_reset_voltage_key_changes_outputs(tmp_path, config_path, command, outpu
     run_cli("--config", config_path, "--out-dir", tmp_path / "default", command)
     run_cli("--config", weak, "--out-dir", tmp_path / "weak", command)
     assert (tmp_path / "default" / output).read_bytes() != (tmp_path / "weak" / output).read_bytes()
+
+
+def test_device_write_keys_reach_scc_report(tmp_path, config_path, monkeypatch):
+    # Calibration retargets the write voltage to the same switching
+    # probability at any pulse duration, so self_scc.csv itself does not move;
+    # check that every generator the tables build carries the keys instead.
+    built = []
+
+    def recording(*args, **kwargs):
+        unit = make_unit(*args, **kwargs)
+        built.append(unit)
+        return unit
+
+    monkeypatch.setattr(experiments, "make_unit", recording)
+    changed = tmp_path / "changed.cfg"
+    changed.write_text(SMALL_CONFIG + "\n[device]\nwrite_duration = 5.0\nread_energy = 0.5\n",
+                       encoding="utf-8")
+    run_cli("--config", changed, "--out-dir", tmp_path / "changed", "scc-report")
+    assert len(built) == 2 * 4 * (2 + 1)  # 4 pairs per self prob and per cross pair
+    for unit in built:
+        assert unit.write_pulse_p2ap.duration == unit.write_pulse_ap2p.duration == 5.0
+        assert unit.read_energy_nj == 0.5
 
 
 def test_nonpositive_reset_voltage_is_config_error(tmp_path):

@@ -13,7 +13,6 @@ from spinsc.fusion import (
     ShapeMismatch,
     angular_residual,
     bearing_deg,
-    build_sc_network,
     condition_channels,
     default_zero_floor,
     exact_posterior,
@@ -26,6 +25,9 @@ from spinsc.fusion import (
     synthesize_readings,
 )
 from spinsc.logic import extract_conflict_sets
+from spinsc.sbg import SbgMode
+
+from helpers import build_sc_network, generic_fusion_plan
 
 
 def problem_64(target=(40.0, 22.0), **kw):
@@ -133,6 +135,31 @@ def test_network_scale_64():
     problem = make_problem(grid_w=64, grid_h=64)
     net, _ = build_sc_network(problem)
     assert len(net.terminals) == 24576
+
+
+@pytest.mark.parametrize("grid, level_count, noise, mode", [
+    ((8, 8), 64, 0.0, SbgMode.SELF_CONTROL),
+    ((16, 16), 64, 0.0, SbgMode.SELF_CONTROL),
+    ((32, 32), 64, 0.0, SbgMode.SELF_CONTROL),
+    ((12, 20), 64, 0.0, SbgMode.SELF_CONTROL),
+    ((16, 16), 64, 4.0, SbgMode.SELF_CONTROL),
+    ((16, 16), 4, 0.0, SbgMode.SELF_CONTROL),
+    ((20, 12), 256, 2.0, SbgMode.SELF_CONTROL),
+    ((12, 20), 64, 0.0, SbgMode.SIMPLE),
+])
+def test_pipeline_matches_generic_preparation(grid, level_count, noise, mode):
+    problem = make_problem(grid_w=grid[0], grid_h=grid[1], noise_d=noise, noise_b=3.0 * noise,
+                           master_seed=9)
+    pipeline = FusionPipeline(problem, level_count=level_count, mode=mode)
+    spec, matrix, cell_rows, num_clusters = generic_fusion_plan(problem, level_count, mode)
+    assert pipeline.spec == spec
+    assert np.array_equal(pipeline.matrix.control, matrix.control)
+    assert pipeline.matrix.row_levels == matrix.row_levels
+    assert pipeline.matrix.col_terminals == matrix.col_terminals
+    assert np.array_equal(pipeline.cell_rows, cell_rows)
+    assert pipeline.cell_rows.dtype == cell_rows.dtype
+    assert pipeline.num_clusters == num_clusters
+    assert pipeline.num_terminals == 6 * grid[0] * grid[1]
 
 
 def test_analytic_limit_equals_quantized_exact():
