@@ -23,7 +23,7 @@ from .device import (
     sample_process_variation,
     switch_probability,
 )
-from .stochastic import Bitstream, LengthMismatch, sc_and, sc_mux, sc_not, scc, value
+from .stochastic import Bitstream, LengthMismatch, sc_and, sc_mux, sc_not, scc
 from .logic import (
     CyclicNetlist,
     GateKind,
@@ -40,7 +40,6 @@ from .sbg import (
     SbgMode,
     SbgUnit,
     build_array,
-    energy_of,
     generate,
     generate_array,
     generate_self_control,

@@ -74,6 +74,13 @@ class ScNetlist:
 
     def validate(self) -> None:
         """Check reference integrity and acyclicity; raises CyclicNetlist."""
+        self.topo_order()
+
+    def topo_order(self) -> list[str]:
+        """Gate ids, each after the gates it reads (Kahn's algorithm).
+
+        Also checks reference integrity and acyclicity; raises CyclicNetlist.
+        """
         known = self._terminal_set
         for gate in self.gates.values():
             for src in gate.inputs:
@@ -82,40 +89,21 @@ class ScNetlist:
         for out in self.outputs:
             if out not in known and out not in self.gates:
                 raise CyclicNetlist(f"output references unknown node {out!r}")
-        # Kahn's algorithm over the gate subgraph.
-        indeg = {gid: sum(1 for s in g.inputs if s in self.gates)
-                 for gid, g in self.gates.items()}
-        ready = [gid for gid, d in indeg.items() if d == 0]
+        indeg = {gid: 0 for gid in self.gates}
         fanout: dict[str, list[str]] = {}
         for gid, g in self.gates.items():
             for s in g.inputs:
                 if s in self.gates:
+                    indeg[gid] += 1
                     fanout.setdefault(s, []).append(gid)
-        seen = 0
-        while ready:
-            gid = ready.pop()
-            seen += 1
+        order = [gid for gid, d in indeg.items() if d == 0]
+        for gid in order:  # grows while it is walked
             for nxt in fanout.get(gid, ()):
                 indeg[nxt] -= 1
                 if indeg[nxt] == 0:
-                    ready.append(nxt)
-        if seen != len(self.gates):
+                    order.append(nxt)
+        if len(order) != len(self.gates):
             raise CyclicNetlist("gate graph contains a cycle")
-
-    def topo_order(self) -> list[str]:
-        self.validate()
-        order: list[str] = []
-        done: set[str] = set(self.terminals)
-        pending = list(self.gates)
-        while pending:
-            rest = []
-            for gid in pending:
-                if all(s in done for s in self.gates[gid].inputs):
-                    order.append(gid)
-                    done.add(gid)
-                else:
-                    rest.append(gid)
-            pending = rest
         return order
 
     # Plain-text exchange format: one declaration per line.
@@ -176,76 +164,81 @@ class Product:
         return p
 
 
-def _merge(x: Product, y: Product) -> Product | None:
-    """Conjunction of two partial assignments; None on contradiction."""
-    if x.pos & y.neg or x.neg & y.pos:
-        return None
-    return Product(x.pos | y.pos, x.neg | y.neg)
+# A product as an int pair (pos, neg): bit i stands for net.terminals[i].
+Term = tuple[int, int]
 
 
-def _expand(net: ScNetlist, node_id: str, negated: bool,
-            memo: dict[tuple[str, bool], list[Product]]) -> list[Product]:
-    """Expansion core; assumes the netlist has already been validated."""
+def _conjoin(xs: list[Term], ys: list[Term]) -> list[Term]:
+    """Pairwise conjunction of two product families, x-major; terms with a
+    terminal in both polarities are dropped."""
+    return [(xp | yp, xn | yn) for xp, xn in xs for yp, yn in ys
+            if not (xp & yn or xn & yp)]
 
-    def expand(node: str, negated: bool) -> list[Product]:
-        key = (node, negated)
-        if key in memo:
-            return memo[key]
-        if net.is_terminal(node):
-            out = [Product(frozenset(), frozenset({node})) if negated
-                   else Product(frozenset({node}), frozenset())]
-            memo[key] = out
-            return out
-        gate = net.gates[node]
-        if gate.kind is GateKind.NOT:
-            out = expand(gate.inputs[0], not negated)
-        elif gate.kind is GateKind.AND:
-            if not negated:
-                out = [Product(frozenset(), frozenset())]
-                for src in gate.inputs:
-                    nxt = []
-                    for left in out:
-                        for right in expand(src, False):
-                            merged = _merge(left, right)
-                            if merged is not None:
-                                nxt.append(merged)
-                    out = nxt
+
+def _expand(net: ScNetlist, order: list[str],
+            roots: Iterable[str]) -> dict[tuple[str, bool], list[Term]]:
+    """Products of every (node, negated) key the positive roots need.
+
+    order is net.topo_order().  Needed keys are marked consumers first
+    (reverse order), then filled producers first, so the depth of the
+    netlist never reaches the Python stack.
+    """
+    needed = {(r, False) for r in roots}
+    for gid in reversed(order):
+        gate = net.gates[gid]
+        for negated in (False, True):
+            if (gid, negated) not in needed:
+                continue
+            if gate.kind is GateKind.NOT:
+                needed.add((gate.inputs[0], not negated))
+            elif gate.kind is GateKind.AND:
+                needed.update((src, negated) for src in gate.inputs)
+                if negated:  # the chain's prefixes
+                    needed.update((src, False) for src in gate.inputs[:-1])
             else:
+                d0, d1, sel = gate.inputs
+                needed.update(((sel, False), (sel, True), (d1, negated), (d0, negated)))
+
+    memo: dict[tuple[str, bool], list[Term]] = {}
+    for i, t in enumerate(net.terminals):
+        memo[(t, False)] = [(1 << i, 0)]
+        memo[(t, True)] = [(0, 1 << i)]
+    for gid in order:
+        gate = net.gates[gid]
+        for negated in (False, True):
+            if (gid, negated) not in needed:
+                continue
+            if gate.kind is GateKind.NOT:
+                out = memo[(gate.inputs[0], not negated)]
+            elif gate.kind is GateKind.AND and not negated:
+                out = [(0, 0)]
+                for src in gate.inputs:
+                    out = _conjoin(out, memo[(src, False)])
+            elif gate.kind is GateKind.AND:
                 # NOT(x1..xk) as the disjoint chain: !x1 + x1*!x2 + x1*x2*!x3 ...
                 out = []
-                prefix = [Product(frozenset(), frozenset())]
-                for src in gate.inputs:
-                    terms = []
-                    for left in prefix:
-                        for right in expand(src, True):
-                            merged = _merge(left, right)
-                            if merged is not None:
-                                terms.append(merged)
-                    out.extend(terms)
-                    nxt = []
-                    for left in prefix:
-                        for right in expand(src, False):
-                            merged = _merge(left, right)
-                            if merged is not None:
-                                nxt.append(merged)
-                    prefix = nxt
-        else:  # MUX(d0, d1, sel): sel ? d1 : d0
-            d0, d1, sel = gate.inputs
-            out = []
-            for s in expand(sel, False):
-                for d in expand(d1, negated):
-                    merged = _merge(s, d)
-                    if merged is not None:
-                        out.append(merged)
-            for s in expand(sel, True):
-                for d in expand(d0, negated):
-                    merged = _merge(s, d)
-                    if merged is not None:
-                        out.append(merged)
-        memo[key] = out
-        return out
+                prefix = [(0, 0)]
+                last = len(gate.inputs) - 1
+                for k, src in enumerate(gate.inputs):
+                    out.extend(_conjoin(prefix, memo[(src, True)]))
+                    if k < last:
+                        prefix = _conjoin(prefix, memo[(src, False)])
+            else:  # MUX(d0, d1, sel): sel ? d1 : d0
+                d0, d1, sel = gate.inputs
+                out = (_conjoin(memo[(sel, False)], memo[(d1, negated)])
+                       + _conjoin(memo[(sel, True)], memo[(d0, negated)]))
+            memo[(gid, negated)] = out
+    return memo
 
-    return expand(node_id, negated)
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def expand_products(net: ScNetlist, output_id: str) -> list[Product]:
@@ -255,10 +248,14 @@ def expand_products(net: ScNetlist, output_id: str) -> list[Product]:
     expands through the complement of its product family, which stays
     disjoint.  Contradictory terms (a terminal and its negation) are dropped.
     """
-    net.validate()
+    order = net.topo_order()
     if output_id not in net.gates and not net.is_terminal(output_id):
         raise CyclicNetlist(f"unknown output node {output_id!r}")
-    return _expand(net, output_id, False, {})
+    terms = _expand(net, order, [output_id])[(output_id, False)]
+    names = net.terminals
+    return [Product(frozenset(names[i] for i in _bits(pos)),
+                    frozenset(names[i] for i in _bits(neg)))
+            for pos, neg in terms]
 
 
 def evaluate_products(products: list[Product], values: dict[str, float]) -> float:
@@ -291,26 +288,24 @@ def extract_conflict_sets(net: ScNetlist) -> list[frozenset[str]]:
     dependent on its source).  Duplicate sets are removed and subsets are
     absorbed by supersets; first-occurrence order is preserved.
     """
-    net.validate()
-    memo: dict[tuple[str, bool], list[Product]] = {}
-    supports: list[frozenset[str]] = []
-    seen: set[frozenset[str]] = set()
-    for out in net.outputs:
-        for product in _expand(net, out, False, memo):
-            sup = product.support
-            if sup and sup not in seen:
-                seen.add(sup)
-                supports.append(sup)
-    # Absorb subsets; look only at sets sharing some member.
-    by_member: dict[str, list[int]] = {}
-    for idx, sup in enumerate(supports):
-        for t in sup:
-            by_member.setdefault(t, []).append(idx)
+    terms = _expand(net, net.topo_order(), net.outputs)
+    supports = list(dict.fromkeys(pos | neg for out in net.outputs
+                                  for pos, neg in terms[(out, False)]))
+    members = [_bits(sup) for sup in supports]
+    # posting[i] has bit j set when supports[j] holds terminal i.  The AND of
+    # a support's postings marks its supersets; after deduplication any bit
+    # besides its own is a strict superset, which absorbs it.
+    posting = [0] * len(net.terminals)
+    for j, held in enumerate(members):
+        for i in held:
+            posting[i] |= 1 << j
     keep = []
-    for idx, sup in enumerate(supports):
-        candidates = {j for t in sup for j in by_member[t] if j != idx}
-        if not any(sup < supports[j] for j in candidates):
-            keep.append(sup)
+    for j, held in enumerate(members):
+        supersets = -1  # an empty support, were there one, is absorbed
+        for i in held:
+            supersets &= posting[i]
+        if supersets == 1 << j:
+            keep.append(frozenset(net.terminals[i] for i in held))
     return keep
 
 

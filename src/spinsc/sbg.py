@@ -287,11 +287,6 @@ def generate_self_control(unit: SbgUnit, n: int) -> Bitstream:
     return Bitstream(generate_array([unit], n)[0])
 
 
-def energy_of(unit: SbgUnit) -> float:
-    """Accumulated energy in nJ over all operations so far."""
-    return unit.energy_nj
-
-
 @dataclass(frozen=True)
 class SbgArraySpec:
     """Pre-built array layout: probability levels and their multiplicities."""

@@ -60,10 +60,6 @@ class Bitstream:
         return f"Bitstream({head}{tail}, n={len(self)})"
 
 
-def value(x: Bitstream) -> float:
-    return x.value()
-
-
 def _check_lengths(*streams: Bitstream) -> None:
     n = len(streams[0])
     if any(len(s) != n for s in streams[1:]):

@@ -15,7 +15,14 @@ from spinsc.fusion import (
     likelihood_channels,
     quantize_unit_interval,
 )
-from spinsc.logic import GateKind, ScNetlist, cluster_terminals, clusters_of, extract_conflict_sets
+from spinsc.logic import (
+    GateKind,
+    Product,
+    ScNetlist,
+    cluster_terminals,
+    clusters_of,
+    extract_conflict_sets,
+)
 from spinsc.sbg import SbgMode, SbgUnit, pulse_energy_nj
 
 
@@ -48,6 +55,109 @@ def brute_force_probability(net: ScNetlist, output_id: str,
                 weight *= values[t] if b else 1.0 - values[t]
             total += weight
     return total
+
+
+def _merge(x: Product, y: Product) -> Product | None:
+    """Conjunction of two partial assignments; None on contradiction."""
+    if x.pos & y.neg or x.neg & y.pos:
+        return None
+    return Product(x.pos | y.pos, x.neg | y.neg)
+
+
+def _oracle_expand(net: ScNetlist, node_id: str, negated: bool,
+                   memo: dict[tuple[str, bool], list[Product]]) -> list[Product]:
+    """Recursive frozenset expansion; assumes a validated netlist."""
+
+    def expand(node: str, negated: bool) -> list[Product]:
+        key = (node, negated)
+        if key in memo:
+            return memo[key]
+        if net.is_terminal(node):
+            out = [Product(frozenset(), frozenset({node})) if negated
+                   else Product(frozenset({node}), frozenset())]
+            memo[key] = out
+            return out
+        gate = net.gates[node]
+        if gate.kind is GateKind.NOT:
+            out = expand(gate.inputs[0], not negated)
+        elif gate.kind is GateKind.AND:
+            if not negated:
+                out = [Product(frozenset(), frozenset())]
+                for src in gate.inputs:
+                    nxt = []
+                    for left in out:
+                        for right in expand(src, False):
+                            merged = _merge(left, right)
+                            if merged is not None:
+                                nxt.append(merged)
+                    out = nxt
+            else:
+                # NOT(x1..xk) as the disjoint chain: !x1 + x1*!x2 + x1*x2*!x3 ...
+                out = []
+                prefix = [Product(frozenset(), frozenset())]
+                for src in gate.inputs:
+                    terms = []
+                    for left in prefix:
+                        for right in expand(src, True):
+                            merged = _merge(left, right)
+                            if merged is not None:
+                                terms.append(merged)
+                    out.extend(terms)
+                    nxt = []
+                    for left in prefix:
+                        for right in expand(src, False):
+                            merged = _merge(left, right)
+                            if merged is not None:
+                                nxt.append(merged)
+                    prefix = nxt
+        else:  # MUX(d0, d1, sel): sel ? d1 : d0
+            d0, d1, sel = gate.inputs
+            out = []
+            for s in expand(sel, False):
+                for d in expand(d1, negated):
+                    merged = _merge(s, d)
+                    if merged is not None:
+                        out.append(merged)
+            for s in expand(sel, True):
+                for d in expand(d0, negated):
+                    merged = _merge(s, d)
+                    if merged is not None:
+                        out.append(merged)
+        memo[key] = out
+        return out
+
+    return expand(node_id, negated)
+
+
+def oracle_expand_products(net: ScNetlist, output_id: str) -> list[Product]:
+    """Frozenset oracle for logic.expand_products (same products, same order)."""
+    net.validate()
+    return _oracle_expand(net, output_id, False, {})
+
+
+def oracle_conflict_sets(net: ScNetlist) -> list[frozenset[str]]:
+    """Frozenset oracle for logic.extract_conflict_sets: pairwise strict-subset
+    absorption among supports that share a member."""
+    net.validate()
+    memo: dict[tuple[str, bool], list[Product]] = {}
+    supports: list[frozenset[str]] = []
+    seen: set[frozenset[str]] = set()
+    for out in net.outputs:
+        for product in _oracle_expand(net, out, False, memo):
+            sup = product.support
+            if sup and sup not in seen:
+                seen.add(sup)
+                supports.append(sup)
+    by_member: dict[str, list[int]] = {}
+    for idx, sup in enumerate(supports):
+        for t in sup:
+            by_member.setdefault(t, []).append(idx)
+    keep = []
+    for idx, sup in enumerate(supports):
+        candidates = {j for t in sup for j in by_member[t] if j != idx}
+        if not any(sup < supports[j] for j in candidates):
+            keep.append(sup)
+    return keep
 
 
 def random_netlist(rng: np.random.Generator, max_terminals: int = 50,

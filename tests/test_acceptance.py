@@ -33,7 +33,7 @@ from spinsc.experiments import (
 )
 from spinsc.fusion import exact_posterior, make_problem
 from spinsc.logic import ScNetlist, extract_conflict_sets
-from spinsc.sbg import SbgArraySpec, SbgMode, energy_of, generate_self_control, generate_simple, make_unit
+from spinsc.sbg import SbgArraySpec, SbgMode, generate_self_control, generate_simple, make_unit
 from spinsc.stochastic import sc_not, scc
 
 MASTER_SEED = 20260801
@@ -174,7 +174,7 @@ def test_criterion_07_operation_counts_and_energy():
     generate_self_control(ctrl, n)
     assert (ctrl.writes, ctrl.reads) == (n + 1, n + 1)
 
-    ratio = energy_of(ctrl) / energy_of(simple)
+    ratio = ctrl.energy_nj / simple.energy_nj
     assert ratio <= 0.65
     report(7, f"op counts exact; self-control energy ratio {ratio:.3f} <= 0.65")
 

@@ -5,6 +5,7 @@ import pytest
 
 from spinsc import experiments
 from spinsc.cli import main, write_pgm
+from spinsc.logic import Product, ScNetlist, expand_products
 from spinsc.sbg import make_unit
 from conftest import REFERENCE_ASSIGNMENT, REFERENCE_NETLIST
 
@@ -129,6 +130,24 @@ def test_allocate_rejects_terminals_missing_from_netlist(tmp_path, config_path, 
                  "--netlist", str(netlist), "--assignment", str(assignment)]) == 2
     err = capsys.readouterr().err
     assert "T10" in err and err.count("\n") == 1
+
+
+def test_allocate_deep_not_chain(tmp_path, config_path):
+    # 3000 NOT gates in a row: deeper than the Python stack allows recursion.
+    lines = ["terminal a", "terminal b", "gate n0 NOT a"]
+    lines += [f"gate n{k} NOT n{k - 1}" for k in range(1, 3000)]
+    lines += ["gate g AND n2999 b", "output g"]
+    text = "\n".join(lines) + "\n"
+    assert expand_products(ScNetlist.parse(text), "g") == [
+        Product(frozenset({"a", "b"}), frozenset())]
+    netlist, assignment = tmp_path / "chain.net", tmp_path / "chain.assign"
+    netlist.write_text(text, encoding="utf-8")
+    assignment.write_text("a = 0.2\nb = 0.2\n", encoding="utf-8")
+    out = tmp_path / "out"
+    run_cli("--config", config_path, "--out-dir", out, "allocate",
+            "--netlist", netlist, "--assignment", assignment)
+    # a and b meet in one product, so they need two generators.
+    assert read_lines(out / "allocate_summary.csv")[1].split(",")[:3] == ["2", "2", "2"]
 
 
 def test_fusion_run_outputs(tmp_path, config_path, capsys):

@@ -203,3 +203,130 @@ def test_evaluate_on_streams_matches_gates(reference_netlist_text):
     expected = (streams["T1"].bits & streams["T2"].bits & streams["T5"].bits) | (
         streams["T3"].bits & streams["T4"].bits & (1 - streams["T5"].bits))
     assert np.array_equal(r1.bits, expected)
+
+
+# --- Bitmask analysis against the frozenset oracle in helpers -------------
+
+def assert_matches_oracle(net):
+    for out in net.outputs:
+        assert expand_products(net, out) == helpers.oracle_expand_products(net, out)
+    assert extract_conflict_sets(net) == helpers.oracle_conflict_sets(net)
+
+
+def shuffled_declarations(net, rng):
+    """The same netlist with its gates declared in a random order."""
+    again = ScNetlist(terminals=list(net.terminals), outputs=list(net.outputs))
+    gates = list(net.gates.values())
+    for k in rng.permutation(len(gates)):
+        again.add_gate(gates[k].gate_id, gates[k].kind, gates[k].inputs)
+    return again
+
+
+@pytest.mark.parametrize("count, max_terminals, max_gates", [
+    (200, 50, 12),  # helpers.random_netlist defaults
+    (100, 6, 25),   # few terminals, deep sharing: many contradictions
+    (40, 90, 30),   # masks wider than one machine word
+])
+def test_bitmask_analysis_matches_oracle_on_random_netlists(count, max_terminals, max_gates):
+    rng = np.random.default_rng(max_terminals)
+    for _ in range(count):
+        net = helpers.random_netlist(rng, max_terminals=max_terminals, max_gates=max_gates)
+        assert_matches_oracle(net)
+        assert_matches_oracle(shuffled_declarations(net, rng))
+
+
+def net_of(terminals, gates, outputs):
+    net = ScNetlist()
+    for t in terminals:
+        net.add_terminal(t)
+    for gid, kind, ins in gates:
+        net.add_gate(gid, GateKind(kind), ins)
+    for out in outputs:
+        net.add_output(out)
+    return net
+
+
+def test_contradiction_has_no_products():
+    net = net_of("a", [("na", "NOT", ["a"]), ("g", "AND", ["a", "na"])], ["g"])
+    assert expand_products(net, "g") == []
+    assert extract_conflict_sets(net) == []
+    assert_matches_oracle(net)
+
+
+def test_mux_select_also_data():
+    # MUX(a, b, a) = a ? b : a = a*b.
+    net = net_of("ab", [("m", "MUX", ["a", "b", "a"])], ["m"])
+    assert expand_products(net, "m") == [Product(frozenset("ab"), frozenset())]
+    net = net_of("ab", [("m", "MUX", ["b", "a", "a"])], ["m"])  # a ? a : b
+    assert expand_products(net, "m") == [Product(frozenset("a"), frozenset()),
+                                         Product(frozenset("b"), frozenset("a"))]
+    assert_matches_oracle(net)
+
+
+def test_shared_subdag_in_both_polarities():
+    net = net_of("abcd", [("g", "AND", ["a", "b"]), ("ng", "NOT", ["g"]),
+                          ("m", "MUX", ["g", "ng", "c"]), ("h", "AND", ["ng", "d"])],
+                 ["m", "h", "g"])
+    assert expand_products(net, "h") == [Product(frozenset("d"), frozenset("a")),
+                                         Product(frozenset("ad"), frozenset("b"))]
+    assert extract_conflict_sets(net) == [frozenset("abc"), frozenset("abd")]
+    assert_matches_oracle(net)
+
+
+def test_duplicate_and_subset_supports():
+    net = net_of("abc", [("x", "AND", ["a", "b"]), ("y", "AND", ["b", "a"]),
+                         ("nb", "NOT", ["b"]), ("z", "AND", ["a", "nb"]),
+                         ("w", "AND", ["c", "a", "b"]), ("v", "AND", ["c"])],
+                 ["x", "y", "z", "w", "v"])
+    assert extract_conflict_sets(net) == [frozenset("abc")]
+    assert_matches_oracle(net)
+
+
+def test_terminal_as_output():
+    net = net_of("ab", [("g", "AND", ["a", "b"])], ["a", "g", "b"])
+    assert expand_products(net, "a") == [Product(frozenset("a"), frozenset())]
+    assert extract_conflict_sets(net) == [frozenset("ab")]
+    net = net_of("abc", [("g", "AND", ["a", "b"])], ["c", "g"])
+    assert extract_conflict_sets(net) == [frozenset("c"), frozenset("ab")]
+    assert_matches_oracle(net)
+
+
+def test_more_than_64_terminals():
+    names = [f"t{i}" for i in range(130)]
+    net = net_of(names, [("wide", "AND", names[::3]), ("nw", "NOT", ["wide"]),
+                         ("m", "MUX", ["t1", "t128", "t127"]),
+                         ("h", "AND", ["t129", "t64", "t63"])],
+                 ["wide", "nw", "m", "h"])
+    assert len(expand_products(net, "nw")) == len(names[::3])
+    sets = extract_conflict_sets(net)
+    assert sets[0] == frozenset(names[::3])
+    assert frozenset({"t1", "t127"}) in sets and frozenset({"t127", "t128"}) in sets
+    assert_matches_oracle(net)
+
+
+def not_chain(length, reverse=False):
+    """a through `length` NOT gates, then AND with b; optionally declared
+    consumers first."""
+    gates = [(f"n{k}", "NOT", [f"n{k - 1}" if k else "a"]) for k in range(length)]
+    gates.append(("g", "AND", [f"n{length - 1}", "b"]))
+    return net_of("ab", gates[::-1] if reverse else gates, ["g"])
+
+
+def test_deep_chain_expands_without_recursion():
+    net = not_chain(3000)
+    assert expand_products(net, "g") == [Product(frozenset("ab"), frozenset())]
+    assert expand_products(net, "n2998") == [Product(frozenset(), frozenset("a"))]
+    assert expand_products(net, "n2999") == [Product(frozenset("a"), frozenset())]
+    assert extract_conflict_sets(net) == [frozenset("ab")]
+
+
+def test_topo_order_of_reverse_declared_chain():
+    net = not_chain(3000, reverse=True)
+    assert net.topo_order() == [f"n{k}" for k in range(3000)] + ["g"]
+    rng = np.random.default_rng(5)
+    streams = {t: Bitstream(rng.integers(0, 2, size=64, dtype=np.uint8)) for t in "ab"}
+    (out,) = evaluate_on_streams(net, streams).values()
+    assert np.array_equal(out.bits, streams["a"].bits & streams["b"].bits)
+    values = {"a": 0.3, "b": 0.6}
+    assert helpers.brute_force_probability(net, "g", values) == pytest.approx(0.18, abs=1e-15)
+    assert evaluate_products(expand_products(net, "g"), values) == pytest.approx(0.18, abs=1e-15)

@@ -10,7 +10,6 @@ from spinsc.sbg import (
     SbgArraySpec,
     SbgMode,
     build_array,
-    energy_of,
     generate_self_control,
     generate_simple,
     make_unit,
@@ -66,12 +65,12 @@ def test_self_control_density_converges():
 
 def test_energy_starts_at_zero_and_grows():
     unit = make_unit(PARAMS, SbgMode.SIMPLE, 0.5, 1, 5)
-    assert energy_of(unit) == 0.0
+    assert unit.energy_nj == 0.0
     generate_simple(unit, 16)
-    first = energy_of(unit)
+    first = unit.energy_nj
     assert first > 0
     generate_simple(unit, 16)
-    assert energy_of(unit) > first
+    assert unit.energy_nj > first
 
 
 def test_pulse_energy_hand_computation():
@@ -96,7 +95,7 @@ def test_self_control_energy_at_most_065_of_simple():
     generate_simple(simple, n)
     ctrl = make_unit(PARAMS, SbgMode.SELF_CONTROL, 0.5, 2, 1)
     generate_self_control(ctrl, n)
-    assert energy_of(ctrl) <= 0.65 * energy_of(simple)
+    assert ctrl.energy_nj <= 0.65 * simple.energy_nj
 
 
 def test_self_control_energy_monotone_in_probability():
@@ -104,7 +103,7 @@ def test_self_control_energy_monotone_in_probability():
     for k, p in enumerate(np.linspace(0.1, 0.9, 9)):
         unit = make_unit(PARAMS, SbgMode.SELF_CONTROL, float(p), 7, 100 + k)
         generate_self_control(unit, 512)
-        per_cycle.append(energy_of(unit) / unit.writes)
+        per_cycle.append(unit.energy_nj / unit.writes)
     assert all(b > a for a, b in zip(per_cycle, per_cycle[1:]))
 
 

@@ -10,7 +10,6 @@ from spinsc.stochastic import (
     sc_mux,
     sc_not,
     scc,
-    value,
 )
 
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=64)
@@ -29,7 +28,7 @@ def test_value_examples():
     assert Bitstream.from_string("0110").value() == 0.5
     assert Bitstream([1, 1, 1, 1]).value() == 1.0
     assert Bitstream.from_string("10100000").value() == 0.25
-    assert value(Bitstream([0])) == 0.0
+    assert Bitstream([0]).value() == 0.0
 
 
 def test_bitstream_validation():
