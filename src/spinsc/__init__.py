@@ -45,6 +45,7 @@ from .sbg import (
     generate_self_control,
     generate_simple,
     make_unit,
+    make_units,
 )
 from .allocator import (
     CapacityExceeded,

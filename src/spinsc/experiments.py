@@ -32,9 +32,9 @@ from .sbg import (
     SbgMode,
     SbgUnit,
     generate_array,
-    make_unit,
+    make_units,
 )
-from .stochastic import Bitstream, scc
+from .stochastic import Bitstream
 
 SWEEP_BASE_ID = 0
 SELF_SCC_BASE_ID = 10_000
@@ -60,6 +60,16 @@ class SweepResult:
     max_error: float
 
 
+def _prefix_counts(bits: np.ndarray, lengths: tuple[int, ...]) -> np.ndarray:
+    """Ones in each row's first n bits, for every n in the sorted lengths;
+    int64 (rows, len(lengths))."""
+    if lengths[0] < 1:
+        raise ValueError("stream lengths must be at least 1")
+    ends = np.unique(lengths)
+    segments = np.add.reduceat(bits, np.r_[0, ends[:-1]], axis=1, dtype=np.int64)
+    return np.cumsum(segments, axis=1)[:, np.searchsorted(ends, lengths)]
+
+
 def density_sweep(probs: tuple[float, ...], lengths: tuple[int, ...],
                   repeats: int, master_seed: int, *,
                   mode: SbgMode = SbgMode.SIMPLE,
@@ -70,36 +80,46 @@ def density_sweep(probs: tuple[float, ...], lengths: tuple[int, ...],
                   reset_pulse: PulseSpec = RESET_PULSE) -> list[SweepResult]:
     """Ensemble density error per stream length over a probability sweep."""
     _check_id_block("density_sweep", len(probs) * repeats, SWEEP_BASE_ID, SELF_SCC_BASE_ID)
-    params = params or MtjParams()
     lengths = tuple(sorted(lengths))
-    n_max = lengths[-1]
-    calibration = CalibrationCache()
+    units = make_units(params or MtjParams(), mode, [p for p in probs for _ in range(repeats)],
+                       master_seed, SWEEP_BASE_ID, write_duration_ns=write_duration_ns,
+                       read_energy_nj=read_energy_nj, reset_pulse=reset_pulse,
+                       pv_sigmas=pv_sigmas, calibration=CalibrationCache())
+    counts = _prefix_counts(generate_array(units, lengths[-1]), lengths)
     errors: dict[int, list[float]] = {n: [] for n in lengths}
-    unit_id = SWEEP_BASE_ID
-    for p in probs:
-        units = [make_unit(params, mode, p, master_seed, unit_id + r,
-                           write_duration_ns=write_duration_ns,
-                           read_energy_nj=read_energy_nj, reset_pulse=reset_pulse,
-                           pv_sigmas=pv_sigmas, calibration=calibration)
-                 for r in range(repeats)]
-        unit_id += repeats
-        cumulative = np.cumsum(generate_array(units, n_max), axis=1)
-        for n in lengths:
-            errors[n].append(abs(float(np.mean(cumulative[:, n - 1] / n)) - p))
+    for k, p in enumerate(probs):
+        block = counts[k * repeats:(k + 1) * repeats]
+        for j, n in enumerate(lengths):
+            errors[n].append(abs(float(np.mean(block[:, j] / n)) - p))
     return [SweepResult(n, float(np.mean(errors[n])), float(np.max(errors[n])))
             for n in lengths]
 
 
-def _mean_abs_scc(units: list[SbgUnit], n_max: int, lengths: tuple[int, ...]) -> list[float]:
-    """Mean |SCC| per length between the streams of units 2k and 2k+1,
-    measured on prefixes of one n_max-bit run."""
-    streams = [Bitstream(bits) for bits in generate_array(units, n_max)]
-    out = []
-    for n in lengths:
-        vals = [abs(scc(prefix(a, n), prefix(b, n)))
-                for a, b in zip(streams[0::2], streams[1::2])]
-        out.append(float(np.mean(vals)))
-    return out
+def _mean_abs_scc(units: list[SbgUnit], lengths: tuple[int, ...],
+                  groups: int) -> list[list[float]]:
+    """Mean |SCC| per length between the streams of units 2k and 2k+1, for
+    each of `groups` equal consecutive blocks of pairs, measured on prefixes
+    of one run as long as the longest length.
+
+    Each value is stochastic.scc's, from the same integer overlap counts and
+    one true division (exact while counts stay below 2**53).
+    """
+    bits = generate_array(units, lengths[-1])
+    x, y = bits[0::2], bits[1::2]
+    a = _prefix_counts(x & y, lengths)            # (pairs, lengths): #11
+    ab = _prefix_counts(x, lengths)               # ones of x, a + b
+    ac = _prefix_counts(y, lengths)               # ones of y, a + c
+    n = np.array(lengths, dtype=np.int64)
+    b, c = ab - a, ac - a
+    d = n - a - b - c
+    num = a * d - b * c
+    den = np.where(num > 0, n * np.minimum(ab, ac) - ab * ac,
+                   ab * ac - n * np.maximum(a - d, 0))
+    value = np.abs(np.divide(num, den, out=np.zeros(num.shape), where=den != 0))
+    by_length = np.ascontiguousarray(value.T)     # (lengths, pairs)
+    size = len(value) // groups if groups else 0
+    return [[float(np.mean(row[g * size:(g + 1) * size])) for row in by_length]
+            for g in range(groups)]
 
 
 def self_scc_table(probs: tuple[float, ...], lengths: tuple[int, ...],
@@ -116,21 +136,13 @@ def self_scc_table(probs: tuple[float, ...], lengths: tuple[int, ...],
     """
     _check_id_block("self_scc_table", 2 * pairs * len(probs),
                     SELF_SCC_BASE_ID, CROSS_SCC_BASE_ID)
-    params = params or MtjParams()
     lengths = tuple(sorted(lengths))
-    n_max = lengths[-1]
-    calibration = CalibrationCache()
-    rows = []
-    unit_id = SELF_SCC_BASE_ID
-    for p in probs:
-        units = [make_unit(params, mode, p, master_seed, unit_id + k,
-                           write_duration_ns=write_duration_ns,
-                           read_energy_nj=read_energy_nj, reset_pulse=reset_pulse,
-                           calibration=calibration)
-                 for k in range(2 * pairs)]
-        unit_id += 2 * pairs
-        rows.extend((p, n, v) for n, v in zip(lengths, _mean_abs_scc(units, n_max, lengths)))
-    return rows
+    units = make_units(params or MtjParams(), mode, [p for p in probs for _ in range(2 * pairs)],
+                       master_seed, SELF_SCC_BASE_ID, write_duration_ns=write_duration_ns,
+                       read_energy_nj=read_energy_nj, reset_pulse=reset_pulse,
+                       calibration=CalibrationCache())
+    return [(p, n, v) for p, row in zip(probs, _mean_abs_scc(units, lengths, len(probs)))
+            for n, v in zip(lengths, row)]
 
 
 def cross_scc_table(prob_pairs: tuple[tuple[float, float], ...],
@@ -142,22 +154,15 @@ def cross_scc_table(prob_pairs: tuple[tuple[float, float], ...],
                     reset_pulse: PulseSpec = RESET_PULSE
                     ) -> list[tuple[float, float, int, float]]:
     """Mean |SCC| between generators targeting two different probabilities."""
-    params = params or MtjParams()
     lengths = tuple(sorted(lengths))
-    n_max = lengths[-1]
-    calibration = CalibrationCache()
-    rows = []
-    unit_id = CROSS_SCC_BASE_ID
-    for p1, p2 in prob_pairs:
-        units = [make_unit(params, mode, (p1, p2)[k % 2], master_seed, unit_id + k,
-                           write_duration_ns=write_duration_ns,
-                           read_energy_nj=read_energy_nj, reset_pulse=reset_pulse,
-                           calibration=calibration)
-                 for k in range(2 * pairs)]
-        unit_id += 2 * pairs
-        rows.extend((p1, p2, n, v)
-                    for n, v in zip(lengths, _mean_abs_scc(units, n_max, lengths)))
-    return rows
+    units = make_units(params or MtjParams(), mode,
+                       [p for pair in prob_pairs for _ in range(pairs) for p in pair],
+                       master_seed, CROSS_SCC_BASE_ID, write_duration_ns=write_duration_ns,
+                       read_energy_nj=read_energy_nj, reset_pulse=reset_pulse,
+                       calibration=CalibrationCache())
+    return [(p1, p2, n, v)
+            for (p1, p2), row in zip(prob_pairs, _mean_abs_scc(units, lengths, len(prob_pairs)))
+            for n, v in zip(lengths, row)]
 
 
 def mean_abs_scc_by_length(rows: list[tuple], lengths: tuple[int, ...]) -> dict[int, float]:

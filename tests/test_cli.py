@@ -3,10 +3,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinsc import experiments
+from spinsc import device, experiments
 from spinsc.cli import main, write_pgm
 from spinsc.logic import Product, ScNetlist, expand_products
-from spinsc.sbg import make_unit
+from spinsc.sbg import make_units
+from spinsc.seeding import rng_for
 from conftest import REFERENCE_ASSIGNMENT, REFERENCE_NETLIST
 
 SMALL_CONFIG = """\
@@ -235,11 +236,11 @@ def test_device_write_keys_reach_scc_report(tmp_path, config_path, monkeypatch):
     built = []
 
     def recording(*args, **kwargs):
-        unit = make_unit(*args, **kwargs)
-        built.append(unit)
-        return unit
+        units = make_units(*args, **kwargs)
+        built.extend(units)
+        return units
 
-    monkeypatch.setattr(experiments, "make_unit", recording)
+    monkeypatch.setattr(experiments, "make_units", recording)
     changed = tmp_path / "changed.cfg"
     changed.write_text(SMALL_CONFIG + "\n[device]\nwrite_duration = 5.0\nread_energy = 0.5\n",
                        encoding="utf-8")
@@ -248,6 +249,27 @@ def test_device_write_keys_reach_scc_report(tmp_path, config_path, monkeypatch):
     for unit in built:
         assert unit.write_pulse_p2ap.duration == unit.write_pulse_ap2p.duration == 5.0
         assert unit.read_energy_nj == 0.5
+
+
+@pytest.mark.parametrize("run", [
+    lambda tmp_path, config_path: experiments.density_sweep(
+        (0.3, 0.5, 0.7), (16, 32), 7, 5, pv_sigmas=(0.05, 0.02)),
+    lambda tmp_path, config_path: run_cli("--config", config_path, "--out-dir", tmp_path,
+                                          "scc-report"),
+    lambda tmp_path, config_path: run_cli("--config", config_path, "--out-dir", tmp_path,
+                                          "--pv", "fusion-run"),
+], ids=["density-sweep-pv", "scc-report", "fusion-run"])
+def test_no_two_units_in_a_run_share_a_stream(tmp_path, config_path, monkeypatch, run):
+    keys = []
+
+    def recording(master_seed, domain, index=0):
+        keys.append((domain, index))
+        return rng_for(master_seed, domain, index)
+
+    monkeypatch.setattr(device, "rng_for", recording)
+    run(tmp_path, config_path)
+    assert keys
+    assert len(set(keys)) == len(keys)
 
 
 def test_nonpositive_reset_voltage_is_config_error(tmp_path):

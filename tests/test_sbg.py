@@ -169,7 +169,7 @@ def _refuse_build(*args, **kwargs):
 
 
 def test_density_sweep_id_block_boundary(monkeypatch):
-    monkeypatch.setattr(experiments, "make_unit", _refuse_build)
+    monkeypatch.setattr(experiments, "make_units", _refuse_build)
     with pytest.raises(ValueError, match="unit-id block"):
         density_sweep((0.5, 0.5), (8,), 5_001, master_seed=1)
     with pytest.raises(RuntimeError, match="building started"):
@@ -178,7 +178,7 @@ def test_density_sweep_id_block_boundary(monkeypatch):
 
 def test_self_scc_id_block_boundary(monkeypatch):
     # 2 * pairs * len(probs) = 40_000 ends just below the cross-SCC block.
-    monkeypatch.setattr(experiments, "make_unit", _refuse_build)
+    monkeypatch.setattr(experiments, "make_units", _refuse_build)
     with pytest.raises(ValueError, match="unit-id block"):
         self_scc_table((0.3, 0.7), (8,), 10_001, master_seed=1)
     with pytest.raises(RuntimeError, match="building started"):

@@ -8,10 +8,20 @@ last_state, and the next draw of every unit's random stream.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import scalar_generate
+from spinsc import sbg
 from spinsc.device import MtjParams, MtjState, PulseSpec, WriteDirection
-from spinsc.sbg import RESET_PULSE, SbgMode, generate, generate_array, make_unit
+from spinsc.sbg import (
+    RESET_PULSE,
+    CalibrationCache,
+    SbgMode,
+    generate,
+    generate_array,
+    make_unit,
+    make_units,
+)
 
 PARAMS = MtjParams()
 PV = (0.05, 0.02)
@@ -23,11 +33,20 @@ TARGETS = (0.0, 1e-6, 0.13, 0.5, 0.87, 1.0)
 WEAK_RESET = PulseSpec(1.35, 7.0, WriteDirection.AP_TO_P)
 
 
-def twins(mode, pv_of=lambda k: None, reset_pulse=RESET_PULSE, seed=9):
+# Targets whose switching outcomes repeat for hundreds of cycles: 0 and 1e-6
+# almost never switch and 1.0 always does.
+EDGE_TARGETS = (0.0, 1e-6, 1.0)
+
+
+def twins(mode, pv_of=lambda k: None, reset_pulse=RESET_PULSE, seed=9,
+          targets=TARGETS, starts=None):
     def build():
-        return [make_unit(PARAMS, mode, p, seed, k, pv_sigmas=pv_of(k),
-                          reset_pulse=reset_pulse)
-                for k, p in enumerate(TARGETS)]
+        units = [make_unit(PARAMS, mode, p, seed, k, pv_sigmas=pv_of(k),
+                           reset_pulse=reset_pulse)
+                 for k, p in enumerate(targets)]
+        for unit, start in zip(units, starts or ()):
+            unit.mtj.state = start
+        return units
     return build(), build()
 
 
@@ -101,3 +120,98 @@ def test_bad_length_and_empty_array():
     with pytest.raises(ValueError):
         generate_array([unit], 0)
     assert generate_array([], 4).shape == (0, 4)
+
+
+@pytest.mark.parametrize("mode", list(SbgMode))
+@pytest.mark.parametrize("reset_pulse", [RESET_PULSE, WEAK_RESET], ids=["reset", "weak-reset"])
+@pytest.mark.parametrize("n", [512, 1000])
+def test_long_runs_at_edge_targets(mode, reset_pulse, n):
+    # Self-control at 1.0 negates the state every cycle and at 0 keeps it;
+    # simple units at 0 behind the strong reset set it to P every token.
+    engine, oracle = twins(mode, reset_pulse=reset_pulse, targets=EDGE_TARGETS)
+    assert_same(engine, oracle, n)
+    assert_same_next_draw(engine, oracle)
+
+
+@pytest.mark.parametrize("mode", list(SbgMode))
+@pytest.mark.parametrize("reset_pulse", [RESET_PULSE, WEAK_RESET], ids=["reset", "weak-reset"])
+def test_start_in_ap_or_p_per_unit(mode, reset_pulse):
+    starts = [MtjState.AP if k % 3 else MtjState.P for k in range(len(TARGETS))]
+    engine, oracle = twins(mode, reset_pulse=reset_pulse, starts=starts)
+    assert_same(engine, oracle, 65)
+    assert_same_next_draw(engine, oracle)
+
+
+@pytest.mark.parametrize("mode", list(SbgMode))
+def test_three_calls_with_process_variation_and_mixed_starts(mode):
+    starts = [MtjState(k % 2) for k in range(len(TARGETS))]
+    engine, oracle = twins(mode, lambda k: PV, WEAK_RESET, starts=starts)
+    for n in (300, 1, 47):
+        assert_same(engine, oracle, n)
+    assert_same_next_draw(engine, oracle)
+
+
+@pytest.mark.parametrize("mode", list(SbgMode))
+def test_units_across_several_blocks(mode):
+    n = 700
+    count = 2 * (sbg._BLOCK_BITS // n) + 3
+    targets = [TARGETS[k % len(TARGETS)] for k in range(count)]
+    engine, oracle = twins(mode, lambda k: PV if k % 2 else None, WEAK_RESET,
+                           targets=targets)
+    assert_same(engine, oracle, n)
+    assert_same_next_draw(engine, oracle)
+
+
+unit_specs = st.lists(
+    st.tuples(st.one_of(st.sampled_from(TARGETS), st.floats(0.0, 1.0)),
+              st.sampled_from(list(MtjState)), st.booleans()),
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=40)
+@given(mode=st.sampled_from(list(SbgMode)), specs=unit_specs,
+       reset_voltage=st.floats(0.9, 1.9), n=st.integers(1, 200),
+       seed=st.integers(0, 2**31 - 1))
+def test_engine_matches_oracle_on_random_arrays(mode, specs, reset_voltage, n, seed):
+    reset_pulse = PulseSpec(reset_voltage, 7.0, WriteDirection.AP_TO_P)
+    calibration = CalibrationCache()
+
+    def build():
+        units = []
+        for k, (target, start, pv) in enumerate(specs):
+            unit = make_unit(PARAMS, mode, target, seed, k, reset_pulse=reset_pulse,
+                             pv_sigmas=PV if pv else None, calibration=calibration)
+            unit.mtj.state = start
+            units.append(unit)
+        return units
+
+    engine, oracle = build(), build()
+    assert_same(engine, oracle, n)
+    assert_same_next_draw(engine, oracle)
+
+
+def test_make_units_matches_one_unit_at_a_time():
+    targets = [0.3, 0.7, 0.3, 1e-6, 0.7]
+    batch = make_units(PARAMS, SbgMode.SELF_CONTROL, targets, 4, 20, pv_sigmas=PV)
+    single = [make_unit(PARAMS, SbgMode.SELF_CONTROL, p, 4, 20 + k, pv_sigmas=PV)
+              for k, p in enumerate(targets)]
+    for a, b in zip(batch, single):
+        assert a.target_p == b.target_p
+        assert a.write_pulse_p2ap == b.write_pulse_p2ap
+        assert a.write_pulse_ap2p == b.write_pulse_ap2p
+        assert a.mtj.factors == b.mtj.factors
+        assert a.mtj.rng.standard_normal() == b.mtj.rng.standard_normal()
+    assert batch[0].write_pulse_p2ap is batch[2].write_pulse_p2ap
+
+
+def test_make_units_rejects_targets_outside_unit_interval():
+    with pytest.raises(ValueError):
+        make_units(PARAMS, SbgMode.SIMPLE, [0.5, 1.5], 1, 0)
+
+
+def test_simple_mode_refuses_reset_toward_ap():
+    unit = make_unit(PARAMS, SbgMode.SIMPLE, 0.5, 1, 0,
+                     reset_pulse=PulseSpec(1.8, 7.0, WriteDirection.P_TO_AP))
+    with pytest.raises(ValueError, match="reset pulse toward P"):
+        generate_array([unit], 4)
+    assert unit.writes == 0
