@@ -31,7 +31,6 @@ from .logic import (
     ScNetlist,
     cluster_terminals,
     evaluate_on_streams,
-    evaluate_products,
     expand_products,
     extract_conflict_sets,
 )
@@ -42,8 +41,6 @@ from .sbg import (
     build_array,
     generate,
     generate_array,
-    generate_self_control,
-    generate_simple,
     make_unit,
     make_units,
 )
@@ -54,8 +51,6 @@ from .allocator import (
     allocate,
     cost_metrics,
     plan,
-    quantize_assignment,
-    route,
     size_array,
     verify_allocation,
 )
@@ -69,7 +64,6 @@ from .fusion import (
     kl_divergence,
     likelihoods,
     make_problem,
-    sc_posterior,
 )
 from .cost import CostProfile, compare, simulated_profile, totals
 from .config import ConfigError, RunConfig, load_config

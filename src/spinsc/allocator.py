@@ -14,14 +14,12 @@ alone, independent of how it was built.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .logic import conflict_neighbors
 from .sbg import SbgArraySpec, SbgMode
-from .stochastic import Bitstream
 
 
 class CapacityExceeded(RuntimeError):
@@ -67,25 +65,6 @@ class SwitchMatrix:
         return [int(r) for r in np.flatnonzero(self.control.any(axis=1))]
 
 
-def quantize_to_levels(value: float, levels: tuple[float, ...] | list[float]) -> float:
-    """Nearest array level; exact midpoints resolve to the lower level."""
-    if not levels:
-        raise ValueError("no levels configured")
-    pos = bisect_left(levels, value)
-    if pos == 0:
-        return levels[0]
-    if pos == len(levels):
-        return levels[-1]
-    below, above = levels[pos - 1], levels[pos]
-    return below if value - below <= above - value else above
-
-
-def quantize_assignment(values: dict[str, float],
-                        levels: tuple[float, ...] | list[float]) -> dict[str, float]:
-    levels = sorted(levels)
-    return {t: quantize_to_levels(v, levels) for t, v in values.items()}
-
-
 def _first_fit(assignment: dict[str, float],
                conflict_sets: list[frozenset[str]],
                terminal_order: list[str],
@@ -123,40 +102,23 @@ def _first_fit(assignment: dict[str, float],
     return slot
 
 
-def size_array(conflict_sets: list[frozenset[str]],
-               levels: list[float],
-               policy: str = "trace",
-               trace: list[dict[str, float]] | None = None,
-               terminal_order: list[str] | None = None,
-               mode: SbgMode = SbgMode.SELF_CONTROL) -> SbgArraySpec:
-    """Choose per-level multiplicities phi(i).
+def size_array(assignment: dict[str, float],
+               conflict_sets: list[frozenset[str]],
+               terminal_order: list[str],
+               mode: SbgMode) -> SbgArraySpec:
+    """Per-level multiplicities phi(i) for one assignment of array levels.
 
-    "worst_case": phi(i) = size of the largest conflict set, for every level.
-    "trace": phi(i) = rows the first-fit controller actually consumes, taken
-    over a calibration trace of input assignments (each quantized to the
-    levels); this always covers the worst per-set demand.  Falls back to
-    worst_case when no trace is supplied.
+    One unbounded first-fit pass: each level of the assignment gets exactly
+    the rows the switch controller consumes, its highest slot plus one,
+    which always covers the worst per-set demand.
     """
-    levels_sorted = tuple(sorted(set(levels)))
-    if not levels_sorted:
+    levels = tuple(sorted(set(assignment.values())))
+    if not levels:
         raise ValueError("at least one level is required")
-    max_set = max((len(s) for s in conflict_sets), default=1)
-
-    if policy == "worst_case" or (policy == "trace" and not trace):
-        multiplicity = tuple(max_set for _ in levels_sorted)
-        return SbgArraySpec(levels_sorted, multiplicity, mode)
-    if policy != "trace":
-        raise ValueError(f"unknown sizing policy {policy!r}")
-
-    assert trace is not None
-    need: dict[float, int] = {}
-    for raw in trace:
-        assignment = quantize_assignment(raw, levels_sorted)
-        order = terminal_order or sorted(assignment)
-        for t, slot in _first_fit(assignment, conflict_sets, order).items():
-            need[assignment[t]] = max(need.get(assignment[t], 0), slot + 1)
-    multiplicity = tuple(max(need.get(lvl, 0), 1) for lvl in levels_sorted)
-    return SbgArraySpec(levels_sorted, multiplicity, mode)
+    need = dict.fromkeys(levels, 0)
+    for t, slot in _first_fit(assignment, conflict_sets, terminal_order).items():
+        need[assignment[t]] = max(need[assignment[t]], slot + 1)
+    return SbgArraySpec(levels, tuple(need.values()), mode)
 
 
 def allocate(assignment: dict[str, float], spec: SbgArraySpec,
@@ -196,30 +158,11 @@ def plan(cluster_assignment: dict[str, float],
          cluster_sets: list[frozenset[str]],
          order: list[str],
          mode: SbgMode = SbgMode.SELF_CONTROL) -> tuple[SbgArraySpec, SwitchMatrix]:
-    """Size the array for one clustered assignment and allocate it.
-
-    Sizing is the "trace" policy over this assignment alone, so every level
-    gets exactly the rows the first-fit controller consumes; the switch
-    matrix then places each cluster on those rows.
-    """
-    levels = sorted(set(cluster_assignment.values()))
-    spec = size_array(cluster_sets, levels, policy="trace", trace=[cluster_assignment],
-                      terminal_order=order, mode=mode)
+    """Size the array for one clustered assignment and allocate it: every
+    level gets exactly the rows the first-fit controller consumes, and the
+    switch matrix then places each cluster on those rows."""
+    spec = size_array(cluster_assignment, cluster_sets, order, mode)
     return spec, allocate(cluster_assignment, spec, cluster_sets, order)
-
-
-def route(matrix: SwitchMatrix, row_streams: list[Bitstream]) -> dict[str, Bitstream]:
-    """Deliver each terminal the unique row stream its column selects."""
-    if len(row_streams) != matrix.num_rows:
-        raise ValueError("one stream per matrix row is required")
-    lengths = {len(s) for s in row_streams}
-    if len(lengths) > 1:
-        raise ValueError("row streams must share one length")
-    out: dict[str, Bitstream] = {}
-    for j, terminal in enumerate(matrix.col_terminals):
-        row = int(np.flatnonzero(matrix.control[:, j])[0])
-        out[terminal] = row_streams[row]
-    return out
 
 
 def verify_allocation(matrix: SwitchMatrix,

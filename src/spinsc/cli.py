@@ -1,10 +1,10 @@
 """Command-line front end: experiment orchestration and file emission.
 
-Subcommands: sbg-characterize, scc-report, allocate, fusion-run, cost-report,
-pv-sweep.  Every output is a UTF-8 CSV with a one-line header and floats at 6
-significant digits (heat maps are binary 8-bit PGM), and every run is a pure
-function of the configuration, so re-running a command reproduces its files
-byte for byte.
+Subcommands: sbg-characterize, array-report, scc-report, allocate, fusion-run,
+cost-report, pv-sweep.  Every output is a UTF-8 CSV with a one-line header and
+floats at 6 significant digits (heat maps are binary 8-bit PGM), and every run
+is a pure function of the configuration, so re-running a command reproduces
+its files byte for byte.
 """
 
 from __future__ import annotations
@@ -173,7 +173,8 @@ def cmd_fusion_run(cfg: RunConfig) -> list[Path]:
     problem = fusion.make_problem(
         grid_w=fus.grid_w, grid_h=fus.grid_h, target_xy=fus.target,
         noise_d=fus.noise_d, noise_b=fus.noise_b, master_seed=cfg.master_seed,
-        plane=fus.plane, sensors=fus.sensors, sigma_b=fus.sigma_b)
+        plane=fus.plane, sensors=fus.sensors, sigma_b=fus.sigma_b,
+        sigma_d_base=fus.sigma_d_base, sigma_d_slope=fus.sigma_d_slope)
     pipeline = fusion.FusionPipeline(problem, level_count=fus.level_count,
                                      params=cfg.device.params, mode=cfg.array.mode,
                                      write_duration_ns=cfg.device.write_duration_ns,

@@ -11,10 +11,15 @@ Sections and keys:
             reset_voltage, reset_duration
   [array]   levels (comma list) or uniform_levels (count), multiplicity
             (comma list), mode (simple | self_control)
-  [fusion]  grid (WxH), plane, target (x,y), sensors (x,y;x,y;...),
-            sigma_b, sigma_d_base, sigma_d_slope, levels, noise_d, noise_b
-  [report]  scc_pairs, scc_lengths, scc_probs, sweep_repeats, sweep_lengths,
-            characterize_voltages, characterize_durations
+  [fusion]  grid (WxH), plane, target (one x,y pair), sensors (exactly
+            three x,y pairs: x,y;x,y;x,y), sigma_b, sigma_d_base and
+            sigma_d_slope (distance sigma = base + slope * reading), levels
+            (count), noise_d, noise_b
+  [report]  scc_pairs (count), scc_lengths, scc_probs, sweep_repeats
+            (count), sweep_lengths, characterize_voltages,
+            characterize_durations
+
+A count below 1 is a ConfigError, as is an unknown section or key.
 """
 
 from __future__ import annotations
@@ -37,6 +42,13 @@ def _floats(text: str) -> tuple[float, ...]:
 
 def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
+def _count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise ValueError("a count must be at least 1")
+    return count
 
 
 def _bool(text: str) -> bool:
@@ -164,7 +176,7 @@ def _apply_array(cfg: ArrayConfig, key: str, value: str) -> ArrayConfig:
     if key == "levels":
         return replace(cfg, levels=_floats(value))
     if key == "uniform_levels":
-        return replace(cfg, uniform_levels=int(value))
+        return replace(cfg, uniform_levels=_count(value))
     if key == "multiplicity":
         return replace(cfg, multiplicity=_ints(value))
     if key == "mode":
@@ -182,9 +194,12 @@ def _apply_fusion(cfg: FusionConfig, key: str, value: str) -> FusionConfig:
             raise ConfigError(f"target needs exactly one x,y pair, got {value!r}")
         return replace(cfg, target=pair[0])
     if key == "sensors":
-        return replace(cfg, sensors=_pairs(value))
+        sensors = _pairs(value)
+        if len(sensors) != 3:
+            raise ConfigError(f"sensors needs exactly three x,y pairs, got {value!r}")
+        return replace(cfg, sensors=sensors)
     simple = {"plane": float, "sigma_b": float, "sigma_d_base": float,
-              "sigma_d_slope": float, "levels": int, "noise_d": float,
+              "sigma_d_slope": float, "levels": _count, "noise_d": float,
               "noise_b": float}
     if key in simple:
         name = "level_count" if key == "levels" else key
@@ -194,7 +209,7 @@ def _apply_fusion(cfg: FusionConfig, key: str, value: str) -> FusionConfig:
 
 def _apply_report(cfg: ReportConfig, key: str, value: str) -> ReportConfig:
     if key in ("scc_pairs", "sweep_repeats"):
-        return replace(cfg, **{key: int(value)})
+        return replace(cfg, **{key: _count(value)})
     if key in ("scc_lengths", "sweep_lengths"):
         return replace(cfg, **{key: _ints(value)})
     if key in ("scc_probs", "sweep_probs", "characterize_voltages",

@@ -1,6 +1,6 @@
 """Measurement protocols: density-error sweeps, SCC tables, KL-vs-length.
 
-Shared by the CLI reports, the experiment scripts and the acceptance tests
+Shared by the CLI reports, the KL sweep script and the acceptance tests
 so that a threshold always refers to one well-defined procedure.
 
 Density error is scored ensemble-style: for each requested probability the
@@ -34,7 +34,6 @@ from .sbg import (
     generate_array,
     make_units,
 )
-from .stochastic import Bitstream
 
 SWEEP_BASE_ID = 0
 SELF_SCC_BASE_ID = 10_000
@@ -45,12 +44,6 @@ def _check_id_block(protocol: str, units: int, base: int, limit: int) -> None:
     if units > limit - base:
         raise ValueError(f"{protocol} needs {units} generators but its unit-id block "
                          f"[{base}, {limit}) holds {limit - base}")
-
-
-def prefix(stream: Bitstream, n: int) -> Bitstream:
-    if n > len(stream):
-        raise ValueError("prefix longer than the stream")
-    return Bitstream(stream.bits[:n])
 
 
 @dataclass(frozen=True)
@@ -163,15 +156,6 @@ def cross_scc_table(prob_pairs: tuple[tuple[float, float], ...],
     return [(p1, p2, n, v)
             for (p1, p2), row in zip(prob_pairs, _mean_abs_scc(units, lengths, len(prob_pairs)))
             for n, v in zip(lengths, row)]
-
-
-def mean_abs_scc_by_length(rows: list[tuple], lengths: tuple[int, ...]) -> dict[int, float]:
-    """Aggregate a (*, n, value) table into mean |SCC| per length."""
-    out: dict[int, float] = {}
-    for n in lengths:
-        vals = [r[-1] for r in rows if r[-2] == n]
-        out[n] = float(np.mean(vals))
-    return out
 
 
 def kl_by_length(problem: FusionProblem, lengths: tuple[int, ...],

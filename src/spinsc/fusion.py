@@ -32,6 +32,8 @@ CHANNELS = ("d1", "b1", "d2", "b2", "d3", "b3")
 DEFAULT_PLANE = 64.0
 DEFAULT_SENSORS = ((0.0, 0.0), (0.0, 32.0), (32.0, 0.0))
 DEFAULT_SIGMA_B = 14.0626  # degrees
+DEFAULT_SIGMA_D_BASE = 5.0
+DEFAULT_SIGMA_D_SLOPE = 0.1
 
 
 class ShapeMismatch(ValueError):
@@ -58,12 +60,15 @@ class FusionProblem:
     sensors: tuple[tuple[float, float], ...] = DEFAULT_SENSORS
     readings: tuple[SensorReading, ...] = ()
     sigma_b: float = DEFAULT_SIGMA_B
-    sigma_d_base: float = 5.0
-    sigma_d_slope: float = 0.1   # sigma_d = base + slope * mu_d
+    sigma_d_base: float = DEFAULT_SIGMA_D_BASE
+    sigma_d_slope: float = DEFAULT_SIGMA_D_SLOPE   # sigma_d = base + slope * mu_d
 
     def __post_init__(self) -> None:
         if self.grid_w < 1 or self.grid_h < 1:
             raise ValueError("grid must be at least 1x1")
+        if 2 * len(self.sensors) != len(CHANNELS):
+            raise ValueError(f"the fusion model takes exactly {len(CHANNELS) // 2} sensors, "
+                             f"got {len(self.sensors)}")
         if len(self.readings) != len(self.sensors):
             raise ValueError("one reading per sensor is required")
 
@@ -154,10 +159,13 @@ def make_problem(grid_w: int = 32, grid_h: int = 32,
                  noise_d: float = 0.0, noise_b: float = 0.0,
                  master_seed: int = 0, plane: float = DEFAULT_PLANE,
                  sensors: tuple[tuple[float, float], ...] = DEFAULT_SENSORS,
-                 sigma_b: float = DEFAULT_SIGMA_B) -> FusionProblem:
+                 sigma_b: float = DEFAULT_SIGMA_B,
+                 sigma_d_base: float = DEFAULT_SIGMA_D_BASE,
+                 sigma_d_slope: float = DEFAULT_SIGMA_D_SLOPE) -> FusionProblem:
     readings = synthesize_readings(sensors, target_xy, noise_d, noise_b, master_seed)
     return FusionProblem(grid_w=grid_w, grid_h=grid_h, plane=plane,
-                         sensors=sensors, readings=readings, sigma_b=sigma_b)
+                         sensors=sensors, readings=readings, sigma_b=sigma_b,
+                         sigma_d_base=sigma_d_base, sigma_d_slope=sigma_d_slope)
 
 
 def likelihoods(problem: FusionProblem, cell: tuple[int, int]) -> tuple[float, ...]:
@@ -327,16 +335,6 @@ class FusionPipeline:
         levels = np.array(self.matrix.row_levels)
         prods = np.prod(levels[self.cell_rows], axis=1)
         return PosteriorGrid(prods.reshape(w, h)).normalize()
-
-
-def sc_posterior(problem: FusionProblem, n: int, master_seed: int, *,
-                 level_count: int = 64,
-                 pv_sigmas: tuple[float, float] | None = None,
-                 params: MtjParams | None = None) -> PosteriorGrid:
-    """Full pipeline convenience wrapper; deterministic given the seed."""
-    pipeline = FusionPipeline(problem, level_count=level_count, params=params)
-    grid, _ = pipeline.run(n, master_seed, pv_sigmas=pv_sigmas)
-    return grid
 
 
 def kl_divergence(exact: PosteriorGrid, estimate: PosteriorGrid,

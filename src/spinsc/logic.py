@@ -72,10 +72,6 @@ class ScNetlist:
     def is_terminal(self, node_id: str) -> bool:
         return node_id in self._terminal_set
 
-    def validate(self) -> None:
-        """Check reference integrity and acyclicity; raises CyclicNetlist."""
-        self.topo_order()
-
     def topo_order(self) -> list[str]:
         """Gate ids, each after the gates it reads (Kahn's algorithm).
 
@@ -136,7 +132,7 @@ class ScNetlist:
                 net.add_output(parts[1])
             else:
                 raise ValueError(f"line {lineno}: cannot parse {raw!r}")
-        net.validate()
+        net.topo_order()  # raises CyclicNetlist on a bad reference or a cycle
         return net
 
 
@@ -154,14 +150,6 @@ class Product:
     @property
     def support(self) -> frozenset[str]:
         return self.pos | self.neg
-
-    def probability(self, values: dict[str, float]) -> float:
-        p = 1.0
-        for t in self.pos:
-            p *= values[t]
-        for t in self.neg:
-            p *= 1.0 - values[t]
-        return p
 
 
 # A product as an int pair (pos, neg): bit i stands for net.terminals[i].
@@ -256,11 +244,6 @@ def expand_products(net: ScNetlist, output_id: str) -> list[Product]:
     return [Product(frozenset(names[i] for i in _bits(pos)),
                     frozenset(names[i] for i in _bits(neg)))
             for pos, neg in terms]
-
-
-def evaluate_products(products: list[Product], values: dict[str, float]) -> float:
-    """Symbolic output probability for independent terminal probabilities."""
-    return sum(p.probability(values) for p in products)
 
 
 def evaluate_on_streams(net: ScNetlist, streams: dict[str, Bitstream]) -> dict[str, Bitstream]:

@@ -370,24 +370,8 @@ def _run_self_control(units: list[SbgUnit], n: int, arrays: _Units):
     return before ^ after, after[:, -1], energy
 
 
-def _check_mode(unit: SbgUnit, mode: SbgMode) -> None:
-    if unit.mode is not mode:
-        raise ValueError(f"unit is not configured as a {mode.value} generator")
-
-
 def generate(unit: SbgUnit, n: int) -> Bitstream:
-    return Bitstream(generate_array([unit], n)[0])
-
-
-def generate_simple(unit: SbgUnit, n: int) -> Bitstream:
-    """reset -> write -> read per bit; exactly 2n writes and n reads."""
-    _check_mode(unit, SbgMode.SIMPLE)
-    return Bitstream(generate_array([unit], n)[0])
-
-
-def generate_self_control(unit: SbgUnit, n: int) -> Bitstream:
-    """Initialization cycle plus n write/read cycles emitting XOR(cur, last)."""
-    _check_mode(unit, SbgMode.SELF_CONTROL)
+    """n bits from one unit: generate_array with a single row."""
     return Bitstream(generate_array([unit], n)[0])
 
 
@@ -436,11 +420,10 @@ def build_array(spec: SbgArraySpec, master_seed: int, *,
                 read_energy_nj: float = DEFAULT_READ_ENERGY_NJ,
                 reset_pulse: PulseSpec = RESET_PULSE,
                 pv_sigmas: tuple[float, float] | None = None,
-                base_unit_id: int = 0,
                 calibration: CalibrationCache | None = None) -> list[SbgUnit]:
-    """Instantiate the array: units within a level share the target
-    probability but never a random stream."""
+    """Instantiate the array, row k as unit id k: units within a level share
+    the target probability but never a random stream."""
     return make_units(params or MtjParams(), spec.mode, spec.row_levels(), master_seed,
-                      base_unit_id, write_duration_ns=write_duration_ns,
+                      0, write_duration_ns=write_duration_ns,
                       read_energy_nj=read_energy_nj, reset_pulse=reset_pulse,
                       pv_sigmas=pv_sigmas, calibration=calibration or CalibrationCache())

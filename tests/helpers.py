@@ -57,6 +57,26 @@ def brute_force_probability(net: ScNetlist, output_id: str,
     return total
 
 
+def evaluate_products(products: list[Product], values: dict[str, float]) -> float:
+    """Symbolic output probability of a disjoint sum of products, for
+    independent terminal probabilities: the plain sum of the products'
+    probabilities."""
+    total = 0.0
+    for product in products:
+        p = 1.0
+        for t in product.pos:
+            p *= values[t]
+        for t in product.neg:
+            p *= 1.0 - values[t]
+        total += p
+    return total
+
+
+def mean_abs_scc_by_length(rows: list[tuple], lengths: tuple[int, ...]) -> dict[int, float]:
+    """Aggregate a (*, n, value) SCC table into mean |SCC| per length."""
+    return {n: float(np.mean([r[-1] for r in rows if r[-2] == n])) for n in lengths}
+
+
 def _merge(x: Product, y: Product) -> Product | None:
     """Conjunction of two partial assignments; None on contradiction."""
     if x.pos & y.neg or x.neg & y.pos:
@@ -131,14 +151,14 @@ def _oracle_expand(net: ScNetlist, node_id: str, negated: bool,
 
 def oracle_expand_products(net: ScNetlist, output_id: str) -> list[Product]:
     """Frozenset oracle for logic.expand_products (same products, same order)."""
-    net.validate()
+    net.topo_order()
     return _oracle_expand(net, output_id, False, {})
 
 
 def oracle_conflict_sets(net: ScNetlist) -> list[frozenset[str]]:
     """Frozenset oracle for logic.extract_conflict_sets: pairwise strict-subset
     absorption among supports that share a member."""
-    net.validate()
+    net.topo_order()
     memo: dict[tuple[str, bool], list[Product]] = {}
     supports: list[frozenset[str]] = []
     seen: set[frozenset[str]] = set()
@@ -277,8 +297,7 @@ def generic_fusion_plan(problem: FusionProblem, level_count: int = 64,
     order = list(clusters)
     cluster_assignment = {cid: assignment[members[0]] for cid, members in clusters.items()}
     cluster_sets = [frozenset(cluster_map[t] for t in group) for group in conflict_sets]
-    spec = size_array(cluster_sets, sorted(set(cluster_assignment.values())), policy="trace",
-                      trace=[cluster_assignment], terminal_order=order, mode=mode)
+    spec = size_array(cluster_assignment, cluster_sets, order, mode)
     matrix = allocate(cluster_assignment, spec, cluster_sets, order)
 
     col_of = {cid: j for j, cid in enumerate(matrix.col_terminals)}

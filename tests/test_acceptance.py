@@ -28,12 +28,11 @@ from spinsc.experiments import (
     cross_scc_table,
     density_sweep,
     kl_by_length,
-    mean_abs_scc_by_length,
     self_scc_table,
 )
 from spinsc.fusion import exact_posterior, make_problem
 from spinsc.logic import ScNetlist, extract_conflict_sets
-from spinsc.sbg import SbgArraySpec, SbgMode, generate_self_control, generate_simple, make_unit
+from spinsc.sbg import SbgArraySpec, SbgMode, generate, make_unit
 from spinsc.stochastic import sc_not, scc
 
 MASTER_SEED = 20260801
@@ -67,7 +66,7 @@ def test_criterion_02_bitstream_accuracy_trend():
 
 def test_criterion_03_scc_suite():
     unit = make_unit(PARAMS, SbgMode.SELF_CONTROL, 0.5, MASTER_SEED, 777)
-    stream = generate_self_control(unit, 256)
+    stream = generate(unit, 256)
     assert 0 < stream.ones() < len(stream)
     assert scc(stream, stream) == 1.0
     assert scc(stream, sc_not(stream)) == -1.0
@@ -78,8 +77,8 @@ def test_criterion_03_scc_suite():
     cross_rows = cross_scc_table(((0.19, 0.41), (0.12, 0.48), (0.49, 0.25),
                                   (0.23, 0.44), (0.18, 0.58)), lengths,
                                  pairs=20, master_seed=MASTER_SEED)
-    self_mean = mean_abs_scc_by_length(self_rows, lengths)
-    cross_mean = mean_abs_scc_by_length(cross_rows, lengths)
+    self_mean = helpers.mean_abs_scc_by_length(self_rows, lengths)
+    cross_mean = helpers.mean_abs_scc_by_length(cross_rows, lengths)
     for series in (self_mean, cross_mean):
         values = [series[n] for n in lengths]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -94,9 +93,7 @@ def test_criterion_04_conflict_extraction_golden():
     assert sets == [frozenset({"T1", "T2", "T5"}),
                     frozenset({"T3", "T4", "T5"}),
                     frozenset({"T6", "T7", "T8", "T9"})]
-    levels = sorted(set(REFERENCE_ASSIGNMENT.values()))
-    spec = size_array(sets, levels, policy="trace", trace=[REFERENCE_ASSIGNMENT],
-                      terminal_order=net.terminals)
+    spec = size_array(REFERENCE_ASSIGNMENT, sets, net.terminals, SbgMode.SELF_CONTROL)
     matrix = allocate(REFERENCE_ASSIGNMENT, spec, sets, net.terminals)
     assert spec.total_units == 7
     assert len(matrix.rows_in_use()) == 7
@@ -115,10 +112,8 @@ def test_criterion_05_allocation_legality_property():
         n_levels = int(rng.integers(2, 7))
         levels = sorted(rng.choice(levels_pool, size=n_levels, replace=False))
         assignment = helpers.random_assignment(rng, net, [float(v) for v in levels])
-        used_levels = sorted(set(assignment.values()))
 
-        spec = size_array(sets, used_levels, policy="trace", trace=[assignment],
-                          terminal_order=net.terminals)
+        spec = size_array(assignment, sets, net.terminals, SbgMode.SELF_CONTROL)
         matrix = allocate(assignment, spec, sets, net.terminals)
         assert verify_allocation(matrix, sets, assignment) == []
         checked += 1
@@ -167,11 +162,11 @@ def test_criterion_06_cost_formulas():
 def test_criterion_07_operation_counts_and_energy():
     n = 2048
     simple = make_unit(PARAMS, SbgMode.SIMPLE, 0.5, MASTER_SEED, 0)
-    generate_simple(simple, n)
+    generate(simple, n)
     assert (simple.writes, simple.reads) == (2 * n, n)
 
     ctrl = make_unit(PARAMS, SbgMode.SELF_CONTROL, 0.5, MASTER_SEED, 1)
-    generate_self_control(ctrl, n)
+    generate(ctrl, n)
     assert (ctrl.writes, ctrl.reads) == (n + 1, n + 1)
 
     ratio = ctrl.energy_nj / simple.energy_nj

@@ -9,13 +9,10 @@ from spinsc.allocator import (
     allocate,
     cost_metrics,
     plan,
-    quantize_assignment,
-    quantize_to_levels,
-    route,
     size_array,
     verify_allocation,
 )
-from spinsc.logic import ScNetlist, evaluate_products, expand_products, extract_conflict_sets
+from spinsc.logic import ScNetlist, expand_products, extract_conflict_sets
 from spinsc.sbg import SbgArraySpec, SbgMode, build_array, generate
 from spinsc.stochastic import Bitstream, sc_and, sc_mux, sc_not
 
@@ -23,19 +20,8 @@ from spinsc.stochastic import Bitstream, sc_and, sc_mux, sc_not
 def reference_setup(reference_netlist_text, reference_assignment):
     net = ScNetlist.parse(reference_netlist_text)
     sets = extract_conflict_sets(net)
-    levels = sorted(set(reference_assignment.values()))
-    spec = size_array(sets, levels, policy="trace", trace=[reference_assignment],
-                      terminal_order=net.terminals)
+    spec = size_array(reference_assignment, sets, net.terminals, SbgMode.SELF_CONTROL)
     return net, sets, spec
-
-
-def test_quantize_nearest_with_ties_low():
-    levels = [0.2, 0.4, 0.6]
-    assert quantize_to_levels(0.29, levels) == 0.2
-    assert quantize_to_levels(0.31, levels) == 0.4
-    assert quantize_to_levels(0.3, levels) == 0.2  # midpoint goes low
-    assert quantize_to_levels(0.05, levels) == 0.2
-    assert quantize_to_levels(0.99, levels) == 0.6
 
 
 def test_reference_sizing_needs_seven_generators(reference_netlist_text, reference_assignment):
@@ -43,14 +29,6 @@ def test_reference_sizing_needs_seven_generators(reference_netlist_text, referen
     assert spec.total_units == 7
     assert spec.levels == (0.1, 0.3, 0.5, 0.7, 0.9)
     assert spec.multiplicity == (2, 1, 2, 1, 1)
-
-
-def test_worst_case_sizing_bound(reference_netlist_text, reference_assignment):
-    net = ScNetlist.parse(reference_netlist_text)
-    sets = extract_conflict_sets(net)
-    spec = size_array(sets, [0.1, 0.5, 0.9], policy="worst_case")
-    assert spec.multiplicity == (4, 4, 4)  # largest set has 4 members
-    assert spec.total_units == 3 * 4
 
 
 def test_reference_allocation(reference_netlist_text, reference_assignment):
@@ -123,17 +101,10 @@ def test_route_identity_and_sharing():
     assignment = {"a": 0.3, "b": 0.7, "c": 0.3}
     matrix = allocate(assignment, spec, sets, ["a", "b", "c"])
     streams = [Bitstream([1, 0, 1]), Bitstream([0, 0, 1])]
-    routed = route(matrix, streams)
+    routed = {t: streams[matrix.row_of(t)] for t in matrix.col_terminals}
     assert routed["a"] == streams[0]
     assert routed["b"] == streams[1]
     assert routed["c"] is routed["a"]  # same non-conflicting level shares a row
-
-
-def test_route_rejects_mismatched_streams():
-    spec = SbgArraySpec((0.5,), (1,))
-    matrix = allocate({"t": 0.5}, spec, [], ["t"])
-    with pytest.raises(ValueError):
-        route(matrix, [])
 
 
 def test_end_to_end_reference_network(reference_netlist_text, reference_assignment):
@@ -142,7 +113,7 @@ def test_end_to_end_reference_network(reference_netlist_text, reference_assignme
     units = build_array(spec, master_seed=31)
     n = 4096
     row_streams = [generate(u, n) for u in units]
-    terminal_streams = route(matrix, row_streams)
+    terminal_streams = {t: row_streams[matrix.row_of(t)] for t in matrix.col_terminals}
 
     r1 = sc_mux(sc_and(terminal_streams["T1"], terminal_streams["T2"]),
                 sc_and(terminal_streams["T3"], terminal_streams["T4"]),
@@ -151,7 +122,8 @@ def test_end_to_end_reference_network(reference_netlist_text, reference_assignme
                 sc_and(terminal_streams["T8"], terminal_streams["T9"]))
 
     for out, stream in (("R1", r1), ("R2", r2)):
-        expected = evaluate_products(expand_products(net, out), reference_assignment)
+        expected = helpers.evaluate_products(expand_products(net, out),
+                                             reference_assignment)
         assert stream.value() == pytest.approx(expected, abs=0.04)
 
 
@@ -162,8 +134,7 @@ def test_sharing_never_worse_than_no_sharing():
         net = helpers.random_netlist(rng, max_terminals=20, max_gates=8)
         sets = extract_conflict_sets(net)
         assignment = helpers.random_assignment(rng, net, levels)
-        spec = size_array(sets, sorted(set(assignment.values())), policy="trace",
-                          trace=[assignment], terminal_order=net.terminals)
+        spec = size_array(assignment, sets, net.terminals, SbgMode.SELF_CONTROL)
         matrix = allocate(assignment, spec, sets, net.terminals)
         assert len(matrix.rows_in_use()) <= len(net.terminals)
         assert verify_allocation(matrix, sets, assignment) == []
@@ -257,8 +228,3 @@ def test_cost_metrics_degenerate_no_sharing():
 def test_cost_metrics_rejects_bad_inputs():
     with pytest.raises(ValueError):
         cost_metrics(0, 1, 1, 1)
-
-
-def test_quantize_assignment_maps_all_terminals():
-    q = quantize_assignment({"a": 0.27, "b": 0.61}, [0.25, 0.5, 0.75])
-    assert q == {"a": 0.25, "b": 0.5}

@@ -285,3 +285,42 @@ def test_fusion_target_needs_one_pair(tmp_path, capsys, value):
     assert main(["--config", str(bad), "--out-dir", str(tmp_path / "o"), "fusion-run"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sensors", ["0,0", "0,0;0,32;32,0;32,32"], ids=["one", "four"])
+def test_fusion_sensor_count_is_config_error(tmp_path, capsys, sensors):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[fusion]\ngrid = 8x8\nsensors = {sensors}\n", encoding="utf-8")
+    assert main(["--config", str(bad), "--out-dir", str(tmp_path / "o"), "fusion-run"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value", [("sigma_d_base", "12.0"), ("sigma_d_slope", "0.5")])
+def test_sigma_d_keys_change_exact_posterior(tmp_path, config_path, key, value):
+    changed = tmp_path / "changed.cfg"
+    changed.write_text(SMALL_CONFIG.replace("[fusion]\n", f"[fusion]\n{key} = {value}\n"),
+                       encoding="utf-8")
+    run_cli("--config", config_path, "--out-dir", tmp_path / "default", "fusion-run")
+    run_cli("--config", changed, "--out-dir", tmp_path / "changed", "fusion-run")
+    exact = "posterior_exact.csv"
+    assert (tmp_path / "default" / exact).read_bytes() != \
+        (tmp_path / "changed" / exact).read_bytes()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("section, key, command", [
+    ("array", "uniform_levels", "array-report"),
+    ("fusion", "levels", "fusion-run"),
+    ("report", "scc_pairs", "scc-report"),
+    ("report", "sweep_repeats", "pv-sweep"),
+])
+def test_counts_below_one_are_config_errors(tmp_path, capsys, section, key, command, value):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(bad), "--out-dir", str(out), command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: [{section}] {key} = {value!r}: " \
+                           "a count must be at least 1\n"
+    assert not out.exists()

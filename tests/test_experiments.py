@@ -16,7 +16,6 @@ from spinsc.experiments import (
     SWEEP_BASE_ID,
     cross_scc_table,
     density_sweep,
-    prefix,
     self_scc_table,
 )
 from spinsc.sbg import SbgMode, generate_array, make_unit
@@ -36,7 +35,8 @@ def reference_streams(targets, first_id, n, mode=SbgMode.SELF_CONTROL, pv_sigmas
 
 
 def reference_scc(streams, n):
-    return [abs(scc(prefix(a, n), prefix(b, n))) for a, b in zip(streams[0::2], streams[1::2])]
+    return [abs(scc(Bitstream(a.bits[:n]), Bitstream(b.bits[:n])))
+            for a, b in zip(streams[0::2], streams[1::2])]
 
 
 def scc_branches(streams, lengths):
@@ -44,7 +44,7 @@ def scc_branches(streams, lengths):
     seen = set()
     for a, b in zip(streams[0::2], streams[1::2]):
         for n in lengths:
-            x, y = prefix(a, n), prefix(b, n)
+            x, y = Bitstream(a.bits[:n]), Bitstream(b.bits[:n])
             c11, c10, c01, c00 = overlap_counts(x, y)
             if x.ones() in (0, n) or y.ones() in (0, n):
                 seen.add("zero-den")
@@ -91,7 +91,7 @@ def test_density_sweep_equals_per_unit_density(pv_sigmas):
         streams = reference_streams([p] * repeats, SWEEP_BASE_ID + repeats * k, lengths[-1],
                                     SbgMode.SIMPLE, pv_sigmas)
         for n in lengths:
-            density = np.array([prefix(s, n).ones() for s in streams]) / n
+            density = np.array([int(s.bits[:n].sum()) for s in streams]) / n
             errors[n].append(abs(float(np.mean(density)) - p))
     assert [(r.length, r.avg_error, r.max_error) for r in results] == \
         [(n, float(np.mean(errors[n])), float(np.max(errors[n]))) for n in lengths]

@@ -21,7 +21,6 @@ from spinsc.fusion import (
     likelihoods,
     make_problem,
     quantize_unit_interval,
-    sc_posterior,
     synthesize_readings,
 )
 from spinsc.logic import extract_conflict_sets
@@ -174,11 +173,11 @@ def test_analytic_limit_equals_quantized_exact():
 
 def test_sc_posterior_deterministic_and_normalized():
     problem = make_problem(grid_w=8, grid_h=8)
-    a = sc_posterior(problem, 64, master_seed=5)
-    b = sc_posterior(problem, 64, master_seed=5)
+    a = FusionPipeline(problem).run(64, 5)[0]
+    b = FusionPipeline(problem).run(64, 5)[0]
     assert np.array_equal(a.weights, b.weights)
     assert a.total() == pytest.approx(1.0, abs=1e-12)
-    c = sc_posterior(problem, 64, master_seed=6)
+    c = FusionPipeline(problem).run(64, 6)[0]
     assert not np.array_equal(a.weights, c.weights)
 
 
@@ -299,3 +298,13 @@ def test_reading_validation():
         SensorReading(1.0, 360.0)
     with pytest.raises(ValueError):
         FusionProblem(readings=(SensorReading(1.0, 0.0),))
+
+
+@pytest.mark.parametrize("count", [1, 4])
+def test_problem_needs_three_sensors(count):
+    # likelihood_channels fills exactly two channels per sensor.
+    sensors = tuple((8.0 * k, 0.0) for k in range(count))
+    with pytest.raises(ValueError, match="exactly 3 sensors, got"):
+        FusionProblem(sensors=sensors, readings=(SensorReading(1.0, 0.0),) * count)
+    with pytest.raises(ValueError, match="exactly 3 sensors, got"):
+        make_problem(grid_w=4, grid_h=4, sensors=sensors)

@@ -3,15 +3,15 @@ import pytest
 
 from spinsc.device import MtjParams, MtjState, PulseSpec, WriteDirection
 from spinsc import experiments
-from spinsc.experiments import density_sweep, prefix, self_scc_table
+from spinsc.experiments import density_sweep, self_scc_table
 from spinsc.sbg import (
     RESET_PULSE,
     CalibrationCache,
     SbgArraySpec,
     SbgMode,
     build_array,
-    generate_self_control,
-    generate_simple,
+    generate,
+    generate_array,
     make_unit,
     pulse_energy_nj,
 )
@@ -23,7 +23,7 @@ PARAMS = MtjParams()
 def test_simple_operation_counts():
     unit = make_unit(PARAMS, SbgMode.SIMPLE, 0.5, 1, 0)
     n = 257
-    stream = generate_simple(unit, n)
+    stream = generate(unit, n)
     assert len(stream) == n
     assert (unit.writes, unit.reads) == (2 * n, n)
 
@@ -31,27 +31,28 @@ def test_simple_operation_counts():
 def test_self_control_operation_counts():
     unit = make_unit(PARAMS, SbgMode.SELF_CONTROL, 0.5, 1, 1)
     n = 257
-    stream = generate_self_control(unit, n)
+    stream = generate(unit, n)
     assert len(stream) == n
     assert (unit.writes, unit.reads) == (n + 1, n + 1)
 
 
 def test_mode_mismatch_rejected():
     unit = make_unit(PARAMS, SbgMode.SIMPLE, 0.5, 1, 2)
+    other = make_unit(PARAMS, SbgMode.SELF_CONTROL, 0.5, 1, 3)
+    with pytest.raises(ValueError, match="share a mode"):
+        generate_array([unit, other], 8)
     with pytest.raises(ValueError):
-        generate_self_control(unit, 8)
-    with pytest.raises(ValueError):
-        generate_simple(unit, 0)
+        generate(unit, 0)
 
 
 def test_zero_target_gives_all_zero_stream():
     unit = make_unit(PARAMS, SbgMode.SIMPLE, 0.0, 1, 3)
-    assert generate_simple(unit, 256).ones() == 0
+    assert generate(unit, 256).ones() == 0
 
 
 def test_full_target_gives_all_ones_stream():
     unit = make_unit(PARAMS, SbgMode.SELF_CONTROL, 1.0, 1, 4)
-    stream = generate_self_control(unit, 256)
+    stream = generate(unit, 256)
     assert stream.ones() == 256  # every attempt flips, XOR is always 1
 
 
@@ -59,17 +60,17 @@ def test_self_control_density_converges():
     densities = []
     for repeat in range(200):
         unit = make_unit(PARAMS, SbgMode.SELF_CONTROL, 0.3, 5, repeat)
-        densities.append(generate_self_control(unit, 512).value())
+        densities.append(generate(unit, 512).value())
     assert np.mean(densities) == pytest.approx(0.30, abs=0.01)
 
 
 def test_energy_starts_at_zero_and_grows():
     unit = make_unit(PARAMS, SbgMode.SIMPLE, 0.5, 1, 5)
     assert unit.energy_nj == 0.0
-    generate_simple(unit, 16)
+    generate(unit, 16)
     first = unit.energy_nj
     assert first > 0
-    generate_simple(unit, 16)
+    generate(unit, 16)
     assert unit.energy_nj > first
 
 
@@ -84,7 +85,7 @@ def test_pulse_energy_hand_computation():
     # and free reads leave only the two pulses.
     unit = make_unit(PARAMS, SbgMode.SIMPLE, 0.5, 1, 6, read_energy_nj=0.0)
     assert unit.mtj.state is MtjState.P
-    generate_simple(unit, 1)
+    generate(unit, 1)
     v = unit.write_pulse_p2ap.voltage
     assert unit.energy_nj == pytest.approx((1.8 ** 2 * 7.0 + v ** 2 * 5.4) / r_p, rel=1e-12)
 
@@ -92,9 +93,9 @@ def test_pulse_energy_hand_computation():
 def test_self_control_energy_at_most_065_of_simple():
     n = 2048
     simple = make_unit(PARAMS, SbgMode.SIMPLE, 0.5, 2, 0)
-    generate_simple(simple, n)
+    generate(simple, n)
     ctrl = make_unit(PARAMS, SbgMode.SELF_CONTROL, 0.5, 2, 1)
-    generate_self_control(ctrl, n)
+    generate(ctrl, n)
     assert ctrl.energy_nj <= 0.65 * simple.energy_nj
 
 
@@ -102,7 +103,7 @@ def test_self_control_energy_monotone_in_probability():
     per_cycle = []
     for k, p in enumerate(np.linspace(0.1, 0.9, 9)):
         unit = make_unit(PARAMS, SbgMode.SELF_CONTROL, float(p), 7, 100 + k)
-        generate_self_control(unit, 512)
+        generate(unit, 512)
         per_cycle.append(unit.energy_nj / unit.writes)
     assert all(b > a for a, b in zip(per_cycle, per_cycle[1:]))
 
@@ -128,7 +129,7 @@ def test_array_spec_validation():
 def test_build_array_units_are_independent():
     spec = SbgArraySpec((0.5,), (3,))
     units = build_array(spec, master_seed=11)
-    streams = [generate_self_control(u, 512) for u in units]
+    streams = [generate(u, 512) for u in units]
     for i in range(3):
         for j in range(i + 1, 3):
             assert streams[i] != streams[j]
@@ -183,14 +184,6 @@ def test_self_scc_id_block_boundary(monkeypatch):
         self_scc_table((0.3, 0.7), (8,), 10_001, master_seed=1)
     with pytest.raises(RuntimeError, match="building started"):
         self_scc_table((0.3, 0.7), (8,), 10_000, master_seed=1)
-
-
-def test_prefix_helper():
-    unit = make_unit(PARAMS, SbgMode.SELF_CONTROL, 0.5, 1, 9)
-    stream = generate_self_control(unit, 64)
-    assert prefix(stream, 16).bits.tolist() == stream.bits[:16].tolist()
-    with pytest.raises(ValueError):
-        prefix(stream, 65)
 
 
 def test_calibration_cache_shared_across_units():
