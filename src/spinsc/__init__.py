@@ -30,12 +30,12 @@ from .logic import (
     Product,
     ScNetlist,
     cluster_terminals,
-    evaluate_on_streams,
     expand_products,
     extract_conflict_sets,
 )
 from .sbg import (
     SbgArraySpec,
+    SbgDevice,
     SbgMode,
     SbgUnit,
     build_array,

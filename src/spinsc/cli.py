@@ -75,11 +75,7 @@ def cmd_array_report(cfg: RunConfig) -> list[Path]:
     if len(multiplicity) != len(levels):
         raise ConfigError("array multiplicity must match the level count")
     spec = SbgArraySpec(tuple(levels), tuple(multiplicity), cfg.array.mode)
-    units = build_array(spec, cfg.master_seed, params=cfg.device.params,
-                        write_duration_ns=cfg.device.write_duration_ns,
-                        read_energy_nj=cfg.device.read_energy_nj,
-                        reset_pulse=cfg.device.reset_pulse,
-                        pv_sigmas=cfg.pv_sigmas)
+    units = build_array(spec, cfg.master_seed, cfg.device, pv_sigmas=cfg.pv_sigmas)
     n = cfg.bitstream_len
     bits = generate_array(units, n)
     rows = []
@@ -98,16 +94,10 @@ def cmd_scc_report(cfg: RunConfig) -> list[Path]:
     rep = cfg.report
     self_rows = experiments.self_scc_table(
         rep.scc_probs, rep.scc_lengths, rep.scc_pairs, cfg.master_seed,
-        mode=cfg.array.mode, params=cfg.device.params,
-        write_duration_ns=cfg.device.write_duration_ns,
-        read_energy_nj=cfg.device.read_energy_nj,
-        reset_pulse=cfg.device.reset_pulse)
+        mode=cfg.array.mode, device=cfg.device)
     cross_rows = experiments.cross_scc_table(
         rep.scc_cross, rep.scc_lengths, rep.scc_pairs, cfg.master_seed,
-        mode=cfg.array.mode, params=cfg.device.params,
-        write_duration_ns=cfg.device.write_duration_ns,
-        read_energy_nj=cfg.device.read_energy_nj,
-        reset_pulse=cfg.device.reset_pulse)
+        mode=cfg.array.mode, device=cfg.device)
     self_path = out / "self_scc.csv"
     cross_path = out / "cross_scc.csv"
     write_csv(self_path, ["p", "n", "mean_abs_scc"], self_rows)
@@ -175,11 +165,7 @@ def cmd_fusion_run(cfg: RunConfig) -> list[Path]:
         noise_d=fus.noise_d, noise_b=fus.noise_b, master_seed=cfg.master_seed,
         plane=fus.plane, sensors=fus.sensors, sigma_b=fus.sigma_b,
         sigma_d_base=fus.sigma_d_base, sigma_d_slope=fus.sigma_d_slope)
-    pipeline = fusion.FusionPipeline(problem, level_count=fus.level_count,
-                                     params=cfg.device.params, mode=cfg.array.mode,
-                                     write_duration_ns=cfg.device.write_duration_ns,
-                                     read_energy_nj=cfg.device.read_energy_nj,
-                                     reset_pulse=cfg.device.reset_pulse)
+    pipeline = fusion.FusionPipeline(problem, fus.level_count, cfg.device, cfg.array.mode)
     n = cfg.bitstream_len
     estimate, stats = pipeline.run(n, cfg.master_seed, pv_sigmas=cfg.pv_sigmas)
     exact = fusion.exact_posterior(problem)
@@ -222,10 +208,7 @@ def cmd_pv_sweep(cfg: RunConfig) -> list[Path]:
     sigmas = (cfg.pv_sigma_area, cfg.pv_sigma_tox)
     results = experiments.density_sweep(
         rep.sweep_probs, rep.sweep_lengths, rep.sweep_repeats, cfg.master_seed,
-        mode=SbgMode.SIMPLE, params=cfg.device.params, pv_sigmas=sigmas,
-        write_duration_ns=cfg.device.write_duration_ns,
-        read_energy_nj=cfg.device.read_energy_nj,
-        reset_pulse=cfg.device.reset_pulse)
+        mode=SbgMode.SIMPLE, device=cfg.device, pv_sigmas=sigmas)
     path = out / "pv_sweep.csv"
     write_csv(path, ["n", "avg_error", "max_error"],
               [(r.length, r.avg_error, r.max_error) for r in results])

@@ -8,18 +8,22 @@ Sections and keys:
 
   [run]     master_seed, out_dir, pv, pv_sigma_area, pv_sigma_tox, bitstream_len
   [device]  any MtjParams field, plus write_duration, read_energy,
-            reset_voltage, reset_duration
+            reset_voltage, reset_duration; together they make
+            RunConfig.device, one sbg.SbgDevice that every command hands
+            whole to the layers that build generators
   [array]   levels (comma list) or uniform_levels (count), multiplicity
             (comma list), mode (simple | self_control)
   [fusion]  grid (WxH), plane, target (one x,y pair), sensors (exactly
             three x,y pairs: x,y;x,y;x,y), sigma_b, sigma_d_base and
             sigma_d_slope (distance sigma = base + slope * reading), levels
             (count), noise_d, noise_b
-  [report]  scc_pairs (count), scc_lengths, scc_probs, sweep_repeats
-            (count), sweep_lengths, characterize_voltages,
-            characterize_durations
+  [report]  scc_pairs (count), scc_lengths, scc_probs, scc_cross (x,y
+            pairs), sweep_repeats (count), sweep_lengths, sweep_probs,
+            characterize_voltages, characterize_durations
 
-A count below 1 is a ConfigError, as is an unknown section or key.
+A count below 1 is a ConfigError, as are an empty [report] list, a
+non-positive plane, sigma_b or reset_voltage, a negative reset_duration and
+an unknown section or key.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ import configparser
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .device import MtjParams, PulseSpec
-from .sbg import DEFAULT_READ_ENERGY_NJ, DEFAULT_WRITE_DURATION_NS, RESET_PULSE, SbgMode
+from . import fusion
+from .device import MtjParams
+from .sbg import SbgDevice, SbgMode
 
 
 class ConfigError(ValueError):
@@ -49,6 +54,13 @@ def _count(text: str) -> int:
     if count < 1:
         raise ValueError("a count must be at least 1")
     return count
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise ValueError("must be strictly positive")
+    return value
 
 
 def _bool(text: str) -> bool:
@@ -74,26 +86,6 @@ def _pairs(text: str) -> tuple[tuple[float, float], ...]:
 
 
 @dataclass(frozen=True)
-class DeviceConfig:
-    params: MtjParams = field(default_factory=MtjParams)
-    write_duration_ns: float = DEFAULT_WRITE_DURATION_NS
-    read_energy_nj: float = DEFAULT_READ_ENERGY_NJ
-    reset_voltage: float = RESET_PULSE.voltage
-    reset_duration_ns: float = RESET_PULSE.duration
-
-    def __post_init__(self) -> None:
-        if self.reset_voltage <= 0:
-            raise ConfigError("reset_voltage must be strictly positive")
-        if self.reset_duration_ns < 0:
-            raise ConfigError("reset_duration must be non-negative")
-
-    @property
-    def reset_pulse(self) -> PulseSpec:
-        return PulseSpec(self.reset_voltage, self.reset_duration_ns,
-                         RESET_PULSE.direction)
-
-
-@dataclass(frozen=True)
 class ArrayConfig:
     levels: tuple[float, ...] = ()
     uniform_levels: int = 64
@@ -111,12 +103,12 @@ class ArrayConfig:
 class FusionConfig:
     grid_w: int = 32
     grid_h: int = 32
-    plane: float = 64.0
+    plane: float = fusion.DEFAULT_PLANE
     target: tuple[float, float] = (40.0, 22.0)
-    sensors: tuple[tuple[float, float], ...] = ((0.0, 0.0), (0.0, 32.0), (32.0, 0.0))
-    sigma_b: float = 14.0626
-    sigma_d_base: float = 5.0
-    sigma_d_slope: float = 0.1
+    sensors: tuple[tuple[float, float], ...] = fusion.DEFAULT_SENSORS
+    sigma_b: float = fusion.DEFAULT_SIGMA_B
+    sigma_d_base: float = fusion.DEFAULT_SIGMA_D_BASE
+    sigma_d_slope: float = fusion.DEFAULT_SIGMA_D_SLOPE
     level_count: int = 64
     noise_d: float = 0.0
     noise_b: float = 0.0
@@ -144,7 +136,7 @@ class RunConfig:
     pv_sigma_area: float = 0.05
     pv_sigma_tox: float = 0.02
     bitstream_len: int = 128
-    device: DeviceConfig = field(default_factory=DeviceConfig)
+    device: SbgDevice = field(default_factory=SbgDevice)
     array: ArrayConfig = field(default_factory=ArrayConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
     report: ReportConfig = field(default_factory=ReportConfig)
@@ -157,18 +149,18 @@ class RunConfig:
 _MTJ_FIELDS = {f.name for f in fields(MtjParams)}
 
 
-def _apply_device(cfg: DeviceConfig, key: str, value: str) -> DeviceConfig:
+def _apply_device(device: SbgDevice, key: str, value: str) -> SbgDevice:
     if key in _MTJ_FIELDS:
-        return replace(cfg, params=replace(cfg.params, **{key: float(value)}))
-    simple = {
-        "write_duration": ("write_duration_ns", float),
-        "read_energy": ("read_energy_nj", float),
-        "reset_voltage": ("reset_voltage", float),
-        "reset_duration": ("reset_duration_ns", float),
-    }
-    if key in simple:
-        name, conv = simple[key]
-        return replace(cfg, **{name: conv(value)})
+        return replace(device, params=replace(device.params, **{key: float(value)}))
+    if key == "write_duration":
+        return replace(device, write_duration_ns=float(value))
+    if key == "read_energy":
+        return replace(device, read_energy_nj=float(value))
+    if key == "reset_voltage":
+        return replace(device, reset_pulse=replace(device.reset_pulse, voltage=_positive(value)))
+    if key == "reset_duration":
+        # PulseSpec refuses a negative duration.
+        return replace(device, reset_pulse=replace(device.reset_pulse, duration=float(value)))
     raise ConfigError(f"unknown [device] key {key!r}")
 
 
@@ -198,7 +190,7 @@ def _apply_fusion(cfg: FusionConfig, key: str, value: str) -> FusionConfig:
         if len(sensors) != 3:
             raise ConfigError(f"sensors needs exactly three x,y pairs, got {value!r}")
         return replace(cfg, sensors=sensors)
-    simple = {"plane": float, "sigma_b": float, "sigma_d_base": float,
+    simple = {"plane": _positive, "sigma_b": _positive, "sigma_d_base": float,
               "sigma_d_slope": float, "levels": _count, "noise_d": float,
               "noise_b": float}
     if key in simple:
@@ -211,13 +203,17 @@ def _apply_report(cfg: ReportConfig, key: str, value: str) -> ReportConfig:
     if key in ("scc_pairs", "sweep_repeats"):
         return replace(cfg, **{key: _count(value)})
     if key in ("scc_lengths", "sweep_lengths"):
-        return replace(cfg, **{key: _ints(value)})
-    if key in ("scc_probs", "sweep_probs", "characterize_voltages",
-               "characterize_durations"):
-        return replace(cfg, **{key: _floats(value)})
-    if key == "scc_cross":
-        return replace(cfg, scc_cross=_pairs(value))
-    raise ConfigError(f"unknown [report] key {key!r}")
+        values = _ints(value)
+    elif key in ("scc_probs", "sweep_probs", "characterize_voltages",
+                 "characterize_durations"):
+        values = _floats(value)
+    elif key == "scc_cross":
+        values = _pairs(value)
+    else:
+        raise ConfigError(f"unknown [report] key {key!r}")
+    if not values:
+        raise ValueError("a list needs at least one value")
+    return replace(cfg, **{key: values})
 
 
 def _apply_run(cfg: RunConfig, key: str, value: str) -> RunConfig:

@@ -22,18 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import MtjParams, PulseSpec
 from .fusion import FusionPipeline, FusionProblem, default_zero_floor, exact_posterior, kl_divergence
-from .sbg import (
-    DEFAULT_READ_ENERGY_NJ,
-    DEFAULT_WRITE_DURATION_NS,
-    RESET_PULSE,
-    CalibrationCache,
-    SbgMode,
-    SbgUnit,
-    generate_array,
-    make_units,
-)
+from .sbg import SbgDevice, SbgMode, SbgUnit, generate_array, make_units
 
 SWEEP_BASE_ID = 0
 SELF_SCC_BASE_ID = 10_000
@@ -66,18 +56,13 @@ def _prefix_counts(bits: np.ndarray, lengths: tuple[int, ...]) -> np.ndarray:
 def density_sweep(probs: tuple[float, ...], lengths: tuple[int, ...],
                   repeats: int, master_seed: int, *,
                   mode: SbgMode = SbgMode.SIMPLE,
-                  params: MtjParams | None = None,
-                  pv_sigmas: tuple[float, float] | None = None,
-                  write_duration_ns: float = DEFAULT_WRITE_DURATION_NS,
-                  read_energy_nj: float = DEFAULT_READ_ENERGY_NJ,
-                  reset_pulse: PulseSpec = RESET_PULSE) -> list[SweepResult]:
+                  device: SbgDevice = SbgDevice(),
+                  pv_sigmas: tuple[float, float] | None = None) -> list[SweepResult]:
     """Ensemble density error per stream length over a probability sweep."""
     _check_id_block("density_sweep", len(probs) * repeats, SWEEP_BASE_ID, SELF_SCC_BASE_ID)
     lengths = tuple(sorted(lengths))
-    units = make_units(params or MtjParams(), mode, [p for p in probs for _ in range(repeats)],
-                       master_seed, SWEEP_BASE_ID, write_duration_ns=write_duration_ns,
-                       read_energy_nj=read_energy_nj, reset_pulse=reset_pulse,
-                       pv_sigmas=pv_sigmas, calibration=CalibrationCache())
+    units = make_units(device, mode, [p for p in probs for _ in range(repeats)],
+                       master_seed, SWEEP_BASE_ID, pv_sigmas=pv_sigmas)
     counts = _prefix_counts(generate_array(units, lengths[-1]), lengths)
     errors: dict[int, list[float]] = {n: [] for n in lengths}
     for k, p in enumerate(probs):
@@ -118,10 +103,7 @@ def _mean_abs_scc(units: list[SbgUnit], lengths: tuple[int, ...],
 def self_scc_table(probs: tuple[float, ...], lengths: tuple[int, ...],
                    pairs: int, master_seed: int, *,
                    mode: SbgMode = SbgMode.SELF_CONTROL,
-                   params: MtjParams | None = None,
-                   write_duration_ns: float = DEFAULT_WRITE_DURATION_NS,
-                   read_energy_nj: float = DEFAULT_READ_ENERGY_NJ,
-                   reset_pulse: PulseSpec = RESET_PULSE) -> list[tuple[float, int, float]]:
+                   device: SbgDevice = SbgDevice()) -> list[tuple[float, int, float]]:
     """Mean |SCC| between independent generators at one probability.
 
     Rows are (p, n, mean |SCC| over `pairs` stream pairs); SCC at shorter
@@ -130,10 +112,8 @@ def self_scc_table(probs: tuple[float, ...], lengths: tuple[int, ...],
     _check_id_block("self_scc_table", 2 * pairs * len(probs),
                     SELF_SCC_BASE_ID, CROSS_SCC_BASE_ID)
     lengths = tuple(sorted(lengths))
-    units = make_units(params or MtjParams(), mode, [p for p in probs for _ in range(2 * pairs)],
-                       master_seed, SELF_SCC_BASE_ID, write_duration_ns=write_duration_ns,
-                       read_energy_nj=read_energy_nj, reset_pulse=reset_pulse,
-                       calibration=CalibrationCache())
+    units = make_units(device, mode, [p for p in probs for _ in range(2 * pairs)],
+                       master_seed, SELF_SCC_BASE_ID)
     return [(p, n, v) for p, row in zip(probs, _mean_abs_scc(units, lengths, len(probs)))
             for n, v in zip(lengths, row)]
 
@@ -141,18 +121,13 @@ def self_scc_table(probs: tuple[float, ...], lengths: tuple[int, ...],
 def cross_scc_table(prob_pairs: tuple[tuple[float, float], ...],
                     lengths: tuple[int, ...], pairs: int, master_seed: int, *,
                     mode: SbgMode = SbgMode.SELF_CONTROL,
-                    params: MtjParams | None = None,
-                    write_duration_ns: float = DEFAULT_WRITE_DURATION_NS,
-                    read_energy_nj: float = DEFAULT_READ_ENERGY_NJ,
-                    reset_pulse: PulseSpec = RESET_PULSE
+                    device: SbgDevice = SbgDevice()
                     ) -> list[tuple[float, float, int, float]]:
     """Mean |SCC| between generators targeting two different probabilities."""
     lengths = tuple(sorted(lengths))
-    units = make_units(params or MtjParams(), mode,
+    units = make_units(device, mode,
                        [p for pair in prob_pairs for _ in range(pairs) for p in pair],
-                       master_seed, CROSS_SCC_BASE_ID, write_duration_ns=write_duration_ns,
-                       read_energy_nj=read_energy_nj, reset_pulse=reset_pulse,
-                       calibration=CalibrationCache())
+                       master_seed, CROSS_SCC_BASE_ID)
     return [(p1, p2, n, v)
             for (p1, p2), row in zip(prob_pairs, _mean_abs_scc(units, lengths, len(prob_pairs)))
             for n, v in zip(lengths, row)]
@@ -160,11 +135,10 @@ def cross_scc_table(prob_pairs: tuple[tuple[float, float], ...],
 
 def kl_by_length(problem: FusionProblem, lengths: tuple[int, ...],
                  seeds: tuple[int, ...], *, level_count: int = 64,
-                 params: MtjParams | None = None,
                  pv_sigmas: tuple[float, float] | None = None
                  ) -> dict[int, list[float]]:
     """Per-seed KL(exact || stochastic estimate) for each stream length."""
-    pipeline = FusionPipeline(problem, level_count=level_count, params=params)
+    pipeline = FusionPipeline(problem, level_count=level_count)
     exact = exact_posterior(problem)
     out: dict[int, list[float]] = {n: [] for n in lengths}
     for n in lengths:

@@ -15,16 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocator import plan
-from .sbg import (
-    DEFAULT_READ_ENERGY_NJ,
-    DEFAULT_WRITE_DURATION_NS,
-    RESET_PULSE,
-    CalibrationCache,
-    SbgMode,
-    build_array,
-    generate_array,
-)
-from .device import MtjParams, PulseSpec
+from .sbg import CalibrationCache, SbgDevice, SbgMode, build_array, generate_array
 from .seeding import DOMAIN_READINGS, rng_for
 
 CHANNELS = ("d1", "b1", "d2", "b2", "d3", "b3")
@@ -66,6 +57,8 @@ class FusionProblem:
     def __post_init__(self) -> None:
         if self.grid_w < 1 or self.grid_h < 1:
             raise ValueError("grid must be at least 1x1")
+        if not (self.plane > 0 and self.sigma_b > 0):
+            raise ValueError("plane and sigma_b must be strictly positive")
         if 2 * len(self.sensors) != len(CHANNELS):
             raise ValueError(f"the fusion model takes exactly {len(CHANNELS) // 2} sensors, "
                              f"got {len(self.sensors)}")
@@ -258,18 +251,12 @@ class FusionPipeline:
     """
 
     def __init__(self, problem: FusionProblem, level_count: int = 64,
-                 params: MtjParams | None = None,
-                 mode: SbgMode = SbgMode.SELF_CONTROL,
-                 write_duration_ns: float = DEFAULT_WRITE_DURATION_NS,
-                 read_energy_nj: float = DEFAULT_READ_ENERGY_NJ,
-                 reset_pulse: PulseSpec = RESET_PULSE) -> None:
+                 device: SbgDevice = SbgDevice(),
+                 mode: SbgMode = SbgMode.SELF_CONTROL) -> None:
         self.problem = problem
         self.level_count = level_count
-        self.params = params or MtjParams()
+        self.device = device
         self.mode = mode
-        self.write_duration_ns = write_duration_ns
-        self.read_energy_nj = read_energy_nj
-        self.reset_pulse = reset_pulse
         self.calibration = CalibrationCache()
 
         # Each cell is one 6-input AND chain, so its six terminals form one
@@ -311,10 +298,7 @@ class FusionPipeline:
             pv_sigmas: tuple[float, float] | None = None
             ) -> tuple[PosteriorGrid, FusionRunStats]:
         """One stochastic inference pass with n-bit streams."""
-        units = build_array(self.spec, master_seed, params=self.params,
-                            write_duration_ns=self.write_duration_ns,
-                            read_energy_nj=self.read_energy_nj,
-                            reset_pulse=self.reset_pulse,
+        units = build_array(self.spec, master_seed, self.device,
                             pv_sigmas=pv_sigmas, calibration=self.calibration)
         row_bits = generate_array(units, n)
         gathered = row_bits[self.cell_rows]          # (cells, 6, n)

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
-from .stochastic import Bitstream, sc_and, sc_mux, sc_not
-
 
 class CyclicNetlist(ValueError):
     """The gate graph contains a cycle or dangling reference."""
@@ -244,24 +242,6 @@ def expand_products(net: ScNetlist, output_id: str) -> list[Product]:
     return [Product(frozenset(names[i] for i in _bits(pos)),
                     frozenset(names[i] for i in _bits(neg)))
             for pos, neg in terms]
-
-
-def evaluate_on_streams(net: ScNetlist, streams: dict[str, Bitstream]) -> dict[str, Bitstream]:
-    """Fold actual bitstreams through the gate DAG, one stream per output."""
-    signals: dict[str, Bitstream] = dict(streams)
-    for gid in net.topo_order():
-        gate = net.gates[gid]
-        if gate.kind is GateKind.NOT:
-            signals[gid] = sc_not(signals[gate.inputs[0]])
-        elif gate.kind is GateKind.AND:
-            acc = signals[gate.inputs[0]]
-            for src in gate.inputs[1:]:
-                acc = sc_and(acc, signals[src])
-            signals[gid] = acc
-        else:
-            d0, d1, sel = gate.inputs
-            signals[gid] = sc_mux(signals[d1], signals[d0], signals[sel])
-    return {out: signals[out] for out in net.outputs}
 
 
 def extract_conflict_sets(net: ScNetlist) -> list[frozenset[str]]:

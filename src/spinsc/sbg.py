@@ -41,9 +41,6 @@ from .stochastic import Bitstream
 # Reset pulse: strong enough that AP->P switching is essentially certain.
 RESET_PULSE = PulseSpec(1.8, 7.0, WriteDirection.AP_TO_P)
 
-DEFAULT_WRITE_DURATION_NS = 5.4
-DEFAULT_READ_ENERGY_NJ = 0.002
-
 # Fallback bias for targets below the calibratable range: deep sub-critical,
 # so the attempt probability collapses to the model floor (~3e-7).
 _SUBCRITICAL_FRACTION = 0.5
@@ -64,6 +61,18 @@ def pulse_energy_nj(pulse: PulseSpec, resistance: float) -> float:
     return pulse.voltage ** 2 * pulse.duration / resistance
 
 
+@dataclass(frozen=True)
+class SbgDevice:
+    """The device settings every generator of a run shares: the junction, the
+    write-pulse duration its write voltages are calibrated at, the fixed
+    energy of one read and the reset pulse."""
+
+    params: MtjParams = MtjParams()
+    write_duration_ns: float = 5.4
+    read_energy_nj: float = 0.002
+    reset_pulse: PulseSpec = RESET_PULSE
+
+
 @dataclass
 class SbgUnit:
     """One generator: an MTJ plus its calibrated pulses and counters."""
@@ -72,9 +81,9 @@ class SbgUnit:
     mode: SbgMode
     target_p: float
     write_pulse_p2ap: PulseSpec
-    write_pulse_ap2p: PulseSpec | None = None
-    reset_pulse: PulseSpec = RESET_PULSE
-    read_energy_nj: float = DEFAULT_READ_ENERGY_NJ
+    write_pulse_ap2p: PulseSpec | None    # self-control units only
+    reset_pulse: PulseSpec
+    read_energy_nj: float
     last_state: int | None = None
     writes: int = 0
     reads: int = 0
@@ -95,47 +104,42 @@ class CalibrationCache:
         return self._cache[key]
 
 
-def _write_pulse(params: MtjParams, target_p: float, duration: float,
-                 direction: WriteDirection, cache: CalibrationCache | None) -> PulseSpec:
+def _write_pulse(device: SbgDevice, target_p: float, direction: WriteDirection,
+                 cache: CalibrationCache) -> PulseSpec:
+    duration = device.write_duration_ns
     try:
-        if cache is not None:
-            v = cache.voltage(params, target_p, duration, direction)
-        else:
-            v = calibrate_voltage(params, target_p, duration, direction)
+        v = cache.voltage(device.params, target_p, duration, direction)
     except TargetUnreachable:
         if target_p > 0.5:
             raise
-        vc0, _ = params.direction_constants(direction)
+        vc0, _ = device.params.direction_constants(direction)
         v = vc0 * _SUBCRITICAL_FRACTION
     return PulseSpec(v, duration, direction)
 
 
-def make_units(params: MtjParams, mode: SbgMode, targets: Sequence[float],
+def make_units(device: SbgDevice, mode: SbgMode, targets: Sequence[float],
                master_seed: int, first_id: int, *,
-               write_duration_ns: float = DEFAULT_WRITE_DURATION_NS,
-               read_energy_nj: float = DEFAULT_READ_ENERGY_NJ,
-               reset_pulse: PulseSpec = RESET_PULSE,
                pv_sigmas: tuple[float, float] | None = None,
                calibration: CalibrationCache | None = None) -> list[SbgUnit]:
     """Build and calibrate one generator per target; unit k gets id first_id + k.
 
     Write voltages are calibrated against the nominal device, once per
-    distinct target, and units at one target share the pulses.  Process
-    variation (pv_sigmas = (sigma_area, sigma_tox)) perturbs only the
-    instance, as it would on silicon.
+    distinct target (in `calibration`, or a fresh cache), and units at one
+    target share the pulses.  Process variation (pv_sigmas = (sigma_area,
+    sigma_tox)) perturbs only the instance, as it would on silicon.
     """
+    calibration = calibration or CalibrationCache()
+    params = device.params
     pulses: dict[float, tuple[PulseSpec, PulseSpec | None]] = {}
     for p in targets:
         if p in pulses:
             continue
         if not 0.0 <= p <= 1.0:
             raise ValueError("target_p must lie in [0, 1]")
-        p2ap = _write_pulse(params, p, write_duration_ns,
-                            WriteDirection.P_TO_AP, calibration)
+        p2ap = _write_pulse(device, p, WriteDirection.P_TO_AP, calibration)
         ap2p = None
         if mode is SbgMode.SELF_CONTROL:
-            ap2p = _write_pulse(params, p, write_duration_ns,
-                                WriteDirection.AP_TO_P, calibration)
+            ap2p = _write_pulse(device, p, WriteDirection.AP_TO_P, calibration)
         pulses[p] = (p2ap, ap2p)
     units = []
     for unit_id, p in enumerate(targets, first_id):
@@ -148,14 +152,15 @@ def make_units(params: MtjParams, mode: SbgMode, targets: Sequence[float],
         units.append(SbgUnit(mtj=make_instance(params, master_seed, unit_id, factors),
                              mode=mode, target_p=p,
                              write_pulse_p2ap=p2ap, write_pulse_ap2p=ap2p,
-                             reset_pulse=reset_pulse, read_energy_nj=read_energy_nj))
+                             reset_pulse=device.reset_pulse,
+                             read_energy_nj=device.read_energy_nj))
     return units
 
 
-def make_unit(params: MtjParams, mode: SbgMode, target_p: float,
+def make_unit(device: SbgDevice, mode: SbgMode, target_p: float,
               master_seed: int, unit_id: int, **options) -> SbgUnit:
     """One generator; make_units with a single target (same keyword options)."""
-    return make_units(params, mode, (target_p,), master_seed, unit_id, **options)[0]
+    return make_units(device, mode, (target_p,), master_seed, unit_id, **options)[0]
 
 
 class _Pulse(NamedTuple):
@@ -414,16 +419,10 @@ class SbgArraySpec:
         return rows
 
 
-def build_array(spec: SbgArraySpec, master_seed: int, *,
-                params: MtjParams | None = None,
-                write_duration_ns: float = DEFAULT_WRITE_DURATION_NS,
-                read_energy_nj: float = DEFAULT_READ_ENERGY_NJ,
-                reset_pulse: PulseSpec = RESET_PULSE,
+def build_array(spec: SbgArraySpec, master_seed: int, device: SbgDevice = SbgDevice(), *,
                 pv_sigmas: tuple[float, float] | None = None,
                 calibration: CalibrationCache | None = None) -> list[SbgUnit]:
     """Instantiate the array, row k as unit id k: units within a level share
     the target probability but never a random stream."""
-    return make_units(params or MtjParams(), spec.mode, spec.row_levels(), master_seed,
-                      0, write_duration_ns=write_duration_ns,
-                      read_energy_nj=read_energy_nj, reset_pulse=reset_pulse,
-                      pv_sigmas=pv_sigmas, calibration=calibration or CalibrationCache())
+    return make_units(device, spec.mode, spec.row_levels(), master_seed, 0,
+                      pv_sigmas=pv_sigmas, calibration=calibration)

@@ -24,6 +24,7 @@ from spinsc.logic import (
     extract_conflict_sets,
 )
 from spinsc.sbg import SbgMode, SbgUnit, pulse_energy_nj
+from spinsc.stochastic import Bitstream, sc_and, sc_mux, sc_not
 
 
 def brute_force_probability(net: ScNetlist, output_id: str,
@@ -70,6 +71,24 @@ def evaluate_products(products: list[Product], values: dict[str, float]) -> floa
             p *= 1.0 - values[t]
         total += p
     return total
+
+
+def evaluate_on_streams(net: ScNetlist, streams: dict[str, Bitstream]) -> dict[str, Bitstream]:
+    """Fold actual bitstreams through the gate DAG, one stream per output."""
+    signals: dict[str, Bitstream] = dict(streams)
+    for gid in net.topo_order():
+        gate = net.gates[gid]
+        if gate.kind is GateKind.NOT:
+            signals[gid] = sc_not(signals[gate.inputs[0]])
+        elif gate.kind is GateKind.AND:
+            acc = signals[gate.inputs[0]]
+            for src in gate.inputs[1:]:
+                acc = sc_and(acc, signals[src])
+            signals[gid] = acc
+        else:
+            d0, d1, sel = gate.inputs
+            signals[gid] = sc_mux(signals[d1], signals[d0], signals[sel])
+    return {out: signals[out] for out in net.outputs}
 
 
 def mean_abs_scc_by_length(rows: list[tuple], lengths: tuple[int, ...]) -> dict[int, float]:

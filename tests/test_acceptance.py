@@ -32,11 +32,12 @@ from spinsc.experiments import (
 )
 from spinsc.fusion import exact_posterior, make_problem
 from spinsc.logic import ScNetlist, extract_conflict_sets
-from spinsc.sbg import SbgArraySpec, SbgMode, generate, make_unit
+from spinsc.sbg import SbgArraySpec, SbgDevice, SbgMode, generate, make_unit
 from spinsc.stochastic import sc_not, scc
 
 MASTER_SEED = 20260801
 PARAMS = MtjParams()
+DEVICE = SbgDevice(PARAMS)
 SWEEP_PROBS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
 
@@ -65,7 +66,7 @@ def test_criterion_02_bitstream_accuracy_trend():
 
 
 def test_criterion_03_scc_suite():
-    unit = make_unit(PARAMS, SbgMode.SELF_CONTROL, 0.5, MASTER_SEED, 777)
+    unit = make_unit(DEVICE, SbgMode.SELF_CONTROL, 0.5, MASTER_SEED, 777)
     stream = generate(unit, 256)
     assert 0 < stream.ones() < len(stream)
     assert scc(stream, stream) == 1.0
@@ -161,11 +162,11 @@ def test_criterion_06_cost_formulas():
 
 def test_criterion_07_operation_counts_and_energy():
     n = 2048
-    simple = make_unit(PARAMS, SbgMode.SIMPLE, 0.5, MASTER_SEED, 0)
+    simple = make_unit(DEVICE, SbgMode.SIMPLE, 0.5, MASTER_SEED, 0)
     generate(simple, n)
     assert (simple.writes, simple.reads) == (2 * n, n)
 
-    ctrl = make_unit(PARAMS, SbgMode.SELF_CONTROL, 0.5, MASTER_SEED, 1)
+    ctrl = make_unit(DEVICE, SbgMode.SELF_CONTROL, 0.5, MASTER_SEED, 1)
     generate(ctrl, n)
     assert (ctrl.writes, ctrl.reads) == (n + 1, n + 1)
 

@@ -3,10 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinsc import device, experiments
+from spinsc import device, experiments, sbg
 from spinsc.cli import main, write_pgm
 from spinsc.logic import Product, ScNetlist, expand_products
-from spinsc.sbg import make_units
+from spinsc.sbg import SbgMode, make_units
 from spinsc.seeding import rng_for
 from conftest import REFERENCE_ASSIGNMENT, REFERENCE_NETLIST
 
@@ -229,10 +229,16 @@ def test_reset_voltage_key_changes_outputs(tmp_path, config_path, command, outpu
     assert (tmp_path / "default" / output).read_bytes() != (tmp_path / "weak" / output).read_bytes()
 
 
-def test_device_write_keys_reach_scc_report(tmp_path, config_path, monkeypatch):
+@pytest.mark.parametrize("command, count", [
+    ("array-report", 2 + 1 + 1),      # multiplicities 2,1,1
+    ("scc-report", 2 * 4 * (2 + 1)),  # 4 pairs per self prob and per cross pair
+    ("fusion-run", None),
+    ("pv-sweep", 2 * 6),              # 6 repeats per sweep prob
+])
+def test_device_keys_reach_every_unit(tmp_path, monkeypatch, command, count):
     # Calibration retargets the write voltage to the same switching
-    # probability at any pulse duration, so self_scc.csv itself does not move;
-    # check that every generator the tables build carries the keys instead.
+    # probability at any pulse duration, so the outputs alone need not move;
+    # check that every generator the command builds carries the keys instead.
     built = []
 
     def recording(*args, **kwargs):
@@ -240,15 +246,21 @@ def test_device_write_keys_reach_scc_report(tmp_path, config_path, monkeypatch):
         built.extend(units)
         return units
 
+    monkeypatch.setattr(sbg, "make_units", recording)
     monkeypatch.setattr(experiments, "make_units", recording)
     changed = tmp_path / "changed.cfg"
-    changed.write_text(SMALL_CONFIG + "\n[device]\nwrite_duration = 5.0\nread_energy = 0.5\n",
-                       encoding="utf-8")
-    run_cli("--config", changed, "--out-dir", tmp_path / "changed", "scc-report")
-    assert len(built) == 2 * 4 * (2 + 1)  # 4 pairs per self prob and per cross pair
+    changed.write_text(SMALL_CONFIG + "\n[device]\nwrite_duration = 6.0\nread_energy = 0.5\n"
+                       "reset_voltage = 1.5\nreset_duration = 6.5\n", encoding="utf-8")
+    run_cli("--config", changed, "--out-dir", tmp_path / "changed", command)
+    assert built
+    if count is not None:
+        assert len(built) == count
     for unit in built:
-        assert unit.write_pulse_p2ap.duration == unit.write_pulse_ap2p.duration == 5.0
+        assert unit.write_pulse_p2ap.duration == 6.0
+        if unit.mode is SbgMode.SELF_CONTROL:
+            assert unit.write_pulse_ap2p.duration == 6.0
         assert unit.read_energy_nj == 0.5
+        assert (unit.reset_pulse.voltage, unit.reset_pulse.duration) == (1.5, 6.5)
 
 
 @pytest.mark.parametrize("run", [
@@ -324,3 +336,43 @@ def test_counts_below_one_are_config_errors(tmp_path, capsys, section, key, comm
     assert captured.err == f"configuration error: [{section}] {key} = {value!r}: " \
                            "a count must be at least 1\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, command", [
+    ("scc_lengths", "scc-report"),
+    ("scc_probs", "scc-report"),
+    ("scc_cross", "scc-report"),
+    ("sweep_lengths", "pv-sweep"),
+    ("sweep_probs", "pv-sweep"),
+    ("characterize_voltages", "sbg-characterize"),
+    ("characterize_durations", "sbg-characterize"),
+])
+def test_empty_report_lists_are_config_errors(tmp_path, capsys, key, command):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[report]\n{key} =\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(bad), "--out-dir", str(out), command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: [report] {key} = '': " \
+                           "a list needs at least one value\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("plane", "0"), ("plane", "-5"), ("sigma_b", "0")])
+def test_nonpositive_plane_or_sigma_b_is_config_error(tmp_path, capsys, key, value):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[fusion]\ngrid = 8x8\n{key} = {value}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(bad), "--out-dir", str(out), "fusion-run"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: [fusion] {key} = {value!r}: " \
+                           "must be strictly positive\n"
+    assert not out.exists()
+
+
+def test_negative_reset_duration_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[device]\nreset_duration = -1\n", encoding="utf-8")
+    assert main(["--config", str(bad), "cost-report"]) == 2
+    assert capsys.readouterr().err == \
+        "configuration error: [device] reset_duration = '-1': duration must be non-negative\n"

@@ -19,7 +19,7 @@ from spinsc.device import (
     sample_process_variation,
     switch_probability,
 )
-from spinsc.sbg import SbgMode, generate, make_unit
+from spinsc.sbg import SbgDevice, SbgMode, generate, make_unit
 from spinsc.stochastic import scc
 
 PARAMS = MtjParams()
@@ -194,7 +194,7 @@ def test_variation_rescales_resistance_and_dt():
 
 def test_distinct_instances_produce_distinct_streams():
     def stream(instance_id):
-        unit = make_unit(PARAMS, SbgMode.SELF_CONTROL, 0.5, 1234, instance_id)
+        unit = make_unit(SbgDevice(PARAMS), SbgMode.SELF_CONTROL, 0.5, 1234, instance_id)
         return generate(unit, 512)
 
     s0, s1 = stream(0), stream(1)

@@ -9,7 +9,6 @@ tables must equal them exactly (==, not approx).
 import numpy as np
 import pytest
 
-from spinsc.device import MtjParams
 from spinsc.experiments import (
     CROSS_SCC_BASE_ID,
     SELF_SCC_BASE_ID,
@@ -18,10 +17,10 @@ from spinsc.experiments import (
     density_sweep,
     self_scc_table,
 )
-from spinsc.sbg import SbgMode, generate_array, make_unit
+from spinsc.sbg import SbgDevice, SbgMode, generate_array, make_unit
 from spinsc.stochastic import Bitstream, overlap_counts, scc
 
-PARAMS = MtjParams()
+DEVICE = SbgDevice()
 SEED = 31
 # Unsorted, with a repeat: every protocol sorts its lengths and keeps repeats.
 LENGTHS = (100, 7, 32, 32)
@@ -29,7 +28,7 @@ PAIRS = 6
 
 
 def reference_streams(targets, first_id, n, mode=SbgMode.SELF_CONTROL, pv_sigmas=None):
-    units = [make_unit(PARAMS, mode, p, SEED, first_id + k, pv_sigmas=pv_sigmas)
+    units = [make_unit(DEVICE, mode, p, SEED, first_id + k, pv_sigmas=pv_sigmas)
              for k, p in enumerate(targets)]
     return [Bitstream(bits) for bits in generate_array(units, n)]
 

@@ -308,3 +308,9 @@ def test_problem_needs_three_sensors(count):
         FusionProblem(sensors=sensors, readings=(SensorReading(1.0, 0.0),) * count)
     with pytest.raises(ValueError, match="exactly 3 sensors, got"):
         make_problem(grid_w=4, grid_h=4, sensors=sensors)
+
+
+@pytest.mark.parametrize("key, value", [("plane", 0.0), ("plane", -5.0), ("sigma_b", 0.0)])
+def test_problem_refuses_nonpositive_plane_or_sigma_b(key, value):
+    with pytest.raises(ValueError, match="plane and sigma_b must be strictly positive"):
+        make_problem(grid_w=4, grid_h=4, **{key: value})

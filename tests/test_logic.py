@@ -10,7 +10,6 @@ from spinsc.logic import (
     ScNetlist,
     cluster_terminals,
     clusters_of,
-    evaluate_on_streams,
     expand_products,
     extract_conflict_sets,
 )
@@ -197,7 +196,7 @@ def test_evaluate_on_streams_matches_gates(reference_netlist_text):
     rng = np.random.default_rng(9)
     streams = {t: Bitstream(rng.integers(0, 2, size=128, dtype=np.uint8).astype(np.uint8))
                for t in net.terminals}
-    outs = evaluate_on_streams(net, streams)
+    outs = helpers.evaluate_on_streams(net, streams)
     r1 = outs["R1"]
     expected = (streams["T1"].bits & streams["T2"].bits & streams["T5"].bits) | (
         streams["T3"].bits & streams["T4"].bits & (1 - streams["T5"].bits))
@@ -324,7 +323,7 @@ def test_topo_order_of_reverse_declared_chain():
     assert net.topo_order() == [f"n{k}" for k in range(3000)] + ["g"]
     rng = np.random.default_rng(5)
     streams = {t: Bitstream(rng.integers(0, 2, size=64, dtype=np.uint8)) for t in "ab"}
-    (out,) = evaluate_on_streams(net, streams).values()
+    (out,) = helpers.evaluate_on_streams(net, streams).values()
     assert np.array_equal(out.bits, streams["a"].bits & streams["b"].bits)
     values = {"a": 0.3, "b": 0.6}
     assert helpers.brute_force_probability(net, "g", values) == pytest.approx(0.18, abs=1e-15)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from spinsc.device import MtjParams, MtjState, PulseSpec, WriteDirection
+from spinsc.device import MtjState, PulseSpec, WriteDirection
 from spinsc import experiments
 from spinsc.experiments import density_sweep, self_scc_table
 from spinsc.sbg import (
     RESET_PULSE,
     CalibrationCache,
     SbgArraySpec,
+    SbgDevice,
     SbgMode,
     build_array,
     generate,
@@ -17,11 +18,11 @@ from spinsc.sbg import (
 )
 from spinsc.stochastic import scc
 
-PARAMS = MtjParams()
+DEVICE = SbgDevice()
 
 
 def test_simple_operation_counts():
-    unit = make_unit(PARAMS, SbgMode.SIMPLE, 0.5, 1, 0)
+    unit = make_unit(DEVICE, SbgMode.SIMPLE, 0.5, 1, 0)
     n = 257
     stream = generate(unit, n)
     assert len(stream) == n
@@ -29,7 +30,7 @@ def test_simple_operation_counts():
 
 
 def test_self_control_operation_counts():
-    unit = make_unit(PARAMS, SbgMode.SELF_CONTROL, 0.5, 1, 1)
+    unit = make_unit(DEVICE, SbgMode.SELF_CONTROL, 0.5, 1, 1)
     n = 257
     stream = generate(unit, n)
     assert len(stream) == n
@@ -37,8 +38,8 @@ def test_self_control_operation_counts():
 
 
 def test_mode_mismatch_rejected():
-    unit = make_unit(PARAMS, SbgMode.SIMPLE, 0.5, 1, 2)
-    other = make_unit(PARAMS, SbgMode.SELF_CONTROL, 0.5, 1, 3)
+    unit = make_unit(DEVICE, SbgMode.SIMPLE, 0.5, 1, 2)
+    other = make_unit(DEVICE, SbgMode.SELF_CONTROL, 0.5, 1, 3)
     with pytest.raises(ValueError, match="share a mode"):
         generate_array([unit, other], 8)
     with pytest.raises(ValueError):
@@ -46,12 +47,12 @@ def test_mode_mismatch_rejected():
 
 
 def test_zero_target_gives_all_zero_stream():
-    unit = make_unit(PARAMS, SbgMode.SIMPLE, 0.0, 1, 3)
+    unit = make_unit(DEVICE, SbgMode.SIMPLE, 0.0, 1, 3)
     assert generate(unit, 256).ones() == 0
 
 
 def test_full_target_gives_all_ones_stream():
-    unit = make_unit(PARAMS, SbgMode.SELF_CONTROL, 1.0, 1, 4)
+    unit = make_unit(DEVICE, SbgMode.SELF_CONTROL, 1.0, 1, 4)
     stream = generate(unit, 256)
     assert stream.ones() == 256  # every attempt flips, XOR is always 1
 
@@ -59,13 +60,13 @@ def test_full_target_gives_all_ones_stream():
 def test_self_control_density_converges():
     densities = []
     for repeat in range(200):
-        unit = make_unit(PARAMS, SbgMode.SELF_CONTROL, 0.3, 5, repeat)
+        unit = make_unit(DEVICE, SbgMode.SELF_CONTROL, 0.3, 5, repeat)
         densities.append(generate(unit, 512).value())
     assert np.mean(densities) == pytest.approx(0.30, abs=0.01)
 
 
 def test_energy_starts_at_zero_and_grows():
-    unit = make_unit(PARAMS, SbgMode.SIMPLE, 0.5, 1, 5)
+    unit = make_unit(DEVICE, SbgMode.SIMPLE, 0.5, 1, 5)
     assert unit.energy_nj == 0.0
     generate(unit, 16)
     first = unit.energy_nj
@@ -83,7 +84,7 @@ def test_pulse_energy_hand_computation():
 
     # A one-bit simple stream from P: the reset and the write both see R_P,
     # and free reads leave only the two pulses.
-    unit = make_unit(PARAMS, SbgMode.SIMPLE, 0.5, 1, 6, read_energy_nj=0.0)
+    unit = make_unit(SbgDevice(read_energy_nj=0.0), SbgMode.SIMPLE, 0.5, 1, 6)
     assert unit.mtj.state is MtjState.P
     generate(unit, 1)
     v = unit.write_pulse_p2ap.voltage
@@ -92,9 +93,9 @@ def test_pulse_energy_hand_computation():
 
 def test_self_control_energy_at_most_065_of_simple():
     n = 2048
-    simple = make_unit(PARAMS, SbgMode.SIMPLE, 0.5, 2, 0)
+    simple = make_unit(DEVICE, SbgMode.SIMPLE, 0.5, 2, 0)
     generate(simple, n)
-    ctrl = make_unit(PARAMS, SbgMode.SELF_CONTROL, 0.5, 2, 1)
+    ctrl = make_unit(DEVICE, SbgMode.SELF_CONTROL, 0.5, 2, 1)
     generate(ctrl, n)
     assert ctrl.energy_nj <= 0.65 * simple.energy_nj
 
@@ -102,7 +103,7 @@ def test_self_control_energy_at_most_065_of_simple():
 def test_self_control_energy_monotone_in_probability():
     per_cycle = []
     for k, p in enumerate(np.linspace(0.1, 0.9, 9)):
-        unit = make_unit(PARAMS, SbgMode.SELF_CONTROL, float(p), 7, 100 + k)
+        unit = make_unit(DEVICE, SbgMode.SELF_CONTROL, float(p), 7, 100 + k)
         generate(unit, 512)
         per_cycle.append(unit.energy_nj / unit.writes)
     assert all(b > a for a, b in zip(per_cycle, per_cycle[1:]))
@@ -188,7 +189,7 @@ def test_self_scc_id_block_boundary(monkeypatch):
 
 def test_calibration_cache_shared_across_units():
     cache = CalibrationCache()
-    u1 = make_unit(PARAMS, SbgMode.SELF_CONTROL, 0.37, 1, 10, calibration=cache)
-    u2 = make_unit(PARAMS, SbgMode.SELF_CONTROL, 0.37, 1, 11, calibration=cache)
+    u1 = make_unit(DEVICE, SbgMode.SELF_CONTROL, 0.37, 1, 10, calibration=cache)
+    u2 = make_unit(DEVICE, SbgMode.SELF_CONTROL, 0.37, 1, 11, calibration=cache)
     assert u1.write_pulse_p2ap == u2.write_pulse_p2ap
     assert u1.write_pulse_ap2p == u2.write_pulse_ap2p

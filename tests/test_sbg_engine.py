@@ -12,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import scalar_generate
 from spinsc import sbg
-from spinsc.device import MtjParams, MtjState, PulseSpec, WriteDirection
+from spinsc.device import MtjState, PulseSpec, WriteDirection
 from spinsc.sbg import (
     RESET_PULSE,
     CalibrationCache,
+    SbgDevice,
     SbgMode,
     generate,
     generate_array,
@@ -23,7 +24,7 @@ from spinsc.sbg import (
     make_units,
 )
 
-PARAMS = MtjParams()
+DEVICE = SbgDevice()
 PV = (0.05, 0.02)
 # Below the calibratable range (subcritical fallback), mid-range, and the
 # highest level calibration accepts.
@@ -41,8 +42,8 @@ EDGE_TARGETS = (0.0, 1e-6, 1.0)
 def twins(mode, pv_of=lambda k: None, reset_pulse=RESET_PULSE, seed=9,
           targets=TARGETS, starts=None):
     def build():
-        units = [make_unit(PARAMS, mode, p, seed, k, pv_sigmas=pv_of(k),
-                           reset_pulse=reset_pulse)
+        device = SbgDevice(reset_pulse=reset_pulse)
+        units = [make_unit(device, mode, p, seed, k, pv_sigmas=pv_of(k))
                  for k, p in enumerate(targets)]
         for unit, start in zip(units, starts or ()):
             unit.mtj.state = start
@@ -108,15 +109,15 @@ def test_single_unit_wrapper_matches_array_row():
 
 
 def test_mixed_modes_rejected():
-    units = [make_unit(PARAMS, SbgMode.SIMPLE, 0.5, 1, 0),
-             make_unit(PARAMS, SbgMode.SELF_CONTROL, 0.5, 1, 1)]
+    units = [make_unit(DEVICE, SbgMode.SIMPLE, 0.5, 1, 0),
+             make_unit(DEVICE, SbgMode.SELF_CONTROL, 0.5, 1, 1)]
     with pytest.raises(ValueError):
         generate_array(units, 8)
     assert all(u.writes == 0 for u in units)
 
 
 def test_bad_length_and_empty_array():
-    unit = make_unit(PARAMS, SbgMode.SIMPLE, 0.5, 1, 0)
+    unit = make_unit(DEVICE, SbgMode.SIMPLE, 0.5, 1, 0)
     with pytest.raises(ValueError):
         generate_array([unit], 0)
     assert generate_array([], 4).shape == (0, 4)
@@ -173,13 +174,13 @@ unit_specs = st.lists(
        reset_voltage=st.floats(0.9, 1.9), n=st.integers(1, 200),
        seed=st.integers(0, 2**31 - 1))
 def test_engine_matches_oracle_on_random_arrays(mode, specs, reset_voltage, n, seed):
-    reset_pulse = PulseSpec(reset_voltage, 7.0, WriteDirection.AP_TO_P)
+    device = SbgDevice(reset_pulse=PulseSpec(reset_voltage, 7.0, WriteDirection.AP_TO_P))
     calibration = CalibrationCache()
 
     def build():
         units = []
         for k, (target, start, pv) in enumerate(specs):
-            unit = make_unit(PARAMS, mode, target, seed, k, reset_pulse=reset_pulse,
+            unit = make_unit(device, mode, target, seed, k,
                              pv_sigmas=PV if pv else None, calibration=calibration)
             unit.mtj.state = start
             units.append(unit)
@@ -192,8 +193,8 @@ def test_engine_matches_oracle_on_random_arrays(mode, specs, reset_voltage, n, s
 
 def test_make_units_matches_one_unit_at_a_time():
     targets = [0.3, 0.7, 0.3, 1e-6, 0.7]
-    batch = make_units(PARAMS, SbgMode.SELF_CONTROL, targets, 4, 20, pv_sigmas=PV)
-    single = [make_unit(PARAMS, SbgMode.SELF_CONTROL, p, 4, 20 + k, pv_sigmas=PV)
+    batch = make_units(DEVICE, SbgMode.SELF_CONTROL, targets, 4, 20, pv_sigmas=PV)
+    single = [make_unit(DEVICE, SbgMode.SELF_CONTROL, p, 4, 20 + k, pv_sigmas=PV)
               for k, p in enumerate(targets)]
     for a, b in zip(batch, single):
         assert a.target_p == b.target_p
@@ -206,12 +207,12 @@ def test_make_units_matches_one_unit_at_a_time():
 
 def test_make_units_rejects_targets_outside_unit_interval():
     with pytest.raises(ValueError):
-        make_units(PARAMS, SbgMode.SIMPLE, [0.5, 1.5], 1, 0)
+        make_units(DEVICE, SbgMode.SIMPLE, [0.5, 1.5], 1, 0)
 
 
 def test_simple_mode_refuses_reset_toward_ap():
-    unit = make_unit(PARAMS, SbgMode.SIMPLE, 0.5, 1, 0,
-                     reset_pulse=PulseSpec(1.8, 7.0, WriteDirection.P_TO_AP))
+    device = SbgDevice(reset_pulse=PulseSpec(1.8, 7.0, WriteDirection.P_TO_AP))
+    unit = make_unit(device, SbgMode.SIMPLE, 0.5, 1, 0)
     with pytest.raises(ValueError, match="reset pulse toward P"):
         generate_array([unit], 4)
     assert unit.writes == 0
