@@ -229,6 +229,28 @@ def test_reset_voltage_key_changes_outputs(tmp_path, config_path, command, outpu
     assert (tmp_path / "default" / output).read_bytes() != (tmp_path / "weak" / output).read_bytes()
 
 
+def test_device_write_keys_reach_scc_report(tmp_path, config_path, monkeypatch):
+    # Calibration retargets the write voltage to the same switching
+    # probability at any pulse duration, so self_scc.csv itself does not move;
+    # check that every generator the tables build carries the keys instead.
+    built = []
+
+    def recording(*args, **kwargs):
+        units = make_units(*args, **kwargs)
+        built.extend(units)
+        return units
+
+    monkeypatch.setattr(experiments, "make_units", recording)
+    changed = tmp_path / "changed.cfg"
+    changed.write_text(SMALL_CONFIG + "\n[device]\nwrite_duration = 5.0\nread_energy = 0.5\n",
+                       encoding="utf-8")
+    run_cli("--config", changed, "--out-dir", tmp_path / "changed", "scc-report")
+    assert len(built) == 2 * 4 * (2 + 1)  # 4 pairs per self prob and per cross pair
+    for unit in built:
+        assert unit.write_pulse_p2ap.duration == unit.write_pulse_ap2p.duration == 5.0
+        assert unit.read_energy_nj == 0.5
+
+
 @pytest.mark.parametrize("command, count", [
     ("array-report", 2 + 1 + 1),      # multiplicities 2,1,1
     ("scc-report", 2 * 4 * (2 + 1)),  # 4 pairs per self prob and per cross pair
