@@ -50,7 +50,6 @@ from .allocator import (
     UnknownLevel,
     allocate,
     cost_metrics,
-    plan,
     size_array,
     verify_allocation,
 )

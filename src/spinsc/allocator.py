@@ -15,10 +15,12 @@ alone, independent of how it was built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable
 
 import numpy as np
 
-from .logic import conflict_neighbors
+from .logic import first_fit
 from .sbg import SbgArraySpec, SbgMode
 
 
@@ -65,41 +67,14 @@ class SwitchMatrix:
         return [int(r) for r in np.flatnonzero(self.control.any(axis=1))]
 
 
-def _first_fit(assignment: dict[str, float],
-               conflict_sets: list[frozenset[str]],
-               terminal_order: list[str],
-               capacity: dict[float, int] | None = None) -> dict[str, int]:
-    """The switch controller's choice: each terminal's slot within its level.
-
-    Conflict sets are walked in input order, terminals within a set in
-    terminal_order, then every terminal no set holds; each terminal takes the
-    lowest slot of its level that no placed conflict neighbor holds.
-    capacity gives the rows per level (None: unbounded); a terminal that
-    finds no free row raises CapacityExceeded.
-    """
-    adj = conflict_neighbors(conflict_sets)
-    order = {t: i for i, t in enumerate(terminal_order)}
-    slot: dict[str, int] = {}
-
-    def place(t: str) -> None:
-        lvl = assignment[t]
-        blocked = {slot[nb] for nb in adj.get(t, ()) if nb in slot and assignment[nb] == lvl}
-        s = 0
-        while s in blocked:
-            s += 1
-        if capacity is not None and s >= capacity[lvl]:
-            raise CapacityExceeded(
-                lvl, f"conflict sets demand more than {capacity[lvl]} rows of level {lvl}")
-        slot[t] = s
-
-    for group in conflict_sets:
-        for t in sorted(group, key=order.__getitem__):
-            if t not in slot:
-                place(t)
-    for t in terminal_order:
-        if t not in slot:
-            place(t)
-    return slot
+def _set_walk(conflict_sets: list[frozenset[str]],
+              terminal_order: list[str]) -> Iterable[str]:
+    """The switch controller's visit order: each conflict set's members in
+    terminal_order, set by set, then every terminal (first_fit skips the
+    ones already placed)."""
+    rank = {t: i for i, t in enumerate(terminal_order)}
+    return chain(chain.from_iterable(sorted(group, key=rank.__getitem__)
+                                     for group in conflict_sets), terminal_order)
 
 
 def size_array(assignment: dict[str, float],
@@ -108,15 +83,16 @@ def size_array(assignment: dict[str, float],
                mode: SbgMode) -> SbgArraySpec:
     """Per-level multiplicities phi(i) for one assignment of array levels.
 
-    One unbounded first-fit pass: each level of the assignment gets exactly
-    the rows the switch controller consumes, its highest slot plus one,
-    which always covers the worst per-set demand.
+    One first-fit pass with unbounded rows: each level of the assignment
+    gets exactly the rows the switch controller consumes, its highest slot
+    plus one, which always covers the worst per-set demand.
     """
     levels = tuple(sorted(set(assignment.values())))
     if not levels:
         raise ValueError("at least one level is required")
     need = dict.fromkeys(levels, 0)
-    for t, slot in _first_fit(assignment, conflict_sets, terminal_order).items():
+    slots = first_fit(_set_walk(conflict_sets, terminal_order), conflict_sets, assignment)
+    for t, slot in slots.items():
         need[assignment[t]] = max(need[assignment[t]], slot + 1)
     return SbgArraySpec(levels, tuple(need.values()), mode)
 
@@ -126,8 +102,11 @@ def allocate(assignment: dict[str, float], spec: SbgArraySpec,
              terminal_order: list[str] | None = None) -> SwitchMatrix:
     """Produce the control matrix for one (already quantized) assignment.
 
-    Conflict sets are processed in input order and terminals within a set in
-    ascending order, so identical inputs always yield identical matrices.
+    Each terminal takes its first-fit slot within its level, conflict sets
+    walked in input order and terminals within a set in terminal order, so
+    identical inputs always yield identical matrices.  The first terminal,
+    in placement order, whose slot exceeds its level's rows raises
+    CapacityExceeded.
     """
     terminals = terminal_order or sorted(assignment)
     known = set(terminals)
@@ -143,8 +122,13 @@ def allocate(assignment: dict[str, float], spec: SbgArraySpec,
             raise UnknownLevel(f"terminal {t!r} requests {lvl}, not an array level")
 
     rows_by_level = spec.rows_by_level()
-    slots = _first_fit(assignment, conflict_sets, terminals,
-                       {lvl: len(rows) for lvl, rows in rows_by_level.items()})
+    slots = first_fit(_set_walk(conflict_sets, terminals), conflict_sets, assignment)
+    for t, slot in slots.items():
+        rows = rows_by_level[assignment[t]]
+        if slot >= len(rows):
+            raise CapacityExceeded(
+                assignment[t],
+                f"conflict sets demand more than {len(rows)} rows of level {assignment[t]}")
     control = np.zeros((spec.total_units, len(terminals)), dtype=np.uint8)
     for j, t in enumerate(terminals):
         control[rows_by_level[assignment[t]][slots[t]], j] = 1
@@ -152,17 +136,6 @@ def allocate(assignment: dict[str, float], spec: SbgArraySpec,
     return SwitchMatrix(control=control,
                         row_levels=tuple(spec.row_levels()),
                         col_terminals=tuple(terminals))
-
-
-def plan(cluster_assignment: dict[str, float],
-         cluster_sets: list[frozenset[str]],
-         order: list[str],
-         mode: SbgMode = SbgMode.SELF_CONTROL) -> tuple[SbgArraySpec, SwitchMatrix]:
-    """Size the array for one clustered assignment and allocate it: every
-    level gets exactly the rows the first-fit controller consumes, and the
-    switch matrix then places each cluster on those rows."""
-    spec = size_array(cluster_assignment, cluster_sets, order, mode)
-    return spec, allocate(cluster_assignment, spec, cluster_sets, order)
 
 
 def verify_allocation(matrix: SwitchMatrix,

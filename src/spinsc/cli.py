@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +55,7 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def cmd_sbg_characterize(cfg: RunConfig) -> list[Path]:
+def cmd_sbg_characterize(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     out = _out_dir(cfg)
     paths = []
     for direction in (WriteDirection.P_TO_AP, WriteDirection.AP_TO_P):
@@ -67,7 +69,7 @@ def cmd_sbg_characterize(cfg: RunConfig) -> list[Path]:
     return paths
 
 
-def cmd_array_report(cfg: RunConfig) -> list[Path]:
+def cmd_array_report(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     """Per-unit density error and energy for the configured generator array."""
     out = _out_dir(cfg)
     levels = cfg.array.resolved_levels()
@@ -89,7 +91,7 @@ def cmd_array_report(cfg: RunConfig) -> list[Path]:
     return [path]
 
 
-def cmd_scc_report(cfg: RunConfig) -> list[Path]:
+def cmd_scc_report(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     out = _out_dir(cfg)
     rep = cfg.report
     self_rows = experiments.self_scc_table(
@@ -118,10 +120,10 @@ def _load_assignment(path: Path) -> dict[str, float]:
     return values
 
 
-def cmd_allocate(cfg: RunConfig, netlist_path: Path, assignment_path: Path) -> list[Path]:
+def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     out = _out_dir(cfg)
-    net = ScNetlist.parse(netlist_path.read_text(encoding="utf-8"))
-    assignment = _load_assignment(assignment_path)
+    net = ScNetlist.parse(args.netlist.read_text(encoding="utf-8"))
+    assignment = _load_assignment(args.assignment)
     missing = [t for t in net.terminals if t not in assignment]
     if missing:
         raise ConfigError(f"assignment misses terminals: {missing}")
@@ -136,10 +138,18 @@ def cmd_allocate(cfg: RunConfig, netlist_path: Path, assignment_path: Path) -> l
     classes = [members for _, members in sorted(by_value.items())]
     cluster_map = cluster_terminals(net, conflict_sets, classes)
     clusters = clusters_of(cluster_map)
-    spec, matrix = allocator.plan(
-        {cid: assignment[members[0]] for cid, members in clusters.items()},
-        [frozenset(cluster_map[t] for t in group) for group in conflict_sets],
-        list(clusters), cfg.array.mode)
+    cluster_assignment = {cid: assignment[members[0]] for cid, members in clusters.items()}
+    # The classes are the levels, and the clusters of one class pairwise
+    # conflict (cluster_terminals opens a new one only for a terminal that
+    # conflicts with every earlier one), so each cluster takes its own row.
+    per_level = Counter(cluster_assignment.values())
+    if not per_level:
+        raise ValueError("at least one level is required")
+    levels = tuple(sorted(per_level))
+    spec = SbgArraySpec(levels, tuple(per_level[lvl] for lvl in levels), cfg.array.mode)
+    matrix = allocator.allocate(
+        cluster_assignment, spec,
+        [frozenset(cluster_map[t] for t in group) for group in conflict_sets], list(clusters))
 
     matrix_path = out / "matrix.csv"
     entries = [(int(r), int(c)) for r, c in zip(*np.nonzero(matrix.control))]
@@ -157,7 +167,7 @@ def cmd_allocate(cfg: RunConfig, netlist_path: Path, assignment_path: Path) -> l
     return [matrix_path, summary_path]
 
 
-def cmd_fusion_run(cfg: RunConfig) -> list[Path]:
+def cmd_fusion_run(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     out = _out_dir(cfg)
     fus = cfg.fusion
     problem = fusion.make_problem(
@@ -189,7 +199,7 @@ def cmd_fusion_run(cfg: RunConfig) -> list[Path]:
     return [posterior_path, pgm_path, exact_path, summary_path]
 
 
-def cmd_cost_report(cfg: RunConfig) -> list[Path]:
+def cmd_cost_report(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     out = _out_dir(cfg)
     rows = cost.comparison_rows()
     path = out / "cost_report.csv"
@@ -202,7 +212,7 @@ def cmd_cost_report(cfg: RunConfig) -> list[Path]:
     return [path]
 
 
-def cmd_pv_sweep(cfg: RunConfig) -> list[Path]:
+def cmd_pv_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     out = _out_dir(cfg)
     rep = cfg.report
     sigmas = (cfg.pv_sigma_area, cfg.pv_sigma_tox)
@@ -215,6 +225,20 @@ def cmd_pv_sweep(cfg: RunConfig) -> list[Path]:
     return [path]
 
 
+# Subcommand -> (handler, help).  A handler takes the run configuration and
+# the parsed arguments and returns the files it wrote.
+COMMANDS = {
+    "sbg-characterize": (cmd_sbg_characterize, "voltage/duration/probability sweep"),
+    "array-report": (cmd_array_report, "per-unit density error and energy"),
+    "scc-report": (cmd_scc_report, "self- and cross-correlation tables"),
+    "allocate": (cmd_allocate, "size and route a netlist onto the array"),
+    "fusion-run": (cmd_fusion_run, "stochastic target-locating inference"),
+    "cost-report": (cmd_cost_report, "platform cost comparison table"),
+    "pv-sweep": (cmd_pv_sweep, "density error under process variation"),
+}
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinsc",
@@ -233,15 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stream length for fusion runs")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("sbg-characterize", help="voltage/duration/probability sweep")
-    sub.add_parser("array-report", help="per-unit density error and energy")
-    sub.add_parser("scc-report", help="self- and cross-correlation tables")
-    alloc = sub.add_parser("allocate", help="size and route a netlist onto the array")
+    for name, (handler, help_text) in COMMANDS.items():
+        sub.add_parser(name, help=help_text).set_defaults(handler=handler)
+    alloc = sub.choices["allocate"]
     alloc.add_argument("--netlist", type=Path, required=True)
     alloc.add_argument("--assignment", type=Path, required=True)
-    sub.add_parser("fusion-run", help="stochastic target-locating inference")
-    sub.add_parser("cost-report", help="platform cost comparison table")
-    sub.add_parser("pv-sweep", help="density error under process variation")
     return parser
 
 
@@ -264,26 +284,9 @@ def apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = apply_overrides(load_config(args.config), args)
-        if args.command == "sbg-characterize":
-            files = cmd_sbg_characterize(cfg)
-        elif args.command == "array-report":
-            files = cmd_array_report(cfg)
-        elif args.command == "scc-report":
-            files = cmd_scc_report(cfg)
-        elif args.command == "allocate":
-            files = cmd_allocate(cfg, args.netlist, args.assignment)
-        elif args.command == "fusion-run":
-            files = cmd_fusion_run(cfg)
-        elif args.command == "cost-report":
-            files = cmd_cost_report(cfg)
-        elif args.command == "pv-sweep":
-            files = cmd_pv_sweep(cfg)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError(f"unknown command {args.command!r}")
+        files = args.handler(apply_overrides(load_config(args.config), args), args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -21,9 +21,9 @@ Sections and keys:
             pairs), sweep_repeats (count), sweep_lengths, sweep_probs,
             characterize_voltages, characterize_durations
 
-A count below 1 is a ConfigError, as are an empty [report] list, a
-non-positive plane, sigma_b or reset_voltage, a negative reset_duration and
-an unknown section or key.
+A count below 1 is a ConfigError, as are an empty [report] list or [array]
+levels or multiplicity, a non-positive plane, sigma_b or reset_voltage, a
+negative reset_duration or read_energy and an unknown section or key.
 """
 
 from __future__ import annotations
@@ -61,6 +61,12 @@ def _positive(text: str) -> float:
     if not value > 0:
         raise ValueError("must be strictly positive")
     return value
+
+
+def _nonempty(values: tuple) -> tuple:
+    if not values:
+        raise ValueError("a list needs at least one value")
+    return values
 
 
 def _bool(text: str) -> bool:
@@ -155,6 +161,7 @@ def _apply_device(device: SbgDevice, key: str, value: str) -> SbgDevice:
     if key == "write_duration":
         return replace(device, write_duration_ns=float(value))
     if key == "read_energy":
+        # SbgDevice refuses a negative read energy.
         return replace(device, read_energy_nj=float(value))
     if key == "reset_voltage":
         return replace(device, reset_pulse=replace(device.reset_pulse, voltage=_positive(value)))
@@ -166,11 +173,11 @@ def _apply_device(device: SbgDevice, key: str, value: str) -> SbgDevice:
 
 def _apply_array(cfg: ArrayConfig, key: str, value: str) -> ArrayConfig:
     if key == "levels":
-        return replace(cfg, levels=_floats(value))
+        return replace(cfg, levels=_nonempty(_floats(value)))
     if key == "uniform_levels":
         return replace(cfg, uniform_levels=_count(value))
     if key == "multiplicity":
-        return replace(cfg, multiplicity=_ints(value))
+        return replace(cfg, multiplicity=_nonempty(_ints(value)))
     if key == "mode":
         return replace(cfg, mode=SbgMode(value.strip()))
     raise ConfigError(f"unknown [array] key {key!r}")
@@ -211,9 +218,7 @@ def _apply_report(cfg: ReportConfig, key: str, value: str) -> ReportConfig:
         values = _pairs(value)
     else:
         raise ConfigError(f"unknown [report] key {key!r}")
-    if not values:
-        raise ValueError("a list needs at least one value")
-    return replace(cfg, **{key: values})
+    return replace(cfg, **{key: _nonempty(values)})
 
 
 def _apply_run(cfg: RunConfig, key: str, value: str) -> RunConfig:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import plan
-from .sbg import CalibrationCache, SbgDevice, SbgMode, build_array, generate_array
+from . import allocator
+from .sbg import CalibrationCache, SbgArraySpec, SbgDevice, SbgMode, build_array, generate_array
 from .seeding import DOMAIN_READINGS, rng_for
 
 CHANNELS = ("d1", "b1", "d2", "b2", "d3", "b3")
@@ -278,7 +278,10 @@ class FusionPipeline:
         unique_sets = dict.fromkeys(map(tuple, np.sort(cluster_ids, axis=1).tolist()))
         self.cluster_sets = [frozenset(names[k] for k in row) for row in unique_sets]
 
-        self.spec, self.matrix = plan(cluster_assignment, self.cluster_sets, names, mode)
+        # The clusters of one level pairwise conflict (the cell that opens
+        # cluster `rank` holds ranks 0 .. rank), so each takes its own row.
+        self.spec = SbgArraySpec(tuple(values.tolist()), tuple(per_level.tolist()), mode)
+        self.matrix = allocator.allocate(cluster_assignment, self.spec, self.cluster_sets, names)
         # Row index of each cell terminal, cells in (x, y) order.
         self.cell_rows = np.argmax(self.matrix.control, axis=0)[cluster_ids]
 

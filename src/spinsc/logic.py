@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from itertools import accumulate
+from typing import Hashable, Iterable, Mapping
 
 
 class CyclicNetlist(ValueError):
@@ -283,39 +284,49 @@ def conflict_neighbors(conflict_sets: list[frozenset[str]]) -> dict[str, set[str
     return adj
 
 
+def first_fit(order: Iterable[str], conflict_sets: list[frozenset[str]],
+              key: Mapping[str, Hashable]) -> dict[str, int]:
+    """Greedy slots: walking order, each terminal takes the lowest slot that
+    no already placed conflict neighbor with the same key holds.
+
+    A terminal visited twice keeps its first slot; the result lists the
+    terminals in placement order.
+    """
+    adj = conflict_neighbors(conflict_sets)
+    slot: dict[str, int] = {}
+    for t in order:
+        if t in slot:
+            continue
+        blocked = {slot[nb] for nb in adj.get(t, ()) if nb in slot and key[nb] == key[t]}
+        s = 0
+        while s in blocked:
+            s += 1
+        slot[t] = s
+    return slot
+
+
 def cluster_terminals(net: ScNetlist, conflict_sets: list[frozenset[str]],
                       same_input_classes: list[list[str]]) -> dict[str, str]:
     """Merge terminals that always share one digital input and never conflict.
 
     same_input_classes must partition the netlist terminals.  Returns a map
-    terminal -> cluster id; cluster ids are assigned in deterministic order
-    and singleton classes map to their own cluster.
+    terminal -> cluster id: a terminal joins the first cluster of its class
+    that holds none of its conflict neighbors (first_fit in netlist order),
+    cluster ids count up class by class, and the map lists the terminals
+    class by class, each class in netlist order.
     """
     flat = [t for cls in same_input_classes for t in cls]
     if sorted(flat) != sorted(net.terminals) or len(flat) != len(set(flat)):
         raise ValueError("same_input_classes must partition the terminals")
 
-    adj = conflict_neighbors(conflict_sets)
-    order = {t: i for i, t in enumerate(net.terminals)}
-    mapping: dict[str, str] = {}
-    next_cluster = 0
-    for cls in same_input_classes:
-        clusters: list[tuple[str, set[str]]] = []  # (cluster id, members)
-        for t in sorted(cls, key=order.__getitem__):
-            neighbors = adj.get(t, set())
-            placed = False
-            for cid, members in clusters:
-                if not (members & neighbors):
-                    members.add(t)
-                    mapping[t] = cid
-                    placed = True
-                    break
-            if not placed:
-                cid = f"C{next_cluster}"
-                next_cluster += 1
-                clusters.append((cid, {t}))
-                mapping[t] = cid
-    return mapping
+    class_of = {t: k for k, cls in enumerate(same_input_classes) for t in cls}
+    slot = first_fit(net.terminals, conflict_sets, class_of)
+    count = [0] * len(same_input_classes)
+    for t, s in slot.items():
+        count[class_of[t]] = max(count[class_of[t]], s + 1)
+    offset = [0, *accumulate(count)]
+    return {t: f"C{offset[class_of[t]] + slot[t]}"
+            for t in sorted(slot, key=class_of.__getitem__)}
 
 
 def clusters_of(mapping: dict[str, str]) -> dict[str, list[str]]:

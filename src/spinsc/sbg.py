@@ -72,6 +72,10 @@ class SbgDevice:
     read_energy_nj: float = 0.002
     reset_pulse: PulseSpec = RESET_PULSE
 
+    def __post_init__(self) -> None:
+        if not self.read_energy_nj >= 0:
+            raise ValueError("read energy must be non-negative")
+
 
 @dataclass
 class SbgUnit:

@@ -21,6 +21,7 @@ from spinsc.logic import (
     ScNetlist,
     cluster_terminals,
     clusters_of,
+    conflict_neighbors,
     extract_conflict_sets,
 )
 from spinsc.sbg import SbgMode, SbgUnit, pulse_energy_nj
@@ -231,6 +232,51 @@ def random_assignment(rng: np.random.Generator, net: ScNetlist,
                       levels: list[float]) -> dict[str, float]:
     return {t: float(levels[int(rng.integers(0, len(levels)))])
             for t in net.terminals}
+
+
+def cluster_terminals_per_class(net: ScNetlist, conflict_sets: list[frozenset[str]],
+                                same_input_classes: list[list[str]]) -> dict[str, str]:
+    """Oracle for logic.cluster_terminals: class by class, each terminal in
+    netlist order joins the first earlier cluster of its class that holds
+    none of its conflict neighbors, or opens the next cluster id."""
+    adj = conflict_neighbors(conflict_sets)
+    order = {t: i for i, t in enumerate(net.terminals)}
+    mapping: dict[str, str] = {}
+    next_cluster = 0
+    for cls in same_input_classes:
+        clusters: list[tuple[str, set[str]]] = []  # (cluster id, members)
+        for t in sorted(cls, key=order.__getitem__):
+            neighbors = adj.get(t, set())
+            for cid, members in clusters:
+                if not (members & neighbors):
+                    members.add(t)
+                    mapping[t] = cid
+                    break
+            else:
+                cid = f"C{next_cluster}"
+                next_cluster += 1
+                clusters.append((cid, {t}))
+                mapping[t] = cid
+    return mapping
+
+
+def clustering_instances(count: int, seed: int = 88):
+    """count random netlists, each as (net, conflict sets, assignment over
+    five levels, classes by level in ascending order, random classes)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        net = random_netlist(rng, max_terminals=30, max_gates=10)
+        assignment = random_assignment(rng, net, [0.1, 0.3, 0.5, 0.7, 0.9])
+        by_level: dict[float, list[str]] = {}
+        for t in net.terminals:
+            by_level.setdefault(assignment[t], []).append(t)
+        labels = rng.integers(0, int(rng.integers(1, 6)), size=len(net.terminals))
+        shuffled = rng.permutation(net.terminals).tolist()
+        random_classes = [[t for t, k in zip(shuffled, labels) if k == c]
+                          for c in range(int(labels.max()) + 1)]
+        yield (net, extract_conflict_sets(net), assignment,
+               [members for _, members in sorted(by_level.items())],
+               [cls for cls in random_classes if cls])
 
 
 def scalar_generate(unit: SbgUnit, n: int) -> np.ndarray:

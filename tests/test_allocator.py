@@ -1,18 +1,24 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import helpers
-import spinsc.allocator as allocator_module
 from spinsc.allocator import (
     CapacityExceeded,
     UnknownLevel,
     allocate,
     cost_metrics,
-    plan,
     size_array,
     verify_allocation,
 )
-from spinsc.logic import ScNetlist, expand_products, extract_conflict_sets
+from spinsc.logic import (
+    ScNetlist,
+    cluster_terminals,
+    clusters_of,
+    expand_products,
+    extract_conflict_sets,
+)
 from spinsc.sbg import SbgArraySpec, SbgMode, build_array, generate
 from spinsc.stochastic import Bitstream, sc_and, sc_mux, sc_not
 
@@ -42,23 +48,19 @@ def test_reference_allocation(reference_netlist_text, reference_assignment):
     assert verify_allocation(matrix, sets, reference_assignment) == []
 
 
-def test_plan_sizes_then_allocates_once(monkeypatch, reference_netlist_text,
-                                        reference_assignment):
-    net, sets, spec = reference_setup(reference_netlist_text, reference_assignment)
-    calls = []
-
-    def recording(*args, **kwargs):
-        calls.append((args, kwargs))
-        return allocate(*args, **kwargs)
-
-    monkeypatch.setattr(allocator_module, "allocate", recording)
-    planned_spec, matrix = plan(reference_assignment, sets, net.terminals, SbgMode.SIMPLE)
-    assert planned_spec == SbgArraySpec(spec.levels, spec.multiplicity, SbgMode.SIMPLE)
-    # One positional call, so that a caller's hook sees (assignment, spec, sets, order).
-    assert calls == [((reference_assignment, planned_spec, sets, net.terminals), {})]
-    assert np.array_equal(matrix.control,
-                          allocate(reference_assignment, planned_spec, sets,
-                                   net.terminals).control)
+def test_one_row_per_cluster_is_the_sized_array():
+    for net, sets, assignment, by_level, _ in helpers.clustering_instances(300):
+        cluster_map = cluster_terminals(net, sets, by_level)
+        clusters = clusters_of(cluster_map)
+        cluster_assignment = {cid: assignment[members[0]] for cid, members in clusters.items()}
+        cluster_sets = [frozenset(cluster_map[t] for t in group) for group in sets]
+        per_level = Counter(cluster_assignment.values())
+        levels = tuple(sorted(per_level))
+        spec = SbgArraySpec(levels, tuple(per_level[lvl] for lvl in levels))
+        assert size_array(cluster_assignment, cluster_sets, list(clusters),
+                          SbgMode.SELF_CONTROL) == spec
+        matrix = allocate(cluster_assignment, spec, cluster_sets, list(clusters))
+        assert verify_allocation(matrix, cluster_sets, cluster_assignment) == []
 
 
 def test_single_terminal_single_level():

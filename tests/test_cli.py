@@ -1,9 +1,11 @@
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spinsc import device, experiments, sbg
+from spinsc.allocator import allocate, verify_allocation
 from spinsc.cli import main, write_pgm
 from spinsc.logic import Product, ScNetlist, expand_products
 from spinsc.sbg import SbgMode, make_units
@@ -123,6 +125,40 @@ def test_allocate_command_reports_seven_generators(tmp_path, config_path):
         b"m,n_terminals,n_clustered,k_energy,k_cmos\n7,9,7,0.777778,0.836957\n")
     assert (out / "matrix.csv").read_bytes() == (
         b"row,col\n" + b"".join(b"%d,%d\n" % (k, k) for k in range(7)))
+
+
+@pytest.mark.parametrize("command", ["fusion-run", "allocate"])
+def test_command_allocates_once_positionally(tmp_path, config_path, monkeypatch, command):
+    calls = []
+
+    def recording(*args, **kwargs):
+        matrix = allocate(*args, **kwargs)
+        calls.append((args, kwargs, matrix))
+        return matrix
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "spinsc" and getattr(module, "allocate", None) is allocate:
+            monkeypatch.setattr(module, "allocate", recording)
+    netlist, assignment = write_reference_inputs(tmp_path)
+    inputs = {"fusion-run": ["fusion-run"],
+              "allocate": ["allocate", "--netlist", netlist, "--assignment", assignment]}
+    run_cli("--config", config_path, "--out-dir", tmp_path / "out", *inputs[command])
+    # One positional call, so that a caller's hook sees (assignment, spec, sets, order).
+    [(args, kwargs, matrix)] = calls
+    assert kwargs == {} and len(args) == 4
+    cluster_assignment, spec, sets, order = args
+    assert matrix.num_rows == spec.total_units
+    assert matrix.col_terminals == tuple(order)
+    assert verify_allocation(matrix, sets, cluster_assignment) == []
+
+
+def test_allocate_empty_netlist_is_one_line_error(tmp_path, config_path, capsys):
+    netlist, assignment = tmp_path / "empty.net", tmp_path / "empty.assign"
+    netlist.write_text("", encoding="utf-8")
+    assignment.write_text("", encoding="utf-8")
+    assert main(["--config", str(config_path), "--out-dir", str(tmp_path / "o"), "allocate",
+                 "--netlist", str(netlist), "--assignment", str(assignment)]) == 1
+    assert capsys.readouterr().err == "error: at least one level is required\n"
 
 
 def test_allocate_rejects_terminals_missing_from_netlist(tmp_path, config_path, capsys):
@@ -380,6 +416,18 @@ def test_empty_report_lists_are_config_errors(tmp_path, capsys, key, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["levels", "multiplicity"])
+def test_empty_array_lists_are_config_errors(tmp_path, capsys, key):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[array]\n{key} =\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(bad), "--out-dir", str(out), "array-report"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: [array] {key} = '': " \
+                           "a list needs at least one value\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [("plane", "0"), ("plane", "-5"), ("sigma_b", "0")])
 def test_nonpositive_plane_or_sigma_b_is_config_error(tmp_path, capsys, key, value):
     bad = tmp_path / "bad.cfg"
@@ -392,9 +440,12 @@ def test_nonpositive_plane_or_sigma_b_is_config_error(tmp_path, capsys, key, val
     assert not out.exists()
 
 
-def test_negative_reset_duration_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("key, message", [
+    ("reset_duration", "duration must be non-negative"),
+    ("read_energy", "read energy must be non-negative"),
+], ids=["reset_duration", "read_energy"])
+def test_negative_device_values_are_config_errors(tmp_path, capsys, key, message):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("[device]\nreset_duration = -1\n", encoding="utf-8")
+    bad.write_text(f"[device]\n{key} = -1\n", encoding="utf-8")
     assert main(["--config", str(bad), "cost-report"]) == 2
-    assert capsys.readouterr().err == \
-        "configuration error: [device] reset_duration = '-1': duration must be non-negative\n"
+    assert capsys.readouterr().err == f"configuration error: [device] {key} = '-1': {message}\n"

@@ -12,6 +12,7 @@ from spinsc.logic import (
     clusters_of,
     expand_products,
     extract_conflict_sets,
+    first_fit,
 )
 from spinsc.stochastic import Bitstream
 
@@ -170,6 +171,21 @@ def test_cluster_never_merges_conflicting_random_instances():
             shared = {t: values[clusters[mapping[t]][0]] for t in net.terminals}
             assert helpers.evaluate_products(products, shared) == pytest.approx(
                 helpers.evaluate_products(products, values))
+
+
+def test_cluster_terminals_matches_the_per_class_loop():
+    for net, sets, _, by_level, random_classes in helpers.clustering_instances(300):
+        for classes in (by_level, random_classes):
+            mapping = cluster_terminals(net, sets, classes)
+            oracle = helpers.cluster_terminals_per_class(net, sets, classes)
+            assert list(mapping.items()) == list(oracle.items())
+
+
+def test_first_fit_separates_only_same_key_neighbors():
+    sets = [frozenset("abc"), frozenset("cd")]
+    key = {"a": 0, "b": 0, "c": 1, "d": 1, "e": 0}
+    slots = first_fit(["c", "a", "b", "c", "d", "e"], sets, key)
+    assert list(slots.items()) == [("c", 0), ("a", 0), ("b", 1), ("d", 1), ("e", 0)]
 
 
 @st.composite
