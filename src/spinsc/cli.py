@@ -12,14 +12,13 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from . import allocator, cost, experiments, fusion
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, apply, load_config
 from .device import WriteDirection, characterization_rows
 from .logic import ScNetlist, cluster_terminals, clusters_of, extract_conflict_sets
 from .sbg import SbgArraySpec, SbgMode, build_array, generate_array
@@ -116,7 +115,13 @@ def _load_assignment(path: Path) -> dict[str, float]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'terminal = probability'")
         name, _, value = line.partition("=")
-        values[name.strip()] = float(value)
+        name = name.strip()
+        if name in values:
+            raise ConfigError(f"{path}:{lineno}: terminal {name!r} is assigned twice")
+        try:
+            values[name] = float(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return values
 
 
@@ -170,8 +175,9 @@ def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
 def cmd_fusion_run(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     out = _out_dir(cfg)
     fus = cfg.fusion
+    grid_w, grid_h = fus.grid
     problem = fusion.make_problem(
-        grid_w=fus.grid_w, grid_h=fus.grid_h, target_xy=fus.target,
+        grid_w=grid_w, grid_h=grid_h, target_xy=fus.target,
         noise_d=fus.noise_d, noise_b=fus.noise_b, master_seed=cfg.master_seed,
         plane=fus.plane, sensors=fus.sensors, sigma_b=fus.sigma_b,
         sigma_d_base=fus.sigma_d_base, sigma_d_slope=fus.sigma_d_slope)
@@ -180,19 +186,19 @@ def cmd_fusion_run(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     estimate, stats = pipeline.run(n, cfg.master_seed, pv_sigmas=cfg.pv_sigmas)
     exact = fusion.exact_posterior(problem)
     kl = fusion.kl_divergence(exact, estimate,
-                              zero_floor=fusion.default_zero_floor(n, fus.grid_w, fus.grid_h))
+                              zero_floor=fusion.default_zero_floor(n, grid_w, grid_h))
     ax, ay = estimate.argmax()
 
     posterior_path = out / "posterior.csv"
     rows = [(x, y, float(estimate.weights[x, y]))
-            for x in range(fus.grid_w) for y in range(fus.grid_h)]
+            for x in range(grid_w) for y in range(grid_h)]
     write_csv(posterior_path, ["x", "y", "weight"], rows)
     pgm_path = out / "posterior.pgm"
     write_pgm(pgm_path, estimate.weights)
     exact_path = out / "posterior_exact.csv"
     write_csv(exact_path, ["x", "y", "weight"],
               [(x, y, float(exact.weights[x, y]))
-               for x in range(fus.grid_w) for y in range(fus.grid_h)])
+               for x in range(grid_w) for y in range(grid_h)])
     summary_path = out / "fusion_summary.csv"
     write_csv(summary_path, ["n", "kl", "argmax_x", "argmax_y"], [(n, kl, ax, ay)])
     print(f"{n},{fmt(kl)},{ax},{ay}")
@@ -245,16 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="MTJ stochastic-computing Bayesian inference simulator")
     parser.add_argument("--config", type=Path, default=None,
                         help="key-value configuration file")
-    parser.add_argument("--seed", type=int, default=None, help="master seed override")
-    parser.add_argument("--out-dir", type=Path, default=None, help="output directory")
+    parser.add_argument("--seed", help="master seed override ([run] master_seed)")
+    parser.add_argument("--out-dir", help="output directory ([run] out_dir)")
     pv_group = parser.add_mutually_exclusive_group()
-    pv_group.add_argument("--pv", dest="pv", action="store_true", default=None,
-                          help="enable process variation")
-    pv_group.add_argument("--no-pv", dest="pv", action="store_false",
-                          help="disable process variation")
-    parser.add_argument("--grid", type=str, default=None, help="fusion grid, e.g. 32x32")
-    parser.add_argument("--bitstream-len", type=int, default=None,
-                        help="stream length for fusion runs")
+    pv_group.add_argument("--pv", action="store_const", const="true",
+                          help="enable process variation ([run] pv)")
+    pv_group.add_argument("--no-pv", dest="pv", action="store_const", const="false",
+                          help="disable process variation ([run] pv)")
+    parser.add_argument("--grid", help="fusion grid, e.g. 32x32 ([fusion] grid)")
+    parser.add_argument("--bitstream-len", help="stream length ([run] bitstream_len)")
 
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text) in COMMANDS.items():
@@ -265,21 +270,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Global flag (its argparse dest) -> the config key it overrides.  A flag's
+# text goes through that key's parser, so both take and refuse the same text.
+FLAG_KEYS = {
+    "seed": ("run", "master_seed"),
+    "out_dir": ("run", "out_dir"),
+    "pv": ("run", "pv"),
+    "bitstream_len": ("run", "bitstream_len"),
+    "grid": ("fusion", "grid"),
+}
+
+
 def apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if args.seed is not None:
-        cfg = replace(cfg, master_seed=args.seed)
-    if args.out_dir is not None:
-        cfg = replace(cfg, out_dir=str(args.out_dir))
-    if args.pv is not None:
-        cfg = replace(cfg, pv=args.pv)
-    if args.bitstream_len is not None:
-        cfg = replace(cfg, bitstream_len=args.bitstream_len)
-    if args.grid is not None:
-        w, _, h = args.grid.lower().partition("x")
-        try:
-            cfg = replace(cfg, fusion=replace(cfg.fusion, grid_w=int(w), grid_h=int(h)))
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse grid {args.grid!r}") from exc
+    for dest, (section, key) in FLAG_KEYS.items():
+        text = getattr(args, dest)
+        if text is not None:
+            cfg = apply(cfg, section, key, text)
     return cfg
 
 

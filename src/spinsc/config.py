@@ -4,31 +4,22 @@ A run is a pure function of its RunConfig; identical configs reproduce
 byte-identical outputs.  The file format is INI-style sections of key=value
 pairs; every key has a default, so an empty or missing file is valid.
 
-Sections and keys:
+KEYS is the full key list: it maps each (section, key) to the RunConfig
+field it sets and the parser of its text, and `apply` sets one key through
+it.  A config file and the CLI flags both go through `apply`, so a flag and
+the key it overrides accept the same text and refuse it with the same
+message.  The [device] keys make RunConfig.device, one sbg.SbgDevice that
+every command hands whole to the layers that build generators.
 
-  [run]     master_seed, out_dir, pv, pv_sigma_area, pv_sigma_tox, bitstream_len
-  [device]  any MtjParams field, plus write_duration, read_energy,
-            reset_voltage, reset_duration; together they make
-            RunConfig.device, one sbg.SbgDevice that every command hands
-            whole to the layers that build generators
-  [array]   levels (comma list) or uniform_levels (count), multiplicity
-            (comma list), mode (simple | self_control)
-  [fusion]  grid (WxH), plane, target (one x,y pair), sensors (exactly
-            three x,y pairs: x,y;x,y;x,y), sigma_b, sigma_d_base and
-            sigma_d_slope (distance sigma = base + slope * reading), levels
-            (count), noise_d, noise_b
-  [report]  scc_pairs (count), scc_lengths, scc_probs, scc_cross (x,y
-            pairs), sweep_repeats (count), sweep_lengths, sweep_probs,
-            characterize_voltages, characterize_durations
-
-A count below 1 is a ConfigError, as are an empty [report] list or [array]
-levels or multiplicity, a non-positive plane, sigma_b or reset_voltage, a
-negative reset_duration or read_energy and an unknown section or key.
+A count below 1 is a ConfigError, as are an empty list key, a non-positive
+plane, sigma_b or reset_voltage, a negative reset_duration or read_energy,
+a bad junction value and an unknown section or key.
 """
 
 from __future__ import annotations
 
 import configparser
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -42,11 +33,12 @@ class ConfigError(ValueError):
 
 
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
+    return _nonempty(tuple(float(tok) for tok in text.replace(";", ",").split(",")
+                           if tok.strip()))
 
 
 def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    return _nonempty(tuple(int(tok) for tok in text.split(",") if tok.strip()))
 
 
 def _count(text: str) -> int:
@@ -75,7 +67,12 @@ def _bool(text: str) -> bool:
         return True
     if norm in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"cannot parse boolean {text!r}")
+    raise ValueError("not a boolean")
+
+
+def _grid(text: str) -> tuple[int, int]:
+    w, _, h = text.lower().partition("x")
+    return _count(w), _count(h)
 
 
 def _pairs(text: str) -> tuple[tuple[float, float], ...]:
@@ -86,9 +83,23 @@ def _pairs(text: str) -> tuple[tuple[float, float], ...]:
             continue
         vals = [float(tok) for tok in chunk.split(",")]
         if len(vals) != 2:
-            raise ConfigError(f"expected x,y pair, got {chunk!r}")
+            raise ValueError(f"expected x,y pair, got {chunk!r}")
         out.append((vals[0], vals[1]))
     return tuple(out)
+
+
+def _target(text: str) -> tuple[float, float]:
+    pairs = _pairs(text)
+    if len(pairs) != 1:
+        raise ValueError("needs exactly one x,y pair")
+    return pairs[0]
+
+
+def _sensors(text: str) -> tuple[tuple[float, float], ...]:
+    pairs = _pairs(text)
+    if len(pairs) != 3:
+        raise ValueError("needs exactly three x,y pairs")
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -107,8 +118,7 @@ class ArrayConfig:
 
 @dataclass(frozen=True)
 class FusionConfig:
-    grid_w: int = 32
-    grid_h: int = 32
+    grid: tuple[int, int] = (32, 32)
     plane: float = fusion.DEFAULT_PLANE
     target: tuple[float, float] = (40.0, 22.0)
     sensors: tuple[tuple[float, float], ...] = fusion.DEFAULT_SENSORS
@@ -152,87 +162,62 @@ class RunConfig:
         return (self.pv_sigma_area, self.pv_sigma_tox) if self.pv else None
 
 
-_MTJ_FIELDS = {f.name for f in fields(MtjParams)}
+# (section, key) -> (path of the RunConfig field it sets, parser of its text).
+# A parser raises ValueError with the reason it refuses a text; the
+# dataclasses' own checks (MtjParams, SbgDevice, PulseSpec) run on the
+# replaced value.
+KEYS: dict[tuple[str, str], tuple[tuple[str, ...], Callable[[str], object]]] = {
+    ("run", "master_seed"): (("master_seed",), int),
+    ("run", "out_dir"): (("out_dir",), str.strip),
+    ("run", "pv"): (("pv",), _bool),
+    ("run", "pv_sigma_area"): (("pv_sigma_area",), float),
+    ("run", "pv_sigma_tox"): (("pv_sigma_tox",), float),
+    ("run", "bitstream_len"): (("bitstream_len",), _count),
+    **{("device", f.name): (("device", "params", f.name), float) for f in fields(MtjParams)},
+    ("device", "write_duration"): (("device", "write_duration_ns"), float),
+    ("device", "read_energy"): (("device", "read_energy_nj"), float),
+    ("device", "reset_voltage"): (("device", "reset_pulse", "voltage"), _positive),
+    ("device", "reset_duration"): (("device", "reset_pulse", "duration"), float),
+    ("array", "levels"): (("array", "levels"), _floats),
+    ("array", "uniform_levels"): (("array", "uniform_levels"), _count),
+    ("array", "multiplicity"): (("array", "multiplicity"), _ints),
+    ("array", "mode"): (("array", "mode"), SbgMode),
+    ("fusion", "grid"): (("fusion", "grid"), _grid),
+    ("fusion", "plane"): (("fusion", "plane"), _positive),
+    ("fusion", "target"): (("fusion", "target"), _target),
+    ("fusion", "sensors"): (("fusion", "sensors"), _sensors),
+    ("fusion", "sigma_b"): (("fusion", "sigma_b"), _positive),
+    ("fusion", "sigma_d_base"): (("fusion", "sigma_d_base"), float),
+    ("fusion", "sigma_d_slope"): (("fusion", "sigma_d_slope"), float),
+    ("fusion", "levels"): (("fusion", "level_count"), _count),
+    ("fusion", "noise_d"): (("fusion", "noise_d"), float),
+    ("fusion", "noise_b"): (("fusion", "noise_b"), float),
+    ("report", "scc_pairs"): (("report", "scc_pairs"), _count),
+    ("report", "scc_lengths"): (("report", "scc_lengths"), _ints),
+    ("report", "scc_probs"): (("report", "scc_probs"), _floats),
+    ("report", "scc_cross"): (("report", "scc_cross"), lambda text: _nonempty(_pairs(text))),
+    ("report", "sweep_repeats"): (("report", "sweep_repeats"), _count),
+    ("report", "sweep_lengths"): (("report", "sweep_lengths"), _ints),
+    ("report", "sweep_probs"): (("report", "sweep_probs"), _floats),
+    ("report", "characterize_voltages"): (("report", "characterize_voltages"), _floats),
+    ("report", "characterize_durations"): (("report", "characterize_durations"), _floats),
+}
 
 
-def _apply_device(device: SbgDevice, key: str, value: str) -> SbgDevice:
-    if key in _MTJ_FIELDS:
-        return replace(device, params=replace(device.params, **{key: float(value)}))
-    if key == "write_duration":
-        return replace(device, write_duration_ns=float(value))
-    if key == "read_energy":
-        # SbgDevice refuses a negative read energy.
-        return replace(device, read_energy_nj=float(value))
-    if key == "reset_voltage":
-        return replace(device, reset_pulse=replace(device.reset_pulse, voltage=_positive(value)))
-    if key == "reset_duration":
-        # PulseSpec refuses a negative duration.
-        return replace(device, reset_pulse=replace(device.reset_pulse, duration=float(value)))
-    raise ConfigError(f"unknown [device] key {key!r}")
+def _replace_at(obj, path: tuple[str, ...], value):
+    name, *rest = path
+    return replace(obj, **{name: _replace_at(getattr(obj, name), rest, value) if rest else value})
 
 
-def _apply_array(cfg: ArrayConfig, key: str, value: str) -> ArrayConfig:
-    if key == "levels":
-        return replace(cfg, levels=_nonempty(_floats(value)))
-    if key == "uniform_levels":
-        return replace(cfg, uniform_levels=_count(value))
-    if key == "multiplicity":
-        return replace(cfg, multiplicity=_nonempty(_ints(value)))
-    if key == "mode":
-        return replace(cfg, mode=SbgMode(value.strip()))
-    raise ConfigError(f"unknown [array] key {key!r}")
-
-
-def _apply_fusion(cfg: FusionConfig, key: str, value: str) -> FusionConfig:
-    if key == "grid":
-        w, _, h = value.lower().partition("x")
-        return replace(cfg, grid_w=int(w), grid_h=int(h))
-    if key == "target":
-        pair = _pairs(value)
-        if len(pair) != 1:
-            raise ConfigError(f"target needs exactly one x,y pair, got {value!r}")
-        return replace(cfg, target=pair[0])
-    if key == "sensors":
-        sensors = _pairs(value)
-        if len(sensors) != 3:
-            raise ConfigError(f"sensors needs exactly three x,y pairs, got {value!r}")
-        return replace(cfg, sensors=sensors)
-    simple = {"plane": _positive, "sigma_b": _positive, "sigma_d_base": float,
-              "sigma_d_slope": float, "levels": _count, "noise_d": float,
-              "noise_b": float}
-    if key in simple:
-        name = "level_count" if key == "levels" else key
-        return replace(cfg, **{name: simple[key](value)})
-    raise ConfigError(f"unknown [fusion] key {key!r}")
-
-
-def _apply_report(cfg: ReportConfig, key: str, value: str) -> ReportConfig:
-    if key in ("scc_pairs", "sweep_repeats"):
-        return replace(cfg, **{key: _count(value)})
-    if key in ("scc_lengths", "sweep_lengths"):
-        values = _ints(value)
-    elif key in ("scc_probs", "sweep_probs", "characterize_voltages",
-                 "characterize_durations"):
-        values = _floats(value)
-    elif key == "scc_cross":
-        values = _pairs(value)
-    else:
-        raise ConfigError(f"unknown [report] key {key!r}")
-    return replace(cfg, **{key: _nonempty(values)})
-
-
-def _apply_run(cfg: RunConfig, key: str, value: str) -> RunConfig:
-    if key == "master_seed":
-        return replace(cfg, master_seed=int(value))
-    if key == "out_dir":
-        return replace(cfg, out_dir=value.strip())
-    if key == "pv":
-        return replace(cfg, pv=_bool(value))
-    if key in ("pv_sigma_area", "pv_sigma_tox"):
-        return replace(cfg, **{key: float(value)})
-    if key == "bitstream_len":
-        return replace(cfg, bitstream_len=int(value))
-    raise ConfigError(f"unknown [run] key {key!r}")
+def apply(cfg: RunConfig, section: str, key: str, text: str) -> RunConfig:
+    """cfg with [section] key set from its text, parsed by the key's KEYS entry."""
+    if (section, key) not in KEYS:
+        raise ConfigError(f"unknown [{section}] key {key!r}")
+    path, parse = KEYS[section, key]
+    try:
+        return _replace_at(cfg, path, parse(text))
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key} = {text!r}: {exc}") from exc
 
 
 def load_config(path: str | Path | None = None) -> RunConfig:
@@ -246,26 +231,10 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-
-    appliers = {
-        "run": ("_top", _apply_run),
-        "device": ("device", _apply_device),
-        "array": ("array", _apply_array),
-        "fusion": ("fusion", _apply_fusion),
-        "report": ("report", _apply_report),
-    }
+    sections = {section for section, _ in KEYS}
     for section in parser.sections():
-        if section not in appliers:
+        if section not in sections:
             raise ConfigError(f"unknown section [{section}]")
-        attr, apply = appliers[section]
         for key, value in parser.items(section):
-            try:
-                if attr == "_top":
-                    cfg = apply(cfg, key, value)
-                else:
-                    cfg = replace(cfg, **{attr: apply(getattr(cfg, attr), key, value)})
-            except (ValueError, KeyError) as exc:
-                if isinstance(exc, ConfigError):
-                    raise
-                raise ConfigError(f"[{section}] {key} = {value!r}: {exc}") from exc
+            cfg = apply(cfg, section, key, value)
     return cfg

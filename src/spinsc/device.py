@@ -50,18 +50,14 @@ _C_AP2P_DEFAULT = 5.6                          # ns, gives dt(1.8 V) = 4.0 ns
 class MtjParams:
     """Physical and calibration parameters of the junction.
 
-    The first block carries the standard device constants; the second block
+    The first block sets the junction's geometry and resistances (oxide
+    thickness, footprint, TMR ratio and RA product); the second block
     parameterizes the stochastic switching model (per-direction critical
     voltages and pulse-shape constants, attempt time and thermal stability
     for the sub-critical regime, and the relative spread of the switching
     time distribution).
     """
 
-    alpha: float = 0.027          # Gilbert damping
-    gamma: float = 1.76e7         # gyro-magnetic constant, Hz/Oe
-    pol: float = 0.52             # electron polarization
-    hk0: float = 1433.0           # out-of-plane anisotropy, Oe
-    t_sl: float = 1.3             # free-layer height, nm
     t_ox: float = 0.85            # oxide thickness, nm
     length: float = 45.0          # junction length, nm
     width: float = 45.0           # junction width, nm
@@ -77,9 +73,8 @@ class MtjParams:
     c_ap2p: float = _C_AP2P_DEFAULT  # precessional pulse-shape constant, ns
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "gamma", "pol", "hk0", "t_sl", "t_ox", "length",
-                     "width", "tmr", "ra", "tau0", "delta", "vc0_p2ap",
-                     "vc0_ap2p", "c_p2ap", "c_ap2p"):
+        for name in ("t_ox", "length", "width", "tmr", "ra", "tau0", "delta",
+                     "vc0_p2ap", "vc0_ap2p", "c_p2ap", "c_ap2p"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
         if not 0.0 < self.sigma_rel < 1.0:

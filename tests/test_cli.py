@@ -1,4 +1,5 @@
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from spinsc import device, experiments, sbg
 from spinsc.allocator import allocate, verify_allocation
-from spinsc.cli import main, write_pgm
+from spinsc.cli import apply_overrides, build_parser, main, write_pgm
+from spinsc.config import KEYS, RunConfig, load_config
 from spinsc.logic import Product, ScNetlist, expand_products
 from spinsc.sbg import SbgMode, make_units
 from spinsc.seeding import rng_for
@@ -169,6 +171,19 @@ def test_allocate_rejects_terminals_missing_from_netlist(tmp_path, config_path, 
     assert "T10" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text, line, reason", [
+    ("a = 0.5\nb = 0.5\na = 0.2\n", 3, "terminal 'a' is assigned twice"),
+    ("a = x\nb = 0.5\n", 1, "could not convert string to float: ' x'"),
+], ids=["assigned-twice", "non-numeric"])
+def test_allocate_rejects_bad_assignment_lines(tmp_path, config_path, capsys, text, line, reason):
+    netlist, assignment = tmp_path / "and.net", tmp_path / "and.assign"
+    netlist.write_text("terminal a\nterminal b\ngate g AND a b\noutput g\n", encoding="utf-8")
+    assignment.write_text(text, encoding="utf-8")
+    assert main(["--config", str(config_path), "--out-dir", str(tmp_path / "o"), "allocate",
+                 "--netlist", str(netlist), "--assignment", str(assignment)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {assignment}:{line}: {reason}\n"
+
+
 def test_allocate_deep_not_chain(tmp_path, config_path):
     # 3000 NOT gates in a row: deeper than the Python stack allows recursion.
     lines = ["terminal a", "terminal b", "gate n0 NOT a"]
@@ -234,6 +249,61 @@ def test_cli_flag_overrides(tmp_path, config_path):
     assert summary[1].startswith("16,")
     posterior = read_lines(out / "posterior.csv")
     assert len(posterior) == 1 + 16
+
+
+@pytest.mark.parametrize("flags, text", [
+    (["--seed", "5"], "[run]\nmaster_seed = 5\n"),
+    (["--out-dir", "elsewhere"], "[run]\nout_dir = elsewhere\n"),
+    (["--pv"], "[run]\npv = true\n"),
+    (["--no-pv"], "[run]\npv = false\n"),
+    (["--grid", "4X6"], "[fusion]\ngrid = 4X6\n"),
+    (["--bitstream-len", "16"], "[run]\nbitstream_len = 16\n"),
+], ids=["seed", "out-dir", "pv", "no-pv", "grid", "bitstream-len"])
+def test_flag_sets_the_key_it_overrides(tmp_path, flags, text):
+    path = tmp_path / "key.cfg"
+    path.write_text(text, encoding="utf-8")
+    by_flag = apply_overrides(RunConfig(), build_parser().parse_args([*flags, "cost-report"]))
+    assert by_flag == load_config(path)
+
+
+@pytest.mark.parametrize("flag, section, key, value", [
+    ("--seed", "run", "master_seed", "abc"),
+    ("--grid", "fusion", "grid", "4y4"),
+    ("--bitstream-len", "run", "bitstream_len", "0"),
+])
+def test_flag_and_key_refuse_bad_text_alike(tmp_path, capsys, flag, section, key, value):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--out-dir", str(out), flag, value, "fusion-run"]) == 2
+    by_flag = capsys.readouterr().err
+    assert main(["--config", str(bad), "--out-dir", str(out), "fusion-run"]) == 2
+    assert capsys.readouterr().err == by_flag
+    assert by_flag.startswith(f"configuration error: [{section}] {key} = {value!r}: ")
+    assert by_flag.count("\n") == 1
+    assert not out.exists()
+
+
+def test_every_config_field_is_set_by_one_key():
+    def leaves(obj, path=()):
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if is_dataclass(value):
+                yield from leaves(value, (*path, f.name))
+            else:
+                yield (*path, f.name)
+
+    # The reset pulse always drives AP->P; its voltage and duration are the settings.
+    fixed = {("device", "reset_pulse", "direction")}
+    assert sorted(path for path, _ in KEYS.values()) == sorted(set(leaves(RunConfig())) - fixed)
+
+
+@pytest.mark.parametrize("key", ["alpha", "gamma", "pol", "hk0", "t_sl"])
+def test_unread_junction_keys_are_unknown(tmp_path, capsys, key):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[device]\n{key} = 1\n", encoding="utf-8")
+    assert main(["--config", str(bad), "cost-report"]) == 2
+    assert capsys.readouterr().err == f"configuration error: unknown [device] key {key!r}\n"
 
 
 def test_unknown_config_key_fails(tmp_path):
@@ -380,6 +450,7 @@ def test_sigma_d_keys_change_exact_posterior(tmp_path, config_path, key, value):
 
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("section, key, command", [
+    ("run", "bitstream_len", "array-report"),
     ("array", "uniform_levels", "array-report"),
     ("fusion", "levels", "fusion-run"),
     ("report", "scc_pairs", "scc-report"),
@@ -392,6 +463,20 @@ def test_counts_below_one_are_config_errors(tmp_path, capsys, section, key, comm
     assert main(["--config", str(bad), "--out-dir", str(out), command]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"configuration error: [{section}] {key} = {value!r}: " \
+                           "a count must be at least 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0x4", "4x-1", "4x0"])
+@pytest.mark.parametrize("source", ["key", "flag"])
+def test_grid_dimensions_below_one_are_config_errors(tmp_path, capsys, source, value):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[fusion]\ngrid = {value}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    given = {"key": ["--config", str(bad)], "flag": ["--grid", value]}[source]
+    assert main([*given, "--out-dir", str(out), "fusion-run"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: [fusion] grid = {value!r}: " \
                            "a count must be at least 1\n"
     assert not out.exists()
 
