@@ -41,11 +41,12 @@ def _ints(text: str) -> tuple[int, ...]:
     return _nonempty(tuple(int(tok) for tok in text.split(",") if tok.strip()))
 
 
-def _count(text: str) -> int:
-    count = int(text)
-    if count < 1:
+def count(text: str) -> int:
+    """The count rule: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
         raise ValueError("a count must be at least 1")
-    return count
+    return value
 
 
 def _positive(text: str) -> float:
@@ -72,7 +73,7 @@ def _bool(text: str) -> bool:
 
 def _grid(text: str) -> tuple[int, int]:
     w, _, h = text.lower().partition("x")
-    return _count(w), _count(h)
+    return count(w), count(h)
 
 
 def _pairs(text: str) -> tuple[tuple[float, float], ...]:
@@ -172,14 +173,14 @@ KEYS: dict[tuple[str, str], tuple[tuple[str, ...], Callable[[str], object]]] = {
     ("run", "pv"): (("pv",), _bool),
     ("run", "pv_sigma_area"): (("pv_sigma_area",), float),
     ("run", "pv_sigma_tox"): (("pv_sigma_tox",), float),
-    ("run", "bitstream_len"): (("bitstream_len",), _count),
+    ("run", "bitstream_len"): (("bitstream_len",), count),
     **{("device", f.name): (("device", "params", f.name), float) for f in fields(MtjParams)},
     ("device", "write_duration"): (("device", "write_duration_ns"), float),
     ("device", "read_energy"): (("device", "read_energy_nj"), float),
     ("device", "reset_voltage"): (("device", "reset_pulse", "voltage"), _positive),
     ("device", "reset_duration"): (("device", "reset_pulse", "duration"), float),
     ("array", "levels"): (("array", "levels"), _floats),
-    ("array", "uniform_levels"): (("array", "uniform_levels"), _count),
+    ("array", "uniform_levels"): (("array", "uniform_levels"), count),
     ("array", "multiplicity"): (("array", "multiplicity"), _ints),
     ("array", "mode"): (("array", "mode"), SbgMode),
     ("fusion", "grid"): (("fusion", "grid"), _grid),
@@ -189,14 +190,14 @@ KEYS: dict[tuple[str, str], tuple[tuple[str, ...], Callable[[str], object]]] = {
     ("fusion", "sigma_b"): (("fusion", "sigma_b"), _positive),
     ("fusion", "sigma_d_base"): (("fusion", "sigma_d_base"), float),
     ("fusion", "sigma_d_slope"): (("fusion", "sigma_d_slope"), float),
-    ("fusion", "levels"): (("fusion", "level_count"), _count),
+    ("fusion", "levels"): (("fusion", "level_count"), count),
     ("fusion", "noise_d"): (("fusion", "noise_d"), float),
     ("fusion", "noise_b"): (("fusion", "noise_b"), float),
-    ("report", "scc_pairs"): (("report", "scc_pairs"), _count),
+    ("report", "scc_pairs"): (("report", "scc_pairs"), count),
     ("report", "scc_lengths"): (("report", "scc_lengths"), _ints),
     ("report", "scc_probs"): (("report", "scc_probs"), _floats),
     ("report", "scc_cross"): (("report", "scc_cross"), lambda text: _nonempty(_pairs(text))),
-    ("report", "sweep_repeats"): (("report", "sweep_repeats"), _count),
+    ("report", "sweep_repeats"): (("report", "sweep_repeats"), count),
     ("report", "sweep_lengths"): (("report", "sweep_lengths"), _ints),
     ("report", "sweep_probs"): (("report", "sweep_probs"), _floats),
     ("report", "characterize_voltages"): (("report", "characterize_voltages"), _floats),

@@ -266,14 +266,10 @@ def calibrate_voltage(params: MtjParams, target_p: float, duration: float,
     raise TargetUnreachable(f"bisection did not converge to {target_p}")
 
 
-def sample_process_variation(params: MtjParams, master_seed: int, instance_id: int,
-                             sigma_area: float = 0.05,
-                             sigma_tox: float = 0.02) -> InstanceFactors:
-    """Draw per-device area/thickness multipliers ~ N(1, sigma), resampling
-    non-positive draws.  Deterministic in (master_seed, instance_id)."""
-    if sigma_area == 0.0 and sigma_tox == 0.0:
-        return NOMINAL_FACTORS
-    rng = rng_for(master_seed, DOMAIN_PROCESS_VARIATION, instance_id)
+def draw_process_variation(rng: np.random.Generator, sigma_area: float,
+                           sigma_tox: float) -> InstanceFactors:
+    """Area/thickness multipliers ~ N(1, sigma) drawn from rng, resampling
+    non-positive draws."""
 
     def draw(sigma: float) -> float:
         value = 1.0 + sigma * rng.standard_normal()
@@ -282,6 +278,18 @@ def sample_process_variation(params: MtjParams, master_seed: int, instance_id: i
         return value
 
     return InstanceFactors(area=draw(sigma_area), tox=draw(sigma_tox))
+
+
+def sample_process_variation(params: MtjParams, master_seed: int, instance_id: int,
+                             sigma_area: float = 0.05,
+                             sigma_tox: float = 0.02) -> InstanceFactors:
+    """Per-device multipliers from draw_process_variation, deterministic in
+    (master_seed, instance_id); nominal, with no stream drawn, when both
+    sigmas are zero."""
+    if sigma_area == 0.0 and sigma_tox == 0.0:
+        return NOMINAL_FACTORS
+    rng = rng_for(master_seed, DOMAIN_PROCESS_VARIATION, instance_id)
+    return draw_process_variation(rng, sigma_area, sigma_tox)
 
 
 def characterization_rows(params: MtjParams, voltages: list[float],

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .device import (
-    InstanceFactors,
+    NOMINAL_FACTORS,
     MtjInstance,
     MtjParams,
     MtjState,
@@ -33,9 +33,9 @@ from .device import (
     WriteDirection,
     base_switching_time,
     calibrate_voltage,
-    make_instance,
-    sample_process_variation,
+    draw_process_variation,
 )
+from .seeding import DOMAIN_DEVICE, DOMAIN_PROCESS_VARIATION, rngs_for
 from .stochastic import Bitstream
 
 # Reset pulse: strong enough that AP->P switching is essentially certain.
@@ -95,10 +95,17 @@ class SbgUnit:
 
 
 class CalibrationCache:
-    """Memoizes bisection results; units at one probability level share them."""
+    """Memoizes bisection results; units at one probability level share them.
+
+    make_units also keeps here, per (device, mode), the write pulses of each
+    target it has built, so a cache that serves many builds calibrates each
+    target once.
+    """
 
     def __init__(self) -> None:
         self._cache: dict[tuple, float] = {}
+        self.pulses: dict[tuple[SbgDevice, SbgMode],
+                          dict[float, tuple[PulseSpec, PulseSpec | None]]] = {}
 
     def voltage(self, params: MtjParams, target_p: float, duration: float,
                 direction: WriteDirection) -> float:
@@ -128,13 +135,15 @@ def make_units(device: SbgDevice, mode: SbgMode, targets: Sequence[float],
     """Build and calibrate one generator per target; unit k gets id first_id + k.
 
     Write voltages are calibrated against the nominal device, once per
-    distinct target (in `calibration`, or a fresh cache), and units at one
-    target share the pulses.  Process variation (pv_sigmas = (sigma_area,
-    sigma_tox)) perturbs only the instance, as it would on silicon.
+    distinct target and cache (in `calibration`, or a fresh cache), and units
+    at one target share the pulses.  Process variation (pv_sigmas =
+    (sigma_area, sigma_tox)) perturbs only the instance, as it would on
+    silicon.  The device streams, and the process-variation streams, are each
+    seeded in one rngs_for call, equal to rng_for per unit.
     """
     calibration = calibration or CalibrationCache()
     params = device.params
-    pulses: dict[float, tuple[PulseSpec, PulseSpec | None]] = {}
+    pulses = calibration.pulses.setdefault((device, mode), {})
     for p in targets:
         if p in pulses:
             continue
@@ -145,15 +154,15 @@ def make_units(device: SbgDevice, mode: SbgMode, targets: Sequence[float],
         if mode is SbgMode.SELF_CONTROL:
             ap2p = _write_pulse(device, p, WriteDirection.AP_TO_P, calibration)
         pulses[p] = (p2ap, ap2p)
+    ids = range(first_id, first_id + len(targets))
+    factors = [NOMINAL_FACTORS] * len(targets)
+    if pv_sigmas is not None and any(pv_sigmas):
+        factors = [draw_process_variation(rng, *pv_sigmas)
+                   for rng in rngs_for(master_seed, DOMAIN_PROCESS_VARIATION, ids)]
     units = []
-    for unit_id, p in enumerate(targets, first_id):
-        factors: InstanceFactors | None = None
-        if pv_sigmas is not None:
-            factors = sample_process_variation(params, master_seed, unit_id,
-                                               sigma_area=pv_sigmas[0],
-                                               sigma_tox=pv_sigmas[1])
+    for p, rng, unit_factors in zip(targets, rngs_for(master_seed, DOMAIN_DEVICE, ids), factors):
         p2ap, ap2p = pulses[p]
-        units.append(SbgUnit(mtj=make_instance(params, master_seed, unit_id, factors),
+        units.append(SbgUnit(mtj=MtjInstance(params, rng, unit_factors),
                              mode=mode, target_p=p,
                              write_pulse_p2ap=p2ap, write_pulse_ap2p=ap2p,
                              reset_pulse=device.reset_pulse,

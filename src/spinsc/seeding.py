@@ -3,9 +3,17 @@
 Every stochastic component owns a numpy Generator derived from the master
 seed plus a (domain, index) key, so simulations are reproducible bit for bit
 and independent instances never share a stream.
+
+rng_for builds one stream.  rngs_for builds the streams of many indices of
+one (seed, domain) at once and equals rng_for stream for stream: it runs
+numpy's SeedSequence hash (NEP 19) as uint32 array arithmetic over all
+indices, and PCG64 seeds itself from each resulting state.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
+from functools import cache
 
 import numpy as np
 
@@ -15,8 +23,95 @@ DOMAIN_DEVICE = 1
 DOMAIN_PROCESS_VARIATION = 2
 DOMAIN_READINGS = 3
 
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx).
+_MASK = 0xFFFFFFFF
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_POOL_SIZE = 4
+
 
 def rng_for(master_seed: int, domain: int, index: int = 0) -> np.random.Generator:
     """Generator for one simulated instance, unique per (seed, domain, index)."""
     seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(domain), int(index)))
     return np.random.default_rng(seq)
+
+
+def _words(value: int) -> int:
+    """Number of uint32 words SeedSequence makes of a non-negative int."""
+    return max(1, (value.bit_length() + 31) // 32)
+
+
+def _hash_consts(init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = first .. first + count, as uint32."""
+    return np.array([init * pow(mult, k, 1 << 32) & _MASK
+                     for k in range(first, first + count + 1)], dtype=np.uint32)
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each value column, the k-th column with
+    hash constants consts[k] (xor) and consts[k + 1] (multiply)."""
+    value = value ^ consts[:-1]
+    value *= consts[1:]
+    value ^= value >> np.uint32(16)
+    return value
+
+
+def _pcg64_seeds(master_seed: int, domain: int, ids: np.ndarray) -> np.ndarray:
+    """The (ids, 4) uint64 words SeedSequence(master_seed, (domain, id))
+    hands PCG64, for uint32 ids.
+
+    The entropy of (domain, id) is that of (domain,) followed by one id word,
+    so the pool of SeedSequence(master_seed, (domain,)) is the mix up to that
+    word.  Mixing a word after the pool has taken its first four runs four
+    hashmix steps, and the pool's mix ran 16 + 4 * (entropy words - 4) of
+    them: 4 + 12 for the first four words, which are the seed padded to 4,
+    and 4 for each word after them.
+    """
+    pool = np.random.SeedSequence(entropy=master_seed, spawn_key=(domain,)).pool
+    steps = 16 + 4 * (max(_POOL_SIZE, _words(master_seed)) + _words(domain) - _POOL_SIZE)
+    word = _hashmix(ids[:, None], _hash_consts(_INIT_A, _MULT_A, steps, _POOL_SIZE))
+    mixer = pool * np.uint32(_MIX_MULT_L) - word * np.uint32(_MIX_MULT_R)
+    mixer ^= mixer >> np.uint32(16)
+    # generate_state(4, uint64): eight uint32 words, cycling over the pool.
+    state = _hashmix(np.tile(mixer, 2), _hash_consts(_INIT_B, _MULT_B, 0, 2 * _POOL_SIZE))
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@cache
+def _seeded_type() -> type:
+    """An ISeedSequence holding a state computed ahead; PCG64 seeds itself
+    from the four words its generate_state returns.  Made on first use, so
+    importing spinsc does not load numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Seeded(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return Seeded
+
+
+def rngs_for(master_seed: int, domain: int,
+             indices: Sequence[int]) -> list[np.random.Generator]:
+    """rng_for(master_seed, domain, index) for each index, seeded in one pass.
+
+    Indices of 2**32 or more, which SeedSequence spreads over several words,
+    go through rng_for one by one.
+    """
+    from numpy.random import PCG64, Generator
+
+    seeded = _seeded_type()
+    master_seed, domain = int(master_seed), int(domain)
+    indices = [int(index) for index in indices]
+    fast = [0 <= index <= _MASK for index in indices]
+    words = iter(_pcg64_seeds(master_seed, domain, np.array(
+        [index for index, ok in zip(indices, fast) if ok], dtype=np.uint32)))
+    return [Generator(PCG64(seeded(next(words)))) if ok else rng_for(master_seed, domain, index)
+            for index, ok in zip(indices, fast)]

@@ -5,13 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinsc import device, experiments, sbg
+from spinsc import experiments, sbg
 from spinsc.allocator import allocate, verify_allocation
 from spinsc.cli import apply_overrides, build_parser, main, write_pgm
 from spinsc.config import KEYS, RunConfig, load_config
 from spinsc.logic import Product, ScNetlist, expand_products
 from spinsc.sbg import SbgMode, make_units
-from spinsc.seeding import rng_for
+from spinsc.seeding import rng_for, rngs_for
 from conftest import REFERENCE_ASSIGNMENT, REFERENCE_NETLIST
 
 SMALL_CONFIG = """\
@@ -402,11 +402,23 @@ def test_device_keys_reach_every_unit(tmp_path, monkeypatch, command, count):
 def test_no_two_units_in_a_run_share_a_stream(tmp_path, config_path, monkeypatch, run):
     keys = []
 
-    def recording(master_seed, domain, index=0):
+    def record_one(master_seed, domain, index=0):
         keys.append((domain, index))
         return rng_for(master_seed, domain, index)
 
-    monkeypatch.setattr(device, "rng_for", recording)
+    def record_many(master_seed, domain, indices):
+        indices = list(indices)
+        keys.extend((domain, index) for index in indices)
+        return rngs_for(master_seed, domain, indices)
+
+    # Every spinsc module that looks either seeding function up gets the
+    # recording form, so no stream is made unrecorded.
+    recorders = {id(rng_for): record_one, id(rngs_for): record_many}
+    for name, module in list(sys.modules.items()):
+        if name == "spinsc" or name.startswith("spinsc."):
+            for attr, value in list(vars(module).items()):
+                if id(value) in recorders:
+                    monkeypatch.setattr(module, attr, recorders[id(value)])
     run(tmp_path, config_path)
     assert keys
     assert len(set(keys)) == len(keys)
