@@ -9,18 +9,13 @@ Bayesian oracle), cost (architecture-level comparisons), cli (orchestration).
 
 from .device import (
     InstanceFactors,
-    MtjInstance,
     MtjParams,
     MtjState,
     PulseSpec,
     TargetUnreachable,
     WriteDirection,
-    apply_write,
     base_switching_time,
     calibrate_voltage,
-    make_instance,
-    read_state,
-    sample_process_variation,
     switch_probability,
 )
 from .stochastic import Bitstream, LengthMismatch, sc_and, sc_mux, sc_not, scc
@@ -34,14 +29,12 @@ from .logic import (
     extract_conflict_sets,
 )
 from .sbg import (
+    SbgArray,
     SbgArraySpec,
     SbgDevice,
     SbgMode,
-    SbgUnit,
     build_array,
-    generate,
     generate_array,
-    make_unit,
     make_units,
 )
 from .allocator import (
@@ -50,7 +43,6 @@ from .allocator import (
     UnknownLevel,
     allocate,
     cost_metrics,
-    size_array,
     verify_allocation,
 )
 from .fusion import (

@@ -1,4 +1,4 @@
-"""Generator-array sizing and switch-matrix allocation.
+"""Switch-matrix allocation over a sized generator array.
 
 The switch controller walks the conflict sets in order and hands every
 terminal the first free generator row of its probability level, re-using
@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .logic import first_fit
-from .sbg import SbgArraySpec, SbgMode
+from .sbg import SbgArraySpec
 
 
 class CapacityExceeded(RuntimeError):
@@ -75,26 +75,6 @@ def _set_walk(conflict_sets: list[frozenset[str]],
     rank = {t: i for i, t in enumerate(terminal_order)}
     return chain(chain.from_iterable(sorted(group, key=rank.__getitem__)
                                      for group in conflict_sets), terminal_order)
-
-
-def size_array(assignment: dict[str, float],
-               conflict_sets: list[frozenset[str]],
-               terminal_order: list[str],
-               mode: SbgMode) -> SbgArraySpec:
-    """Per-level multiplicities phi(i) for one assignment of array levels.
-
-    One first-fit pass with unbounded rows: each level of the assignment
-    gets exactly the rows the switch controller consumes, its highest slot
-    plus one, which always covers the worst per-set demand.
-    """
-    levels = tuple(sorted(set(assignment.values())))
-    if not levels:
-        raise ValueError("at least one level is required")
-    need = dict.fromkeys(levels, 0)
-    slots = first_fit(_set_walk(conflict_sets, terminal_order), conflict_sets, assignment)
-    for t, slot in slots.items():
-        need[assignment[t]] = max(need[assignment[t]], slot + 1)
-    return SbgArraySpec(levels, tuple(need.values()), mode)
 
 
 def allocate(assignment: dict[str, float], spec: SbgArraySpec,

@@ -76,14 +76,13 @@ def cmd_array_report(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     if len(multiplicity) != len(levels):
         raise ConfigError("array multiplicity must match the level count")
     spec = SbgArraySpec(tuple(levels), tuple(multiplicity), cfg.array.mode)
-    units = build_array(spec, cfg.master_seed, cfg.device, pv_sigmas=cfg.pv_sigmas)
+    array = build_array(spec, cfg.master_seed, cfg.device, pv_sigmas=cfg.pv_sigmas)
     n = cfg.bitstream_len
-    bits = generate_array(units, n)
-    rows = []
-    for idx, unit in enumerate(units):
-        density = int(bits[idx].sum()) / n
-        rows.append((idx, unit.target_p, density, abs(density - unit.target_p),
-                     unit.energy_nj, unit.writes, unit.reads))
+    ones = generate_array(array, n).sum(axis=1)
+    columns = (array.targets, ones, array.energy_nj, array.writes, array.reads)
+    rows = [(idx, p, count / n, abs(count / n - p), energy, writes, reads)
+            for idx, (p, count, energy, writes, reads)
+            in enumerate(zip(*(column.tolist() for column in columns)))]
     path = out / "array_report.csv"
     write_csv(path, ["unit", "target_p", "density", "abs_error",
                      "energy_nj", "writes", "reads"], rows)

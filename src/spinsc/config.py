@@ -11,14 +11,16 @@ the key it overrides accept the same text and refuse it with the same
 message.  The [device] keys make RunConfig.device, one sbg.SbgDevice that
 every command hands whole to the layers that build generators.
 
-A count below 1 is a ConfigError, as are an empty list key, a non-positive
-plane, sigma_b or reset_voltage, a negative reset_duration or read_energy,
-a bad junction value and an unknown section or key.
+A count below 1 is a ConfigError, as are a float that is not finite (nan,
+inf), an empty list key, a non-positive plane, sigma_b, reset_voltage or
+write_duration, a negative reset_duration, read_energy or process-variation
+sigma, a bad junction value and an unknown section or key.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -32,8 +34,16 @@ class ConfigError(ValueError):
     """Unparseable or unknown configuration content."""
 
 
+def _float(text: str) -> float:
+    """A finite float: nan and inf are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _floats(text: str) -> tuple[float, ...]:
-    return _nonempty(tuple(float(tok) for tok in text.replace(";", ",").split(",")
+    return _nonempty(tuple(_float(tok) for tok in text.replace(";", ",").split(",")
                            if tok.strip()))
 
 
@@ -50,9 +60,16 @@ def count(text: str) -> int:
 
 
 def _positive(text: str) -> float:
-    value = float(text)
+    value = _float(text)
     if not value > 0:
         raise ValueError("must be strictly positive")
+    return value
+
+
+def _nonnegative(text: str) -> float:
+    value = _float(text)
+    if value < 0:
+        raise ValueError("must be at least 0")
     return value
 
 
@@ -82,7 +99,7 @@ def _pairs(text: str) -> tuple[tuple[float, float], ...]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        vals = [float(tok) for tok in chunk.split(",")]
+        vals = [_float(tok) for tok in chunk.split(",")]
         if len(vals) != 2:
             raise ValueError(f"expected x,y pair, got {chunk!r}")
         out.append((vals[0], vals[1]))
@@ -171,14 +188,14 @@ KEYS: dict[tuple[str, str], tuple[tuple[str, ...], Callable[[str], object]]] = {
     ("run", "master_seed"): (("master_seed",), int),
     ("run", "out_dir"): (("out_dir",), str.strip),
     ("run", "pv"): (("pv",), _bool),
-    ("run", "pv_sigma_area"): (("pv_sigma_area",), float),
-    ("run", "pv_sigma_tox"): (("pv_sigma_tox",), float),
+    ("run", "pv_sigma_area"): (("pv_sigma_area",), _nonnegative),
+    ("run", "pv_sigma_tox"): (("pv_sigma_tox",), _nonnegative),
     ("run", "bitstream_len"): (("bitstream_len",), count),
-    **{("device", f.name): (("device", "params", f.name), float) for f in fields(MtjParams)},
-    ("device", "write_duration"): (("device", "write_duration_ns"), float),
-    ("device", "read_energy"): (("device", "read_energy_nj"), float),
+    **{("device", f.name): (("device", "params", f.name), _float) for f in fields(MtjParams)},
+    ("device", "write_duration"): (("device", "write_duration_ns"), _float),
+    ("device", "read_energy"): (("device", "read_energy_nj"), _float),
     ("device", "reset_voltage"): (("device", "reset_pulse", "voltage"), _positive),
-    ("device", "reset_duration"): (("device", "reset_pulse", "duration"), float),
+    ("device", "reset_duration"): (("device", "reset_pulse", "duration"), _float),
     ("array", "levels"): (("array", "levels"), _floats),
     ("array", "uniform_levels"): (("array", "uniform_levels"), count),
     ("array", "multiplicity"): (("array", "multiplicity"), _ints),
@@ -188,11 +205,11 @@ KEYS: dict[tuple[str, str], tuple[tuple[str, ...], Callable[[str], object]]] = {
     ("fusion", "target"): (("fusion", "target"), _target),
     ("fusion", "sensors"): (("fusion", "sensors"), _sensors),
     ("fusion", "sigma_b"): (("fusion", "sigma_b"), _positive),
-    ("fusion", "sigma_d_base"): (("fusion", "sigma_d_base"), float),
-    ("fusion", "sigma_d_slope"): (("fusion", "sigma_d_slope"), float),
+    ("fusion", "sigma_d_base"): (("fusion", "sigma_d_base"), _float),
+    ("fusion", "sigma_d_slope"): (("fusion", "sigma_d_slope"), _float),
     ("fusion", "levels"): (("fusion", "level_count"), count),
-    ("fusion", "noise_d"): (("fusion", "noise_d"), float),
-    ("fusion", "noise_b"): (("fusion", "noise_b"), float),
+    ("fusion", "noise_d"): (("fusion", "noise_d"), _float),
+    ("fusion", "noise_b"): (("fusion", "noise_b"), _float),
     ("report", "scc_pairs"): (("report", "scc_pairs"), count),
     ("report", "scc_lengths"): (("report", "scc_lengths"), _ints),
     ("report", "scc_probs"): (("report", "scc_probs"), _floats),

@@ -1,11 +1,13 @@
-"""Behavioral model of a single perpendicular MTJ used as a stochastic bit cell.
+"""Behavioral model of the perpendicular MTJ used as a stochastic bit cell.
 
 The junction is a two-state resistive element (P low / AP high).  A write
 pulse switches it with a probability set by the bias voltage and pulse
 duration: the characteristic switching time dt(V) follows a precessional law
 above the critical voltage and a thermally activated law below it, and the
 realized switching time of each pulse is drawn from N(dt, sigma_rel * dt).
-Reads are ideal and non-destructive.
+Reads are ideal and non-destructive.  This module holds the switching law,
+calibration and process-variation draws; the junctions' states and random
+streams are columns of sbg.SbgArray.
 
 Voltages are volts, durations nanoseconds, resistances ohms; energies (in the
 generator layer) come out in nanojoules via V^2 * t_ns / R.
@@ -18,8 +20,6 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 import numpy as np
-
-from .seeding import DOMAIN_DEVICE, DOMAIN_PROCESS_VARIATION, rng_for
 
 
 class TargetUnreachable(ValueError):
@@ -158,70 +158,6 @@ def switch_probability(params: MtjParams, pulse: PulseSpec,
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
-class MtjInstance:
-    """One junction with mutable state and its own random stream.
-
-    Instances are single-owner: nothing here is shared, so independently
-    seeded instances may be simulated concurrently without coordination.
-    """
-
-    __slots__ = ("params", "state", "factors", "rng", "_r_scale")
-
-    def __init__(self, params: MtjParams, rng: np.random.Generator,
-                 factors: InstanceFactors = NOMINAL_FACTORS,
-                 state: MtjState = MtjState.P) -> None:
-        self.params = params
-        self.state = state
-        self.factors = factors
-        self.rng = rng
-        self._r_scale = factors.resistance_scale(params)
-
-    @property
-    def r_p(self) -> float:
-        return self.params.r_p * self._r_scale
-
-    @property
-    def r_ap(self) -> float:
-        return self.params.r_ap * self._r_scale
-
-    @property
-    def resistance(self) -> float:
-        return self.r_ap if self.state is MtjState.AP else self.r_p
-
-
-def make_instance(params: MtjParams, master_seed: int, instance_id: int,
-                  factors: InstanceFactors | None = None) -> MtjInstance:
-    """Deterministically seeded instance; distinct ids give distinct streams."""
-    rng = rng_for(master_seed, DOMAIN_DEVICE, instance_id)
-    return MtjInstance(params, rng, factors or NOMINAL_FACTORS)
-
-
-def apply_write(instance: MtjInstance, pulse: PulseSpec) -> bool:
-    """Attempt one stochastic write; returns True iff the state flipped.
-
-    Writing toward the current state is a no-op (no switching attempt, no
-    random draw).  Otherwise the realized switching time is drawn from
-    N(dt, sigma_rel * dt), clamped at zero, and the junction flips iff it
-    fits inside the pulse duration.
-    """
-    target = pulse.direction.target
-    if instance.state is target:
-        return False
-    dt = base_switching_time(instance.params, pulse, instance.factors)
-    t_sw = dt * (1.0 + instance.params.sigma_rel * instance.rng.standard_normal())
-    if t_sw < 0.0:
-        t_sw = 0.0
-    if t_sw <= pulse.duration:
-        instance.state = target
-        return True
-    return False
-
-
-def read_state(instance: MtjInstance) -> int:
-    """Ideal non-destructive read: 1 for AP, 0 for P."""
-    return int(instance.state)
-
-
 def calibrate_voltage(params: MtjParams, target_p: float, duration: float,
                       direction: WriteDirection, *, tol: float = 1e-4,
                       v_margin: float = 0.02, v_max: float = 3.0,
@@ -278,18 +214,6 @@ def draw_process_variation(rng: np.random.Generator, sigma_area: float,
         return value
 
     return InstanceFactors(area=draw(sigma_area), tox=draw(sigma_tox))
-
-
-def sample_process_variation(params: MtjParams, master_seed: int, instance_id: int,
-                             sigma_area: float = 0.05,
-                             sigma_tox: float = 0.02) -> InstanceFactors:
-    """Per-device multipliers from draw_process_variation, deterministic in
-    (master_seed, instance_id); nominal, with no stream drawn, when both
-    sigmas are zero."""
-    if sigma_area == 0.0 and sigma_tox == 0.0:
-        return NOMINAL_FACTORS
-    rng = rng_for(master_seed, DOMAIN_PROCESS_VARIATION, instance_id)
-    return draw_process_variation(rng, sigma_area, sigma_tox)
 
 
 def characterization_rows(params: MtjParams, voltages: list[float],

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion import FusionPipeline, FusionProblem, default_zero_floor, exact_posterior, kl_divergence
-from .sbg import SbgDevice, SbgMode, SbgUnit, generate_array, make_units
+from .sbg import SbgArray, SbgDevice, SbgMode, generate_array, make_units
 
 SWEEP_BASE_ID = 0
 SELF_SCC_BASE_ID = 10_000
@@ -73,7 +73,7 @@ def density_sweep(probs: tuple[float, ...], lengths: tuple[int, ...],
             for n in lengths]
 
 
-def _mean_abs_scc(units: list[SbgUnit], lengths: tuple[int, ...],
+def _mean_abs_scc(units: SbgArray, lengths: tuple[int, ...],
                   groups: int) -> list[list[float]]:
     """Mean |SCC| per length between the streams of units 2k and 2k+1, for
     each of `groups` equal consecutive blocks of pairs, measured on prefixes

@@ -301,19 +301,21 @@ class FusionPipeline:
             pv_sigmas: tuple[float, float] | None = None
             ) -> tuple[PosteriorGrid, FusionRunStats]:
         """One stochastic inference pass with n-bit streams."""
-        units = build_array(self.spec, master_seed, self.device,
+        array = build_array(self.spec, master_seed, self.device,
                             pv_sigmas=pv_sigmas, calibration=self.calibration)
-        row_bits = generate_array(units, n)
+        row_bits = generate_array(array, n)
         gathered = row_bits[self.cell_rows]          # (cells, 6, n)
         products = np.bitwise_and.reduce(gathered, axis=1)
         counts = products.sum(axis=1).astype(np.float64)
         w, h = self.problem.grid_w, self.problem.grid_h
         grid = PosteriorGrid((counts / n).reshape(w, h)).normalize()
+        # Python's sum adds the energies one at a time in row order; np.sum
+        # would add pairwise and round differently.
         stats = FusionRunStats(
-            n_cycles=n, num_units=len(units),
-            total_energy_nj=sum(u.energy_nj for u in units),
-            writes=sum(u.writes for u in units),
-            reads=sum(u.reads for u in units))
+            n_cycles=n, num_units=len(array),
+            total_energy_nj=sum(array.energy_nj.tolist()),
+            writes=int(array.writes.sum()),
+            reads=int(array.reads.sum()))
         return grid, stats
 
     def analytic_estimate(self) -> PosteriorGrid:

@@ -1,4 +1,4 @@
-"""Stochastic bitstream generators built on the MTJ write/read primitives.
+"""Stochastic bitstream generators built on the MTJ switching model.
 
 Two state machines are modeled.  The simple generator runs
 reset -> write -> read per bit (2n writes, n reads for n bits).  The
@@ -9,7 +9,8 @@ reads, and emits XOR(current, last), costing n+1 writes and n+1 reads.
 Energy bookkeeping: each pulse contributes V^2 * t / R(state before the
 pulse) in nJ; each read costs a fixed configurable amount.
 
-generate_array runs a whole array at once, with no loop over cycles: it
+The generators of a run are one SbgArray, a struct of per-unit columns.
+generate_array runs the whole array at once, with no loop over cycles: it
 pre-draws each unit's normals, scans the switching outcomes for the states,
 and gives the bits, counters and energy that stepping each unit one pulse at
 a time through the device model would give.
@@ -17,17 +18,14 @@ a time through the device model would give.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .device import (
-    NOMINAL_FACTORS,
-    MtjInstance,
     MtjParams,
-    MtjState,
     PulseSpec,
     TargetUnreachable,
     WriteDirection,
@@ -36,7 +34,6 @@ from .device import (
     draw_process_variation,
 )
 from .seeding import DOMAIN_DEVICE, DOMAIN_PROCESS_VARIATION, rngs_for
-from .stochastic import Bitstream
 
 # Reset pulse: strong enough that AP->P switching is essentially certain.
 RESET_PULSE = PulseSpec(1.8, 7.0, WriteDirection.AP_TO_P)
@@ -73,25 +70,47 @@ class SbgDevice:
     reset_pulse: PulseSpec = RESET_PULSE
 
     def __post_init__(self) -> None:
+        if not self.write_duration_ns > 0:
+            raise ValueError("write duration must be strictly positive")
         if not self.read_energy_nj >= 0:
             raise ValueError("read energy must be non-negative")
 
 
-@dataclass
-class SbgUnit:
-    """One generator: an MTJ plus its calibrated pulses and counters."""
+# The per-unit columns of an SbgArray, the ones a row slice slices.
+_ROW_FIELDS = ("level", "targets", "scale", "state", "energy_nj", "writes", "reads", "rngs")
 
-    mtj: MtjInstance
+
+@dataclass(eq=False)
+class SbgArray:
+    """A generator array held as columns; row k is unit k.
+
+    The device and the mode are the whole array's.  pulses holds one
+    (P->AP, AP->P) write-pulse pair per distinct target, AP->P being None in
+    simple mode, and level[k] is unit k's index into it.  The other columns
+    are per unit: its target, scale (the process-variation factor on its
+    resistances and switching times, exactly 1.0 when nominal), state (True
+    for AP), energy_nj, writes, reads and its own random stream.
+    array[a:b] holds rows a to b - 1 in views of this array's columns, so
+    generating from it updates this array.
+    """
+
+    device: SbgDevice
     mode: SbgMode
-    target_p: float
-    write_pulse_p2ap: PulseSpec
-    write_pulse_ap2p: PulseSpec | None    # self-control units only
-    reset_pulse: PulseSpec
-    read_energy_nj: float
-    last_state: int | None = None
-    writes: int = 0
-    reads: int = 0
-    energy_nj: float = 0.0
+    pulses: tuple[tuple[PulseSpec, PulseSpec | None], ...]
+    level: np.ndarray        # intp
+    targets: np.ndarray      # float64
+    scale: np.ndarray        # float64
+    state: np.ndarray        # bool
+    energy_nj: np.ndarray    # float64
+    writes: np.ndarray       # int64
+    reads: np.ndarray        # int64
+    rngs: list[np.random.Generator]
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def __getitem__(self, rows: slice) -> SbgArray:
+        return replace(self, **{name: getattr(self, name)[rows] for name in _ROW_FIELDS})
 
 
 class CalibrationCache:
@@ -131,53 +150,50 @@ def _write_pulse(device: SbgDevice, target_p: float, direction: WriteDirection,
 def make_units(device: SbgDevice, mode: SbgMode, targets: Sequence[float],
                master_seed: int, first_id: int, *,
                pv_sigmas: tuple[float, float] | None = None,
-               calibration: CalibrationCache | None = None) -> list[SbgUnit]:
+               calibration: CalibrationCache | None = None) -> SbgArray:
     """Build and calibrate one generator per target; unit k gets id first_id + k.
 
     Write voltages are calibrated against the nominal device, once per
     distinct target and cache (in `calibration`, or a fresh cache), and units
     at one target share the pulses.  Process variation (pv_sigmas =
-    (sigma_area, sigma_tox)) perturbs only the instance, as it would on
+    (sigma_area, sigma_tox)) perturbs only each unit's scale, as it would on
     silicon.  The device streams, and the process-variation streams, are each
-    seeded in one rngs_for call, equal to rng_for per unit.
+    seeded in one rngs_for call, equal to rng_for per unit.  Every unit
+    starts in P with no energy and no writes or reads.
     """
     calibration = calibration or CalibrationCache()
-    params = device.params
     pulses = calibration.pulses.setdefault((device, mode), {})
+    levels: dict[float, int] = {}
     for p in targets:
-        if p in pulses:
+        if p in levels:
             continue
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("target_p must lie in [0, 1]")
-        p2ap = _write_pulse(device, p, WriteDirection.P_TO_AP, calibration)
-        ap2p = None
-        if mode is SbgMode.SELF_CONTROL:
-            ap2p = _write_pulse(device, p, WriteDirection.AP_TO_P, calibration)
-        pulses[p] = (p2ap, ap2p)
-    ids = range(first_id, first_id + len(targets))
-    factors = [NOMINAL_FACTORS] * len(targets)
+        if p not in pulses:
+            if not 0.0 <= p <= 1.0:
+                raise ValueError("target_p must lie in [0, 1]")
+            p2ap = _write_pulse(device, p, WriteDirection.P_TO_AP, calibration)
+            ap2p = None
+            if mode is SbgMode.SELF_CONTROL:
+                ap2p = _write_pulse(device, p, WriteDirection.AP_TO_P, calibration)
+            pulses[p] = (p2ap, ap2p)
+        levels[p] = len(levels)
+    count = len(targets)
+    ids = range(first_id, first_id + count)
+    scale = np.ones(count)
     if pv_sigmas is not None and any(pv_sigmas):
-        factors = [draw_process_variation(rng, *pv_sigmas)
-                   for rng in rngs_for(master_seed, DOMAIN_PROCESS_VARIATION, ids)]
-    units = []
-    for p, rng, unit_factors in zip(targets, rngs_for(master_seed, DOMAIN_DEVICE, ids), factors):
-        p2ap, ap2p = pulses[p]
-        units.append(SbgUnit(mtj=MtjInstance(params, rng, unit_factors),
-                             mode=mode, target_p=p,
-                             write_pulse_p2ap=p2ap, write_pulse_ap2p=ap2p,
-                             reset_pulse=device.reset_pulse,
-                             read_energy_nj=device.read_energy_nj))
-    return units
-
-
-def make_unit(device: SbgDevice, mode: SbgMode, target_p: float,
-              master_seed: int, unit_id: int, **options) -> SbgUnit:
-    """One generator; make_units with a single target (same keyword options)."""
-    return make_units(device, mode, (target_p,), master_seed, unit_id, **options)[0]
+        scale = np.array([draw_process_variation(rng, *pv_sigmas).resistance_scale(device.params)
+                          for rng in rngs_for(master_seed, DOMAIN_PROCESS_VARIATION, ids)])
+    return SbgArray(device, mode, tuple(pulses[p] for p in levels),
+                    level=np.array([levels[p] for p in targets], dtype=np.intp),
+                    targets=np.array(targets, dtype=np.float64), scale=scale,
+                    state=np.zeros(count, dtype=bool), energy_nj=np.zeros(count),
+                    writes=np.zeros(count, dtype=np.int64),
+                    reads=np.zeros(count, dtype=np.int64),
+                    rngs=rngs_for(master_seed, DOMAIN_DEVICE, ids))
 
 
 class _Pulse(NamedTuple):
-    """One pulse per unit, as (units, 1) columns.
+    """One pulse per unit, as (units, 1) columns, or (1, 1) where every unit
+    sees the same value.
 
     The constants come from the scalar device functions, so every switching
     test and energy term below is the float64 value the per-bit model gives.
@@ -185,7 +201,6 @@ class _Pulse(NamedTuple):
 
     dt: np.ndarray
     duration: np.ndarray
-    target: np.ndarray          # True where the pulse writes toward AP
     energy_p: np.ndarray        # energy of the pulse seen from P
     energy_ap: np.ndarray       # and from AP
 
@@ -203,105 +218,85 @@ class _Pulse(NamedTuple):
         return np.where(state, self.energy_ap, self.energy_p)
 
 
-class _Units:
-    """The units' state and constants as (units, 1) columns."""
-
-    def __init__(self, units: list[SbgUnit]) -> None:
-        mtjs = [u.mtj for u in units]
-        self.params = [m.params for m in mtjs]
-        self.state = np.array([m.state is MtjState.AP for m in mtjs])[:, None]
-        self.sigma = _column([p.sigma_rel for p in self.params])
-        # Process variation scales the switching time by the resistance ratio.
-        self.scale = _column([m.factors.resistance_scale(m.params) for m in mtjs])
-        self.r_p = _column([m.r_p for m in mtjs])
-        self.r_ap = _column([m.r_ap for m in mtjs])
-        self.read_energy = _column([u.read_energy_nj for u in units])
-        self.energy = _column([u.energy_nj for u in units])
-
-    def spread(self, z: np.ndarray) -> np.ndarray:
-        """1 + sigma_rel * z for draws z, computed in place in z."""
-        z *= self.sigma
-        z += 1.0
-        return z
-
-    def pulse(self, pulses: Sequence[PulseSpec]) -> _Pulse:
-        # Units at one level share their pulse and parameter objects, so the
-        # scalar device functions run once per distinct pair; the nominal
-        # switching time times the unit's scale is base_switching_time's
-        # product, and the 1-ohm energy over R is pulse_energy_nj's quotient.
-        nominal: dict[tuple[int, int], tuple] = {}
-        rows = []
-        for params, pulse in zip(self.params, pulses):
-            key = (id(params), id(pulse))
-            if key not in nominal:
-                nominal[key] = (base_switching_time(params, pulse), pulse.duration,
-                                pulse.direction.target is MtjState.AP,
-                                pulse_energy_nj(pulse, 1.0))
-            rows.append(nominal[key])
-        dt, duration, target, heat = (np.array(col)[:, None] for col in zip(*rows))
-        return _Pulse(dt * self.scale, duration, target, heat / self.r_p, heat / self.r_ap)
+def _constants(params: MtjParams, pulses: Sequence[PulseSpec]) -> np.ndarray:
+    """(3, len(pulses)): each pulse's nominal switching time, its duration
+    and its energy over one ohm."""
+    return np.array([(base_switching_time(params, pulse), pulse.duration,
+                      pulse_energy_nj(pulse, 1.0)) for pulse in pulses]).T
 
 
-def _column(values: list[float]) -> np.ndarray:
-    return np.array(values, dtype=np.float64)[:, None]
+def _pulse(constants: np.ndarray, params: MtjParams, scale: np.ndarray) -> _Pulse:
+    """The pulse from its (3, units or 1, 1) constants.  Process variation
+    scales the switching time and both resistances by the (units, 1) scale:
+    base_switching_time's product and pulse_energy_nj's quotient."""
+    dt, duration, heat = constants
+    return _Pulse(dt * scale, duration, heat / (params.r_p * scale), heat / (params.r_ap * scale))
 
 
-def generate_array(units: Sequence[SbgUnit], n: int) -> np.ndarray:
+def generate_array(array: SbgArray, n: int) -> np.ndarray:
     """n bits from every unit, all units stepped together; uint8 (units, n).
 
-    All units must share one mode.  Simple units run reset -> write -> read
-    per bit (2n writes, n reads); self-control units run one initialization
-    cycle (reset, read) and then n write/read cycles toward the opposite of
-    the latched state, emitting XOR(current, last) (n+1 writes and reads).
-    A simple unit's reset pulse must write toward P.
+    Simple units run reset -> write -> read per bit (2n writes, n reads);
+    self-control units run one initialization cycle (reset, read) and then n
+    write/read cycles toward the opposite of the latched state, emitting
+    XOR(current, last) (n+1 writes and reads).  A simple array's reset pulse
+    must write toward P.
 
     The result is the per-bit model's, bit for bit: each unit draws its own
     normals in the order the per-bit model would, a pulse draws only when it
     writes toward the other state, and energy is added per unit in cycle
-    order (reset, write, read; or pulse, read).  Counters, energy, MTJ state,
-    last_state and each unit's random stream end where n single-bit steps
-    would leave them.  Nothing loops over cycles: the states come from one
-    scan over the pre-drawn switching outcomes (_switching_scan).
+    order (reset, write, read; or pulse, read).  The array's state,
+    energy_nj, writes and reads columns and each unit's random stream end,
+    updated in place, where n single-bit steps would leave them.  Nothing
+    loops over cycles: the states come from one scan over the pre-drawn
+    switching outcomes (_switching_scan).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    units = list(units)
-    if not units:
-        return np.zeros((0, n), dtype=np.uint8)
-    modes = {u.mode for u in units}
-    if len(modes) != 1:
-        raise ValueError("units in one generate_array call must share a mode")
-    if modes == {SbgMode.SIMPLE} and any(u.reset_pulse.direction is not WriteDirection.AP_TO_P
-                                         for u in units):
+    device = array.device
+    simple = array.mode is SbgMode.SIMPLE
+    if simple and device.reset_pulse.direction is not WriteDirection.AP_TO_P:
         raise ValueError("simple generators need a reset pulse toward P")
-    bits = np.empty((len(units), n), dtype=np.uint8)
+    # Each pulse's constants, per level; every unit shares the reset's.
+    reset = _constants(device.params, [device.reset_pulse])[:, :, None]
+    writes = [_constants(device.params, [pair[k] for pair in array.pulses])
+              for k in range(1 if simple else 2)]
+    bits = np.empty((len(array), n), dtype=np.uint8)
     step = max(1, _BLOCK_BITS // n)
-    for first in range(0, len(units), step):
-        bits[first:first + step] = _generate_block(units[first:first + step], n)
+    for first in range(0, len(array), step):
+        bits[first:first + step] = _generate_block(array[first:first + step], n, reset, writes)
     return bits
 
 
-def _generate_block(units: list[SbgUnit], n: int) -> np.ndarray:
-    """generate_array for one block of units; bool (units, n)."""
-    arrays = _Units(units)
-    if units[0].mode is SbgMode.SIMPLE:
-        bits, final, energy = _run_simple(units, n, arrays)
-        writes, reads = 2 * n, n
+def _generate_block(block: SbgArray, n: int, reset: np.ndarray,
+                    writes: list[np.ndarray]) -> np.ndarray:
+    """generate_array for one block of rows; bool (units, n)."""
+    params = block.device.params
+    scale = block.scale[:, None]
+    pulses = [_pulse(reset, params, scale)]
+    pulses += [_pulse(c[:, block.level, None], params, scale) for c in writes]
+    if block.mode is SbgMode.SIMPLE:
+        bits, final, energy = _run_simple(block, n, *pulses)
+        block.writes += 2 * n
+        block.reads += n
     else:
-        bits, final, energy = _run_self_control(units, n, arrays)
-        writes, reads = n + 1, n + 1
+        bits, final, energy = _run_self_control(block, n, *pulses)
+        block.writes += n + 1
+        block.reads += n + 1
     # Column 0 holds each unit's energy so far and the columns after it the
     # increments in cycle order; accumulate adds them one at a time, as the
     # per-bit model does (np.sum would add pairwise and round differently).
     np.add.accumulate(energy, axis=1, out=energy)
-    for unit, total, state in zip(units, energy[:, -1].tolist(), final.tolist()):
-        unit.writes += writes
-        unit.reads += reads
-        unit.energy_nj = total
-        unit.mtj.state = MtjState(int(state))
-        if unit.mode is SbgMode.SELF_CONTROL:
-            unit.last_state = int(state)
+    block.energy_nj[:] = energy[:, -1]
+    block.state[:] = final
     return bits
+
+
+def _spread(z: np.ndarray, params: MtjParams) -> np.ndarray:
+    """1 + sigma_rel * z for draws z, computed in place in z."""
+    z *= params.sigma_rel
+    z += 1.0
+    return z
 
 
 def _switching_scan(start: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -325,72 +320,64 @@ def _switching_scan(start: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
     return (np.maximum.accumulate(key, axis=1) & 1).astype(bool) ^ parity
 
 
-def _run_simple(units: list[SbgUnit], n: int, arrays: _Units):
+def _run_simple(block: SbgArray, n: int, reset: _Pulse, write: _Pulse):
     # The normals a unit draws are tokens for a two-state automaton: "AP,
     # before reset" (the reset draws) and "P, before write" (the write
     # draws).  The next state is write_ok from P and not reset_ok from AP.
     # Every token but a successful reset ends a cycle and emits the state
     # after it, so 2n tokens always hold n bits, and a unit's bits are its
     # first n emissions.
-    reset = arrays.pulse([u.reset_pulse for u in units])
-    write = arrays.pulse([u.write_pulse_p2ap for u in units])
-    tokens = np.empty((len(units), 2 * n))
+    state = block.state[:, None]
+    tokens = np.empty((len(block), 2 * n))
     saved = []
-    for row, unit in zip(tokens, units):
+    for row, rng in zip(tokens, block.rngs):
         # Every cycle draws at least once, so the first n tokens are used.
-        unit.mtj.rng.standard_normal(out=row[:n])
-        saved.append(unit.mtj.rng.bit_generator.state)
-        unit.mtj.rng.standard_normal(out=row[n:])
-    spread = arrays.spread(tokens)
+        rng.standard_normal(out=row[:n])
+        saved.append(rng.bit_generator.state)
+        rng.standard_normal(out=row[n:])
+    spread = _spread(tokens, block.device.params)
     reset_ok = reset.switches(spread)
-    after = _switching_scan(arrays.state, write.switches(spread), reset_ok)
-    before = np.hstack((arrays.state, after[:, :-1]))
+    after = _switching_scan(state, write.switches(spread), reset_ok)
+    before = np.hstack((state, after[:, :-1]))
     emits = ~(before & reset_ok)
     count = np.cumsum(emits, axis=1, dtype=np.min_scalar_type(2 * n))
     emitted = np.flatnonzero(emits & (count <= n))   # n per unit, row by row
-    bits = after.ravel()[emitted].reshape(len(units), n)
+    bits = after.ravel()[emitted].reshape(len(block), n)
     # The write sees AP only after a failed reset, the token that emits.
-    write_sees_ap = before.ravel()[emitted].reshape(len(units), n)
+    write_sees_ap = before.ravel()[emitted].reshape(len(block), n)
     used = emitted[n - 1::n] - np.arange(0, tokens.size, 2 * n) + 1
-    energy = np.empty((len(units), 3 * n + 1))
-    energy[:, :1] = arrays.energy
-    energy[:, 1::3] = reset.energy(np.hstack((arrays.state, bits[:, :-1])))
+    energy = np.empty((len(block), 3 * n + 1))
+    energy[:, :1] = block.energy_nj[:, None]
+    energy[:, 1::3] = reset.energy(np.hstack((state, bits[:, :-1])))
     energy[:, 2::3] = write.energy(write_sees_ap)
-    energy[:, 3::3] = arrays.read_energy
+    energy[:, 3::3] = block.device.read_energy_nj
     # Leave each stream where the per-bit model leaves it: rewind to the
     # second half, then redraw exactly the normals the unit used there.
-    for unit, state, drawn in zip(units, saved, used.tolist()):
-        unit.mtj.rng.bit_generator.state = state
-        unit.mtj.rng.standard_normal(drawn - n)
+    for rng, rewind, drawn in zip(block.rngs, saved, used.tolist()):
+        rng.bit_generator.state = rewind
+        rng.standard_normal(drawn - n)
     return bits, bits[:, -1], energy
 
 
-def _run_self_control(units: list[SbgUnit], n: int, arrays: _Units):
+def _run_self_control(block: SbgArray, n: int, reset: _Pulse, p2ap: _Pulse, ap2p: _Pulse):
     # The initialization reset draws only for a unit not yet at its target;
     # every later cycle writes toward the other state and draws once.
-    reset = arrays.pulse([u.reset_pulse for u in units])
-    p2ap = arrays.pulse([u.write_pulse_p2ap for u in units])
-    ap2p = arrays.pulse([u.write_pulse_ap2p for u in units])
-    init_draw = arrays.state != reset.target
-    z = np.zeros((len(units), n + 1))    # column 0: the initialization draw
-    for row, unit, draws in zip(z, units, init_draw[:, 0].tolist()):
-        unit.mtj.rng.standard_normal(out=row[0 if draws else 1:])
-    spread = arrays.spread(z)
-    latched = arrays.state ^ (init_draw & reset.switches(spread[:, :1]))
+    state = block.state[:, None]
+    init_draw = state != (block.device.reset_pulse.direction is WriteDirection.P_TO_AP)
+    z = np.zeros((len(block), n + 1))    # column 0: the initialization draw
+    for row, rng, draws in zip(z, block.rngs, init_draw[:, 0].tolist()):
+        rng.standard_normal(out=row[0 if draws else 1:])
+    spread = _spread(z, block.device.params)
+    latched = state ^ (init_draw & reset.switches(spread[:, :1]))
     after = _switching_scan(latched, p2ap.switches(spread[:, 1:]),
                             ap2p.switches(spread[:, 1:]))
     before = np.hstack((latched, after[:, :-1]))
-    energy = np.empty((len(units), 2 * n + 3))
-    energy[:, :1] = arrays.energy
-    energy[:, 1:2] = reset.energy(arrays.state)
-    energy[:, 2::2] = arrays.read_energy
+    energy = np.empty((len(block), 2 * n + 3))
+    energy[:, :1] = block.energy_nj[:, None]
+    energy[:, 1:2] = reset.energy(state)
+    energy[:, 2::2] = block.device.read_energy_nj
     energy[:, 3::2] = np.where(before, ap2p.energy_ap, p2ap.energy_p)
     return before ^ after, after[:, -1], energy
-
-
-def generate(unit: SbgUnit, n: int) -> Bitstream:
-    """n bits from one unit: generate_array with a single row."""
-    return Bitstream(generate_array([unit], n)[0])
 
 
 @dataclass(frozen=True)
@@ -434,7 +421,7 @@ class SbgArraySpec:
 
 def build_array(spec: SbgArraySpec, master_seed: int, device: SbgDevice = SbgDevice(), *,
                 pv_sigmas: tuple[float, float] | None = None,
-                calibration: CalibrationCache | None = None) -> list[SbgUnit]:
+                calibration: CalibrationCache | None = None) -> SbgArray:
     """Instantiate the array, row k as unit id k: units within a level share
     the target probability but never a random stream."""
     return make_units(device, spec.mode, spec.row_levels(), master_seed, 0,

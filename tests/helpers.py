@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product as iter_product
 
 import numpy as np
 
-from spinsc.allocator import allocate, size_array
-from spinsc.device import MtjState, apply_write, read_state
+from spinsc.allocator import _set_walk, allocate
+from spinsc.device import MtjParams, MtjState, PulseSpec, base_switching_time
 from spinsc.fusion import (
     CHANNELS,
     FusionProblem,
@@ -23,8 +24,10 @@ from spinsc.logic import (
     clusters_of,
     conflict_neighbors,
     extract_conflict_sets,
+    first_fit,
 )
-from spinsc.sbg import SbgMode, SbgUnit, pulse_energy_nj
+from spinsc.sbg import SbgArray, SbgArraySpec, SbgMode, pulse_energy_nj
+from spinsc.seeding import DOMAIN_DEVICE, rng_for
 from spinsc.stochastic import Bitstream, sc_and, sc_mux, sc_not
 
 
@@ -279,38 +282,121 @@ def clustering_instances(count: int, seed: int = 88):
                [cls for cls in random_classes if cls])
 
 
-def scalar_generate(unit: SbgUnit, n: int) -> np.ndarray:
-    """Per-bit oracle for sbg.generate_array: one pulse and one read at a
-    time through the device model, updating the unit's counters and energy.
+@dataclass
+class Junction:
+    """One MTJ stepped one pulse at a time: the per-bit oracle's device.
+
+    scale is its process-variation factor on both resistances and on every
+    switching time, as in sbg.SbgArray.scale.
     """
 
-    def pulse(spec) -> None:
+    params: MtjParams
+    rng: np.random.Generator
+    scale: float = 1.0
+    state: MtjState = MtjState.P
+
+    @property
+    def resistance(self) -> float:
+        r = self.params.r_ap if self.state is MtjState.AP else self.params.r_p
+        return r * self.scale
+
+
+def make_junction(params: MtjParams, master_seed: int, unit_id: int,
+                  scale: float = 1.0) -> Junction:
+    """The junction of unit unit_id, on the stream sbg.make_units gives it."""
+    return Junction(params, rng_for(master_seed, DOMAIN_DEVICE, unit_id), scale)
+
+
+def apply_write(junction: Junction, pulse: PulseSpec) -> bool:
+    """Attempt one stochastic write; returns True iff the state flipped.
+
+    Writing toward the current state is a no-op (no switching attempt, no
+    random draw).  Otherwise the realized switching time is drawn from
+    N(dt, sigma_rel * dt), clamped at zero, and the junction flips iff it
+    fits inside the pulse duration.
+    """
+    target = pulse.direction.target
+    if junction.state is target:
+        return False
+    dt = base_switching_time(junction.params, pulse) * junction.scale
+    t_sw = dt * (1.0 + junction.params.sigma_rel * junction.rng.standard_normal())
+    if t_sw < 0.0:
+        t_sw = 0.0
+    if t_sw <= pulse.duration:
+        junction.state = target
+        return True
+    return False
+
+
+def read_state(junction: Junction) -> int:
+    """Ideal non-destructive read: 1 for AP, 0 for P."""
+    return int(junction.state)
+
+
+def scalar_generate(array: SbgArray, row: int, n: int) -> np.ndarray:
+    """Per-bit oracle for sbg.generate_array: steps one row of the array one
+    pulse and one read at a time through the device model, then writes the
+    row's state, energy and counters back to the array's columns.
+    """
+    device = array.device
+    junction = Junction(device.params, array.rngs[row], float(array.scale[row]),
+                        MtjState(int(array.state[row])))
+    p2ap, ap2p = array.pulses[array.level[row]]
+    energy = float(array.energy_nj[row])
+    writes = reads = 0
+
+    def pulse(spec: PulseSpec) -> None:
+        nonlocal energy, writes
         # Energy uses the resistance of the state the pulse sees.
-        unit.energy_nj += pulse_energy_nj(spec, unit.mtj.resistance)
-        unit.writes += 1
-        apply_write(unit.mtj, spec)
+        energy += pulse_energy_nj(spec, junction.resistance)
+        writes += 1
+        apply_write(junction, spec)
 
     def read() -> int:
-        unit.reads += 1
-        unit.energy_nj += unit.read_energy_nj
-        return read_state(unit.mtj)
+        nonlocal energy, reads
+        reads += 1
+        energy += device.read_energy_nj
+        return read_state(junction)
 
     bits = []
-    if unit.mode is SbgMode.SIMPLE:
+    if array.mode is SbgMode.SIMPLE:
         for _ in range(n):
-            pulse(unit.reset_pulse)
-            pulse(unit.write_pulse_p2ap)
+            pulse(device.reset_pulse)
+            pulse(p2ap)
             bits.append(read())
     else:
-        pulse(unit.reset_pulse)
-        unit.last_state = read()
+        pulse(device.reset_pulse)
+        last = read()
         for _ in range(n):
-            pulse(unit.write_pulse_p2ap if unit.last_state == int(MtjState.P)
-                  else unit.write_pulse_ap2p)
+            pulse(p2ap if last == int(MtjState.P) else ap2p)
             current = read()
-            bits.append(current ^ unit.last_state)
-            unit.last_state = current
+            bits.append(current ^ last)
+            last = current
+    array.state[row] = junction.state is MtjState.AP
+    array.energy_nj[row] = energy
+    array.writes[row] += writes
+    array.reads[row] += reads
     return np.array(bits, dtype=np.uint8)
+
+
+def size_array(assignment: dict[str, float],
+               conflict_sets: list[frozenset[str]],
+               terminal_order: list[str],
+               mode: SbgMode) -> SbgArraySpec:
+    """Per-level multiplicities phi(i) for one assignment of array levels.
+
+    One first-fit pass with unbounded rows: each level of the assignment
+    gets exactly the rows the switch controller consumes, its highest slot
+    plus one, which always covers the worst per-set demand.
+    """
+    levels = tuple(sorted(set(assignment.values())))
+    if not levels:
+        raise ValueError("at least one level is required")
+    need = dict.fromkeys(levels, 0)
+    slots = first_fit(_set_walk(conflict_sets, terminal_order), conflict_sets, assignment)
+    for t, slot in slots.items():
+        need[assignment[t]] = max(need[assignment[t]], slot + 1)
+    return SbgArraySpec(levels, tuple(need.values()), mode)
 
 
 def terminal_name(x: int, y: int, channel: str) -> str:

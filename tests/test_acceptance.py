@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import size_array
 from conftest import REFERENCE_ASSIGNMENT, REFERENCE_NETLIST
 from spinsc.allocator import (
     CapacityExceeded,
     allocate,
     cost_metrics,
-    size_array,
     verify_allocation,
 )
 from spinsc.cli import main as cli_main
@@ -32,8 +32,8 @@ from spinsc.experiments import (
 )
 from spinsc.fusion import exact_posterior, make_problem
 from spinsc.logic import ScNetlist, extract_conflict_sets
-from spinsc.sbg import SbgArraySpec, SbgDevice, SbgMode, generate, make_unit
-from spinsc.stochastic import sc_not, scc
+from spinsc.sbg import SbgArraySpec, SbgDevice, SbgMode, generate_array, make_units
+from spinsc.stochastic import Bitstream, sc_not, scc
 
 MASTER_SEED = 20260801
 PARAMS = MtjParams()
@@ -66,8 +66,8 @@ def test_criterion_02_bitstream_accuracy_trend():
 
 
 def test_criterion_03_scc_suite():
-    unit = make_unit(DEVICE, SbgMode.SELF_CONTROL, 0.5, MASTER_SEED, 777)
-    stream = generate(unit, 256)
+    array = make_units(DEVICE, SbgMode.SELF_CONTROL, [0.5], MASTER_SEED, 777)
+    stream = Bitstream(generate_array(array, 256)[0])
     assert 0 < stream.ones() < len(stream)
     assert scc(stream, stream) == 1.0
     assert scc(stream, sc_not(stream)) == -1.0
@@ -162,15 +162,15 @@ def test_criterion_06_cost_formulas():
 
 def test_criterion_07_operation_counts_and_energy():
     n = 2048
-    simple = make_unit(DEVICE, SbgMode.SIMPLE, 0.5, MASTER_SEED, 0)
-    generate(simple, n)
-    assert (simple.writes, simple.reads) == (2 * n, n)
+    simple = make_units(DEVICE, SbgMode.SIMPLE, [0.5], MASTER_SEED, 0)
+    generate_array(simple, n)
+    assert (simple.writes[0], simple.reads[0]) == (2 * n, n)
 
-    ctrl = make_unit(DEVICE, SbgMode.SELF_CONTROL, 0.5, MASTER_SEED, 1)
-    generate(ctrl, n)
-    assert (ctrl.writes, ctrl.reads) == (n + 1, n + 1)
+    ctrl = make_units(DEVICE, SbgMode.SELF_CONTROL, [0.5], MASTER_SEED, 1)
+    generate_array(ctrl, n)
+    assert (ctrl.writes[0], ctrl.reads[0]) == (n + 1, n + 1)
 
-    ratio = ctrl.energy_nj / simple.energy_nj
+    ratio = ctrl.energy_nj[0] / simple.energy_nj[0]
     assert ratio <= 0.65
     report(7, f"op counts exact; self-control energy ratio {ratio:.3f} <= 0.65")
 

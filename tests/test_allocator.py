@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import size_array
 from spinsc.allocator import (
     CapacityExceeded,
     UnknownLevel,
     allocate,
     cost_metrics,
-    size_array,
     verify_allocation,
 )
 from spinsc.logic import (
@@ -19,7 +19,7 @@ from spinsc.logic import (
     expand_products,
     extract_conflict_sets,
 )
-from spinsc.sbg import SbgArraySpec, SbgMode, build_array, generate
+from spinsc.sbg import SbgArraySpec, SbgMode, build_array, generate_array
 from spinsc.stochastic import Bitstream, sc_and, sc_mux, sc_not
 
 
@@ -112,9 +112,8 @@ def test_route_identity_and_sharing():
 def test_end_to_end_reference_network(reference_netlist_text, reference_assignment):
     net, sets, spec = reference_setup(reference_netlist_text, reference_assignment)
     matrix = allocate(reference_assignment, spec, sets, net.terminals)
-    units = build_array(spec, master_seed=31)
     n = 4096
-    row_streams = [generate(u, n) for u in units]
+    row_streams = [Bitstream(bits) for bits in generate_array(build_array(spec, master_seed=31), n)]
     terminal_streams = {t: row_streams[matrix.row_of(t)] for t in matrix.col_terminals}
 
     r1 = sc_mux(sc_and(terminal_streams["T1"], terminal_streams["T2"]),

@@ -342,19 +342,21 @@ def test_device_write_keys_reach_scc_report(tmp_path, config_path, monkeypatch):
     built = []
 
     def recording(*args, **kwargs):
-        units = make_units(*args, **kwargs)
-        built.extend(units)
-        return units
+        array = make_units(*args, **kwargs)
+        built.append(array)
+        return array
 
     monkeypatch.setattr(experiments, "make_units", recording)
     changed = tmp_path / "changed.cfg"
     changed.write_text(SMALL_CONFIG + "\n[device]\nwrite_duration = 5.0\nread_energy = 0.5\n",
                        encoding="utf-8")
     run_cli("--config", changed, "--out-dir", tmp_path / "changed", "scc-report")
-    assert len(built) == 2 * 4 * (2 + 1)  # 4 pairs per self prob and per cross pair
-    for unit in built:
-        assert unit.write_pulse_p2ap.duration == unit.write_pulse_ap2p.duration == 5.0
-        assert unit.read_energy_nj == 0.5
+    # 4 pairs per self prob and per cross pair
+    assert sum(len(array) for array in built) == 2 * 4 * (2 + 1)
+    for array in built:
+        for p2ap, ap2p in array.pulses:
+            assert p2ap.duration == ap2p.duration == 5.0
+        assert array.device.read_energy_nj == 0.5
 
 
 @pytest.mark.parametrize("command, count", [
@@ -370,9 +372,9 @@ def test_device_keys_reach_every_unit(tmp_path, monkeypatch, command, count):
     built = []
 
     def recording(*args, **kwargs):
-        units = make_units(*args, **kwargs)
-        built.extend(units)
-        return units
+        array = make_units(*args, **kwargs)
+        built.append(array)
+        return array
 
     monkeypatch.setattr(sbg, "make_units", recording)
     monkeypatch.setattr(experiments, "make_units", recording)
@@ -382,13 +384,16 @@ def test_device_keys_reach_every_unit(tmp_path, monkeypatch, command, count):
     run_cli("--config", changed, "--out-dir", tmp_path / "changed", command)
     assert built
     if count is not None:
-        assert len(built) == count
-    for unit in built:
-        assert unit.write_pulse_p2ap.duration == 6.0
-        if unit.mode is SbgMode.SELF_CONTROL:
-            assert unit.write_pulse_ap2p.duration == 6.0
-        assert unit.read_energy_nj == 0.5
-        assert (unit.reset_pulse.voltage, unit.reset_pulse.duration) == (1.5, 6.5)
+        assert sum(len(array) for array in built) == count
+    # A unit's pulses are its array's pulses at its level.
+    for array in built:
+        for p2ap, ap2p in array.pulses:
+            assert p2ap.duration == 6.0
+            if array.mode is SbgMode.SELF_CONTROL:
+                assert ap2p.duration == 6.0
+        assert array.device.read_energy_nj == 0.5
+        reset = array.device.reset_pulse
+        assert (reset.voltage, reset.duration) == (1.5, 6.5)
 
 
 @pytest.mark.parametrize("run", [
@@ -537,12 +542,41 @@ def test_nonpositive_plane_or_sigma_b_is_config_error(tmp_path, capsys, key, val
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, message", [
-    ("reset_duration", "duration must be non-negative"),
-    ("read_energy", "read energy must be non-negative"),
-], ids=["reset_duration", "read_energy"])
-def test_negative_device_values_are_config_errors(tmp_path, capsys, key, message):
+@pytest.mark.parametrize("section, key, message", [
+    ("device", "reset_duration", "duration must be non-negative"),
+    ("device", "read_energy", "read energy must be non-negative"),
+    ("device", "write_duration", "write duration must be strictly positive"),
+    ("run", "pv_sigma_area", "must be at least 0"),
+    ("run", "pv_sigma_tox", "must be at least 0"),
+], ids=["reset_duration", "read_energy", "write_duration", "pv_sigma_area", "pv_sigma_tox"])
+def test_negative_device_values_are_config_errors(tmp_path, capsys, section, key, message):
     bad = tmp_path / "bad.cfg"
-    bad.write_text(f"[device]\n{key} = -1\n", encoding="utf-8")
+    bad.write_text(f"[{section}]\n{key} = -1\n", encoding="utf-8")
     assert main(["--config", str(bad), "cost-report"]) == 2
-    assert capsys.readouterr().err == f"configuration error: [device] {key} = '-1': {message}\n"
+    assert capsys.readouterr().err == f"configuration error: [{section}] {key} = '-1': {message}\n"
+
+
+def _field_type(path):
+    """The annotation of the RunConfig field a key's path sets."""
+    owner = RunConfig()
+    for name in path[:-1]:
+        owner = getattr(owner, name)
+    return {f.name: f.type for f in fields(owner)}[path[-1]]
+
+
+# Every key that parses floats: a scalar, or a list of floats or of pairs.
+FLOAT_KEYS = [key for key, (path, _) in KEYS.items() if "float" in _field_type(path)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS, ids=[f"{s}.{k}" for s, k in FLOAT_KEYS])
+def test_float_keys_refuse_non_finite_text(tmp_path, capsys, section, key, value):
+    path, _ = KEYS[section, key]
+    text = value if _field_type(path) == "float" else f"0.5,{value}"
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[{section}]\n{key} = {text}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(bad), "--out-dir", str(out), "--pv", "array-report"]) == 2
+    assert capsys.readouterr().err == \
+        f"configuration error: [{section}] {key} = {text!r}: must be finite\n"
+    assert not out.exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import apply_write, make_junction, read_state
 from spinsc.device import (
     InstanceFactors,
     MtjParams,
@@ -11,16 +12,14 @@ from spinsc.device import (
     PulseSpec,
     TargetUnreachable,
     WriteDirection,
-    apply_write,
     base_switching_time,
     calibrate_voltage,
-    make_instance,
-    read_state,
-    sample_process_variation,
+    draw_process_variation,
     switch_probability,
 )
-from spinsc.sbg import SbgDevice, SbgMode, generate, make_unit
-from spinsc.stochastic import scc
+from spinsc.sbg import SbgDevice, SbgMode, generate_array, make_units
+from spinsc.seeding import DOMAIN_PROCESS_VARIATION, rng_for, rngs_for
+from spinsc.stochastic import Bitstream, scc
 
 PARAMS = MtjParams()
 RESET = PulseSpec(1.8, 7.0, WriteDirection.AP_TO_P)
@@ -97,14 +96,14 @@ def test_probability_monotone_in_duration_property(voltage, durations):
 
 
 def test_write_toward_current_state_is_noop():
-    inst = make_instance(PARAMS, 1, 0)
+    inst = make_junction(PARAMS, 1, 0)
     assert inst.state is MtjState.P
     assert apply_write(inst, PulseSpec(1.8, 7.0, WriteDirection.AP_TO_P)) is False
     assert inst.state is MtjState.P
 
 
 def test_read_is_ideal_and_nondestructive():
-    inst = make_instance(PARAMS, 1, 0)
+    inst = make_junction(PARAMS, 1, 0)
     inst.state = MtjState.AP
     assert read_state(inst) == 1
     assert read_state(inst) == 1
@@ -113,7 +112,7 @@ def test_read_is_ideal_and_nondestructive():
 
 
 def test_monte_carlo_matches_analytic_probability():
-    inst = make_instance(PARAMS, 99, 0)
+    inst = make_junction(PARAMS, 99, 0)
     target = switch_probability(PARAMS, HALF)
     n = 100_000
     flips = 0
@@ -126,7 +125,7 @@ def test_monte_carlo_matches_analytic_probability():
 
 
 def test_reset_pulse_flips_nearly_always():
-    inst = make_instance(PARAMS, 99, 1)
+    inst = make_junction(PARAMS, 99, 1)
     n = 100_000
     flips = 0
     for _ in range(n):
@@ -156,16 +155,15 @@ def test_calibrate_unreachable_target():
 
 
 def test_process_variation_disabled_is_nominal():
-    factors = sample_process_variation(PARAMS, 3, 0, sigma_area=0.0, sigma_tox=0.0)
-    assert factors == InstanceFactors(1.0, 1.0)
-    inst = make_instance(PARAMS, 3, 0, factors)
-    assert inst.r_p == pytest.approx(PARAMS.r_p)
+    array = make_units(SbgDevice(PARAMS), SbgMode.SIMPLE, [0.5, 0.5], 3, 0, pv_sigmas=(0.0, 0.0))
+    assert array.scale.tolist() == [1.0, 1.0]
+    assert InstanceFactors().resistance_scale(PARAMS) == 1.0
 
 
 def test_process_variation_sample_statistics():
     areas, toxes = [], []
-    for i in range(10_000):
-        f = sample_process_variation(PARAMS, 11, i)
+    for rng in rngs_for(11, DOMAIN_PROCESS_VARIATION, range(10_000)):
+        f = draw_process_variation(rng, 0.05, 0.02)
         areas.append(f.area)
         toxes.append(f.tox)
     assert np.std(areas) == pytest.approx(0.05, abs=0.005)
@@ -175,36 +173,35 @@ def test_process_variation_sample_statistics():
 
 
 def test_process_variation_deterministic():
-    a = sample_process_variation(PARAMS, 42, 7)
-    b = sample_process_variation(PARAMS, 42, 7)
+    def sample(unit_id):
+        return draw_process_variation(rng_for(42, DOMAIN_PROCESS_VARIATION, unit_id), 0.05, 0.02)
+
+    a = sample(7)
+    b = sample(7)
     assert a == b
-    c = sample_process_variation(PARAMS, 42, 8)
+    c = sample(8)
     assert c != a
 
 
 def test_variation_rescales_resistance_and_dt():
     factors = InstanceFactors(area=0.9, tox=1.1)
     scale = math.exp(PARAMS.t_ox * 0.1) / 0.9
-    inst = make_instance(PARAMS, 0, 0, factors)
-    assert inst.r_p == pytest.approx(PARAMS.r_p * scale)
+    assert factors.resistance_scale(PARAMS) == pytest.approx(scale)
     dt_nom = base_switching_time(PARAMS, HALF)
     dt_var = base_switching_time(PARAMS, HALF, factors)
     assert dt_var == pytest.approx(dt_nom * scale)
 
 
 def test_distinct_instances_produce_distinct_streams():
-    def stream(instance_id):
-        unit = make_unit(SbgDevice(PARAMS), SbgMode.SELF_CONTROL, 0.5, 1234, instance_id)
-        return generate(unit, 512)
-
-    s0, s1 = stream(0), stream(1)
+    array = make_units(SbgDevice(PARAMS), SbgMode.SELF_CONTROL, [0.5, 0.5], 1234, 0)
+    s0, s1 = (Bitstream(bits) for bits in generate_array(array, 512))
     assert s0 != s1
     assert abs(scc(s0, s1)) < 0.2
 
 
 def test_instance_stream_determinism():
     def bits(seed):
-        inst = make_instance(PARAMS, seed, 5)
+        inst = make_junction(PARAMS, seed, 5)
         out = []
         for _ in range(200):
             apply_write(inst, RESET)

@@ -17,7 +17,7 @@ from spinsc.experiments import (
     density_sweep,
     self_scc_table,
 )
-from spinsc.sbg import SbgDevice, SbgMode, generate_array, make_unit
+from spinsc.sbg import SbgDevice, SbgMode, generate_array, make_units
 from spinsc.stochastic import Bitstream, overlap_counts, scc
 
 DEVICE = SbgDevice()
@@ -28,9 +28,9 @@ PAIRS = 6
 
 
 def reference_streams(targets, first_id, n, mode=SbgMode.SELF_CONTROL, pv_sigmas=None):
-    units = [make_unit(DEVICE, mode, p, SEED, first_id + k, pv_sigmas=pv_sigmas)
-             for k, p in enumerate(targets)]
-    return [Bitstream(bits) for bits in generate_array(units, n)]
+    return [Bitstream(generate_array(make_units(DEVICE, mode, [p], SEED, first_id + k,
+                                                pv_sigmas=pv_sigmas), n)[0])
+            for k, p in enumerate(targets)]
 
 
 def reference_scc(streams, n):

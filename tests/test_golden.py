@@ -1,0 +1,51 @@
+"""Every byte the generator-driven commands write, pinned by SHA-256.
+
+The digests were taken from the files the commands wrote at their defaults
+before the generator array became one struct-of-arrays value, so any change
+to a unit's stream, energy, counters or process variation shows here.  A
+change that means to move these bytes must say so and re-pin them.
+"""
+
+import hashlib
+
+import pytest
+
+from spinsc.cli import main
+
+GOLDEN = {
+    "array-report": {
+        "array_report.csv": "26dc58474bb16669624d8713b41c8283f627a2c3414a16a952452d9910ff3faf",
+    },
+    "--pv array-report": {
+        "array_report.csv": "f97265818fe9190ff70c805312f0c4b502d4b0d708b7ba05c4c2bc5e9ff696dd",
+    },
+    "scc-report": {
+        "self_scc.csv": "d86bf3fc359264e2ca69bcde4c0bb80e2eb62a6d306d5b7c614e9b4a4cc7e53c",
+        "cross_scc.csv": "0d8b8d2314758b6cea04e5cb0d04af59d61ead2c5ecb60a1719905742328ff4c",
+    },
+    "pv-sweep": {
+        "pv_sweep.csv": "24d8244e27a1f00c0ae5c3dd5570b878eeb1b60c8269154f79427b01266988fc",
+    },
+    "--grid 8x8 fusion-run": {
+        "posterior.csv": "e2c0a8e1bdf332f2be833b58c64b8894588ed934e2ecec849fe325c3a5c70b05",
+        "posterior.pgm": "604bc26f27e5ed2c0f3d259fc109214388726cb1fcc92f5eddaf214f2ccadfc4",
+        "posterior_exact.csv": "fc91fc2766159ed3c1c652b4656aadd3cbac8a490f8ac37eefb1e0573cfa2440",
+        "fusion_summary.csv": "df13c4a1782a7c819c4985b6a0748564da7db2553b5ef178fae06a5443010714",
+    },
+    "--grid 8x8 --pv --bitstream-len 16 fusion-run": {
+        "posterior.csv": "4a825374281c76a2aa47a8295db9a92acbfead6c17e396aa25e252cc96b9738f",
+        "posterior.pgm": "abaef00a12b28c3581c07306a1cceec36498b80232b42b64f2130824e9d80aaa",
+        "posterior_exact.csv": "fc91fc2766159ed3c1c652b4656aadd3cbac8a490f8ac37eefb1e0573cfa2440",
+        "fusion_summary.csv": "b20529a235c85a1898202bcd4fe74afa6033951bb7de8c73aa49db586cacf78b",
+    },
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN))
+def test_command_writes_pinned_bytes(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), *args.split()]) == 0
+    capsys.readouterr()
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in out.iterdir()}
+    assert written == GOLDEN[args]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinsc.device import MtjState, PulseSpec, WriteDirection
+from spinsc.device import PulseSpec, WriteDirection
 from spinsc import experiments
 from spinsc.experiments import density_sweep, self_scc_table
 from spinsc.sbg import (
@@ -11,68 +11,69 @@ from spinsc.sbg import (
     SbgDevice,
     SbgMode,
     build_array,
-    generate,
     generate_array,
-    make_unit,
+    make_units,
     pulse_energy_nj,
 )
-from spinsc.stochastic import scc
+from spinsc.stochastic import Bitstream, scc
 
 DEVICE = SbgDevice()
 
 
+def one_unit(mode, target_p, master_seed, unit_id, device=DEVICE):
+    return make_units(device, mode, [target_p], master_seed, unit_id)
+
+
 def test_simple_operation_counts():
-    unit = make_unit(DEVICE, SbgMode.SIMPLE, 0.5, 1, 0)
+    array = one_unit(SbgMode.SIMPLE, 0.5, 1, 0)
     n = 257
-    stream = generate(unit, n)
-    assert len(stream) == n
-    assert (unit.writes, unit.reads) == (2 * n, n)
+    assert generate_array(array, n).shape == (1, n)
+    assert (array.writes[0], array.reads[0]) == (2 * n, n)
 
 
 def test_self_control_operation_counts():
-    unit = make_unit(DEVICE, SbgMode.SELF_CONTROL, 0.5, 1, 1)
+    array = one_unit(SbgMode.SELF_CONTROL, 0.5, 1, 1)
     n = 257
-    stream = generate(unit, n)
-    assert len(stream) == n
-    assert (unit.writes, unit.reads) == (n + 1, n + 1)
+    assert generate_array(array, n).shape == (1, n)
+    assert (array.writes[0], array.reads[0]) == (n + 1, n + 1)
 
 
 def test_mode_mismatch_rejected():
-    unit = make_unit(DEVICE, SbgMode.SIMPLE, 0.5, 1, 2)
-    other = make_unit(DEVICE, SbgMode.SELF_CONTROL, 0.5, 1, 3)
-    with pytest.raises(ValueError, match="share a mode"):
-        generate_array([unit, other], 8)
+    # An array has one mode.  A calibration cache that serves both modes
+    # keeps their pulses apart, so a simple array carries no AP->P pulse.
+    cache = CalibrationCache()
+    make_units(DEVICE, SbgMode.SELF_CONTROL, [0.5], 1, 3, calibration=cache)
+    array = make_units(DEVICE, SbgMode.SIMPLE, [0.5], 1, 2, calibration=cache)
+    assert array.pulses[0][1] is None
     with pytest.raises(ValueError):
-        generate(unit, 0)
+        generate_array(array, 0)
 
 
 def test_zero_target_gives_all_zero_stream():
-    unit = make_unit(DEVICE, SbgMode.SIMPLE, 0.0, 1, 3)
-    assert generate(unit, 256).ones() == 0
+    array = one_unit(SbgMode.SIMPLE, 0.0, 1, 3)
+    assert generate_array(array, 256).sum() == 0
 
 
 def test_full_target_gives_all_ones_stream():
-    unit = make_unit(DEVICE, SbgMode.SELF_CONTROL, 1.0, 1, 4)
-    stream = generate(unit, 256)
-    assert stream.ones() == 256  # every attempt flips, XOR is always 1
+    array = one_unit(SbgMode.SELF_CONTROL, 1.0, 1, 4)
+    # every attempt flips, XOR is always 1
+    assert generate_array(array, 256).sum() == 256
 
 
 def test_self_control_density_converges():
-    densities = []
-    for repeat in range(200):
-        unit = make_unit(DEVICE, SbgMode.SELF_CONTROL, 0.3, 5, repeat)
-        densities.append(generate(unit, 512).value())
+    array = make_units(DEVICE, SbgMode.SELF_CONTROL, [0.3] * 200, 5, 0)
+    densities = generate_array(array, 512).sum(axis=1) / 512
     assert np.mean(densities) == pytest.approx(0.30, abs=0.01)
 
 
 def test_energy_starts_at_zero_and_grows():
-    unit = make_unit(DEVICE, SbgMode.SIMPLE, 0.5, 1, 5)
-    assert unit.energy_nj == 0.0
-    generate(unit, 16)
-    first = unit.energy_nj
+    array = one_unit(SbgMode.SIMPLE, 0.5, 1, 5)
+    assert array.energy_nj[0] == 0.0
+    generate_array(array, 16)
+    first = array.energy_nj[0]
     assert first > 0
-    generate(unit, 16)
-    assert unit.energy_nj > first
+    generate_array(array, 16)
+    assert array.energy_nj[0] > first
 
 
 def test_pulse_energy_hand_computation():
@@ -84,28 +85,26 @@ def test_pulse_energy_hand_computation():
 
     # A one-bit simple stream from P: the reset and the write both see R_P,
     # and free reads leave only the two pulses.
-    unit = make_unit(SbgDevice(read_energy_nj=0.0), SbgMode.SIMPLE, 0.5, 1, 6)
-    assert unit.mtj.state is MtjState.P
-    generate(unit, 1)
-    v = unit.write_pulse_p2ap.voltage
-    assert unit.energy_nj == pytest.approx((1.8 ** 2 * 7.0 + v ** 2 * 5.4) / r_p, rel=1e-12)
+    array = one_unit(SbgMode.SIMPLE, 0.5, 1, 6, SbgDevice(read_energy_nj=0.0))
+    assert array.state.tolist() == [False]    # P
+    generate_array(array, 1)
+    v = array.pulses[0][0].voltage
+    assert array.energy_nj[0] == pytest.approx((1.8 ** 2 * 7.0 + v ** 2 * 5.4) / r_p, rel=1e-12)
 
 
 def test_self_control_energy_at_most_065_of_simple():
     n = 2048
-    simple = make_unit(DEVICE, SbgMode.SIMPLE, 0.5, 2, 0)
-    generate(simple, n)
-    ctrl = make_unit(DEVICE, SbgMode.SELF_CONTROL, 0.5, 2, 1)
-    generate(ctrl, n)
-    assert ctrl.energy_nj <= 0.65 * simple.energy_nj
+    simple = one_unit(SbgMode.SIMPLE, 0.5, 2, 0)
+    generate_array(simple, n)
+    ctrl = one_unit(SbgMode.SELF_CONTROL, 0.5, 2, 1)
+    generate_array(ctrl, n)
+    assert ctrl.energy_nj[0] <= 0.65 * simple.energy_nj[0]
 
 
 def test_self_control_energy_monotone_in_probability():
-    per_cycle = []
-    for k, p in enumerate(np.linspace(0.1, 0.9, 9)):
-        unit = make_unit(DEVICE, SbgMode.SELF_CONTROL, float(p), 7, 100 + k)
-        generate(unit, 512)
-        per_cycle.append(unit.energy_nj / unit.writes)
+    array = make_units(DEVICE, SbgMode.SELF_CONTROL, np.linspace(0.1, 0.9, 9).tolist(), 7, 100)
+    generate_array(array, 512)
+    per_cycle = (array.energy_nj / array.writes).tolist()
     assert all(b > a for a, b in zip(per_cycle, per_cycle[1:]))
 
 
@@ -129,8 +128,7 @@ def test_array_spec_validation():
 
 def test_build_array_units_are_independent():
     spec = SbgArraySpec((0.5,), (3,))
-    units = build_array(spec, master_seed=11)
-    streams = [generate(u, 512) for u in units]
+    streams = [Bitstream(bits) for bits in generate_array(build_array(spec, master_seed=11), 512)]
     for i in range(3):
         for j in range(i + 1, 3):
             assert streams[i] != streams[j]
@@ -140,7 +138,7 @@ def test_build_array_units_are_independent():
 def test_build_array_empty_spec():
     spec = SbgArraySpec((), ())
     assert spec.total_units == 0
-    assert build_array(spec, master_seed=1) == []
+    assert len(build_array(spec, master_seed=1)) == 0
 
 
 def test_build_array_reference_scale():
@@ -189,7 +187,6 @@ def test_self_scc_id_block_boundary(monkeypatch):
 
 def test_calibration_cache_shared_across_units():
     cache = CalibrationCache()
-    u1 = make_unit(DEVICE, SbgMode.SELF_CONTROL, 0.37, 1, 10, calibration=cache)
-    u2 = make_unit(DEVICE, SbgMode.SELF_CONTROL, 0.37, 1, 11, calibration=cache)
-    assert u1.write_pulse_p2ap == u2.write_pulse_p2ap
-    assert u1.write_pulse_ap2p == u2.write_pulse_ap2p
+    u1 = make_units(DEVICE, SbgMode.SELF_CONTROL, [0.37], 1, 10, calibration=cache)
+    u2 = make_units(DEVICE, SbgMode.SELF_CONTROL, [0.37], 1, 11, calibration=cache)
+    assert u1.pulses == u2.pulses

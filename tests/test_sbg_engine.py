@@ -1,9 +1,9 @@
 """generate_array against the per-bit oracle in helpers.scalar_generate.
 
-Each case builds two identical unit lists (same seeds and ids), runs one
-through the array engine and the other through the oracle, and demands
-exact equality: bits, counters, energy (==, not approx), final MTJ state,
-last_state, and the next draw of every unit's random stream.
+Each case builds two identical arrays (same seeds and ids), runs one
+through the array engine and the other, row by row, through the oracle, and
+demands exact equality: bits, counters, energy (==, not approx), final MTJ
+state, and the next draw of every unit's random stream.
 """
 
 import numpy as np
@@ -13,16 +13,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import scalar_generate
 from spinsc import sbg
 from spinsc.device import MtjState, PulseSpec, WriteDirection
-from spinsc.sbg import (
-    RESET_PULSE,
-    CalibrationCache,
-    SbgDevice,
-    SbgMode,
-    generate,
-    generate_array,
-    make_unit,
-    make_units,
-)
+from spinsc.sbg import RESET_PULSE, CalibrationCache, SbgDevice, SbgMode, generate_array, make_units
 
 DEVICE = SbgDevice()
 PV = (0.05, 0.02)
@@ -39,34 +30,42 @@ WEAK_RESET = PulseSpec(1.35, 7.0, WriteDirection.AP_TO_P)
 EDGE_TARGETS = (0.0, 1e-6, 1.0)
 
 
-def twins(mode, pv_of=lambda k: None, reset_pulse=RESET_PULSE, seed=9,
+def build(mode, targets, seed, pv, starts=None, device=None, calibration=None):
+    """Unit k targets targets[k], with process variation where pv(k), and
+    starts in starts[k] (P when starts is None).  Process-variation streams
+    are their own domain, so setting a unit's scale back to exactly 1.0
+    leaves it as a build without process variation would."""
+    array = make_units(device or DEVICE, mode, targets, seed, 0, pv_sigmas=PV,
+                       calibration=calibration)
+    for k in range(len(targets)):
+        if not pv(k):
+            array.scale[k] = 1.0
+    if starts is not None:
+        array.state[:] = [start is MtjState.AP for start in starts]
+    return array
+
+
+def twins(mode, pv=lambda k: False, reset_pulse=RESET_PULSE, seed=9,
           targets=TARGETS, starts=None):
-    def build():
-        device = SbgDevice(reset_pulse=reset_pulse)
-        units = [make_unit(device, mode, p, seed, k, pv_sigmas=pv_of(k))
-                 for k, p in enumerate(targets)]
-        for unit, start in zip(units, starts or ()):
-            unit.mtj.state = start
-        return units
-    return build(), build()
+    device = SbgDevice(reset_pulse=reset_pulse)
+    return tuple(build(mode, targets, seed, pv, starts, device) for _ in range(2))
 
 
-def assert_same(engine_units, oracle_units, n):
-    engine_bits = generate_array(engine_units, n)
-    oracle_bits = np.stack([scalar_generate(u, n) for u in oracle_units])
+def assert_same(engine, oracle, n):
+    engine_bits = generate_array(engine, n)
+    oracle_bits = np.stack([scalar_generate(oracle, row, n) for row in range(len(oracle))])
     assert engine_bits.dtype == np.uint8
-    assert engine_bits.shape == (len(engine_units), n)
+    assert engine_bits.shape == (len(engine), n)
     np.testing.assert_array_equal(engine_bits, oracle_bits)
-    for a, b in zip(engine_units, oracle_units):
-        assert (a.writes, a.reads) == (b.writes, b.reads)
-        assert a.energy_nj == b.energy_nj
-        assert a.mtj.state is b.mtj.state
-        assert a.last_state == b.last_state
+    assert engine.writes.tolist() == oracle.writes.tolist()
+    assert engine.reads.tolist() == oracle.reads.tolist()
+    assert engine.energy_nj.tolist() == oracle.energy_nj.tolist()
+    assert engine.state.tolist() == oracle.state.tolist()
 
 
-def assert_same_next_draw(engine_units, oracle_units):
-    for a, b in zip(engine_units, oracle_units):
-        assert a.mtj.rng.standard_normal() == b.mtj.rng.standard_normal()
+def assert_same_next_draw(engine, oracle):
+    for a, b in zip(engine.rngs, oracle.rngs):
+        assert a.standard_normal() == b.standard_normal()
 
 
 @pytest.mark.parametrize("mode", list(SbgMode))
@@ -74,7 +73,7 @@ def assert_same_next_draw(engine_units, oracle_units):
 @pytest.mark.parametrize("reset_pulse", [RESET_PULSE, WEAK_RESET], ids=["reset", "weak-reset"])
 @pytest.mark.parametrize("n", [1, 2, 97])
 def test_engine_matches_per_bit_oracle(mode, pv, reset_pulse, n):
-    engine, oracle = twins(mode, lambda k: pv, reset_pulse)
+    engine, oracle = twins(mode, lambda k: pv is not None, reset_pulse)
     assert_same(engine, oracle, n)
     assert_same_next_draw(engine, oracle)
 
@@ -89,38 +88,24 @@ def test_repeated_calls_continue_one_stream(mode):
 
 @pytest.mark.parametrize("mode", list(SbgMode))
 def test_mixed_process_variation_in_one_array(mode):
-    engine, oracle = twins(mode, lambda k: PV if k % 2 else None)
+    engine, oracle = twins(mode, lambda k: k % 2)
     assert_same(engine, oracle, 33)
     assert_same_next_draw(engine, oracle)
 
 
 def test_self_control_initialization_from_ap():
     engine, oracle = twins(SbgMode.SELF_CONTROL, reset_pulse=WEAK_RESET)
-    for unit in engine + oracle:
-        unit.mtj.state = MtjState.AP
+    for array in (engine, oracle):
+        array.state[:] = True
     assert_same(engine, oracle, 16)
     assert_same_next_draw(engine, oracle)
 
 
-def test_single_unit_wrapper_matches_array_row():
-    engine, oracle = twins(SbgMode.SIMPLE)
-    stream = generate(engine[3], 40)
-    np.testing.assert_array_equal(stream.bits, scalar_generate(oracle[3], 40))
-
-
-def test_mixed_modes_rejected():
-    units = [make_unit(DEVICE, SbgMode.SIMPLE, 0.5, 1, 0),
-             make_unit(DEVICE, SbgMode.SELF_CONTROL, 0.5, 1, 1)]
-    with pytest.raises(ValueError):
-        generate_array(units, 8)
-    assert all(u.writes == 0 for u in units)
-
-
 def test_bad_length_and_empty_array():
-    unit = make_unit(DEVICE, SbgMode.SIMPLE, 0.5, 1, 0)
+    array = make_units(DEVICE, SbgMode.SIMPLE, [0.5], 1, 0)
     with pytest.raises(ValueError):
-        generate_array([unit], 0)
-    assert generate_array([], 4).shape == (0, 4)
+        generate_array(array, 0)
+    assert generate_array(make_units(DEVICE, SbgMode.SIMPLE, [], 1, 0), 4).shape == (0, 4)
 
 
 @pytest.mark.parametrize("mode", list(SbgMode))
@@ -146,7 +131,7 @@ def test_start_in_ap_or_p_per_unit(mode, reset_pulse):
 @pytest.mark.parametrize("mode", list(SbgMode))
 def test_three_calls_with_process_variation_and_mixed_starts(mode):
     starts = [MtjState(k % 2) for k in range(len(TARGETS))]
-    engine, oracle = twins(mode, lambda k: PV, WEAK_RESET, starts=starts)
+    engine, oracle = twins(mode, lambda k: True, WEAK_RESET, starts=starts)
     for n in (300, 1, 47):
         assert_same(engine, oracle, n)
     assert_same_next_draw(engine, oracle)
@@ -157,8 +142,7 @@ def test_units_across_several_blocks(mode):
     n = 700
     count = 2 * (sbg._BLOCK_BITS // n) + 3
     targets = [TARGETS[k % len(TARGETS)] for k in range(count)]
-    engine, oracle = twins(mode, lambda k: PV if k % 2 else None, WEAK_RESET,
-                           targets=targets)
+    engine, oracle = twins(mode, lambda k: k % 2, WEAK_RESET, targets=targets)
     assert_same(engine, oracle, n)
     assert_same_next_draw(engine, oracle)
 
@@ -176,17 +160,9 @@ unit_specs = st.lists(
 def test_engine_matches_oracle_on_random_arrays(mode, specs, reset_voltage, n, seed):
     device = SbgDevice(reset_pulse=PulseSpec(reset_voltage, 7.0, WriteDirection.AP_TO_P))
     calibration = CalibrationCache()
-
-    def build():
-        units = []
-        for k, (target, start, pv) in enumerate(specs):
-            unit = make_unit(device, mode, target, seed, k,
-                             pv_sigmas=PV if pv else None, calibration=calibration)
-            unit.mtj.state = start
-            units.append(unit)
-        return units
-
-    engine, oracle = build(), build()
+    targets, starts, pv = zip(*specs)
+    engine, oracle = (build(mode, targets, seed, pv.__getitem__, starts, device, calibration)
+                      for _ in range(2))
     assert_same(engine, oracle, n)
     assert_same_next_draw(engine, oracle)
 
@@ -194,15 +170,15 @@ def test_engine_matches_oracle_on_random_arrays(mode, specs, reset_voltage, n, s
 def test_make_units_matches_one_unit_at_a_time():
     targets = [0.3, 0.7, 0.3, 1e-6, 0.7]
     batch = make_units(DEVICE, SbgMode.SELF_CONTROL, targets, 4, 20, pv_sigmas=PV)
-    single = [make_unit(DEVICE, SbgMode.SELF_CONTROL, p, 4, 20 + k, pv_sigmas=PV)
-              for k, p in enumerate(targets)]
-    for a, b in zip(batch, single):
-        assert a.target_p == b.target_p
-        assert a.write_pulse_p2ap == b.write_pulse_p2ap
-        assert a.write_pulse_ap2p == b.write_pulse_ap2p
-        assert a.mtj.factors == b.mtj.factors
-        assert a.mtj.rng.standard_normal() == b.mtj.rng.standard_normal()
-    assert batch[0].write_pulse_p2ap is batch[2].write_pulse_p2ap
+    for k, p in enumerate(targets):
+        single = make_units(DEVICE, SbgMode.SELF_CONTROL, [p], 4, 20 + k, pv_sigmas=PV)
+        assert batch.targets[k] == single.targets[0]
+        assert batch.pulses[batch.level[k]] == single.pulses[0]
+        assert batch.scale[k] == single.scale[0]
+        assert batch.rngs[k].standard_normal() == single.rngs[0].standard_normal()
+    # One pulse pair per distinct target.
+    assert batch.level.tolist() == [0, 1, 0, 2, 1]
+    assert len(batch.pulses) == 3
 
 
 def test_make_units_rejects_targets_outside_unit_interval():
@@ -212,7 +188,7 @@ def test_make_units_rejects_targets_outside_unit_interval():
 
 def test_simple_mode_refuses_reset_toward_ap():
     device = SbgDevice(reset_pulse=PulseSpec(1.8, 7.0, WriteDirection.P_TO_AP))
-    unit = make_unit(device, SbgMode.SIMPLE, 0.5, 1, 0)
+    array = make_units(device, SbgMode.SIMPLE, [0.5], 1, 0)
     with pytest.raises(ValueError, match="reset pulse toward P"):
-        generate_array([unit], 4)
-    assert unit.writes == 0
+        generate_array(array, 4)
+    assert array.writes.tolist() == [0]

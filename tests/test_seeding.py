@@ -7,10 +7,10 @@ import numpy as np
 from hypothesis import example, given, strategies as st
 
 from spinsc import fusion
-from spinsc.device import make_instance, sample_process_variation
+from spinsc.device import draw_process_variation
 from spinsc.fusion import FusionPipeline, make_problem
 from spinsc.sbg import CalibrationCache, SbgDevice, SbgMode, make_units
-from spinsc.seeding import DOMAIN_DEVICE, rng_for, rngs_for
+from spinsc.seeding import DOMAIN_DEVICE, DOMAIN_PROCESS_VARIATION, rng_for, rngs_for
 
 EDGE_IDS = [0, 2**32 - 1, 2**32, 2**40 + 7]
 
@@ -39,12 +39,13 @@ def test_rngs_for_streams_are_independent_objects():
 
 def test_make_units_streams_and_variation_equal_the_single_stream_forms():
     targets = [0.3, 0.7, 0.3, 1e-6]
-    units = make_units(SbgDevice(), SbgMode.SELF_CONTROL, targets, 4, 20, pv_sigmas=(0.05, 0.02))
-    for unit_id, unit in enumerate(units, 20):
-        factors = sample_process_variation(unit.mtj.params, 4, unit_id, 0.05, 0.02)
-        single = make_instance(unit.mtj.params, 4, unit_id, factors)
-        assert unit.mtj.factors == factors
-        assert unit.mtj.rng.bit_generator.state == single.rng.bit_generator.state
+    array = make_units(SbgDevice(), SbgMode.SELF_CONTROL, targets, 4, 20, pv_sigmas=(0.05, 0.02))
+    params = array.device.params
+    for row, unit_id in enumerate(range(20, 20 + len(targets))):
+        factors = draw_process_variation(rng_for(4, DOMAIN_PROCESS_VARIATION, unit_id), 0.05, 0.02)
+        single = rng_for(4, DOMAIN_DEVICE, unit_id)
+        assert array.scale[row] == factors.resistance_scale(params)
+        assert array.rngs[row].bit_generator.state == single.bit_generator.state
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():
