@@ -1,10 +1,10 @@
 """Command-line front end: experiment orchestration and file emission.
 
 Subcommands: sbg-characterize, array-report, scc-report, allocate, fusion-run,
-cost-report, pv-sweep.  Every output is a UTF-8 CSV with a one-line header and
-floats at 6 significant digits (heat maps are binary 8-bit PGM), and every run
-is a pure function of the configuration, so re-running a command reproduces
-its files byte for byte.
+cost-report, pv-sweep, kl-sweep.  Every output is a UTF-8 CSV with a one-line
+header and floats at 6 significant digits (heat maps are binary 8-bit PGM),
+and every run is a pure function of the configuration, so re-running a command
+reproduces its files byte for byte.
 """
 
 from __future__ import annotations
@@ -171,16 +171,21 @@ def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     return [matrix_path, summary_path]
 
 
-def cmd_fusion_run(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
-    out = _out_dir(cfg)
+def _problem(cfg: RunConfig) -> fusion.FusionProblem:
     fus = cfg.fusion
     grid_w, grid_h = fus.grid
-    problem = fusion.make_problem(
+    return fusion.make_problem(
         grid_w=grid_w, grid_h=grid_h, target_xy=fus.target,
         noise_d=fus.noise_d, noise_b=fus.noise_b, master_seed=cfg.master_seed,
         plane=fus.plane, sensors=fus.sensors, sigma_b=fus.sigma_b,
         sigma_d_base=fus.sigma_d_base, sigma_d_slope=fus.sigma_d_slope)
-    pipeline = fusion.FusionPipeline(problem, fus.level_count, cfg.device, cfg.array.mode)
+
+
+def cmd_fusion_run(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
+    out = _out_dir(cfg)
+    problem = _problem(cfg)
+    grid_w, grid_h = cfg.fusion.grid
+    pipeline = fusion.FusionPipeline(problem, cfg.fusion.level_count, cfg.device, cfg.array.mode)
     n = cfg.bitstream_len
     estimate, stats = pipeline.run(n, cfg.master_seed, pv_sigmas=cfg.pv_sigmas)
     exact = fusion.exact_posterior(problem)
@@ -230,6 +235,24 @@ def cmd_pv_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     return [path]
 
 
+def cmd_kl_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
+    """KL divergence against stream length, without and with process variation."""
+    out = _out_dir(cfg)
+    rep = cfg.report
+    problem = _problem(cfg)
+    pipeline = fusion.FusionPipeline(problem, cfg.fusion.level_count, cfg.device, cfg.array.mode)
+    seeds = tuple(cfg.master_seed + k for k in range(rep.sweep_repeats))
+    rows = []
+    for label, sigmas in (("off", None), ("on", (cfg.pv_sigma_area, cfg.pv_sigma_tox))):
+        table = experiments.kl_by_length(problem, rep.sweep_lengths, seeds,
+                                         pv_sigmas=sigmas, pipeline=pipeline)
+        rows.extend((n, label, np.mean(table[n]), min(table[n]), max(table[n]))
+                    for n in rep.sweep_lengths)
+    path = out / "kl_sweep.csv"
+    write_csv(path, ["n", "variation", "mean_kl", "min_kl", "max_kl"], rows)
+    return [path]
+
+
 # Subcommand -> (handler, help).  A handler takes the run configuration and
 # the parsed arguments and returns the files it wrote.
 COMMANDS = {
@@ -240,6 +263,7 @@ COMMANDS = {
     "fusion-run": (cmd_fusion_run, "stochastic target-locating inference"),
     "cost-report": (cmd_cost_report, "platform cost comparison table"),
     "pv-sweep": (cmd_pv_sweep, "density error under process variation"),
+    "kl-sweep": (cmd_kl_sweep, "fusion KL divergence against stream length"),
 }
 
 

@@ -11,10 +11,13 @@ the key it overrides accept the same text and refuse it with the same
 message.  The [device] keys make RunConfig.device, one sbg.SbgDevice that
 every command hands whole to the layers that build generators.
 
-A count below 1 is a ConfigError, as are a float that is not finite (nan,
-inf), an empty list key, a non-positive plane, sigma_b, reset_voltage or
-write_duration, a negative reset_duration, read_energy or process-variation
-sigma, a bad junction value and an unknown section or key.
+A count below 1, alone or in a list, is a ConfigError, as are a float that
+is not finite (nan, inf), an empty list key, a negative master seed, a
+non-positive plane, sigma_b, sigma_d_base, reset_voltage or write_duration, a
+negative sigma_d_slope, noise, reset_duration, read_energy or
+process-variation sigma, a report probability outside [0, 1], array levels
+outside (0, 1] or not strictly increasing, a bad junction value and an
+unknown section or key.
 """
 
 from __future__ import annotations
@@ -47,16 +50,47 @@ def _floats(text: str) -> tuple[float, ...]:
                            if tok.strip()))
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return _nonempty(tuple(int(tok) for tok in text.split(",") if tok.strip()))
-
-
 def count(text: str) -> int:
     """The count rule: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise ValueError("a count must be at least 1")
     return value
+
+
+def _counts(text: str) -> tuple[int, ...]:
+    return _nonempty(tuple(count(tok) for tok in text.split(",") if tok.strip()))
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError("must be at least 0")
+    return value
+
+
+def _probability(value: float) -> float:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError("must lie in [0, 1]")
+    return value
+
+
+def _probs(text: str) -> tuple[float, ...]:
+    return tuple(map(_probability, _floats(text)))
+
+
+def _prob_pairs(text: str) -> tuple[tuple[float, float], ...]:
+    return _nonempty(tuple((_probability(a), _probability(b)) for a, b in _pairs(text)))
+
+
+def _levels(text: str) -> tuple[float, ...]:
+    """Array levels: each in (0, 1], strictly increasing."""
+    levels = _floats(text)
+    if not all(0.0 < p <= 1.0 for p in levels):
+        raise ValueError("must lie in (0, 1]")
+    if any(a >= b for a, b in zip(levels, levels[1:])):
+        raise ValueError("must be strictly increasing")
+    return levels
 
 
 def _positive(text: str) -> float:
@@ -185,7 +219,7 @@ class RunConfig:
 # dataclasses' own checks (MtjParams, SbgDevice, PulseSpec) run on the
 # replaced value.
 KEYS: dict[tuple[str, str], tuple[tuple[str, ...], Callable[[str], object]]] = {
-    ("run", "master_seed"): (("master_seed",), int),
+    ("run", "master_seed"): (("master_seed",), _seed),
     ("run", "out_dir"): (("out_dir",), str.strip),
     ("run", "pv"): (("pv",), _bool),
     ("run", "pv_sigma_area"): (("pv_sigma_area",), _nonnegative),
@@ -196,27 +230,27 @@ KEYS: dict[tuple[str, str], tuple[tuple[str, ...], Callable[[str], object]]] = {
     ("device", "read_energy"): (("device", "read_energy_nj"), _float),
     ("device", "reset_voltage"): (("device", "reset_pulse", "voltage"), _positive),
     ("device", "reset_duration"): (("device", "reset_pulse", "duration"), _float),
-    ("array", "levels"): (("array", "levels"), _floats),
+    ("array", "levels"): (("array", "levels"), _levels),
     ("array", "uniform_levels"): (("array", "uniform_levels"), count),
-    ("array", "multiplicity"): (("array", "multiplicity"), _ints),
+    ("array", "multiplicity"): (("array", "multiplicity"), _counts),
     ("array", "mode"): (("array", "mode"), SbgMode),
     ("fusion", "grid"): (("fusion", "grid"), _grid),
     ("fusion", "plane"): (("fusion", "plane"), _positive),
     ("fusion", "target"): (("fusion", "target"), _target),
     ("fusion", "sensors"): (("fusion", "sensors"), _sensors),
     ("fusion", "sigma_b"): (("fusion", "sigma_b"), _positive),
-    ("fusion", "sigma_d_base"): (("fusion", "sigma_d_base"), _float),
-    ("fusion", "sigma_d_slope"): (("fusion", "sigma_d_slope"), _float),
+    ("fusion", "sigma_d_base"): (("fusion", "sigma_d_base"), _positive),
+    ("fusion", "sigma_d_slope"): (("fusion", "sigma_d_slope"), _nonnegative),
     ("fusion", "levels"): (("fusion", "level_count"), count),
-    ("fusion", "noise_d"): (("fusion", "noise_d"), _float),
-    ("fusion", "noise_b"): (("fusion", "noise_b"), _float),
+    ("fusion", "noise_d"): (("fusion", "noise_d"), _nonnegative),
+    ("fusion", "noise_b"): (("fusion", "noise_b"), _nonnegative),
     ("report", "scc_pairs"): (("report", "scc_pairs"), count),
-    ("report", "scc_lengths"): (("report", "scc_lengths"), _ints),
-    ("report", "scc_probs"): (("report", "scc_probs"), _floats),
-    ("report", "scc_cross"): (("report", "scc_cross"), lambda text: _nonempty(_pairs(text))),
+    ("report", "scc_lengths"): (("report", "scc_lengths"), _counts),
+    ("report", "scc_probs"): (("report", "scc_probs"), _probs),
+    ("report", "scc_cross"): (("report", "scc_cross"), _prob_pairs),
     ("report", "sweep_repeats"): (("report", "sweep_repeats"), count),
-    ("report", "sweep_lengths"): (("report", "sweep_lengths"), _ints),
-    ("report", "sweep_probs"): (("report", "sweep_probs"), _floats),
+    ("report", "sweep_lengths"): (("report", "sweep_lengths"), _counts),
+    ("report", "sweep_probs"): (("report", "sweep_probs"), _probs),
     ("report", "characterize_voltages"): (("report", "characterize_voltages"), _floats),
     ("report", "characterize_durations"): (("report", "characterize_durations"), _floats),
 }

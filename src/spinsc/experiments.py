@@ -1,7 +1,7 @@
 """Measurement protocols: density-error sweeps, SCC tables, KL-vs-length.
 
-Shared by the CLI reports, the KL sweep script and the acceptance tests
-so that a threshold always refers to one well-defined procedure.
+Shared by the CLI reports and the acceptance tests so that a threshold
+always refers to one well-defined procedure.
 
 Density error is scored ensemble-style: for each requested probability the
 sweep runs `repeats` independent generators, measures each stream's density
@@ -135,10 +135,15 @@ def cross_scc_table(prob_pairs: tuple[tuple[float, float], ...],
 
 def kl_by_length(problem: FusionProblem, lengths: tuple[int, ...],
                  seeds: tuple[int, ...], *, level_count: int = 64,
-                 pv_sigmas: tuple[float, float] | None = None
-                 ) -> dict[int, list[float]]:
-    """Per-seed KL(exact || stochastic estimate) for each stream length."""
-    pipeline = FusionPipeline(problem, level_count=level_count)
+                 pv_sigmas: tuple[float, float] | None = None,
+                 pipeline: FusionPipeline | None = None) -> dict[int, list[float]]:
+    """Per-seed KL(exact || stochastic estimate) for each stream length.
+
+    `pipeline`, prepared from `problem`, is run in place of one prepared
+    here at `level_count` with the default device and mode.
+    """
+    if pipeline is None:
+        pipeline = FusionPipeline(problem, level_count=level_count)
     exact = exact_posterior(problem)
     out: dict[int, list[float]] = {n: [] for n in lengths}
     for n in lengths:

@@ -129,7 +129,7 @@ def test_allocate_command_reports_seven_generators(tmp_path, config_path):
         b"row,col\n" + b"".join(b"%d,%d\n" % (k, k) for k in range(7)))
 
 
-@pytest.mark.parametrize("command", ["fusion-run", "allocate"])
+@pytest.mark.parametrize("command", ["fusion-run", "kl-sweep", "allocate"])
 def test_command_allocates_once_positionally(tmp_path, config_path, monkeypatch, command):
     calls = []
 
@@ -142,10 +142,11 @@ def test_command_allocates_once_positionally(tmp_path, config_path, monkeypatch,
         if name.split(".")[0] == "spinsc" and getattr(module, "allocate", None) is allocate:
             monkeypatch.setattr(module, "allocate", recording)
     netlist, assignment = write_reference_inputs(tmp_path)
-    inputs = {"fusion-run": ["fusion-run"],
+    inputs = {"fusion-run": ["fusion-run"], "kl-sweep": ["kl-sweep"],
               "allocate": ["allocate", "--netlist", netlist, "--assignment", assignment]}
     run_cli("--config", config_path, "--out-dir", tmp_path / "out", *inputs[command])
-    # One positional call, so that a caller's hook sees (assignment, spec, sets, order).
+    # One positional call, so that a caller's hook sees (assignment, spec, sets, order);
+    # kl-sweep runs both process-variation passes on one prepared pipeline.
     [(args, kwargs, matrix)] = calls
     assert kwargs == {} and len(args) == 4
     cluster_assignment, spec, sets, order = args
@@ -241,6 +242,19 @@ def test_pv_sweep_output(tmp_path, config_path):
     assert len(lines) == 3  # two configured lengths
 
 
+def test_kl_sweep_output(tmp_path):
+    cfg = tmp_path / "kl.cfg"
+    cfg.write_text("[fusion]\ngrid = 4x4\nlevels = 8\n"
+                   "[report]\nsweep_lengths = 16,8\nsweep_repeats = 1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    run_cli("--config", cfg, "--out-dir", out, "kl-sweep")
+    lines = read_lines(out / "kl_sweep.csv")
+    assert lines[0] == "n,variation,mean_kl,min_kl,max_kl"
+    # Variation off, then on; lengths in the order the config gives them.
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["16", "off"], ["8", "off"], ["16", "on"], ["8", "on"]]
+
+
 def test_cli_flag_overrides(tmp_path, config_path):
     out = tmp_path / "out"
     run_cli("--config", config_path, "--out-dir", out, "--grid", "4x4",
@@ -270,18 +284,21 @@ def test_flag_sets_the_key_it_overrides(tmp_path, flags, text):
     ("--seed", "run", "master_seed", "abc"),
     ("--grid", "fusion", "grid", "4y4"),
     ("--bitstream-len", "run", "bitstream_len", "0"),
+    ("--seed", "run", "master_seed", "-3"),
+    ("--bitstream-len", "run", "bitstream_len", "x"),
 ])
 def test_flag_and_key_refuse_bad_text_alike(tmp_path, capsys, flag, section, key, value):
     bad = tmp_path / "bad.cfg"
     bad.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
     out = tmp_path / "o"
-    assert main(["--out-dir", str(out), flag, value, "fusion-run"]) == 2
-    by_flag = capsys.readouterr().err
-    assert main(["--config", str(bad), "--out-dir", str(out), "fusion-run"]) == 2
-    assert capsys.readouterr().err == by_flag
-    assert by_flag.startswith(f"configuration error: [{section}] {key} = {value!r}: ")
-    assert by_flag.count("\n") == 1
-    assert not out.exists()
+    for command in ("fusion-run", "kl-sweep"):
+        assert main(["--out-dir", str(out), flag, value, command]) == 2
+        by_flag = capsys.readouterr().err
+        assert main(["--config", str(bad), "--out-dir", str(out), command]) == 2
+        assert capsys.readouterr().err == by_flag
+        assert by_flag.startswith(f"configuration error: [{section}] {key} = {value!r}: ")
+        assert by_flag.count("\n") == 1
+        assert not out.exists()
 
 
 def test_every_config_field_is_set_by_one_key():
@@ -364,6 +381,7 @@ def test_device_write_keys_reach_scc_report(tmp_path, config_path, monkeypatch):
     ("scc-report", 2 * 4 * (2 + 1)),  # 4 pairs per self prob and per cross pair
     ("fusion-run", None),
     ("pv-sweep", 2 * 6),              # 6 repeats per sweep prob
+    ("kl-sweep", None),
 ])
 def test_device_keys_reach_every_unit(tmp_path, monkeypatch, command, count):
     # Calibration retargets the write voltage to the same switching
@@ -435,13 +453,14 @@ def test_nonpositive_reset_voltage_is_config_error(tmp_path):
     assert main(["--config", str(bad), "cost-report"]) == 2
 
 
-@pytest.mark.parametrize("value", ["", "1,2;3,4"])
+@pytest.mark.parametrize("value", ["", "1,2;3,4", "1"])
 def test_fusion_target_needs_one_pair(tmp_path, capsys, value):
     bad = tmp_path / "bad.cfg"
     bad.write_text(f"[fusion]\ntarget = {value}\n", encoding="utf-8")
-    assert main(["--config", str(bad), "--out-dir", str(tmp_path / "o"), "fusion-run"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and err.count("\n") == 1
+    for command in ("fusion-run", "kl-sweep"):
+        assert main(["--config", str(bad), "--out-dir", str(tmp_path / "o"), command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("sensors", ["0,0", "0,0;0,32;32,0;32,32"], ids=["one", "four"])
@@ -472,14 +491,23 @@ def test_sigma_d_keys_change_exact_posterior(tmp_path, config_path, key, value):
     ("fusion", "levels", "fusion-run"),
     ("report", "scc_pairs", "scc-report"),
     ("report", "sweep_repeats", "pv-sweep"),
+    ("report", "scc_lengths", "scc-report"),
+    ("report", "sweep_lengths", "pv-sweep"),
+    ("array", "multiplicity", "array-report"),
+    ("report", "sweep_lengths", "kl-sweep"),
+    ("report", "sweep_repeats", "kl-sweep"),
+    ("fusion", "levels", "kl-sweep"),
 ])
 def test_counts_below_one_are_config_errors(tmp_path, capsys, section, key, command, value):
+    # A list of counts is refused for any element below 1, not only its first.
+    path, _ = KEYS[section, key]
+    text = f"16,{value}" if _field_type(path).startswith("tuple") else value
     bad = tmp_path / "bad.cfg"
-    bad.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+    bad.write_text(f"[{section}]\n{key} = {text}\n", encoding="utf-8")
     out = tmp_path / "o"
     assert main(["--config", str(bad), "--out-dir", str(out), command]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"configuration error: [{section}] {key} = {value!r}: " \
+    assert captured.err == f"configuration error: [{section}] {key} = {text!r}: " \
                            "a count must be at least 1\n"
     assert not out.exists()
 
@@ -548,12 +576,38 @@ def test_nonpositive_plane_or_sigma_b_is_config_error(tmp_path, capsys, key, val
     ("device", "write_duration", "write duration must be strictly positive"),
     ("run", "pv_sigma_area", "must be at least 0"),
     ("run", "pv_sigma_tox", "must be at least 0"),
-], ids=["reset_duration", "read_energy", "write_duration", "pv_sigma_area", "pv_sigma_tox"])
+    ("run", "master_seed", "must be at least 0"),
+    ("fusion", "noise_d", "must be at least 0"),
+    ("fusion", "noise_b", "must be at least 0"),
+    ("fusion", "sigma_d_base", "must be strictly positive"),
+    ("fusion", "sigma_d_slope", "must be at least 0"),
+], ids=["reset_duration", "read_energy", "write_duration", "pv_sigma_area", "pv_sigma_tox",
+        "master_seed", "noise_d", "noise_b", "sigma_d_base", "sigma_d_slope"])
 def test_negative_device_values_are_config_errors(tmp_path, capsys, section, key, message):
     bad = tmp_path / "bad.cfg"
     bad.write_text(f"[{section}]\n{key} = -1\n", encoding="utf-8")
     assert main(["--config", str(bad), "cost-report"]) == 2
     assert capsys.readouterr().err == f"configuration error: [{section}] {key} = '-1': {message}\n"
+
+
+@pytest.mark.parametrize("section, key, value, command, message", [
+    ("report", "sweep_probs", "1.5", "pv-sweep", "must lie in [0, 1]"),
+    ("report", "scc_probs", "-0.5", "scc-report", "must lie in [0, 1]"),
+    ("report", "scc_cross", "0.2,1.5", "scc-report", "must lie in [0, 1]"),
+    ("array", "levels", "1.5", "array-report", "must lie in (0, 1]"),
+    ("array", "levels", "0", "array-report", "must lie in (0, 1]"),
+    ("array", "levels", "0.5,0.25", "array-report", "must be strictly increasing"),
+], ids=["sweep_probs", "scc_probs", "scc_cross", "levels-above", "levels-zero",
+        "levels-order"])
+def test_probabilities_out_of_range_are_config_errors(tmp_path, capsys, section, key, value,
+                                                      command, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(bad), "--out-dir", str(out), command]) == 2
+    assert capsys.readouterr().err == \
+        f"configuration error: [{section}] {key} = {value!r}: {message}\n"
+    assert not out.exists()
 
 
 def _field_type(path):

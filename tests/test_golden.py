@@ -38,6 +38,11 @@ GOLDEN = {
         "posterior_exact.csv": "fc91fc2766159ed3c1c652b4656aadd3cbac8a490f8ac37eefb1e0573cfa2440",
         "fusion_summary.csv": "b20529a235c85a1898202bcd4fe74afa6033951bb7de8c73aa49db586cacf78b",
     },
+    # The bytes the standalone KL sweep script wrote with `--grid 8x8 --seeds 50`
+    # before it became this command.
+    "--seed 0 --grid 8x8 kl-sweep": {
+        "kl_sweep.csv": "61ba20df76444a150f19b147e03fa9aa86911ffe33070c3fc711754d3d581985",
+    },
 }
 
 
