@@ -1,16 +1,16 @@
 """MTJ-based stochastic-computing Bayesian inference simulator.
 
-Layers, bottom to top: device (stochastic MTJ switching), sbg (bitstream
-generators with energy accounting), stochastic (bitstream arithmetic and
-correlation), logic (gate DAGs and conflict analysis), allocator (generator
-sharing over a switch matrix), fusion (grid target locating with an exact
-Bayesian oracle), cost (architecture-level comparisons), cli (orchestration).
+Layers, bottom to top: device (the MTJ switching law, calibration and
+process variation), sbg (generator arrays with energy accounting), stochastic
+(SCC from bit-overlap counts), logic (gate DAGs and conflict analysis),
+allocator (generator sharing over a switch matrix), fusion (grid target
+locating with an exact Bayesian oracle), experiments (measurement protocols),
+cost (architecture-level comparisons), cli (orchestration).
 """
 
 from .device import (
     InstanceFactors,
     MtjParams,
-    MtjState,
     PulseSpec,
     TargetUnreachable,
     WriteDirection,
@@ -18,7 +18,7 @@ from .device import (
     calibrate_voltage,
     switch_probability,
 )
-from .stochastic import Bitstream, LengthMismatch, sc_and, sc_mux, sc_not, scc
+from .stochastic import scc
 from .logic import (
     CyclicNetlist,
     GateKind,
@@ -53,7 +53,6 @@ from .fusion import (
     ShapeMismatch,
     exact_posterior,
     kl_divergence,
-    likelihoods,
     make_problem,
 )
 from .cost import CostProfile, compare, simulated_profile, totals

@@ -52,19 +52,6 @@ class SwitchMatrix:
     def num_rows(self) -> int:
         return int(self.control.shape[0])
 
-    @property
-    def num_cols(self) -> int:
-        return int(self.control.shape[1])
-
-    def row_of(self, terminal: str) -> int:
-        j = self.col_terminals.index(terminal)
-        rows = np.flatnonzero(self.control[:, j])
-        if rows.size != 1:
-            raise ValueError(f"column {terminal!r} has {rows.size} active rows")
-        return int(rows[0])
-
-    def rows_in_use(self) -> list[int]:
-        return [int(r) for r in np.flatnonzero(self.control.any(axis=1))]
 
 
 def _set_walk(conflict_sets: list[frozenset[str]],

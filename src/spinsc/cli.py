@@ -4,12 +4,14 @@ Subcommands: sbg-characterize, array-report, scc-report, allocate, fusion-run,
 cost-report, pv-sweep, kl-sweep.  Every output is a UTF-8 CSV with a one-line
 header and floats at 6 significant digits (heat maps are binary 8-bit PGM),
 and every run is a pure function of the configuration, so re-running a command
-reproduces its files byte for byte.
+reproduces its files byte for byte.  The output directory is made by the
+first file written to it, so a refused run leaves none behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections import Counter
 from functools import cache
@@ -36,6 +38,7 @@ def fmt(value) -> str:
 def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -45,17 +48,12 @@ def write_pgm(path: Path, weights: np.ndarray) -> None:
     scale = 255.0 / peak if peak > 0 else 0.0
     gray = np.round(weights * scale).astype(np.uint8)
     header = f"P5\n{gray.shape[1]} {gray.shape[0]}\n255\n".encode("ascii")
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(header + gray.tobytes())
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def cmd_sbg_characterize(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
     paths = []
     for direction in (WriteDirection.P_TO_AP, WriteDirection.AP_TO_P):
         rows = characterization_rows(cfg.device.params,
@@ -70,7 +68,7 @@ def cmd_sbg_characterize(cfg: RunConfig, args: argparse.Namespace) -> list[Path]
 
 def cmd_array_report(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     """Per-unit density error and energy for the configured generator array."""
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
     levels = cfg.array.resolved_levels()
     multiplicity = cfg.array.multiplicity or tuple(1 for _ in levels)
     if len(multiplicity) != len(levels):
@@ -90,7 +88,7 @@ def cmd_array_report(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
 
 
 def cmd_scc_report(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
     rep = cfg.report
     self_rows = experiments.self_scc_table(
         rep.scc_probs, rep.scc_lengths, rep.scc_pairs, cfg.master_seed,
@@ -118,14 +116,19 @@ def _load_assignment(path: Path) -> dict[str, float]:
         if name in values:
             raise ConfigError(f"{path}:{lineno}: terminal {name!r} is assigned twice")
         try:
-            values[name] = float(value)
+            p = float(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        if not math.isfinite(p):
+            raise ConfigError(f"{path}:{lineno}: must be finite")
+        if not 0.0 < p <= 1.0:
+            raise ConfigError(f"{path}:{lineno}: must lie in (0, 1]")
+        values[name] = p
     return values
 
 
 def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
     net = ScNetlist.parse(args.netlist.read_text(encoding="utf-8"))
     assignment = _load_assignment(args.assignment)
     missing = [t for t in net.terminals if t not in assignment]
@@ -182,7 +185,7 @@ def _problem(cfg: RunConfig) -> fusion.FusionProblem:
 
 
 def cmd_fusion_run(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
     problem = _problem(cfg)
     grid_w, grid_h = cfg.fusion.grid
     pipeline = fusion.FusionPipeline(problem, cfg.fusion.level_count, cfg.device, cfg.array.mode)
@@ -210,7 +213,7 @@ def cmd_fusion_run(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
 
 
 def cmd_cost_report(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
     rows = cost.comparison_rows()
     path = out / "cost_report.csv"
     header = ["method", "e_cyc_nj", "t_cyc_ns", "n_cyc", "e_tot_uj", "t_tot_us", "n_cmos_k"]
@@ -223,7 +226,7 @@ def cmd_cost_report(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
 
 
 def cmd_pv_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
     rep = cfg.report
     sigmas = (cfg.pv_sigma_area, cfg.pv_sigma_tox)
     results = experiments.density_sweep(
@@ -237,7 +240,7 @@ def cmd_pv_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
 
 def cmd_kl_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     """KL divergence against stream length, without and with process variation."""
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
     rep = cfg.report
     problem = _problem(cfg)
     pipeline = fusion.FusionPipeline(problem, cfg.fusion.level_count, cfg.device, cfg.array.mode)

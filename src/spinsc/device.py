@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 
 import numpy as np
 
@@ -26,18 +26,9 @@ class TargetUnreachable(ValueError):
     """Requested switching probability lies outside the calibratable range."""
 
 
-class MtjState(IntEnum):
-    P = 0   # parallel, low resistance, logic 0
-    AP = 1  # anti-parallel, high resistance, logic 1
-
-
 class WriteDirection(Enum):
     P_TO_AP = "p2ap"
     AP_TO_P = "ap2p"
-
-    @property
-    def target(self) -> MtjState:
-        return MtjState.AP if self is WriteDirection.P_TO_AP else MtjState.P
 
 
 # Pulse-shape constants fitted so that a 1.8 V / 7 ns pulse switches AP->P
@@ -129,31 +120,27 @@ class InstanceFactors:
         return math.exp(params.t_ox * (self.tox - 1.0)) / self.area
 
 
-NOMINAL_FACTORS = InstanceFactors()
-
-
-def base_switching_time(params: MtjParams, pulse: PulseSpec,
-                        factors: InstanceFactors = NOMINAL_FACTORS) -> float:
-    """Characteristic switching time dt in ns for the pulse's direction.
+def base_switching_time(params: MtjParams, pulse: PulseSpec) -> float:
+    """Nominal characteristic switching time dt in ns for the pulse's
+    direction.
 
     Precessional regime above the critical voltage, thermally activated
-    (attempt-time) regime at or below it.  Process variation rescales dt by
-    the resistance ratio, i.e. by the drop in effective write current.
+    (attempt-time) regime at or below it.  Process variation multiplies dt
+    by a device's resistance scale (the drop in effective write current);
+    sbg applies it per unit.
     """
     if pulse.voltage <= 0:
         raise ValueError("switching time requires a positive bias voltage")
     vc0, c = params.direction_constants(pulse.direction)
     if pulse.voltage > vc0:
-        dt = c / (pulse.voltage / vc0 - 1.0)
-    else:
-        dt = (params.tau0 * 1e9) * math.exp(params.delta * (1.0 - pulse.voltage / vc0))
-    return dt * factors.resistance_scale(params)
+        return c / (pulse.voltage / vc0 - 1.0)
+    return (params.tau0 * 1e9) * math.exp(params.delta * (1.0 - pulse.voltage / vc0))
 
 
-def switch_probability(params: MtjParams, pulse: PulseSpec,
-                       factors: InstanceFactors = NOMINAL_FACTORS) -> float:
-    """Probability that the pulse switches the junction, Phi((t - dt)/(sigma_rel*dt))."""
-    dt = base_switching_time(params, pulse, factors)
+def switch_probability(params: MtjParams, pulse: PulseSpec) -> float:
+    """Probability that the pulse switches the nominal junction,
+    Phi((t - dt)/(sigma_rel*dt))."""
+    dt = base_switching_time(params, pulse)
     z = (pulse.duration - dt) / (params.sigma_rel * dt)
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
@@ -165,8 +152,9 @@ def calibrate_voltage(params: MtjParams, target_p: float, duration: float,
     """Bias voltage whose switching probability matches target_p within tol.
 
     Bisection over the supercritical interval [vc0*(1+v_margin), v_max],
-    where the probability is monotone increasing in voltage.  Raises
-    TargetUnreachable when target_p falls outside the achievable range.
+    where the probability is monotone increasing in voltage.  A target at
+    most tol above the top of the achievable range gets v_max; one outside
+    the range by more raises TargetUnreachable.
     """
     vc0, _ = params.direction_constants(direction)
     v_lo = vc0 * (1.0 + v_margin)
@@ -179,13 +167,13 @@ def calibrate_voltage(params: MtjParams, target_p: float, duration: float,
 
     p_lo = prob(v_lo)
     p_hi = prob(v_hi)
-    if not p_lo <= target_p <= p_hi:
+    if not p_lo <= target_p <= p_hi + tol:
         raise TargetUnreachable(
             f"target probability {target_p} outside achievable range "
             f"[{p_lo:.3e}, {p_hi:.6f}] for {direction.value} at {duration} ns")
     if target_p == p_lo:
         return v_lo
-    if target_p == p_hi:
+    if target_p >= p_hi:
         return v_hi
 
     for _ in range(max_iter):

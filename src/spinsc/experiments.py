@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import stochastic
 from .fusion import FusionPipeline, FusionProblem, default_zero_floor, exact_posterior, kl_divergence
 from .sbg import SbgArray, SbgDevice, SbgMode, generate_array, make_units
 
@@ -79,21 +80,15 @@ def _mean_abs_scc(units: SbgArray, lengths: tuple[int, ...],
     each of `groups` equal consecutive blocks of pairs, measured on prefixes
     of one run as long as the longest length.
 
-    Each value is stochastic.scc's, from the same integer overlap counts and
-    one true division (exact while counts stay below 2**53).
+    The overlap counts of every pair at every length come from prefix sums,
+    and stochastic.scc scores them all in one call.
     """
     bits = generate_array(units, lengths[-1])
     x, y = bits[0::2], bits[1::2]
     a = _prefix_counts(x & y, lengths)            # (pairs, lengths): #11
     ab = _prefix_counts(x, lengths)               # ones of x, a + b
     ac = _prefix_counts(y, lengths)               # ones of y, a + c
-    n = np.array(lengths, dtype=np.int64)
-    b, c = ab - a, ac - a
-    d = n - a - b - c
-    num = a * d - b * c
-    den = np.where(num > 0, n * np.minimum(ab, ac) - ab * ac,
-                   ab * ac - n * np.maximum(a - d, 0))
-    value = np.abs(np.divide(num, den, out=np.zeros(num.shape), where=den != 0))
+    value = np.abs(stochastic.scc(a, ab, ac, np.array(lengths, dtype=np.int64)))
     by_length = np.ascontiguousarray(value.T)     # (lengths, pairs)
     size = len(value) // groups if groups else 0
     return [[float(np.mean(row[g * size:(g + 1) * size])) for row in by_length]

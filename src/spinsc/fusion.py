@@ -69,10 +69,6 @@ class FusionProblem:
     def cell_scale(self) -> tuple[float, float]:
         return self.plane / self.grid_w, self.plane / self.grid_h
 
-    def cell_position(self, x: int, y: int) -> tuple[float, float]:
-        sx, sy = self.cell_scale
-        return x * sx, y * sy
-
     def sigma_d(self, sensor_index: int) -> float:
         return self.sigma_d_base + self.sigma_d_slope * self.readings[sensor_index].mu_d
 
@@ -118,16 +114,6 @@ def bearing_deg(from_xy: tuple[float, float], to_xy: tuple[float, float]) -> flo
     return angle % 360.0
 
 
-def angular_residual(a_deg: float, b_deg: float) -> float:
-    """Minimal angular difference on [0, 180]; 359 vs 1 is 2, not 358."""
-    diff = abs(a_deg - b_deg) % 360.0
-    return min(diff, 360.0 - diff)
-
-
-def gaussian_density(residual: float, sigma: float) -> float:
-    return math.exp(-0.5 * (residual / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
-
-
 def synthesize_readings(sensors: tuple[tuple[float, float], ...],
                         target_xy: tuple[float, float],
                         noise_d: float = 0.0, noise_b: float = 0.0,
@@ -161,22 +147,10 @@ def make_problem(grid_w: int = 32, grid_h: int = 32,
                          sigma_d_base=sigma_d_base, sigma_d_slope=sigma_d_slope)
 
 
-def likelihoods(problem: FusionProblem, cell: tuple[int, int]) -> tuple[float, ...]:
-    """The six per-cell conditional densities (d1, b1, d2, b2, d3, b3)."""
-    px, py = problem.cell_position(*cell)
-    values = []
-    for i, (sx, sy) in enumerate(problem.sensors):
-        reading = problem.readings[i]
-        d = math.hypot(px - sx, py - sy)
-        sd = problem.sigma_d(i)
-        values.append(gaussian_density(d - reading.mu_d, sd))
-        b = bearing_deg((sx, sy), (px, py))
-        values.append(gaussian_density(angular_residual(b, reading.mu_b), problem.sigma_b))
-    return tuple(values)
-
-
 def likelihood_channels(problem: FusionProblem) -> np.ndarray:
-    """All six likelihood grids, shape (6, W, H)."""
+    """All six likelihood grids (d1, b1, d2, b2, d3, b3), shape (6, W, H):
+    Gaussian densities of each cell's distance residual and of its bearing
+    residual, the minimal angle on [0, 180] (359 against 1 is 2, not 358)."""
     w, h = problem.grid_w, problem.grid_h
     sx, sy = problem.cell_scale
     xs = np.arange(w)[:, None] * sx
@@ -288,10 +262,6 @@ class FusionPipeline:
     @property
     def num_terminals(self) -> int:
         return self.cell_rows.size
-
-    @property
-    def num_clusters(self) -> int:
-        return self.matrix.num_cols
 
     @property
     def num_units(self) -> int:

@@ -107,15 +107,11 @@ class ScNetlist:
     #   gate <id> NOT <in>
     #   gate <id> MUX <d0> <d1> <sel>
     #   output <id>
-    def to_text(self) -> str:
-        lines = [f"terminal {t}" for t in self.terminals]
-        for gate in self.gates.values():
-            lines.append(f"gate {gate.gate_id} {gate.kind.value} " + " ".join(gate.inputs))
-        lines.extend(f"output {o}" for o in self.outputs)
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def parse(cls, text: str) -> "ScNetlist":
+        """The netlist the text declares; a line it cannot take raises
+        ValueError naming the line, and a bad reference or a cycle raises
+        CyclicNetlist."""
         net = cls()
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -123,15 +119,18 @@ class ScNetlist:
                 continue
             parts = line.split()
             kind = parts[0].lower()
-            if kind == "terminal" and len(parts) == 2:
-                net.add_terminal(parts[1])
-            elif kind == "gate" and len(parts) >= 4:
-                net.add_gate(parts[1], GateKind(parts[2].upper()), parts[3:])
-            elif kind == "output" and len(parts) == 2:
-                net.add_output(parts[1])
-            else:
-                raise ValueError(f"line {lineno}: cannot parse {raw!r}")
-        net.topo_order()  # raises CyclicNetlist on a bad reference or a cycle
+            try:
+                if kind == "terminal" and len(parts) == 2:
+                    net.add_terminal(parts[1])
+                elif kind == "gate" and len(parts) >= 4:
+                    net.add_gate(parts[1], GateKind(parts[2].upper()), parts[3:])
+                elif kind == "output" and len(parts) == 2:
+                    net.add_output(parts[1])
+                else:
+                    raise ValueError(f"cannot parse {raw!r}")
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+        net.topo_order()
         return net
 
 
@@ -145,10 +144,6 @@ class Product:
 
     pos: frozenset[str]
     neg: frozenset[str]
-
-    @property
-    def support(self) -> frozenset[str]:
-        return self.pos | self.neg
 
 
 # A product as an int pair (pos, neg): bit i stands for net.terminals[i].

@@ -227,8 +227,8 @@ def _constants(params: MtjParams, pulses: Sequence[PulseSpec]) -> np.ndarray:
 
 def _pulse(constants: np.ndarray, params: MtjParams, scale: np.ndarray) -> _Pulse:
     """The pulse from its (3, units or 1, 1) constants.  Process variation
-    scales the switching time and both resistances by the (units, 1) scale:
-    base_switching_time's product and pulse_energy_nj's quotient."""
+    scales the switching time and both resistances by the (units, 1) scale,
+    so the energies are pulse_energy_nj's quotient at the scaled resistance."""
     dt, duration, heat = constants
     return _Pulse(dt * scale, duration, heat / (params.r_p * scale), heat / (params.r_ap * scale))
 

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from enum import IntEnum
 from itertools import product as iter_product
 
 import numpy as np
 
-from spinsc.allocator import _set_walk, allocate
-from spinsc.device import MtjParams, MtjState, PulseSpec, base_switching_time
+from spinsc.allocator import SwitchMatrix, _set_walk, allocate
+from spinsc.device import MtjParams, PulseSpec, WriteDirection, base_switching_time
 from spinsc.fusion import (
     CHANNELS,
     FusionProblem,
+    bearing_deg,
     condition_channels,
     likelihood_channels,
     quantize_unit_interval,
@@ -28,7 +31,6 @@ from spinsc.logic import (
 )
 from spinsc.sbg import SbgArray, SbgArraySpec, SbgMode, pulse_energy_nj
 from spinsc.seeding import DOMAIN_DEVICE, rng_for
-from spinsc.stochastic import Bitstream, sc_and, sc_mux, sc_not
 
 
 def brute_force_probability(net: ScNetlist, output_id: str,
@@ -77,22 +79,53 @@ def evaluate_products(products: list[Product], values: dict[str, float]) -> floa
     return total
 
 
-def evaluate_on_streams(net: ScNetlist, streams: dict[str, Bitstream]) -> dict[str, Bitstream]:
-    """Fold actual bitstreams through the gate DAG, one stream per output."""
-    signals: dict[str, Bitstream] = dict(streams)
+def evaluate_on_streams(net: ScNetlist, streams: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Fold actual uint8 bitstreams through the gate DAG, one stream per
+    output: AND is `&`, NOT is `1 - x` and MUX(d0, d1, sel) picks d1 where
+    sel is 1."""
+    signals = dict(streams)
     for gid in net.topo_order():
         gate = net.gates[gid]
+        ins = [signals[src] for src in gate.inputs]
         if gate.kind is GateKind.NOT:
-            signals[gid] = sc_not(signals[gate.inputs[0]])
+            signals[gid] = 1 - ins[0]
         elif gate.kind is GateKind.AND:
-            acc = signals[gate.inputs[0]]
-            for src in gate.inputs[1:]:
-                acc = sc_and(acc, signals[src])
-            signals[gid] = acc
+            signals[gid] = np.bitwise_and.reduce(ins)
         else:
-            d0, d1, sel = gate.inputs
-            signals[gid] = sc_mux(signals[d1], signals[d0], signals[sel])
+            d0, d1, sel = ins
+            signals[gid] = np.where(sel == 1, d1, d0)
     return {out: signals[out] for out in net.outputs}
+
+
+def overlap_counts(x: np.ndarray, y: np.ndarray) -> tuple[int, int, int, int]:
+    """Bit-overlap counts (a, b, c, d) = (#11, #10, #01, #00) of two uint8
+    streams of one length."""
+    a = int(np.sum(x & y))
+    b = int(x.sum()) - a
+    c = int(y.sum()) - a
+    d = len(x) - a - b - c
+    return a, b, c, d
+
+
+def scc(x: np.ndarray, y: np.ndarray) -> float:
+    """Scalar oracle for stochastic.scc: the SCC of two uint8 streams, one
+    case at a time.
+
+    SCC = (ad - bc) / (n*min(a+b, a+c) - (a+b)(a+c))     if ad > bc
+        = (ad - bc) / ((a+b)(a+c) - n*max(a - d, 0))     otherwise
+
+    and 0.0 where the denominator vanishes (a constant stream).
+    """
+    a, b, c, d = overlap_counts(x, y)
+    n = len(x)
+    num = a * d - b * c
+    if num > 0:
+        den = n * min(a + b, a + c) - (a + b) * (a + c)
+    else:
+        den = (a + b) * (a + c) - n * max(a - d, 0)
+    if den == 0:
+        return 0.0
+    return num / den
 
 
 def mean_abs_scc_by_length(rows: list[tuple], lengths: tuple[int, ...]) -> dict[int, float]:
@@ -187,7 +220,7 @@ def oracle_conflict_sets(net: ScNetlist) -> list[frozenset[str]]:
     seen: set[frozenset[str]] = set()
     for out in net.outputs:
         for product in _oracle_expand(net, out, False, memo):
-            sup = product.support
+            sup = product.pos | product.neg
             if sup and sup not in seen:
                 seen.add(sup)
                 supports.append(sup)
@@ -282,6 +315,15 @@ def clustering_instances(count: int, seed: int = 88):
                [cls for cls in random_classes if cls])
 
 
+class MtjState(IntEnum):
+    P = 0   # parallel, low resistance, logic 0
+    AP = 1  # anti-parallel, high resistance, logic 1
+
+
+# The state a write in each direction switches the junction to.
+WRITE_TARGET = {WriteDirection.P_TO_AP: MtjState.AP, WriteDirection.AP_TO_P: MtjState.P}
+
+
 @dataclass
 class Junction:
     """One MTJ stepped one pulse at a time: the per-bit oracle's device.
@@ -315,7 +357,7 @@ def apply_write(junction: Junction, pulse: PulseSpec) -> bool:
     N(dt, sigma_rel * dt), clamped at zero, and the junction flips iff it
     fits inside the pulse duration.
     """
-    target = pulse.direction.target
+    target = WRITE_TARGET[pulse.direction]
     if junction.state is target:
         return False
     dt = base_switching_time(junction.params, pulse) * junction.scale
@@ -458,3 +500,56 @@ def generic_fusion_plan(problem: FusionProblem, level_count: int = 64,
                           for x in range(problem.grid_w) for y in range(problem.grid_h)],
                          dtype=np.int64)
     return spec, matrix, cell_rows, len(clusters)
+
+
+def row_of(matrix: SwitchMatrix, terminal: str) -> int:
+    """The one row a terminal's column selects; ValueError if not one."""
+    j = matrix.col_terminals.index(terminal)
+    rows = np.flatnonzero(matrix.control[:, j])
+    if rows.size != 1:
+        raise ValueError(f"column {terminal!r} has {rows.size} active rows")
+    return int(rows[0])
+
+
+def rows_in_use(matrix: SwitchMatrix) -> list[int]:
+    """Rows that at least one column selects."""
+    return [int(r) for r in np.flatnonzero(matrix.control.any(axis=1))]
+
+
+def netlist_text(net: ScNetlist) -> str:
+    """The netlist in ScNetlist.parse's plain-text format."""
+    lines = [f"terminal {t}" for t in net.terminals]
+    for gate in net.gates.values():
+        lines.append(f"gate {gate.gate_id} {gate.kind.value} " + " ".join(gate.inputs))
+    lines.extend(f"output {o}" for o in net.outputs)
+    return "\n".join(lines) + "\n"
+
+
+def angular_residual(a_deg: float, b_deg: float) -> float:
+    """Minimal angular difference on [0, 180]; 359 vs 1 is 2, not 358."""
+    diff = abs(a_deg - b_deg) % 360.0
+    return min(diff, 360.0 - diff)
+
+
+def gaussian_density(residual: float, sigma: float) -> float:
+    return math.exp(-0.5 * (residual / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
+
+
+def cell_position(problem: FusionProblem, x: int, y: int) -> tuple[float, float]:
+    sx, sy = problem.cell_scale
+    return x * sx, y * sy
+
+
+def likelihoods(problem: FusionProblem, cell: tuple[int, int]) -> tuple[float, ...]:
+    """Per-cell oracle for fusion.likelihood_channels: the six conditional
+    densities (d1, b1, d2, b2, d3, b3) of one cell, one at a time."""
+    px, py = cell_position(problem, *cell)
+    values = []
+    for i, (sx, sy) in enumerate(problem.sensors):
+        reading = problem.readings[i]
+        d = math.hypot(px - sx, py - sy)
+        sd = problem.sigma_d(i)
+        values.append(gaussian_density(d - reading.mu_d, sd))
+        b = bearing_deg((sx, sy), (px, py))
+        values.append(gaussian_density(angular_residual(b, reading.mu_b), problem.sigma_b))
+    return tuple(values)

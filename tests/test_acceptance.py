@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import size_array
+from helpers import rows_in_use, scc, size_array
 from conftest import REFERENCE_ASSIGNMENT, REFERENCE_NETLIST
 from spinsc.allocator import (
     CapacityExceeded,
@@ -33,7 +33,6 @@ from spinsc.experiments import (
 from spinsc.fusion import exact_posterior, make_problem
 from spinsc.logic import ScNetlist, extract_conflict_sets
 from spinsc.sbg import SbgArraySpec, SbgDevice, SbgMode, generate_array, make_units
-from spinsc.stochastic import Bitstream, sc_not, scc
 
 MASTER_SEED = 20260801
 PARAMS = MtjParams()
@@ -67,10 +66,10 @@ def test_criterion_02_bitstream_accuracy_trend():
 
 def test_criterion_03_scc_suite():
     array = make_units(DEVICE, SbgMode.SELF_CONTROL, [0.5], MASTER_SEED, 777)
-    stream = Bitstream(generate_array(array, 256)[0])
-    assert 0 < stream.ones() < len(stream)
+    stream = generate_array(array, 256)[0]
+    assert 0 < stream.sum() < len(stream)
     assert scc(stream, stream) == 1.0
-    assert scc(stream, sc_not(stream)) == -1.0
+    assert scc(stream, 1 - stream) == -1.0
 
     lengths = (64, 128, 256, 512)
     self_rows = self_scc_table((0.1, 0.3, 0.5, 0.7, 0.9), lengths, pairs=20,
@@ -97,7 +96,7 @@ def test_criterion_04_conflict_extraction_golden():
     spec = size_array(REFERENCE_ASSIGNMENT, sets, net.terminals, SbgMode.SELF_CONTROL)
     matrix = allocate(REFERENCE_ASSIGNMENT, spec, sets, net.terminals)
     assert spec.total_units == 7
-    assert len(matrix.rows_in_use()) == 7
+    assert len(rows_in_use(matrix)) == 7
     assert verify_allocation(matrix, sets, REFERENCE_ASSIGNMENT) == []
     report(4, "reference netlist yields the three conflict sets and M = 7")
 

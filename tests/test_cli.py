@@ -1,9 +1,13 @@
+import io
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinsc import experiments, sbg
 from spinsc.allocator import allocate, verify_allocation
@@ -100,6 +104,35 @@ def test_scc_report_output(tmp_path, config_path):
     assert len(cross_lines) == 1 + 1 * 2  # one pair x two lengths
 
 
+@pytest.mark.parametrize("command", ["array-report", "fusion-run", "kl-sweep"])
+def test_write_duration_below_the_default(tmp_path, capsys, command):
+    # The top level 1.0 lies within calibration tol of the AP->P range at
+    # 4.9 ns, and far above it at 3.0 ns.
+    for duration, code in (("4.9", 0), ("3.0", 1)):
+        cfg = tmp_path / f"{duration}.cfg"
+        cfg.write_text(f"[device]\nwrite_duration = {duration}\n\n[fusion]\ngrid = 4x4\n\n"
+                       "[report]\nsweep_lengths = 16\nsweep_repeats = 2\n", encoding="utf-8")
+        out = tmp_path / duration
+        assert main(["--config", str(cfg), "--out-dir", str(out), command]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == "" and out.is_dir()
+        else:
+            assert err.startswith("error: target probability 1.0 outside achievable range")
+            assert err.count("\n") == 1
+            assert not out.exists()
+
+
+def test_array_multiplicity_must_match_the_level_count(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[array]\nmultiplicity = 1,2\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(bad), "--out-dir", str(out), "array-report"]) == 2
+    assert capsys.readouterr().err == \
+        "configuration error: array multiplicity must match the level count\n"
+    assert not out.exists()
+
+
 def write_reference_inputs(tmp_path, assignment_values=REFERENCE_ASSIGNMENT):
     netlist = tmp_path / "reference.net"
     netlist.write_text(REFERENCE_NETLIST, encoding="utf-8")
@@ -159,30 +192,101 @@ def test_allocate_empty_netlist_is_one_line_error(tmp_path, config_path, capsys)
     netlist, assignment = tmp_path / "empty.net", tmp_path / "empty.assign"
     netlist.write_text("", encoding="utf-8")
     assignment.write_text("", encoding="utf-8")
-    assert main(["--config", str(config_path), "--out-dir", str(tmp_path / "o"), "allocate",
+    out = tmp_path / "o"
+    assert main(["--config", str(config_path), "--out-dir", str(out), "allocate",
                  "--netlist", str(netlist), "--assignment", str(assignment)]) == 1
     assert capsys.readouterr().err == "error: at least one level is required\n"
+    assert not out.exists()
 
 
 def test_allocate_rejects_terminals_missing_from_netlist(tmp_path, config_path, capsys):
     netlist, assignment = write_reference_inputs(tmp_path, {**REFERENCE_ASSIGNMENT, "T10": 0.2})
-    assert main(["--config", str(config_path), "--out-dir", str(tmp_path / "o"), "allocate",
+    out = tmp_path / "o"
+    assert main(["--config", str(config_path), "--out-dir", str(out), "allocate",
                  "--netlist", str(netlist), "--assignment", str(assignment)]) == 2
     err = capsys.readouterr().err
     assert "T10" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, line, reason", [
     ("a = 0.5\nb = 0.5\na = 0.2\n", 3, "terminal 'a' is assigned twice"),
     ("a = x\nb = 0.5\n", 1, "could not convert string to float: ' x'"),
-], ids=["assigned-twice", "non-numeric"])
+    ("a = 0.5\nb = nan\n", 2, "must be finite"),
+    ("a = 1e400\nb = 0.5\n", 1, "must be finite"),
+    ("a = 0.5\n\nb = 0\n", 3, "must lie in (0, 1]"),
+    ("a = 1.5\nb = 0.5\n", 1, "must lie in (0, 1]"),
+], ids=["assigned-twice", "non-numeric", "nan", "overflow", "zero", "above-one"])
 def test_allocate_rejects_bad_assignment_lines(tmp_path, config_path, capsys, text, line, reason):
     netlist, assignment = tmp_path / "and.net", tmp_path / "and.assign"
     netlist.write_text("terminal a\nterminal b\ngate g AND a b\noutput g\n", encoding="utf-8")
     assignment.write_text(text, encoding="utf-8")
-    assert main(["--config", str(config_path), "--out-dir", str(tmp_path / "o"), "allocate",
+    out = tmp_path / "o"
+    assert main(["--config", str(config_path), "--out-dir", str(out), "allocate",
                  "--netlist", str(netlist), "--assignment", str(assignment)]) == 2
     assert capsys.readouterr().err == f"configuration error: {assignment}:{line}: {reason}\n"
+    assert not out.exists()
+
+
+NODE_IDS = st.sampled_from(["a", "b", "c", "g0", "g1", "x"])
+NETLIST_LINES = st.one_of(
+    st.builds("terminal {}".format, NODE_IDS),
+    st.builds(lambda gid, kind, inputs: " ".join(["gate", gid, kind, *inputs]), NODE_IDS,
+              st.sampled_from(["AND", "NOT", "MUX", "and", "XOR"]),
+              st.lists(NODE_IDS, max_size=4)),
+    st.builds("output {}".format, NODE_IDS),
+    st.text(max_size=12),
+)
+ASSIGNMENT_LINES = st.one_of(
+    st.builds("{} = {}".format, NODE_IDS,
+              st.one_of(st.sampled_from(["0.5", "1", "0", "1.5", "nan", "1e400", "x", ""]),
+                        st.floats().map(repr))),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def allocate_inputs(draw):
+    """(netlist lines, assignment lines): a well-formed pair over up to three
+    terminals and three gates, with a few generated lines inserted into each."""
+    terminals = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    nodes = list(terminals)
+    netlist = [f"terminal {t}" for t in terminals]
+    for k in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["AND", "NOT", "MUX"]))
+        arity = {"NOT": 1, "MUX": 3}.get(kind) or draw(st.integers(1, 3))
+        inputs = draw(st.lists(st.sampled_from(nodes), min_size=arity, max_size=arity))
+        netlist.append(" ".join(["gate", f"g{k}", kind, *inputs]))
+        nodes.append(f"g{k}")
+    netlist += [f"output {node}" for node in draw(st.lists(st.sampled_from(nodes), max_size=2))]
+    assignment = [f"{t} = {draw(st.sampled_from(['0.1', '0.5', '1']))}" for t in terminals]
+    for lines, extra in ((netlist, NETLIST_LINES), (assignment, ASSIGNMENT_LINES)):
+        for line in draw(st.lists(extra, max_size=2)):
+            lines.insert(draw(st.integers(0, len(lines))), line)
+    return netlist, assignment
+
+
+@settings(max_examples=200, deadline=None)
+@given(allocate_inputs())
+def test_allocate_fuzzed_input_text(inputs):
+    # Any netlist and assignment text ends in exit 0, or in exit 1 or 2 with
+    # one stderr line and no output directory; no exception escapes.
+    netlist_lines, assignment_lines = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        netlist, assignment, out = Path(tmp, "f.net"), Path(tmp, "f.assign"), Path(tmp, "o")
+        netlist.write_text("\n".join(netlist_lines), encoding="utf-8")
+        assignment.write_text("\n".join(assignment_lines), encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["--out-dir", str(out), "allocate",
+                         "--netlist", str(netlist), "--assignment", str(assignment)])
+        if code == 0:
+            assert err.getvalue() == ""
+            assert (out / "matrix.csv").is_file()
+        else:
+            assert code in (1, 2)
+            assert err.getvalue().endswith("\n") and err.getvalue().count("\n") == 1
+            assert not out.exists()
 
 
 def test_allocate_deep_not_chain(tmp_path, config_path):

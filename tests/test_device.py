@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import apply_write, make_junction, read_state
+from helpers import MtjState, apply_write, make_junction, read_state, scc
+from spinsc import sbg
 from spinsc.device import (
     InstanceFactors,
     MtjParams,
-    MtjState,
     PulseSpec,
     TargetUnreachable,
     WriteDirection,
@@ -19,7 +19,6 @@ from spinsc.device import (
 )
 from spinsc.sbg import SbgDevice, SbgMode, generate_array, make_units
 from spinsc.seeding import DOMAIN_PROCESS_VARIATION, rng_for, rngs_for
-from spinsc.stochastic import Bitstream, scc
 
 PARAMS = MtjParams()
 RESET = PulseSpec(1.8, 7.0, WriteDirection.AP_TO_P)
@@ -154,6 +153,17 @@ def test_calibrate_unreachable_target():
         calibrate_voltage(PARAMS, 1e-9, 5.4, WriteDirection.P_TO_AP)
 
 
+def test_calibrate_target_within_tol_above_the_range():
+    # At 4.9 ns the top AP->P probability (at v_max = 3.0 V) falls just short
+    # of 1.0, by far less than tol: the target 1.0 gets v_max.
+    top = switch_probability(PARAMS, PulseSpec(3.0, 4.9, WriteDirection.AP_TO_P))
+    assert 1.0 - 1e-4 < top < 1.0
+    assert calibrate_voltage(PARAMS, 1.0, 4.9, WriteDirection.AP_TO_P) == 3.0
+    # At 3.0 ns it falls short by more than tol, and 1.0 is refused.
+    with pytest.raises(TargetUnreachable, match="outside achievable range"):
+        calibrate_voltage(PARAMS, 1.0, 3.0, WriteDirection.AP_TO_P)
+
+
 def test_process_variation_disabled_is_nominal():
     array = make_units(SbgDevice(PARAMS), SbgMode.SIMPLE, [0.5, 0.5], 3, 0, pv_sigmas=(0.0, 0.0))
     assert array.scale.tolist() == [1.0, 1.0]
@@ -187,15 +197,19 @@ def test_variation_rescales_resistance_and_dt():
     factors = InstanceFactors(area=0.9, tox=1.1)
     scale = math.exp(PARAMS.t_ox * 0.1) / 0.9
     assert factors.resistance_scale(PARAMS) == pytest.approx(scale)
+    # sbg applies the scale once per unit: to the nominal switching time and
+    # to both resistances of every pulse.
     dt_nom = base_switching_time(PARAMS, HALF)
-    dt_var = base_switching_time(PARAMS, HALF, factors)
-    assert dt_var == pytest.approx(dt_nom * scale)
+    pulse = sbg._pulse(sbg._constants(PARAMS, [HALF])[:, :, None], PARAMS, np.array([[scale]]))
+    assert pulse.dt.item() == pytest.approx(dt_nom * scale)
+    assert pulse.energy_p.item() == pytest.approx(sbg.pulse_energy_nj(HALF, PARAMS.r_p * scale))
+    assert pulse.energy_ap.item() == pytest.approx(sbg.pulse_energy_nj(HALF, PARAMS.r_ap * scale))
 
 
 def test_distinct_instances_produce_distinct_streams():
     array = make_units(SbgDevice(PARAMS), SbgMode.SELF_CONTROL, [0.5, 0.5], 1234, 0)
-    s0, s1 = (Bitstream(bits) for bits in generate_array(array, 512))
-    assert s0 != s1
+    s0, s1 = generate_array(array, 512)
+    assert not np.array_equal(s0, s1)
     assert abs(scc(s0, s1)) < 0.2
 
 

@@ -2,13 +2,14 @@
 
 The references rebuild each protocol's generators one unit at a time, run
 them one probability (or pair of probabilities) at a time, and score them
-with stochastic.scc on stream prefixes, or with a density per prefix; the
-tables must equal them exactly (==, not approx).
+with the scalar SCC oracle in helpers on stream prefixes, or with a density
+per prefix; the tables must equal them exactly (==, not approx).
 """
 
 import numpy as np
 import pytest
 
+from helpers import overlap_counts, scc
 from spinsc.experiments import (
     CROSS_SCC_BASE_ID,
     SELF_SCC_BASE_ID,
@@ -18,7 +19,6 @@ from spinsc.experiments import (
     self_scc_table,
 )
 from spinsc.sbg import SbgDevice, SbgMode, generate_array, make_units
-from spinsc.stochastic import Bitstream, overlap_counts, scc
 
 DEVICE = SbgDevice()
 SEED = 31
@@ -28,14 +28,13 @@ PAIRS = 6
 
 
 def reference_streams(targets, first_id, n, mode=SbgMode.SELF_CONTROL, pv_sigmas=None):
-    return [Bitstream(generate_array(make_units(DEVICE, mode, [p], SEED, first_id + k,
-                                                pv_sigmas=pv_sigmas), n)[0])
+    return [generate_array(make_units(DEVICE, mode, [p], SEED, first_id + k,
+                                      pv_sigmas=pv_sigmas), n)[0]
             for k, p in enumerate(targets)]
 
 
 def reference_scc(streams, n):
-    return [abs(scc(Bitstream(a.bits[:n]), Bitstream(b.bits[:n])))
-            for a, b in zip(streams[0::2], streams[1::2])]
+    return [abs(scc(a[:n], b[:n])) for a, b in zip(streams[0::2], streams[1::2])]
 
 
 def scc_branches(streams, lengths):
@@ -43,9 +42,9 @@ def scc_branches(streams, lengths):
     seen = set()
     for a, b in zip(streams[0::2], streams[1::2]):
         for n in lengths:
-            x, y = Bitstream(a.bits[:n]), Bitstream(b.bits[:n])
+            x, y = a[:n], b[:n]
             c11, c10, c01, c00 = overlap_counts(x, y)
-            if x.ones() in (0, n) or y.ones() in (0, n):
+            if x.sum() in (0, n) or y.sum() in (0, n):
                 seen.add("zero-den")
             seen.add("pos" if c11 * c00 - c10 * c01 > 0 else "neg")
     return seen
@@ -90,7 +89,7 @@ def test_density_sweep_equals_per_unit_density(pv_sigmas):
         streams = reference_streams([p] * repeats, SWEEP_BASE_ID + repeats * k, lengths[-1],
                                     SbgMode.SIMPLE, pv_sigmas)
         for n in lengths:
-            density = np.array([int(s.bits[:n].sum()) for s in streams]) / n
+            density = np.array([int(s[:n].sum()) for s in streams]) / n
             errors[n].append(abs(float(np.mean(density)) - p))
     assert [(r.length, r.avg_error, r.max_error) for r in results] == \
         [(n, float(np.mean(errors[n])), float(np.max(errors[n]))) for n in lengths]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+from helpers import netlist_text
 from spinsc.logic import (
     CyclicNetlist,
     GateKind,
@@ -14,15 +15,28 @@ from spinsc.logic import (
     extract_conflict_sets,
     first_fit,
 )
-from spinsc.stochastic import Bitstream
 
 
 def test_parse_round_trip(reference_netlist_text):
     net = ScNetlist.parse(reference_netlist_text)
-    again = ScNetlist.parse(net.to_text())
+    again = ScNetlist.parse(netlist_text(net))
     assert again.terminals == net.terminals
     assert again.outputs == net.outputs
     assert again.gates.keys() == net.gates.keys()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("terminal a\ngate g XOR a a\n", "line 2: 'XOR' is not a valid GateKind"),
+    ("terminal a\n\ngate g NOT a a\n", "line 3: NOT takes exactly one input"),
+    ("terminal a\nterminal b\n# b is a terminal\ngate g MUX a b\n",
+     "line 4: MUX takes exactly (data0, data1, select)"),
+    ("terminal a\nterminal a\n", "line 2: duplicate node id 'a'"),
+    ("terminal a\noutput\n", "line 2: cannot parse 'output'"),
+], ids=["unknown-kind", "not-arity", "mux-arity", "duplicate-id", "unparsable"])
+def test_parse_errors_name_their_line(text, message):
+    with pytest.raises(ValueError) as info:
+        ScNetlist.parse(text)
+    assert str(info.value) == message
 
 
 def test_reference_products(reference_netlist_text):
@@ -210,13 +224,12 @@ def test_expansion_matches_brute_force(case):
 def test_evaluate_on_streams_matches_gates(reference_netlist_text):
     net = ScNetlist.parse(reference_netlist_text)
     rng = np.random.default_rng(9)
-    streams = {t: Bitstream(rng.integers(0, 2, size=128, dtype=np.uint8).astype(np.uint8))
-               for t in net.terminals}
+    streams = {t: rng.integers(0, 2, size=128, dtype=np.uint8) for t in net.terminals}
     outs = helpers.evaluate_on_streams(net, streams)
     r1 = outs["R1"]
-    expected = (streams["T1"].bits & streams["T2"].bits & streams["T5"].bits) | (
-        streams["T3"].bits & streams["T4"].bits & (1 - streams["T5"].bits))
-    assert np.array_equal(r1.bits, expected)
+    expected = (streams["T1"] & streams["T2"] & streams["T5"]) | (
+        streams["T3"] & streams["T4"] & (1 - streams["T5"]))
+    assert np.array_equal(r1, expected)
 
 
 # --- Bitmask analysis against the frozenset oracle in helpers -------------
@@ -338,9 +351,9 @@ def test_topo_order_of_reverse_declared_chain():
     net = not_chain(3000, reverse=True)
     assert net.topo_order() == [f"n{k}" for k in range(3000)] + ["g"]
     rng = np.random.default_rng(5)
-    streams = {t: Bitstream(rng.integers(0, 2, size=64, dtype=np.uint8)) for t in "ab"}
+    streams = {t: rng.integers(0, 2, size=64, dtype=np.uint8) for t in "ab"}
     (out,) = helpers.evaluate_on_streams(net, streams).values()
-    assert np.array_equal(out.bits, streams["a"].bits & streams["b"].bits)
+    assert np.array_equal(out, streams["a"] & streams["b"])
     values = {"a": 0.3, "b": 0.6}
     assert helpers.brute_force_probability(net, "g", values) == pytest.approx(0.18, abs=1e-15)
     assert helpers.evaluate_products(expand_products(net, "g"), values) == pytest.approx(0.18, abs=1e-15)

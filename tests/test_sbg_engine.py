@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import scalar_generate
+from helpers import MtjState, scalar_generate
 from spinsc import sbg
-from spinsc.device import MtjState, PulseSpec, WriteDirection
+from spinsc.device import PulseSpec, WriteDirection
 from spinsc.sbg import RESET_PULSE, CalibrationCache, SbgDevice, SbgMode, generate_array, make_units
 
 DEVICE = SbgDevice()
