@@ -15,7 +15,7 @@ alone, independent of how it was built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable
 
 import numpy as np
@@ -66,43 +66,43 @@ def _set_walk(conflict_sets: list[frozenset[str]],
 
 def allocate(assignment: dict[str, float], spec: SbgArraySpec,
              conflict_sets: list[frozenset[str]],
-             terminal_order: list[str] | None = None) -> SwitchMatrix:
-    """Produce the control matrix for one (already quantized) assignment.
+             terminal_order: list[str]) -> SwitchMatrix:
+    """Produce the control matrix for one (already quantized) assignment;
+    column j is terminal_order[j].
 
     Each terminal takes its first-fit slot within its level, conflict sets
     walked in input order and terminals within a set in terminal order, so
-    identical inputs always yield identical matrices.  The first terminal,
-    in placement order, whose slot exceeds its level's rows raises
-    CapacityExceeded.
+    identical inputs always yield identical matrices.  A level's rows are
+    contiguous (level-major), so slot s of a level is the row s past its
+    first.  The first terminal, in placement order, whose slot exceeds its
+    level's rows raises CapacityExceeded.
     """
-    terminals = terminal_order or sorted(assignment)
-    known = set(terminals)
+    known = set(terminal_order)
     if known != set(assignment):
         raise ValueError("terminal order must cover exactly the assignment keys")
     for group in conflict_sets:
         missing = group - known
         if missing:
             raise ValueError(f"conflict set members missing from assignment: {sorted(missing)}")
-    level_index = {lvl: i for i, lvl in enumerate(spec.levels)}
+    first = dict(zip(spec.levels, accumulate((0,) + spec.multiplicity)))
+    rows = dict(zip(spec.levels, spec.multiplicity))
     for t, lvl in assignment.items():
-        if lvl not in level_index:
+        if lvl not in rows:
             raise UnknownLevel(f"terminal {t!r} requests {lvl}, not an array level")
 
-    rows_by_level = spec.rows_by_level()
-    slots = first_fit(_set_walk(conflict_sets, terminals), conflict_sets, assignment)
+    slots = first_fit(_set_walk(conflict_sets, terminal_order), conflict_sets, assignment)
     for t, slot in slots.items():
-        rows = rows_by_level[assignment[t]]
-        if slot >= len(rows):
+        lvl = assignment[t]
+        if slot >= rows[lvl]:
             raise CapacityExceeded(
-                assignment[t],
-                f"conflict sets demand more than {len(rows)} rows of level {assignment[t]}")
-    control = np.zeros((spec.total_units, len(terminals)), dtype=np.uint8)
-    for j, t in enumerate(terminals):
-        control[rows_by_level[assignment[t]][slots[t]], j] = 1
+                lvl, f"conflict sets demand more than {rows[lvl]} rows of level {lvl}")
+    control = np.zeros((spec.total_units, len(terminal_order)), dtype=np.uint8)
+    for j, t in enumerate(terminal_order):
+        control[first[assignment[t]] + slots[t], j] = 1
     control.flags.writeable = False
     return SwitchMatrix(control=control,
                         row_levels=tuple(spec.row_levels()),
-                        col_terminals=tuple(terminals))
+                        col_terminals=tuple(terminal_order))
 
 
 def verify_allocation(matrix: SwitchMatrix,

@@ -54,16 +54,15 @@ def write_pgm(path: Path, weights: np.ndarray) -> None:
 
 def cmd_sbg_characterize(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     out = Path(cfg.out_dir)
-    paths = []
-    for direction in (WriteDirection.P_TO_AP, WriteDirection.AP_TO_P):
-        rows = characterization_rows(cfg.device.params,
-                                     list(cfg.report.characterize_voltages),
-                                     list(cfg.report.characterize_durations),
-                                     direction)
-        path = out / f"characterize_{direction.value}.csv"
+    # Both tables are computed before either is written, so a refused run
+    # leaves no directory.
+    tables = {out / f"characterize_{direction.value}.csv": characterization_rows(
+        cfg.device.params, list(cfg.report.characterize_voltages),
+        list(cfg.report.characterize_durations), direction)
+        for direction in (WriteDirection.P_TO_AP, WriteDirection.AP_TO_P)}
+    for path, rows in tables.items():
         write_csv(path, ["voltage", "duration", "probability"], rows)
-        paths.append(path)
-    return paths
+    return list(tables)
 
 
 def cmd_array_report(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
@@ -184,6 +183,12 @@ def _problem(cfg: RunConfig) -> fusion.FusionProblem:
         sigma_d_base=fus.sigma_d_base, sigma_d_slope=fus.sigma_d_slope)
 
 
+def _cell_rows(weights: np.ndarray) -> list[tuple[int, int, float]]:
+    """(x, y, weight) per grid cell, x-major."""
+    return [(x, y, w) for x, column in enumerate(weights.tolist())
+            for y, w in enumerate(column)]
+
+
 def cmd_fusion_run(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     out = Path(cfg.out_dir)
     problem = _problem(cfg)
@@ -197,15 +202,11 @@ def cmd_fusion_run(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     ax, ay = estimate.argmax()
 
     posterior_path = out / "posterior.csv"
-    rows = [(x, y, float(estimate.weights[x, y]))
-            for x in range(grid_w) for y in range(grid_h)]
-    write_csv(posterior_path, ["x", "y", "weight"], rows)
+    write_csv(posterior_path, ["x", "y", "weight"], _cell_rows(estimate.weights))
     pgm_path = out / "posterior.pgm"
     write_pgm(pgm_path, estimate.weights)
     exact_path = out / "posterior_exact.csv"
-    write_csv(exact_path, ["x", "y", "weight"],
-              [(x, y, float(exact.weights[x, y]))
-               for x in range(grid_w) for y in range(grid_h)])
+    write_csv(exact_path, ["x", "y", "weight"], _cell_rows(exact.weights))
     summary_path = out / "fusion_summary.csv"
     write_csv(summary_path, ["n", "kl", "argmax_x", "argmax_y"], [(n, kl, ax, ay)])
     print(f"{n},{fmt(kl)},{ax},{ay}")
@@ -322,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, RuntimeError, OSError) as exc:
+    except (ValueError, KeyError, RuntimeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for path in files:

@@ -13,11 +13,11 @@ every command hands whole to the layers that build generators.
 
 A count below 1, alone or in a list, is a ConfigError, as are a float that
 is not finite (nan, inf), an empty list key, a negative master seed, a
-non-positive plane, sigma_b, sigma_d_base, reset_voltage or write_duration, a
-negative sigma_d_slope, noise, reset_duration, read_energy or
-process-variation sigma, a report probability outside [0, 1], array levels
-outside (0, 1] or not strictly increasing, a bad junction value and an
-unknown section or key.
+non-positive plane, sigma_b, sigma_d_base, reset_voltage, write_duration or
+characterize voltage, a negative sigma_d_slope, noise, reset_duration,
+read_energy, process-variation sigma or characterize duration, a report
+probability outside [0, 1], array levels outside (0, 1] or not strictly
+increasing, a bad junction value and an unknown section or key.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ def _float(text: str) -> float:
     return value
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return _nonempty(tuple(_float(tok) for tok in text.replace(";", ",").split(",")
+def _floats(text: str, parse: Callable[[str], float] = _float) -> tuple[float, ...]:
+    return _nonempty(tuple(parse(tok) for tok in text.replace(";", ",").split(",")
                            if tok.strip()))
 
 
@@ -251,8 +251,10 @@ KEYS: dict[tuple[str, str], tuple[tuple[str, ...], Callable[[str], object]]] = {
     ("report", "sweep_repeats"): (("report", "sweep_repeats"), count),
     ("report", "sweep_lengths"): (("report", "sweep_lengths"), _counts),
     ("report", "sweep_probs"): (("report", "sweep_probs"), _probs),
-    ("report", "characterize_voltages"): (("report", "characterize_voltages"), _floats),
-    ("report", "characterize_durations"): (("report", "characterize_durations"), _floats),
+    ("report", "characterize_voltages"): (("report", "characterize_voltages"),
+                                          lambda text: _floats(text, _positive)),
+    ("report", "characterize_durations"): (("report", "characterize_durations"),
+                                           lambda text: _floats(text, _nonnegative)),
 }
 
 

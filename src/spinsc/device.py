@@ -145,20 +145,23 @@ def switch_probability(params: MtjParams, pulse: PulseSpec) -> float:
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
-def calibrate_voltage(params: MtjParams, target_p: float, duration: float,
-                      direction: WriteDirection, *, tol: float = 1e-4,
-                      v_margin: float = 0.02, v_max: float = 3.0,
-                      max_iter: int = 200) -> float:
-    """Bias voltage whose switching probability matches target_p within tol.
+# calibrate_voltage's bisection: probability tolerance, search floor as a
+# fraction above the critical voltage, ceiling in volts, and step limit.
+_TOL, _V_MARGIN, _V_MAX, _MAX_ITER = 1e-4, 0.02, 3.0, 200
 
-    Bisection over the supercritical interval [vc0*(1+v_margin), v_max],
+
+def calibrate_voltage(params: MtjParams, target_p: float, duration: float,
+                      direction: WriteDirection) -> float:
+    """Bias voltage whose switching probability matches target_p within _TOL.
+
+    Bisection over the supercritical interval [vc0*(1+_V_MARGIN), _V_MAX],
     where the probability is monotone increasing in voltage.  A target at
-    most tol above the top of the achievable range gets v_max; one outside
+    most _TOL above the top of the achievable range gets _V_MAX; one outside
     the range by more raises TargetUnreachable.
     """
     vc0, _ = params.direction_constants(direction)
-    v_lo = vc0 * (1.0 + v_margin)
-    v_hi = v_max
+    v_lo = vc0 * (1.0 + _V_MARGIN)
+    v_hi = _V_MAX
     if v_lo >= v_hi:
         raise ValueError("empty voltage search interval")
 
@@ -167,7 +170,7 @@ def calibrate_voltage(params: MtjParams, target_p: float, duration: float,
 
     p_lo = prob(v_lo)
     p_hi = prob(v_hi)
-    if not p_lo <= target_p <= p_hi + tol:
+    if not p_lo <= target_p <= p_hi + _TOL:
         raise TargetUnreachable(
             f"target probability {target_p} outside achievable range "
             f"[{p_lo:.3e}, {p_hi:.6f}] for {direction.value} at {duration} ns")
@@ -176,16 +179,16 @@ def calibrate_voltage(params: MtjParams, target_p: float, duration: float,
     if target_p >= p_hi:
         return v_hi
 
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         v_mid = 0.5 * (v_lo + v_hi)
         p_mid = prob(v_mid)
-        if abs(p_mid - target_p) <= tol:
+        if abs(p_mid - target_p) <= _TOL:
             return v_mid
         if p_mid < target_p:
             v_lo = v_mid
         else:
             v_hi = v_mid
-    # Interval collapsed without meeting tol; monotonicity makes this
+    # Interval collapsed without meeting _TOL; monotonicity makes this
     # unreachable for any realistic tolerance.
     raise TargetUnreachable(f"bisection did not converge to {target_p}")
 

@@ -156,17 +156,20 @@ def likelihood_channels(problem: FusionProblem) -> np.ndarray:
     xs = np.arange(w)[:, None] * sx
     ys = np.arange(h)[None, :] * sy
     channels = np.empty((6, w, h), dtype=np.float64)
-    for i, (cx, cy) in enumerate(problem.sensors):
-        reading = problem.readings[i]
-        dist = np.hypot(xs - cx, ys - cy)
-        sd = problem.sigma_d(i)
-        channels[2 * i] = np.exp(-0.5 * ((dist - reading.mu_d) / sd) ** 2) \
-            / (math.sqrt(2.0 * math.pi) * sd)
-        bearing = np.degrees(np.arctan2(ys - cy, xs - cx)) % 360.0
-        diff = np.abs(bearing - reading.mu_b) % 360.0
-        residual = np.minimum(diff, 360.0 - diff)
-        channels[2 * i + 1] = np.exp(-0.5 * (residual / problem.sigma_b) ** 2) \
-            / (math.sqrt(2.0 * math.pi) * problem.sigma_b)
+    # A residual over a tiny sigma overflows to inf, and exp(-inf) = 0 is the
+    # exact tail.
+    with np.errstate(over="ignore"):
+        for i, (cx, cy) in enumerate(problem.sensors):
+            reading = problem.readings[i]
+            dist = np.hypot(xs - cx, ys - cy)
+            sd = problem.sigma_d(i)
+            channels[2 * i] = np.exp(-0.5 * ((dist - reading.mu_d) / sd) ** 2) \
+                / (math.sqrt(2.0 * math.pi) * sd)
+            bearing = np.degrees(np.arctan2(ys - cy, xs - cx)) % 360.0
+            diff = np.abs(bearing - reading.mu_b) % 360.0
+            residual = np.minimum(diff, 360.0 - diff)
+            channels[2 * i + 1] = np.exp(-0.5 * (residual / problem.sigma_b) ** 2) \
+                / (math.sqrt(2.0 * math.pi) * problem.sigma_b)
     return channels
 
 
@@ -184,8 +187,8 @@ def condition_channels(channels: np.ndarray) -> np.ndarray:
     dynamic range.
     """
     maxima = channels.reshape(channels.shape[0], -1).max(axis=1)
-    if np.any(maxima <= 0):
-        raise ValueError("each likelihood channel needs a positive maximum")
+    if not np.all((maxima > 0) & np.isfinite(maxima)):
+        raise ValueError("each likelihood channel needs a positive, finite maximum")
     return channels / maxima[:, None, None]
 
 

@@ -62,7 +62,7 @@ def pulse_energy_nj(pulse: PulseSpec, resistance: float) -> float:
 class SbgDevice:
     """The device settings every generator of a run shares: the junction, the
     write-pulse duration its write voltages are calibrated at, the fixed
-    energy of one read and the reset pulse."""
+    energy of one read and the reset pulse, which always writes toward P."""
 
     params: MtjParams = MtjParams()
     write_duration_ns: float = 5.4
@@ -74,6 +74,8 @@ class SbgDevice:
             raise ValueError("write duration must be strictly positive")
         if not self.read_energy_nj >= 0:
             raise ValueError("read energy must be non-negative")
+        if self.reset_pulse.direction is not WriteDirection.AP_TO_P:
+            raise ValueError("the reset pulse must write toward P")
 
 
 # The per-unit columns of an SbgArray, the ones a row slice slices.
@@ -114,31 +116,18 @@ class SbgArray:
 
 
 class CalibrationCache:
-    """Memoizes bisection results; units at one probability level share them.
-
-    make_units also keeps here, per (device, mode), the write pulses of each
-    target it has built, so a cache that serves many builds calibrates each
-    target once.
-    """
+    """The write pulses make_units has built, per (device, mode) and target,
+    so a cache that serves many builds calibrates each target once."""
 
     def __init__(self) -> None:
-        self._cache: dict[tuple, float] = {}
         self.pulses: dict[tuple[SbgDevice, SbgMode],
                           dict[float, tuple[PulseSpec, PulseSpec | None]]] = {}
 
-    def voltage(self, params: MtjParams, target_p: float, duration: float,
-                direction: WriteDirection) -> float:
-        key = (params, round(target_p, 12), duration, direction)
-        if key not in self._cache:
-            self._cache[key] = calibrate_voltage(params, target_p, duration, direction)
-        return self._cache[key]
 
-
-def _write_pulse(device: SbgDevice, target_p: float, direction: WriteDirection,
-                 cache: CalibrationCache) -> PulseSpec:
+def _write_pulse(device: SbgDevice, target_p: float, direction: WriteDirection) -> PulseSpec:
     duration = device.write_duration_ns
     try:
-        v = cache.voltage(device.params, target_p, duration, direction)
+        v = calibrate_voltage(device.params, target_p, duration, direction)
     except TargetUnreachable:
         if target_p > 0.5:
             raise
@@ -170,10 +159,10 @@ def make_units(device: SbgDevice, mode: SbgMode, targets: Sequence[float],
         if p not in pulses:
             if not 0.0 <= p <= 1.0:
                 raise ValueError("target_p must lie in [0, 1]")
-            p2ap = _write_pulse(device, p, WriteDirection.P_TO_AP, calibration)
+            p2ap = _write_pulse(device, p, WriteDirection.P_TO_AP)
             ap2p = None
             if mode is SbgMode.SELF_CONTROL:
-                ap2p = _write_pulse(device, p, WriteDirection.AP_TO_P, calibration)
+                ap2p = _write_pulse(device, p, WriteDirection.AP_TO_P)
             pulses[p] = (p2ap, ap2p)
         levels[p] = len(levels)
     count = len(targets)
@@ -239,8 +228,7 @@ def generate_array(array: SbgArray, n: int) -> np.ndarray:
     Simple units run reset -> write -> read per bit (2n writes, n reads);
     self-control units run one initialization cycle (reset, read) and then n
     write/read cycles toward the opposite of the latched state, emitting
-    XOR(current, last) (n+1 writes and reads).  A simple array's reset pulse
-    must write toward P.
+    XOR(current, last) (n+1 writes and reads).
 
     The result is the per-bit model's, bit for bit: each unit draws its own
     normals in the order the per-bit model would, a pulse draws only when it
@@ -255,8 +243,6 @@ def generate_array(array: SbgArray, n: int) -> np.ndarray:
         raise ValueError("n must be at least 1")
     device = array.device
     simple = array.mode is SbgMode.SIMPLE
-    if simple and device.reset_pulse.direction is not WriteDirection.AP_TO_P:
-        raise ValueError("simple generators need a reset pulse toward P")
     # Each pulse's constants, per level; every unit shares the reset's.
     reset = _constants(device.params, [device.reset_pulse])[:, :, None]
     writes = [_constants(device.params, [pair[k] for pair in array.pulses])
@@ -360,15 +346,14 @@ def _run_simple(block: SbgArray, n: int, reset: _Pulse, write: _Pulse):
 
 
 def _run_self_control(block: SbgArray, n: int, reset: _Pulse, p2ap: _Pulse, ap2p: _Pulse):
-    # The initialization reset draws only for a unit not yet at its target;
-    # every later cycle writes toward the other state and draws once.
+    # The initialization reset draws only for a unit not yet in P; every
+    # later cycle writes toward the other state and draws once.
     state = block.state[:, None]
-    init_draw = state != (block.device.reset_pulse.direction is WriteDirection.P_TO_AP)
     z = np.zeros((len(block), n + 1))    # column 0: the initialization draw
-    for row, rng, draws in zip(z, block.rngs, init_draw[:, 0].tolist()):
+    for row, rng, draws in zip(z, block.rngs, block.state.tolist()):
         rng.standard_normal(out=row[0 if draws else 1:])
     spread = _spread(z, block.device.params)
-    latched = state ^ (init_draw & reset.switches(spread[:, :1]))
+    latched = state & ~reset.switches(spread[:, :1])
     after = _switching_scan(latched, p2ap.switches(spread[:, 1:]),
                             ap2p.switches(spread[:, 1:]))
     before = np.hstack((latched, after[:, :-1]))
@@ -409,14 +394,6 @@ class SbgArraySpec:
         for p, m in zip(self.levels, self.multiplicity):
             out.extend([p] * m)
         return out
-
-    def rows_by_level(self) -> dict[float, list[int]]:
-        rows: dict[float, list[int]] = {}
-        idx = 0
-        for p, m in zip(self.levels, self.multiplicity):
-            rows[p] = list(range(idx, idx + m))
-            idx += m
-        return rows
 
 
 def build_array(spec: SbgArraySpec, master_seed: int, device: SbgDevice = SbgDevice(), *,

@@ -1,13 +1,14 @@
 import io
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinsc import experiments, sbg
 from spinsc.allocator import allocate, verify_allocation
@@ -121,6 +122,30 @@ def test_write_duration_below_the_default(tmp_path, capsys, command):
             assert err.startswith("error: target probability 1.0 outside achievable range")
             assert err.count("\n") == 1
             assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("text, command", [
+    ("[device]\nvc0_ap2p = 1e-308\n", "array-report"),
+    ("[device]\nvc0_ap2p = 1e-308\n", "sbg-characterize"),
+    ("[run]\npv_sigma_tox = 1e308\n", "pv-sweep"),
+    ("[run]\npv = true\n[device]\nt_ox = 1e6\n", "array-report"),
+    ("[device]\nreset_voltage = 1e308\n", "array-report"),
+    ("[fusion]\nsigma_b = 1e-308\n", "fusion-run"),
+    ("[fusion]\nsigma_d_base = 1e-320\nsigma_d_slope = 0\n", "fusion-run"),
+], ids=["vc0-array-report", "vc0-characterize", "pv-sigma-tox", "pv-t-ox", "reset-voltage",
+        "sigma-b", "sigma-d"])
+def test_extreme_floats_are_one_line_errors(tmp_path, capsys, text, command):
+    # Floats that pass the key table but overflow, or divide by zero, in the
+    # device or fusion model; numpy warnings would be errors here, as under
+    # python -W error.
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(bad), "--out-dir", str(out), command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_array_multiplicity_must_match_the_level_count(tmp_path, capsys):
@@ -701,8 +726,12 @@ def test_negative_device_values_are_config_errors(tmp_path, capsys, section, key
     ("array", "levels", "1.5", "array-report", "must lie in (0, 1]"),
     ("array", "levels", "0", "array-report", "must lie in (0, 1]"),
     ("array", "levels", "0.5,0.25", "array-report", "must be strictly increasing"),
+    ("report", "characterize_voltages", "0", "sbg-characterize", "must be strictly positive"),
+    ("report", "characterize_voltages", "-1", "sbg-characterize", "must be strictly positive"),
+    ("report", "characterize_durations", "-1", "sbg-characterize", "must be at least 0"),
 ], ids=["sweep_probs", "scc_probs", "scc_cross", "levels-above", "levels-zero",
-        "levels-order"])
+        "levels-order", "characterize-voltage-zero", "characterize-voltage-negative",
+        "characterize-duration-negative"])
 def test_probabilities_out_of_range_are_config_errors(tmp_path, capsys, section, key, value,
                                                       command, message):
     bad = tmp_path / "bad.cfg"
@@ -738,3 +767,47 @@ def test_float_keys_refuse_non_finite_text(tmp_path, capsys, section, key, value
     assert capsys.readouterr().err == \
         f"configuration error: [{section}] {key} = {text!r}: must be finite\n"
     assert not out.exists()
+
+
+# Config-driven commands (allocate also reads a netlist and an assignment).
+CONFIG_COMMANDS = ["sbg-characterize", "array-report", "scc-report", "fusion-run",
+                   "cost-report", "pv-sweep", "kl-sweep"]
+VALUE_TOKENS = ["0", "-1", "-0", "1", "2", "0.5", "1e-320", "1e-308", "1e308", "nan", "inf",
+                "-inf", "", "abc", "4y4", "4x4", "true", "simple", "0.2,0.6", "1,2,3",
+                "0.1,0.5;0.3,0.9", "0,0;0,32;32,0", "1e308,1e-308"]
+# Small report settings, so a case runs in milliseconds unless it draws them.
+FUZZ_REPORT = {"scc_pairs": "2", "scc_lengths": "16", "sweep_repeats": "2",
+               "sweep_lengths": "16"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.dictionaries(st.sampled_from(sorted(KEYS)), st.sampled_from(VALUE_TOKENS),
+                                 min_size=1, max_size=3),
+       command=st.sampled_from(CONFIG_COMMANDS))
+@example(values={("device", "vc0_ap2p"): "1e-308"}, command="sbg-characterize")
+@example(values={("fusion", "sigma_b"): "1e-308"}, command="fusion-run")
+def test_fuzzed_config_text(values, command):
+    # Any values of one to three keys end in exit 0, or in exit 1 or 2 with
+    # one stderr line, no warning printed before it and no output directory;
+    # no exception escapes.
+    sections = {"report": dict(FUZZ_REPORT)}
+    for (section, key), value in values.items():
+        sections.setdefault(section, {})[key] = value
+    text = "".join(f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+                   for section, keys in sections.items())
+    grid = [] if ("fusion", "grid") in values else ["--grid", "4x4"]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp, "f.cfg"), Path(tmp, "o")
+        cfg.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(io.StringIO()), redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["--config", str(cfg), "--out-dir", str(out), *grid, command])
+        if code == 0:
+            assert err.getvalue() == ""
+        else:
+            assert code in (1, 2)
+            assert err.getvalue().endswith("\n") and err.getvalue().count("\n") == 1
+            assert not caught
+            assert not out.exists()

@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 from hypothesis import example, given, strategies as st
 
-from spinsc import fusion
+from spinsc import fusion, sbg
 from spinsc.device import draw_process_variation
 from spinsc.fusion import FusionPipeline, make_problem
-from spinsc.sbg import CalibrationCache, SbgDevice, SbgMode, make_units
+from spinsc.sbg import SbgDevice, SbgMode, make_units
 from spinsc.seeding import DOMAIN_DEVICE, DOMAIN_PROCESS_VARIATION, rng_for, rngs_for
 
 EDGE_IDS = [0, 2**32 - 1, 2**32, 2**40 + 7]
@@ -67,20 +67,20 @@ def test_pipeline_runs_calibrate_once(monkeypatch):
         rows.append(real_generate(units, n))
         return rows[-1]
 
-    lookups = []
-    real_voltage = CalibrationCache.voltage
+    calls = []
+    real_calibrate = sbg.calibrate_voltage
 
-    def counting_voltage(self, *args):
-        lookups.append(args)
-        return real_voltage(self, *args)
+    def counting_calibrate(*args):
+        calls.append(args)
+        return real_calibrate(*args)
 
     monkeypatch.setattr(fusion, "generate_array", recording_generate)
-    monkeypatch.setattr(CalibrationCache, "voltage", counting_voltage)
+    monkeypatch.setattr(sbg, "calibrate_voltage", counting_calibrate)
     first_grid, first_stats = pipeline.run(64, 11)
-    first_lookups = len(lookups)
+    first_calls = len(calls)
     second_grid, second_stats = pipeline.run(64, 11)
-    assert first_lookups > 0
-    assert len(lookups) == first_lookups
+    assert first_calls > 0
+    assert len(calls) == first_calls
     np.testing.assert_array_equal(rows[0], rows[1])
     np.testing.assert_array_equal(first_grid.weights, second_grid.weights)
     assert first_stats == second_stats
