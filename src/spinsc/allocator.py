@@ -1,9 +1,12 @@
 """Switch-matrix allocation over a sized generator array.
 
-The switch controller walks the conflict sets in order and hands every
-terminal the first free generator row of its probability level, re-using
-rows across non-conflicting terminals.  Row choices avoid all conflict-graph
-neighbors of a terminal, so a produced matrix is legal by construction; a
+The matrix's columns are the logic inputs, numbered 0 .. N'-1: column j
+requests probability level levels[j], and a conflict set holds the column
+indices that must come from independent generators.  The switch controller
+walks the conflict sets in order, each set's columns in ascending order, and
+hands every column the first free generator row of its level, re-using rows
+across non-conflicting columns.  Row choices avoid all conflict-graph
+neighbors of a column, so a produced matrix is legal by construction; a
 conflict set that needs more rows of one level than the array provides
 raises CapacityExceeded.
 
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Iterable
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -33,12 +36,12 @@ class CapacityExceeded(RuntimeError):
 
 
 class UnknownLevel(KeyError):
-    """An assignment value is not one of the array's probability levels."""
+    """A requested level is not one of the array's probability levels."""
 
 
 @dataclass(frozen=True)
 class SwitchMatrix:
-    """M x N' binary control matrix: rows are generators, columns terminals.
+    """M x N' binary control matrix: rows are generators, columns logic inputs.
 
     Row i corresponds to the i-th unit of the array built from the same
     SbgArraySpec (level-major order, the order build_array emits).
@@ -46,97 +49,74 @@ class SwitchMatrix:
 
     control: np.ndarray          # uint8, shape (M, N')
     row_levels: tuple[float, ...]
-    col_terminals: tuple[str, ...]
 
     @property
     def num_rows(self) -> int:
         return int(self.control.shape[0])
 
 
+def allocate(levels: Sequence[float], spec: SbgArraySpec,
+             conflict_sets: list[Collection[int]]) -> SwitchMatrix:
+    """Produce the control matrix for one (already quantized) request:
+    column j takes a row of level levels[j].
 
-def _set_walk(conflict_sets: list[frozenset[str]],
-              terminal_order: list[str]) -> Iterable[str]:
-    """The switch controller's visit order: each conflict set's members in
-    terminal_order, set by set, then every terminal (first_fit skips the
-    ones already placed)."""
-    rank = {t: i for i, t in enumerate(terminal_order)}
-    return chain(chain.from_iterable(sorted(group, key=rank.__getitem__)
-                                     for group in conflict_sets), terminal_order)
-
-
-def allocate(assignment: dict[str, float], spec: SbgArraySpec,
-             conflict_sets: list[frozenset[str]],
-             terminal_order: list[str]) -> SwitchMatrix:
-    """Produce the control matrix for one (already quantized) assignment;
-    column j is terminal_order[j].
-
-    Each terminal takes its first-fit slot within its level, conflict sets
-    walked in input order and terminals within a set in terminal order, so
+    Each column takes its first-fit slot within its level, conflict sets
+    walked in input order and each set's columns in ascending order, so
     identical inputs always yield identical matrices.  A level's rows are
     contiguous (level-major), so slot s of a level is the row s past its
-    first.  The first terminal, in placement order, whose slot exceeds its
+    first.  The first column, in placement order, whose slot exceeds its
     level's rows raises CapacityExceeded.
     """
-    known = set(terminal_order)
-    if known != set(assignment):
-        raise ValueError("terminal order must cover exactly the assignment keys")
-    for group in conflict_sets:
-        missing = group - known
-        if missing:
-            raise ValueError(f"conflict set members missing from assignment: {sorted(missing)}")
+    columns = len(levels)
+    outside = set().union(*conflict_sets).difference(range(columns))
+    if outside:
+        raise ValueError(f"conflict sets name columns outside [0, {columns}): {sorted(outside)}")
     first = dict(zip(spec.levels, accumulate((0,) + spec.multiplicity)))
     rows = dict(zip(spec.levels, spec.multiplicity))
-    for t, lvl in assignment.items():
+    for j, lvl in enumerate(levels):
         if lvl not in rows:
-            raise UnknownLevel(f"terminal {t!r} requests {lvl}, not an array level")
+            raise UnknownLevel(f"column {j} requests {lvl}, not an array level")
 
-    slots = first_fit(_set_walk(conflict_sets, terminal_order), conflict_sets, assignment)
-    for t, slot in slots.items():
-        lvl = assignment[t]
+    walk = chain(chain.from_iterable(map(sorted, conflict_sets)), range(columns))
+    slots = first_fit(walk, conflict_sets, levels)
+    for j, slot in slots.items():
+        lvl = levels[j]
         if slot >= rows[lvl]:
             raise CapacityExceeded(
                 lvl, f"conflict sets demand more than {rows[lvl]} rows of level {lvl}")
-    control = np.zeros((spec.total_units, len(terminal_order)), dtype=np.uint8)
-    for j, t in enumerate(terminal_order):
-        control[first[assignment[t]] + slots[t], j] = 1
+    control = np.zeros((spec.total_units, columns), dtype=np.uint8)
+    for j, lvl in enumerate(levels):
+        control[first[lvl] + slots[j], j] = 1
     control.flags.writeable = False
-    return SwitchMatrix(control=control,
-                        row_levels=tuple(spec.row_levels()),
-                        col_terminals=tuple(terminal_order))
+    return SwitchMatrix(control=control, row_levels=tuple(spec.row_levels()))
 
 
-def verify_allocation(matrix: SwitchMatrix,
-                      conflict_sets: list[frozenset[str]],
-                      assignment: dict[str, float]) -> list[str]:
+def verify_allocation(matrix: SwitchMatrix, conflict_sets: list[Collection[int]],
+                      levels: Sequence[float]) -> list[str]:
     """Standalone legality check; returns human-readable violations.
 
     Checks, from the matrix alone: every column selects exactly one row; no
-    two members of one conflict set share a row; every terminal's row
-    generates its requested probability level.
+    two columns of one conflict set share a row; every column's row
+    generates its requested level levels[j].
     """
-    problems: list[str] = []
-    col_sums = matrix.control.sum(axis=0)
-    for j, s in enumerate(col_sums):
-        if s != 1:
-            problems.append(f"column {matrix.col_terminals[j]!r} selects {int(s)} rows")
+    problems = [f"column {j} selects {s} rows"
+                for j, s in enumerate(matrix.control.sum(axis=0).tolist()) if s != 1]
     if problems:
         return problems
 
-    row_of = dict(zip(matrix.col_terminals, np.argmax(matrix.control, axis=0).tolist()))
+    row_of = np.argmax(matrix.control, axis=0).tolist()
     for group in conflict_sets:
-        seen: dict[int, str] = {}
-        for t in sorted(group):
-            row = row_of[t]
+        seen: dict[int, int] = {}
+        for j in sorted(group):
+            row = row_of[j]
             if row in seen:
-                problems.append(
-                    f"conflicting terminals {seen[row]!r} and {t!r} share row {row}")
+                problems.append(f"conflicting columns {seen[row]} and {j} share row {row}")
             else:
-                seen[row] = t
-    for t, lvl in assignment.items():
-        if matrix.row_levels[row_of[t]] != lvl:
+                seen[row] = j
+    for j, (lvl, row) in enumerate(zip(levels, row_of, strict=True)):
+        if matrix.row_levels[row] != lvl:
             problems.append(
-                f"terminal {t!r} requests {lvl} but row {row_of[t]} generates "
-                f"{matrix.row_levels[row_of[t]]}")
+                f"column {j} requests {lvl} but row {row} generates {matrix.row_levels[row]}")
     return problems
 
 

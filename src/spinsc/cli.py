@@ -22,7 +22,7 @@ import numpy as np
 from . import allocator, cost, experiments, fusion
 from .config import ConfigError, RunConfig, apply, load_config
 from .device import WriteDirection, characterization_rows
-from .logic import ScNetlist, cluster_terminals, clusters_of, extract_conflict_sets
+from .logic import ScNetlist, cluster_terminals, extract_conflict_sets
 from .sbg import SbgArraySpec, SbgMode, build_array, generate_array
 
 # Transistor count per self-control generator cell, used for K_cmos.
@@ -138,24 +138,20 @@ def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
         raise ConfigError(f"assignment names terminals the netlist lacks: {unknown}")
 
     conflict_sets = extract_conflict_sets(net)
-    by_value: dict[float, list[str]] = {}
-    for t in net.terminals:
-        by_value.setdefault(assignment[t], []).append(t)
-    classes = [members for _, members in sorted(by_value.items())]
-    cluster_map = cluster_terminals(net, conflict_sets, classes)
-    clusters = clusters_of(cluster_map)
-    cluster_assignment = {cid: assignment[members[0]] for cid, members in clusters.items()}
-    # The classes are the levels, and the clusters of one class pairwise
-    # conflict (cluster_terminals opens a new one only for a terminal that
-    # conflicts with every earlier one), so each cluster takes its own row.
-    per_level = Counter(cluster_assignment.values())
+    cluster_of = cluster_terminals(net, conflict_sets, assignment)
+    col_levels = [0.0] * len(set(cluster_of.values()))
+    for t, k in cluster_of.items():
+        col_levels[k] = assignment[t]
+    # The clusters of one level pairwise conflict (cluster_terminals opens a
+    # new one only for a terminal that conflicts with every earlier one), so
+    # each cluster takes its own row.
+    per_level = Counter(col_levels)
     if not per_level:
         raise ValueError("at least one level is required")
     levels = tuple(sorted(per_level))
     spec = SbgArraySpec(levels, tuple(per_level[lvl] for lvl in levels), cfg.array.mode)
     matrix = allocator.allocate(
-        cluster_assignment, spec,
-        [frozenset(cluster_map[t] for t in group) for group in conflict_sets], list(clusters))
+        col_levels, spec, [{cluster_of[t] for t in group} for group in conflict_sets])
 
     matrix_path = out / "matrix.csv"
     entries = [(int(r), int(c)) for r, c in zip(*np.nonzero(matrix.control))]
@@ -163,7 +159,7 @@ def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
 
     m = spec.total_units
     n_terminals = len(net.terminals)
-    n_prime = len(clusters)
+    n_prime = len(col_levels)
     k_energy, k_cmos = allocator.cost_metrics(T_PER_SBG, n_terminals, m, n_prime)
     summary_path = out / "allocate_summary.csv"
     write_csv(summary_path, ["m", "n_terminals", "n_clustered", "k_energy", "k_cmos"],

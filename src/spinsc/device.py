@@ -70,6 +70,9 @@ class MtjParams:
                 raise ValueError(f"{name} must be strictly positive")
         if not 0.0 < self.sigma_rel < 1.0:
             raise ValueError("sigma_rel must lie in (0, 1)")
+        if not 0.0 < self.r_p <= self.r_ap < math.inf:
+            raise ValueError(f"resistances r_p = {self.r_p:g} and r_ap = {self.r_ap:g} ohm "
+                             "must be positive and finite")
 
     @property
     def area_um2(self) -> float:

@@ -250,15 +250,13 @@ class FusionPipeline:
         per_level = np.zeros(values.size, dtype=np.int64)
         np.maximum.at(per_level, level_ids, rank + 1)
         cluster_ids = (np.cumsum(per_level) - per_level)[level_ids] + rank
-        names = [f"C{k}" for k in range(int(per_level.sum()))]
-        cluster_assignment = dict(zip(names, np.repeat(values, per_level).tolist()))
-        unique_sets = dict.fromkeys(map(tuple, np.sort(cluster_ids, axis=1).tolist()))
-        self.cluster_sets = [frozenset(names[k] for k in row) for row in unique_sets]
+        self.cluster_sets = list(dict.fromkeys(map(tuple, np.sort(cluster_ids, axis=1).tolist())))
 
         # The clusters of one level pairwise conflict (the cell that opens
         # cluster `rank` holds ranks 0 .. rank), so each takes its own row.
         self.spec = SbgArraySpec(tuple(values.tolist()), tuple(per_level.tolist()), mode)
-        self.matrix = allocator.allocate(cluster_assignment, self.spec, self.cluster_sets, names)
+        self.matrix = allocator.allocate(np.repeat(values, per_level).tolist(), self.spec,
+                                         self.cluster_sets)
         # Row index of each cell terminal, cells in (x, y) order.
         self.cell_rows = np.argmax(self.matrix.control, axis=0)[cluster_ids]
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
-from typing import Hashable, Iterable, Mapping
+from typing import Collection, Hashable, Iterable, Mapping, Sequence
 
 
 class CyclicNetlist(ValueError):
@@ -268,9 +268,9 @@ def extract_conflict_sets(net: ScNetlist) -> list[frozenset[str]]:
     return keep
 
 
-def conflict_neighbors(conflict_sets: list[frozenset[str]]) -> dict[str, set[str]]:
+def conflict_neighbors(conflict_sets: list[Collection[Hashable]]) -> dict[Hashable, set]:
     """Adjacency of the conflict graph implied by the sets (cliques)."""
-    adj: dict[str, set[str]] = {}
+    adj: dict[Hashable, set] = {}
     for group in conflict_sets:
         for t in group:
             adj.setdefault(t, set()).update(group)
@@ -279,16 +279,17 @@ def conflict_neighbors(conflict_sets: list[frozenset[str]]) -> dict[str, set[str
     return adj
 
 
-def first_fit(order: Iterable[str], conflict_sets: list[frozenset[str]],
-              key: Mapping[str, Hashable]) -> dict[str, int]:
-    """Greedy slots: walking order, each terminal takes the lowest slot that
+def first_fit(order: Iterable[Hashable], conflict_sets: list[Collection[Hashable]],
+              key: Mapping | Sequence) -> dict[Hashable, int]:
+    """Greedy slots: walking order, each member takes the lowest slot that
     no already placed conflict neighbor with the same key holds.
 
-    A terminal visited twice keeps its first slot; the result lists the
-    terminals in placement order.
+    Members are terminal names or column indices, and key[member] is the
+    member's level.  A member visited twice keeps its first slot; the result
+    lists the members in placement order.
     """
     adj = conflict_neighbors(conflict_sets)
-    slot: dict[str, int] = {}
+    slot: dict[Hashable, int] = {}
     for t in order:
         if t in slot:
             continue
@@ -301,32 +302,20 @@ def first_fit(order: Iterable[str], conflict_sets: list[frozenset[str]],
 
 
 def cluster_terminals(net: ScNetlist, conflict_sets: list[frozenset[str]],
-                      same_input_classes: list[list[str]]) -> dict[str, str]:
-    """Merge terminals that always share one digital input and never conflict.
+                      level_of: Mapping[str, float]) -> dict[str, int]:
+    """Merge same-level terminals that never conflict into one cluster.
 
-    same_input_classes must partition the netlist terminals.  Returns a map
-    terminal -> cluster id: a terminal joins the first cluster of its class
+    level_of gives every netlist terminal its level.  Returns a map
+    terminal -> cluster id: a terminal joins the first cluster of its level
     that holds none of its conflict neighbors (first_fit in netlist order),
-    cluster ids count up class by class, and the map lists the terminals
-    class by class, each class in netlist order.
+    cluster ids count up level by level in ascending order, and the map
+    lists the terminals level by level, each level in netlist order.
     """
-    flat = [t for cls in same_input_classes for t in cls]
-    if sorted(flat) != sorted(net.terminals) or len(flat) != len(set(flat)):
-        raise ValueError("same_input_classes must partition the terminals")
-
-    class_of = {t: k for k, cls in enumerate(same_input_classes) for t in cls}
-    slot = first_fit(net.terminals, conflict_sets, class_of)
-    count = [0] * len(same_input_classes)
+    if level_of.keys() != set(net.terminals):
+        raise ValueError("level_of must give exactly the netlist terminals a level")
+    slot = first_fit(net.terminals, conflict_sets, level_of)
+    count = dict.fromkeys(sorted(set(level_of.values())), 0)
     for t, s in slot.items():
-        count[class_of[t]] = max(count[class_of[t]], s + 1)
-    offset = [0, *accumulate(count)]
-    return {t: f"C{offset[class_of[t]] + slot[t]}"
-            for t in sorted(slot, key=class_of.__getitem__)}
-
-
-def clusters_of(mapping: dict[str, str]) -> dict[str, list[str]]:
-    """Inverse of a cluster map, members in insertion order."""
-    inv: dict[str, list[str]] = {}
-    for t, cid in mapping.items():
-        inv.setdefault(cid, []).append(t)
-    return inv
+        count[level_of[t]] = max(count[level_of[t]], s + 1)
+    offset = dict(zip(count, accumulate(count.values(), initial=0)))
+    return {t: offset[level_of[t]] + slot[t] for t in sorted(slot, key=level_of.__getitem__)}

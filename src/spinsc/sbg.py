@@ -249,8 +249,11 @@ def generate_array(array: SbgArray, n: int) -> np.ndarray:
               for k in range(1 if simple else 2)]
     bits = np.empty((len(array), n), dtype=np.uint8)
     step = max(1, _BLOCK_BITS // n)
-    for first in range(0, len(array), step):
-        bits[first:first + step] = _generate_block(array[first:first + step], n, reset, writes)
+    # An extreme junction (a tiny RA product, a huge read energy) would
+    # otherwise end in warnings and infinite energies.
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for first in range(0, len(array), step):
+            bits[first:first + step] = _generate_block(array[first:first + step], n, reset, writes)
     return bits
 
 

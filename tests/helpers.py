@@ -5,11 +5,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import product as iter_product
+from itertools import chain, product as iter_product
 
 import numpy as np
 
-from spinsc.allocator import SwitchMatrix, _set_walk, allocate
+from spinsc.allocator import SwitchMatrix, allocate
 from spinsc.device import MtjParams, PulseSpec, WriteDirection, base_switching_time
 from spinsc.fusion import (
     CHANNELS,
@@ -24,7 +24,6 @@ from spinsc.logic import (
     Product,
     ScNetlist,
     cluster_terminals,
-    clusters_of,
     conflict_neighbors,
     extract_conflict_sets,
     first_fit,
@@ -271,16 +270,16 @@ def random_assignment(rng: np.random.Generator, net: ScNetlist,
 
 
 def cluster_terminals_per_class(net: ScNetlist, conflict_sets: list[frozenset[str]],
-                                same_input_classes: list[list[str]]) -> dict[str, str]:
+                                same_input_classes: list[list[str]]) -> dict[str, int]:
     """Oracle for logic.cluster_terminals: class by class, each terminal in
     netlist order joins the first earlier cluster of its class that holds
     none of its conflict neighbors, or opens the next cluster id."""
     adj = conflict_neighbors(conflict_sets)
     order = {t: i for i, t in enumerate(net.terminals)}
-    mapping: dict[str, str] = {}
+    mapping: dict[str, int] = {}
     next_cluster = 0
     for cls in same_input_classes:
-        clusters: list[tuple[str, set[str]]] = []  # (cluster id, members)
+        clusters: list[tuple[int, set[str]]] = []  # (cluster id, members)
         for t in sorted(cls, key=order.__getitem__):
             neighbors = adj.get(t, set())
             for cid, members in clusters:
@@ -289,7 +288,7 @@ def cluster_terminals_per_class(net: ScNetlist, conflict_sets: list[frozenset[st
                     mapping[t] = cid
                     break
             else:
-                cid = f"C{next_cluster}"
+                cid = next_cluster
                 next_cluster += 1
                 clusters.append((cid, {t}))
                 mapping[t] = cid
@@ -421,24 +420,37 @@ def scalar_generate(array: SbgArray, row: int, n: int) -> np.ndarray:
     return np.array(bits, dtype=np.uint8)
 
 
-def size_array(assignment: dict[str, float],
-               conflict_sets: list[frozenset[str]],
-               terminal_order: list[str],
+def size_array(levels: list[float], conflict_sets: list[set[int]],
                mode: SbgMode) -> SbgArraySpec:
-    """Per-level multiplicities phi(i) for one assignment of array levels.
+    """Per-level multiplicities phi(i) for the columns' levels.
 
-    One first-fit pass with unbounded rows: each level of the assignment
+    One first-fit pass with unbounded rows, in allocate's walk: each level
     gets exactly the rows the switch controller consumes, its highest slot
     plus one, which always covers the worst per-set demand.
     """
-    levels = tuple(sorted(set(assignment.values())))
-    if not levels:
+    need = dict.fromkeys(sorted(set(levels)), 0)
+    if not need:
         raise ValueError("at least one level is required")
-    need = dict.fromkeys(levels, 0)
-    slots = first_fit(_set_walk(conflict_sets, terminal_order), conflict_sets, assignment)
-    for t, slot in slots.items():
-        need[assignment[t]] = max(need[assignment[t]], slot + 1)
-    return SbgArraySpec(levels, tuple(need.values()), mode)
+    walk = chain(chain.from_iterable(map(sorted, conflict_sets)), range(len(levels)))
+    for j, slot in first_fit(walk, conflict_sets, levels).items():
+        need[levels[j]] = max(need[levels[j]], slot + 1)
+    return SbgArraySpec(tuple(need), tuple(need.values()), mode)
+
+
+def as_columns(assignment: dict[str, float], conflict_sets: list[frozenset[str]],
+               order: list[str]) -> tuple[list[float], list[set[int]]]:
+    """allocate's levels and conflict sets for named terminals, column j
+    standing for terminal order[j]."""
+    col = {t: j for j, t in enumerate(order)}
+    return [assignment[t] for t in order], [{col[t] for t in group} for group in conflict_sets]
+
+
+def clusters_of(mapping: dict[str, int]) -> dict[int, list[str]]:
+    """Inverse of a cluster map, members in insertion order."""
+    inv: dict[int, list[str]] = {}
+    for t, cid in mapping.items():
+        inv.setdefault(cid, []).append(t)
+    return inv
 
 
 def terminal_name(x: int, y: int, channel: str) -> str:
@@ -481,33 +493,25 @@ def generic_fusion_plan(problem: FusionProblem, level_count: int = 64,
     """
     net, assignment = build_sc_network(problem, level_count)
     conflict_sets = extract_conflict_sets(net)
-    by_level: dict[float, list[str]] = {}
-    for t in net.terminals:
-        by_level.setdefault(assignment[t], []).append(t)
-    classes = [members for _, members in sorted(by_level.items())]
-    cluster_map = cluster_terminals(net, conflict_sets, classes)
-    clusters = clusters_of(cluster_map)
-    order = list(clusters)
-    cluster_assignment = {cid: assignment[members[0]] for cid, members in clusters.items()}
-    cluster_sets = [frozenset(cluster_map[t] for t in group) for group in conflict_sets]
-    spec = size_array(cluster_assignment, cluster_sets, order, mode)
-    matrix = allocate(cluster_assignment, spec, cluster_sets, order)
+    cluster_of = cluster_terminals(net, conflict_sets, assignment)
+    levels = [assignment[members[0]] for members in clusters_of(cluster_of).values()]
+    cluster_sets = [{cluster_of[t] for t in group} for group in conflict_sets]
+    spec = size_array(levels, cluster_sets, mode)
+    matrix = allocate(levels, spec, cluster_sets)
 
-    col_of = {cid: j for j, cid in enumerate(matrix.col_terminals)}
     row_of_col = np.argmax(matrix.control, axis=0)
-    cell_rows = np.array([[row_of_col[col_of[cluster_map[terminal_name(x, y, ch)]]]
+    cell_rows = np.array([[row_of_col[cluster_of[terminal_name(x, y, ch)]]
                            for ch in CHANNELS]
                           for x in range(problem.grid_w) for y in range(problem.grid_h)],
                          dtype=np.int64)
-    return spec, matrix, cell_rows, len(clusters)
+    return spec, matrix, cell_rows, len(levels)
 
 
-def row_of(matrix: SwitchMatrix, terminal: str) -> int:
-    """The one row a terminal's column selects; ValueError if not one."""
-    j = matrix.col_terminals.index(terminal)
+def row_of(matrix: SwitchMatrix, j: int) -> int:
+    """The one row column j selects; ValueError if not one."""
     rows = np.flatnonzero(matrix.control[:, j])
     if rows.size != 1:
-        raise ValueError(f"column {terminal!r} has {rows.size} active rows")
+        raise ValueError(f"column {j} has {rows.size} active rows")
     return int(rows[0])
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import rows_in_use, scc, size_array
+from helpers import as_columns, rows_in_use, scc, size_array
 from conftest import REFERENCE_ASSIGNMENT, REFERENCE_NETLIST
 from spinsc.allocator import (
     CapacityExceeded,
@@ -93,11 +93,12 @@ def test_criterion_04_conflict_extraction_golden():
     assert sets == [frozenset({"T1", "T2", "T5"}),
                     frozenset({"T3", "T4", "T5"}),
                     frozenset({"T6", "T7", "T8", "T9"})]
-    spec = size_array(REFERENCE_ASSIGNMENT, sets, net.terminals, SbgMode.SELF_CONTROL)
-    matrix = allocate(REFERENCE_ASSIGNMENT, spec, sets, net.terminals)
+    levels, columns = as_columns(REFERENCE_ASSIGNMENT, sets, net.terminals)
+    spec = size_array(levels, columns, SbgMode.SELF_CONTROL)
+    matrix = allocate(levels, spec, columns)
     assert spec.total_units == 7
     assert len(rows_in_use(matrix)) == 7
-    assert verify_allocation(matrix, sets, REFERENCE_ASSIGNMENT) == []
+    assert verify_allocation(matrix, columns, levels) == []
     report(4, "reference netlist yields the three conflict sets and M = 7")
 
 
@@ -113,9 +114,10 @@ def test_criterion_05_allocation_legality_property():
         levels = sorted(rng.choice(levels_pool, size=n_levels, replace=False))
         assignment = helpers.random_assignment(rng, net, [float(v) for v in levels])
 
-        spec = size_array(assignment, sets, net.terminals, SbgMode.SELF_CONTROL)
-        matrix = allocate(assignment, spec, sets, net.terminals)
-        assert verify_allocation(matrix, sets, assignment) == []
+        col_levels, columns = as_columns(assignment, sets, net.terminals)
+        spec = size_array(col_levels, columns, SbgMode.SELF_CONTROL)
+        matrix = allocate(col_levels, spec, columns)
+        assert verify_allocation(matrix, columns, col_levels) == []
         checked += 1
 
         # Per-set demand per level; undersizing any level below its worst
@@ -135,7 +137,7 @@ def test_criterion_05_allocation_legality_property():
                 for lvl, m in zip(spec.levels, spec.multiplicity))
             undersized = SbgArraySpec(spec.levels, multiplicity, spec.mode)
             with pytest.raises(CapacityExceeded):
-                allocate(assignment, undersized, sets, net.terminals)
+                allocate(col_levels, undersized, columns)
             capacity_probes += 1
     assert checked == 1000
     assert capacity_probes > 100

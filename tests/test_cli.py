@@ -133,8 +133,10 @@ def test_write_duration_below_the_default(tmp_path, capsys, command):
     ("[device]\nreset_voltage = 1e308\n", "array-report"),
     ("[fusion]\nsigma_b = 1e-308\n", "fusion-run"),
     ("[fusion]\nsigma_d_base = 1e-320\nsigma_d_slope = 0\n", "fusion-run"),
+    ("[device]\nra = 1e-320\n", "array-report"),
+    ("[run]\npv_sigma_area = 1e308\n", "pv-sweep"),
 ], ids=["vc0-array-report", "vc0-characterize", "pv-sigma-tox", "pv-t-ox", "reset-voltage",
-        "sigma-b", "sigma-d"])
+        "sigma-b", "sigma-d", "ra", "pv-sigma-area"])
 def test_extreme_floats_are_one_line_errors(tmp_path, capsys, text, command):
     # Floats that pass the key table but overflow, or divide by zero, in the
     # device or fusion model; numpy warnings would be errors here, as under
@@ -203,14 +205,14 @@ def test_command_allocates_once_positionally(tmp_path, config_path, monkeypatch,
     inputs = {"fusion-run": ["fusion-run"], "kl-sweep": ["kl-sweep"],
               "allocate": ["allocate", "--netlist", netlist, "--assignment", assignment]}
     run_cli("--config", config_path, "--out-dir", tmp_path / "out", *inputs[command])
-    # One positional call, so that a caller's hook sees (assignment, spec, sets, order);
+    # One positional call, so that a caller's hook sees (levels, spec, sets);
     # kl-sweep runs both process-variation passes on one prepared pipeline.
     [(args, kwargs, matrix)] = calls
-    assert kwargs == {} and len(args) == 4
-    cluster_assignment, spec, sets, order = args
+    assert kwargs == {} and len(args) == 3
+    levels, spec, sets = args
     assert matrix.num_rows == spec.total_units
-    assert matrix.col_terminals == tuple(order)
-    assert verify_allocation(matrix, sets, cluster_assignment) == []
+    assert matrix.control.shape[1] == len(levels)
+    assert verify_allocation(matrix, sets, levels) == []
 
 
 def test_allocate_empty_netlist_is_one_line_error(tmp_path, config_path, capsys):
@@ -786,10 +788,13 @@ FUZZ_REPORT = {"scc_pairs": "2", "scc_lengths": "16", "sweep_repeats": "2",
        command=st.sampled_from(CONFIG_COMMANDS))
 @example(values={("device", "vc0_ap2p"): "1e-308"}, command="sbg-characterize")
 @example(values={("fusion", "sigma_b"): "1e-308"}, command="fusion-run")
+@example(values={("device", "ra"): "1e-308"}, command="array-report")
+@example(values={("device", "length"): "1e308"}, command="fusion-run")
+@example(values={("device", "read_energy"): "1e308"}, command="kl-sweep")
 def test_fuzzed_config_text(values, command):
     # Any values of one to three keys end in exit 0, or in exit 1 or 2 with
-    # one stderr line, no warning printed before it and no output directory;
-    # no exception escapes.
+    # one stderr line and no output directory; no warning is recorded either
+    # way, and no exception escapes.
     sections = {"report": dict(FUZZ_REPORT)}
     for (section, key), value in values.items():
         sections.setdefault(section, {})[key] = value
@@ -804,10 +809,10 @@ def test_fuzzed_config_text(values, command):
                 redirect_stdout(io.StringIO()), redirect_stderr(err):
             warnings.simplefilter("always")
             code = main(["--config", str(cfg), "--out-dir", str(out), *grid, command])
+        assert not caught
         if code == 0:
             assert err.getvalue() == ""
         else:
             assert code in (1, 2)
             assert err.getvalue().endswith("\n") and err.getvalue().count("\n") == 1
-            assert not caught
             assert not out.exists()

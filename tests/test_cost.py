@@ -77,7 +77,7 @@ def test_k_energy_identity_with_run_scale():
     problem = make_problem(grid_w=16, grid_h=16)
     pipeline = FusionPipeline(problem)
     k_energy, _ = cost_metrics(92, pipeline.num_terminals, pipeline.num_units,
-                               len(pipeline.matrix.col_terminals))
+                               pipeline.matrix.control.shape[1])
     assert k_energy == pipeline.num_units / pipeline.num_terminals
 
 

@@ -38,6 +38,9 @@ def test_params_validation():
         MtjParams(tmr=-1.0)
     with pytest.raises(ValueError):
         MtjParams(sigma_rel=1.5)
+    for extreme in ({"length": 1e308}, {"tmr": 1e308}):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            MtjParams(**extreme)
     with pytest.raises(ValueError):
         PulseSpec(-0.1, 1.0, WriteDirection.P_TO_AP)
 

@@ -152,10 +152,11 @@ def test_pipeline_matches_generic_preparation(grid, level_count, noise, mode):
     assert pipeline.spec == spec
     assert np.array_equal(pipeline.matrix.control, matrix.control)
     assert pipeline.matrix.row_levels == matrix.row_levels
-    assert pipeline.matrix.col_terminals == matrix.col_terminals
     assert np.array_equal(pipeline.cell_rows, cell_rows)
     assert pipeline.cell_rows.dtype == cell_rows.dtype
-    assert len(pipeline.matrix.col_terminals) == num_clusters
+    assert pipeline.matrix.control.shape[1] == num_clusters
+    # Each cluster takes its own row, in order: the matrix is the identity.
+    assert np.array_equal(pipeline.matrix.control, np.eye(spec.total_units, dtype=np.uint8))
     assert pipeline.num_terminals == 6 * grid[0] * grid[1]
 
 
@@ -283,7 +284,7 @@ def test_cluster_count_bounded_by_levels_times_set_size():
     problem = make_problem(grid_w=32, grid_h=32)
     pipeline = FusionPipeline(problem)
     assert pipeline.num_terminals == 6144
-    assert len(pipeline.matrix.col_terminals) <= 64 * 6
+    assert pipeline.matrix.control.shape[1] <= 64 * 6
     assert pipeline.num_units <= 64 * 6
     for group in pipeline.cluster_sets:
         assert len(group) == 6  # clustering never merges within a cell

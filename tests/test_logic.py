@@ -10,7 +10,6 @@ from spinsc.logic import (
     Product,
     ScNetlist,
     cluster_terminals,
-    clusters_of,
     expand_products,
     extract_conflict_sets,
     first_fit,
@@ -140,10 +139,7 @@ def test_unknown_reference_detection():
 def test_cluster_reference_example(reference_netlist_text, reference_assignment):
     net = ScNetlist.parse(reference_netlist_text)
     sets = extract_conflict_sets(net)
-    by_value = {}
-    for t in net.terminals:
-        by_value.setdefault(reference_assignment[t], []).append(t)
-    mapping = cluster_terminals(net, sets, list(by_value.values()))
+    mapping = cluster_terminals(net, sets, reference_assignment)
     # T1 and T3 merge; the conflicting T5 stays apart; T4/T8 merge, T9 not.
     assert mapping["T1"] == mapping["T3"]
     assert mapping["T5"] != mapping["T1"]
@@ -155,14 +151,14 @@ def test_cluster_reference_example(reference_netlist_text, reference_assignment)
 def test_cluster_identity_for_singletons(reference_netlist_text):
     net = ScNetlist.parse(reference_netlist_text)
     sets = extract_conflict_sets(net)
-    mapping = cluster_terminals(net, sets, [[t] for t in net.terminals])
+    mapping = cluster_terminals(net, sets, {t: k for k, t in enumerate(net.terminals)})
     assert len(set(mapping.values())) == len(net.terminals)
 
 
 def test_cluster_requires_partition(reference_netlist_text):
     net = ScNetlist.parse(reference_netlist_text)
     with pytest.raises(ValueError):
-        cluster_terminals(net, [], [["T1", "T2"]])
+        cluster_terminals(net, [], {"T1": 0.5, "T2": 0.5})
 
 
 def test_cluster_never_merges_conflicting_random_instances():
@@ -171,11 +167,8 @@ def test_cluster_never_merges_conflicting_random_instances():
         net = helpers.random_netlist(rng, max_terminals=12, max_gates=6)
         sets = extract_conflict_sets(net)
         values = helpers.random_assignment(rng, net, [0.2, 0.5, 0.8])
-        by_value = {}
-        for t in net.terminals:
-            by_value.setdefault(values[t], []).append(t)
-        mapping = cluster_terminals(net, sets, list(by_value.values()))
-        clusters = clusters_of(mapping)
+        mapping = cluster_terminals(net, sets, values)
+        clusters = helpers.clusters_of(mapping)
         for group in sets:
             for cid, members in clusters.items():
                 assert len(group & set(members)) <= 1
@@ -188,9 +181,10 @@ def test_cluster_never_merges_conflicting_random_instances():
 
 
 def test_cluster_terminals_matches_the_per_class_loop():
-    for net, sets, _, by_level, random_classes in helpers.clustering_instances(300):
-        for classes in (by_level, random_classes):
-            mapping = cluster_terminals(net, sets, classes)
+    for net, sets, assignment, by_level, random_classes in helpers.clustering_instances(300):
+        labels = {t: k for k, cls in enumerate(random_classes) for t in cls}
+        for level_of, classes in ((assignment, by_level), (labels, random_classes)):
+            mapping = cluster_terminals(net, sets, level_of)
             oracle = helpers.cluster_terminals_per_class(net, sets, classes)
             assert list(mapping.items()) == list(oracle.items())
 
