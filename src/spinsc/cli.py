@@ -14,7 +14,9 @@ import argparse
 import math
 import sys
 from collections import Counter
+from collections.abc import Sequence
 from functools import cache
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +37,21 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
+def write_csv(path: Path, header: list[str], columns: Sequence[Sequence]) -> None:
+    """A CSV file from its columns, formatted in one call.  Every value is
+    written as fmt writes it: a column of floats takes a %.6g field, a column
+    without floats a %s field, and a column mixing the two is run through
+    fmt first."""
+    fields, values = [], []
+    for column in columns:
+        floats = sum(map(isinstance, column, repeat(float)))
+        fields.append("%.6g" if floats == len(column) else "%s")
+        values.append(map(fmt, column) if 0 < floats < len(column) else column)
+    line = ",".join(fields) + "\n"
+    rows = len(columns[0]) if columns else 0
+    body = (line * rows) % tuple(chain.from_iterable(zip(*values, strict=True)))
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text(",".join(header) + "\n" + body, encoding="utf-8")
 
 
 def write_pgm(path: Path, weights: np.ndarray) -> None:
@@ -61,7 +73,7 @@ def cmd_sbg_characterize(cfg: RunConfig, args: argparse.Namespace) -> list[Path]
         list(cfg.report.characterize_durations), direction)
         for direction in (WriteDirection.P_TO_AP, WriteDirection.AP_TO_P)}
     for path, rows in tables.items():
-        write_csv(path, ["voltage", "duration", "probability"], rows)
+        write_csv(path, ["voltage", "duration", "probability"], list(zip(*rows)))
     return list(tables)
 
 
@@ -75,14 +87,12 @@ def cmd_array_report(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     spec = SbgArraySpec(tuple(levels), tuple(multiplicity), cfg.array.mode)
     array = build_array(spec, cfg.master_seed, cfg.device, pv_sigmas=cfg.pv_sigmas)
     n = cfg.bitstream_len
-    ones = generate_array(array, n).sum(axis=1)
-    columns = (array.targets, ones, array.energy_nj, array.writes, array.reads)
-    rows = [(idx, p, count / n, abs(count / n - p), energy, writes, reads)
-            for idx, (p, count, energy, writes, reads)
-            in enumerate(zip(*(column.tolist() for column in columns)))]
+    density = generate_array(array, n).sum(axis=1) / n
+    columns = (np.arange(len(array)), array.targets, density, np.abs(density - array.targets),
+               array.energy_nj, array.writes, array.reads)
     path = out / "array_report.csv"
     write_csv(path, ["unit", "target_p", "density", "abs_error",
-                     "energy_nj", "writes", "reads"], rows)
+                     "energy_nj", "writes", "reads"], [column.tolist() for column in columns])
     return [path]
 
 
@@ -97,8 +107,8 @@ def cmd_scc_report(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
         mode=cfg.array.mode, device=cfg.device)
     self_path = out / "self_scc.csv"
     cross_path = out / "cross_scc.csv"
-    write_csv(self_path, ["p", "n", "mean_abs_scc"], self_rows)
-    write_csv(cross_path, ["p1", "p2", "n", "mean_abs_scc"], cross_rows)
+    write_csv(self_path, ["p", "n", "mean_abs_scc"], list(zip(*self_rows)))
+    write_csv(cross_path, ["p1", "p2", "n", "mean_abs_scc"], list(zip(*cross_rows)))
     return [self_path, cross_path]
 
 
@@ -154,8 +164,8 @@ def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
         col_levels, spec, [{cluster_of[t] for t in group} for group in conflict_sets])
 
     matrix_path = out / "matrix.csv"
-    entries = [(int(r), int(c)) for r, c in zip(*np.nonzero(matrix.control))]
-    write_csv(matrix_path, ["row", "col"], sorted(entries))
+    # np.nonzero lists the entries row by row, each row's columns ascending.
+    write_csv(matrix_path, ["row", "col"], [a.tolist() for a in np.nonzero(matrix.control)])
 
     m = spec.total_units
     n_terminals = len(net.terminals)
@@ -163,7 +173,7 @@ def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     k_energy, k_cmos = allocator.cost_metrics(T_PER_SBG, n_terminals, m, n_prime)
     summary_path = out / "allocate_summary.csv"
     write_csv(summary_path, ["m", "n_terminals", "n_clustered", "k_energy", "k_cmos"],
-              [(m, n_terminals, n_prime, k_energy, k_cmos)])
+              [[m], [n_terminals], [n_prime], [k_energy], [k_cmos]])
     print(f"allocated {n_terminals} terminals onto {m} generators "
           f"({n_prime} clustered columns)")
     return [matrix_path, summary_path]
@@ -179,12 +189,6 @@ def _problem(cfg: RunConfig) -> fusion.FusionProblem:
         sigma_d_base=fus.sigma_d_base, sigma_d_slope=fus.sigma_d_slope)
 
 
-def _cell_rows(weights: np.ndarray) -> list[tuple[int, int, float]]:
-    """(x, y, weight) per grid cell, x-major."""
-    return [(x, y, w) for x, column in enumerate(weights.tolist())
-            for y, w in enumerate(column)]
-
-
 def cmd_fusion_run(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     out = Path(cfg.out_dir)
     problem = _problem(cfg)
@@ -197,14 +201,17 @@ def cmd_fusion_run(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
                               zero_floor=fusion.default_zero_floor(n, grid_w, grid_h))
     ax, ay = estimate.argmax()
 
+    # One (x, y, weight) line per grid cell, x-major.
+    xs = np.repeat(np.arange(grid_w), grid_h).tolist()
+    ys = np.tile(np.arange(grid_h), grid_w).tolist()
     posterior_path = out / "posterior.csv"
-    write_csv(posterior_path, ["x", "y", "weight"], _cell_rows(estimate.weights))
+    write_csv(posterior_path, ["x", "y", "weight"], [xs, ys, estimate.weights.ravel().tolist()])
     pgm_path = out / "posterior.pgm"
     write_pgm(pgm_path, estimate.weights)
     exact_path = out / "posterior_exact.csv"
-    write_csv(exact_path, ["x", "y", "weight"], _cell_rows(exact.weights))
+    write_csv(exact_path, ["x", "y", "weight"], [xs, ys, exact.weights.ravel().tolist()])
     summary_path = out / "fusion_summary.csv"
-    write_csv(summary_path, ["n", "kl", "argmax_x", "argmax_y"], [(n, kl, ax, ay)])
+    write_csv(summary_path, ["n", "kl", "argmax_x", "argmax_y"], [[n], [kl], [ax], [ay]])
     print(f"{n},{fmt(kl)},{ax},{ay}")
     return [posterior_path, pgm_path, exact_path, summary_path]
 
@@ -214,7 +221,7 @@ def cmd_cost_report(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     rows = cost.comparison_rows()
     path = out / "cost_report.csv"
     header = ["method", "e_cyc_nj", "t_cyc_ns", "n_cyc", "e_tot_uj", "t_tot_us", "n_cmos_k"]
-    write_csv(path, header, [tuple(r[h] for h in header) for r in rows])
+    write_csv(path, header, [[r[h] for r in rows] for h in header])
     reference = cost.SHARED_ARRAY_REFERENCE
     for profile in (cost.MTJ_BASELINE, cost.FPGA_BASELINE):
         ratio = cost.compare(profile, reference)
@@ -231,7 +238,7 @@ def cmd_pv_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
         mode=SbgMode.SIMPLE, device=cfg.device, pv_sigmas=sigmas)
     path = out / "pv_sweep.csv"
     write_csv(path, ["n", "avg_error", "max_error"],
-              [(r.length, r.avg_error, r.max_error) for r in results])
+              list(zip(*((r.length, r.avg_error, r.max_error) for r in results))))
     return [path]
 
 
@@ -249,7 +256,7 @@ def cmd_kl_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
         rows.extend((n, label, np.mean(table[n]), min(table[n]), max(table[n]))
                     for n in rep.sweep_lengths)
     path = out / "kl_sweep.csv"
-    write_csv(path, ["n", "variation", "mean_kl", "min_kl", "max_kl"], rows)
+    write_csv(path, ["n", "variation", "mean_kl", "min_kl", "max_kl"], list(zip(*rows)))
     return [path]
 
 
@@ -308,7 +315,7 @@ def apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     for dest, (section, key) in FLAG_KEYS.items():
         text = getattr(args, dest)
         if text is not None:
-            cfg = apply(cfg, section, key, text)
+            cfg = apply(cfg, section, {key: text})
     return cfg
 
 

@@ -5,11 +5,12 @@ byte-identical outputs.  The file format is INI-style sections of key=value
 pairs; every key has a default, so an empty or missing file is valid.
 
 KEYS is the full key list: it maps each (section, key) to the RunConfig
-field it sets and the parser of its text, and `apply` sets one key through
-it.  A config file and the CLI flags both go through `apply`, so a flag and
-the key it overrides accept the same text and refuse it with the same
-message.  The [device] keys make RunConfig.device, one sbg.SbgDevice that
-every command hands whole to the layers that build generators.
+field it sets and the parser of its text, and `apply` sets the keys of one
+section through it.  A config file and the CLI flags both go through
+`apply`, so a flag and the key it overrides accept the same text and refuse
+it with the same message.  The [device] keys make RunConfig.device, one
+sbg.SbgDevice that every command hands whole to the layers that build
+generators.
 
 A count below 1, alone or in a list, is a ConfigError, as are a float that
 is not finite (nan, inf), an empty list key, a negative master seed, a
@@ -258,20 +259,34 @@ KEYS: dict[tuple[str, str], tuple[tuple[str, ...], Callable[[str], object]]] = {
 }
 
 
-def _replace_at(obj, path: tuple[str, ...], value):
-    name, *rest = path
-    return replace(obj, **{name: _replace_at(getattr(obj, name), rest, value) if rest else value})
+def _replace_at(obj, values: dict[tuple[str, ...], object]):
+    """obj with the field at each path set to its value, one replace per
+    dataclass, so each checks its fields once, with all of them set."""
+    nested: dict[str, dict] = {}
+    for (name, *rest), value in values.items():
+        nested.setdefault(name, {})[tuple(rest)] = value
+    return replace(obj, **{name: sub[()] if () in sub else _replace_at(getattr(obj, name), sub)
+                           for name, sub in nested.items()})
 
 
-def apply(cfg: RunConfig, section: str, key: str, text: str) -> RunConfig:
-    """cfg with [section] key set from its text, parsed by the key's KEYS entry."""
-    if (section, key) not in KEYS:
-        raise ConfigError(f"unknown [{section}] key {key!r}")
-    path, parse = KEYS[section, key]
+def apply(cfg: RunConfig, section: str, texts: dict[str, str]) -> RunConfig:
+    """cfg with each [section] key set from its text, parsed by the key's KEYS
+    entry.  The keys are set together, so a check across fields (such as the
+    junction's resistances) sees their final values whatever their order."""
+    values = {}
+    for key, text in texts.items():
+        if (section, key) not in KEYS:
+            raise ConfigError(f"unknown [{section}] key {key!r}")
+        path, parse = KEYS[section, key]
+        try:
+            values[path] = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key} = {text!r}: {exc}") from exc
     try:
-        return _replace_at(cfg, path, parse(text))
+        return _replace_at(cfg, values)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {text!r}: {exc}") from exc
+        keys = ", ".join(f"{key} = {text!r}" for key, text in texts.items())
+        raise ConfigError(f"[{section}] {keys}: {exc}") from exc
 
 
 def load_config(path: str | Path | None = None) -> RunConfig:
@@ -289,6 +304,5 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     for section in parser.sections():
         if section not in sections:
             raise ConfigError(f"unknown section [{section}]")
-        for key, value in parser.items(section):
-            cfg = apply(cfg, section, key, value)
+        cfg = apply(cfg, section, dict(parser.items(section)))
     return cfg

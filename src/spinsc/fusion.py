@@ -245,15 +245,19 @@ class FusionPipeline:
                                           level_count)
         values, level_ids = np.unique(channels.reshape(6, -1).T, return_inverse=True)
         level_ids = level_ids.reshape(-1, 6)        # (cells, 6), cells in (x, y) order
-        same = level_ids[:, :, None] == level_ids[:, None, :]
-        rank = np.tril(same, k=-1).sum(axis=2)
+        rank = np.zeros_like(level_ids)
+        for j in range(1, 6):
+            rank[:, j] = (level_ids[:, :j] == level_ids[:, j:j + 1]).sum(axis=1)
         per_level = np.zeros(values.size, dtype=np.int64)
         np.maximum.at(per_level, level_ids, rank + 1)
-        cluster_ids = (np.cumsum(per_level) - per_level)[level_ids] + rank
-        self.cluster_sets = list(dict.fromkeys(map(tuple, np.sort(cluster_ids, axis=1).tolist())))
+        first = np.cumsum(per_level) - per_level
+        cluster_ids = first[level_ids] + rank
 
         # The clusters of one level pairwise conflict (the cell that opens
-        # cluster `rank` holds ranks 0 .. rank), so each takes its own row.
+        # cluster `rank` holds ranks 0 .. rank), so one set per level is the
+        # conflict graph first-fit sees, and each cluster takes its own row.
+        self.cluster_sets = [range(f, f + k) for f, k in zip(first.tolist(), per_level.tolist())
+                             if k > 1]
         self.spec = SbgArraySpec(tuple(values.tolist()), tuple(per_level.tolist()), mode)
         self.matrix = allocator.allocate(np.repeat(values, per_level).tolist(), self.spec,
                                          self.cluster_sets)

@@ -529,6 +529,16 @@ def netlist_text(net: ScNetlist) -> str:
     return "\n".join(lines) + "\n"
 
 
+def csv_text(header: list[str], rows) -> str:
+    """Oracle for cli.write_csv: the CSV text of header and rows with every
+    value formatted on its own, a float at 6 significant digits and
+    anything else through str."""
+    lines = [",".join(header)]
+    lines.extend(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in row)
+                 for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def angular_residual(a_deg: float, b_deg: float) -> float:
     """Minimal angular difference on [0, 180]; 359 vs 1 is 2, not 358."""
     diff = abs(a_deg - b_deg) % 360.0

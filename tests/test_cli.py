@@ -1,4 +1,5 @@
 import io
+import math
 import sys
 import tempfile
 import warnings
@@ -12,12 +13,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from spinsc import experiments, sbg
 from spinsc.allocator import allocate, verify_allocation
-from spinsc.cli import apply_overrides, build_parser, main, write_pgm
+from spinsc.cli import apply_overrides, build_parser, main, write_csv, write_pgm
 from spinsc.config import KEYS, RunConfig, load_config
 from spinsc.logic import Product, ScNetlist, expand_products
 from spinsc.sbg import SbgMode, make_units
 from spinsc.seeding import rng_for, rngs_for
 from conftest import REFERENCE_ASSIGNMENT, REFERENCE_NETLIST
+from helpers import csv_text
 
 SMALL_CONFIG = """\
 [run]
@@ -147,6 +149,31 @@ def test_extreme_floats_are_one_line_errors(tmp_path, capsys, text, command):
     assert main(["--config", str(bad), "--out-dir", str(out), command]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines", [("length = 1e308", "width = 1e-300"),
+                                   ("width = 1e-300", "length = 1e308")],
+                         ids=["length-first", "width-first"])
+def test_junction_geometry_is_checked_after_every_key(tmp_path, capsys, lines):
+    # Together the two keys make a 100 um^2 junction; the length with the
+    # default width alone would make its area overflow to inf.
+    cfg = tmp_path / "geometry.cfg"
+    cfg.write_text("[device]\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    assert load_config(cfg).device.params.area_um2 == pytest.approx(100.0)
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "o"), "cost-report"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_refused_junction_geometry_names_the_section_keys(tmp_path, capsys):
+    cfg = tmp_path / "geometry.cfg"
+    cfg.write_text("[device]\nlength = 1e308\nwidth = 45\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out-dir", str(out), "array-report"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: [device] length = '1e308', width = '45': "
+                          "resistances r_p = 0")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -471,6 +498,47 @@ def test_write_pgm_max_normalized(tmp_path):
     write_pgm(path, np.array([[0.0, 0.5], [1.0, 2.0]]))
     data = path.read_bytes()
     assert data == b"P5\n2 2\n255\n" + bytes([0, 64, 128, 255])
+
+
+# Floats that format with an exponent, subnormals, signed zeros and the ends
+# of the double range, beside whatever hypothesis draws.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-320, -2.2250738585072014e-308, 1e-5, 999999.5, 1e300,
+               -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+FLOAT_VALUES = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+CSV_VALUES = {
+    "float": FLOAT_VALUES,
+    "float64": FLOAT_VALUES.map(np.float64),
+    "int": st.integers(),
+    "str": st.text(st.characters(blacklist_categories=("Cs",))),
+}
+CSV_VALUES["mixed"] = st.one_of(*CSV_VALUES.values())
+# Log-uniform floats from 1e-320 (subnormal) to 1e300, with both signs.
+_rng = np.random.default_rng(5)
+WIDE_FLOATS = (10.0 ** _rng.uniform(-320, 300, 20_000) * _rng.choice([-1.0, 1.0], 20_000)).tolist()
+
+
+@st.composite
+def csv_columns(draw):
+    rows = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(sorted(CSV_VALUES)), min_size=1, max_size=5))
+    return [draw(st.lists(CSV_VALUES[kind], min_size=rows, max_size=rows)) for kind in kinds]
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=csv_columns())
+@example(columns=[WIDE_FLOATS, list(range(len(WIDE_FLOATS)))])
+def test_write_csv_formats_each_value_as_the_oracle(columns):
+    header = [f"c{k}" for k in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "t.csv")
+        write_csv(path, header, columns)
+        assert path.read_bytes() == csv_text(header, zip(*columns)).encode("utf-8")
+
+
+def test_write_csv_refuses_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2], [3]])
+    assert not (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize("command, output", [("array-report", "array_report.csv"),

@@ -1,9 +1,11 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinsc.allocator import verify_allocation
 from spinsc.fusion import (
     CHANNELS,
     FusionPipeline,
@@ -159,6 +161,21 @@ def test_pipeline_matches_generic_preparation(grid, level_count, noise, mode):
     assert np.array_equal(pipeline.matrix.control, np.eye(spec.total_units, dtype=np.uint8))
     assert pipeline.num_terminals == 6 * grid[0] * grid[1]
 
+    # The pipeline hands allocate one conflict set per level.  The per-cell
+    # sets (one per AND chain; a cell's rows are its columns, the matrix
+    # being the identity) have exactly its edges among same-level columns,
+    # the only edges first-fit reads.
+    per_cell_sets = [set(rows) for rows in cell_rows.tolist()]
+    levels = list(matrix.row_levels)
+
+    def edges(sets, same_level_only):
+        return {(a, b) for group in sets for a, b in combinations(sorted(group), 2)
+                if not same_level_only or levels[a] == levels[b]}
+
+    assert edges(per_cell_sets, True) == edges(pipeline.cluster_sets, False)
+    assert len(pipeline.cluster_sets) <= len(set(levels))
+    assert verify_allocation(pipeline.matrix, per_cell_sets, levels) == []
+
 
 def test_analytic_limit_equals_quantized_exact():
     problem = make_problem(grid_w=16, grid_h=16)
@@ -286,8 +303,8 @@ def test_cluster_count_bounded_by_levels_times_set_size():
     assert pipeline.num_terminals == 6144
     assert pipeline.matrix.control.shape[1] <= 64 * 6
     assert pipeline.num_units <= 64 * 6
-    for group in pipeline.cluster_sets:
-        assert len(group) == 6  # clustering never merges within a cell
+    # Clustering never merges two terminals of one cell: its six rows differ.
+    assert all(len(set(rows)) == 6 for rows in pipeline.cell_rows.tolist())
 
 
 def test_reading_validation():
