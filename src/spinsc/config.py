@@ -294,7 +294,11 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     cfg = RunConfig()
     if path is None:
         return cfg
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # Values are taken as written: no % interpolation, and default_section=""
+    # can name no section header, so [DEFAULT] is an ordinary (and unknown)
+    # section instead of keys merged into every other.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None,
+                                       default_section="")
     text = Path(path).read_text(encoding="utf-8")
     try:
         parser.read_string(text, source=str(path))

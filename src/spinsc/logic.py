@@ -250,22 +250,36 @@ def extract_conflict_sets(net: ScNetlist) -> list[frozenset[str]]:
     terms = _expand(net, net.topo_order(), net.outputs)
     supports = list(dict.fromkeys(pos | neg for out in net.outputs
                                   for pos, neg in terms[(out, False)]))
-    members = [_bits(sup) for sup in supports]
-    # posting[i] has bit j set when supports[j] holds terminal i.  The AND of
-    # a support's postings marks its supersets; after deduplication any bit
-    # besides its own is a strict superset, which absorbs it.
+    # Widest first (a stable sort), so every strict superset of a support
+    # comes before it: a support is absorbed iff a maximal support kept so
+    # far holds it.  posting[i] has bit k set when maximal[k] holds terminal
+    # i; peeling the support's terminals lowest first narrows the candidates
+    # until none is left (kept) or one is (one subset test decides).
+    widths = list(map(int.bit_count, supports))
     posting = [0] * len(net.terminals)
-    for j, held in enumerate(members):
+    maximal: list[int] = []
+    members: list[list[int] | None] = [None] * len(supports)
+    for j in sorted(range(len(supports)), key=widths.__getitem__, reverse=True):
+        sup = supports[j]
+        candidates = -1  # an empty support, were there one, is absorbed
+        rest = sup
+        while rest and candidates:
+            if not candidates & (candidates - 1):
+                if maximal[candidates.bit_length() - 1] & sup != sup:
+                    candidates = 0
+                break
+            low = rest & -rest
+            candidates &= posting[low.bit_length() - 1]
+            rest ^= low
+        if candidates:
+            continue
+        held = members[j] = _bits(sup)
+        bit = 1 << len(maximal)
         for i in held:
-            posting[i] |= 1 << j
-    keep = []
-    for j, held in enumerate(members):
-        supersets = -1  # an empty support, were there one, is absorbed
-        for i in held:
-            supersets &= posting[i]
-        if supersets == 1 << j:
-            keep.append(frozenset(net.terminals[i] for i in held))
-    return keep
+            posting[i] |= bit
+        maximal.append(sup)
+    return [frozenset(net.terminals[i] for i in held)
+            for held in members if held is not None]
 
 
 def conflict_neighbors(conflict_sets: list[Collection[Hashable]]) -> dict[Hashable, set]:

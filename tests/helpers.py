@@ -263,6 +263,31 @@ def random_netlist(rng: np.random.Generator, max_terminals: int = 50,
     return net
 
 
+def mux_of_nand_chains(rng: np.random.Generator, terminals: int = 40, outputs: int = 4,
+                       clauses: int = 4) -> ScNetlist:
+    """Outputs MUX(A, B, s): A and B are ANDs of `clauses` three-input NANDs
+    over distinct terminals and s is another terminal, so each output
+    expands into 2 * 3**clauses products whose supports nest deeply."""
+    net = ScNetlist()
+    for i in range(terminals):
+        net.add_terminal(f"t{i}")
+
+    def gate(kind: str, inputs: list[str]) -> str:
+        gid = f"g{len(net.gates)}"
+        net.add_gate(gid, GateKind(kind), inputs)
+        return gid
+
+    for _ in range(outputs):
+        names = [f"t{i}" for i in rng.choice(terminals, 6 * clauses + 1, replace=False)]
+        branches = []
+        for b in range(2):
+            nands = [gate("NOT", [gate("AND", names[3 * (b * clauses + j):][:3])])
+                     for j in range(clauses)]
+            branches.append(gate("AND", nands))
+        net.add_output(gate("MUX", [*branches, names[-1]]))
+    return net
+
+
 def random_assignment(rng: np.random.Generator, net: ScNetlist,
                       levels: list[float]) -> dict[str, float]:
     return {t: float(levels[int(rng.integers(0, len(levels)))])

@@ -487,6 +487,32 @@ def test_unknown_config_key_fails(tmp_path):
     assert main(["--config", str(bad), "cost-report"]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nbitstream_len = 0\n",
+    "[DEFAULT]\nbitstream_len = 0\n[fusion]\ngrid = 4x4\n",
+    "[run]\npv = false\n[DEFAULT]\nbitstream_len = 16\n",
+], ids=["alone", "with-fusion", "after-run"])
+def test_default_section_is_unknown(tmp_path, capsys, text):
+    # configparser would merge [DEFAULT] into every section (or, alone,
+    # apply it nowhere); it is refused like any other unknown section.
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(bad), "--out-dir", str(out), "cost-report"]) == 2
+    assert capsys.readouterr().err == "configuration error: unknown section [DEFAULT]\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["4%x4", "%(x)s"])
+def test_percent_in_a_value_is_taken_as_written(tmp_path, capsys, value):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[fusion]\ngrid = {value}\n", encoding="utf-8")
+    assert main(["--config", str(bad), "cost-report"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: [fusion] grid = {value!r}: ")
+    assert err.count("\n") == 1
+
+
 def test_missing_netlist_fails(tmp_path, config_path):
     assert main(["--config", str(config_path), "--out-dir", str(tmp_path / "o"),
                  "allocate", "--netlist", str(tmp_path / "none.net"),
@@ -844,14 +870,16 @@ CONFIG_COMMANDS = ["sbg-characterize", "array-report", "scc-report", "fusion-run
                    "cost-report", "pv-sweep", "kl-sweep"]
 VALUE_TOKENS = ["0", "-1", "-0", "1", "2", "0.5", "1e-320", "1e-308", "1e308", "nan", "inf",
                 "-inf", "", "abc", "4y4", "4x4", "true", "simple", "0.2,0.6", "1,2,3",
-                "0.1,0.5;0.3,0.9", "0,0;0,32;32,0", "1e308,1e-308"]
+                "0.1,0.5;0.3,0.9", "0,0;0,32;32,0", "1e308,1e-308", "5%", "%(x)s"]
+# Every key under its own section, and two under [DEFAULT], which is refused.
+FUZZ_KEYS = sorted(KEYS) + [("DEFAULT", "bitstream_len"), ("DEFAULT", "grid")]
 # Small report settings, so a case runs in milliseconds unless it draws them.
 FUZZ_REPORT = {"scc_pairs": "2", "scc_lengths": "16", "sweep_repeats": "2",
                "sweep_lengths": "16"}
 
 
 @settings(max_examples=150, deadline=None)
-@given(values=st.dictionaries(st.sampled_from(sorted(KEYS)), st.sampled_from(VALUE_TOKENS),
+@given(values=st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(VALUE_TOKENS),
                                  min_size=1, max_size=3),
        command=st.sampled_from(CONFIG_COMMANDS))
 @example(values={("device", "vc0_ap2p"): "1e-308"}, command="sbg-characterize")

@@ -325,6 +325,60 @@ def test_more_than_64_terminals():
     assert_matches_oracle(net)
 
 
+# --- Absorption: the narrowing over maximal supports, against the oracle ---
+
+def and_outputs(terminals, supports):
+    """One AND output per support, in the order given."""
+    gates = [(f"o{k}", "AND", list(sup)) for k, sup in enumerate(supports)]
+    return net_of(terminals, gates, [gid for gid, _, _ in gates])
+
+
+def test_outputs_sharing_lowest_and_highest_terminal():
+    # 300 maximal supports lo & x_i & hi: peeling lo and hi keeps every one
+    # a candidate, so only the middle terminal decides.  Their subsets, some
+    # listed before them, are absorbed by all of them or by exactly one.
+    xs = [f"x{i}" for i in range(300)]
+    terminals = ["lo", *xs, "hi"]
+    supports = [("lo", "hi"), ("lo", "x7")]
+    supports += [("lo", x, "hi") for x in xs]
+    supports += [("x299", "hi"), ("lo",), ("hi", "lo"), ("x0",)]
+    net = and_outputs(terminals, supports)
+    assert extract_conflict_sets(net) == [frozenset(("lo", x, "hi")) for x in xs]
+    assert_matches_oracle(net)
+
+
+def test_support_held_by_two_maximal_supports_sharing_its_lowest_terminal():
+    supports = ["ab", "abcd", "abd", "abce", "abc", "ade", "ae", "bcde", "cd"]
+    net = and_outputs("abcde", supports)
+    assert extract_conflict_sets(net) == [frozenset(s) for s in ("abcd", "abce", "ade", "bcde")]
+    assert_matches_oracle(net)
+
+
+def test_distinct_supports_of_equal_popcount():
+    supports = ["ab", "bc", "ac", "ab", "cd", "da", "bd", "abd"]
+    net = and_outputs("abcd", supports)
+    assert extract_conflict_sets(net) == [frozenset(s) for s in ("bc", "ac", "cd", "abd")]
+    assert_matches_oracle(net)
+
+
+def test_contradiction_only_output_next_to_terminal_output():
+    net = net_of("ab", [("na", "NOT", ["a"]), ("g", "AND", ["a", "na"]),
+                        ("h", "AND", ["na", "b", "a"])], ["g", "b", "h"])
+    assert extract_conflict_sets(net) == [frozenset("b")]
+    assert_matches_oracle(net)
+
+
+@pytest.mark.parametrize("terminals, outputs, clauses, count", [
+    (40, 4, 3, 12),  # the benchmark's shape, with one clause fewer
+    (13, 2, 2, 12),  # every terminal in each output
+    (40, 4, 4, 2),   # the benchmark's shape: 648 supports a netlist
+])
+def test_mux_of_nand_chains_match_oracle(terminals, outputs, clauses, count):
+    rng = np.random.default_rng(terminals + clauses)
+    for _ in range(count):
+        assert_matches_oracle(helpers.mux_of_nand_chains(rng, terminals, outputs, clauses))
+
+
 def not_chain(length, reverse=False):
     """a through `length` NOT gates, then AND with b; optionally declared
     consumers first."""
