@@ -196,7 +196,7 @@ def cmd_fusion_run(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     pipeline = fusion.FusionPipeline(problem, cfg.fusion.level_count, cfg.device, cfg.array.mode)
     n = cfg.bitstream_len
     estimate, stats = pipeline.run(n, cfg.master_seed, pv_sigmas=cfg.pv_sigmas)
-    exact = fusion.exact_posterior(problem)
+    exact = fusion.exact_posterior(pipeline.likelihood)
     kl = fusion.kl_divergence(exact, estimate,
                               zero_floor=fusion.default_zero_floor(n, grid_w, grid_h))
     ax, ay = estimate.argmax()

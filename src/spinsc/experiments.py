@@ -135,11 +135,12 @@ def kl_by_length(problem: FusionProblem, lengths: tuple[int, ...],
     """Per-seed KL(exact || stochastic estimate) for each stream length.
 
     `pipeline`, prepared from `problem`, is run in place of one prepared
-    here at `level_count` with the default device and mode.
+    here at `level_count` with the default device and mode.  The exact
+    posterior comes from the pipeline's likelihood grids.
     """
     if pipeline is None:
         pipeline = FusionPipeline(problem, level_count=level_count)
-    exact = exact_posterior(problem)
+    exact = exact_posterior(pipeline.likelihood)
     out: dict[int, list[float]] = {n: [] for n in lengths}
     for n in lengths:
         floor = default_zero_floor(n, problem.grid_w, problem.grid_h)

@@ -25,6 +25,9 @@ DEFAULT_SENSORS = ((0.0, 0.0), (0.0, 32.0), (32.0, 0.0))
 DEFAULT_SIGMA_B = 14.0626  # degrees
 DEFAULT_SIGMA_D_BASE = 5.0
 DEFAULT_SIGMA_D_SLOPE = 0.1
+# Preparation keeps a table over the level numbers 1..L, so L is bounded
+# (a 16-bit quantizer).
+MAX_LEVEL_COUNT = 2**16
 
 
 class ShapeMismatch(ValueError):
@@ -173,9 +176,9 @@ def likelihood_channels(problem: FusionProblem) -> np.ndarray:
     return channels
 
 
-def exact_posterior(problem: FusionProblem) -> PosteriorGrid:
-    """Normalized product of the six likelihood grids (uniform prior)."""
-    channels = likelihood_channels(problem)
+def exact_posterior(channels: np.ndarray) -> PosteriorGrid:
+    """Normalized product of the six (W, H) likelihood grids that
+    likelihood_channels returns (uniform prior)."""
     return PosteriorGrid(np.prod(channels, axis=0)).normalize()
 
 
@@ -192,15 +195,20 @@ def condition_channels(channels: np.ndarray) -> np.ndarray:
     return channels / maxima[:, None, None]
 
 
-def quantize_unit_interval(values: np.ndarray, level_count: int) -> np.ndarray:
-    """Map (0, 1] values onto the uniform grid {1/L, ..., 1}; nearest level,
-    exact midpoints toward the lower level, level 0 excluded."""
+def quantize_levels(values: np.ndarray, level_count: int) -> np.ndarray:
+    """Level numbers k in 1..L of (0, 1] values on the uniform grid
+    {1/L, ..., 1}; nearest level, exact midpoints toward the lower level,
+    level 0 excluded."""
     scaled = values * level_count
     k = np.floor(scaled)
     frac = scaled - k
     k = np.where(frac > 0.5, k + 1, k)
-    k = np.clip(k, 1, level_count)
-    return k / level_count
+    return np.clip(k, 1, level_count).astype(np.intp)
+
+
+def quantize_unit_interval(values: np.ndarray, level_count: int) -> np.ndarray:
+    """The levels k/L themselves (see quantize_levels)."""
+    return quantize_levels(values, level_count) / level_count
 
 
 @dataclass
@@ -225,11 +233,16 @@ class FusionPipeline:
     Preparation is seed-independent; run() draws fresh generator streams for
     a given seed.  Cells re-use shared rows exactly as the switch matrix
     prescribes, so results are deterministic in (problem, seed, n).
+    `likelihood` keeps the (6, W, H) grids preparation started from, for
+    exact_posterior.
     """
 
     def __init__(self, problem: FusionProblem, level_count: int = 64,
                  device: SbgDevice = SbgDevice(),
                  mode: SbgMode = SbgMode.SELF_CONTROL) -> None:
+        if not 1 <= level_count <= MAX_LEVEL_COUNT:
+            raise ValueError(f"the level count must lie in 1..{MAX_LEVEL_COUNT}, "
+                             f"got {level_count}")
         self.problem = problem
         self.level_count = level_count
         self.device = device
@@ -241,23 +254,27 @@ class FusionPipeline:
         # same-level terminals then puts a terminal in its level's cluster
         # number `rank`, the count of earlier channels of its cell with the
         # same level (see README, "Preparation").
-        channels = quantize_unit_interval(condition_channels(likelihood_channels(problem)),
-                                          level_count)
-        values, level_ids = np.unique(channels.reshape(6, -1).T, return_inverse=True)
-        level_ids = level_ids.reshape(-1, 6)        # (cells, 6), cells in (x, y) order
-        rank = np.zeros_like(level_ids)
+        self.likelihood = likelihood_channels(problem)
+        k = quantize_levels(condition_channels(self.likelihood), level_count).reshape(6, -1)
+        rank = np.zeros_like(k)                     # (6, cells), cells in (x, y) order
         for j in range(1, 6):
-            rank[:, j] = (level_ids[:, :j] == level_ids[:, j:j + 1]).sum(axis=1)
-        per_level = np.zeros(values.size, dtype=np.int64)
-        np.maximum.at(per_level, level_ids, rank + 1)
-        first = np.cumsum(per_level) - per_level
-        cluster_ids = first[level_ids] + rank
+            for i in range(j):
+                rank[j] += k[i] == k[j]
+        # A level's ranks run 0 .. its largest rank, so the ranks it shows
+        # count its clusters.
+        seen = np.zeros((level_count + 1, 6), dtype=bool)
+        seen[k, rank] = True
+        clusters = seen.sum(axis=1)                 # indexed by level number k
+        first = np.cumsum(clusters) - clusters
+        cluster_ids = (first[k] + rank).T
+        levels = np.flatnonzero(clusters)
+        values, per_level = levels / level_count, clusters[levels]
 
         # The clusters of one level pairwise conflict (the cell that opens
         # cluster `rank` holds ranks 0 .. rank), so one set per level is the
         # conflict graph first-fit sees, and each cluster takes its own row.
-        self.cluster_sets = [range(f, f + k) for f, k in zip(first.tolist(), per_level.tolist())
-                             if k > 1]
+        self.cluster_sets = [range(f, f + c) for f, c in zip(first[levels].tolist(),
+                                                             per_level.tolist()) if c > 1]
         self.spec = SbgArraySpec(tuple(values.tolist()), tuple(per_level.tolist()), mode)
         self.matrix = allocator.allocate(np.repeat(values, per_level).tolist(), self.spec,
                                          self.cluster_sets)
@@ -278,10 +295,14 @@ class FusionPipeline:
         """One stochastic inference pass with n-bit streams."""
         array = build_array(self.spec, master_seed, self.device,
                             pv_sigmas=pv_sigmas, calibration=self.calibration)
-        row_bits = generate_array(array, n)
-        gathered = row_bits[self.cell_rows]          # (cells, 6, n)
-        products = np.bitwise_and.reduce(gathered, axis=1)
-        counts = products.sum(axis=1).astype(np.float64)
+        # Pack each row's bits into 64-bit words (zero-padded, so the padding
+        # counts nothing), AND a cell's six rows word by word and popcount.
+        packed = np.packbits(generate_array(array, n), axis=1)
+        words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+        products = words[self.cell_rows[:, 0]]
+        for j in range(1, 6):
+            products &= words[self.cell_rows[:, j]]
+        counts = np.bitwise_count(products).sum(axis=1).astype(np.float64)
         w, h = self.problem.grid_w, self.problem.grid_h
         grid = PosteriorGrid((counts / n).reshape(w, h)).normalize()
         # Python's sum adds the energies one at a time in row order; np.sum

@@ -13,7 +13,10 @@ from spinsc.allocator import SwitchMatrix, allocate
 from spinsc.device import MtjParams, PulseSpec, WriteDirection, base_switching_time
 from spinsc.fusion import (
     CHANNELS,
+    FusionPipeline,
     FusionProblem,
+    FusionRunStats,
+    PosteriorGrid,
     bearing_deg,
     condition_channels,
     likelihood_channels,
@@ -28,7 +31,8 @@ from spinsc.logic import (
     extract_conflict_sets,
     first_fit,
 )
-from spinsc.sbg import SbgArray, SbgArraySpec, SbgMode, pulse_energy_nj
+from spinsc.sbg import (SbgArray, SbgArraySpec, SbgMode, build_array, generate_array,
+                        pulse_energy_nj)
 from spinsc.seeding import DOMAIN_DEVICE, rng_for
 
 
@@ -530,6 +534,24 @@ def generic_fusion_plan(problem: FusionProblem, level_count: int = 64,
                           for x in range(problem.grid_w) for y in range(problem.grid_h)],
                          dtype=np.int64)
     return spec, matrix, cell_rows, len(levels)
+
+
+def oracle_run(pipeline: FusionPipeline, n: int, master_seed: int,
+               pv_sigmas: tuple[float, float] | None = None
+               ) -> tuple[PosteriorGrid, FusionRunStats]:
+    """Oracle for FusionPipeline.run's counting step: the same streams
+    gathered one byte per bit into (cells, 6, n), ANDed over the six channels
+    and summed."""
+    array = build_array(pipeline.spec, master_seed, pipeline.device,
+                        pv_sigmas=pv_sigmas, calibration=pipeline.calibration)
+    gathered = generate_array(array, n)[pipeline.cell_rows]
+    counts = np.bitwise_and.reduce(gathered, axis=1).sum(axis=1).astype(np.float64)
+    w, h = pipeline.problem.grid_w, pipeline.problem.grid_h
+    grid = PosteriorGrid((counts / n).reshape(w, h)).normalize()
+    stats = FusionRunStats(n_cycles=n, num_units=len(array),
+                           total_energy_nj=sum(array.energy_nj.tolist()),
+                           writes=int(array.writes.sum()), reads=int(array.reads.sum()))
+    return grid, stats
 
 
 def row_of(matrix: SwitchMatrix, j: int) -> int:

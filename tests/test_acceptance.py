@@ -30,7 +30,7 @@ from spinsc.experiments import (
     kl_by_length,
     self_scc_table,
 )
-from spinsc.fusion import exact_posterior, make_problem
+from spinsc.fusion import exact_posterior, likelihood_channels, make_problem
 from spinsc.logic import ScNetlist, extract_conflict_sets
 from spinsc.sbg import SbgArraySpec, SbgDevice, SbgMode, generate_array, make_units
 
@@ -178,7 +178,7 @@ def test_criterion_07_operation_counts_and_energy():
 
 def test_criterion_08_fusion_end_to_end():
     problem = make_problem(grid_w=32, grid_h=32, target_xy=(40.0, 22.0))
-    exact = exact_posterior(problem)
+    exact = exact_posterior(likelihood_channels(problem))
     assert exact.argmax() == (20, 11)  # the cell at plane position (40, 22)
 
     seeds = tuple(range(10))

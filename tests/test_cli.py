@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spinsc import experiments, sbg
+from spinsc import experiments, fusion, sbg
 from spinsc.allocator import allocate, verify_allocation
 from spinsc.cli import apply_overrides, build_parser, main, write_csv, write_pgm
 from spinsc.config import KEYS, RunConfig, load_config
+from spinsc.fusion import likelihood_channels
 from spinsc.logic import Product, ScNetlist, expand_products
 from spinsc.sbg import SbgMode, make_units
 from spinsc.seeding import rng_for, rngs_for
@@ -240,6 +241,20 @@ def test_command_allocates_once_positionally(tmp_path, config_path, monkeypatch,
     assert matrix.num_rows == spec.total_units
     assert matrix.control.shape[1] == len(levels)
     assert verify_allocation(matrix, sets, levels) == []
+
+
+@pytest.mark.parametrize("command", ["fusion-run", "kl-sweep"])
+def test_command_computes_likelihoods_once(tmp_path, config_path, monkeypatch, command):
+    # The exact posterior comes from the grid the pipeline prepared from.
+    calls = []
+
+    def recording(problem):
+        calls.append(problem)
+        return likelihood_channels(problem)
+
+    monkeypatch.setattr(fusion, "likelihood_channels", recording)
+    run_cli("--config", config_path, "--out-dir", tmp_path / "out", command)
+    assert len(calls) == 1
 
 
 def test_allocate_empty_netlist_is_one_line_error(tmp_path, config_path, capsys):

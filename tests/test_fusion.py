@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from spinsc.allocator import verify_allocation
 from spinsc.fusion import (
     CHANNELS,
+    MAX_LEVEL_COUNT,
     FusionPipeline,
     FusionProblem,
     PosteriorGrid,
@@ -26,7 +27,8 @@ from spinsc.fusion import (
 from spinsc.logic import extract_conflict_sets
 from spinsc.sbg import SbgMode
 
-from helpers import angular_residual, build_sc_network, generic_fusion_plan, likelihoods
+from helpers import (angular_residual, build_sc_network, generic_fusion_plan, likelihoods,
+                     oracle_run)
 
 
 def problem_64(target=(40.0, 22.0), **kw):
@@ -72,7 +74,7 @@ def test_channel_grid_matches_pointwise():
 
 def test_exact_posterior_normalized_with_argmax_at_target():
     problem = make_problem(grid_w=32, grid_h=32, target_xy=(40.0, 22.0))
-    post = exact_posterior(problem)
+    post = exact_posterior(likelihood_channels(problem))
     assert post.total() == pytest.approx(1.0, abs=1e-12)
     assert post.argmax() == (20, 11)  # cell (20, 11) sits at plane (40, 22)
 
@@ -145,6 +147,10 @@ def test_network_scale_64():
     ((16, 16), 4, 0.0, SbgMode.SELF_CONTROL),
     ((20, 12), 256, 2.0, SbgMode.SELF_CONTROL),
     ((12, 20), 64, 0.0, SbgMode.SIMPLE),
+    # Level counts whose levels k/L are not exact binary fractions.
+    ((16, 16), 3, 0.0, SbgMode.SELF_CONTROL),
+    ((16, 16), 10, 2.0, SbgMode.SELF_CONTROL),
+    ((20, 12), 100, 0.0, SbgMode.SIMPLE),
 ])
 def test_pipeline_matches_generic_preparation(grid, level_count, noise, mode):
     problem = make_problem(grid_w=grid[0], grid_h=grid[1], noise_d=noise, noise_b=3.0 * noise,
@@ -177,6 +183,14 @@ def test_pipeline_matches_generic_preparation(grid, level_count, noise, mode):
     assert verify_allocation(pipeline.matrix, per_cell_sets, levels) == []
 
 
+def test_level_count_is_bounded():
+    problem = make_problem(grid_w=2, grid_h=2)
+    assert FusionPipeline(problem, level_count=MAX_LEVEL_COUNT).spec.total_units > 0
+    for level_count in (0, MAX_LEVEL_COUNT + 1):
+        with pytest.raises(ValueError, match="level count must lie in"):
+            FusionPipeline(problem, level_count=level_count)
+
+
 def test_analytic_limit_equals_quantized_exact():
     problem = make_problem(grid_w=16, grid_h=16)
     pipeline = FusionPipeline(problem)
@@ -197,6 +211,20 @@ def test_sc_posterior_deterministic_and_normalized():
     assert not np.array_equal(a.weights, c.weights)
 
 
+@pytest.mark.parametrize("grid", [(3, 5), (16, 16)])
+@pytest.mark.parametrize("mode", list(SbgMode))
+@pytest.mark.parametrize("pv", [None, (0.05, 0.02)])
+def test_run_counts_equal_bytewise_oracle(grid, mode, pv):
+    # Stream lengths around the packed byte and word boundaries.
+    problem = make_problem(grid_w=grid[0], grid_h=grid[1])
+    pipeline = FusionPipeline(problem, mode=mode)
+    for n in (1, 7, 8, 9, 63, 64, 65, 129):
+        estimate, stats = pipeline.run(n, 11, pv_sigmas=pv)
+        oracle_estimate, oracle_stats = oracle_run(pipeline, n, 11, pv_sigmas=pv)
+        assert np.array_equal(estimate.weights, oracle_estimate.weights)
+        assert stats == oracle_stats
+
+
 def test_rescaling_before_quantization_preserves_sc_argmax():
     # An extra per-channel scale constant cancels inside the max-rescaling
     # conditioner, so the stochastic estimate is unchanged bit for bit.
@@ -210,7 +238,7 @@ def test_rescaling_before_quantization_preserves_sc_argmax():
 
 def test_kl_identical_grids_is_zero():
     problem = make_problem(grid_w=8, grid_h=8)
-    post = exact_posterior(problem)
+    post = exact_posterior(likelihood_channels(problem))
     assert kl_divergence(post, post) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -251,7 +279,7 @@ def test_kl_non_negative_random_grids(seed):
 def test_kl_decreases_with_length_small_grid():
     problem = make_problem(grid_w=16, grid_h=16)
     pipeline = FusionPipeline(problem)
-    exact = exact_posterior(problem)
+    exact = exact_posterior(likelihood_channels(problem))
     means = []
     for n in (64, 256):
         vals = []
@@ -266,7 +294,7 @@ def test_kl_decreases_with_length_small_grid():
 def test_process_variation_degrades_but_preserves_trend():
     problem = make_problem(grid_w=16, grid_h=16)
     pipeline = FusionPipeline(problem)
-    exact = exact_posterior(problem)
+    exact = exact_posterior(likelihood_channels(problem))
 
     def mean_kl(n, pv):
         vals = []

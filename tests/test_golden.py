@@ -38,6 +38,13 @@ GOLDEN = {
         "posterior_exact.csv": "fc91fc2766159ed3c1c652b4656aadd3cbac8a490f8ac37eefb1e0573cfa2440",
         "fusion_summary.csv": "b20529a235c85a1898202bcd4fe74afa6033951bb7de8c73aa49db586cacf78b",
     },
+    # A stream length that is not a multiple of 8.
+    "--grid 9x7 --bitstream-len 13 fusion-run": {
+        "posterior.csv": "65051f1a88d3485829923fb82d21928cb3ba94a6c3f4c39fba47919faf0328fb",
+        "posterior.pgm": "e7db5345dc81d9816d5e1f502a5bd01e3471f50ffdd01f37bec2e77a9ab2d1e7",
+        "posterior_exact.csv": "fdda2389000da12430c09473ad3b28f0708045c40299c5905402fa967372ea9d",
+        "fusion_summary.csv": "f647fa2f807ee2bd4e0fc38ada46d7ec1a67652b63c36328de38cb5e6ac54f55",
+    },
     # The bytes the standalone KL sweep script wrote with `--grid 8x8 --seeds 50`
     # before it became this command.
     "--seed 0 --grid 8x8 kl-sweep": {
