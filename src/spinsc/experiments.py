@@ -9,11 +9,6 @@ at nested prefix lengths (the 64-bit measurement is the first 64 bits of the
 longest run), and reports |mean density - p| per length.  Re-using the same
 devices and stream prefixes across lengths keeps the length comparison free
 of between-run noise.
-
-Each protocol draws its generators' streams from its own block of unit ids:
-density sweeps [0, 10_000), self-SCC tables [10_000, 50_000) and cross-SCC
-tables from 50_000 up.  A protocol that would outgrow its block is refused
-rather than silently re-using another protocol's streams.
 """
 
 from __future__ import annotations
@@ -25,16 +20,7 @@ import numpy as np
 from . import stochastic
 from .fusion import FusionPipeline, FusionProblem, default_zero_floor, exact_posterior, kl_divergence
 from .sbg import SbgArray, SbgDevice, SbgMode, generate_array, make_units
-
-SWEEP_BASE_ID = 0
-SELF_SCC_BASE_ID = 10_000
-CROSS_SCC_BASE_ID = 50_000
-
-
-def _check_id_block(protocol: str, units: int, base: int, limit: int) -> None:
-    if units > limit - base:
-        raise ValueError(f"{protocol} needs {units} generators but its unit-id block "
-                         f"[{base}, {limit}) holds {limit - base}")
+from .seeding import DOMAIN_CROSS_SCC, DOMAIN_SELF_SCC
 
 
 @dataclass(frozen=True)
@@ -60,10 +46,9 @@ def density_sweep(probs: tuple[float, ...], lengths: tuple[int, ...],
                   device: SbgDevice = SbgDevice(),
                   pv_sigmas: tuple[float, float] | None = None) -> list[SweepResult]:
     """Ensemble density error per stream length over a probability sweep."""
-    _check_id_block("density_sweep", len(probs) * repeats, SWEEP_BASE_ID, SELF_SCC_BASE_ID)
     lengths = tuple(sorted(lengths))
     units = make_units(device, mode, [p for p in probs for _ in range(repeats)],
-                       master_seed, SWEEP_BASE_ID, pv_sigmas=pv_sigmas)
+                       master_seed, pv_sigmas=pv_sigmas)
     counts = _prefix_counts(generate_array(units, lengths[-1]), lengths)
     errors: dict[int, list[float]] = {n: [] for n in lengths}
     for k, p in enumerate(probs):
@@ -104,11 +89,9 @@ def self_scc_table(probs: tuple[float, ...], lengths: tuple[int, ...],
     Rows are (p, n, mean |SCC| over `pairs` stream pairs); SCC at shorter
     lengths is measured on prefixes of the same streams.
     """
-    _check_id_block("self_scc_table", 2 * pairs * len(probs),
-                    SELF_SCC_BASE_ID, CROSS_SCC_BASE_ID)
     lengths = tuple(sorted(lengths))
     units = make_units(device, mode, [p for p in probs for _ in range(2 * pairs)],
-                       master_seed, SELF_SCC_BASE_ID)
+                       master_seed, domain=DOMAIN_SELF_SCC)
     return [(p, n, v) for p, row in zip(probs, _mean_abs_scc(units, lengths, len(probs)))
             for n, v in zip(lengths, row)]
 
@@ -122,7 +105,7 @@ def cross_scc_table(prob_pairs: tuple[tuple[float, float], ...],
     lengths = tuple(sorted(lengths))
     units = make_units(device, mode,
                        [p for pair in prob_pairs for _ in range(pairs) for p in pair],
-                       master_seed, CROSS_SCC_BASE_ID)
+                       master_seed, domain=DOMAIN_CROSS_SCC)
     return [(p1, p2, n, v)
             for (p1, p2), row in zip(prob_pairs, _mean_abs_scc(units, lengths, len(prob_pairs)))
             for n, v in zip(lengths, row)]

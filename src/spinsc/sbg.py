@@ -137,10 +137,11 @@ def _write_pulse(device: SbgDevice, target_p: float, direction: WriteDirection) 
 
 
 def make_units(device: SbgDevice, mode: SbgMode, targets: Sequence[float],
-               master_seed: int, first_id: int, *,
+               master_seed: int, *, domain: int = DOMAIN_DEVICE,
                pv_sigmas: tuple[float, float] | None = None,
                calibration: CalibrationCache | None = None) -> SbgArray:
-    """Build and calibrate one generator per target; unit k gets id first_id + k.
+    """Build and calibrate one generator per target; unit k draws stream k of
+    `domain`, and its process variation stream k of DOMAIN_PROCESS_VARIATION.
 
     Write voltages are calibrated against the nominal device, once per
     distinct target and cache (in `calibration`, or a fresh cache), and units
@@ -166,7 +167,7 @@ def make_units(device: SbgDevice, mode: SbgMode, targets: Sequence[float],
             pulses[p] = (p2ap, ap2p)
         levels[p] = len(levels)
     count = len(targets)
-    ids = range(first_id, first_id + count)
+    ids = range(count)
     scale = np.ones(count)
     if pv_sigmas is not None and any(pv_sigmas):
         scale = np.array([draw_process_variation(rng, *pv_sigmas).resistance_scale(device.params)
@@ -177,7 +178,7 @@ def make_units(device: SbgDevice, mode: SbgMode, targets: Sequence[float],
                     state=np.zeros(count, dtype=bool), energy_nj=np.zeros(count),
                     writes=np.zeros(count, dtype=np.int64),
                     reads=np.zeros(count, dtype=np.int64),
-                    rngs=rngs_for(master_seed, DOMAIN_DEVICE, ids))
+                    rngs=rngs_for(master_seed, domain, ids))
 
 
 class _Pulse(NamedTuple):
@@ -402,7 +403,7 @@ class SbgArraySpec:
 def build_array(spec: SbgArraySpec, master_seed: int, device: SbgDevice = SbgDevice(), *,
                 pv_sigmas: tuple[float, float] | None = None,
                 calibration: CalibrationCache | None = None) -> SbgArray:
-    """Instantiate the array, row k as unit id k: units within a level share
-    the target probability but never a random stream."""
-    return make_units(device, spec.mode, spec.row_levels(), master_seed, 0,
+    """Instantiate the array, row k as unit k: units within a level share the
+    target probability but never a random stream."""
+    return make_units(device, spec.mode, spec.row_levels(), master_seed,
                       pv_sigmas=pv_sigmas, calibration=calibration)

@@ -4,10 +4,10 @@ Every stochastic component owns a numpy Generator derived from the master
 seed plus a (domain, index) key, so simulations are reproducible bit for bit
 and independent instances never share a stream.
 
-rng_for builds one stream.  rngs_for builds the streams of many indices of
-one (seed, domain) at once and equals rng_for stream for stream: it runs
-numpy's SeedSequence hash (NEP 19) as uint32 array arithmetic over all
-indices, and PCG64 seeds itself from each resulting state.
+rng_for builds one stream.  rngs_for builds the streams of many indices in
+[0, 2**32) of one (seed, domain) at once and equals rng_for stream for
+stream: it runs numpy's SeedSequence hash (NEP 19) as uint32 array arithmetic
+over all indices, and PCG64 seeds itself from each resulting state.
 """
 
 from __future__ import annotations
@@ -18,10 +18,12 @@ from functools import cache
 import numpy as np
 
 # Domain tags keep streams for different subsystems disjoint even when the
-# integer indices collide.
+# integer indices collide; each SCC protocol numbers its units from 0 in its own.
 DOMAIN_DEVICE = 1
 DOMAIN_PROCESS_VARIATION = 2
 DOMAIN_READINGS = 3
+DOMAIN_SELF_SCC = 4
+DOMAIN_CROSS_SCC = 5
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx).
 _MASK = 0xFFFFFFFF
@@ -102,16 +104,14 @@ def rngs_for(master_seed: int, domain: int,
              indices: Sequence[int]) -> list[np.random.Generator]:
     """rng_for(master_seed, domain, index) for each index, seeded in one pass.
 
-    Indices of 2**32 or more, which SeedSequence spreads over several words,
-    go through rng_for one by one.
+    An index outside [0, 2**32), which SeedSequence would spread over
+    several words, raises ValueError.
     """
     from numpy.random import PCG64, Generator
 
     seeded = _seeded_type()
-    master_seed, domain = int(master_seed), int(domain)
     indices = [int(index) for index in indices]
-    fast = [0 <= index <= _MASK for index in indices]
-    words = iter(_pcg64_seeds(master_seed, domain, np.array(
-        [index for index, ok in zip(indices, fast) if ok], dtype=np.uint32)))
-    return [Generator(PCG64(seeded(next(words)))) if ok else rng_for(master_seed, domain, index)
-            for index, ok in zip(indices, fast)]
+    if bad := [index for index in indices if not 0 <= index <= _MASK]:
+        raise ValueError(f"stream index {bad[0]} lies outside [0, 2**32)")
+    words = _pcg64_seeds(int(master_seed), int(domain), np.array(indices, dtype=np.uint32))
+    return [Generator(PCG64(seeded(w))) for w in words]

@@ -371,10 +371,11 @@ class Junction:
         return r * self.scale
 
 
-def make_junction(params: MtjParams, master_seed: int, unit_id: int,
-                  scale: float = 1.0) -> Junction:
-    """The junction of unit unit_id, on the stream sbg.make_units gives it."""
-    return Junction(params, rng_for(master_seed, DOMAIN_DEVICE, unit_id), scale)
+def make_junction(params: MtjParams, master_seed: int, row: int, scale: float = 1.0, *,
+                  domain: int = DOMAIN_DEVICE) -> Junction:
+    """The junction of row `row`, on the stream sbg.make_units gives it in
+    `domain`."""
+    return Junction(params, rng_for(master_seed, domain, row), scale)
 
 
 def apply_write(junction: Junction, pulse: PulseSpec) -> bool:

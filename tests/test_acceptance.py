@@ -65,7 +65,7 @@ def test_criterion_02_bitstream_accuracy_trend():
 
 
 def test_criterion_03_scc_suite():
-    array = make_units(DEVICE, SbgMode.SELF_CONTROL, [0.5], MASTER_SEED, 777)
+    array = make_units(DEVICE, SbgMode.SELF_CONTROL, [0.5], MASTER_SEED)
     stream = generate_array(array, 256)[0]
     assert 0 < stream.sum() < len(stream)
     assert scc(stream, stream) == 1.0
@@ -163,11 +163,11 @@ def test_criterion_06_cost_formulas():
 
 def test_criterion_07_operation_counts_and_energy():
     n = 2048
-    simple = make_units(DEVICE, SbgMode.SIMPLE, [0.5], MASTER_SEED, 0)
+    simple = make_units(DEVICE, SbgMode.SIMPLE, [0.5], MASTER_SEED)
     generate_array(simple, n)
     assert (simple.writes[0], simple.reads[0]) == (2 * n, n)
 
-    ctrl = make_units(DEVICE, SbgMode.SELF_CONTROL, [0.5], MASTER_SEED, 1)
+    ctrl = make_units(DEVICE, SbgMode.SELF_CONTROL, [0.5], MASTER_SEED)
     generate_array(ctrl, n)
     assert (ctrl.writes[0], ctrl.reads[0]) == (n + 1, n + 1)
 

@@ -257,6 +257,25 @@ def test_command_computes_likelihoods_once(tmp_path, config_path, monkeypatch, c
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 74.5 TiB for an array", "Unable to allocate 74.5 TiB for an array"),
+    ("", "MemoryError"),
+], ids=["numpy", "bare"])
+def test_memory_error_is_one_line_error(tmp_path, config_path, capsys, monkeypatch,
+                                        message, line):
+    # Stands in for a grid too large to allocate; nothing is allocated here.
+    def exhausted(problem):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(fusion, "likelihood_channels", exhausted)
+    out = tmp_path / "o"
+    assert main(["--config", str(config_path), "--out-dir", str(out), "fusion-run"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {line}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_allocate_empty_netlist_is_one_line_error(tmp_path, config_path, capsys):
     netlist, assignment = tmp_path / "empty.net", tmp_path / "empty.assign"
     netlist.write_text("", encoding="utf-8")
@@ -466,7 +485,9 @@ def test_flag_and_key_refuse_bad_text_alike(tmp_path, capsys, flag, section, key
     out = tmp_path / "o"
     for command in ("fusion-run", "kl-sweep"):
         assert main(["--out-dir", str(out), flag, value, command]) == 2
-        by_flag = capsys.readouterr().err
+        captured = capsys.readouterr()
+        by_flag = captured.err
+        assert captured.out == ""
         assert main(["--config", str(bad), "--out-dir", str(out), command]) == 2
         assert capsys.readouterr().err == by_flag
         assert by_flag.startswith(f"configuration error: [{section}] {key} = {value!r}: ")
@@ -759,11 +780,13 @@ def test_grid_dimensions_below_one_are_config_errors(tmp_path, capsys, source, v
     bad.write_text(f"[fusion]\ngrid = {value}\n", encoding="utf-8")
     out = tmp_path / "o"
     given = {"key": ["--config", str(bad)], "flag": ["--grid", value]}[source]
-    assert main([*given, "--out-dir", str(out), "fusion-run"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"configuration error: [fusion] grid = {value!r}: " \
-                           "a count must be at least 1\n"
-    assert not out.exists()
+    for command in ("fusion-run", "kl-sweep"):
+        assert main([*given, "--out-dir", str(out), command]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: [fusion] grid = {value!r}: " \
+                               "a count must be at least 1\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("key, command", [

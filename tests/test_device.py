@@ -168,7 +168,7 @@ def test_calibrate_target_within_tol_above_the_range():
 
 
 def test_process_variation_disabled_is_nominal():
-    array = make_units(SbgDevice(PARAMS), SbgMode.SIMPLE, [0.5, 0.5], 3, 0, pv_sigmas=(0.0, 0.0))
+    array = make_units(SbgDevice(PARAMS), SbgMode.SIMPLE, [0.5, 0.5], 3, pv_sigmas=(0.0, 0.0))
     assert array.scale.tolist() == [1.0, 1.0]
     assert InstanceFactors().resistance_scale(PARAMS) == 1.0
 
@@ -210,7 +210,7 @@ def test_variation_rescales_resistance_and_dt():
 
 
 def test_distinct_instances_produce_distinct_streams():
-    array = make_units(SbgDevice(PARAMS), SbgMode.SELF_CONTROL, [0.5, 0.5], 1234, 0)
+    array = make_units(SbgDevice(PARAMS), SbgMode.SELF_CONTROL, [0.5, 0.5], 1234)
     s0, s1 = generate_array(array, 512)
     assert not np.array_equal(s0, s1)
     assert abs(scc(s0, s1)) < 0.2

@@ -1,24 +1,26 @@
 """The measurement protocols against per-pair and per-unit reference scoring.
 
-The references rebuild each protocol's generators one unit at a time, run
-them one probability (or pair of probabilities) at a time, and score them
-with the scalar SCC oracle in helpers on stream prefixes, or with a density
-per prefix; the tables must equal them exactly (==, not approx).
+The references rebuild each protocol's generators one unit at a time, unit k
+of a protocol on stream k of its seeding domain (and of the process-variation
+domain), run them one probability (or pair of probabilities) at a time, and
+score them with the scalar SCC oracle in helpers on stream prefixes, or with
+a density per prefix; the tables must equal them exactly (==, not approx).
 """
 
 import numpy as np
 import pytest
 
 from helpers import overlap_counts, scc
-from spinsc.experiments import (
-    CROSS_SCC_BASE_ID,
-    SELF_SCC_BASE_ID,
-    SWEEP_BASE_ID,
-    cross_scc_table,
-    density_sweep,
-    self_scc_table,
-)
+from spinsc.device import draw_process_variation
+from spinsc.experiments import cross_scc_table, density_sweep, self_scc_table
 from spinsc.sbg import SbgDevice, SbgMode, generate_array, make_units
+from spinsc.seeding import (
+    DOMAIN_CROSS_SCC,
+    DOMAIN_DEVICE,
+    DOMAIN_PROCESS_VARIATION,
+    DOMAIN_SELF_SCC,
+    rng_for,
+)
 
 DEVICE = SbgDevice()
 SEED = 31
@@ -27,9 +29,21 @@ LENGTHS = (100, 7, 32, 32)
 PAIRS = 6
 
 
-def reference_streams(targets, first_id, n, mode=SbgMode.SELF_CONTROL, pv_sigmas=None):
-    return [generate_array(make_units(DEVICE, mode, [p], SEED, first_id + k,
-                                      pv_sigmas=pv_sigmas), n)[0]
+def reference_unit(p, domain, index, mode, pv_sigmas):
+    """A one-unit array on stream `index` of `domain`, with the process
+    variation of stream `index` of the process-variation domain."""
+    unit = make_units(DEVICE, mode, [p], SEED)
+    unit.rngs[0] = rng_for(SEED, domain, index)
+    if pv_sigmas is not None:
+        factors = draw_process_variation(rng_for(SEED, DOMAIN_PROCESS_VARIATION, index),
+                                         *pv_sigmas)
+        unit.scale[0] = factors.resistance_scale(DEVICE.params)
+    return unit
+
+
+def reference_streams(targets, domain, first, n, mode=SbgMode.SELF_CONTROL, pv_sigmas=None):
+    """n bits of each target's unit, the k-th on stream first + k of domain."""
+    return [generate_array(reference_unit(p, domain, first + k, mode, pv_sigmas), n)[0]
             for k, p in enumerate(targets)]
 
 
@@ -56,7 +70,7 @@ def test_self_scc_table_equals_per_pair_scc():
     lengths = sorted(LENGTHS)
     expected, branches = [], set()
     for k, p in enumerate(probs):
-        streams = reference_streams([p] * (2 * PAIRS), SELF_SCC_BASE_ID + 2 * PAIRS * k,
+        streams = reference_streams([p] * (2 * PAIRS), DOMAIN_SELF_SCC, 2 * PAIRS * k,
                                     lengths[-1])
         branches |= scc_branches(streams, lengths)
         expected.extend((p, n, float(np.mean(reference_scc(streams, n)))) for n in lengths)
@@ -70,7 +84,7 @@ def test_cross_scc_table_equals_per_pair_scc():
     lengths = sorted(LENGTHS)
     expected, branches = [], set()
     for k, (p1, p2) in enumerate(prob_pairs):
-        streams = reference_streams([p1, p2] * PAIRS, CROSS_SCC_BASE_ID + 2 * PAIRS * k,
+        streams = reference_streams([p1, p2] * PAIRS, DOMAIN_CROSS_SCC, 2 * PAIRS * k,
                                     lengths[-1])
         branches |= scc_branches(streams, lengths)
         expected.extend((p1, p2, n, float(np.mean(reference_scc(streams, n))))
@@ -86,7 +100,7 @@ def test_density_sweep_equals_per_unit_density(pv_sigmas):
     lengths = sorted(LENGTHS)
     errors = {n: [] for n in lengths}
     for k, p in enumerate(probs):
-        streams = reference_streams([p] * repeats, SWEEP_BASE_ID + repeats * k, lengths[-1],
+        streams = reference_streams([p] * repeats, DOMAIN_DEVICE, repeats * k, lengths[-1],
                                     SbgMode.SIMPLE, pv_sigmas)
         for n in lengths:
             density = np.array([int(s[:n].sum()) for s in streams]) / n

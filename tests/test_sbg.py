@@ -3,7 +3,7 @@ import pytest
 
 from helpers import scc
 from spinsc.device import PulseSpec, WriteDirection
-from spinsc import experiments
+from spinsc import experiments, sbg
 from spinsc.experiments import density_sweep, self_scc_table
 from spinsc.sbg import (
     RESET_PULSE,
@@ -20,19 +20,19 @@ from spinsc.sbg import (
 DEVICE = SbgDevice()
 
 
-def one_unit(mode, target_p, master_seed, unit_id, device=DEVICE):
-    return make_units(device, mode, [target_p], master_seed, unit_id)
+def one_unit(mode, target_p, master_seed, device=DEVICE):
+    return make_units(device, mode, [target_p], master_seed)
 
 
 def test_simple_operation_counts():
-    array = one_unit(SbgMode.SIMPLE, 0.5, 1, 0)
+    array = one_unit(SbgMode.SIMPLE, 0.5, 1)
     n = 257
     assert generate_array(array, n).shape == (1, n)
     assert (array.writes[0], array.reads[0]) == (2 * n, n)
 
 
 def test_self_control_operation_counts():
-    array = one_unit(SbgMode.SELF_CONTROL, 0.5, 1, 1)
+    array = one_unit(SbgMode.SELF_CONTROL, 0.5, 1)
     n = 257
     assert generate_array(array, n).shape == (1, n)
     assert (array.writes[0], array.reads[0]) == (n + 1, n + 1)
@@ -42,32 +42,32 @@ def test_mode_mismatch_rejected():
     # An array has one mode.  A calibration cache that serves both modes
     # keeps their pulses apart, so a simple array carries no AP->P pulse.
     cache = CalibrationCache()
-    make_units(DEVICE, SbgMode.SELF_CONTROL, [0.5], 1, 3, calibration=cache)
-    array = make_units(DEVICE, SbgMode.SIMPLE, [0.5], 1, 2, calibration=cache)
+    make_units(DEVICE, SbgMode.SELF_CONTROL, [0.5], 1, calibration=cache)
+    array = make_units(DEVICE, SbgMode.SIMPLE, [0.5], 1, calibration=cache)
     assert array.pulses[0][1] is None
     with pytest.raises(ValueError):
         generate_array(array, 0)
 
 
 def test_zero_target_gives_all_zero_stream():
-    array = one_unit(SbgMode.SIMPLE, 0.0, 1, 3)
+    array = one_unit(SbgMode.SIMPLE, 0.0, 1)
     assert generate_array(array, 256).sum() == 0
 
 
 def test_full_target_gives_all_ones_stream():
-    array = one_unit(SbgMode.SELF_CONTROL, 1.0, 1, 4)
+    array = one_unit(SbgMode.SELF_CONTROL, 1.0, 1)
     # every attempt flips, XOR is always 1
     assert generate_array(array, 256).sum() == 256
 
 
 def test_self_control_density_converges():
-    array = make_units(DEVICE, SbgMode.SELF_CONTROL, [0.3] * 200, 5, 0)
+    array = make_units(DEVICE, SbgMode.SELF_CONTROL, [0.3] * 200, 5)
     densities = generate_array(array, 512).sum(axis=1) / 512
     assert np.mean(densities) == pytest.approx(0.30, abs=0.01)
 
 
 def test_energy_starts_at_zero_and_grows():
-    array = one_unit(SbgMode.SIMPLE, 0.5, 1, 5)
+    array = one_unit(SbgMode.SIMPLE, 0.5, 1)
     assert array.energy_nj[0] == 0.0
     generate_array(array, 16)
     first = array.energy_nj[0]
@@ -85,7 +85,7 @@ def test_pulse_energy_hand_computation():
 
     # A one-bit simple stream from P: the reset and the write both see R_P,
     # and free reads leave only the two pulses.
-    array = one_unit(SbgMode.SIMPLE, 0.5, 1, 6, SbgDevice(read_energy_nj=0.0))
+    array = one_unit(SbgMode.SIMPLE, 0.5, 1, SbgDevice(read_energy_nj=0.0))
     assert array.state.tolist() == [False]    # P
     generate_array(array, 1)
     v = array.pulses[0][0].voltage
@@ -94,15 +94,15 @@ def test_pulse_energy_hand_computation():
 
 def test_self_control_energy_at_most_065_of_simple():
     n = 2048
-    simple = one_unit(SbgMode.SIMPLE, 0.5, 2, 0)
+    simple = one_unit(SbgMode.SIMPLE, 0.5, 2)
     generate_array(simple, n)
-    ctrl = one_unit(SbgMode.SELF_CONTROL, 0.5, 2, 1)
+    ctrl = one_unit(SbgMode.SELF_CONTROL, 0.5, 2)
     generate_array(ctrl, n)
     assert ctrl.energy_nj[0] <= 0.65 * simple.energy_nj[0]
 
 
 def test_self_control_energy_monotone_in_probability():
-    array = make_units(DEVICE, SbgMode.SELF_CONTROL, np.linspace(0.1, 0.9, 9).tolist(), 7, 100)
+    array = make_units(DEVICE, SbgMode.SELF_CONTROL, np.linspace(0.1, 0.9, 9).tolist(), 7)
     generate_array(array, 512)
     per_cycle = (array.energy_nj / array.writes).tolist()
     assert all(b > a for a, b in zip(per_cycle, per_cycle[1:]))
@@ -164,29 +164,36 @@ def test_self_scc_decreases_with_length_per_probability():
         assert all(a > b for a, b in zip(series, series[1:])), f"p={p}: {series}"
 
 
-def _refuse_build(*args, **kwargs):
-    raise RuntimeError("building started")
+def _refuse_build(device, mode, targets, *args, **kwargs):
+    raise RuntimeError(f"building {len(targets)} units")
 
 
-def test_density_sweep_id_block_boundary(monkeypatch):
+def test_density_sweep_has_no_unit_cap(monkeypatch):
+    # One unit past the 10_000 a density sweep was once refused beyond.
     monkeypatch.setattr(experiments, "make_units", _refuse_build)
-    with pytest.raises(ValueError, match="unit-id block"):
-        density_sweep((0.5, 0.5), (8,), 5_001, master_seed=1)
-    with pytest.raises(RuntimeError, match="building started"):
-        density_sweep((0.5, 0.5), (8,), 5_000, master_seed=1)
+    with pytest.raises(RuntimeError, match="building 10001 units"):
+        density_sweep((0.5,), (8,), 10_001, master_seed=1)
 
 
-def test_self_scc_id_block_boundary(monkeypatch):
-    # 2 * pairs * len(probs) = 40_000 ends just below the cross-SCC block.
+def test_self_scc_table_has_no_unit_cap(monkeypatch):
+    # One pair past the 40_000 units a self-SCC table was once refused beyond.
     monkeypatch.setattr(experiments, "make_units", _refuse_build)
-    with pytest.raises(ValueError, match="unit-id block"):
-        self_scc_table((0.3, 0.7), (8,), 10_001, master_seed=1)
-    with pytest.raises(RuntimeError, match="building started"):
-        self_scc_table((0.3, 0.7), (8,), 10_000, master_seed=1)
+    with pytest.raises(RuntimeError, match="building 40002 units"):
+        self_scc_table((0.5,), (8,), 20_001, master_seed=1)
 
 
-def test_calibration_cache_shared_across_units():
+def test_calibration_cache_shared_across_units(monkeypatch):
+    calls = []
+    real_calibrate = sbg.calibrate_voltage
+
+    def counting_calibrate(*args):
+        calls.append(args)
+        return real_calibrate(*args)
+
+    monkeypatch.setattr(sbg, "calibrate_voltage", counting_calibrate)
     cache = CalibrationCache()
-    u1 = make_units(DEVICE, SbgMode.SELF_CONTROL, [0.37], 1, 10, calibration=cache)
-    u2 = make_units(DEVICE, SbgMode.SELF_CONTROL, [0.37], 1, 11, calibration=cache)
-    assert u1.pulses == u2.pulses
+    first = make_units(DEVICE, SbgMode.SELF_CONTROL, [0.37], 1, calibration=cache)
+    assert len(calls) == 2            # one pulse per write direction
+    second = make_units(DEVICE, SbgMode.SELF_CONTROL, [0.37, 0.37], 1, calibration=cache)
+    assert len(calls) == 2
+    assert second.pulses == first.pulses

@@ -10,10 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import MtjState, scalar_generate
+from helpers import MtjState, make_junction, scalar_generate
 from spinsc import sbg
-from spinsc.device import PulseSpec, WriteDirection
+from spinsc.device import PulseSpec, WriteDirection, draw_process_variation
 from spinsc.sbg import RESET_PULSE, CalibrationCache, SbgDevice, SbgMode, generate_array, make_units
+from spinsc.seeding import (
+    DOMAIN_CROSS_SCC,
+    DOMAIN_DEVICE,
+    DOMAIN_PROCESS_VARIATION,
+    DOMAIN_SELF_SCC,
+    rng_for,
+)
 
 DEVICE = SbgDevice()
 PV = (0.05, 0.02)
@@ -35,7 +42,7 @@ def build(mode, targets, seed, pv, starts=None, device=None, calibration=None):
     starts in starts[k] (P when starts is None).  Process-variation streams
     are their own domain, so setting a unit's scale back to exactly 1.0
     leaves it as a build without process variation would."""
-    array = make_units(device or DEVICE, mode, targets, seed, 0, pv_sigmas=PV,
+    array = make_units(device or DEVICE, mode, targets, seed, pv_sigmas=PV,
                        calibration=calibration)
     for k in range(len(targets)):
         if not pv(k):
@@ -102,10 +109,10 @@ def test_self_control_initialization_from_ap():
 
 
 def test_bad_length_and_empty_array():
-    array = make_units(DEVICE, SbgMode.SIMPLE, [0.5], 1, 0)
+    array = make_units(DEVICE, SbgMode.SIMPLE, [0.5], 1)
     with pytest.raises(ValueError):
         generate_array(array, 0)
-    assert generate_array(make_units(DEVICE, SbgMode.SIMPLE, [], 1, 0), 4).shape == (0, 4)
+    assert generate_array(make_units(DEVICE, SbgMode.SIMPLE, [], 1), 4).shape == (0, 4)
 
 
 @pytest.mark.parametrize("mode", list(SbgMode))
@@ -168,22 +175,36 @@ def test_engine_matches_oracle_on_random_arrays(mode, specs, reset_voltage, n, s
 
 
 def test_make_units_matches_one_unit_at_a_time():
+    # Row k runs, bit for bit, as the per-bit oracle's junction on stream k
+    # of the domain, with the process variation of stream k of its own domain.
     targets = [0.3, 0.7, 0.3, 1e-6, 0.7]
-    batch = make_units(DEVICE, SbgMode.SELF_CONTROL, targets, 4, 20, pv_sigmas=PV)
-    for k, p in enumerate(targets):
-        single = make_units(DEVICE, SbgMode.SELF_CONTROL, [p], 4, 20 + k, pv_sigmas=PV)
-        assert batch.targets[k] == single.targets[0]
-        assert batch.pulses[batch.level[k]] == single.pulses[0]
-        assert batch.scale[k] == single.scale[0]
-        assert batch.rngs[k].standard_normal() == single.rngs[0].standard_normal()
-    # One pulse pair per distinct target.
-    assert batch.level.tolist() == [0, 1, 0, 2, 1]
-    assert len(batch.pulses) == 3
+    for domain in (DOMAIN_DEVICE, DOMAIN_SELF_SCC, DOMAIN_CROSS_SCC):
+        batch = make_units(DEVICE, SbgMode.SELF_CONTROL, targets, 4, domain=domain, pv_sigmas=PV)
+        oracle = make_units(DEVICE, SbgMode.SELF_CONTROL, targets, 4)
+        for k, p in enumerate(targets):
+            single = make_units(DEVICE, SbgMode.SELF_CONTROL, [p], 4)
+            assert batch.targets[k] == p
+            assert batch.pulses[batch.level[k]] == single.pulses[0]
+            factors = draw_process_variation(rng_for(4, DOMAIN_PROCESS_VARIATION, k), *PV)
+            assert batch.scale[k] == factors.resistance_scale(DEVICE.params)
+            oracle.scale[k] = batch.scale[k]
+            oracle.rngs[k] = make_junction(DEVICE.params, 4, k, domain=domain).rng
+        assert_same(batch, oracle, 40)
+        assert_same_next_draw(batch, oracle)
+        # One pulse pair per distinct target.
+        assert batch.level.tolist() == [0, 1, 0, 2, 1]
+        assert len(batch.pulses) == 3
+
+
+def test_make_units_takes_no_positional_unit_id():
+    # A stale positional id must not become the seeding domain.
+    with pytest.raises(TypeError):
+        make_units(DEVICE, SbgMode.SIMPLE, [0.5], 1, 0)
 
 
 def test_make_units_rejects_targets_outside_unit_interval():
     with pytest.raises(ValueError):
-        make_units(DEVICE, SbgMode.SIMPLE, [0.5, 1.5], 1, 0)
+        make_units(DEVICE, SbgMode.SIMPLE, [0.5, 1.5], 1)
 
 
 def test_simple_mode_refuses_reset_toward_ap():
