@@ -1,4 +1,4 @@
-"""The spinsc console script: kl-sweep refuses a bad grid before it writes anything."""
+"""kl-sweep refuses a bad grid in one line, before it writes anything."""
 import pytest
 
 from spinsc.cli import main
