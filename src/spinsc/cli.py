@@ -80,11 +80,11 @@ def cmd_sbg_characterize(cfg: RunConfig, args: argparse.Namespace) -> list[Path]
 def cmd_array_report(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     """Per-unit density error and energy for the configured generator array."""
     out = Path(cfg.out_dir)
-    levels = cfg.array.resolved_levels()
+    levels = cfg.array.levels
     multiplicity = cfg.array.multiplicity or tuple(1 for _ in levels)
     if len(multiplicity) != len(levels):
         raise ConfigError("array multiplicity must match the level count")
-    spec = SbgArraySpec(tuple(levels), tuple(multiplicity), cfg.array.mode)
+    spec = SbgArraySpec(levels, multiplicity, cfg.array.mode)
     array = build_array(spec, cfg.master_seed, cfg.device, pv_sigmas=cfg.pv_sigmas)
     n = cfg.bitstream_len
     density = generate_array(array, n).sum(axis=1) / n

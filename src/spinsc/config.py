@@ -115,12 +115,10 @@ def _nonempty(values: tuple) -> tuple:
 
 
 def _bool(text: str) -> bool:
-    norm = text.strip().lower()
-    if norm in ("1", "true", "yes", "on"):
-        return True
-    if norm in ("0", "false", "no", "off"):
-        return False
-    raise ValueError("not a boolean")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError("not a boolean") from None
 
 
 def _grid(text: str) -> tuple[int, int]:
@@ -157,16 +155,9 @@ def _sensors(text: str) -> tuple[tuple[float, float], ...]:
 
 @dataclass(frozen=True)
 class ArrayConfig:
-    levels: tuple[float, ...] = ()
-    uniform_levels: int = 64
+    levels: tuple[float, ...] = tuple((k + 1) / 64 for k in range(64))
     multiplicity: tuple[int, ...] = ()
     mode: SbgMode = SbgMode.SELF_CONTROL
-
-    def resolved_levels(self) -> tuple[float, ...]:
-        if self.levels:
-            return self.levels
-        count = self.uniform_levels
-        return tuple((k + 1) / count for k in range(count))
 
 
 @dataclass(frozen=True)
@@ -232,7 +223,6 @@ KEYS: dict[tuple[str, str], tuple[tuple[str, ...], Callable[[str], object]]] = {
     ("device", "reset_voltage"): (("device", "reset_pulse", "voltage"), _positive),
     ("device", "reset_duration"): (("device", "reset_pulse", "duration"), _float),
     ("array", "levels"): (("array", "levels"), _levels),
-    ("array", "uniform_levels"): (("array", "uniform_levels"), count),
     ("array", "multiplicity"): (("array", "multiplicity"), _counts),
     ("array", "mode"): (("array", "mode"), SbgMode),
     ("fusion", "grid"): (("fusion", "grid"), _grid),

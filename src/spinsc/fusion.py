@@ -81,7 +81,6 @@ class PosteriorGrid:
     """Non-negative per-cell weights over the (W, H) grid."""
 
     weights: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -101,8 +100,8 @@ class PosteriorGrid:
         total = self.total()
         if total <= 0.0:
             uniform = np.full_like(self.weights, 1.0 / self.weights.size)
-            return PosteriorGrid(uniform, normalized=True)
-        return PosteriorGrid(self.weights / total, normalized=True)
+            return PosteriorGrid(uniform)
+        return PosteriorGrid(self.weights / total)
 
     def argmax(self) -> tuple[int, int]:
         """Peak cell; ties resolve to the lowest (x, y) lexicographically."""
@@ -206,11 +205,6 @@ def quantize_levels(values: np.ndarray, level_count: int) -> np.ndarray:
     return np.clip(k, 1, level_count).astype(np.intp)
 
 
-def quantize_unit_interval(values: np.ndarray, level_count: int) -> np.ndarray:
-    """The levels k/L themselves (see quantize_levels)."""
-    return quantize_levels(values, level_count) / level_count
-
-
 @dataclass
 class FusionRunStats:
     """Accounting from one stochastic inference run."""
@@ -244,9 +238,7 @@ class FusionPipeline:
             raise ValueError(f"the level count must lie in 1..{MAX_LEVEL_COUNT}, "
                              f"got {level_count}")
         self.problem = problem
-        self.level_count = level_count
         self.device = device
-        self.mode = mode
         self.calibration = CalibrationCache()
 
         # Each cell is one 6-input AND chain, so its six terminals form one
@@ -285,10 +277,6 @@ class FusionPipeline:
     def num_terminals(self) -> int:
         return self.cell_rows.size
 
-    @property
-    def num_units(self) -> int:
-        return self.spec.total_units
-
     def run(self, n: int, master_seed: int,
             pv_sigmas: tuple[float, float] | None = None
             ) -> tuple[PosteriorGrid, FusionRunStats]:
@@ -317,7 +305,7 @@ class FusionPipeline:
     def analytic_estimate(self) -> PosteriorGrid:
         """Infinite-length limit: exact per-cell products of quantized levels."""
         w, h = self.problem.grid_w, self.problem.grid_h
-        levels = np.array(self.matrix.row_levels)
+        levels = np.array(self.spec.row_levels())
         prods = np.prod(levels[self.cell_rows], axis=1)
         return PosteriorGrid(prods.reshape(w, h)).normalize()
 
@@ -333,7 +321,7 @@ def kl_divergence(exact: PosteriorGrid, estimate: PosteriorGrid,
     if exact.shape != estimate.shape:
         raise ShapeMismatch(f"grid shapes differ: {exact.shape} vs {estimate.shape}")
     for grid, name in ((exact, "exact"), (estimate, "estimate")):
-        if not grid.normalized or abs(grid.total() - 1.0) > 1e-9:
+        if abs(grid.total() - 1.0) > 1e-9:
             raise ValueError(f"{name} grid must be normalized")
     p = exact.weights
     q = np.where(estimate.weights > 0.0, estimate.weights, zero_floor)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -10,30 +12,16 @@ settings.register_profile(
 settings.load_profile("default")
 
 
-REFERENCE_NETLIST = """\
-terminal T1
-terminal T2
-terminal T3
-terminal T4
-terminal T5
-terminal T6
-terminal T7
-terminal T8
-terminal T9
-gate G1 AND T1 T2
-gate G2 AND T3 T4
-gate R1 MUX G2 G1 T5
-gate G3 AND T6 T7
-gate G4 AND G3 T8
-gate R2 AND G4 T9
-output R1
-output R2
-"""
-
-# T1..T9 request {p1, p2, p1, p3, p1, p4, p5, p3, p3}
+# The reference netlist and its assignment; T1..T9 request
+# {p1, p2, p1, p3, p1, p4, p5, p3, p3}.
+DATA = Path(__file__).parent / "data"
+REFERENCE_NETLIST_PATH = DATA / "reference.net"
+REFERENCE_ASSIGNMENT_PATH = DATA / "reference.assign"
+REFERENCE_NETLIST = REFERENCE_NETLIST_PATH.read_text(encoding="utf-8")
 REFERENCE_ASSIGNMENT = {
-    "T1": 0.1, "T2": 0.3, "T3": 0.1, "T4": 0.5, "T5": 0.1,
-    "T6": 0.7, "T7": 0.9, "T8": 0.5, "T9": 0.5,
+    name.strip(): float(value)
+    for name, value in (line.split("=") for line in
+                        REFERENCE_ASSIGNMENT_PATH.read_text(encoding="utf-8").splitlines())
 }
 
 

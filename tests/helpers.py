@@ -20,7 +20,7 @@ from spinsc.fusion import (
     bearing_deg,
     condition_channels,
     likelihood_channels,
-    quantize_unit_interval,
+    quantize_levels,
 )
 from spinsc.logic import (
     GateKind,
@@ -495,8 +495,8 @@ def build_sc_network(problem: FusionProblem,
     terminals) and the terminal -> level map derived from the conditioned,
     quantized likelihood channels.
     """
-    channels = quantize_unit_interval(condition_channels(likelihood_channels(problem)),
-                                      level_count)
+    channels = quantize_levels(condition_channels(likelihood_channels(problem)),
+                               level_count) / level_count
     net = ScNetlist()
     assignment: dict[str, float] = {}
     for x in range(problem.grid_w):

@@ -14,7 +14,8 @@ import pytest
 
 import helpers
 from helpers import as_columns, rows_in_use, scc, size_array
-from conftest import REFERENCE_ASSIGNMENT, REFERENCE_NETLIST
+from conftest import (REFERENCE_ASSIGNMENT, REFERENCE_ASSIGNMENT_PATH, REFERENCE_NETLIST,
+                      REFERENCE_NETLIST_PATH)
 from spinsc.allocator import (
     CapacityExceeded,
     allocate,
@@ -226,17 +227,13 @@ characterize_durations = 2.0,5.4
 def test_criterion_10_byte_identical_reruns(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(DETERMINISM_CONFIG, encoding="utf-8")
-    netlist = tmp_path / "reference.net"
-    netlist.write_text(REFERENCE_NETLIST, encoding="utf-8")
-    assignment = tmp_path / "reference.assign"
-    assignment.write_text("\n".join(f"{t} = {v}" for t, v in REFERENCE_ASSIGNMENT.items()),
-                          encoding="utf-8")
 
     commands = [
         ("sbg-characterize",),
         ("array-report",),
         ("scc-report",),
-        ("allocate", "--netlist", str(netlist), "--assignment", str(assignment)),
+        ("allocate", "--netlist", str(REFERENCE_NETLIST_PATH),
+         "--assignment", str(REFERENCE_ASSIGNMENT_PATH)),
         ("fusion-run",),
         ("cost-report",),
         ("pv-sweep",),

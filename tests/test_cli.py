@@ -517,10 +517,41 @@ def test_unread_junction_keys_are_unknown(tmp_path, capsys, key):
     assert capsys.readouterr().err == f"configuration error: unknown [device] key {key!r}\n"
 
 
-def test_unknown_config_key_fails(tmp_path):
+def test_unknown_config_key_fails(tmp_path, capsys):
+    for section, key, command in (("run", "bogus", "cost-report"),
+                                  ("array", "uniform_levels", "array-report")):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[{section}]\n{key} = 8\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["--config", str(bad), "--out-dir", str(out), command]) == 2
+        assert capsys.readouterr().err == \
+            f"configuration error: unknown [{section}] key {key!r}\n"
+        assert not out.exists()
+
+
+def test_array_levels_default_to_64_uniform_levels():
+    assert load_config(None).array.levels == tuple(k / 64 for k in range(1, 65))
+
+
+@pytest.mark.parametrize("word, value", [
+    ("1", True), ("yes", True), ("true", True), ("on", True),
+    ("0", False), ("no", False), ("false", False), ("off", False),
+])
+def test_boolean_words_set_pv(tmp_path, word, value):
+    for text in (word, word.upper()):
+        path = tmp_path / "pv.cfg"
+        path.write_text(f"[run]\npv = {text}\n", encoding="utf-8")
+        assert load_config(path).pv is value
+
+
+def test_unknown_boolean_word_is_a_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("[run]\nbogus = 1\n", encoding="utf-8")
-    assert main(["--config", str(bad), "cost-report"]) == 2
+    bad.write_text("[run]\npv = maybe\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(bad), "--out-dir", str(out), "cost-report"]) == 2
+    assert capsys.readouterr().err == \
+        "configuration error: [run] pv = 'maybe': not a boolean\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", [
@@ -748,7 +779,6 @@ def test_sigma_d_keys_change_exact_posterior(tmp_path, config_path, key, value):
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("section, key, command", [
     ("run", "bitstream_len", "array-report"),
-    ("array", "uniform_levels", "array-report"),
     ("fusion", "levels", "fusion-run"),
     ("report", "scc_pairs", "scc-report"),
     ("report", "sweep_repeats", "pv-sweep"),

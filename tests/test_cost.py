@@ -76,9 +76,9 @@ def test_simulated_energy_same_order_as_reference():
 def test_k_energy_identity_with_run_scale():
     problem = make_problem(grid_w=16, grid_h=16)
     pipeline = FusionPipeline(problem)
-    k_energy, _ = cost_metrics(92, pipeline.num_terminals, pipeline.num_units,
+    k_energy, _ = cost_metrics(92, pipeline.num_terminals, pipeline.spec.total_units,
                                pipeline.matrix.control.shape[1])
-    assert k_energy == pipeline.num_units / pipeline.num_terminals
+    assert k_energy == pipeline.spec.total_units / pipeline.num_terminals
 
 
 def test_comparison_rows_mirror_profiles():

@@ -21,7 +21,7 @@ from spinsc.fusion import (
     kl_divergence,
     likelihood_channels,
     make_problem,
-    quantize_unit_interval,
+    quantize_levels,
     synthesize_readings,
 )
 from spinsc.logic import extract_conflict_sets
@@ -111,12 +111,12 @@ def test_conditioning_preserves_exact_posterior():
 def test_quantizer_grid_and_ties():
     levels = 4  # grid {0.25, 0.5, 0.75, 1.0}
     vals = np.array([1.0, 0.9, 0.26, 0.125, 1e-9])
-    out = quantize_unit_interval(vals, levels)
-    assert out.tolist() == [1.0, 1.0, 0.25, 0.25, 0.25]
+    out = quantize_levels(vals, levels)
+    assert out.tolist() == [4, 4, 1, 1, 1]
     # 0.125 is the 0.25/0.5 midpoint scaled down: exactly between 0 and 0.25,
-    # and the excluded zero level forces it up to 0.25; a true midpoint
+    # and the excluded zero level forces it up to level 1; a true midpoint
     # between two positive levels resolves to the lower one:
-    assert quantize_unit_interval(np.array([0.375]), levels).tolist() == [0.25]
+    assert quantize_levels(np.array([0.375]), levels).tolist() == [1]
 
 
 def test_network_scale_and_conflict_structure():
@@ -195,8 +195,8 @@ def test_analytic_limit_equals_quantized_exact():
     problem = make_problem(grid_w=16, grid_h=16)
     pipeline = FusionPipeline(problem)
     limit = pipeline.analytic_estimate()
-    channels = quantize_unit_interval(
-        condition_channels(likelihood_channels(problem)), 64)
+    channels = quantize_levels(
+        condition_channels(likelihood_channels(problem)), 64) / 64
     oracle = PosteriorGrid(np.prod(channels, axis=0)).normalize()
     assert np.allclose(limit.weights, oracle.weights, atol=1e-12)
 
@@ -231,8 +231,8 @@ def test_rescaling_before_quantization_preserves_sc_argmax():
     problem = make_problem(grid_w=8, grid_h=8)
     channels = likelihood_channels(problem)
     scaled = channels * np.array([0.5, 0.9, 0.3, 1.0, 0.7, 0.2])[:, None, None]
-    q1 = quantize_unit_interval(condition_channels(channels), 64)
-    q2 = quantize_unit_interval(condition_channels(scaled), 64)
+    q1 = quantize_levels(condition_channels(channels), 64)
+    q2 = quantize_levels(condition_channels(scaled), 64)
     assert np.array_equal(q1, q2)
 
 
@@ -245,23 +245,23 @@ def test_kl_identical_grids_is_zero():
 def test_kl_hand_computed_two_by_two():
     # Uniform truth against a point mass floored at eps and renormalized.
     eps = default_zero_floor(64, 2, 2)
-    exact = PosteriorGrid(np.full((2, 2), 0.25), normalized=True)
-    est = PosteriorGrid(np.array([[1.0, 0.0], [0.0, 0.0]]), normalized=True)
+    exact = PosteriorGrid(np.full((2, 2), 0.25))
+    est = PosteriorGrid(np.array([[1.0, 0.0], [0.0, 0.0]]))
     z = 1.0 + 3.0 * eps
     expected = 0.25 * (math.log(0.25 * z / 1.0) + 3.0 * math.log(0.25 * z / eps))
     assert kl_divergence(exact, est, zero_floor=eps) == pytest.approx(expected, rel=1e-12)
 
 
 def test_kl_shape_mismatch():
-    a = PosteriorGrid(np.ones((2, 2)) / 4, normalized=True)
-    b = PosteriorGrid(np.ones((2, 3)) / 6, normalized=True)
+    a = PosteriorGrid(np.ones((2, 2)) / 4)
+    b = PosteriorGrid(np.ones((2, 3)) / 6)
     with pytest.raises(ShapeMismatch):
         kl_divergence(a, b)
 
 
 def test_kl_requires_normalized_grids():
     a = PosteriorGrid(np.ones((2, 2)))
-    b = PosteriorGrid(np.ones((2, 2)) / 4, normalized=True)
+    b = PosteriorGrid(np.ones((2, 2)) / 4)
     with pytest.raises(ValueError):
         kl_divergence(a, b)
 
@@ -317,7 +317,7 @@ def test_run_stats_accounting():
     pipeline = FusionPipeline(problem)
     est, stats = pipeline.run(32, 1)
     assert stats.n_cycles == 32
-    assert stats.num_units == pipeline.num_units
+    assert stats.num_units == pipeline.spec.total_units
     # self-control units: n+1 writes and reads each
     assert stats.writes == stats.num_units * 33
     assert stats.reads == stats.num_units * 33
@@ -330,7 +330,7 @@ def test_cluster_count_bounded_by_levels_times_set_size():
     pipeline = FusionPipeline(problem)
     assert pipeline.num_terminals == 6144
     assert pipeline.matrix.control.shape[1] <= 64 * 6
-    assert pipeline.num_units <= 64 * 6
+    assert pipeline.spec.total_units <= 64 * 6
     # Clustering never merges two terminals of one cell: its six rows differ.
     assert all(len(set(rows)) == 6 for rows in pipeline.cell_rows.tolist())
 

@@ -1,9 +1,11 @@
-"""Every byte the generator-driven commands write, pinned by SHA-256.
+"""Every byte the commands write, pinned by SHA-256.
 
 The digests were taken from the files the commands wrote at their defaults
 before the generator array became one struct-of-arrays value, so any change
 to a unit's stream, energy, counters or process variation shows here.  A
 change that means to move these bytes must say so and re-pin them.
+sbg-characterize, cost-report and allocate run no generator; their pins guard
+the device model, the cost table and the allocator.
 """
 
 import hashlib
@@ -11,8 +13,14 @@ import hashlib
 import pytest
 
 from spinsc.cli import main
+from conftest import DATA
 
+# `{data}` in an argument stands for the tests' data directory.
 GOLDEN = {
+    "sbg-characterize": {
+        "characterize_p2ap.csv": "9a585e6120ad353683fc9809e3d9bb6bb6fd7c78ef3d2e51ca3fbe17eeae79a3",
+        "characterize_ap2p.csv": "fa593d876b5ab6c197219e663a0c7cc04dd27fef3034772c596da3903d2fd248",
+    },
     "array-report": {
         "array_report.csv": "26dc58474bb16669624d8713b41c8283f627a2c3414a16a952452d9910ff3faf",
     },
@@ -23,6 +31,9 @@ GOLDEN = {
     "scc-report": {
         "self_scc.csv": "db4abae808e8e93b511ad9c901fafade55194f7efd5d1b0dfe4308b4107bc79b",
         "cross_scc.csv": "ee80a58db529ec39bca2bcdf57ea2645b1c144ab8b81ea3a3d3d8ec0d2097859",
+    },
+    "cost-report": {
+        "cost_report.csv": "293ad4a3d43ee2f40296cfe0c1d1f0a7299fc6da54f5fa4731c32c23f81075c7",
     },
     "pv-sweep": {
         "pv_sweep.csv": "24d8244e27a1f00c0ae5c3dd5570b878eeb1b60c8269154f79427b01266988fc",
@@ -51,13 +62,19 @@ GOLDEN = {
     "--seed 0 --grid 8x8 kl-sweep": {
         "kl_sweep.csv": "61ba20df76444a150f19b147e03fa9aa86911ffe33070c3fc711754d3d581985",
     },
+    # The reference netlist and assignment.
+    "allocate --netlist {data}/reference.net --assignment {data}/reference.assign": {
+        "matrix.csv": "e0a03ec2f395ba883f5982e18f2d49549aac60ecaf93f51b18ab3d0cb760d72a",
+        "allocate_summary.csv": "899889f80cf60ed0d736504161ed88de073eb510d24b14e72b9fbf23b367f18e",
+    },
 }
 
 
 @pytest.mark.parametrize("args", list(GOLDEN))
 def test_command_writes_pinned_bytes(tmp_path, capsys, args):
     out = tmp_path / "out"
-    assert main(["--out-dir", str(out), *args.split()]) == 0
+    argv = [arg.format(data=DATA) for arg in args.split()]
+    assert main(["--out-dir", str(out), *argv]) == 0
     capsys.readouterr()
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in out.iterdir()}
