@@ -148,52 +148,47 @@ def switch_probability(params: MtjParams, pulse: PulseSpec) -> float:
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
-# calibrate_voltage's bisection: probability tolerance, search floor as a
-# fraction above the critical voltage, ceiling in volts, and step limit.
-_TOL, _V_MARGIN, _V_MAX, _MAX_ITER = 1e-4, 0.02, 3.0, 200
+# calibrate_voltage's probability tolerance, floor as a fraction above the
+# critical voltage, and ceiling in volts.
+_TOL, _V_MARGIN, _V_MAX = 1e-4, 0.02, 3.0
 
 
 def calibrate_voltage(params: MtjParams, target_p: float, duration: float,
                       direction: WriteDirection) -> float:
-    """Bias voltage whose switching probability matches target_p within _TOL.
+    """Bias voltage whose switching probability matches target_p.
 
-    Bisection over the supercritical interval [vc0*(1+_V_MARGIN), _V_MAX],
-    where the probability is monotone increasing in voltage.  A target at
-    most _TOL above the top of the achievable range gets _V_MAX; one outside
-    the range by more raises TargetUnreachable.
+    Inverts the precessional law: z = Phi^-1(target_p), dt = t/(1 + sigma_rel*z)
+    and V = vc0*(1 + c/dt), capped at _V_MAX.  V is returned only if it lies
+    at least _V_MARGIN above the critical voltage and its probability is
+    within _TOL of the target, so a target at most _TOL above the probability
+    at _V_MAX gets _V_MAX; any other target raises TargetUnreachable.
     """
-    vc0, _ = params.direction_constants(direction)
+    from statistics import NormalDist  # loads fractions and decimal: pay on first use
+
+    vc0, c = params.direction_constants(direction)
     v_lo = vc0 * (1.0 + _V_MARGIN)
-    v_hi = _V_MAX
-    if v_lo >= v_hi:
-        raise ValueError("empty voltage search interval")
+    if v_lo >= _V_MAX:
+        raise ValueError(f"vc0_{direction.value} = {vc0:g} V: {direction.value} writes need "
+                         f"at least {v_lo:g} V, above the {_V_MAX} V cap")
 
     def prob(v: float) -> float:
         return switch_probability(params, PulseSpec(v, duration, direction))
 
-    p_lo = prob(v_lo)
-    p_hi = prob(v_hi)
+    if 0.0 < target_p < 1.0:
+        z = NormalDist().inv_cdf(target_p)
+    else:
+        z = math.copysign(math.inf, target_p - 0.5)
+    # c/dt as c*(1 + sigma_rel*z)/t: no division by dt, which is 0 at z = +-inf.
+    v = min(vc0 * (1.0 + c * (1.0 + params.sigma_rel * z) / duration), _V_MAX)
+    if v >= v_lo and abs(prob(v) - target_p) <= _TOL:
+        return v
+    p_lo, p_hi = prob(v_lo), prob(_V_MAX)
     if not p_lo <= target_p <= p_hi + _TOL:
         raise TargetUnreachable(
             f"target probability {target_p} outside achievable range "
             f"[{p_lo:.3e}, {p_hi:.6f}] for {direction.value} at {duration} ns")
-    if target_p == p_lo:
-        return v_lo
-    if target_p >= p_hi:
-        return v_hi
-
-    for _ in range(_MAX_ITER):
-        v_mid = 0.5 * (v_lo + v_hi)
-        p_mid = prob(v_mid)
-        if abs(p_mid - target_p) <= _TOL:
-            return v_mid
-        if p_mid < target_p:
-            v_lo = v_mid
-        else:
-            v_hi = v_mid
-    # Interval collapsed without meeting _TOL; monotonicity makes this
-    # unreachable for any realistic tolerance.
-    raise TargetUnreachable(f"bisection did not converge to {target_p}")
+    raise TargetUnreachable(f"no voltage up to {_V_MAX} V meets {direction.value} target "
+                            f"{target_p} within {_TOL:g} at {duration} ns")
 
 
 def draw_process_variation(rng: np.random.Generator, sigma_area: float,

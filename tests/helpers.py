@@ -10,7 +10,8 @@ from itertools import chain, product as iter_product
 import numpy as np
 
 from spinsc.allocator import SwitchMatrix, allocate
-from spinsc.device import MtjParams, PulseSpec, WriteDirection, base_switching_time
+from spinsc.device import (_TOL, _V_MARGIN, _V_MAX, MtjParams, PulseSpec, TargetUnreachable,
+                           WriteDirection, base_switching_time, switch_probability)
 from spinsc.fusion import (
     CHANNELS,
     FusionPipeline,
@@ -402,6 +403,54 @@ def apply_write(junction: Junction, pulse: PulseSpec) -> bool:
 def read_state(junction: Junction) -> int:
     """Ideal non-destructive read: 1 for AP, 0 for P."""
     return int(junction.state)
+
+
+# bisect_voltage's step limit.
+_MAX_ITER = 200
+
+
+def bisect_voltage(params: MtjParams, target_p: float, duration: float,
+                   direction: WriteDirection) -> float:
+    """Bisection oracle for device.calibrate_voltage: bias voltage whose
+    switching probability matches target_p within _TOL.
+
+    Bisection over the supercritical interval [vc0*(1+_V_MARGIN), _V_MAX],
+    where the probability is monotone increasing in voltage.  A target at
+    most _TOL above the top of the achievable range gets _V_MAX; one outside
+    the range by more raises TargetUnreachable.
+    """
+    vc0, _ = params.direction_constants(direction)
+    v_lo = vc0 * (1.0 + _V_MARGIN)
+    v_hi = _V_MAX
+    if v_lo >= v_hi:
+        raise ValueError("empty voltage search interval")
+
+    def prob(v: float) -> float:
+        return switch_probability(params, PulseSpec(v, duration, direction))
+
+    p_lo = prob(v_lo)
+    p_hi = prob(v_hi)
+    if not p_lo <= target_p <= p_hi + _TOL:
+        raise TargetUnreachable(
+            f"target probability {target_p} outside achievable range "
+            f"[{p_lo:.3e}, {p_hi:.6f}] for {direction.value} at {duration} ns")
+    if target_p == p_lo:
+        return v_lo
+    if target_p >= p_hi:
+        return v_hi
+
+    for _ in range(_MAX_ITER):
+        v_mid = 0.5 * (v_lo + v_hi)
+        p_mid = prob(v_mid)
+        if abs(p_mid - target_p) <= _TOL:
+            return v_mid
+        if p_mid < target_p:
+            v_lo = v_mid
+        else:
+            v_hi = v_mid
+    # Interval collapsed without meeting _TOL; monotonicity makes this
+    # unreachable for any realistic tolerance.
+    raise TargetUnreachable(f"bisection did not converge to {target_p}")
 
 
 def scalar_generate(array: SbgArray, row: int, n: int) -> np.ndarray:

@@ -128,6 +128,37 @@ def test_write_duration_below_the_default(tmp_path, capsys, command):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["array-report", "fusion-run"])
+def test_tiny_critical_voltage_is_calibrated(tmp_path, capsys, command):
+    # Every target's write voltage lies near 1.7e-300 V, inside the
+    # supercritical range that starts at 1.02e-300 V.
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("[device]\nvc0_p2ap = 1e-300\n\n[fusion]\ngrid = 4x4\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out-dir", str(out), command]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.is_dir()
+
+
+@pytest.mark.parametrize("text, message", [
+    # The probability jumps from 0 to 1 where dt = t: a target inside the
+    # range that no voltage meets.
+    ("[device]\nsigma_rel = 1e-300\n",
+     "error: no voltage up to 3.0 V meets p2ap target 0.515625 within 0.0001 at 5.4 ns\n"),
+    ("[device]\nvc0_ap2p = 3.0\n",
+     "error: vc0_ap2p = 3 V: ap2p writes need at least 3.06 V, above the 3.0 V cap\n"),
+], ids=["sigma-rel", "vc0-above-range"])
+@pytest.mark.parametrize("command", ["array-report", "fusion-run"])
+def test_uncalibratable_device_is_one_line_error(tmp_path, capsys, text, message, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + "\n[fusion]\ngrid = 4x4\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out-dir", str(out), command]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("text, command", [
     ("[device]\nvc0_ap2p = 1e-308\n", "array-report"),
     ("[device]\nvc0_ap2p = 1e-308\n", "sbg-characterize"),

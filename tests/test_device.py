@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from helpers import MtjState, apply_write, make_junction, read_state, scc
+from helpers import MtjState, apply_write, bisect_voltage, make_junction, read_state, scc
 from spinsc import sbg
+from spinsc.config import ArrayConfig
 from spinsc.device import (
+    _TOL,
+    _V_MAX,
     InstanceFactors,
     MtjParams,
     PulseSpec,
@@ -143,12 +146,35 @@ def test_calibrate_half_probability_voltage():
 
 
 def test_calibrate_round_trip():
+    # Random targets and the 64 default levels, 1.0 among them.
     rng = np.random.default_rng(5)
     for direction in WriteDirection:
-        for target in rng.uniform(0.02, 0.98, size=10):
+        for target in (*rng.uniform(0.02, 0.98, size=10), *ArrayConfig().levels):
             v = calibrate_voltage(PARAMS, float(target), 5.4, direction)
             p = switch_probability(PARAMS, PulseSpec(v, 5.4, direction))
-            assert abs(p - target) <= 1e-4
+            assert abs(p - target) <= 1e-12
+
+
+@given(st.sampled_from(list(WriteDirection)), st.sampled_from([3.5, 4.9, 5.4, 7.0]),
+       st.floats(min_value=0.0, max_value=1.0))
+@example(WriteDirection.P_TO_AP, 5.4, 0.0)   # z = -inf: refused
+@example(WriteDirection.AP_TO_P, 4.9, 1.0)   # z = +inf: capped, within _TOL
+@example(WriteDirection.AP_TO_P, 3.2, 1.0)   # 1.8e-4 above p(v_max): refused
+def test_calibrate_agrees_with_the_bisection_oracle(direction, duration, target):
+    # Where the bisection finds a voltage, the closed form meets the target
+    # to rounding, or it is capped at v_max with the target above p(v_max).
+    def prob(v):
+        return switch_probability(PARAMS, PulseSpec(v, duration, direction))
+
+    try:
+        v_oracle = bisect_voltage(PARAMS, target, duration, direction)
+    except TargetUnreachable:
+        with pytest.raises(TargetUnreachable):
+            calibrate_voltage(PARAMS, target, duration, direction)
+        return
+    assert abs(prob(v_oracle) - target) <= _TOL
+    v = calibrate_voltage(PARAMS, target, duration, direction)
+    assert abs(prob(v) - target) <= 1e-12 or (v == _V_MAX and target > prob(v))
 
 
 def test_calibrate_unreachable_target():

@@ -4,6 +4,9 @@ The digests were taken from the files the commands wrote at their defaults
 before the generator array became one struct-of-arrays value, so any change
 to a unit's stream, energy, counters or process variation shows here.  A
 change that means to move these bytes must say so and re-pin them.
+array-report, scc-report, pv-sweep and kl-sweep were re-pinned when write
+voltages came to be calibrated by inverting the switching law exactly; the
+fusion-run pins kept their bytes through that change.
 sbg-characterize, cost-report and allocate run no generator; their pins guard
 the device model, the cost table and the allocator.
 """
@@ -22,21 +25,22 @@ GOLDEN = {
         "characterize_ap2p.csv": "fa593d876b5ab6c197219e663a0c7cc04dd27fef3034772c596da3903d2fd248",
     },
     "array-report": {
-        "array_report.csv": "26dc58474bb16669624d8713b41c8283f627a2c3414a16a952452d9910ff3faf",
+        "array_report.csv": "eed53ec6a3b397c7fe2b56f06774e9fa60a81f7c9b2b21f00b7c43740e32b4f5",
     },
     "--pv array-report": {
-        "array_report.csv": "f97265818fe9190ff70c805312f0c4b502d4b0d708b7ba05c4c2bc5e9ff696dd",
+        "array_report.csv": "72caf4b9ec344b6520ff5a2301a95667e24fed2e1085d44e2b390fb91a911753",
     },
-    # Re-pinned when each SCC table got a seeding domain of its own.
+    # Re-pinned when each SCC table got a seeding domain of its own, and again
+    # with the exact write voltages.
     "scc-report": {
-        "self_scc.csv": "db4abae808e8e93b511ad9c901fafade55194f7efd5d1b0dfe4308b4107bc79b",
-        "cross_scc.csv": "ee80a58db529ec39bca2bcdf57ea2645b1c144ab8b81ea3a3d3d8ec0d2097859",
+        "self_scc.csv": "7de1257842b55cc75f3730531c636312fc8d2766b183b6228947470e9e1ca77f",
+        "cross_scc.csv": "7323b2f60495fdf8765a463639c9cca5e04c8bc77c745c4e6e757eeb98d382c8",
     },
     "cost-report": {
         "cost_report.csv": "293ad4a3d43ee2f40296cfe0c1d1f0a7299fc6da54f5fa4731c32c23f81075c7",
     },
     "pv-sweep": {
-        "pv_sweep.csv": "24d8244e27a1f00c0ae5c3dd5570b878eeb1b60c8269154f79427b01266988fc",
+        "pv_sweep.csv": "08b5cb8fcbcd238932c8797e94b3c8d37a8e717e2e5750beb5e7b3af2fe1d3f6",
     },
     "--grid 8x8 fusion-run": {
         "posterior.csv": "e2c0a8e1bdf332f2be833b58c64b8894588ed934e2ecec849fe325c3a5c70b05",
@@ -57,10 +61,10 @@ GOLDEN = {
         "posterior_exact.csv": "fdda2389000da12430c09473ad3b28f0708045c40299c5905402fa967372ea9d",
         "fusion_summary.csv": "f647fa2f807ee2bd4e0fc38ada46d7ec1a67652b63c36328de38cb5e6ac54f55",
     },
-    # The bytes the standalone KL sweep script wrote with `--grid 8x8 --seeds 50`
-    # before it became this command.
+    # First pinned from the bytes the standalone KL sweep script wrote with
+    # `--grid 8x8 --seeds 50`; re-pinned with the exact write voltages.
     "--seed 0 --grid 8x8 kl-sweep": {
-        "kl_sweep.csv": "61ba20df76444a150f19b147e03fa9aa86911ffe33070c3fc711754d3d581985",
+        "kl_sweep.csv": "c965fc6ae7247218b7c4cb6bd50903b27519796e9df2d0e93252a0ddcfe967d9",
     },
     # The reference netlist and assignment.
     "allocate --netlist {data}/reference.net --assignment {data}/reference.assign": {

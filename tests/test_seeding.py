@@ -58,13 +58,15 @@ def test_make_units_streams_and_variation_equal_the_single_stream_forms():
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():
-    # numpy.random costs a few MB of resident memory; commands that make no
-    # stream should not pay for it.
+    # numpy.random costs a few MB of resident memory, and statistics loads
+    # fractions and decimal; commands that make no stream, or calibrate no
+    # voltage, should not pay for them.
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, spinsc.cli; print('numpy.random' in sys.modules)"
+    code = ("import sys, spinsc.cli; "
+            "print([name in sys.modules for name in ('numpy.random', 'statistics')])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"
 
 
 def test_pipeline_runs_calibrate_once(monkeypatch):
