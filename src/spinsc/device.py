@@ -26,6 +26,11 @@ class TargetUnreachable(ValueError):
     """Requested switching probability lies outside the calibratable range."""
 
 
+class TargetBelowRange(TargetUnreachable):
+    """Requested switching probability lies below the probability at the
+    lowest calibratable voltage."""
+
+
 class WriteDirection(Enum):
     P_TO_AP = "p2ap"
     AP_TO_P = "ap2p"
@@ -136,7 +141,12 @@ def base_switching_time(params: MtjParams, pulse: PulseSpec) -> float:
         raise ValueError("switching time requires a positive bias voltage")
     vc0, c = params.direction_constants(pulse.direction)
     if pulse.voltage > vc0:
-        return c / (pulse.voltage / vc0 - 1.0)
+        dt = c / (pulse.voltage / vc0 - 1.0)
+        if dt > 0:
+            return dt
+        name = pulse.direction.value
+        raise ValueError(f"vc0_{name} = {vc0:g} V, c_{name} = {c:g} ns: the switching time "
+                         f"at {pulse.voltage:g} V rounds to 0 ns")
     return (params.tau0 * 1e9) * math.exp(params.delta * (1.0 - pulse.voltage / vc0))
 
 
@@ -161,7 +171,8 @@ def calibrate_voltage(params: MtjParams, target_p: float, duration: float,
     and V = vc0*(1 + c/dt), capped at _V_MAX.  V is returned only if it lies
     at least _V_MARGIN above the critical voltage and its probability is
     within _TOL of the target, so a target at most _TOL above the probability
-    at _V_MAX gets _V_MAX; any other target raises TargetUnreachable.
+    at _V_MAX gets _V_MAX; any other target raises TargetUnreachable, or
+    TargetBelowRange if it lies below the probability at that floor.
     """
     from statistics import NormalDist  # loads fractions and decimal: pay on first use
 
@@ -184,7 +195,7 @@ def calibrate_voltage(params: MtjParams, target_p: float, duration: float,
         return v
     p_lo, p_hi = prob(v_lo), prob(_V_MAX)
     if not p_lo <= target_p <= p_hi + _TOL:
-        raise TargetUnreachable(
+        raise (TargetBelowRange if target_p < p_lo else TargetUnreachable)(
             f"target probability {target_p} outside achievable range "
             f"[{p_lo:.3e}, {p_hi:.6f}] for {direction.value} at {duration} ns")
     raise TargetUnreachable(f"no voltage up to {_V_MAX} V meets {direction.value} target "

@@ -27,7 +27,7 @@ import numpy as np
 from .device import (
     MtjParams,
     PulseSpec,
-    TargetUnreachable,
+    TargetBelowRange,
     WriteDirection,
     base_switching_time,
     calibrate_voltage,
@@ -88,7 +88,8 @@ class SbgArray:
 
     The device and the mode are the whole array's.  pulses holds one
     (P->AP, AP->P) write-pulse pair per distinct target, AP->P being None in
-    simple mode, and level[k] is unit k's index into it.  The other columns
+    simple mode, and level[k] is unit k's index into it; constants[..., k]
+    holds level k's reset and write pulses' constants.  The other columns
     are per unit: its target, scale (the process-variation factor on its
     resistances and switching times, exactly 1.0 when nominal), state (True
     for AP), energy_nj, writes, reads and its own random stream.
@@ -99,6 +100,7 @@ class SbgArray:
     device: SbgDevice
     mode: SbgMode
     pulses: tuple[tuple[PulseSpec, PulseSpec | None], ...]
+    constants: np.ndarray    # float64 (3, pulses per cycle, levels), see _constants
     level: np.ndarray        # intp
     targets: np.ndarray      # float64
     scale: np.ndarray        # float64
@@ -116,21 +118,20 @@ class SbgArray:
 
 
 class CalibrationCache:
-    """The write pulses make_units has built, per (device, mode) and target,
+    """The write pulses make_units has built, and the (3, pulses per cycle)
+    _constants of the reset and those pulses, per (device, mode) and target,
     so a cache that serves many builds calibrates each target once."""
 
     def __init__(self) -> None:
         self.pulses: dict[tuple[SbgDevice, SbgMode],
-                          dict[float, tuple[PulseSpec, PulseSpec | None]]] = {}
+                          dict[float, tuple[tuple[PulseSpec, PulseSpec | None], np.ndarray]]] = {}
 
 
 def _write_pulse(device: SbgDevice, target_p: float, direction: WriteDirection) -> PulseSpec:
     duration = device.write_duration_ns
     try:
         v = calibrate_voltage(device.params, target_p, duration, direction)
-    except TargetUnreachable:
-        if target_p > 0.5:
-            raise
+    except TargetBelowRange:
         vc0, _ = device.params.direction_constants(direction)
         v = vc0 * _SUBCRITICAL_FRACTION
     return PulseSpec(v, duration, direction)
@@ -145,7 +146,7 @@ def make_units(device: SbgDevice, mode: SbgMode, targets: Sequence[float],
 
     Write voltages are calibrated against the nominal device, once per
     distinct target and cache (in `calibration`, or a fresh cache), and units
-    at one target share the pulses.  Process variation (pv_sigmas =
+    at one target share the pulses and their constants.  Process variation (pv_sigmas =
     (sigma_area, sigma_tox)) perturbs only each unit's scale, as it would on
     silicon.  The device streams, and the process-variation streams, are each
     seeded in one rngs_for call, equal to rng_for per unit.  Every unit
@@ -161,10 +162,12 @@ def make_units(device: SbgDevice, mode: SbgMode, targets: Sequence[float],
             if not 0.0 <= p <= 1.0:
                 raise ValueError("target_p must lie in [0, 1]")
             p2ap = _write_pulse(device, p, WriteDirection.P_TO_AP)
+            cycle = [device.reset_pulse, p2ap]
             ap2p = None
             if mode is SbgMode.SELF_CONTROL:
                 ap2p = _write_pulse(device, p, WriteDirection.AP_TO_P)
-            pulses[p] = (p2ap, ap2p)
+                cycle.append(ap2p)
+            pulses[p] = ((p2ap, ap2p), _constants(device.params, cycle))
         levels[p] = len(levels)
     count = len(targets)
     ids = range(count)
@@ -172,7 +175,10 @@ def make_units(device: SbgDevice, mode: SbgMode, targets: Sequence[float],
     if pv_sigmas is not None and any(pv_sigmas):
         scale = np.array([draw_process_variation(rng, *pv_sigmas).resistance_scale(device.params)
                           for rng in rngs_for(master_seed, DOMAIN_PROCESS_VARIATION, ids)])
-    return SbgArray(device, mode, tuple(pulses[p] for p in levels),
+    pairs, constants = zip(*[pulses[p] for p in levels]) if levels else ((), ())
+    per_cycle = 2 if mode is SbgMode.SIMPLE else 3
+    return SbgArray(device, mode, pairs,
+                    np.reshape(constants, (-1, 3, per_cycle)).transpose(1, 2, 0),
                     level=np.array([levels[p] for p in targets], dtype=np.intp),
                     targets=np.array(targets, dtype=np.float64), scale=scale,
                     state=np.zeros(count, dtype=bool), energy_nj=np.zeros(count),
@@ -215,12 +221,14 @@ def _constants(params: MtjParams, pulses: Sequence[PulseSpec]) -> np.ndarray:
                       pulse_energy_nj(pulse, 1.0)) for pulse in pulses]).T
 
 
-def _pulse(constants: np.ndarray, params: MtjParams, scale: np.ndarray) -> _Pulse:
-    """The pulse from its (3, units or 1, 1) constants.  Process variation
-    scales the switching time and both resistances by the (units, 1) scale,
-    so the energies are pulse_energy_nj's quotient at the scaled resistance."""
+def _pulses(constants: np.ndarray, params: MtjParams, scale: np.ndarray) -> list[_Pulse]:
+    """The pulses from their (3, pulses, units, 1) constants.  Process
+    variation scales the switching time and both resistances by the (units, 1)
+    scale, so the energies are pulse_energy_nj's quotient at the scaled
+    resistance."""
     dt, duration, heat = constants
-    return _Pulse(dt * scale, duration, heat / (params.r_p * scale), heat / (params.r_ap * scale))
+    return list(map(_Pulse, dt * scale, duration, heat / (params.r_p * scale),
+                    heat / (params.r_ap * scale)))
 
 
 def generate_array(array: SbgArray, n: int) -> np.ndarray:
@@ -242,29 +250,21 @@ def generate_array(array: SbgArray, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    device = array.device
-    simple = array.mode is SbgMode.SIMPLE
-    # Each pulse's constants, per level; every unit shares the reset's.
-    reset = _constants(device.params, [device.reset_pulse])[:, :, None]
-    writes = [_constants(device.params, [pair[k] for pair in array.pulses])
-              for k in range(1 if simple else 2)]
     bits = np.empty((len(array), n), dtype=np.uint8)
     step = max(1, _BLOCK_BITS // n)
     # An extreme junction (a tiny RA product, a huge read energy) would
     # otherwise end in warnings and infinite energies.
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         for first in range(0, len(array), step):
-            bits[first:first + step] = _generate_block(array[first:first + step], n, reset, writes)
+            bits[first:first + step] = _generate_block(array[first:first + step], n)
     return bits
 
 
-def _generate_block(block: SbgArray, n: int, reset: np.ndarray,
-                    writes: list[np.ndarray]) -> np.ndarray:
+def _generate_block(block: SbgArray, n: int) -> np.ndarray:
     """generate_array for one block of rows; bool (units, n)."""
     params = block.device.params
     scale = block.scale[:, None]
-    pulses = [_pulse(reset, params, scale)]
-    pulses += [_pulse(c[:, block.level, None], params, scale) for c in writes]
+    pulses = _pulses(block.constants[:, :, block.level, None], params, scale)
     if block.mode is SbgMode.SIMPLE:
         bits, final, energy = _run_simple(block, n, *pulses)
         block.writes += 2 * n
@@ -273,11 +273,14 @@ def _generate_block(block: SbgArray, n: int, reset: np.ndarray,
         bits, final, energy = _run_self_control(block, n, *pulses)
         block.writes += n + 1
         block.reads += n + 1
-    # Column 0 holds each unit's energy so far and the columns after it the
-    # increments in cycle order; accumulate adds them one at a time, as the
-    # per-bit model does (np.sum would add pairwise and round differently).
-    np.add.accumulate(energy, axis=1, out=energy)
-    block.energy_nj[:] = energy[:, -1]
+    # energy is the (units, cycles) view of a (cycles, units) array: row 0
+    # of that array holds each unit's energy so far and the rows after it the
+    # increments in cycle order.  add.reduce down it adds one row at a time,
+    # as the per-bit model does; one unit's column is contiguous, and numpy
+    # would add it pairwise and round differently, so a lone unit accumulates.
+    cycles = energy.T
+    block.energy_nj[:] = (np.add.reduce(cycles, axis=0) if len(block) > 1
+                          else np.add.accumulate(cycles[:, 0])[-1])
     block.state[:] = final
     return bits
 
@@ -298,16 +301,19 @@ def _switching_scan(start: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
     a = b = 0 keeps it.  So the state after step k is the value of the last
     setting step j <= k (or start, if there is none), XOR the parity of the
     negating steps in (j, k], which is parity[k] ^ parity[j] for the running
-    parity of negating steps.  Setting step j gets the key
-    2(j + 1) + (a[j] ^ parity[j]), above start's key (0 or 1) and above every
-    earlier step's, so the running maximum of the keys names j and its low
-    bit, XOR parity[k], is the state.
+    parity of negating steps.  The keys follow a column holding start (0 or
+    1).  Setting step j gets the key 2(j + 1) + (a[j] ^ parity[j]), above
+    start and above every earlier step's, and any other step 0, so the
+    running maximum of the keys names j and its low bit, XOR parity[k], is
+    the state.
     """
     parity = np.logical_xor.accumulate(a & b, axis=1)
     steps = a.shape[1]
     order = np.arange(2, 2 * steps + 2, 2, dtype=np.min_scalar_type(2 * steps + 1))
-    key = np.where(a != b, order + (a ^ parity), start)
-    return (np.maximum.accumulate(key, axis=1) & 1).astype(bool) ^ parity
+    key = np.empty((len(a), steps + 1), dtype=order.dtype)
+    key[:, :1] = start
+    np.multiply(a != b, order + (a ^ parity), out=key[:, 1:])
+    return (np.maximum.accumulate(key, axis=1)[:, 1:] & 1).astype(bool) ^ parity
 
 
 def _run_simple(block: SbgArray, n: int, reset: _Pulse, write: _Pulse):
@@ -330,13 +336,15 @@ def _run_simple(block: SbgArray, n: int, reset: _Pulse, write: _Pulse):
     after = _switching_scan(state, write.switches(spread), reset_ok)
     before = np.hstack((state, after[:, :-1]))
     emits = ~(before & reset_ok)
-    count = np.cumsum(emits, axis=1, dtype=np.min_scalar_type(2 * n))
-    emitted = np.flatnonzero(emits & (count <= n))   # n per unit, row by row
+    # Each unit's first n emissions, row by row: row k's start after the
+    # emissions of the rows before it.
+    count = np.count_nonzero(emits, axis=1)
+    emitted = np.flatnonzero(emits)[((np.cumsum(count) - count)[:, None] + np.arange(n)).ravel()]
     bits = after.ravel()[emitted].reshape(len(block), n)
     # The write sees AP only after a failed reset, the token that emits.
     write_sees_ap = before.ravel()[emitted].reshape(len(block), n)
     used = emitted[n - 1::n] - np.arange(0, tokens.size, 2 * n) + 1
-    energy = np.empty((len(block), 3 * n + 1))
+    energy = np.empty((3 * n + 1, len(block))).T
     energy[:, :1] = block.energy_nj[:, None]
     energy[:, 1::3] = reset.energy(np.hstack((state, bits[:, :-1])))
     energy[:, 2::3] = write.energy(write_sees_ap)
@@ -361,7 +369,7 @@ def _run_self_control(block: SbgArray, n: int, reset: _Pulse, p2ap: _Pulse, ap2p
     after = _switching_scan(latched, p2ap.switches(spread[:, 1:]),
                             ap2p.switches(spread[:, 1:]))
     before = np.hstack((latched, after[:, :-1]))
-    energy = np.empty((len(block), 2 * n + 3))
+    energy = np.empty((2 * n + 3, len(block))).T
     energy[:, :1] = block.energy_nj[:, None]
     energy[:, 1:2] = reset.energy(state)
     energy[:, 2::2] = block.device.read_energy_nj

@@ -144,7 +144,7 @@ def test_tiny_critical_voltage_is_calibrated(tmp_path, capsys, command):
     # The probability jumps from 0 to 1 where dt = t: a target inside the
     # range that no voltage meets.
     ("[device]\nsigma_rel = 1e-300\n",
-     "error: no voltage up to 3.0 V meets p2ap target 0.515625 within 0.0001 at 5.4 ns\n"),
+     "error: no voltage up to 3.0 V meets p2ap target 0.015625 within 0.0001 at 5.4 ns\n"),
     ("[device]\nvc0_ap2p = 3.0\n",
      "error: vc0_ap2p = 3 V: ap2p writes need at least 3.06 V, above the 3.0 V cap\n"),
 ], ids=["sigma-rel", "vc0-above-range"])
@@ -155,6 +155,32 @@ def test_uncalibratable_device_is_one_line_error(tmp_path, capsys, text, message
     out = tmp_path / "o"
     assert main(["--config", str(cfg), "--out-dir", str(out), command]) == 1
     assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_level_inside_the_range_does_not_fall_back_below_it(tmp_path, capsys):
+    # Only a target below the probability at 1.02 vc0 takes the sub-critical
+    # bias; levels 0.2 and 0.5 lie inside the range, where no voltage meets
+    # them, and must not come out as densities near 0.
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[device]\nsigma_rel = 1e-300\n\n[array]\nlevels = 0.2,0.5\n"
+                   "multiplicity = 1,1\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out-dir", str(out), "array-report"]) == 1
+    assert capsys.readouterr().err == \
+        "error: no voltage up to 3.0 V meets p2ap target 0.2 within 0.0001 at 5.4 ns\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["array-report", "sbg-characterize"])
+def test_tiny_critical_voltage_names_its_key(tmp_path, capsys, command):
+    # 1.8 V over 1e-308 V overflows, so the switching time comes out 0.
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("[device]\nvc0_ap2p = 1e-308\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out-dir", str(out), command]) == 1
+    assert capsys.readouterr().err == ("error: vc0_ap2p = 1e-308 V, c_ap2p = 5.6 ns: "
+                                       "the switching time at 1.8 V rounds to 0 ns\n")
     assert not out.exists()
 
 

@@ -229,7 +229,8 @@ def test_variation_rescales_resistance_and_dt():
     # sbg applies the scale once per unit: to the nominal switching time and
     # to both resistances of every pulse.
     dt_nom = base_switching_time(PARAMS, HALF)
-    pulse = sbg._pulse(sbg._constants(PARAMS, [HALF])[:, :, None], PARAMS, np.array([[scale]]))
+    pulse, = sbg._pulses(sbg._constants(PARAMS, [HALF])[:, :, None, None], PARAMS,
+                         np.array([[scale]]))
     assert pulse.dt.item() == pytest.approx(dt_nom * scale)
     assert pulse.energy_p.item() == pytest.approx(sbg.pulse_energy_nj(HALF, PARAMS.r_p * scale))
     assert pulse.energy_ap.item() == pytest.approx(sbg.pulse_energy_nj(HALF, PARAMS.r_ap * scale))

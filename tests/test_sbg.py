@@ -197,3 +197,35 @@ def test_calibration_cache_shared_across_units(monkeypatch):
     second = make_units(DEVICE, SbgMode.SELF_CONTROL, [0.37, 0.37], 1, calibration=cache)
     assert len(calls) == 2
     assert second.pulses == first.pulses
+
+
+@pytest.mark.parametrize("mode", list(SbgMode))
+def test_pulse_constants_computed_once_per_cached_target(monkeypatch, mode):
+    # The reset's and the write pulses' switching times are computed when a
+    # target is first calibrated in a cache, and never by generate_array.
+    calls = []
+    real_time = sbg.base_switching_time
+
+    def counting_time(params, pulse):
+        calls.append(pulse)
+        return real_time(params, pulse)
+
+    monkeypatch.setattr(sbg, "base_switching_time", counting_time)
+    cache = CalibrationCache()
+    per_target = 2 if mode is SbgMode.SIMPLE else 3
+    array = make_units(DEVICE, mode, [0.37, 0.6, 0.37], 1, calibration=cache)
+    assert len(calls) == 2 * per_target
+    generate_array(array, 64)
+    generate_array(make_units(DEVICE, mode, [0.6, 0.37], 2, calibration=cache), 64)
+    assert len(calls) == 2 * per_target
+    assert array.constants.shape == (3, per_target, 2)
+
+
+def test_only_targets_below_the_range_fall_back_to_subcritical_bias():
+    # 0 lies below the probability at 1.02 vc0 in both directions, so it
+    # gets half the critical voltage; 1e-6 lies above it and is calibrated.
+    params = DEVICE.params
+    (p2ap, ap2p), = make_units(DEVICE, SbgMode.SELF_CONTROL, [0.0], 1).pulses
+    assert (p2ap.voltage, ap2p.voltage) == (0.5 * params.vc0_p2ap, 0.5 * params.vc0_ap2p)
+    (p2ap, ap2p), = make_units(DEVICE, SbgMode.SELF_CONTROL, [1e-6], 1).pulses
+    assert p2ap.voltage > 1.02 * params.vc0_p2ap and ap2p.voltage > 1.02 * params.vc0_ap2p

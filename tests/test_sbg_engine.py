@@ -24,8 +24,9 @@ from spinsc.seeding import (
 
 DEVICE = SbgDevice()
 PV = (0.05, 0.02)
-# Below the calibratable range (subcritical fallback), mid-range, and the
-# highest level calibration accepts.
+# Below the calibratable range (sub-critical fallback), just above its
+# floor (about 6e-7 P->AP and 5e-7 AP->P), mid-range, and the highest level
+# calibration accepts.
 TARGETS = (0.0, 1e-6, 0.13, 0.5, 0.87, 1.0)
 # A reset that fails about half the time, so simple cycles draw 0, 1 or 2
 # normals and self-control initializations start from either state.
@@ -150,6 +151,26 @@ def test_units_across_several_blocks(mode):
     count = 2 * (sbg._BLOCK_BITS // n) + 3
     targets = [TARGETS[k % len(TARGETS)] for k in range(count)]
     engine, oracle = twins(mode, lambda k: k % 2, WEAK_RESET, targets=targets)
+    assert_same(engine, oracle, n)
+    assert_same_next_draw(engine, oracle)
+
+
+@pytest.mark.parametrize("mode", list(SbgMode))
+@pytest.mark.parametrize("pv", [False, True], ids=["nominal", "pv"])
+@pytest.mark.parametrize("count, n, block_bits", [
+    (17, 1000, None),    # a 16-unit block, then a one-unit block
+    (5, 97, 1),          # every block holds one unit
+    (6, 97, 2 * 97),     # blocks of 2
+    (6, 97, 3 * 97),     # blocks of 3
+], ids=["trailing-one", "all-one", "twos", "threes"])
+def test_energy_is_summed_in_cycle_order_at_every_block_size(monkeypatch, mode, pv, count, n,
+                                                              block_bits):
+    # Energy is summed down a (cycles, units) array; numpy adds a contiguous
+    # axis pairwise, as a one-unit block's would be, and rounds differently.
+    if block_bits is not None:
+        monkeypatch.setattr(sbg, "_BLOCK_BITS", block_bits)
+    targets = [TARGETS[k % len(TARGETS)] for k in range(count)]
+    engine, oracle = twins(mode, lambda k: pv, WEAK_RESET, targets=targets)
     assert_same(engine, oracle, n)
     assert_same_next_draw(engine, oracle)
 
