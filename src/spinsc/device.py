@@ -171,8 +171,9 @@ def calibrate_voltage(params: MtjParams, target_p: float, duration: float,
     and V = vc0*(1 + c/dt), capped at _V_MAX.  V is returned only if it lies
     at least _V_MARGIN above the critical voltage and its probability is
     within _TOL of the target, so a target at most _TOL above the probability
-    at _V_MAX gets _V_MAX; any other target raises TargetUnreachable, or
-    TargetBelowRange if it lies below the probability at that floor.
+    at _V_MAX gets _V_MAX.  V rises with the target, so V below that floor
+    means the target lies below the probability there: TargetBelowRange.
+    Any other miss raises TargetUnreachable.
     """
     from statistics import NormalDist  # loads fractions and decimal: pay on first use
 
@@ -191,11 +192,14 @@ def calibrate_voltage(params: MtjParams, target_p: float, duration: float,
         z = math.copysign(math.inf, target_p - 0.5)
     # c/dt as c*(1 + sigma_rel*z)/t: no division by dt, which is 0 at z = +-inf.
     v = min(vc0 * (1.0 + c * (1.0 + params.sigma_rel * z) / duration), _V_MAX)
-    if v >= v_lo and abs(prob(v) - target_p) <= _TOL:
+    if v < v_lo:
+        raise TargetBelowRange(f"target probability {target_p} lies below the {direction.value} "
+                               f"range at {duration} ns, which starts at {v_lo:g} V")
+    if abs(prob(v) - target_p) <= _TOL:
         return v
     p_lo, p_hi = prob(v_lo), prob(_V_MAX)
     if not p_lo <= target_p <= p_hi + _TOL:
-        raise (TargetBelowRange if target_p < p_lo else TargetUnreachable)(
+        raise TargetUnreachable(
             f"target probability {target_p} outside achievable range "
             f"[{p_lo:.3e}, {p_hi:.6f}] for {direction.value} at {duration} ns")
     raise TargetUnreachable(f"no voltage up to {_V_MAX} V meets {direction.value} target "

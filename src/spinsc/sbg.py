@@ -188,8 +188,8 @@ def make_units(device: SbgDevice, mode: SbgMode, targets: Sequence[float],
 
 
 class _Pulse(NamedTuple):
-    """One pulse per unit, as (units, 1) columns, or (1, 1) where every unit
-    sees the same value.
+    """One pulse per unit, as (units, 1) columns gathered by level, the
+    shared reset included.
 
     The constants come from the scalar device functions, so every switching
     test and energy term below is the float64 value the per-bit model gives.
@@ -277,7 +277,8 @@ def _generate_block(block: SbgArray, n: int) -> np.ndarray:
     # of that array holds each unit's energy so far and the rows after it the
     # increments in cycle order.  add.reduce down it adds one row at a time,
     # as the per-bit model does; one unit's column is contiguous, and numpy
-    # would add it pairwise and round differently, so a lone unit accumulates.
+    # would add it pairwise and round differently, so a lone unit accumulates
+    # (accumulating every block would cost about 5 times the reduce).
     cycles = energy.T
     block.energy_nj[:] = (np.add.reduce(cycles, axis=0) if len(block) > 1
                           else np.add.accumulate(cycles[:, 0])[-1])

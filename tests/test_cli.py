@@ -172,41 +172,48 @@ def test_level_inside_the_range_does_not_fall_back_below_it(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["array-report", "sbg-characterize"])
-def test_tiny_critical_voltage_names_its_key(tmp_path, capsys, command):
-    # 1.8 V over 1e-308 V overflows, so the switching time comes out 0.
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text("[device]\nvc0_ap2p = 1e-308\n", encoding="utf-8")
+def test_target_under_a_floor_of_probability_zero_falls_back(tmp_path, capsys):
+    # At sigma_rel = 0.1 the probability at 1.02 vc0 rounds to 0, yet target
+    # 0 lies below the range (its closed-form voltage is -inf), so it takes
+    # the sub-critical bias.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CONFIG.replace("sweep_probs = 0.3,0.5", "sweep_probs = 0,0.5")
+                   + "\n[device]\nsigma_rel = 0.1\n", encoding="utf-8")
     out = tmp_path / "o"
-    assert main(["--config", str(cfg), "--out-dir", str(out), command]) == 1
-    assert capsys.readouterr().err == ("error: vc0_ap2p = 1e-308 V, c_ap2p = 5.6 ns: "
-                                       "the switching time at 1.8 V rounds to 0 ns\n")
-    assert not out.exists()
+    assert main(["--config", str(cfg), "--out-dir", str(out), "pv-sweep"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "pv_sweep.csv").is_file()
+
+
+# 1.8 V over 1e-308 V overflows, so the switching time comes out 0.
+TINY_VC0 = ("error: vc0_ap2p = 1e-308 V, c_ap2p = 5.6 ns: "
+            "the switching time at 1.8 V rounds to 0 ns\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("text, command", [
-    ("[device]\nvc0_ap2p = 1e-308\n", "array-report"),
-    ("[device]\nvc0_ap2p = 1e-308\n", "sbg-characterize"),
-    ("[run]\npv_sigma_tox = 1e308\n", "pv-sweep"),
-    ("[run]\npv = true\n[device]\nt_ox = 1e6\n", "array-report"),
-    ("[device]\nreset_voltage = 1e308\n", "array-report"),
-    ("[fusion]\nsigma_b = 1e-308\n", "fusion-run"),
-    ("[fusion]\nsigma_d_base = 1e-320\nsigma_d_slope = 0\n", "fusion-run"),
-    ("[device]\nra = 1e-320\n", "array-report"),
-    ("[run]\npv_sigma_area = 1e308\n", "pv-sweep"),
+@pytest.mark.parametrize("text, command, message", [
+    ("[device]\nvc0_ap2p = 1e-308\n", "array-report", TINY_VC0),
+    ("[device]\nvc0_ap2p = 1e-308\n", "sbg-characterize", TINY_VC0),
+    ("[run]\npv_sigma_tox = 1e308\n", "pv-sweep", None),
+    ("[run]\npv = true\n[device]\nt_ox = 1e6\n", "array-report", None),
+    ("[device]\nreset_voltage = 1e308\n", "array-report", None),
+    ("[fusion]\nsigma_b = 1e-308\n", "fusion-run", None),
+    ("[fusion]\nsigma_d_base = 1e-320\nsigma_d_slope = 0\n", "fusion-run", None),
+    ("[device]\nra = 1e-320\n", "array-report", None),
+    ("[run]\npv_sigma_area = 1e308\n", "pv-sweep", None),
 ], ids=["vc0-array-report", "vc0-characterize", "pv-sigma-tox", "pv-t-ox", "reset-voltage",
         "sigma-b", "sigma-d", "ra", "pv-sigma-area"])
-def test_extreme_floats_are_one_line_errors(tmp_path, capsys, text, command):
+def test_extreme_floats_are_one_line_errors(tmp_path, capsys, text, command, message):
     # Floats that pass the key table but overflow, or divide by zero, in the
     # device or fusion model; numpy warnings would be errors here, as under
-    # python -W error.
+    # python -W error.  Where message is given, the line must be exactly it.
     bad = tmp_path / "bad.cfg"
     bad.write_text(text, encoding="utf-8")
     out = tmp_path / "o"
     assert main(["--config", str(bad), "--out-dir", str(out), command]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert message is None or err == message
     assert not out.exists()
 
 

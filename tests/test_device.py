@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from spinsc.device import (
     InstanceFactors,
     MtjParams,
     PulseSpec,
+    TargetBelowRange,
     TargetUnreachable,
     WriteDirection,
     base_switching_time,
@@ -180,6 +182,19 @@ def test_calibrate_agrees_with_the_bisection_oracle(direction, duration, target)
 def test_calibrate_unreachable_target():
     with pytest.raises(TargetUnreachable):
         calibrate_voltage(PARAMS, 1e-9, 5.4, WriteDirection.P_TO_AP)
+
+
+@pytest.mark.parametrize("sigma_rel, target", [(0.1, 0.0), (0.1, 1e-25), (1e-300, 0.0)])
+@pytest.mark.parametrize("direction", list(WriteDirection))
+def test_calibrate_target_below_a_floor_of_probability_zero(direction, sigma_rel, target):
+    # The probability at 1.02 vc0 rounds to 0 at these sigma_rel, so no
+    # comparison of probabilities puts these targets below the range; their
+    # closed-form voltage, below 1.02 vc0, does.
+    params = replace(PARAMS, sigma_rel=sigma_rel)
+    vc0, _ = params.direction_constants(direction)
+    assert switch_probability(params, PulseSpec(1.02 * vc0, 5.4, direction)) == 0.0
+    with pytest.raises(TargetBelowRange):
+        calibrate_voltage(params, target, 5.4, direction)
 
 
 def test_calibrate_target_within_tol_above_the_range():
