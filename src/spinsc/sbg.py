@@ -9,11 +9,11 @@ reads, and emits XOR(current, last), costing n+1 writes and n+1 reads.
 Energy bookkeeping: each pulse contributes V^2 * t / R(state before the
 pulse) in nJ; each read costs a fixed configurable amount.
 
-The generators of a run are one SbgArray, a struct of per-unit columns.
-generate_array runs the whole array at once, with no loop over cycles: it
-pre-draws each unit's normals, scans the switching outcomes for the states,
-and gives the bits, counters and energy that stepping each unit one pulse at
-a time through the device model would give.
+The generators of a run are one SbgArray, a struct of per-unit columns,
+built with every junction in P.  generate_array runs a fresh array once,
+with no loop over cycles: it pre-draws each unit's normals, scans the
+switching outcomes for the states, and gives the bits, counters and energy
+that stepping each unit one pulse at a time from P would give.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class SbgDevice:
 
 
 # The per-unit columns of an SbgArray, the ones a row slice slices.
-_ROW_FIELDS = ("level", "targets", "scale", "state", "energy_nj", "writes", "reads", "rngs")
+_ROW_FIELDS = ("level", "targets", "scale", "energy_nj", "writes", "reads", "rngs")
 
 
 @dataclass(eq=False)
@@ -91,10 +91,10 @@ class SbgArray:
     simple mode, and level[k] is unit k's index into it; constants[..., k]
     holds level k's reset and write pulses' constants.  The other columns
     are per unit: its target, scale (the process-variation factor on its
-    resistances and switching times, exactly 1.0 when nominal), state (True
-    for AP), energy_nj, writes, reads and its own random stream.
-    array[a:b] holds rows a to b - 1 in views of this array's columns, so
-    generating from it updates this array.
+    resistances and switching times, exactly 1.0 when nominal), energy_nj,
+    writes, reads and its own random stream.  Every junction starts in P and
+    the array generates once.  array[a:b] holds rows a to b - 1 in views of
+    this array's columns, so generating from it updates this array.
     """
 
     device: SbgDevice
@@ -104,7 +104,6 @@ class SbgArray:
     level: np.ndarray        # intp
     targets: np.ndarray      # float64
     scale: np.ndarray        # float64
-    state: np.ndarray        # bool
     energy_nj: np.ndarray    # float64
     writes: np.ndarray       # int64
     reads: np.ndarray        # int64
@@ -181,8 +180,7 @@ def make_units(device: SbgDevice, mode: SbgMode, targets: Sequence[float],
                     np.reshape(constants, (-1, 3, per_cycle)).transpose(1, 2, 0),
                     level=np.array([levels[p] for p in targets], dtype=np.intp),
                     targets=np.array(targets, dtype=np.float64), scale=scale,
-                    state=np.zeros(count, dtype=bool), energy_nj=np.zeros(count),
-                    writes=np.zeros(count, dtype=np.int64),
+                    energy_nj=np.zeros(count), writes=np.zeros(count, dtype=np.int64),
                     reads=np.zeros(count, dtype=np.int64),
                     rngs=rngs_for(master_seed, domain, ids))
 
@@ -232,24 +230,27 @@ def _pulses(constants: np.ndarray, params: MtjParams, scale: np.ndarray) -> list
 
 
 def generate_array(array: SbgArray, n: int) -> np.ndarray:
-    """n bits from every unit, all units stepped together; uint8 (units, n).
+    """n bits from every unit of a fresh array, stepped together from P;
+    uint8 (units, n).
 
     Simple units run reset -> write -> read per bit (2n writes, n reads);
     self-control units run one initialization cycle (reset, read) and then n
     write/read cycles toward the opposite of the latched state, emitting
     XOR(current, last) (n+1 writes and reads).
 
-    The result is the per-bit model's, bit for bit: each unit draws its own
-    normals in the order the per-bit model would, a pulse draws only when it
-    writes toward the other state, and energy is added per unit in cycle
-    order (reset, write, read; or pulse, read).  The array's state,
-    energy_nj, writes and reads columns and each unit's random stream end,
-    updated in place, where n single-bit steps would leave them.  Nothing
-    loops over cycles: the states come from one scan over the pre-drawn
-    switching outcomes (_switching_scan).
+    The result is the per-bit model's from P, bit for bit: each unit draws
+    its own normals in the order the per-bit model would, a pulse draws only
+    when it writes toward the other state, and energy is added per unit in
+    cycle order (reset, write, read; or pulse, read), into the array's
+    energy_nj, writes and reads columns.  An array generates once: its
+    junction states and stream positions after the run are not kept, and a
+    second call raises ValueError.  Nothing loops over cycles: the states
+    come from one scan over the pre-drawn switching outcomes (_switching_scan).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if array.writes.any():
+        raise ValueError("an array generates once; build a fresh one")
     bits = np.empty((len(array), n), dtype=np.uint8)
     step = max(1, _BLOCK_BITS // n)
     # An extreme junction (a tiny RA product, a huge read energy) would
@@ -262,19 +263,15 @@ def generate_array(array: SbgArray, n: int) -> np.ndarray:
 
 def _generate_block(block: SbgArray, n: int) -> np.ndarray:
     """generate_array for one block of rows; bool (units, n)."""
-    params = block.device.params
-    scale = block.scale[:, None]
-    pulses = _pulses(block.constants[:, :, block.level, None], params, scale)
+    pulses = _pulses(block.constants[:, :, block.level, None], block.device.params,
+                     block.scale[:, None])
     if block.mode is SbgMode.SIMPLE:
-        bits, final, energy = _run_simple(block, n, *pulses)
-        block.writes += 2 * n
-        block.reads += n
+        bits, energy = _run_simple(block, n, *pulses)
+        block.writes[:], block.reads[:] = 2 * n, n
     else:
-        bits, final, energy = _run_self_control(block, n, *pulses)
-        block.writes += n + 1
-        block.reads += n + 1
-    # energy is the (units, cycles) view of a (cycles, units) array: row 0
-    # of that array holds each unit's energy so far and the rows after it the
+        bits, energy = _run_self_control(block, n, *pulses)
+        block.writes[:] = block.reads[:] = n + 1
+    # energy is the (units, cycles) view of a (cycles, units) array of the
     # increments in cycle order.  add.reduce down it adds one row at a time,
     # as the per-bit model does; one unit's column is contiguous, and numpy
     # would add it pairwise and round differently, so a lone unit accumulates
@@ -282,7 +279,6 @@ def _generate_block(block: SbgArray, n: int) -> np.ndarray:
     cycles = energy.T
     block.energy_nj[:] = (np.add.reduce(cycles, axis=0) if len(block) > 1
                           else np.add.accumulate(cycles[:, 0])[-1])
-    block.state[:] = final
     return bits
 
 
@@ -293,28 +289,28 @@ def _spread(z: np.ndarray, params: MtjParams) -> np.ndarray:
     return z
 
 
-def _switching_scan(start: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """States after each step of the two-state automaton whose next state is
-    a from P and not b from AP; rows are units, columns steps, True is AP,
-    and start is the (units, 1) column of initial states.
+def _switching_scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """States after each step, from P, of the two-state automaton whose next
+    state is a from P and not b from AP; rows are units, columns steps, True
+    is AP.
 
     A step with a != b sets the state to a, a = b = 1 negates it and
-    a = b = 0 keeps it.  So the state after step k is the value of the last
-    setting step j <= k (or start, if there is none), XOR the parity of the
-    negating steps in (j, k], which is parity[k] ^ parity[j] for the running
-    parity of negating steps.  The keys follow a column holding start (0 or
-    1).  Setting step j gets the key 2(j + 1) + (a[j] ^ parity[j]), above
-    start and above every earlier step's, and any other step 0, so the
-    running maximum of the keys names j and its low bit, XOR parity[k], is
-    the state.
+    a = b = 0 keeps it.  So the state after step k is the one the last
+    setting step j <= k set (P if there is none), XOR parity[k] ^ parity[j]
+    for the running parity of negating steps.  Setting step j gets the key
+    2(j + 1) + (a[j] ^ parity[j]) and any other step 0, so the running
+    maximum of the keys names j, and its low bit XOR parity[k] is the state.
     """
     parity = np.logical_xor.accumulate(a & b, axis=1)
     steps = a.shape[1]
     order = np.arange(2, 2 * steps + 2, 2, dtype=np.min_scalar_type(2 * steps + 1))
-    key = np.empty((len(a), steps + 1), dtype=order.dtype)
-    key[:, :1] = start
-    np.multiply(a != b, order + (a ^ parity), out=key[:, 1:])
-    return (np.maximum.accumulate(key, axis=1)[:, 1:] & 1).astype(bool) ^ parity
+    key = np.multiply(a != b, order + (a ^ parity))
+    return (np.maximum.accumulate(key, axis=1, out=key) & 1).astype(bool) ^ parity
+
+
+def _before(after: np.ndarray) -> np.ndarray:
+    """The state before each step, from P, given the state after it."""
+    return np.hstack((np.zeros((len(after), 1), dtype=bool), after[:, :-1]))
 
 
 def _run_simple(block: SbgArray, n: int, reset: _Pulse, write: _Pulse):
@@ -324,18 +320,13 @@ def _run_simple(block: SbgArray, n: int, reset: _Pulse, write: _Pulse):
     # Every token but a successful reset ends a cycle and emits the state
     # after it, so 2n tokens always hold n bits, and a unit's bits are its
     # first n emissions.
-    state = block.state[:, None]
     tokens = np.empty((len(block), 2 * n))
-    saved = []
     for row, rng in zip(tokens, block.rngs):
-        # Every cycle draws at least once, so the first n tokens are used.
-        rng.standard_normal(out=row[:n])
-        saved.append(rng.bit_generator.state)
-        rng.standard_normal(out=row[n:])
+        rng.standard_normal(out=row)
     spread = _spread(tokens, block.device.params)
     reset_ok = reset.switches(spread)
-    after = _switching_scan(state, write.switches(spread), reset_ok)
-    before = np.hstack((state, after[:, :-1]))
+    after = _switching_scan(write.switches(spread), reset_ok)
+    before = _before(after)
     emits = ~(before & reset_ok)
     # Each unit's first n emissions, row by row: row k's start after the
     # emissions of the rows before it.
@@ -344,38 +335,30 @@ def _run_simple(block: SbgArray, n: int, reset: _Pulse, write: _Pulse):
     bits = after.ravel()[emitted].reshape(len(block), n)
     # The write sees AP only after a failed reset, the token that emits.
     write_sees_ap = before.ravel()[emitted].reshape(len(block), n)
-    used = emitted[n - 1::n] - np.arange(0, tokens.size, 2 * n) + 1
-    energy = np.empty((3 * n + 1, len(block))).T
-    energy[:, :1] = block.energy_nj[:, None]
-    energy[:, 1::3] = reset.energy(np.hstack((state, bits[:, :-1])))
-    energy[:, 2::3] = write.energy(write_sees_ap)
-    energy[:, 3::3] = block.device.read_energy_nj
-    # Leave each stream where the per-bit model leaves it: rewind to the
-    # second half, then redraw exactly the normals the unit used there.
-    for rng, rewind, drawn in zip(block.rngs, saved, used.tolist()):
-        rng.bit_generator.state = rewind
-        rng.standard_normal(drawn - n)
-    return bits, bits[:, -1], energy
+    energy = np.empty((3 * n, len(block))).T
+    energy[:, 0::3] = reset.energy(_before(bits))
+    energy[:, 1::3] = write.energy(write_sees_ap)
+    energy[:, 2::3] = block.device.read_energy_nj
+    return bits, energy
 
 
 def _run_self_control(block: SbgArray, n: int, reset: _Pulse, p2ap: _Pulse, ap2p: _Pulse):
-    # The initialization reset draws only for a unit not yet in P; every
-    # later cycle writes toward the other state and draws once.
-    state = block.state[:, None]
-    z = np.zeros((len(block), n + 1))    # column 0: the initialization draw
-    for row, rng, draws in zip(z, block.rngs, block.state.tolist()):
-        rng.standard_normal(out=row[0 if draws else 1:])
+    # The initialization reset finds P and draws nothing; every later cycle
+    # writes toward the other state and draws once.  np.zeros, not np.empty:
+    # with np.empty, perfbench/run.py read kl-sweep-32 slower in 14 of 18
+    # alternating pairs, though an in-process loop shows no difference; it is
+    # glibc's allocator state, not the fill.
+    z = np.zeros((len(block), n))
+    for row, rng in zip(z, block.rngs):
+        rng.standard_normal(out=row)
     spread = _spread(z, block.device.params)
-    latched = state & ~reset.switches(spread[:, :1])
-    after = _switching_scan(latched, p2ap.switches(spread[:, 1:]),
-                            ap2p.switches(spread[:, 1:]))
-    before = np.hstack((latched, after[:, :-1]))
-    energy = np.empty((2 * n + 3, len(block))).T
-    energy[:, :1] = block.energy_nj[:, None]
-    energy[:, 1:2] = reset.energy(state)
-    energy[:, 2::2] = block.device.read_energy_nj
-    energy[:, 3::2] = np.where(before, ap2p.energy_ap, p2ap.energy_p)
-    return before ^ after, after[:, -1], energy
+    after = _switching_scan(p2ap.switches(spread), ap2p.switches(spread))
+    before = _before(after)
+    energy = np.empty((2 * n + 2, len(block))).T
+    energy[:, :1] = reset.energy_p
+    energy[:, 1::2] = block.device.read_energy_nj
+    energy[:, 2::2] = np.where(before, ap2p.energy_ap, p2ap.energy_p)
+    return before ^ after, energy
 
 
 @dataclass(frozen=True)

@@ -454,15 +454,14 @@ def bisect_voltage(params: MtjParams, target_p: float, duration: float,
 
 
 def scalar_generate(array: SbgArray, row: int, n: int) -> np.ndarray:
-    """Per-bit oracle for sbg.generate_array: steps one row of the array one
-    pulse and one read at a time through the device model, then writes the
-    row's state, energy and counters back to the array's columns.
+    """Per-bit oracle for sbg.generate_array: steps one row of a freshly built
+    array one pulse and one read at a time through the device model, from P,
+    then writes the row's energy and counters to the array's columns.
     """
     device = array.device
-    junction = Junction(device.params, array.rngs[row], float(array.scale[row]),
-                        MtjState(int(array.state[row])))
+    junction = Junction(device.params, array.rngs[row], float(array.scale[row]))
     p2ap, ap2p = array.pulses[array.level[row]]
-    energy = float(array.energy_nj[row])
+    energy = 0.0
     writes = reads = 0
 
     def pulse(spec: PulseSpec) -> None:
@@ -492,10 +491,9 @@ def scalar_generate(array: SbgArray, row: int, n: int) -> np.ndarray:
             current = read()
             bits.append(current ^ last)
             last = current
-    array.state[row] = junction.state is MtjState.AP
     array.energy_nj[row] = energy
-    array.writes[row] += writes
-    array.reads[row] += reads
+    array.writes[row] = writes
+    array.reads[row] = reads
     return np.array(bits, dtype=np.uint8)
 
 

@@ -70,10 +70,24 @@ def test_energy_starts_at_zero_and_grows():
     array = one_unit(SbgMode.SIMPLE, 0.5, 1)
     assert array.energy_nj[0] == 0.0
     generate_array(array, 16)
-    first = array.energy_nj[0]
-    assert first > 0
-    generate_array(array, 16)
-    assert array.energy_nj[0] > first
+    assert array.energy_nj[0] > 0
+    with pytest.raises(ValueError):
+        generate_array(array, 16)
+
+
+@pytest.mark.parametrize("mode", list(SbgMode))
+def test_generate_array_refuses_a_second_run(mode):
+    # An array generates once, from P: its junction states and stream
+    # positions after a run are not kept, so it cannot continue or restart.
+    array = make_units(DEVICE, mode, [0.3, 0.8], 4)
+    generate_array(array, 8)
+    energy = array.energy_nj.tolist()
+    with pytest.raises(ValueError, match="generates once"):
+        generate_array(array, 8)
+    with pytest.raises(ValueError, match="generates once"):
+        generate_array(array[1:], 8)
+    assert array.energy_nj.tolist() == energy
+    assert array.writes.tolist() == [9 if mode is SbgMode.SELF_CONTROL else 16] * 2
 
 
 def test_pulse_energy_hand_computation():
@@ -86,7 +100,6 @@ def test_pulse_energy_hand_computation():
     # A one-bit simple stream from P: the reset and the write both see R_P,
     # and free reads leave only the two pulses.
     array = one_unit(SbgMode.SIMPLE, 0.5, 1, SbgDevice(read_energy_nj=0.0))
-    assert array.state.tolist() == [False]    # P
     generate_array(array, 1)
     v = array.pulses[0][0].voltage
     assert array.energy_nj[0] == pytest.approx((1.8 ** 2 * 7.0 + v ** 2 * 5.4) / r_p, rel=1e-12)
