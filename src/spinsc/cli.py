@@ -38,12 +38,17 @@ def fmt(value) -> str:
 
 
 def write_csv(path: Path, header: list[str], columns: Sequence[Sequence]) -> None:
-    """A CSV file from its columns, formatted in one call.  Every value is
-    written as fmt writes it: a column of floats takes a %.6g field, a column
-    without floats a %s field, and a column mixing the two is run through
-    fmt first."""
+    """A CSV file from its columns, formatted in one call, every value as fmt
+    writes it.  A float or integer numpy array takes a %.6g or %d field by its
+    dtype, unscanned.  Any other column is scanned: all floats take a %.6g
+    field, no floats a %s field, and a mix is run through fmt first."""
     fields, values = [], []
     for column in columns:
+        kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
+        if kind in "fiu":
+            fields.append("%.6g" if kind == "f" else "%d")
+            values.append(column.tolist())
+            continue
         floats = sum(map(isinstance, column, repeat(float)))
         fields.append("%.6g" if floats == len(column) else "%s")
         values.append(map(fmt, column) if 0 < floats < len(column) else column)
@@ -88,11 +93,10 @@ def cmd_array_report(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     array = build_array(spec, cfg.master_seed, cfg.device, pv_sigmas=cfg.pv_sigmas)
     n = cfg.bitstream_len
     density = generate_array(array, n).sum(axis=1) / n
-    columns = (np.arange(len(array)), array.targets, density, np.abs(density - array.targets),
-               array.energy_nj, array.writes, array.reads)
     path = out / "array_report.csv"
-    write_csv(path, ["unit", "target_p", "density", "abs_error",
-                     "energy_nj", "writes", "reads"], [column.tolist() for column in columns])
+    write_csv(path, ["unit", "target_p", "density", "abs_error", "energy_nj", "writes", "reads"],
+              [np.arange(len(array)), array.targets, density, np.abs(density - array.targets),
+               array.energy_nj, array.writes, array.reads])
     return [path]
 
 
@@ -165,7 +169,7 @@ def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
 
     matrix_path = out / "matrix.csv"
     # np.nonzero lists the entries row by row, each row's columns ascending.
-    write_csv(matrix_path, ["row", "col"], [a.tolist() for a in np.nonzero(matrix.control)])
+    write_csv(matrix_path, ["row", "col"], np.nonzero(matrix.control))
 
     m = spec.total_units
     n_terminals = len(net.terminals)
@@ -202,14 +206,13 @@ def cmd_fusion_run(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     ax, ay = estimate.argmax()
 
     # One (x, y, weight) line per grid cell, x-major.
-    xs = np.repeat(np.arange(grid_w), grid_h).tolist()
-    ys = np.tile(np.arange(grid_h), grid_w).tolist()
+    xs, ys = np.repeat(np.arange(grid_w), grid_h), np.tile(np.arange(grid_h), grid_w)
     posterior_path = out / "posterior.csv"
-    write_csv(posterior_path, ["x", "y", "weight"], [xs, ys, estimate.weights.ravel().tolist()])
+    write_csv(posterior_path, ["x", "y", "weight"], [xs, ys, estimate.weights.ravel()])
     pgm_path = out / "posterior.pgm"
     write_pgm(pgm_path, estimate.weights)
     exact_path = out / "posterior_exact.csv"
-    write_csv(exact_path, ["x", "y", "weight"], [xs, ys, exact.weights.ravel().tolist()])
+    write_csv(exact_path, ["x", "y", "weight"], [xs, ys, exact.weights.ravel()])
     summary_path = out / "fusion_summary.csv"
     write_csv(summary_path, ["n", "kl", "argmax_x", "argmax_y"], [[n], [kl], [ax], [ay]])
     print(f"{n},{fmt(kl)},{ax},{ay}")

@@ -18,7 +18,8 @@ non-positive plane, sigma_b, sigma_d_base, reset_voltage, write_duration or
 characterize voltage, a negative sigma_d_slope, noise, reset_duration,
 read_energy, process-variation sigma or characterize duration, a report
 probability outside [0, 1], array levels outside (0, 1] or not strictly
-increasing, a bad junction value and an unknown section or key.
+increasing, a stream length repeated in a [report] list, a bad junction
+value and an unknown section or key.
 """
 
 from __future__ import annotations
@@ -61,6 +62,15 @@ def count(text: str) -> int:
 
 def _counts(text: str) -> tuple[int, ...]:
     return _nonempty(tuple(count(tok) for tok in text.split(",") if tok.strip()))
+
+
+def _lengths(text: str) -> tuple[int, ...]:
+    """Stream lengths: counts, in any order, none repeated (a report writes
+    one row per length)."""
+    lengths = _counts(text)
+    if len(set(lengths)) < len(lengths):
+        raise ValueError("a length may not repeat")
+    return lengths
 
 
 def _seed(text: str) -> int:
@@ -236,11 +246,11 @@ KEYS: dict[tuple[str, str], tuple[tuple[str, ...], Callable[[str], object]]] = {
     ("fusion", "noise_d"): (("fusion", "noise_d"), _nonnegative),
     ("fusion", "noise_b"): (("fusion", "noise_b"), _nonnegative),
     ("report", "scc_pairs"): (("report", "scc_pairs"), count),
-    ("report", "scc_lengths"): (("report", "scc_lengths"), _counts),
+    ("report", "scc_lengths"): (("report", "scc_lengths"), _lengths),
     ("report", "scc_probs"): (("report", "scc_probs"), _probs),
     ("report", "scc_cross"): (("report", "scc_cross"), _prob_pairs),
     ("report", "sweep_repeats"): (("report", "sweep_repeats"), count),
-    ("report", "sweep_lengths"): (("report", "sweep_lengths"), _counts),
+    ("report", "sweep_lengths"): (("report", "sweep_lengths"), _lengths),
     ("report", "sweep_probs"): (("report", "sweep_probs"), _probs),
     ("report", "characterize_voltages"): (("report", "characterize_voltages"),
                                           lambda text: _floats(text, _positive)),

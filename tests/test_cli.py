@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spinsc import experiments, fusion, sbg
 from spinsc.allocator import allocate, verify_allocation
@@ -511,6 +512,50 @@ def test_kl_sweep_output(tmp_path):
         ["16", "off"], ["8", "off"], ["16", "on"], ["8", "on"]]
 
 
+@pytest.mark.parametrize("key, command", [("scc_lengths", "scc-report"),
+                                          ("sweep_lengths", "pv-sweep"),
+                                          ("sweep_lengths", "kl-sweep")])
+def test_repeated_lengths_are_config_errors(tmp_path, capsys, key, command):
+    # Each report writes one row per length, so a repeated length would
+    # repeat its rows.  ([array] multiplicity may repeat a value: the small
+    # config's is 2,1,1.)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[report]\n{key} = 64,64\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(bad), "--out-dir", str(out), "--grid", "4x4", command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: [report] {key} = '64,64': " \
+                           "a length may not repeat\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_fusion_run_writes_the_pipeline_posteriors(tmp_path, monkeypatch):
+    # Both posterior files hold one line per cell, x-major: its x, its y and
+    # the weight the pipeline computed for it.
+    grids = {}
+    run, exact_posterior = fusion.FusionPipeline.run, fusion.exact_posterior
+
+    def recording_run(self, *args, **kwargs):
+        estimate, stats = run(self, *args, **kwargs)
+        grids["posterior.csv"] = estimate
+        return estimate, stats
+
+    def recording_exact(channels):
+        grids["posterior_exact.csv"] = exact_posterior(channels)
+        return grids["posterior_exact.csv"]
+
+    monkeypatch.setattr(fusion.FusionPipeline, "run", recording_run)
+    monkeypatch.setattr(fusion, "exact_posterior", recording_exact)
+    out = tmp_path / "out"
+    run_cli("--grid", "16x16", "--bitstream-len", "32", "--out-dir", out, "fusion-run")
+    assert sorted(grids) == ["posterior.csv", "posterior_exact.csv"]
+    for name, grid in grids.items():
+        weights = grid.weights.tolist()
+        rows = [(x, y, weights[x][y]) for x in range(16) for y in range(16)]
+        assert (out / name).read_bytes() == csv_text(["x", "y", "weight"], rows).encode("utf-8")
+
+
 def test_cli_flag_overrides(tmp_path, config_path):
     out = tmp_path / "out"
     run_cli("--config", config_path, "--out-dir", out, "--grid", "4x4",
@@ -692,10 +737,51 @@ def test_write_csv_formats_each_value_as_the_oracle(columns):
         assert path.read_bytes() == csv_text(header, zip(*columns)).encode("utf-8")
 
 
+# Numpy columns: write_csv takes a float or integer array's field from its
+# dtype, and scans any other column as it scans a list.
+ARRAY_DTYPES = [np.float64, np.float32, np.int64, np.intp, np.uint8, np.bool_]
+# Random float32 bit patterns (normals, subnormals and NaNs of both signs),
+# then the infinities and signed zeros.
+FLOAT32_BITS = np.append(np.frombuffer(np.random.default_rng(6).bytes(4 * 20_000), np.float32),
+                         np.float32([math.inf, -math.inf, 0.0, -0.0]))
+
+
+@st.composite
+def csv_array_columns(draw):
+    rows = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(ARRAY_DTYPES + sorted(CSV_VALUES)),
+                          min_size=1, max_size=5))
+    columns = []
+    for kind in kinds:
+        if kind in CSV_VALUES:
+            columns.append(draw(st.lists(CSV_VALUES[kind], min_size=rows, max_size=rows)))
+        else:
+            elements = FLOAT_VALUES if kind is np.float64 else None
+            columns.append(draw(hnp.arrays(kind, rows, elements=elements)))
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=csv_array_columns())
+@example(columns=[np.array(EDGE_FLOATS), np.arange(len(EDGE_FLOATS))])
+@example(columns=[np.array(WIDE_FLOATS), np.arange(len(WIDE_FLOATS))])
+@example(columns=[FLOAT32_BITS, np.signbit(FLOAT32_BITS)])
+@example(columns=[np.zeros(0, dtype) for dtype in ARRAY_DTYPES])
+def test_write_csv_formats_array_columns_as_the_oracle(columns):
+    header = [f"c{k}" for k in range(len(columns))]
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "t.csv")
+        write_csv(path, header, columns)
+        assert path.read_bytes() == csv_text(header, rows).encode("utf-8")
+
+
 def test_write_csv_refuses_columns_of_unequal_length(tmp_path):
-    with pytest.raises(ValueError):
-        write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2], [3]])
-    assert not (tmp_path / "t.csv").exists()
+    for columns in ([[1, 2], [3]], [np.arange(2), np.arange(1)], [np.array([0.5, 1.5]), [3]],
+                    [[1.0], np.zeros(2, np.uint8)]):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["a", "b"], columns)
+        assert not (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize("command, output", [("array-report", "array_report.csv"),
