@@ -16,7 +16,7 @@ import sys
 from collections import Counter
 from collections.abc import Sequence
 from functools import cache
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -40,18 +40,16 @@ def fmt(value) -> str:
 def write_csv(path: Path, header: list[str], columns: Sequence[Sequence]) -> None:
     """A CSV file from its columns, formatted in one call, every value as fmt
     writes it.  A float or integer numpy array takes a %.6g or %d field by its
-    dtype, unscanned.  Any other column is scanned: all floats take a %.6g
-    field, no floats a %s field, and a mix is run through fmt first."""
+    dtype; any other column is run through fmt into a %s field."""
     fields, values = [], []
     for column in columns:
         kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
         if kind in "fiu":
             fields.append("%.6g" if kind == "f" else "%d")
             values.append(column.tolist())
-            continue
-        floats = sum(map(isinstance, column, repeat(float)))
-        fields.append("%.6g" if floats == len(column) else "%s")
-        values.append(map(fmt, column) if 0 < floats < len(column) else column)
+        else:
+            fields.append("%s")
+            values.append(map(fmt, column))
     line = ",".join(fields) + "\n"
     rows = len(columns[0]) if columns else 0
     body = (line * rows) % tuple(chain.from_iterable(zip(*values, strict=True)))

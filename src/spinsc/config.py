@@ -18,8 +18,8 @@ non-positive plane, sigma_b, sigma_d_base, reset_voltage, write_duration or
 characterize voltage, a negative sigma_d_slope, noise, reset_duration,
 read_energy, process-variation sigma or characterize duration, a report
 probability outside [0, 1], array levels outside (0, 1] or not strictly
-increasing, a stream length repeated in a [report] list, a bad junction
-value and an unknown section or key.
+increasing, a repeated [report] stream length, SCC probability or pair, a
+bad junction value and an unknown section or key.
 """
 
 from __future__ import annotations
@@ -64,13 +64,14 @@ def _counts(text: str) -> tuple[int, ...]:
     return _nonempty(tuple(count(tok) for tok in text.split(",") if tok.strip()))
 
 
-def _lengths(text: str) -> tuple[int, ...]:
-    """Stream lengths: counts, in any order, none repeated (a report writes
-    one row per length)."""
-    lengths = _counts(text)
-    if len(set(lengths)) < len(lengths):
-        raise ValueError("a length may not repeat")
-    return lengths
+def _distinct(parse: Callable[[str], tuple], what: str) -> Callable[[str], tuple]:
+    """parse, refusing a repeated value: a report writes one row per value."""
+    def distinct(text: str) -> tuple:
+        values = parse(text)
+        if len(set(values)) < len(values):
+            raise ValueError(f"{what} may not repeat")
+        return values
+    return distinct
 
 
 def _seed(text: str) -> int:
@@ -246,11 +247,11 @@ KEYS: dict[tuple[str, str], tuple[tuple[str, ...], Callable[[str], object]]] = {
     ("fusion", "noise_d"): (("fusion", "noise_d"), _nonnegative),
     ("fusion", "noise_b"): (("fusion", "noise_b"), _nonnegative),
     ("report", "scc_pairs"): (("report", "scc_pairs"), count),
-    ("report", "scc_lengths"): (("report", "scc_lengths"), _lengths),
-    ("report", "scc_probs"): (("report", "scc_probs"), _probs),
-    ("report", "scc_cross"): (("report", "scc_cross"), _prob_pairs),
+    ("report", "scc_lengths"): (("report", "scc_lengths"), _distinct(_counts, "a length")),
+    ("report", "scc_probs"): (("report", "scc_probs"), _distinct(_probs, "a probability")),
+    ("report", "scc_cross"): (("report", "scc_cross"), _distinct(_prob_pairs, "a pair")),
     ("report", "sweep_repeats"): (("report", "sweep_repeats"), count),
-    ("report", "sweep_lengths"): (("report", "sweep_lengths"), _lengths),
+    ("report", "sweep_lengths"): (("report", "sweep_lengths"), _distinct(_counts, "a length")),
     ("report", "sweep_probs"): (("report", "sweep_probs"), _probs),
     ("report", "characterize_voltages"): (("report", "characterize_voltages"),
                                           lambda text: _floats(text, _positive)),

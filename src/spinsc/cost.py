@@ -50,22 +50,18 @@ def compare(a: CostProfile, b: CostProfile) -> float:
     return e_a / e_b
 
 
-def simulated_profile(stats: FusionRunStats, label: str = "simulated",
-                      t_cyc_ns: float = 10.0,
-                      n_cmos_k: float | None = None) -> CostProfile:
+def simulated_profile(stats: FusionRunStats) -> CostProfile:
     """Profile from a fusion run's generator-array energy accounting."""
-    return CostProfile(label=label,
+    return CostProfile(label="simulated",
                        e_cyc_nj=stats.energy_per_cycle_nj,
-                       t_cyc_ns=t_cyc_ns,
-                       n_cyc=stats.n_cycles,
-                       n_cmos_k=n_cmos_k)
+                       t_cyc_ns=10.0,
+                       n_cyc=stats.n_cycles)
 
 
-def comparison_rows(profiles: tuple[CostProfile, ...] = BASELINE_PROFILES
-                    ) -> list[dict[str, float | str]]:
+def comparison_rows() -> list[dict[str, float | str]]:
     """Table rows mirroring the platform comparison columns."""
     rows = []
-    for p in profiles:
+    for p in BASELINE_PROFILES:
         e_tot, t_tot = totals(p)
         rows.append({
             "method": p.label,

@@ -6,8 +6,8 @@ duration: the characteristic switching time dt(V) follows a precessional law
 above the critical voltage and a thermally activated law below it, and the
 realized switching time of each pulse is drawn from N(dt, sigma_rel * dt).
 Reads are ideal and non-destructive.  This module holds the switching law,
-calibration and process-variation draws; the junctions' states and random
-streams are columns of sbg.SbgArray.
+calibration and the process-variation draw of a device's resistance scale;
+the junctions' states and random streams are columns of sbg.SbgArray.
 
 Voltages are volts, durations nanoseconds, resistances ohms; energies (in the
 generator layer) come out in nanojoules via V^2 * t_ns / R.
@@ -111,23 +111,6 @@ class PulseSpec:
             raise ValueError("duration must be non-negative")
 
 
-@dataclass(frozen=True)
-class InstanceFactors:
-    """Per-device process-variation multipliers (1.0, 1.0) when disabled."""
-
-    area: float = 1.0
-    tox: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.area <= 0 or self.tox <= 0:
-            raise ValueError("variation factors must be positive")
-
-    def resistance_scale(self, params: MtjParams) -> float:
-        # R ~ (1/A) * exp(t_ox); the exponent uses the nominal thickness in nm
-        # so a 2% thickness shift moves R by ~1.7%.
-        return math.exp(params.t_ox * (self.tox - 1.0)) / self.area
-
-
 def base_switching_time(params: MtjParams, pulse: PulseSpec) -> float:
     """Nominal characteristic switching time dt in ns for the pulse's
     direction.
@@ -206,10 +189,12 @@ def calibrate_voltage(params: MtjParams, target_p: float, duration: float,
                             f"{target_p} within {_TOL:g} at {duration} ns")
 
 
-def draw_process_variation(rng: np.random.Generator, sigma_area: float,
-                           sigma_tox: float) -> InstanceFactors:
-    """Area/thickness multipliers ~ N(1, sigma) drawn from rng, resampling
-    non-positive draws."""
+def draw_process_variation(rng: np.random.Generator, params: MtjParams, sigma_area: float,
+                           sigma_tox: float) -> float:
+    """One device's resistance scale R ~ (1/A) * exp(t_ox), from area and
+    then thickness multipliers ~ N(1, sigma) drawn from rng, each resampled
+    while non-positive.  The exponent uses the nominal thickness in nm, so a
+    2% thickness shift moves R by ~1.7%."""
 
     def draw(sigma: float) -> float:
         value = 1.0 + sigma * rng.standard_normal()
@@ -217,7 +202,8 @@ def draw_process_variation(rng: np.random.Generator, sigma_area: float,
             value = 1.0 + sigma * rng.standard_normal()
         return value
 
-    return InstanceFactors(area=draw(sigma_area), tox=draw(sigma_tox))
+    area = draw(sigma_area)
+    return math.exp(params.t_ox * (draw(sigma_tox) - 1.0)) / area
 
 
 def characterization_rows(params: MtjParams, voltages: list[float],

@@ -25,13 +25,16 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .device import (
+    _TOL,
     MtjParams,
     PulseSpec,
     TargetBelowRange,
+    TargetUnreachable,
     WriteDirection,
     base_switching_time,
     calibrate_voltage,
     draw_process_variation,
+    switch_probability,
 )
 from .seeding import DOMAIN_DEVICE, DOMAIN_PROCESS_VARIATION, rngs_for
 
@@ -86,11 +89,10 @@ _ROW_FIELDS = ("level", "targets", "scale", "energy_nj", "writes", "reads", "rng
 class SbgArray:
     """A generator array held as columns; row k is unit k.
 
-    The device and the mode are the whole array's.  pulses holds one
-    (P->AP, AP->P) write-pulse pair per distinct target, AP->P being None in
-    simple mode, and level[k] is unit k's index into it; constants[..., k]
-    holds level k's reset and write pulses' constants.  The other columns
-    are per unit: its target, scale (the process-variation factor on its
+    The device and the mode are the whole array's.  constants[..., l] holds
+    level l's reset and write pulses' constants, the array's one record of
+    its calibration, and level[k] is unit k's level.  The other columns are
+    per unit: its target, scale (the process-variation factor on its
     resistances and switching times, exactly 1.0 when nominal), energy_nj,
     writes, reads and its own random stream.  Every junction starts in P and
     the array generates once.  array[a:b] holds rows a to b - 1 in views of
@@ -99,7 +101,6 @@ class SbgArray:
 
     device: SbgDevice
     mode: SbgMode
-    pulses: tuple[tuple[PulseSpec, PulseSpec | None], ...]
     constants: np.ndarray    # float64 (3, pulses per cycle, levels), see _constants
     level: np.ndarray        # intp
     targets: np.ndarray      # float64
@@ -117,13 +118,12 @@ class SbgArray:
 
 
 class CalibrationCache:
-    """The write pulses make_units has built, and the (3, pulses per cycle)
-    _constants of the reset and those pulses, per (device, mode) and target,
-    so a cache that serves many builds calibrates each target once."""
+    """The (3, pulses per cycle) _constants of the reset and the calibrated
+    write pulses make_units has built, per (device, mode) and target, so a
+    cache that serves many builds calibrates each target once."""
 
     def __init__(self) -> None:
-        self.pulses: dict[tuple[SbgDevice, SbgMode],
-                          dict[float, tuple[tuple[PulseSpec, PulseSpec | None], np.ndarray]]] = {}
+        self.pulses: dict[tuple[SbgDevice, SbgMode], dict[float, np.ndarray]] = {}
 
 
 def _write_pulse(device: SbgDevice, target_p: float, direction: WriteDirection) -> PulseSpec:
@@ -133,6 +133,10 @@ def _write_pulse(device: SbgDevice, target_p: float, direction: WriteDirection) 
     except TargetBelowRange:
         vc0, _ = device.params.direction_constants(direction)
         v = vc0 * _SUBCRITICAL_FRACTION
+        p = switch_probability(device.params, PulseSpec(v, duration, direction))
+        if abs(p - target_p) > _TOL:
+            raise TargetUnreachable(f"{direction.value} target {target_p} lies below the range, "
+                                    f"but the {v:g} V fallback switches with probability {p:g}")
     return PulseSpec(v, duration, direction)
 
 
@@ -145,39 +149,35 @@ def make_units(device: SbgDevice, mode: SbgMode, targets: Sequence[float],
 
     Write voltages are calibrated against the nominal device, once per
     distinct target and cache (in `calibration`, or a fresh cache), and units
-    at one target share the pulses and their constants.  Process variation (pv_sigmas =
-    (sigma_area, sigma_tox)) perturbs only each unit's scale, as it would on
-    silicon.  The device streams, and the process-variation streams, are each
-    seeded in one rngs_for call, equal to rng_for per unit.  Every unit
-    starts in P with no energy and no writes or reads.
+    at one target share its pulses' constants.  Process variation
+    (pv_sigmas = (sigma_area, sigma_tox)) perturbs only each unit's scale, as
+    it would on silicon.  The device streams, and the process-variation
+    streams, are each seeded in one rngs_for call, equal to rng_for per unit.
+    Every unit starts in P with no energy and no writes or reads.
     """
     calibration = calibration or CalibrationCache()
-    pulses = calibration.pulses.setdefault((device, mode), {})
+    cached = calibration.pulses.setdefault((device, mode), {})
     levels: dict[float, int] = {}
     for p in targets:
         if p in levels:
             continue
-        if p not in pulses:
+        if p not in cached:
             if not 0.0 <= p <= 1.0:
                 raise ValueError("target_p must lie in [0, 1]")
-            p2ap = _write_pulse(device, p, WriteDirection.P_TO_AP)
-            cycle = [device.reset_pulse, p2ap]
-            ap2p = None
+            cycle = [device.reset_pulse, _write_pulse(device, p, WriteDirection.P_TO_AP)]
             if mode is SbgMode.SELF_CONTROL:
-                ap2p = _write_pulse(device, p, WriteDirection.AP_TO_P)
-                cycle.append(ap2p)
-            pulses[p] = ((p2ap, ap2p), _constants(device.params, cycle))
+                cycle.append(_write_pulse(device, p, WriteDirection.AP_TO_P))
+            cached[p] = _constants(device.params, cycle)
         levels[p] = len(levels)
     count = len(targets)
     ids = range(count)
     scale = np.ones(count)
     if pv_sigmas is not None and any(pv_sigmas):
-        scale = np.array([draw_process_variation(rng, *pv_sigmas).resistance_scale(device.params)
+        scale = np.array([draw_process_variation(rng, device.params, *pv_sigmas)
                           for rng in rngs_for(master_seed, DOMAIN_PROCESS_VARIATION, ids)])
-    pairs, constants = zip(*[pulses[p] for p in levels]) if levels else ((), ())
     per_cycle = 2 if mode is SbgMode.SIMPLE else 3
-    return SbgArray(device, mode, pairs,
-                    np.reshape(constants, (-1, 3, per_cycle)).transpose(1, 2, 0),
+    return SbgArray(device, mode,
+                    np.reshape([cached[p] for p in levels], (-1, 3, per_cycle)).transpose(1, 2, 0),
                     level=np.array([levels[p] for p in targets], dtype=np.intp),
                     targets=np.array(targets, dtype=np.float64), scale=scale,
                     energy_nj=np.zeros(count), writes=np.zeros(count, dtype=np.int64),
@@ -214,9 +214,17 @@ class _Pulse(NamedTuple):
 
 def _constants(params: MtjParams, pulses: Sequence[PulseSpec]) -> np.ndarray:
     """(3, len(pulses)): each pulse's nominal switching time, its duration
-    and its energy over one ohm."""
-    return np.array([(base_switching_time(params, pulse), pulse.duration,
-                      pulse_energy_nj(pulse, 1.0)) for pulse in pulses]).T
+    and its energy over one ohm, which must be finite."""
+    rows = []
+    for pulse in pulses:
+        try:
+            heat = pulse_energy_nj(pulse, 1.0)
+        except OverflowError:    # V^2 beyond the float range
+            heat = np.inf
+        if heat == np.inf:
+            raise ValueError(f"infinite energy: {pulse.voltage:g} V for {pulse.duration:g} ns")
+        rows.append((base_switching_time(params, pulse), pulse.duration, heat))
+    return np.array(rows).T
 
 
 def _pulses(constants: np.ndarray, params: MtjParams, scale: np.ndarray) -> list[_Pulse]:

@@ -32,8 +32,8 @@ from spinsc.logic import (
     extract_conflict_sets,
     first_fit,
 )
-from spinsc.sbg import (SbgArray, SbgArraySpec, SbgMode, build_array, generate_array,
-                        pulse_energy_nj)
+from spinsc.sbg import (SbgArray, SbgArraySpec, SbgMode, _write_pulse, build_array,
+                        generate_array, pulse_energy_nj)
 from spinsc.seeding import DOMAIN_DEVICE, rng_for
 
 
@@ -379,6 +379,22 @@ def make_junction(params: MtjParams, master_seed: int, row: int, scale: float = 
     return Junction(params, rng_for(master_seed, domain, row), scale)
 
 
+def variation_draw(rng: np.random.Generator, params: MtjParams, sigma_area: float,
+                   sigma_tox: float) -> tuple[float, float, float]:
+    """Oracle for device.draw_process_variation: (area, thickness, scale).
+    The area and then the thickness multiplier ~ N(1, sigma) come from rng,
+    each drawn again while non-positive; R ~ (1/A) * exp(t_ox) gives the
+    resistance scale exp(t_ox * (thickness - 1)) / area."""
+    factors = []
+    for sigma in (sigma_area, sigma_tox):
+        value = 0.0
+        while value <= 0.0:
+            value = 1.0 + sigma * rng.standard_normal()
+        factors.append(value)
+    area, tox = factors
+    return area, tox, math.exp(params.t_ox * (tox - 1.0)) / area
+
+
 def apply_write(junction: Junction, pulse: PulseSpec) -> bool:
     """Attempt one stochastic write; returns True iff the state flipped.
 
@@ -456,11 +472,13 @@ def bisect_voltage(params: MtjParams, target_p: float, duration: float,
 def scalar_generate(array: SbgArray, row: int, n: int) -> np.ndarray:
     """Per-bit oracle for sbg.generate_array: steps one row of a freshly built
     array one pulse and one read at a time through the device model, from P,
-    then writes the row's energy and counters to the array's columns.
+    then writes the row's energy and counters to the array's columns.  The
+    row's write pulses are calibrated again from its target.
     """
     device = array.device
     junction = Junction(device.params, array.rngs[row], float(array.scale[row]))
-    p2ap, ap2p = array.pulses[array.level[row]]
+    target = float(array.targets[row])
+    p2ap = _write_pulse(device, target, WriteDirection.P_TO_AP)
     energy = 0.0
     writes = reads = 0
 
@@ -484,6 +502,7 @@ def scalar_generate(array: SbgArray, row: int, n: int) -> np.ndarray:
             pulse(p2ap)
             bits.append(read())
     else:
+        ap2p = _write_pulse(device, target, WriteDirection.AP_TO_P)
         pulse(device.reset_pulse)
         last = read()
         for _ in range(n):

@@ -186,9 +186,32 @@ def test_target_under_a_floor_of_probability_zero_falls_back(tmp_path, capsys):
     assert (out / "pv_sweep.csv").is_file()
 
 
+@pytest.mark.parametrize("text, command, message", [
+    ("[device]\ndelta = 1\n[report]\nsweep_probs = 0,0.5\n", "pv-sweep",
+     "error: p2ap target 0.0 lies below the range, but the 0.35 V fallback switches with "
+     "probability 1\n"),
+    ("[device]\nwrite_duration = 1e308\n[array]\nlevels = 0.5\n", "array-report",
+     "error: p2ap target 0.5 lies below the range, but the 0.35 V fallback switches with "
+     "probability 1\n"),
+], ids=["low-delta", "long-write"])
+def test_fallback_that_misses_its_target_is_one_line_error(tmp_path, capsys, text, command,
+                                                           message):
+    # A target below the calibratable range takes the sub-critical bias only
+    # where that bias switches with the target's probability: at delta = 1
+    # the thermal switching time is a few ns, and a write of 1e308 ns outlasts
+    # any switching time, so both switch always.
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out-dir", str(out), command]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 # 1.8 V over 1e-308 V overflows, so the switching time comes out 0.
 TINY_VC0 = ("error: vc0_ap2p = 1e-308 V, c_ap2p = 5.6 ns: "
             "the switching time at 1.8 V rounds to 0 ns\n")
+LONG_RESET = "error: infinite energy: 1.8 V for 1e+308 ns\n"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -202,8 +225,18 @@ TINY_VC0 = ("error: vc0_ap2p = 1e-308 V, c_ap2p = 5.6 ns: "
     ("[fusion]\nsigma_d_base = 1e-320\nsigma_d_slope = 0\n", "fusion-run", None),
     ("[device]\nra = 1e-320\n", "array-report", None),
     ("[run]\npv_sigma_area = 1e308\n", "pv-sweep", None),
+    # A pulse's V^2 * t overflows: to inf for a long pulse, and in V^2
+    # itself for a huge voltage.
+    ("[device]\nreset_duration = 1e308\n", "array-report", LONG_RESET),
+    ("[device]\nreset_duration = 1e308\n[fusion]\ngrid = 4x4\n", "fusion-run", LONG_RESET),
+    ("[device]\nreset_duration = 1e308\n", "scc-report", LONG_RESET),
+    ("[device]\nreset_voltage = 1e200\n", "array-report",
+     "error: infinite energy: 1e+200 V for 7 ns\n"),
+    ("[device]\nwrite_duration = 1e308\n[array]\nlevels = 1\n", "array-report",
+     "error: infinite energy: 3 V for 1e+308 ns\n"),
 ], ids=["vc0-array-report", "vc0-characterize", "pv-sigma-tox", "pv-t-ox", "reset-voltage",
-        "sigma-b", "sigma-d", "ra", "pv-sigma-area"])
+        "sigma-b", "sigma-d", "ra", "pv-sigma-area", "long-reset-array-report",
+        "long-reset-fusion-run", "long-reset-scc-report", "huge-reset-voltage", "long-write"])
 def test_extreme_floats_are_one_line_errors(tmp_path, capsys, text, command, message):
     # Floats that pass the key table but overflow, or divide by zero, in the
     # device or fusion model; numpy warnings would be errors here, as under
@@ -530,6 +563,23 @@ def test_repeated_lengths_are_config_errors(tmp_path, capsys, key, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, text, what", [("scc_probs", "0.5,0.5", "a probability"),
+                                             ("scc_cross", "0.2,0.4;0.2,0.4", "a pair")])
+def test_repeated_scc_values_are_config_errors(tmp_path, capsys, key, text, what):
+    # scc-report writes one row per probability (or pair) and length, and
+    # each copy would draw other streams: two rows, with different results,
+    # under one key.
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[report]\n{key} = {text}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(bad), "--out-dir", str(out), "scc-report"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: [report] {key} = {text!r}: " \
+                           f"{what} may not repeat\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_fusion_run_writes_the_pipeline_posteriors(tmp_path, monkeypatch):
     # Both posterior files hold one line per cell, x-major: its x, its y and
     # the weight the pipeline computed for it.
@@ -812,9 +862,9 @@ def test_device_write_keys_reach_scc_report(tmp_path, config_path, monkeypatch):
     run_cli("--config", changed, "--out-dir", tmp_path / "changed", "scc-report")
     # 4 pairs per self prob and per cross pair
     assert sum(len(array) for array in built) == 2 * 4 * (2 + 1)
+    # Every level's reset (row 0) and write pulses' durations.
     for array in built:
-        for p2ap, ap2p in array.pulses:
-            assert p2ap.duration == ap2p.duration == 5.0
+        assert (array.constants[1][0] == 7.0).all() and (array.constants[1][1:] == 5.0).all()
         assert array.device.read_energy_nj == 0.5
 
 
@@ -845,12 +895,10 @@ def test_device_keys_reach_every_unit(tmp_path, monkeypatch, command, count):
     assert built
     if count is not None:
         assert sum(len(array) for array in built) == count
-    # A unit's pulses are its array's pulses at its level.
+    # A unit's pulses are its array's pulses at its level: every level's
+    # reset (row 0) and write pulses' durations.
     for array in built:
-        for p2ap, ap2p in array.pulses:
-            assert p2ap.duration == 6.0
-            if array.mode is SbgMode.SELF_CONTROL:
-                assert ap2p.duration == 6.0
+        assert (array.constants[1][0] == 6.5).all() and (array.constants[1][1:] == 6.0).all()
         assert array.device.read_energy_nj == 0.5
         reset = array.device.reset_pulse
         assert (reset.voltage, reset.duration) == (1.5, 6.5)

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from helpers import MtjState, apply_write, bisect_voltage, make_junction, read_state, scc
+from helpers import (MtjState, apply_write, bisect_voltage, make_junction, read_state, scc,
+                     variation_draw)
 from spinsc import sbg
 from spinsc.config import ArrayConfig
 from spinsc.device import (
     _TOL,
     _V_MAX,
-    InstanceFactors,
     MtjParams,
     PulseSpec,
     TargetBelowRange,
@@ -211,15 +211,20 @@ def test_calibrate_target_within_tol_above_the_range():
 def test_process_variation_disabled_is_nominal():
     array = make_units(SbgDevice(PARAMS), SbgMode.SIMPLE, [0.5, 0.5], 3, pv_sigmas=(0.0, 0.0))
     assert array.scale.tolist() == [1.0, 1.0]
-    assert InstanceFactors().resistance_scale(PARAMS) == 1.0
+    assert draw_process_variation(rng_for(3, DOMAIN_PROCESS_VARIATION, 0), PARAMS, 0.0, 0.0) == 1.0
 
 
 def test_process_variation_sample_statistics():
+    # The scale is exactly the one the area and thickness drawn from its
+    # stream give, and those multipliers have the configured spread.
     areas, toxes = [], []
-    for rng in rngs_for(11, DOMAIN_PROCESS_VARIATION, range(10_000)):
-        f = draw_process_variation(rng, 0.05, 0.02)
-        areas.append(f.area)
-        toxes.append(f.tox)
+    pairs = zip(rngs_for(11, DOMAIN_PROCESS_VARIATION, range(10_000)),
+                rngs_for(11, DOMAIN_PROCESS_VARIATION, range(10_000)))
+    for rng, twin in pairs:
+        area, tox, scale = variation_draw(twin, PARAMS, 0.05, 0.02)
+        assert draw_process_variation(rng, PARAMS, 0.05, 0.02) == scale
+        areas.append(area)
+        toxes.append(tox)
     assert np.std(areas) == pytest.approx(0.05, abs=0.005)
     assert np.std(toxes) == pytest.approx(0.02, abs=0.002)
     assert np.mean(areas) == pytest.approx(1.0, abs=0.005)
@@ -228,7 +233,8 @@ def test_process_variation_sample_statistics():
 
 def test_process_variation_deterministic():
     def sample(unit_id):
-        return draw_process_variation(rng_for(42, DOMAIN_PROCESS_VARIATION, unit_id), 0.05, 0.02)
+        return draw_process_variation(rng_for(42, DOMAIN_PROCESS_VARIATION, unit_id), PARAMS,
+                                      0.05, 0.02)
 
     a = sample(7)
     b = sample(7)
@@ -237,10 +243,19 @@ def test_process_variation_deterministic():
     assert c != a
 
 
+def test_process_variation_resamples_non_positive_draws():
+    # At sigma 10 nearly half the draws are non-positive; each multiplier is drawn
+    # again from the same stream until it is positive, area first.
+    for unit in range(50):
+        rng, twin = rngs_for(5, DOMAIN_PROCESS_VARIATION, [unit, unit])
+        area, tox, scale = variation_draw(twin, PARAMS, 10.0, 10.0)
+        assert area > 0 and tox > 0
+        assert draw_process_variation(rng, PARAMS, 10.0, 10.0) == scale
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def test_variation_rescales_resistance_and_dt():
-    factors = InstanceFactors(area=0.9, tox=1.1)
     scale = math.exp(PARAMS.t_ox * 0.1) / 0.9
-    assert factors.resistance_scale(PARAMS) == pytest.approx(scale)
     # sbg applies the scale once per unit: to the nominal switching time and
     # to both resistances of every pulse.
     dt_nom = base_switching_time(PARAMS, HALF)

@@ -10,8 +10,7 @@ a density per prefix; the tables must equal them exactly (==, not approx).
 import numpy as np
 import pytest
 
-from helpers import overlap_counts, scc
-from spinsc.device import draw_process_variation
+from helpers import overlap_counts, scc, variation_draw
 from spinsc.experiments import cross_scc_table, density_sweep, self_scc_table
 from spinsc.sbg import SbgDevice, SbgMode, generate_array, make_units
 from spinsc.seeding import (
@@ -35,9 +34,8 @@ def reference_unit(p, domain, index, mode, pv_sigmas):
     unit = make_units(DEVICE, mode, [p], SEED)
     unit.rngs[0] = rng_for(SEED, domain, index)
     if pv_sigmas is not None:
-        factors = draw_process_variation(rng_for(SEED, DOMAIN_PROCESS_VARIATION, index),
-                                         *pv_sigmas)
-        unit.scale[0] = factors.resistance_scale(DEVICE.params)
+        _, _, unit.scale[0] = variation_draw(rng_for(SEED, DOMAIN_PROCESS_VARIATION, index),
+                                             DEVICE.params, *pv_sigmas)
     return unit
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import scc
-from spinsc.device import PulseSpec, WriteDirection
+from spinsc.device import (MtjParams, PulseSpec, TargetUnreachable, WriteDirection,
+                           switch_probability)
 from spinsc import experiments, sbg
 from spinsc.experiments import density_sweep, self_scc_table
 from spinsc.sbg import (
@@ -40,11 +41,12 @@ def test_self_control_operation_counts():
 
 def test_mode_mismatch_rejected():
     # An array has one mode.  A calibration cache that serves both modes
-    # keeps their pulses apart, so a simple array carries no AP->P pulse.
+    # keeps their pulses apart, so a simple array carries no AP->P pulse:
+    # only the reset's and the P->AP write's constants.
     cache = CalibrationCache()
     make_units(DEVICE, SbgMode.SELF_CONTROL, [0.5], 1, calibration=cache)
     array = make_units(DEVICE, SbgMode.SIMPLE, [0.5], 1, calibration=cache)
-    assert array.pulses[0][1] is None
+    assert array.constants.shape == (3, 2, 1)
     with pytest.raises(ValueError):
         generate_array(array, 0)
 
@@ -101,7 +103,7 @@ def test_pulse_energy_hand_computation():
     # and free reads leave only the two pulses.
     array = one_unit(SbgMode.SIMPLE, 0.5, 1, SbgDevice(read_energy_nj=0.0))
     generate_array(array, 1)
-    v = array.pulses[0][0].voltage
+    v = sbg._write_pulse(DEVICE, 0.5, WriteDirection.P_TO_AP).voltage
     assert array.energy_nj[0] == pytest.approx((1.8 ** 2 * 7.0 + v ** 2 * 5.4) / r_p, rel=1e-12)
 
 
@@ -209,7 +211,7 @@ def test_calibration_cache_shared_across_units(monkeypatch):
     assert len(calls) == 2            # one pulse per write direction
     second = make_units(DEVICE, SbgMode.SELF_CONTROL, [0.37, 0.37], 1, calibration=cache)
     assert len(calls) == 2
-    assert second.pulses == first.pulses
+    assert np.array_equal(second.constants, first.constants)
 
 
 @pytest.mark.parametrize("mode", list(SbgMode))
@@ -238,7 +240,18 @@ def test_only_targets_below_the_range_fall_back_to_subcritical_bias():
     # 0 lies below the probability at 1.02 vc0 in both directions, so it
     # gets half the critical voltage; 1e-6 lies above it and is calibrated.
     params = DEVICE.params
-    (p2ap, ap2p), = make_units(DEVICE, SbgMode.SELF_CONTROL, [0.0], 1).pulses
+    p2ap, ap2p = (sbg._write_pulse(DEVICE, 0.0, direction) for direction in WriteDirection)
     assert (p2ap.voltage, ap2p.voltage) == (0.5 * params.vc0_p2ap, 0.5 * params.vc0_ap2p)
-    (p2ap, ap2p), = make_units(DEVICE, SbgMode.SELF_CONTROL, [1e-6], 1).pulses
+    p2ap, ap2p = (sbg._write_pulse(DEVICE, 1e-6, direction) for direction in WriteDirection)
     assert p2ap.voltage > 1.02 * params.vc0_p2ap and ap2p.voltage > 1.02 * params.vc0_ap2p
+
+
+def test_subcritical_fallback_must_meet_its_target():
+    # At the default delta the half-critical bias switches with p ~ 3e-7,
+    # within tolerance of target 0; at delta = 1 its thermal switching time
+    # is a few ns, so it switches always and target 0 is refused.
+    pulse = sbg._write_pulse(DEVICE, 0.0, WriteDirection.P_TO_AP)
+    assert 0 < switch_probability(DEVICE.params, pulse) < 1e-6
+    with pytest.raises(TargetUnreachable, match="fallback switches with probability 1$"):
+        sbg._write_pulse(SbgDevice(MtjParams(delta=1.0)), 0.0, WriteDirection.P_TO_AP)
+

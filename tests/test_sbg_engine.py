@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import make_junction, scalar_generate
+from helpers import make_junction, scalar_generate, variation_draw
 from spinsc import sbg
-from spinsc.device import PulseSpec, WriteDirection, draw_process_variation
+from spinsc.device import PulseSpec, WriteDirection
 from spinsc.sbg import RESET_PULSE, CalibrationCache, SbgDevice, SbgMode, generate_array, make_units
 from spinsc.seeding import (
     DOMAIN_CROSS_SCC,
@@ -163,15 +163,16 @@ def test_make_units_matches_one_unit_at_a_time():
         for k, p in enumerate(targets):
             single = make_units(DEVICE, SbgMode.SELF_CONTROL, [p], 4)
             assert batch.targets[k] == p
-            assert batch.pulses[batch.level[k]] == single.pulses[0]
-            factors = draw_process_variation(rng_for(4, DOMAIN_PROCESS_VARIATION, k), *PV)
-            assert batch.scale[k] == factors.resistance_scale(DEVICE.params)
+            assert np.array_equal(batch.constants[..., batch.level[k]], single.constants[..., 0])
+            rng = rng_for(4, DOMAIN_PROCESS_VARIATION, k)
+            _, _, scale = variation_draw(rng, DEVICE.params, *PV)
+            assert batch.scale[k] == scale
             oracle.scale[k] = batch.scale[k]
             oracle.rngs[k] = make_junction(DEVICE.params, 4, k, domain=domain).rng
         assert_same(batch, oracle, 40)
-        # One pulse pair per distinct target.
+        # One level of constants per distinct target.
         assert batch.level.tolist() == [0, 1, 0, 2, 1]
-        assert len(batch.pulses) == 3
+        assert batch.constants.shape == (3, 3, 3)
 
 
 def test_make_units_takes_no_positional_unit_id():

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from helpers import variation_draw
 from spinsc import fusion, sbg
-from spinsc.device import draw_process_variation
 from spinsc.fusion import FusionPipeline, make_problem
 from spinsc.sbg import SbgDevice, SbgMode, make_units
 from spinsc.seeding import DOMAIN_DEVICE, DOMAIN_PROCESS_VARIATION, rng_for, rngs_for
@@ -51,9 +51,9 @@ def test_make_units_streams_and_variation_equal_the_single_stream_forms():
     array = make_units(SbgDevice(), SbgMode.SELF_CONTROL, targets, 4, pv_sigmas=(0.05, 0.02))
     params = array.device.params
     for row in range(len(targets)):
-        factors = draw_process_variation(rng_for(4, DOMAIN_PROCESS_VARIATION, row), 0.05, 0.02)
+        _, _, scale = variation_draw(rng_for(4, DOMAIN_PROCESS_VARIATION, row), params, 0.05, 0.02)
         single = rng_for(4, DOMAIN_DEVICE, row)
-        assert array.scale[row] == factors.resistance_scale(params)
+        assert array.scale[row] == scale
         assert array.rngs[row].bit_generator.state == single.bit_generator.state
 
 
