@@ -12,14 +12,15 @@ it with the same message.  The [device] keys make RunConfig.device, one
 sbg.SbgDevice that every command hands whole to the layers that build
 generators.
 
-A count below 1, alone or in a list, is a ConfigError, as are a float that
-is not finite (nan, inf), an empty list key, a negative master seed, a
-non-positive plane, sigma_b, sigma_d_base, reset_voltage, write_duration or
-characterize voltage, a negative sigma_d_slope, noise, reset_duration,
-read_energy, process-variation sigma or characterize duration, a report
-probability outside [0, 1], array levels outside (0, 1] or not strictly
-increasing, a repeated [report] stream length, SCC probability or pair, a
-bad junction value and an unknown section or key.
+A count below 1, alone or in a list, is a ConfigError, as are [fusion]
+levels above fusion.MAX_LEVEL_COUNT, a float that is not finite (nan, inf),
+an empty list key, a negative master seed, a non-positive plane, sigma_b,
+sigma_d_base, reset_voltage, write_duration or characterize voltage, a
+negative sigma_d_slope, noise, reset_duration, read_energy,
+process-variation sigma or characterize duration, a report probability
+outside [0, 1], array levels outside (0, 1] or not strictly increasing, a
+repeated [report] stream length, SCC probability or pair, a bad junction
+value and an unknown section or key.
 """
 
 from __future__ import annotations
@@ -62,6 +63,13 @@ def count(text: str) -> int:
 
 def _counts(text: str) -> tuple[int, ...]:
     return _nonempty(tuple(count(tok) for tok in text.split(",") if tok.strip()))
+
+
+def _level_count(text: str) -> int:
+    value = count(text)
+    if value > fusion.MAX_LEVEL_COUNT:
+        raise ValueError(f"must be at most {fusion.MAX_LEVEL_COUNT}")
+    return value
 
 
 def _distinct(parse: Callable[[str], tuple], what: str) -> Callable[[str], tuple]:
@@ -243,7 +251,7 @@ KEYS: dict[tuple[str, str], tuple[tuple[str, ...], Callable[[str], object]]] = {
     ("fusion", "sigma_b"): (("fusion", "sigma_b"), _positive),
     ("fusion", "sigma_d_base"): (("fusion", "sigma_d_base"), _positive),
     ("fusion", "sigma_d_slope"): (("fusion", "sigma_d_slope"), _nonnegative),
-    ("fusion", "levels"): (("fusion", "level_count"), count),
+    ("fusion", "levels"): (("fusion", "level_count"), _level_count),
     ("fusion", "noise_d"): (("fusion", "noise_d"), _nonnegative),
     ("fusion", "noise_b"): (("fusion", "noise_b"), _nonnegative),
     ("report", "scc_pairs"): (("report", "scc_pairs"), count),

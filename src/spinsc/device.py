@@ -6,8 +6,9 @@ duration: the characteristic switching time dt(V) follows a precessional law
 above the critical voltage and a thermally activated law below it, and the
 realized switching time of each pulse is drawn from N(dt, sigma_rel * dt).
 Reads are ideal and non-destructive.  This module holds the switching law,
-calibration and the process-variation draw of a device's resistance scale;
-the junctions' states and random streams are columns of sbg.SbgArray.
+calibrate_voltage, which picks every write voltage, and the
+process-variation draw of a device's resistance scale; the junctions' states
+and random streams are columns of sbg.SbgArray.
 
 Voltages are volts, durations nanoseconds, resistances ohms; energies (in the
 generator layer) come out in nanojoules via V^2 * t_ns / R.
@@ -23,12 +24,7 @@ import numpy as np
 
 
 class TargetUnreachable(ValueError):
-    """Requested switching probability lies outside the calibratable range."""
-
-
-class TargetBelowRange(TargetUnreachable):
-    """Requested switching probability lies below the probability at the
-    lowest calibratable voltage."""
+    """No write voltage switches with the requested probability."""
 
 
 class WriteDirection(Enum):
@@ -142,33 +138,31 @@ def switch_probability(params: MtjParams, pulse: PulseSpec) -> float:
 
 
 # calibrate_voltage's probability tolerance, floor as a fraction above the
-# critical voltage, and ceiling in volts.
-_TOL, _V_MARGIN, _V_MAX = 1e-4, 0.02, 3.0
+# critical voltage, ceiling in volts, and the bias of targets below the floor
+# as a fraction of the critical voltage: deep sub-critical, p ~ 3e-7.
+_TOL, _V_MARGIN, _V_MAX, _V_SUBCRITICAL = 1e-4, 0.02, 3.0, 0.5
 
 
 def calibrate_voltage(params: MtjParams, target_p: float, duration: float,
                       direction: WriteDirection) -> float:
-    """Bias voltage whose switching probability matches target_p.
+    """Bias voltage whose switching probability matches target_p in [0, 1].
 
     Inverts the precessional law: z = Phi^-1(target_p), dt = t/(1 + sigma_rel*z)
-    and V = vc0*(1 + c/dt), capped at _V_MAX.  V is returned only if it lies
-    at least _V_MARGIN above the critical voltage and its probability is
-    within _TOL of the target, so a target at most _TOL above the probability
-    at _V_MAX gets _V_MAX.  V rises with the target, so V below that floor
-    means the target lies below the probability there: TargetBelowRange.
-    Any other miss raises TargetUnreachable.
+    and V = vc0*(1 + c/dt), capped at _V_MAX.  A V below the floor
+    vc0*(1 + _V_MARGIN) becomes the sub-critical bias vc0*_V_SUBCRITICAL.
+    Either voltage is returned only if its probability is within _TOL of the
+    target, so a target at most _TOL above the probability at _V_MAX gets
+    _V_MAX; any other miss raises TargetUnreachable.
     """
     from statistics import NormalDist  # loads fractions and decimal: pay on first use
 
+    if not 0.0 <= target_p <= 1.0:
+        raise ValueError("target_p must lie in [0, 1]")
     vc0, c = params.direction_constants(direction)
     v_lo = vc0 * (1.0 + _V_MARGIN)
     if v_lo >= _V_MAX:
         raise ValueError(f"vc0_{direction.value} = {vc0:g} V: {direction.value} writes need "
                          f"at least {v_lo:g} V, above the {_V_MAX} V cap")
-
-    def prob(v: float) -> float:
-        return switch_probability(params, PulseSpec(v, duration, direction))
-
     if 0.0 < target_p < 1.0:
         z = NormalDist().inv_cdf(target_p)
     else:
@@ -176,17 +170,13 @@ def calibrate_voltage(params: MtjParams, target_p: float, duration: float,
     # c/dt as c*(1 + sigma_rel*z)/t: no division by dt, which is 0 at z = +-inf.
     v = min(vc0 * (1.0 + c * (1.0 + params.sigma_rel * z) / duration), _V_MAX)
     if v < v_lo:
-        raise TargetBelowRange(f"target probability {target_p} lies below the {direction.value} "
-                               f"range at {duration} ns, which starts at {v_lo:g} V")
-    if abs(prob(v) - target_p) <= _TOL:
-        return v
-    p_lo, p_hi = prob(v_lo), prob(_V_MAX)
-    if not p_lo <= target_p <= p_hi + _TOL:
-        raise TargetUnreachable(
-            f"target probability {target_p} outside achievable range "
-            f"[{p_lo:.3e}, {p_hi:.6f}] for {direction.value} at {duration} ns")
-    raise TargetUnreachable(f"no voltage up to {_V_MAX} V meets {direction.value} target "
-                            f"{target_p} within {_TOL:g} at {duration} ns")
+        v = vc0 * _V_SUBCRITICAL
+    p = switch_probability(params, PulseSpec(v, duration, direction))
+    if not abs(p - target_p) <= _TOL:
+        raise TargetUnreachable(f"no {direction.value} voltage meets target {target_p} within "
+                                f"{_TOL:g} at {duration} ns: {v:g} V switches with probability "
+                                f"{p:.4g}")
+    return v
 
 
 def draw_process_variation(rng: np.random.Generator, params: MtjParams, sigma_area: float,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import stochastic
 from .fusion import FusionPipeline, FusionProblem, default_zero_floor, exact_posterior, kl_divergence
-from .sbg import SbgArray, SbgDevice, SbgMode, generate_array, make_units
+from .sbg import SbgDevice, SbgMode, generate_array, make_units
 from .seeding import DOMAIN_CROSS_SCC, DOMAIN_SELF_SCC
 
 
@@ -59,15 +59,19 @@ def density_sweep(probs: tuple[float, ...], lengths: tuple[int, ...],
             for n in lengths]
 
 
-def _mean_abs_scc(units: SbgArray, lengths: tuple[int, ...],
-                  groups: int) -> list[list[float]]:
-    """Mean |SCC| per length between the streams of units 2k and 2k+1, for
-    each of `groups` equal consecutive blocks of pairs, measured on prefixes
-    of one run as long as the longest length.
+def _scc_rows(prob_pairs: tuple[tuple[float, float], ...], lengths: tuple[int, ...],
+              pairs: int, master_seed: int, mode: SbgMode, device: SbgDevice,
+              domain: int) -> list[tuple[float, float, int, float]]:
+    """(p1, p2, n, mean |SCC| over `pairs` unit pairs at (p1, p2)) rows, on
+    prefixes of one run of `domain`'s streams as long as the longest length.
 
     The overlap counts of every pair at every length come from prefix sums,
     and stochastic.scc scores them all in one call.
     """
+    lengths = tuple(sorted(lengths))
+    units = make_units(device, mode,
+                       [p for pair in prob_pairs for _ in range(pairs) for p in pair],
+                       master_seed, domain=domain)
     bits = generate_array(units, lengths[-1])
     x, y = bits[0::2], bits[1::2]
     a = _prefix_counts(x & y, lengths)            # (pairs, lengths): #11
@@ -75,9 +79,8 @@ def _mean_abs_scc(units: SbgArray, lengths: tuple[int, ...],
     ac = _prefix_counts(y, lengths)               # ones of y, a + c
     value = np.abs(stochastic.scc(a, ab, ac, np.array(lengths, dtype=np.int64)))
     by_length = np.ascontiguousarray(value.T)     # (lengths, pairs)
-    size = len(value) // groups if groups else 0
-    return [[float(np.mean(row[g * size:(g + 1) * size])) for row in by_length]
-            for g in range(groups)]
+    return [(p1, p2, n, float(np.mean(row[g * pairs:(g + 1) * pairs])))
+            for g, (p1, p2) in enumerate(prob_pairs) for n, row in zip(lengths, by_length)]
 
 
 def self_scc_table(probs: tuple[float, ...], lengths: tuple[int, ...],
@@ -89,11 +92,8 @@ def self_scc_table(probs: tuple[float, ...], lengths: tuple[int, ...],
     Rows are (p, n, mean |SCC| over `pairs` stream pairs); SCC at shorter
     lengths is measured on prefixes of the same streams.
     """
-    lengths = tuple(sorted(lengths))
-    units = make_units(device, mode, [p for p in probs for _ in range(2 * pairs)],
-                       master_seed, domain=DOMAIN_SELF_SCC)
-    return [(p, n, v) for p, row in zip(probs, _mean_abs_scc(units, lengths, len(probs)))
-            for n, v in zip(lengths, row)]
+    return [(p, n, v) for p, _, n, v in _scc_rows(tuple(zip(probs, probs)), lengths, pairs,
+                                                  master_seed, mode, device, DOMAIN_SELF_SCC)]
 
 
 def cross_scc_table(prob_pairs: tuple[tuple[float, float], ...],
@@ -102,13 +102,7 @@ def cross_scc_table(prob_pairs: tuple[tuple[float, float], ...],
                     device: SbgDevice = SbgDevice()
                     ) -> list[tuple[float, float, int, float]]:
     """Mean |SCC| between generators targeting two different probabilities."""
-    lengths = tuple(sorted(lengths))
-    units = make_units(device, mode,
-                       [p for pair in prob_pairs for _ in range(pairs) for p in pair],
-                       master_seed, domain=DOMAIN_CROSS_SCC)
-    return [(p1, p2, n, v)
-            for (p1, p2), row in zip(prob_pairs, _mean_abs_scc(units, lengths, len(prob_pairs)))
-            for n, v in zip(lengths, row)]
+    return _scc_rows(prob_pairs, lengths, pairs, master_seed, mode, device, DOMAIN_CROSS_SCC)
 
 
 def kl_by_length(problem: FusionProblem, lengths: tuple[int, ...],

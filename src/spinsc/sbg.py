@@ -10,10 +10,11 @@ Energy bookkeeping: each pulse contributes V^2 * t / R(state before the
 pulse) in nJ; each read costs a fixed configurable amount.
 
 The generators of a run are one SbgArray, a struct of per-unit columns,
-built with every junction in P.  generate_array runs a fresh array once,
-with no loop over cycles: it pre-draws each unit's normals, scans the
-switching outcomes for the states, and gives the bits, counters and energy
-that stepping each unit one pulse at a time from P would give.
+built with every junction in P and its write voltages from
+device.calibrate_voltage.  generate_array runs a fresh array once, with no
+loop over cycles: it pre-draws each unit's normals, scans the switching
+outcomes for the states, and gives the bits, counters and energy that
+stepping each unit one pulse at a time from P would give.
 """
 
 from __future__ import annotations
@@ -25,25 +26,17 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .device import (
-    _TOL,
     MtjParams,
     PulseSpec,
-    TargetBelowRange,
-    TargetUnreachable,
     WriteDirection,
     base_switching_time,
     calibrate_voltage,
     draw_process_variation,
-    switch_probability,
 )
 from .seeding import DOMAIN_DEVICE, DOMAIN_PROCESS_VARIATION, rngs_for
 
 # Reset pulse: strong enough that AP->P switching is essentially certain.
 RESET_PULSE = PulseSpec(1.8, 7.0, WriteDirection.AP_TO_P)
-
-# Fallback bias for targets below the calibratable range: deep sub-critical,
-# so the attempt probability collapses to the model floor (~3e-7).
-_SUBCRITICAL_FRACTION = 0.5
 
 # generate_array runs units in blocks of about this many bits: its
 # temporaries take a few tens of bytes per bit, and a unit's run never
@@ -127,17 +120,8 @@ class CalibrationCache:
 
 
 def _write_pulse(device: SbgDevice, target_p: float, direction: WriteDirection) -> PulseSpec:
-    duration = device.write_duration_ns
-    try:
-        v = calibrate_voltage(device.params, target_p, duration, direction)
-    except TargetBelowRange:
-        vc0, _ = device.params.direction_constants(direction)
-        v = vc0 * _SUBCRITICAL_FRACTION
-        p = switch_probability(device.params, PulseSpec(v, duration, direction))
-        if abs(p - target_p) > _TOL:
-            raise TargetUnreachable(f"{direction.value} target {target_p} lies below the range, "
-                                    f"but the {v:g} V fallback switches with probability {p:g}")
-    return PulseSpec(v, duration, direction)
+    v = calibrate_voltage(device.params, target_p, device.write_duration_ns, direction)
+    return PulseSpec(v, device.write_duration_ns, direction)
 
 
 def make_units(device: SbgDevice, mode: SbgMode, targets: Sequence[float],
@@ -162,8 +146,6 @@ def make_units(device: SbgDevice, mode: SbgMode, targets: Sequence[float],
         if p in levels:
             continue
         if p not in cached:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("target_p must lie in [0, 1]")
             cycle = [device.reset_pulse, _write_pulse(device, p, WriteDirection.P_TO_AP)]
             if mode is SbgMode.SELF_CONTROL:
                 cycle.append(_write_pulse(device, p, WriteDirection.AP_TO_P))

