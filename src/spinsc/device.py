@@ -3,12 +3,15 @@
 The junction is a two-state resistive element (P low / AP high).  A write
 pulse switches it with a probability set by the bias voltage and pulse
 duration: the characteristic switching time dt(V) follows a precessional law
-above the critical voltage and a thermally activated law below it, and the
-realized switching time of each pulse is drawn from N(dt, sigma_rel * dt).
-Reads are ideal and non-destructive.  This module holds the switching law,
-calibrate_voltage, which picks every write voltage, and the
-process-variation draw of a device's resistance scale; the junctions' states
-and random streams are columns of sbg.SbgArray.
+above the critical voltage and a thermally activated law below it, and a
+pulse switches iff a switching time from N(dt, sigma_rel * dt) fits inside
+it.  Nothing else reads that time, so a write is a Bernoulli trial with
+q = Phi((t - dt)/(sigma_rel * dt)) (switch_probability_at), which the
+generators in sbg draw as one uniform against q.  Reads are ideal and
+non-destructive.  This module holds the switching law, calibrate_voltage,
+which picks every write voltage, and the process-variation draw of a
+device's resistance scale; the junctions' states and random streams are
+columns of sbg.SbgArray.
 
 Voltages are volts, durations nanoseconds, resistances ohms; energies (in the
 generator layer) come out in nanojoules via V^2 * t_ns / R.
@@ -129,12 +132,18 @@ def base_switching_time(params: MtjParams, pulse: PulseSpec) -> float:
     return (params.tau0 * 1e9) * math.exp(params.delta * (1.0 - pulse.voltage / vc0))
 
 
-def switch_probability(params: MtjParams, pulse: PulseSpec) -> float:
-    """Probability that the pulse switches the nominal junction,
-    Phi((t - dt)/(sigma_rel*dt))."""
-    dt = base_switching_time(params, pulse)
-    z = (pulse.duration - dt) / (params.sigma_rel * dt)
+def switch_probability_at(dt: float, duration: float, sigma_rel: float) -> float:
+    """Probability that a switching time drawn from N(dt, sigma_rel*dt) fits
+    inside a pulse of `duration`, Phi((duration - dt)/(sigma_rel*dt)): the
+    one expression calibration checks and the generators draw against."""
+    z = (duration - dt) / (sigma_rel * dt)
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+
+def switch_probability(params: MtjParams, pulse: PulseSpec) -> float:
+    """Probability that the pulse switches the nominal junction."""
+    return switch_probability_at(base_switching_time(params, pulse), pulse.duration,
+                                 params.sigma_rel)
 
 
 # calibrate_voltage's probability tolerance, floor as a fraction above the
@@ -184,7 +193,8 @@ def draw_process_variation(rng: np.random.Generator, params: MtjParams, sigma_ar
     """One device's resistance scale R ~ (1/A) * exp(t_ox), from area and
     then thickness multipliers ~ N(1, sigma) drawn from rng, each resampled
     while non-positive.  The exponent uses the nominal thickness in nm, so a
-    2% thickness shift moves R by ~1.7%."""
+    2% thickness shift moves R by ~1.7%.  A scale that is not finite and
+    positive (an overflow at extreme sigmas) raises ValueError."""
 
     def draw(sigma: float) -> float:
         value = 1.0 + sigma * rng.standard_normal()
@@ -193,7 +203,14 @@ def draw_process_variation(rng: np.random.Generator, params: MtjParams, sigma_ar
         return value
 
     area = draw(sigma_area)
-    return math.exp(params.t_ox * (draw(sigma_tox) - 1.0)) / area
+    try:
+        scale = math.exp(params.t_ox * (draw(sigma_tox) - 1.0)) / area
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"process variation scale {scale:g} from sigma_area = {sigma_area:g} "
+                         f"and sigma_tox = {sigma_tox:g} is not finite and positive")
+    return scale
 
 
 def characterization_rows(params: MtjParams, voltages: list[float],

@@ -11,10 +11,12 @@ pulse) in nJ; each read costs a fixed configurable amount.
 
 The generators of a run are one SbgArray, a struct of per-unit columns,
 built with every junction in P and its write voltages from
-device.calibrate_voltage.  generate_array runs a fresh array once, with no
-loop over cycles: it pre-draws each unit's normals, scans the switching
-outcomes for the states, and gives the bits, counters and energy that
-stepping each unit one pulse at a time from P would give.
+device.calibrate_voltage.  A write switches with the probability q of the
+device model's switching law; each attempt draws one uniform U and switches
+iff U < q.  generate_array runs a fresh array once, with no loop over
+cycles: it pre-draws each unit's uniforms, scans the switching outcomes for
+the states, and gives the bits, counters and energy that stepping each unit
+one pulse at a time from P would give.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .device import (
     base_switching_time,
     calibrate_voltage,
     draw_process_variation,
+    switch_probability_at,
 )
 from .seeding import DOMAIN_DEVICE, DOMAIN_PROCESS_VARIATION, rngs_for
 
@@ -94,7 +97,7 @@ class SbgArray:
 
     device: SbgDevice
     mode: SbgMode
-    constants: np.ndarray    # float64 (3, pulses per cycle, levels), see _constants
+    constants: np.ndarray    # float64 (4, pulses per cycle, levels), see _constants
     level: np.ndarray        # intp
     targets: np.ndarray      # float64
     scale: np.ndarray        # float64
@@ -111,7 +114,7 @@ class SbgArray:
 
 
 class CalibrationCache:
-    """The (3, pulses per cycle) _constants of the reset and the calibrated
+    """The (4, pulses per cycle) _constants of the reset and the calibrated
     write pulses make_units has built, per (device, mode) and target, so a
     cache that serves many builds calibrates each target once."""
 
@@ -159,7 +162,7 @@ def make_units(device: SbgDevice, mode: SbgMode, targets: Sequence[float],
                           for rng in rngs_for(master_seed, DOMAIN_PROCESS_VARIATION, ids)])
     per_cycle = 2 if mode is SbgMode.SIMPLE else 3
     return SbgArray(device, mode,
-                    np.reshape([cached[p] for p in levels], (-1, 3, per_cycle)).transpose(1, 2, 0),
+                    np.reshape([cached[p] for p in levels], (-1, 4, per_cycle)).transpose(1, 2, 0),
                     level=np.array([levels[p] for p in targets], dtype=np.intp),
                     targets=np.array(targets, dtype=np.float64), scale=scale,
                     energy_nj=np.zeros(count), writes=np.zeros(count, dtype=np.int64),
@@ -175,19 +178,14 @@ class _Pulse(NamedTuple):
     test and energy term below is the float64 value the per-bit model gives.
     """
 
-    dt: np.ndarray
-    duration: np.ndarray
+    q: np.ndarray               # switching probability
     energy_p: np.ndarray        # energy of the pulse seen from P
     energy_ap: np.ndarray       # and from AP
 
-    def switches(self, spread: np.ndarray) -> np.ndarray:
-        """Whether a draw z switches: dt * (1 + sigma_rel * z) <= duration,
-        given spread = 1 + sigma_rel * z.
-
-        A negative switching time is clamped to zero in the device model;
-        durations are non-negative, so the clamp never changes the outcome.
-        """
-        return self.dt * spread <= self.duration
+    def switches(self, u: np.ndarray) -> np.ndarray:
+        """Whether uniform draws u in [0, 1) switch: u < q, so q = 0 never
+        switches and q = 1 always does."""
+        return u < self.q
 
     def energy(self, state: np.ndarray) -> np.ndarray:
         # Energy uses the resistance of the state the pulse sees.
@@ -195,8 +193,9 @@ class _Pulse(NamedTuple):
 
 
 def _constants(params: MtjParams, pulses: Sequence[PulseSpec]) -> np.ndarray:
-    """(3, len(pulses)): each pulse's nominal switching time, its duration
-    and its energy over one ohm, which must be finite."""
+    """(4, len(pulses)): each pulse's nominal switching time, its duration,
+    its energy over one ohm, which must be finite, and its nominal switching
+    probability."""
     rows = []
     for pulse in pulses:
         try:
@@ -205,18 +204,27 @@ def _constants(params: MtjParams, pulses: Sequence[PulseSpec]) -> np.ndarray:
             heat = np.inf
         if heat == np.inf:
             raise ValueError(f"infinite energy: {pulse.voltage:g} V for {pulse.duration:g} ns")
-        rows.append((base_switching_time(params, pulse), pulse.duration, heat))
+        dt = base_switching_time(params, pulse)
+        rows.append((dt, pulse.duration, heat,
+                     switch_probability_at(dt, pulse.duration, params.sigma_rel)))
     return np.array(rows).T
 
 
 def _pulses(constants: np.ndarray, params: MtjParams, scale: np.ndarray) -> list[_Pulse]:
-    """The pulses from their (3, pulses, units, 1) constants.  Process
+    """The pulses from their (4, pulses, units, 1) constants.  Process
     variation scales the switching time and both resistances by the (units, 1)
-    scale, so the energies are pulse_energy_nj's quotient at the scaled
-    resistance."""
-    dt, duration, heat = constants
-    return list(map(_Pulse, dt * scale, duration, heat / (params.r_p * scale),
-                    heat / (params.r_ap * scale)))
+    scale: a unit whose scale is not exactly 1 gets the switching probability
+    at its scaled switching time, and the energies are pulse_energy_nj's
+    quotient at the scaled resistance."""
+    dt, duration, heat, q = constants
+    varied = np.flatnonzero(scale != 1.0)
+    if varied.size:
+        scaled = dt[:, varied] * scale[varied]
+        q = q.copy()
+        q[:, varied] = np.reshape([switch_probability_at(t_sw, t, params.sigma_rel) for t_sw, t
+                                   in zip(scaled.ravel().tolist(),
+                                          duration[:, varied].ravel().tolist())], scaled.shape)
+    return list(map(_Pulse, q, heat / (params.r_p * scale), heat / (params.r_ap * scale)))
 
 
 def generate_array(array: SbgArray, n: int) -> np.ndarray:
@@ -229,8 +237,9 @@ def generate_array(array: SbgArray, n: int) -> np.ndarray:
     XOR(current, last) (n+1 writes and reads).
 
     The result is the per-bit model's from P, bit for bit: each unit draws
-    its own normals in the order the per-bit model would, a pulse draws only
-    when it writes toward the other state, and energy is added per unit in
+    its own uniforms in the order the per-bit model would, a pulse draws only
+    when it writes toward the other state and switches iff its draw lies
+    below its switching probability, and energy is added per unit in
     cycle order (reset, write, read; or pulse, read), into the array's
     energy_nj, writes and reads columns.  An array generates once: its
     junction states and stream positions after the run are not kept, and a
@@ -272,13 +281,6 @@ def _generate_block(block: SbgArray, n: int) -> np.ndarray:
     return bits
 
 
-def _spread(z: np.ndarray, params: MtjParams) -> np.ndarray:
-    """1 + sigma_rel * z for draws z, computed in place in z."""
-    z *= params.sigma_rel
-    z += 1.0
-    return z
-
-
 def _switching_scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """States after each step, from P, of the two-state automaton whose next
     state is a from P and not b from AP; rows are units, columns steps, True
@@ -304,7 +306,7 @@ def _before(after: np.ndarray) -> np.ndarray:
 
 
 def _run_simple(block: SbgArray, n: int, reset: _Pulse, write: _Pulse):
-    # The normals a unit draws are tokens for a two-state automaton: "AP,
+    # The uniforms a unit draws are tokens for a two-state automaton: "AP,
     # before reset" (the reset draws) and "P, before write" (the write
     # draws).  The next state is write_ok from P and not reset_ok from AP.
     # Every token but a successful reset ends a cycle and emits the state
@@ -312,10 +314,9 @@ def _run_simple(block: SbgArray, n: int, reset: _Pulse, write: _Pulse):
     # first n emissions.
     tokens = np.empty((len(block), 2 * n))
     for row, rng in zip(tokens, block.rngs):
-        rng.standard_normal(out=row)
-    spread = _spread(tokens, block.device.params)
-    reset_ok = reset.switches(spread)
-    after = _switching_scan(write.switches(spread), reset_ok)
+        rng.random(out=row)
+    reset_ok = reset.switches(tokens)
+    after = _switching_scan(write.switches(tokens), reset_ok)
     before = _before(after)
     emits = ~(before & reset_ok)
     # Each unit's first n emissions, row by row: row k's start after the
@@ -335,14 +336,13 @@ def _run_simple(block: SbgArray, n: int, reset: _Pulse, write: _Pulse):
 def _run_self_control(block: SbgArray, n: int, reset: _Pulse, p2ap: _Pulse, ap2p: _Pulse):
     # The initialization reset finds P and draws nothing; every later cycle
     # writes toward the other state and draws once.  np.zeros, not np.empty:
-    # with np.empty, perfbench/run.py read kl-sweep-32 slower in 14 of 18
-    # alternating pairs, though an in-process loop shows no difference; it is
-    # glibc's allocator state, not the fill.
-    z = np.zeros((len(block), n))
-    for row, rng in zip(z, block.rngs):
-        rng.standard_normal(out=row)
-    spread = _spread(z, block.device.params)
-    after = _switching_scan(p2ap.switches(spread), ap2p.switches(spread))
+    # with np.empty, perfbench/run.py read kl-sweep-32 slower in 15 of 24
+    # alternating pairs (medians 2-4% higher), though an in-process loop
+    # shows no difference; it is glibc's allocator state, not the fill.
+    u = np.zeros((len(block), n))
+    for row, rng in zip(u, block.rngs):
+        rng.random(out=row)
+    after = _switching_scan(p2ap.switches(u), ap2p.switches(u))
     before = _before(after)
     energy = np.empty((2 * n + 2, len(block))).T
     energy[:, :1] = reset.energy_p

@@ -11,7 +11,8 @@ import numpy as np
 
 from spinsc.allocator import SwitchMatrix, allocate
 from spinsc.device import (_TOL, _V_MARGIN, _V_MAX, MtjParams, PulseSpec, TargetUnreachable,
-                           WriteDirection, base_switching_time, switch_probability)
+                           WriteDirection, base_switching_time, switch_probability,
+                           switch_probability_at)
 from spinsc.fusion import (
     CHANNELS,
     FusionPipeline,
@@ -399,21 +400,28 @@ def apply_write(junction: Junction, pulse: PulseSpec) -> bool:
     """Attempt one stochastic write; returns True iff the state flipped.
 
     Writing toward the current state is a no-op (no switching attempt, no
-    random draw).  Otherwise the realized switching time is drawn from
-    N(dt, sigma_rel * dt), clamped at zero, and the junction flips iff it
-    fits inside the pulse duration.
+    random draw).  Otherwise one uniform U is drawn and the junction flips
+    iff U < q, the switching probability at the junction's scaled dt.
     """
     target = WRITE_TARGET[pulse.direction]
     if junction.state is target:
         return False
     dt = base_switching_time(junction.params, pulse) * junction.scale
-    t_sw = dt * (1.0 + junction.params.sigma_rel * junction.rng.standard_normal())
-    if t_sw < 0.0:
-        t_sw = 0.0
-    if t_sw <= pulse.duration:
+    if junction.rng.random() < switch_probability_at(dt, pulse.duration,
+                                                     junction.params.sigma_rel):
         junction.state = target
         return True
     return False
+
+
+def switching_time_fraction(rng: np.random.Generator, dt: float, duration: float,
+                            sigma_rel: float, draws: int) -> float:
+    """The physical reference for the switching law: a Monte Carlo of the
+    normal switching-time model.  Of `draws` switching times from
+    N(dt, sigma_rel * dt), clamped at zero, the fraction that fits inside
+    the pulse."""
+    t_sw = np.maximum(dt * (1.0 + sigma_rel * rng.standard_normal(draws)), 0.0)
+    return float(np.count_nonzero(t_sw <= duration)) / draws
 
 
 def read_state(junction: Junction) -> int:

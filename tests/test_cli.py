@@ -251,6 +251,26 @@ def test_extreme_floats_are_one_line_errors(tmp_path, capsys, text, command, mes
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, command, message", [
+    ("[run]\npv_sigma_tox = 1000\n", "pv-sweep",
+     "error: process variation scale inf from sigma_area = 0.05 and sigma_tox = 1000 is not "
+     "finite and positive\n"),
+    ("[run]\npv = true\npv_sigma_area = 1e308\n", "array-report",
+     "error: process variation scale 0 from sigma_area = 1e+308 and sigma_tox = 0.02 is not "
+     "finite and positive\n"),
+], ids=["sigma-tox", "sigma-area"])
+def test_process_variation_overflow_names_the_scale_and_sigmas(tmp_path, capsys, text, command,
+                                                                message):
+    # A thickness multiplier of a few hundred overflows exp, and an area
+    # multiplier of 1e308 overflows to inf and makes the scale 0.
+    cfg = tmp_path / "pv.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out-dir", str(out), command]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lines", [("length = 1e308", "width = 1e-300"),
                                    ("width = 1e-300", "length = 1e308")],
                          ids=["length-first", "width-first"])

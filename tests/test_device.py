@@ -23,6 +23,7 @@ from spinsc.device import (
     calibrate_voltage,
     draw_process_variation,
     switch_probability,
+    switch_probability_at,
 )
 from spinsc.sbg import SbgDevice, SbgMode, generate_array, make_units
 from spinsc.seeding import DOMAIN_PROCESS_VARIATION, rng_for, rngs_for
@@ -278,12 +279,17 @@ def test_process_variation_resamples_non_positive_draws():
 
 def test_variation_rescales_resistance_and_dt():
     scale = math.exp(PARAMS.t_ox * 0.1) / 0.9
-    # sbg applies the scale once per unit: to the nominal switching time and
-    # to both resistances of every pulse.
+    # sbg applies the scale once per unit: to the nominal switching time,
+    # where the unit's switching probability is taken, and to both
+    # resistances of every pulse.  A nominal unit keeps the calibrated
+    # probability.
     dt_nom = base_switching_time(PARAMS, HALF)
-    pulse, = sbg._pulses(sbg._constants(PARAMS, [HALF])[:, :, None, None], PARAMS,
-                         np.array([[scale]]))
-    assert pulse.dt.item() == pytest.approx(dt_nom * scale)
+    constants = sbg._constants(PARAMS, [HALF])[:, :, None, None]
+    pulse, = sbg._pulses(constants, PARAMS, np.array([[scale]]))
+    assert pulse.q.item() == switch_probability_at(dt_nom * scale, HALF.duration, PARAMS.sigma_rel)
+    assert pulse.q.item() < switch_probability(PARAMS, HALF) == pytest.approx(0.5, abs=1e-4)
+    nominal, = sbg._pulses(constants, PARAMS, np.array([[1.0]]))
+    assert nominal.q.item() == switch_probability(PARAMS, HALF)
     assert pulse.energy_p.item() == pytest.approx(sbg.pulse_energy_nj(HALF, PARAMS.r_p * scale))
     assert pulse.energy_ap.item() == pytest.approx(sbg.pulse_energy_nj(HALF, PARAMS.r_ap * scale))
 

@@ -7,6 +7,11 @@ change that means to move these bytes must say so and re-pin them.
 array-report, scc-report, pv-sweep and kl-sweep were re-pinned when write
 voltages came to be calibrated by inverting the switching law exactly; the
 fusion-run pins kept their bytes through that change.
+Every generating command (all but sbg-characterize, cost-report and
+allocate, and every posterior_exact.csv) was re-pinned when each switching
+attempt came to draw one uniform against its switching probability in place
+of a normal switching time: the law of every bit is the same, the random
+stream is not.
 sbg-characterize, cost-report and allocate run no generator; their pins guard
 the device model, the cost table and the allocator.
 """
@@ -25,46 +30,47 @@ GOLDEN = {
         "characterize_ap2p.csv": "fa593d876b5ab6c197219e663a0c7cc04dd27fef3034772c596da3903d2fd248",
     },
     "array-report": {
-        "array_report.csv": "eed53ec6a3b397c7fe2b56f06774e9fa60a81f7c9b2b21f00b7c43740e32b4f5",
+        "array_report.csv": "fd7a60a64f65490caecc308c9db161010a280dab27c8bc0b825cf56be955204c",
     },
     "--pv array-report": {
-        "array_report.csv": "72caf4b9ec344b6520ff5a2301a95667e24fed2e1085d44e2b390fb91a911753",
+        "array_report.csv": "7d2b221d6d4818b572d2ec91260e4763ad7a5747cb4caf018031ca0b59e72a09",
     },
-    # Re-pinned when each SCC table got a seeding domain of its own, and again
-    # with the exact write voltages.
+    # Re-pinned when each SCC table got a seeding domain of its own, again
+    # with the exact write voltages, and again with the uniform draws.
     "scc-report": {
-        "self_scc.csv": "7de1257842b55cc75f3730531c636312fc8d2766b183b6228947470e9e1ca77f",
-        "cross_scc.csv": "7323b2f60495fdf8765a463639c9cca5e04c8bc77c745c4e6e757eeb98d382c8",
+        "self_scc.csv": "1e7a6947b335ee1a6ffa44950b67fc10558b738e3d3ce6aafec150723a5e1b8a",
+        "cross_scc.csv": "c1e1edeaba34b4c21ae79d2e2268473e5685cfe50569447a2f754ea57c7edaf0",
     },
     "cost-report": {
         "cost_report.csv": "293ad4a3d43ee2f40296cfe0c1d1f0a7299fc6da54f5fa4731c32c23f81075c7",
     },
     "pv-sweep": {
-        "pv_sweep.csv": "08b5cb8fcbcd238932c8797e94b3c8d37a8e717e2e5750beb5e7b3af2fe1d3f6",
+        "pv_sweep.csv": "e8eadd9a3bf91b34a06bff0f29f1e94db0951a5c18c56683a30228b66c5de85a",
     },
     "--grid 8x8 fusion-run": {
-        "posterior.csv": "e2c0a8e1bdf332f2be833b58c64b8894588ed934e2ecec849fe325c3a5c70b05",
-        "posterior.pgm": "604bc26f27e5ed2c0f3d259fc109214388726cb1fcc92f5eddaf214f2ccadfc4",
+        "posterior.csv": "47e7cd757fe48e8888d145f8476a74050eda4f6cf26e45ec1f4c4bc46e2325f9",
+        "posterior.pgm": "188d50c1ea617535391d1ce4a2492749046c498031e9c1915a54c4536568ee71",
         "posterior_exact.csv": "fc91fc2766159ed3c1c652b4656aadd3cbac8a490f8ac37eefb1e0573cfa2440",
-        "fusion_summary.csv": "df13c4a1782a7c819c4985b6a0748564da7db2553b5ef178fae06a5443010714",
+        "fusion_summary.csv": "190fede86c2d8ba19d66311c138c847e5517f2d2d02ea2eda17d81e2d765a9dc",
     },
     "--grid 8x8 --pv --bitstream-len 16 fusion-run": {
-        "posterior.csv": "4a825374281c76a2aa47a8295db9a92acbfead6c17e396aa25e252cc96b9738f",
-        "posterior.pgm": "abaef00a12b28c3581c07306a1cceec36498b80232b42b64f2130824e9d80aaa",
+        "posterior.csv": "fdc6e5047c4833e043c79e837c25403b731d777dc0e3761882b6d40034740a22",
+        "posterior.pgm": "35badf3d69e7146cef77d9324003455b85c533a42a47269d5d99dfaf29dc5853",
         "posterior_exact.csv": "fc91fc2766159ed3c1c652b4656aadd3cbac8a490f8ac37eefb1e0573cfa2440",
-        "fusion_summary.csv": "b20529a235c85a1898202bcd4fe74afa6033951bb7de8c73aa49db586cacf78b",
+        "fusion_summary.csv": "92ffc6b7d1752040e14536dffedfef7659b0ccb2c53779666aa1dd4c0d5be713",
     },
     # A stream length that is not a multiple of 8.
     "--grid 9x7 --bitstream-len 13 fusion-run": {
-        "posterior.csv": "65051f1a88d3485829923fb82d21928cb3ba94a6c3f4c39fba47919faf0328fb",
-        "posterior.pgm": "e7db5345dc81d9816d5e1f502a5bd01e3471f50ffdd01f37bec2e77a9ab2d1e7",
+        "posterior.csv": "95d93930dd80020ca1cddc439f59c40c3f99a6b1e1976dd3cb1f4a4d0030f62b",
+        "posterior.pgm": "5230c42ff6136fab30775e0aaba7e451783a0e2868dae248764673c93e3d1088",
         "posterior_exact.csv": "fdda2389000da12430c09473ad3b28f0708045c40299c5905402fa967372ea9d",
-        "fusion_summary.csv": "f647fa2f807ee2bd4e0fc38ada46d7ec1a67652b63c36328de38cb5e6ac54f55",
+        "fusion_summary.csv": "a62f242178a562380449ade94ed16eb879553038e129520cad2929ba34f97373",
     },
     # First pinned from the bytes the standalone KL sweep script wrote with
-    # `--grid 8x8 --seeds 50`; re-pinned with the exact write voltages.
+    # `--grid 8x8 --seeds 50`; re-pinned with the exact write voltages and
+    # again with the uniform draws.
     "--seed 0 --grid 8x8 kl-sweep": {
-        "kl_sweep.csv": "c965fc6ae7247218b7c4cb6bd50903b27519796e9df2d0e93252a0ddcfe967d9",
+        "kl_sweep.csv": "91ece735255692d497139fad9920a00d0d94e9a75ae25755abe281aeb63cfa00",
     },
     # The reference netlist and assignment.
     "allocate --netlist {data}/reference.net --assignment {data}/reference.assign": {

@@ -1,11 +1,13 @@
+import math
 import re
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
-from helpers import scc
+from helpers import scc, switching_time_fraction
 from spinsc.device import (MtjParams, PulseSpec, TargetUnreachable, WriteDirection,
-                           switch_probability)
+                           base_switching_time, switch_probability)
 from spinsc import experiments, sbg
 from spinsc.experiments import density_sweep, self_scc_table
 from spinsc.sbg import (
@@ -48,7 +50,7 @@ def test_mode_mismatch_rejected():
     cache = CalibrationCache()
     make_units(DEVICE, SbgMode.SELF_CONTROL, [0.5], 1, calibration=cache)
     array = make_units(DEVICE, SbgMode.SIMPLE, [0.5], 1, calibration=cache)
-    assert array.constants.shape == (3, 2, 1)
+    assert array.constants.shape == (4, 2, 1)
     with pytest.raises(ValueError):
         generate_array(array, 0)
 
@@ -68,6 +70,35 @@ def test_self_control_density_converges():
     array = make_units(DEVICE, SbgMode.SELF_CONTROL, [0.3] * 200, 5)
     densities = generate_array(array, 512).sum(axis=1) / 512
     assert np.mean(densities) == pytest.approx(0.30, abs=0.01)
+
+
+@pytest.mark.parametrize("target", [0.13, 0.5, 0.87])
+@pytest.mark.parametrize("scale", [1.0, 1.07], ids=["nominal", "scaled"])
+def test_switching_frequencies_follow_the_switching_law(target, scale):
+    # Independent of the per-bit oracle: a self-control bit is the state
+    # before a write XOR the state after it, so the running XOR of the bits
+    # before it is the state a write starts from (P for the first), and the
+    # write switched iff its bit is 1.  Each direction's frequency lies within
+    # 5 binomial standard deviations of Phi((t/(dt*s) - 1)/sigma_rel), and of
+    # a Monte Carlo of the normal switching-time model (both estimates' sds).
+    n, draws = 100_000, 1_000_000
+    array = one_unit(SbgMode.SELF_CONTROL, target, 8)
+    array.scale[0] = scale
+    bits = generate_array(array, n)[0]
+    before = np.bitwise_xor.accumulate(bits) ^ bits
+    params, rng = DEVICE.params, np.random.default_rng(5)
+    for state, direction in enumerate(WriteDirection):
+        pulse = sbg._write_pulse(DEVICE, target, direction)
+        dt = base_switching_time(params, pulse) * scale
+        law = NormalDist().cdf((pulse.duration / dt - 1.0) / params.sigma_rel)
+        switched = bits[before == state]
+        freq = switched.mean()
+        assert abs(freq - law) <= 5 * math.sqrt(law * (1 - law) / switched.size)
+        reference = switching_time_fraction(rng, dt, pulse.duration, params.sigma_rel, draws)
+        assert abs(freq - reference) <= 5 * math.sqrt(
+            reference * (1 - reference) * (1 / switched.size + 1 / draws))
+        # The scale moves the law far enough that ignoring it would show.
+        assert scale == 1.0 or abs(freq - target) > 10 * math.sqrt(law * (1 - law) / switched.size)
 
 
 def test_energy_starts_at_zero_and_grows():
@@ -235,7 +266,7 @@ def test_pulse_constants_computed_once_per_cached_target(monkeypatch, mode):
     generate_array(array, 64)
     generate_array(make_units(DEVICE, mode, [0.6, 0.37], 2, calibration=cache), 64)
     assert len(calls) == 2 * per_target
-    assert array.constants.shape == (3, per_target, 2)
+    assert array.constants.shape == (4, per_target, 2)
 
 
 def test_only_targets_below_the_range_fall_back_to_subcritical_bias():

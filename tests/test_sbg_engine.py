@@ -3,7 +3,7 @@
 Each case builds two identical arrays (same seeds and ids), runs one
 through the array engine and the other, row by row, through the oracle, and
 demands exact equality: bits, counters and energy (==, not approx), and in
-self-control mode, which draws exactly n normals a unit, the next draw of
+self-control mode, which draws exactly n uniforms a unit, the next draw of
 every unit's random stream.
 """
 
@@ -30,7 +30,7 @@ PV = (0.05, 0.02)
 # calibration accepts.
 TARGETS = (0.0, 1e-6, 0.13, 0.5, 0.87, 1.0)
 # A reset that fails about half the time, so simple cycles draw 1 or 2
-# normals.
+# uniforms.
 WEAK_RESET = PulseSpec(1.35, 7.0, WriteDirection.AP_TO_P)
 
 
@@ -72,7 +72,7 @@ def assert_same(engine, oracle, n):
 
 def assert_same_next_draw(engine, oracle):
     for a, b in zip(engine.rngs, oracle.rngs):
-        assert a.standard_normal() == b.standard_normal()
+        assert a.random() == b.random()
 
 
 @pytest.mark.parametrize("mode", list(SbgMode))
@@ -135,6 +135,21 @@ def test_energy_is_summed_in_cycle_order_at_every_block_size(monkeypatch, mode, 
     assert_same(engine, oracle, n)
 
 
+@pytest.mark.parametrize("mode", list(SbgMode))
+@pytest.mark.parametrize("pv", [None, PV], ids=["nominal", "pv"])
+@pytest.mark.parametrize("n", [1, 7, 64, 200])
+@pytest.mark.parametrize("seed", [3, 41, 2024])
+def test_a_run_is_the_prefix_of_every_longer_run(mode, pv, n, seed):
+    # A unit draws in cycle order and a bit reads no draw after its cycle,
+    # so the first n bits of a run at 200 are the run at n.
+    device = SbgDevice(reset_pulse=WEAK_RESET)
+
+    def run(length):
+        return generate_array(make_units(device, mode, TARGETS, seed, pv_sigmas=pv), length)
+
+    np.testing.assert_array_equal(run(200)[:, :n], run(n))
+
+
 unit_specs = st.lists(
     st.tuples(st.one_of(st.sampled_from(TARGETS), st.floats(0.0, 1.0)), st.booleans()),
     min_size=1, max_size=5)
@@ -172,7 +187,7 @@ def test_make_units_matches_one_unit_at_a_time():
         assert_same(batch, oracle, 40)
         # One level of constants per distinct target.
         assert batch.level.tolist() == [0, 1, 0, 2, 1]
-        assert batch.constants.shape == (3, 3, 3)
+        assert batch.constants.shape == (4, 3, 3)
 
 
 def test_make_units_takes_no_positional_unit_id():
