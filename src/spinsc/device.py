@@ -124,11 +124,12 @@ def base_switching_time(params: MtjParams, pulse: PulseSpec) -> float:
     vc0, c = params.direction_constants(pulse.direction)
     if pulse.voltage > vc0:
         dt = c / (pulse.voltage / vc0 - 1.0)
-        if dt > 0:
+        if 0 < dt < math.inf:
             return dt
         name = pulse.direction.value
+        outcome = "rounds to 0 ns" if dt == 0 else "is infinite"
         raise ValueError(f"vc0_{name} = {vc0:g} V, c_{name} = {c:g} ns: the switching time "
-                         f"at {pulse.voltage:g} V rounds to 0 ns")
+                         f"at {pulse.voltage:g} V {outcome}")
     return (params.tau0 * 1e9) * math.exp(params.delta * (1.0 - pulse.voltage / vc0))
 
 

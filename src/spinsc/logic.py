@@ -49,19 +49,20 @@ class ScNetlist:
     terminals: list[str] = field(default_factory=list)
     gates: dict[str, Gate] = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
-    _terminal_set: set[str] = field(default_factory=set, repr=False, compare=False)
+    # terminal id -> 1 << its position: the bit that stands for it in a mask
+    _bit: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._terminal_set = set(self.terminals)
+        self._bit = {t: 1 << i for i, t in enumerate(self.terminals)}
 
     def add_terminal(self, term_id: str) -> None:
-        if term_id in self._terminal_set or term_id in self.gates:
+        if term_id in self._bit or term_id in self.gates:
             raise ValueError(f"duplicate node id {term_id!r}")
+        self._bit[term_id] = 1 << len(self.terminals)
         self.terminals.append(term_id)
-        self._terminal_set.add(term_id)
 
     def add_gate(self, gate_id: str, kind: GateKind, inputs: Iterable[str]) -> None:
-        if gate_id in self.gates or gate_id in self._terminal_set:
+        if gate_id in self.gates or gate_id in self._bit:
             raise ValueError(f"duplicate node id {gate_id!r}")
         self.gates[gate_id] = Gate(gate_id, kind, tuple(inputs))
 
@@ -69,14 +70,14 @@ class ScNetlist:
         self.outputs.append(node_id)
 
     def is_terminal(self, node_id: str) -> bool:
-        return node_id in self._terminal_set
+        return node_id in self._bit
 
     def topo_order(self) -> list[str]:
         """Gate ids, each after the gates it reads (Kahn's algorithm).
 
         Also checks reference integrity and acyclicity; raises CyclicNetlist.
         """
-        known = self._terminal_set
+        known = self._bit
         for gate in self.gates.values():
             for src in gate.inputs:
                 if src not in known and src not in self.gates:
@@ -157,13 +158,41 @@ def _conjoin(xs: list[Term], ys: list[Term]) -> list[Term]:
             if not (xp & yn or xn & yp)]
 
 
-def _expand(net: ScNetlist, order: list[str],
-            roots: Iterable[str]) -> dict[tuple[str, bool], list[Term]]:
+def _prune(terms: list[Term], free: int) -> list[Term]:
+    """terms less its dominated products, the rest in order.
+
+    A product is dominated when another has the same literals outside the
+    free mask and a strict superset of its free terminals, or is an earlier
+    duplicate of it.  Only negated literals outside free are in neg.
+    """
+    fixed = ~free
+    groups: dict[Term, list[int]] = {}
+    for pos, neg in terms:
+        groups.setdefault((pos & fixed, neg), []).append(pos)
+    if len(groups) == len(terms):  # no two agree outside free
+        return terms
+    kept = []
+    for pos, neg in dict.fromkeys(terms):
+        for wider in groups[(pos & fixed, neg)]:
+            if wider != pos and wider & pos == pos:
+                break
+        else:
+            kept.append((pos, neg))
+    return kept
+
+
+def _expand(net: ScNetlist, order: list[str], roots: Iterable[str], free: int = 0,
+            reach: Mapping[str, int] | None = None) -> dict[tuple[str, bool], list[Term]]:
     """Products of every (node, negated) key the positive roots need.
 
     order is net.topo_order().  Needed keys are marked consumers first
     (reverse order), then filled producers first, so the depth of the
     netlist never reaches the Python stack.
+
+    free masks read-once terminals (see extract_conflict_sets) and reach
+    maps each gate to the terminals of its cone.  A free terminal's negated
+    literal is stored in pos, and every family whose cone holds one drops
+    its dominated products (_prune).  free = 0 gives the disjoint expansion.
     """
     needed = {(r, False) for r in roots}
     for gid in reversed(order):
@@ -182,17 +211,19 @@ def _expand(net: ScNetlist, order: list[str],
                 needed.update(((sel, False), (sel, True), (d1, negated), (d0, negated)))
 
     memo: dict[tuple[str, bool], list[Term]] = {}
-    for i, t in enumerate(net.terminals):
-        memo[(t, False)] = [(1 << i, 0)]
-        memo[(t, True)] = [(0, 1 << i)]
+    for t, bit in net._bit.items():
+        memo[(t, False)] = leaf = [(bit, 0)]
+        memo[(t, True)] = leaf if free & bit else [(0, bit)]
     for gid in order:
         gate = net.gates[gid]
+        shrinks = free and free & reach[gid]
         for negated in (False, True):
             if (gid, negated) not in needed:
                 continue
-            if gate.kind is GateKind.NOT:
-                out = memo[(gate.inputs[0], not negated)]
-            elif gate.kind is GateKind.AND and not negated:
+            if gate.kind is GateKind.NOT:  # its input's family, pruned already
+                memo[(gid, negated)] = memo[(gate.inputs[0], not negated)]
+                continue
+            if gate.kind is GateKind.AND and not negated:
                 out = [(0, 0)]
                 for src in gate.inputs:
                     out = _conjoin(out, memo[(src, False)])
@@ -205,11 +236,13 @@ def _expand(net: ScNetlist, order: list[str],
                     out.extend(_conjoin(prefix, memo[(src, True)]))
                     if k < last:
                         prefix = _conjoin(prefix, memo[(src, False)])
+                        if shrinks and len(prefix) > 1:
+                            prefix = _prune(prefix, free)
             else:  # MUX(d0, d1, sel): sel ? d1 : d0
                 d0, d1, sel = gate.inputs
                 out = (_conjoin(memo[(sel, False)], memo[(d1, negated)])
                        + _conjoin(memo[(sel, True)], memo[(d0, negated)]))
-            memo[(gid, negated)] = out
+            memo[(gid, negated)] = _prune(out, free) if shrinks and len(out) > 1 else out
     return memo
 
 
@@ -246,8 +279,26 @@ def extract_conflict_sets(net: ScNetlist) -> list[frozenset[str]]:
     Membership ignores literal polarity (a negated stream is bitwise
     dependent on its source).  Duplicate sets are removed and subsets are
     absorbed by supersets; first-occurrence order is preserved.
+
+    The result is the absorption of every output's disjoint expansion,
+    order included, without building most of it: a terminal that no gate
+    reaches along two paths (read-once) never meets its own negation, so it
+    is expanded without polarity, and each family drops the products that
+    another of its products dominates (_prune).  README, "Conflict
+    analysis", gives the argument for the set and the order.
     """
-    terms = _expand(net, net.topo_order(), net.outputs)
+    order = net.topo_order()
+    reach = dict(net._bit)
+    multi = 0  # terminals some gate reaches along two paths
+    for gid in order:
+        cone = 0
+        for src in net.gates[gid].inputs:
+            bits = reach[src]
+            multi |= cone & bits
+            cone |= bits
+        reach[gid] = cone
+    free = ((1 << len(net.terminals)) - 1) & ~multi
+    terms = _expand(net, order, net.outputs, free, reach)
     supports = list(dict.fromkeys(pos | neg for out in net.outputs
                                   for pos, neg in terms[(out, False)]))
     # Widest first (a stable sort), so every strict superset of a support

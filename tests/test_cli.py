@@ -234,9 +234,13 @@ LONG_RESET = "error: infinite energy: 1.8 V for 1e+308 ns\n"
      "error: infinite energy: 1e+200 V for 7 ns\n"),
     ("[device]\nwrite_duration = 1e308\n[array]\nlevels = 1\n", "array-report",
      "error: infinite energy: 3 V for 1e+308 ns\n"),
+    # c / (1 V / 0.75 V - 1) overflows, so the reset's switching time is inf.
+    ("[device]\nc_ap2p = 1e308\nreset_voltage = 1.0\n[array]\nmode = simple\n", "array-report",
+     "error: vc0_ap2p = 0.75 V, c_ap2p = 1e+308 ns: the switching time at 1 V is infinite\n"),
 ], ids=["vc0-array-report", "vc0-characterize", "pv-sigma-tox", "pv-t-ox", "reset-voltage",
         "sigma-b", "sigma-d", "ra", "pv-sigma-area", "long-reset-array-report",
-        "long-reset-fusion-run", "long-reset-scc-report", "huge-reset-voltage", "long-write"])
+        "long-reset-fusion-run", "long-reset-scc-report", "huge-reset-voltage", "long-write",
+        "huge-c-reset"])
 def test_extreme_floats_are_one_line_errors(tmp_path, capsys, text, command, message):
     # Floats that pass the key table but overflow, or divide by zero, in the
     # device or fusion model; numpy warnings would be errors here, as under

@@ -62,6 +62,18 @@ def test_half_probability_anchor():
     assert base_switching_time(PARAMS, HALF) == pytest.approx(5.4, abs=1e-6)
 
 
+@pytest.mark.parametrize("vc0, c, voltage, outcome", [
+    (1e-308, 5.6, 1.8, "rounds to 0 ns"),  # voltage / vc0 overflows
+    (0.75, 1e308, 1.0, "is infinite"),     # c / (voltage / vc0 - 1) overflows
+])
+def test_switching_time_refuses_zero_and_infinity(vc0, c, voltage, outcome):
+    params = replace(PARAMS, vc0_ap2p=vc0, c_ap2p=c)
+    message = (f"vc0_ap2p = {vc0:g} V, c_ap2p = {c:g} ns: the switching time at "
+               f"{voltage:g} V {outcome}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        base_switching_time(params, PulseSpec(voltage, 5.0, WriteDirection.AP_TO_P))
+
+
 def test_zero_duration_probability_negligible():
     pulse = PulseSpec(1.166, 0.0, WriteDirection.P_TO_AP)
     assert switch_probability(PARAMS, pulse) < 1e-6

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from helpers import netlist_text
+from spinsc import logic
 from spinsc.logic import (
     CyclicNetlist,
     GateKind,
@@ -247,6 +248,7 @@ def shuffled_declarations(net, rng):
     (200, 50, 12),  # helpers.random_netlist defaults
     (100, 6, 25),   # few terminals, deep sharing: many contradictions
     (40, 90, 30),   # masks wider than one machine word
+    (100, 8, 40),   # deep: most terminals reach an output along two paths
 ])
 def test_bitmask_analysis_matches_oracle_on_random_netlists(count, max_terminals, max_gates):
     rng = np.random.default_rng(max_terminals)
@@ -281,6 +283,12 @@ def test_mux_select_also_data():
     net = net_of("ab", [("m", "MUX", ["b", "a", "a"])], ["m"])  # a ? a : b
     assert expand_products(net, "m") == [Product(frozenset("a"), frozenset()),
                                          Product(frozenset("b"), frozenset("a"))]
+    assert_matches_oracle(net)
+    # a ? !(b*d) : a*c = a*!b + a*b*!d: a keeps its polarity, or the
+    # contradiction !a*a*c would leave the support a, c standing.
+    net = net_of("abcd", [("x", "AND", ["a", "c"]), ("y", "AND", ["b", "d"]),
+                          ("ny", "NOT", ["y"]), ("m", "MUX", ["x", "ny", "a"])], ["m"])
+    assert extract_conflict_sets(net) == [frozenset("abd")]
     assert_matches_oracle(net)
 
 
@@ -323,6 +331,64 @@ def test_more_than_64_terminals():
     assert sets[0] == frozenset(names[::3])
     assert frozenset({"t1", "t127"}) in sets and frozenset({"t127", "t128"}) in sets
     assert_matches_oracle(net)
+
+
+# --- Read-once terminals: polarity dropped, dominated products pruned ----
+
+def test_terminal_reaching_an_output_twice_through_a_nand_chain():
+    # h = a * !(a*b) * (b ? d : c) = a*!b*c: a and b keep their polarity, or
+    # the contradictions a*!a and b*!b would leave a*b*d standing.
+    net = net_of("abcd", [("x", "AND", ["a", "b"]), ("nx", "NOT", ["x"]),
+                          ("g", "AND", ["a", "nx"]), ("m", "MUX", ["c", "d", "b"]),
+                          ("h", "AND", ["g", "m"])], ["g", "h"])
+    assert expand_products(net, "g") == [Product(frozenset("a"), frozenset("b"))]
+    assert extract_conflict_sets(net) == [frozenset("abc")]
+    assert_matches_oracle(net)
+
+
+def test_gate_shared_by_two_outputs_each_reading_it_once():
+    net = net_of("abcde", [("x", "AND", ["a", "b"]), ("g", "NOT", ["x"]),
+                           ("o1", "AND", ["g", "c"]), ("o2", "MUX", ["g", "d", "e"])],
+                 ["o1", "o2"])
+    assert extract_conflict_sets(net) == [frozenset(s) for s in ("abc", "de", "abe")]
+    assert_matches_oracle(net)
+
+
+def test_read_once_subformula_under_a_gate_used_in_both_polarities():
+    # r = !(b*c) is read once by h, but m = (e ? g*f : d) * !g reads g = a*r
+    # as g and as !g: m = !e*d*!g, and the branch e*g*f*!g, whose support
+    # a..f no other product holds, is a contradiction.
+    net = net_of("abcdefx", [("y", "AND", ["b", "c"]), ("r", "NOT", ["y"]),
+                             ("g", "AND", ["a", "r"]), ("ng", "NOT", ["g"]),
+                             ("gf", "AND", ["g", "f"]), ("mx", "MUX", ["d", "gf", "e"]),
+                             ("m", "AND", ["mx", "ng"]), ("h", "AND", ["r", "x"])],
+                 ["m", "h"])
+    assert extract_conflict_sets(net) == [frozenset("abcde"), frozenset("bcx")]
+    assert_matches_oracle(net)
+
+
+@pytest.mark.parametrize("clauses", range(1, 7))
+def test_read_once_families_hold_one_product_per_maximal_support(monkeypatch, clauses):
+    # Every terminal of a MUX-of-NAND-chains netlist is read once, so each
+    # output's family is one product per branch, where the disjoint
+    # expansion has 3**clauses per branch.
+    net = helpers.mux_of_nand_chains(np.random.default_rng(clauses), 40, 4, clauses)
+    families = {}
+    expand = logic._expand
+
+    def spy(*args):
+        families.update(expand(*args))
+        return families
+
+    monkeypatch.setattr(logic, "_expand", spy)
+    sets = extract_conflict_sets(net)
+    monkeypatch.undo()
+    assert [frozenset(net.terminals[i] for i in range(40) if pos >> i & 1)
+            for out in net.outputs for pos, neg in families[(out, False)]] == sets
+    assert all(neg == 0 for out in net.outputs for _, neg in families[(out, False)])
+    assert len(sets) == 2 * len(net.outputs)
+    for out in net.outputs:
+        assert len(expand_products(net, out)) == 2 * 3**clauses
 
 
 # --- Absorption: the narrowing over maximal supports, against the oracle ---
