@@ -117,20 +117,26 @@ def base_switching_time(params: MtjParams, pulse: PulseSpec) -> float:
     Precessional regime above the critical voltage, thermally activated
     (attempt-time) regime at or below it.  Process variation multiplies dt
     by a device's resistance scale (the drop in effective write current);
-    sbg applies it per unit.
+    sbg applies it per unit.  A dt that is not finite and positive raises
+    ValueError naming the constants of its law and the voltage.
     """
     if pulse.voltage <= 0:
         raise ValueError("switching time requires a positive bias voltage")
     vc0, c = params.direction_constants(pulse.direction)
     if pulse.voltage > vc0:
         dt = c / (pulse.voltage / vc0 - 1.0)
-        if 0 < dt < math.inf:
-            return dt
-        name = pulse.direction.value
-        outcome = "rounds to 0 ns" if dt == 0 else "is infinite"
-        raise ValueError(f"vc0_{name} = {vc0:g} V, c_{name} = {c:g} ns: the switching time "
-                         f"at {pulse.voltage:g} V {outcome}")
-    return (params.tau0 * 1e9) * math.exp(params.delta * (1.0 - pulse.voltage / vc0))
+    else:
+        try:
+            dt = (params.tau0 * 1e9) * math.exp(params.delta * (1.0 - pulse.voltage / vc0))
+        except OverflowError:
+            dt = math.inf
+    if 0 < dt < math.inf:
+        return dt
+    name = pulse.direction.value
+    law = (f"vc0_{name} = {vc0:g} V, c_{name} = {c:g} ns" if pulse.voltage > vc0 else
+           f"tau0 = {params.tau0:g} s, delta = {params.delta:g}, vc0_{name} = {vc0:g} V")
+    outcome = "rounds to 0 ns" if dt == 0 else "is infinite"
+    raise ValueError(f"{law}: the switching time at {pulse.voltage:g} V {outcome}")
 
 
 def switch_probability_at(dt: float, duration: float, sigma_rel: float) -> float:

@@ -277,15 +277,17 @@ def extract_conflict_sets(net: ScNetlist) -> list[frozenset[str]]:
     """Terminal groups that feed a common product term.
 
     Membership ignores literal polarity (a negated stream is bitwise
-    dependent on its source).  Duplicate sets are removed and subsets are
-    absorbed by supersets; first-occurrence order is preserved.
+    dependent on its source).  The sets are the products' supports less
+    every support that another one strictly contains or that repeats an
+    earlier one, in first-occurrence order: _prune's dominance rule with
+    every terminal free.
 
-    The result is the absorption of every output's disjoint expansion,
+    The result equals this absorption of every output's disjoint expansion,
     order included, without building most of it: a terminal that no gate
     reaches along two paths (read-once) never meets its own negation, so it
-    is expanded without polarity, and each family drops the products that
-    another of its products dominates (_prune).  README, "Conflict
-    analysis", gives the argument for the set and the order.
+    is expanded without polarity, and each family drops its dominated
+    products by the same rule.  README, "Conflict analysis", gives the
+    argument for the set and the order.
     """
     order = net.topo_order()
     reach = dict(net._bit)
@@ -299,38 +301,9 @@ def extract_conflict_sets(net: ScNetlist) -> list[frozenset[str]]:
         reach[gid] = cone
     free = ((1 << len(net.terminals)) - 1) & ~multi
     terms = _expand(net, order, net.outputs, free, reach)
-    supports = list(dict.fromkeys(pos | neg for out in net.outputs
-                                  for pos, neg in terms[(out, False)]))
-    # Widest first (a stable sort), so every strict superset of a support
-    # comes before it: a support is absorbed iff a maximal support kept so
-    # far holds it.  posting[i] has bit k set when maximal[k] holds terminal
-    # i; peeling the support's terminals lowest first narrows the candidates
-    # until none is left (kept) or one is (one subset test decides).
-    widths = list(map(int.bit_count, supports))
-    posting = [0] * len(net.terminals)
-    maximal: list[int] = []
-    members: list[list[int] | None] = [None] * len(supports)
-    for j in sorted(range(len(supports)), key=widths.__getitem__, reverse=True):
-        sup = supports[j]
-        candidates = -1  # an empty support, were there one, is absorbed
-        rest = sup
-        while rest and candidates:
-            if not candidates & (candidates - 1):
-                if maximal[candidates.bit_length() - 1] & sup != sup:
-                    candidates = 0
-                break
-            low = rest & -rest
-            candidates &= posting[low.bit_length() - 1]
-            rest ^= low
-        if candidates:
-            continue
-        held = members[j] = _bits(sup)
-        bit = 1 << len(maximal)
-        for i in held:
-            posting[i] |= bit
-        maximal.append(sup)
-    return [frozenset(net.terminals[i] for i in held)
-            for held in members if held is not None]
+    maximal = _prune([(pos | neg, 0) for out in net.outputs for pos, neg in terms[(out, False)]],
+                     -1)
+    return [frozenset(net.terminals[i] for i in _bits(sup)) for sup, _ in maximal]
 
 
 def conflict_neighbors(conflict_sets: list[Collection[Hashable]]) -> dict[Hashable, set]:

@@ -237,10 +237,22 @@ LONG_RESET = "error: infinite energy: 1.8 V for 1e+308 ns\n"
     # c / (1 V / 0.75 V - 1) overflows, so the reset's switching time is inf.
     ("[device]\nc_ap2p = 1e308\nreset_voltage = 1.0\n[array]\nmode = simple\n", "array-report",
      "error: vc0_ap2p = 0.75 V, c_ap2p = 1e+308 ns: the switching time at 1 V is infinite\n"),
+    # Sub-critical switching times: exp(delta * (1 - V/vc0)) overflows at
+    # the target-0 bias 0.35 V and at a 0.1 V reset, and tau0 in ns is inf.
+    ("[device]\ndelta = 2000\n[report]\nsweep_probs = 0,0.5\n", "pv-sweep",
+     "error: tau0 = 1e-09 s, delta = 2000, vc0_p2ap = 0.7 V: the switching time at 0.35 V "
+     "is infinite\n"),
+    ("[device]\ndelta = 2000\nreset_voltage = 0.1\n", "array-report",
+     "error: tau0 = 1e-09 s, delta = 2000, vc0_ap2p = 0.75 V: the switching time at 0.1 V "
+     "is infinite\n"),
+    ("[device]\ntau0 = 1e300\n[report]\ncharacterize_voltages = 0.5\n"
+     "characterize_durations = 5\n", "sbg-characterize",
+     "error: tau0 = 1e+300 s, delta = 45, vc0_p2ap = 0.7 V: the switching time at 0.5 V "
+     "is infinite\n"),
 ], ids=["vc0-array-report", "vc0-characterize", "pv-sigma-tox", "pv-t-ox", "reset-voltage",
         "sigma-b", "sigma-d", "ra", "pv-sigma-area", "long-reset-array-report",
         "long-reset-fusion-run", "long-reset-scc-report", "huge-reset-voltage", "long-write",
-        "huge-c-reset"])
+        "huge-c-reset", "huge-delta-pv-sweep", "huge-delta-reset", "huge-tau0-characterize"])
 def test_extreme_floats_are_one_line_errors(tmp_path, capsys, text, command, message):
     # Floats that pass the key table but overflow, or divide by zero, in the
     # device or fusion model; numpy warnings would be errors here, as under

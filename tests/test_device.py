@@ -74,6 +74,18 @@ def test_switching_time_refuses_zero_and_infinity(vc0, c, voltage, outcome):
         base_switching_time(params, PulseSpec(voltage, 5.0, WriteDirection.AP_TO_P))
 
 
+@pytest.mark.parametrize("tau0, delta, voltage", [
+    (1e-9, 2000.0, 0.1),   # exp(delta * (1 - V/vc0)) overflows
+    (1e300, 45.0, 0.5),    # tau0 in ns overflows, so dt is inf without an exception
+])
+def test_sub_critical_switching_time_refuses_infinity(tau0, delta, voltage):
+    params = replace(PARAMS, tau0=tau0, delta=delta)
+    message = (f"tau0 = {tau0:g} s, delta = {delta:g}, vc0_ap2p = 0.75 V: the switching time "
+               f"at {voltage:g} V is infinite")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        base_switching_time(params, PulseSpec(voltage, 5.0, WriteDirection.AP_TO_P))
+
+
 def test_zero_duration_probability_negligible():
     pulse = PulseSpec(1.166, 0.0, WriteDirection.P_TO_AP)
     assert switch_probability(PARAMS, pulse) < 1e-6

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import helpers
 from helpers import netlist_text
@@ -391,7 +391,7 @@ def test_read_once_families_hold_one_product_per_maximal_support(monkeypatch, cl
         assert len(expand_products(net, out)) == 2 * 3**clauses
 
 
-# --- Absorption: the narrowing over maximal supports, against the oracle ---
+# --- Absorption: dominance among supports, against the oracle -----------
 
 def and_outputs(terminals, supports):
     """One AND output per support, in the order given."""
@@ -400,9 +400,9 @@ def and_outputs(terminals, supports):
 
 
 def test_outputs_sharing_lowest_and_highest_terminal():
-    # 300 maximal supports lo & x_i & hi: peeling lo and hi keeps every one
-    # a candidate, so only the middle terminal decides.  Their subsets, some
-    # listed before them, are absorbed by all of them or by exactly one.
+    # 300 maximal supports lo & x_i & hi: all share lo and hi, so only the
+    # middle terminal tells them apart.  Their subsets, some listed before
+    # them, are absorbed by all of them or by exactly one.
     xs = [f"x{i}" for i in range(300)]
     terminals = ["lo", *xs, "hi"]
     supports = [("lo", "hi"), ("lo", "x7")]
@@ -425,6 +425,16 @@ def test_distinct_supports_of_equal_popcount():
     net = and_outputs("abcd", supports)
     assert extract_conflict_sets(net) == [frozenset(s) for s in ("bc", "ac", "cd", "abd")]
     assert_matches_oracle(net)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.frozensets(st.sampled_from("abcdef"), min_size=1), max_size=12))
+@example([])
+def test_absorption_of_random_supports_matches_oracle(supports):
+    # Subsets before or after their supersets, duplicates, equal widths: each
+    # support is its own output, so every absorption crosses outputs.
+    net = and_outputs("abcdef", [sorted(sup) for sup in supports])
+    assert extract_conflict_sets(net) == helpers.oracle_conflict_sets(net)
 
 
 def test_contradiction_only_output_next_to_terminal_output():
