@@ -110,15 +110,15 @@ class PulseSpec:
             raise ValueError("duration must be non-negative")
 
 
-def base_switching_time(params: MtjParams, pulse: PulseSpec) -> float:
-    """Nominal characteristic switching time dt in ns for the pulse's
-    direction.
+def base_switching_time(params: MtjParams, pulse: PulseSpec, scale: float = 1.0) -> float:
+    """Characteristic switching time dt in ns for the pulse's direction, times
+    a device's process-variation scale (1.0 is nominal).
 
     Precessional regime above the critical voltage, thermally activated
     (attempt-time) regime at or below it.  Process variation multiplies dt
     by a device's resistance scale (the drop in effective write current);
     sbg applies it per unit.  A dt that is not finite and positive raises
-    ValueError naming the constants of its law and the voltage.
+    ValueError naming the constants of its law, the voltage and any scale.
     """
     if pulse.voltage <= 0:
         raise ValueError("switching time requires a positive bias voltage")
@@ -130,13 +130,15 @@ def base_switching_time(params: MtjParams, pulse: PulseSpec) -> float:
             dt = (params.tau0 * 1e9) * math.exp(params.delta * (1.0 - pulse.voltage / vc0))
         except OverflowError:
             dt = math.inf
+    dt *= scale
     if 0 < dt < math.inf:
         return dt
     name = pulse.direction.value
     law = (f"vc0_{name} = {vc0:g} V, c_{name} = {c:g} ns" if pulse.voltage > vc0 else
            f"tau0 = {params.tau0:g} s, delta = {params.delta:g}, vc0_{name} = {vc0:g} V")
+    scaled = "" if scale == 1.0 else f" times process-variation scale {scale:g}"
     outcome = "rounds to 0 ns" if dt == 0 else "is infinite"
-    raise ValueError(f"{law}: the switching time at {pulse.voltage:g} V {outcome}")
+    raise ValueError(f"{law}: the switching time at {pulse.voltage:g} V{scaled} {outcome}")
 
 
 def switch_probability_at(dt: float, duration: float, sigma_rel: float) -> float:

@@ -51,6 +51,8 @@ class ScNetlist:
     outputs: list[str] = field(default_factory=list)
     # terminal id -> 1 << its position: the bit that stands for it in a mask
     _bit: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
+    # topo_order's result, kept until the next add_*
+    _order: list[str] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._bit = {t: 1 << i for i, t in enumerate(self.terminals)}
@@ -60,14 +62,17 @@ class ScNetlist:
             raise ValueError(f"duplicate node id {term_id!r}")
         self._bit[term_id] = 1 << len(self.terminals)
         self.terminals.append(term_id)
+        self._order = None
 
     def add_gate(self, gate_id: str, kind: GateKind, inputs: Iterable[str]) -> None:
         if gate_id in self.gates or gate_id in self._bit:
             raise ValueError(f"duplicate node id {gate_id!r}")
         self.gates[gate_id] = Gate(gate_id, kind, tuple(inputs))
+        self._order = None
 
     def add_output(self, node_id: str) -> None:
         self.outputs.append(node_id)
+        self._order = None
 
     def is_terminal(self, node_id: str) -> bool:
         return node_id in self._bit
@@ -76,7 +81,10 @@ class ScNetlist:
         """Gate ids, each after the gates it reads (Kahn's algorithm).
 
         Also checks reference integrity and acyclicity; raises CyclicNetlist.
+        The list is kept, and returned again, until the next add_* call.
         """
+        if self._order is not None:
+            return self._order
         known = self._bit
         for gate in self.gates.values():
             for src in gate.inputs:
@@ -100,6 +108,7 @@ class ScNetlist:
                     order.append(nxt)
         if len(order) != len(self.gates):
             raise CyclicNetlist("gate graph contains a cycle")
+        self._order = order
         return order
 
     # Plain-text exchange format: one declaration per line.

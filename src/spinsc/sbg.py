@@ -6,8 +6,8 @@ self-control generator re-uses every write as a bit attempt: after one
 initialization cycle it writes toward the opposite of the latched state,
 reads, and emits XOR(current, last), costing n+1 writes and n+1 reads.
 
-Energy bookkeeping: each pulse contributes V^2 * t / R(state before the
-pulse) in nJ; each read costs a fixed configurable amount.
+Energy bookkeeping: a pulse costs V^2 * t / R(the state it sees) in nJ and a
+read a fixed configurable amount, so a unit's energy is counts times costs.
 
 The generators of a run are one SbgArray, a struct of per-unit columns,
 built with every junction in P and its write voltages from
@@ -16,7 +16,7 @@ device model's switching law; each attempt draws one uniform U and switches
 iff U < q.  generate_array runs a fresh array once, with no loop over
 cycles: it pre-draws each unit's uniforms, scans the switching outcomes for
 the states, and gives the bits, counters and energy that stepping each unit
-one pulse at a time from P would give.
+one pulse at a time from P would give, energy up to rounding.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from .seeding import DOMAIN_DEVICE, DOMAIN_PROCESS_VARIATION, rngs_for
 RESET_PULSE = PulseSpec(1.8, 7.0, WriteDirection.AP_TO_P)
 
 # generate_array runs units in blocks of about this many bits: its
-# temporaries take a few tens of bytes per bit, and a unit's run never
-# depends on its block.
+# temporaries peak near 55 bytes per bit in simple mode and 20 in
+# self-control mode, and a unit's run never depends on its block.
 _BLOCK_BITS = 1 << 14
 
 
@@ -127,6 +127,12 @@ def _write_pulse(device: SbgDevice, target_p: float, direction: WriteDirection) 
     return PulseSpec(v, device.write_duration_ns, direction)
 
 
+def _cycle(device: SbgDevice, mode: SbgMode, target_p: float) -> list[PulseSpec]:
+    """The reset and write pulses of one cycle at a target."""
+    writes = [WriteDirection.P_TO_AP] if mode is SbgMode.SIMPLE else list(WriteDirection)
+    return [device.reset_pulse] + [_write_pulse(device, target_p, d) for d in writes]
+
+
 def make_units(device: SbgDevice, mode: SbgMode, targets: Sequence[float],
                master_seed: int, *, domain: int = DOMAIN_DEVICE,
                pv_sigmas: tuple[float, float] | None = None,
@@ -149,21 +155,24 @@ def make_units(device: SbgDevice, mode: SbgMode, targets: Sequence[float],
         if p in levels:
             continue
         if p not in cached:
-            cycle = [device.reset_pulse, _write_pulse(device, p, WriteDirection.P_TO_AP)]
-            if mode is SbgMode.SELF_CONTROL:
-                cycle.append(_write_pulse(device, p, WriteDirection.AP_TO_P))
-            cached[p] = _constants(device.params, cycle)
+            cached[p] = _constants(device.params, _cycle(device, mode, p))
         levels[p] = len(levels)
     count = len(targets)
     ids = range(count)
+    per_cycle = 2 if mode is SbgMode.SIMPLE else 3
+    constants = np.reshape([cached[p] for p in levels], (-1, 4, per_cycle)).transpose(1, 2, 0)
+    level = np.array([levels[p] for p in targets], dtype=np.intp)
     scale = np.ones(count)
     if pv_sigmas is not None and any(pv_sigmas):
         scale = np.array([draw_process_variation(rng, device.params, *pv_sigmas)
                           for rng in rngs_for(master_seed, DOMAIN_PROCESS_VARIATION, ids)])
-    per_cycle = 2 if mode is SbgMode.SIMPLE else 3
-    return SbgArray(device, mode,
-                    np.reshape([cached[p] for p in levels], (-1, 4, per_cycle)).transpose(1, 2, 0),
-                    level=np.array([levels[p] for p in targets], dtype=np.intp),
+        # A switching time near the float maximum can overflow once scaled:
+        # base_switching_time refuses the first unit's pulse that does.
+        with np.errstate(over="ignore"):
+            for k in np.flatnonzero(np.isinf(constants[0][:, level] * scale).any(axis=0))[:1]:
+                for pulse in _cycle(device, mode, targets[k]):
+                    base_switching_time(device.params, pulse, float(scale[k]))
+    return SbgArray(device, mode, constants, level=level,
                     targets=np.array(targets, dtype=np.float64), scale=scale,
                     energy_nj=np.zeros(count), writes=np.zeros(count, dtype=np.int64),
                     reads=np.zeros(count, dtype=np.int64),
@@ -175,21 +184,14 @@ class _Pulse(NamedTuple):
     shared reset included.
 
     The constants come from the scalar device functions, so every switching
-    test and energy term below is the float64 value the per-bit model gives.
+    test and pulse energy is the float64 value the per-bit model gives.  A
+    uniform draw u in [0, 1) switches iff u < q, so q = 0 never switches and
+    q = 1 always does.
     """
 
     q: np.ndarray               # switching probability
     energy_p: np.ndarray        # energy of the pulse seen from P
     energy_ap: np.ndarray       # and from AP
-
-    def switches(self, u: np.ndarray) -> np.ndarray:
-        """Whether uniform draws u in [0, 1) switch: u < q, so q = 0 never
-        switches and q = 1 always does."""
-        return u < self.q
-
-    def energy(self, state: np.ndarray) -> np.ndarray:
-        # Energy uses the resistance of the state the pulse sees.
-        return np.where(state, self.energy_ap, self.energy_p)
 
 
 def _constants(params: MtjParams, pulses: Sequence[PulseSpec]) -> np.ndarray:
@@ -239,12 +241,13 @@ def generate_array(array: SbgArray, n: int) -> np.ndarray:
     The result is the per-bit model's from P, bit for bit: each unit draws
     its own uniforms in the order the per-bit model would, a pulse draws only
     when it writes toward the other state and switches iff its draw lies
-    below its switching probability, and energy is added per unit in
-    cycle order (reset, write, read; or pulse, read), into the array's
-    energy_nj, writes and reads columns.  An array generates once: its
-    junction states and stream positions after the run are not kept, and a
-    second call raises ValueError.  Nothing loops over cycles: the states
-    come from one scan over the pre-drawn switching outcomes (_switching_scan).
+    below its switching probability.  Energy is each unit's pulse counts, by
+    the state each pulse saw, times their energies, plus its reads': the
+    per-bit model's sum in cycle order up to rounding.  An array generates
+    once: its junction states and stream positions after the run are not
+    kept, and a second call raises ValueError.  Nothing loops over cycles:
+    the states come from one scan over the pre-drawn switching outcomes
+    (_switching_scan).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -265,19 +268,11 @@ def _generate_block(block: SbgArray, n: int) -> np.ndarray:
     pulses = _pulses(block.constants[:, :, block.level, None], block.device.params,
                      block.scale[:, None])
     if block.mode is SbgMode.SIMPLE:
-        bits, energy = _run_simple(block, n, *pulses)
+        bits, block.energy_nj[:] = _run_simple(block, n, *pulses)
         block.writes[:], block.reads[:] = 2 * n, n
     else:
-        bits, energy = _run_self_control(block, n, *pulses)
+        bits, block.energy_nj[:] = _run_self_control(block, n, *pulses)
         block.writes[:] = block.reads[:] = n + 1
-    # energy is the (units, cycles) view of a (cycles, units) array of the
-    # increments in cycle order.  add.reduce down it adds one row at a time,
-    # as the per-bit model does; one unit's column is contiguous, and numpy
-    # would add it pairwise and round differently, so a lone unit accumulates
-    # (accumulating every block would cost about 5 times the reduce).
-    cycles = energy.T
-    block.energy_nj[:] = (np.add.reduce(cycles, axis=0) if len(block) > 1
-                          else np.add.accumulate(cycles[:, 0])[-1])
     return bits
 
 
@@ -300,11 +295,6 @@ def _switching_scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (np.maximum.accumulate(key, axis=1, out=key) & 1).astype(bool) ^ parity
 
 
-def _before(after: np.ndarray) -> np.ndarray:
-    """The state before each step, from P, given the state after it."""
-    return np.hstack((np.zeros((len(after), 1), dtype=bool), after[:, :-1]))
-
-
 def _run_simple(block: SbgArray, n: int, reset: _Pulse, write: _Pulse):
     # The uniforms a unit draws are tokens for a two-state automaton: "AP,
     # before reset" (the reset draws) and "P, before write" (the write
@@ -315,22 +305,25 @@ def _run_simple(block: SbgArray, n: int, reset: _Pulse, write: _Pulse):
     tokens = np.empty((len(block), 2 * n))
     for row, rng in zip(tokens, block.rngs):
         rng.random(out=row)
-    reset_ok = reset.switches(tokens)
-    after = _switching_scan(write.switches(tokens), reset_ok)
-    before = _before(after)
+    reset_ok = tokens < reset.q
+    after = _switching_scan(tokens < write.q, reset_ok)
+    before = np.hstack((np.zeros((len(block), 1), dtype=bool), after[:, :-1]))
     emits = ~(before & reset_ok)
     # Each unit's first n emissions, row by row: row k's start after the
     # emissions of the rows before it.
     count = np.count_nonzero(emits, axis=1)
     emitted = np.flatnonzero(emits)[((np.cumsum(count) - count)[:, None] + np.arange(n)).ravel()]
     bits = after.ravel()[emitted].reshape(len(block), n)
-    # The write sees AP only after a failed reset, the token that emits.
-    write_sees_ap = before.ravel()[emitted].reshape(len(block), n)
-    energy = np.empty((3 * n, len(block))).T
-    energy[:, 0::3] = reset.energy(_before(bits))
-    energy[:, 1::3] = write.energy(write_sees_ap)
-    energy[:, 2::3] = block.device.read_energy_nj
-    return bits, energy
+    # Reset k sees bit k - 1 (reset 0 sees P).  Of the r resets that see AP,
+    # the w that fail leave the write seeing AP and the others take a second
+    # token, so a unit's first n cycles take n + r - w tokens.
+    r = np.count_nonzero(bits[:, :-1], axis=1, keepdims=True)
+    used = emitted[n - 1::n] + 1 - np.arange(0, tokens.size, 2 * n)    # up to the n-th emission
+    w = n + r - used[:, None]
+    read = np.float64(block.device.read_energy_nj)    # a float's overflow would not raise
+    energy = ((n - r) * reset.energy_p + r * reset.energy_ap + (n - w) * write.energy_p
+              + w * write.energy_ap + n * read)
+    return bits, energy[:, 0]
 
 
 def _run_self_control(block: SbgArray, n: int, reset: _Pulse, p2ap: _Pulse, ap2p: _Pulse):
@@ -342,13 +335,12 @@ def _run_self_control(block: SbgArray, n: int, reset: _Pulse, p2ap: _Pulse, ap2p
     u = np.zeros((len(block), n))
     for row, rng in zip(u, block.rngs):
         rng.random(out=row)
-    after = _switching_scan(p2ap.switches(u), ap2p.switches(u))
-    before = _before(after)
-    energy = np.empty((2 * n + 2, len(block))).T
-    energy[:, :1] = reset.energy_p
-    energy[:, 1::2] = block.device.read_energy_nj
-    energy[:, 2::2] = np.where(before, ap2p.energy_ap, p2ap.energy_p)
-    return before ^ after, energy
+    after = _switching_scan(u < p2ap.q, u < ap2p.q)
+    # Write k sees the state after write k - 1 (write 0 sees P), AP->P from AP.
+    ap = np.count_nonzero(after[:, :-1], axis=1, keepdims=True)
+    read = np.float64(block.device.read_energy_nj)
+    energy = reset.energy_p + (n + 1) * read + ap * ap2p.energy_ap + (n - ap) * p2ap.energy_p
+    return np.diff(after, axis=1, prepend=False), energy[:, 0]    # before XOR after
 
 
 @dataclass(frozen=True)
@@ -362,9 +354,8 @@ class SbgArraySpec:
     def __post_init__(self) -> None:
         if len(self.levels) != len(self.multiplicity):
             raise ValueError("levels and multiplicity must have equal length")
-        for p in self.levels:
-            if not 0.0 < p <= 1.0:
-                raise ValueError("levels must lie in (0, 1]")
+        if not all(0.0 < p <= 1.0 for p in self.levels):
+            raise ValueError("levels must lie in (0, 1]")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("levels must be strictly increasing")
         if any(m < 1 for m in self.multiplicity):
@@ -376,10 +367,7 @@ class SbgArraySpec:
 
     def row_levels(self) -> list[float]:
         """Level of each array row, level-major order."""
-        out: list[float] = []
-        for p, m in zip(self.levels, self.multiplicity):
-            out.extend([p] * m)
-        return out
+        return [p for p, m in zip(self.levels, self.multiplicity) for _ in range(m)]
 
 
 def build_array(spec: SbgArraySpec, master_seed: int, device: SbgDevice = SbgDevice(), *,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain, product as iter_product
@@ -477,51 +478,67 @@ def bisect_voltage(params: MtjParams, target_p: float, duration: float,
     raise TargetUnreachable(f"bisection did not converge to {target_p}")
 
 
-def scalar_generate(array: SbgArray, row: int, n: int) -> np.ndarray:
+def scalar_generate(array: SbgArray, row: int, n: int) -> tuple[np.ndarray, float]:
     """Per-bit oracle for sbg.generate_array: steps one row of a freshly built
     array one pulse and one read at a time through the device model, from P,
     then writes the row's energy and counters to the array's columns.  The
     row's write pulses are calibrated again from its target.
+
+    Each pulse is counted by the pulse and the state it sees, and the energy
+    is those counts times the pulses' energies, plus the reads', added in
+    generate_array's order.  Returns the bits and the energy summed one
+    pulse and read at a time in cycle order, which rounds differently.
     """
     device = array.device
     junction = Junction(device.params, array.rngs[row], float(array.scale[row]))
     target = float(array.targets[row])
+    reset = device.reset_pulse
     p2ap = _write_pulse(device, target, WriteDirection.P_TO_AP)
-    energy = 0.0
-    writes = reads = 0
+    seen: Counter[tuple[PulseSpec, MtjState]] = Counter()
+    cycle_energy = 0.0
+    reads = 0
 
     def pulse(spec: PulseSpec) -> None:
-        nonlocal energy, writes
+        nonlocal cycle_energy
         # Energy uses the resistance of the state the pulse sees.
-        energy += pulse_energy_nj(spec, junction.resistance)
-        writes += 1
+        seen[spec, junction.state] += 1
+        cycle_energy += pulse_energy_nj(spec, junction.resistance)
         apply_write(junction, spec)
 
     def read() -> int:
-        nonlocal energy, reads
+        nonlocal cycle_energy, reads
         reads += 1
-        energy += device.read_energy_nj
+        cycle_energy += device.read_energy_nj
         return read_state(junction)
 
+    def term(spec: PulseSpec, state: MtjState) -> float:
+        r = device.params.r_ap if state is MtjState.AP else device.params.r_p
+        return seen[spec, state] * pulse_energy_nj(spec, r * junction.scale)
+
+    P, AP = MtjState.P, MtjState.AP
     bits = []
     if array.mode is SbgMode.SIMPLE:
         for _ in range(n):
-            pulse(device.reset_pulse)
+            pulse(reset)
             pulse(p2ap)
             bits.append(read())
+        energy = (term(reset, P) + term(reset, AP) + term(p2ap, P) + term(p2ap, AP)
+                  + reads * device.read_energy_nj)
     else:
         ap2p = _write_pulse(device, target, WriteDirection.AP_TO_P)
-        pulse(device.reset_pulse)
+        pulse(reset)
         last = read()
         for _ in range(n):
-            pulse(p2ap if last == int(MtjState.P) else ap2p)
+            pulse(p2ap if last == int(P) else ap2p)
             current = read()
             bits.append(current ^ last)
             last = current
+        energy = (term(reset, P) + reads * device.read_energy_nj + term(ap2p, AP)
+                  + term(p2ap, P))
     array.energy_nj[row] = energy
-    array.writes[row] = writes
+    array.writes[row] = seen.total()
     array.reads[row] = reads
-    return np.array(bits, dtype=np.uint8)
+    return np.array(bits, dtype=np.uint8), cycle_energy
 
 
 def size_array(levels: list[float], conflict_sets: list[set[int]],

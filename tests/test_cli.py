@@ -249,10 +249,20 @@ LONG_RESET = "error: infinite energy: 1.8 V for 1e+308 ns\n"
      "characterize_durations = 5\n", "sbg-characterize",
      "error: tau0 = 1e+300 s, delta = 45, vc0_p2ap = 0.7 V: the switching time at 0.5 V "
      "is infinite\n"),
+    # Finite switching times near the float maximum that a unit's
+    # process-variation scale makes infinite: the target-0 bias at tau0 =
+    # 2.8e289 s, and a 1.5 V reset at c_ap2p = 1.7e308 ns.
+    ("[device]\ntau0 = 2.8e289\n[report]\nsweep_probs = 0,0.5\n", "pv-sweep",
+     "error: tau0 = 2.8e+289 s, delta = 45, vc0_p2ap = 0.7 V: the switching time at 0.35 V "
+     "times process-variation scale 1.11671 is infinite\n"),
+    ("[device]\nc_ap2p = 1.7e308\nreset_voltage = 1.5\n[array]\nmode = simple\n[run]\npv = true\n",
+     "array-report", "error: vc0_ap2p = 0.75 V, c_ap2p = 1.7e+308 ns: the switching time at "
+     "1.5 V times process-variation scale 1.11671 is infinite\n"),
 ], ids=["vc0-array-report", "vc0-characterize", "pv-sigma-tox", "pv-t-ox", "reset-voltage",
         "sigma-b", "sigma-d", "ra", "pv-sigma-area", "long-reset-array-report",
         "long-reset-fusion-run", "long-reset-scc-report", "huge-reset-voltage", "long-write",
-        "huge-c-reset", "huge-delta-pv-sweep", "huge-delta-reset", "huge-tau0-characterize"])
+        "huge-c-reset", "huge-delta-pv-sweep", "huge-delta-reset", "huge-tau0-characterize",
+        "huge-tau0-pv-sweep", "huge-c-pv-reset"])
 def test_extreme_floats_are_one_line_errors(tmp_path, capsys, text, command, message):
     # Floats that pass the key table but overflow, or divide by zero, in the
     # device or fusion model; numpy warnings would be errors here, as under

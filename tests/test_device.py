@@ -86,6 +86,21 @@ def test_sub_critical_switching_time_refuses_infinity(tau0, delta, voltage):
         base_switching_time(params, PulseSpec(voltage, 5.0, WriteDirection.AP_TO_P))
 
 
+@pytest.mark.parametrize("tau0, c, voltage, law", [
+    (2.8e289, 5.6, 0.375, "tau0 = 2.8e+289 s, delta = 45, vc0_ap2p = 0.75 V"),
+    (1e-9, 1.7e308, 1.5, "vc0_ap2p = 0.75 V, c_ap2p = 1.7e+308 ns"),
+], ids=["sub-critical", "precessional"])
+def test_scaled_switching_time_refuses_overflow(tau0, c, voltage, law):
+    # A finite switching time near the float maximum (1.65e308 and 1.7e308
+    # ns) overflows once a process-variation scale of 2 multiplies it.
+    params = replace(PARAMS, tau0=tau0, c_ap2p=c)
+    pulse = PulseSpec(voltage, 5.0, WriteDirection.AP_TO_P)
+    assert base_switching_time(params, pulse, 0.5) == base_switching_time(params, pulse) * 0.5
+    message = f"{law}: the switching time at {voltage:g} V times process-variation scale 2 is infinite"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        base_switching_time(params, pulse, 2.0)
+
+
 def test_zero_duration_probability_negligible():
     pulse = PulseSpec(1.166, 0.0, WriteDirection.P_TO_AP)
     assert switch_probability(PARAMS, pulse) < 1e-6

@@ -25,6 +25,22 @@ def test_parse_round_trip(reference_netlist_text):
     assert again.gates.keys() == net.gates.keys()
 
 
+def test_netlist_changed_after_parse_is_ordered_again():
+    # parse keeps the order it validated; every add_* drops it, so a gate or
+    # output added later is seen, and a bad one still raises.
+    net = ScNetlist.parse("terminal a\nterminal b\ngate g AND a b\noutput g\n")
+    assert net.topo_order() is net.topo_order() == ["g"]
+    net.add_terminal("c")
+    assert net.topo_order() == ["g"]
+    net.add_gate("h", GateKind.AND, ("g", "c"))
+    assert net.topo_order() == ["g", "h"]
+    net.add_output("h")
+    assert extract_conflict_sets(net) == [frozenset("abc")]
+    net.add_output("ghost")
+    with pytest.raises(CyclicNetlist, match="unknown node 'ghost'"):
+        net.topo_order()
+
+
 @pytest.mark.parametrize("text, message", [
     ("terminal a\ngate g XOR a a\n", "line 2: 'XOR' is not a valid GateKind"),
     ("terminal a\n\ngate g NOT a a\n", "line 3: NOT takes exactly one input"),

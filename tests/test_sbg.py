@@ -156,6 +156,18 @@ def test_self_control_energy_monotone_in_probability():
     assert all(b > a for a, b in zip(per_cycle, per_cycle[1:]))
 
 
+@pytest.mark.parametrize("mode", list(SbgMode))
+def test_make_units_refuses_a_scaled_switching_time_that_overflows(mode):
+    # At tau0 = 2.8e289 s the 0.35 V bias of a target-0 write switches in
+    # about 1.65e308 ns, so a unit whose scale exceeds about 1.09 overflows.
+    device = SbgDevice(MtjParams(tau0=2.8e289))
+    make_units(device, mode, [0.0] * 20, 1)
+    message = (r"^tau0 = 2\.8e\+289 s, delta = 45, vc0_p2ap = 0\.7 V: the switching time at "
+               r"0\.35 V times process-variation scale 1\.\d+ is infinite$")
+    with pytest.raises(ValueError, match=message):
+        make_units(device, mode, [0.0] * 20, 1, pv_sigmas=(0.2, 0.02))
+
+
 def test_reset_pulse_is_fixed():
     assert RESET_PULSE.voltage == 1.8
     assert RESET_PULSE.duration == 7.0

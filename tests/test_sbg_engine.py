@@ -4,7 +4,8 @@ Each case builds two identical arrays (same seeds and ids), runs one
 through the array engine and the other, row by row, through the oracle, and
 demands exact equality: bits, counters and energy (==, not approx), and in
 self-control mode, which draws exactly n uniforms a unit, the next draw of
-every unit's random stream.
+every unit's random stream.  Energy is also checked against the oracle's sum
+in cycle order, within ENERGY_RTOL.
 """
 
 import numpy as np
@@ -34,6 +35,11 @@ TARGETS = (0.0, 1e-6, 0.13, 0.5, 0.87, 1.0)
 WEAK_RESET = PulseSpec(1.35, 7.0, WriteDirection.AP_TO_P)
 
 
+# Relative bound between a unit's energy and its sum one pulse and read at
+# a time in cycle order: that sum's rounding grows with the stream, to about
+# 6e-14 at 1000 bits.
+ENERGY_RTOL = 1e-12
+
 # Targets whose switching outcomes repeat for hundreds of cycles: 0 and 1e-6
 # almost never switch and 1.0 always does.
 EDGE_TARGETS = (0.0, 1e-6, 1.0)
@@ -59,13 +65,15 @@ def twins(mode, pv=lambda k: False, reset_pulse=RESET_PULSE, seed=9, targets=TAR
 
 def assert_same(engine, oracle, n):
     engine_bits = generate_array(engine, n)
-    oracle_bits = np.stack([scalar_generate(oracle, row, n) for row in range(len(oracle))])
+    oracle_bits, cycle_energy = zip(*(scalar_generate(oracle, row, n)
+                                      for row in range(len(oracle))))
     assert engine_bits.dtype == np.uint8
     assert engine_bits.shape == (len(engine), n)
-    np.testing.assert_array_equal(engine_bits, oracle_bits)
+    np.testing.assert_array_equal(engine_bits, np.stack(oracle_bits))
     assert engine.writes.tolist() == oracle.writes.tolist()
     assert engine.reads.tolist() == oracle.reads.tolist()
     assert engine.energy_nj.tolist() == oracle.energy_nj.tolist()
+    np.testing.assert_allclose(engine.energy_nj, cycle_energy, rtol=ENERGY_RTOL, atol=0)
     if engine.mode is SbgMode.SELF_CONTROL:
         assert_same_next_draw(engine, oracle)
 
@@ -126,13 +134,19 @@ def test_units_across_several_blocks(mode):
 ], ids=["trailing-one", "all-one", "twos", "threes"])
 def test_energy_is_summed_in_cycle_order_at_every_block_size(monkeypatch, mode, pv, count, n,
                                                               block_bits):
-    # Energy is summed down a (cycles, units) array; numpy adds a contiguous
-    # axis pairwise, as a one-unit block's would be, and rounds differently.
-    if block_bits is not None:
-        monkeypatch.setattr(sbg, "_BLOCK_BITS", block_bits)
+    # A unit's energy is its counts times constants, so each block size, one
+    # unit a block included, gives the same floats as one block of every
+    # unit, and the oracle's (assert_same: ==, and the sum in cycle order
+    # within ENERGY_RTOL).
     targets = [TARGETS[k % len(TARGETS)] for k in range(count)]
     engine, oracle = twins(mode, lambda k: pv, WEAK_RESET, targets=targets)
+    whole, _ = twins(mode, lambda k: pv, WEAK_RESET, targets=targets)
+    default = sbg._BLOCK_BITS
+    monkeypatch.setattr(sbg, "_BLOCK_BITS", count * n)
+    generate_array(whole, n)
+    monkeypatch.setattr(sbg, "_BLOCK_BITS", block_bits or default)
     assert_same(engine, oracle, n)
+    assert engine.energy_nj.tolist() == whole.energy_nj.tolist()
 
 
 @pytest.mark.parametrize("mode", list(SbgMode))
