@@ -51,10 +51,13 @@ def compare(a: CostProfile, b: CostProfile) -> float:
 
 
 def simulated_profile(stats: FusionRunStats) -> CostProfile:
-    """Profile from a fusion run's generator-array energy accounting."""
+    """Profile from a fusion run's generator-array energy accounting.
+
+    Only the energy is simulated: the cycle time is the shared-array
+    reference's cited one."""
     return CostProfile(label="simulated",
                        e_cyc_nj=stats.energy_per_cycle_nj,
-                       t_cyc_ns=10.0,
+                       t_cyc_ns=SHARED_ARRAY_REFERENCE.t_cyc_ns,
                        n_cyc=stats.n_cycles)
 
 

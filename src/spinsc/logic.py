@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, takewhile
 from typing import Collection, Hashable, Iterable, Mapping, Sequence
 
 
@@ -180,12 +180,14 @@ def _prune(terms: list[Term], free: int) -> list[Term]:
         groups.setdefault((pos & fixed, neg), []).append(pos)
     if len(groups) == len(terms):  # no two agree outside free
         return terms
+    # Widest first: only a strictly wider member can strictly contain pos.
+    for members in groups.values():
+        members.sort(key=int.bit_count, reverse=True)
     kept = []
     for pos, neg in dict.fromkeys(terms):
-        for wider in groups[(pos & fixed, neg)]:
-            if wider != pos and wider & pos == pos:
-                break
-        else:
+        size = pos.bit_count()
+        wider = takewhile(lambda m: m.bit_count() > size, groups[(pos & fixed, neg)])
+        if not any(m & pos == pos for m in wider):
             kept.append((pos, neg))
     return kept
 

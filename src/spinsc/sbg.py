@@ -9,19 +9,20 @@ reads, and emits XOR(current, last), costing n+1 writes and n+1 reads.
 Energy bookkeeping: a pulse costs V^2 * t / R(the state it sees) in nJ and a
 read a fixed configurable amount, so a unit's energy is counts times costs.
 
-The generators of a run are one SbgArray, a struct of per-unit columns,
-built with every junction in P and its write voltages from
+The generators of a run are one SbgArray, a struct of per-unit columns
+that make_units builds with every junction in P and its write voltages from
 device.calibrate_voltage.  A write switches with the probability q of the
 device model's switching law; each attempt draws one uniform U and switches
-iff U < q.  generate_array runs a fresh array once, with no loop over
-cycles: it pre-draws each unit's uniforms, scans the switching outcomes for
-the states, and gives the bits, counters and energy that stepping each unit
-one pulse at a time from P would give, energy up to rounding.
+iff U < q.  generate_array runs a fresh array once, a block of rows at a
+time, with no loop over cycles: it pre-draws each unit's uniforms, scans the
+switching outcomes for the states, and gives the bits, counters and energy
+that stepping each unit one pulse at a time from P would give, energy up to
+rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -77,10 +78,6 @@ class SbgDevice:
             raise ValueError("the reset pulse must write toward P")
 
 
-# The per-unit columns of an SbgArray, the ones a row slice slices.
-_ROW_FIELDS = ("level", "targets", "scale", "energy_nj", "writes", "reads", "rngs")
-
-
 @dataclass(eq=False)
 class SbgArray:
     """A generator array held as columns; row k is unit k.
@@ -90,9 +87,8 @@ class SbgArray:
     its calibration, and level[k] is unit k's level.  The other columns are
     per unit: its target, scale (the process-variation factor on its
     resistances and switching times, exactly 1.0 when nominal), energy_nj,
-    writes, reads and its own random stream.  Every junction starts in P and
-    the array generates once.  array[a:b] holds rows a to b - 1 in views of
-    this array's columns, so generating from it updates this array.
+    writes, reads and its own random stream.  make_units builds it, with
+    every junction in P, and generate_array fills it, once.
     """
 
     device: SbgDevice
@@ -108,9 +104,6 @@ class SbgArray:
 
     def __len__(self) -> int:
         return len(self.targets)
-
-    def __getitem__(self, rows: slice) -> SbgArray:
-        return replace(self, **{name: getattr(self, name)[rows] for name in _ROW_FIELDS})
 
 
 class CalibrationCache:
@@ -247,32 +240,30 @@ def generate_array(array: SbgArray, n: int) -> np.ndarray:
     once: its junction states and stream positions after the run are not
     kept, and a second call raises ValueError.  Nothing loops over cycles:
     the states come from one scan over the pre-drawn switching outcomes
-    (_switching_scan).
+    (_switching_scan).  Each block of about _BLOCK_BITS bits stores its
+    energy and counters as it ends, so a run that raises partway is refused
+    a second call too.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if array.writes.any():
         raise ValueError("an array generates once; build a fresh one")
+    if array.mode is SbgMode.SIMPLE:
+        run, writes, reads = _run_simple, 2 * n, n
+    else:
+        run, writes, reads = _run_self_control, n + 1, n + 1
+    read = np.float64(array.device.read_energy_nj)    # a float's overflow would not raise
     bits = np.empty((len(array), n), dtype=np.uint8)
     step = max(1, _BLOCK_BITS // n)
     # An extreme junction (a tiny RA product, a huge read energy) would
     # otherwise end in warnings and infinite energies.
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         for first in range(0, len(array), step):
-            bits[first:first + step] = _generate_block(array[first:first + step], n)
-    return bits
-
-
-def _generate_block(block: SbgArray, n: int) -> np.ndarray:
-    """generate_array for one block of rows; bool (units, n)."""
-    pulses = _pulses(block.constants[:, :, block.level, None], block.device.params,
-                     block.scale[:, None])
-    if block.mode is SbgMode.SIMPLE:
-        bits, block.energy_nj[:] = _run_simple(block, n, *pulses)
-        block.writes[:], block.reads[:] = 2 * n, n
-    else:
-        bits, block.energy_nj[:] = _run_self_control(block, n, *pulses)
-        block.writes[:] = block.reads[:] = n + 1
+            rows = slice(first, first + step)
+            pulses = _pulses(array.constants[:, :, array.level[rows], None],
+                             array.device.params, array.scale[rows, None])
+            bits[rows], array.energy_nj[rows] = run(array.rngs[rows], n, read, *pulses)
+            array.writes[rows], array.reads[rows] = writes, reads
     return bits
 
 
@@ -295,50 +286,50 @@ def _switching_scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (np.maximum.accumulate(key, axis=1, out=key) & 1).astype(bool) ^ parity
 
 
-def _run_simple(block: SbgArray, n: int, reset: _Pulse, write: _Pulse):
+def _run_simple(rngs: Sequence[np.random.Generator], n: int, read: np.float64,
+                reset: _Pulse, write: _Pulse):
     # The uniforms a unit draws are tokens for a two-state automaton: "AP,
     # before reset" (the reset draws) and "P, before write" (the write
     # draws).  The next state is write_ok from P and not reset_ok from AP.
     # Every token but a successful reset ends a cycle and emits the state
     # after it, so 2n tokens always hold n bits, and a unit's bits are its
     # first n emissions.
-    tokens = np.empty((len(block), 2 * n))
-    for row, rng in zip(tokens, block.rngs):
+    tokens = np.empty((len(rngs), 2 * n))
+    for row, rng in zip(tokens, rngs):
         rng.random(out=row)
     reset_ok = tokens < reset.q
     after = _switching_scan(tokens < write.q, reset_ok)
-    before = np.hstack((np.zeros((len(block), 1), dtype=bool), after[:, :-1]))
+    before = np.hstack((np.zeros((len(rngs), 1), dtype=bool), after[:, :-1]))
     emits = ~(before & reset_ok)
     # Each unit's first n emissions, row by row: row k's start after the
     # emissions of the rows before it.
     count = np.count_nonzero(emits, axis=1)
     emitted = np.flatnonzero(emits)[((np.cumsum(count) - count)[:, None] + np.arange(n)).ravel()]
-    bits = after.ravel()[emitted].reshape(len(block), n)
+    bits = after.ravel()[emitted].reshape(len(rngs), n)
     # Reset k sees bit k - 1 (reset 0 sees P).  Of the r resets that see AP,
     # the w that fail leave the write seeing AP and the others take a second
     # token, so a unit's first n cycles take n + r - w tokens.
-    r = np.count_nonzero(bits[:, :-1], axis=1, keepdims=True)
+    r = bits[:, :-1].sum(axis=1, dtype=np.int32, keepdims=True)
     used = emitted[n - 1::n] + 1 - np.arange(0, tokens.size, 2 * n)    # up to the n-th emission
     w = n + r - used[:, None]
-    read = np.float64(block.device.read_energy_nj)    # a float's overflow would not raise
     energy = ((n - r) * reset.energy_p + r * reset.energy_ap + (n - w) * write.energy_p
               + w * write.energy_ap + n * read)
     return bits, energy[:, 0]
 
 
-def _run_self_control(block: SbgArray, n: int, reset: _Pulse, p2ap: _Pulse, ap2p: _Pulse):
+def _run_self_control(rngs: Sequence[np.random.Generator], n: int, read: np.float64,
+                      reset: _Pulse, p2ap: _Pulse, ap2p: _Pulse):
     # The initialization reset finds P and draws nothing; every later cycle
     # writes toward the other state and draws once.  np.zeros, not np.empty:
     # with np.empty, perfbench/run.py read kl-sweep-32 slower in 15 of 24
     # alternating pairs (medians 2-4% higher), though an in-process loop
     # shows no difference; it is glibc's allocator state, not the fill.
-    u = np.zeros((len(block), n))
-    for row, rng in zip(u, block.rngs):
+    u = np.zeros((len(rngs), n))
+    for row, rng in zip(u, rngs):
         rng.random(out=row)
     after = _switching_scan(u < p2ap.q, u < ap2p.q)
     # Write k sees the state after write k - 1 (write 0 sees P), AP->P from AP.
-    ap = np.count_nonzero(after[:, :-1], axis=1, keepdims=True)
-    read = np.float64(block.device.read_energy_nj)
+    ap = after[:, :-1].sum(axis=1, dtype=np.int32, keepdims=True)
     energy = reset.energy_p + (n + 1) * read + ap * ap2p.energy_ap + (n - ap) * p2ap.energy_p
     return np.diff(after, axis=1, prepend=False), energy[:, 0]    # before XOR after
 

@@ -50,6 +50,8 @@ def test_simulated_profile_linear_in_length():
     e_2n, _ = totals(p_2n)
     assert e_2n == pytest.approx(2.0 * e_n, rel=0.05)
     assert p_2n.e_cyc_nj == pytest.approx(p_n.e_cyc_nj, rel=0.05)
+    # Only the energy is simulated; the cycle time is the cited reference's.
+    assert p_n.t_cyc_ns == p_2n.t_cyc_ns == SHARED_ARRAY_REFERENCE.t_cyc_ns
 
 
 def test_self_control_cheaper_than_simple_per_cycle():

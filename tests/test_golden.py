@@ -35,6 +35,15 @@ GOLDEN = {
     "--pv array-report": {
         "array_report.csv": "7d2b221d6d4818b572d2ec91260e4763ad7a5747cb4caf018031ca0b59e72a09",
     },
+    # Simple mode's energy expression; the second run puts one unit in each
+    # block, with process variation.  Pinned before the generator engine
+    # came to walk its own row blocks.
+    "--config {data}/simple.cfg array-report": {
+        "array_report.csv": "658a65851ce9fb6d20bbfc29766331235133973a5a43e79273bcd60597a6b1d5",
+    },
+    "--config {data}/simple.cfg --pv --bitstream-len 16385 array-report": {
+        "array_report.csv": "b48241078239c0f3024fd8b9dc6657814854d11b5e90bbe9da13dd61e2e0c60b",
+    },
     # Re-pinned when each SCC table got a seeding domain of its own, again
     # with the exact write voltages, and again with the uniform draws.
     "scc-report": {

@@ -443,12 +443,31 @@ def test_distinct_supports_of_equal_popcount():
     assert_matches_oracle(net)
 
 
+def test_disjoint_supports_of_equal_width_come_back_in_order():
+    # The generic fusion network's shape: no support holds another, so each
+    # one comes back, in the order given.
+    terminals = [f"t{i}" for i in range(600)]
+    starts = 3 * np.random.default_rng(3).permutation(200)
+    supports = [terminals[i:i + 3] for i in starts.tolist()]
+    net = and_outputs(terminals, supports)
+    assert extract_conflict_sets(net) == [frozenset(sup) for sup in supports]
+
+
+# Many supports of one width, mixed in any order with chains of nested ones.
+EQUAL_WIDTH = st.integers(1, 6).flatmap(lambda k: st.lists(
+    st.frozensets(st.sampled_from("abcdef"), min_size=k, max_size=k), max_size=16))
+NESTED = st.permutations("abcdef").flatmap(
+    lambda order: st.lists(st.integers(1, 6).map(lambda k: frozenset(order[:k])), max_size=8))
+
+
 @settings(max_examples=100)
-@given(st.lists(st.frozensets(st.sampled_from("abcdef"), min_size=1), max_size=12))
+@given(st.one_of(st.lists(st.frozensets(st.sampled_from("abcdef"), min_size=1), max_size=12),
+                 st.tuples(EQUAL_WIDTH, NESTED).flatmap(lambda t: st.permutations(t[0] + t[1]))))
 @example([])
 def test_absorption_of_random_supports_matches_oracle(supports):
-    # Subsets before or after their supersets, duplicates, equal widths: each
-    # support is its own output, so every absorption crosses outputs.
+    # Subsets before or after their supersets, duplicates, equal widths,
+    # nested chains: each support is its own output, so every absorption
+    # crosses outputs.
     net = and_outputs("abcdef", [sorted(sup) for sup in supports])
     assert extract_conflict_sets(net) == helpers.oracle_conflict_sets(net)
 
