@@ -12,7 +12,8 @@ raises CapacityExceeded.
 
 A standalone verifier re-checks the three legality conditions (one row per
 column, no conflicting pair on a shared row, level match) from the matrix
-alone, independent of how it was built.
+alone, independent of how it was built.  The K_energy / K_cmos scale
+metrics of an allocation are cost.cost_metrics.
 """
 
 from __future__ import annotations
@@ -118,18 +119,3 @@ def verify_allocation(matrix: SwitchMatrix, conflict_sets: list[Collection[int]]
             problems.append(
                 f"column {j} requests {lvl} but row {row} generates {matrix.row_levels[row]}")
     return problems
-
-
-def cost_metrics(t_per_sbg: int, n_terminals: int, m_units: int,
-                 n_clustered: int) -> tuple[float, float]:
-    """Architecture-level improvement ratios.
-
-    K_energy = M/N compares generator-array energy against one generator per
-    terminal; K_cmos = (T*M + M*N')/(T*N) compares transistor budgets
-    including the switch-matrix overhead.
-    """
-    if t_per_sbg <= 0 or n_terminals <= 0 or m_units <= 0 or n_clustered < 0:
-        raise ValueError("cost metric inputs must be positive (N' non-negative)")
-    k_energy = m_units / n_terminals
-    k_cmos = (t_per_sbg * m_units + m_units * n_clustered) / (t_per_sbg * n_terminals)
-    return k_energy, k_cmos

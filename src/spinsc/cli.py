@@ -27,9 +27,6 @@ from .device import WriteDirection, characterization_rows
 from .logic import ScNetlist, cluster_terminals, extract_conflict_sets
 from .sbg import SbgArraySpec, SbgMode, build_array, generate_array
 
-# Transistor count per self-control generator cell, used for K_cmos.
-T_PER_SBG = 92
-
 
 def fmt(value) -> str:
     if isinstance(value, float):
@@ -172,7 +169,7 @@ def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     m = spec.total_units
     n_terminals = len(net.terminals)
     n_prime = len(col_levels)
-    k_energy, k_cmos = allocator.cost_metrics(T_PER_SBG, n_terminals, m, n_prime)
+    k_energy, k_cmos = cost.cost_metrics(n_terminals, m, n_prime)
     summary_path = out / "allocate_summary.csv"
     write_csv(summary_path, ["m", "n_terminals", "n_clustered", "k_energy", "k_cmos"],
               [[m], [n_terminals], [n_prime], [k_energy], [k_cmos]])
@@ -218,11 +215,8 @@ def cmd_fusion_run(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
 
 
 def cmd_cost_report(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
-    out = Path(cfg.out_dir)
-    rows = cost.comparison_rows()
-    path = out / "cost_report.csv"
-    header = ["method", "e_cyc_nj", "t_cyc_ns", "n_cyc", "e_tot_uj", "t_tot_us", "n_cmos_k"]
-    write_csv(path, header, [[r[h] for r in rows] for h in header])
+    path = Path(cfg.out_dir) / "cost_report.csv"
+    write_csv(path, *cost.comparison_table())
     reference = cost.SHARED_ARRAY_REFERENCE
     for profile in (cost.MTJ_BASELINE, cost.FPGA_BASELINE):
         ratio = cost.compare(profile, reference)

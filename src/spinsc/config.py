@@ -14,9 +14,9 @@ generators.
 
 A count below 1, alone or in a list, is a ConfigError, as are [fusion]
 levels above fusion.MAX_LEVEL_COUNT, a float that is not finite (nan, inf),
-an empty list key, a negative master seed, a non-positive plane, sigma_b,
-sigma_d_base, reset_voltage, write_duration or characterize voltage, a
-negative sigma_d_slope, noise, reset_duration, read_energy,
+an empty list key, a blank out_dir, a negative master seed, a non-positive
+plane, sigma_b, sigma_d_base, reset_voltage, write_duration or characterize
+voltage, a negative sigma_d_slope, noise, reset_duration, read_energy,
 process-variation sigma or characterize duration, a report probability
 outside [0, 1], array levels outside (0, 1] or not strictly increasing, a
 repeated [report] stream length, SCC probability or pair, a bad junction
@@ -80,6 +80,13 @@ def _distinct(parse: Callable[[str], tuple], what: str) -> Callable[[str], tuple
             raise ValueError(f"{what} may not repeat")
         return values
     return distinct
+
+
+def _out_dir(text: str) -> str:
+    path = text.strip()
+    if not path:
+        raise ValueError("must name a directory")
+    return path
 
 
 def _seed(text: str) -> int:
@@ -231,7 +238,7 @@ class RunConfig:
 # replaced value.
 KEYS: dict[tuple[str, str], tuple[tuple[str, ...], Callable[[str], object]]] = {
     ("run", "master_seed"): (("master_seed",), _seed),
-    ("run", "out_dir"): (("out_dir",), str.strip),
+    ("run", "out_dir"): (("out_dir",), _out_dir),
     ("run", "pv"): (("pv",), _bool),
     ("run", "pv_sigma_area"): (("pv_sigma_area",), _nonnegative),
     ("run", "pv_sigma_tox"): (("pv_sigma_tox",), _nonnegative),

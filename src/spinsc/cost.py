@@ -1,8 +1,8 @@
-"""Architecture-level energy and latency accounting.
-
-Profiles hold per-cycle cost constants; totals and ratios are exact
-arithmetic.  The two baseline platforms are stored as cited constants (they
-summarize external hardware and are not simulated here).
+"""Architecture-level energy, latency and transistor accounting: every cost
+number and cost formula.  Profiles hold per-cycle cost constants; totals,
+ratios and the K_energy / K_cmos scale metrics are exact arithmetic.  The
+baseline platforms, the shared-array reference and the transistor count of
+one generator cell are cited constants, not simulated here.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ SHARED_ARRAY_REFERENCE = CostProfile("shared-sbg", e_cyc_nj=0.78, t_cyc_ns=10.0,
                                      n_cyc=128, n_cmos_k=1200.0)
 
 BASELINE_PROFILES = (FPGA_BASELINE, MTJ_BASELINE, SHARED_ARRAY_REFERENCE)
+# Transistors per self-control generator cell, for K_cmos: cited, not simulated.
+T_PER_SBG = 92
 
 
 def totals(profile: CostProfile) -> tuple[float, float]:
@@ -56,23 +58,27 @@ def simulated_profile(stats: FusionRunStats) -> CostProfile:
     Only the energy is simulated: the cycle time is the shared-array
     reference's cited one."""
     return CostProfile(label="simulated",
-                       e_cyc_nj=stats.energy_per_cycle_nj,
+                       e_cyc_nj=stats.total_energy_nj / stats.n_cycles,
                        t_cyc_ns=SHARED_ARRAY_REFERENCE.t_cyc_ns,
                        n_cyc=stats.n_cycles)
 
 
-def comparison_rows() -> list[dict[str, float | str]]:
-    """Table rows mirroring the platform comparison columns."""
-    rows = []
-    for p in BASELINE_PROFILES:
-        e_tot, t_tot = totals(p)
-        rows.append({
-            "method": p.label,
-            "e_cyc_nj": p.e_cyc_nj,
-            "t_cyc_ns": p.t_cyc_ns,
-            "n_cyc": p.n_cyc,
-            "e_tot_uj": e_tot,
-            "t_tot_us": t_tot,
-            "n_cmos_k": p.n_cmos_k if p.n_cmos_k is not None else "",
-        })
-    return rows
+def comparison_table() -> tuple[list[str], list[tuple]]:
+    """(header, columns) of the platform comparison table, one row per
+    profile; a profile without a transistor count leaves its cell blank."""
+    header = ["method", "e_cyc_nj", "t_cyc_ns", "n_cyc", "e_tot_uj", "t_tot_us", "n_cmos_k"]
+    rows = [(p.label, p.e_cyc_nj, p.t_cyc_ns, p.n_cyc, *totals(p),
+             "" if p.n_cmos_k is None else p.n_cmos_k) for p in BASELINE_PROFILES]
+    return header, list(zip(*rows))
+
+
+def cost_metrics(n_terminals: int, m_units: int, n_clustered: int) -> tuple[float, float]:
+    """Architecture-level improvement ratios: K_energy = M/N compares
+    generator-array energy against one generator per terminal; K_cmos =
+    (T*M + M*N')/(T*N), T = T_PER_SBG, compares transistor budgets including
+    the switch-matrix overhead."""
+    if n_terminals <= 0 or m_units <= 0 or n_clustered < 0:
+        raise ValueError("cost metric inputs must be positive (N' non-negative)")
+    k_energy = m_units / n_terminals
+    k_cmos = (T_PER_SBG * m_units + m_units * n_clustered) / (T_PER_SBG * n_terminals)
+    return k_energy, k_cmos

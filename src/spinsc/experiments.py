@@ -36,6 +36,7 @@ def _prefix_counts(bits: np.ndarray, lengths: tuple[int, ...]) -> np.ndarray:
     if lengths[0] < 1:
         raise ValueError("stream lengths must be at least 1")
     ends = np.unique(lengths)
+    # Freeing this ~1 MB int64 copy raises glibc's mmap threshold, which speeds later generation.
     segments = np.add.reduceat(bits, np.r_[0, ends[:-1]], axis=1, dtype=np.int64)
     return np.cumsum(segments, axis=1)[:, np.searchsorted(ends, lengths)]
 

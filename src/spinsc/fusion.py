@@ -215,10 +215,6 @@ class FusionRunStats:
     writes: int
     reads: int
 
-    @property
-    def energy_per_cycle_nj(self) -> float:
-        return self.total_energy_nj / self.n_cycles
-
 
 class FusionPipeline:
     """Clustering and allocation for one fusion problem, prepared from its

@@ -19,11 +19,11 @@ from conftest import (REFERENCE_ASSIGNMENT, REFERENCE_ASSIGNMENT_PATH, REFERENCE
 from spinsc.allocator import (
     CapacityExceeded,
     allocate,
-    cost_metrics,
     verify_allocation,
 )
 from spinsc.cli import main as cli_main
-from spinsc.cost import FPGA_BASELINE, MTJ_BASELINE, SHARED_ARRAY_REFERENCE, compare, totals
+from spinsc.cost import (FPGA_BASELINE, MTJ_BASELINE, SHARED_ARRAY_REFERENCE, compare,
+                         cost_metrics, totals)
 from spinsc.device import MtjParams, PulseSpec, WriteDirection, switch_probability
 from spinsc.experiments import (
     cross_scc_table,
@@ -147,10 +147,10 @@ def test_criterion_05_allocation_legality_property():
 
 
 def test_criterion_06_cost_formulas():
-    k_e, k_c = cost_metrics(92, 6144, 320, 2817)
+    k_e, k_c = cost_metrics(6144, 320, 2817)
     assert math.floor(k_e * 1000) / 1000 == 0.052
     assert math.floor(k_c * 100) / 100 == 1.64
-    k_e, k_c = cost_metrics(92, 24576, 320, 5557)
+    k_e, k_c = cost_metrics(24576, 320, 5557)
     assert math.floor(k_e * 1000) / 1000 == 0.013
     assert math.floor(k_c * 100) / 100 == 0.79
 

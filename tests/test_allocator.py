@@ -9,7 +9,6 @@ from spinsc.allocator import (
     CapacityExceeded,
     UnknownLevel,
     allocate,
-    cost_metrics,
     verify_allocation,
 )
 from spinsc.logic import (
@@ -200,21 +199,3 @@ def test_row_of_rejects_columns_without_exactly_one_row(reference_netlist_text,
         with pytest.raises(ValueError, match=f"has {len(rows)} active rows"):
             row_of(bad, 0)
         assert verify_allocation(bad, sets, levels) == [f"column 0 selects {len(rows)} rows"]
-
-
-def test_cost_metrics_reference_rows():
-    k_e, k_c = cost_metrics(92, 6144, 320, 2817)
-    assert k_e == pytest.approx(0.052, abs=5e-4)
-    assert np.floor(k_c * 100) / 100 == 1.64
-    k_e, k_c = cost_metrics(92, 24576, 320, 5557)
-    assert k_e == pytest.approx(0.013, abs=5e-4)
-    assert np.floor(k_c * 100) / 100 == 0.79
-
-
-def test_cost_metrics_degenerate_no_sharing():
-    assert cost_metrics(92, 100, 100, 0) == (1.0, 1.0)
-
-
-def test_cost_metrics_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        cost_metrics(0, 1, 1, 1)

@@ -698,8 +698,12 @@ def test_flag_sets_the_key_it_overrides(tmp_path, flags, text):
     ("--bitstream-len", "run", "bitstream_len", "0"),
     ("--seed", "run", "master_seed", "-3"),
     ("--bitstream-len", "run", "bitstream_len", "x"),
+    ("--out-dir", "run", "out_dir", ""),
 ])
-def test_flag_and_key_refuse_bad_text_alike(tmp_path, capsys, flag, section, key, value):
+def test_flag_and_key_refuse_bad_text_alike(tmp_path, capsys, monkeypatch, flag, section, key,
+                                            value):
+    # A blank out_dir would write into the working directory.
+    monkeypatch.chdir(tmp_path)
     bad = tmp_path / "bad.cfg"
     bad.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
     out = tmp_path / "o"
@@ -712,7 +716,7 @@ def test_flag_and_key_refuse_bad_text_alike(tmp_path, capsys, flag, section, key
         assert capsys.readouterr().err == by_flag
         assert by_flag.startswith(f"configuration error: [{section}] {key} = {value!r}: ")
         assert by_flag.count("\n") == 1
-        assert not out.exists()
+        assert [path.name for path in tmp_path.iterdir()] == ["bad.cfg"]
 
 
 def test_every_config_field_is_set_by_one_key():
