@@ -34,24 +34,173 @@ def fmt(value) -> str:
     return str(value)
 
 
+# A table of at least this many rows, every column a float or integer numpy
+# array, is formatted by _format_array_table; any other goes through one %
+# template.  The array pass costs some fifty numpy calls a float column
+# whatever the row count, the template a fixed time a value: they break even
+# near 256 rows for the posterior (x, y, weight) and matrix (row, col)
+# tables, near 320 for array-report's seven columns (CHANGES.md).
+_ARRAY_TABLE_ROWS = 256
+# The "0.000" that %g's fixed form writes before the digits of a value of
+# exponent -z: the slot of _FRACTION_CHARS[k] shows for z >= _FRACTION_Z[k].
+_FRACTION_CHARS = np.frombuffer(b"0.000", np.uint8)[:, None]
+_FRACTION_Z = np.array([1, 1, 2, 3, 4], np.int32)[:, None]
+_DIGIT_INDEX = np.arange(6, dtype=np.int32)[:, None]
+# Slots of one %.6g field: sign, fraction prefix, six digits each followed by
+# a decimal-point slot (but the last), exponent suffix.
+_FLOAT_WIDTH = 22
+# An integer's digit of place p shows once its magnitude reaches
+# _PLACE_VALUES[p]; the ones digit always.
+_PLACE_VALUES = np.array([0] + [10 ** p for p in range(1, 20)], np.uint64)
+
+
+@cache
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lookup tables of the array formatter, built on its first use: made
+    at import, they pinned freed heap in every process, one that never
+    writes a long table too (CHANGES.md).
+
+    digit_words[k] spells k in three decimal digits, its fourth byte counts
+    k's trailing zeros; exponent_words[e + 300] spells the "e+XX" suffix of
+    exponent e (|e| < 300), exponent_words[0] nothing; scale[e + 300] is
+    10^(5 - e), which takes a value of exponent e to six digits before the
+    point.  _word_slots reads a word's bytes; those past its text are NUL."""
+    k = np.arange(1000)
+    digit_words = np.stack([k // 100 + 48, k // 10 % 10 + 48, k % 10 + 48,
+                            (k % 10 == 0) * 1 + (k % 100 == 0) + (k == 0)], axis=1
+                           ).astype(np.uint8).view(np.uint32).ravel()
+    e = np.arange(-300, 300)
+    exponent_words = np.stack([np.full(e.size, ord("e")), np.where(e < 0, ord("-"), ord("+")),
+                               np.where(abs(e) < 100, 0, abs(e) // 100 + 48),
+                               abs(e) // 10 % 10 + 48, abs(e) % 10 + 48, *[e * 0] * 3],
+                              axis=1).astype(np.uint8).view(np.uint64).ravel()
+    exponent_words[0] = 0
+    return digit_words, exponent_words, 10.0 ** (5 - e)
+
+
+def _word_slots(words: np.ndarray, count: int) -> np.ndarray:
+    """The first count bytes of each word, one byte a row."""
+    return words.view(np.uint8).reshape(len(words), -1)[:, :count].T
+
+
+def _format_floats(column: np.ndarray, out: np.ndarray) -> None:
+    """Each float as '%.6g' % v writes it, into the slots of out, one slot a
+    row and one value a column: an ASCII character a slot, NUL in each slot
+    that the value leaves empty."""
+    # Widening is exact; it only quiets a signalling NaN, which formats as
+    # any NaN does.
+    with np.errstate(invalid="ignore"):
+        v = column.astype(np.float64, copy=False)
+    digit_words, exponent_words, scale = _tables()
+    a = np.abs(v)
+    # Zero, non-finite and extreme magnitudes take stand-in 1.0 here; a
+    # zero's digit is mended below and the others are formatted one by one.
+    vector = (a >= 1e-290) & (a <= 1e290)
+    a = np.where(vector, a, 1.0)
+    # Six digits: a * 10^(5 - e) rounded.  Where log10 lands one off, next
+    # to a power of ten, the scaled value lies within 1e-6 of 1e5 or 1e6, and
+    # rounds to the same digits the right exponent gives.
+    e = np.floor(np.log10(a)).astype(np.int32)
+    scaled = a * scale.take(e + 300)
+    r = np.rint(scaled)
+    # The scaling errs by an ulp or two, far less than 1e-6, so only a
+    # fraction that close to .5 can round otherwise than %.6g's correct
+    # rounding, which takes exact ties to even.
+    slow = (np.abs(scaled - r) > 0.5 - 1e-6) | ~vector & (v != 0)
+    r = r.astype(np.int32)
+    carry = r == 1_000_000
+    r[carry] = 100_000
+    e += carry
+    hi = digit_words.take(r // 1000, mode="clip")
+    lo = digit_words.take(r % 1000, mode="clip")
+    trailing = _word_slots(lo, 4)[3]
+    last = 5 - trailing - (trailing == 3) * _word_slots(hi, 4)[3]
+    # %g writes -4 <= e < 6 in fixed form: every integer digit, a point after
+    # digit e if a significant digit follows it, and "0.000" before a
+    # fraction; any other exponent as d.ddddde+XX, which point_e (0 there)
+    # puts after the first digit.
+    fixed = (e >= -4) & (e < 6)
+    point_e = e * fixed
+    out[0] = np.signbit(v) * np.uint8(ord("-"))
+    out[1:6] = (-point_e >= _FRACTION_Z) * _FRACTION_CHARS
+    out[6:11:2] = _word_slots(hi, 3)
+    out[12:17:2] = _word_slots(lo, 3)
+    out[6] -= v == 0
+    out[6:17:2] *= _DIGIT_INDEX <= np.maximum(last, point_e)
+    out[7:16:2] = (_DIGIT_INDEX[:5] == np.where(point_e < last, point_e, -1)) * np.uint8(ord("."))
+    out[17:] = _word_slots(exponent_words.take((e + 300) * ~fixed), 5)
+    if np.count_nonzero(slow):
+        out[:, slow] = np.array(["%.6g" % x for x in v[slow].tolist()], f"S{_FLOAT_WIDTH}"
+                                ).view(np.uint8).reshape(-1, _FLOAT_WIDTH).T
+
+
+def _format_ints(column: np.ndarray, out: np.ndarray) -> None:
+    """Each integer as '%d' % v writes it, into the slots of out, one slot a
+    row and one value a column: the sign, then the digits right-aligned, NUL
+    in the slots before them."""
+    digit_words = _tables()[0]
+    negative = column < 0
+    # Two's complement negation gives int64's minimum its magnitude 2^63.
+    magnitude = column.astype(np.uint64)
+    magnitude[negative] = -magnitude[negative]
+    out[0] = negative * np.uint8(ord("-"))
+    digits = out[1:]
+    places = len(digits)
+    # Three places a word, from the ones up; the top word may fill fewer.
+    for end in range(places, 0, -3):
+        words = digit_words.take(magnitude // 10 ** (places - end) % 1000, mode="clip")
+        digits[max(end - 3, 0):end] = _word_slots(words, 3)[max(3 - end, 0):]
+    digits *= magnitude >= _PLACE_VALUES[places - 1::-1, None]
+
+
+def _format_array_table(columns: Sequence[np.ndarray]) -> bytes:
+    """The CSV lines of float and integer array columns, the bytes that a
+    %.6g or %d field per value writes, formatted a column at a time.  Each
+    value fills fixed slots of one byte buffer, NUL where it is shorter, and
+    the NULs are deleted when the buffer is joined."""
+    rows = len(columns[0])
+    if any(len(column) != rows for column in columns):
+        raise ValueError("CSV columns differ in length")
+    widths = [_FLOAT_WIDTH if column.dtype.kind == "f"
+              else 1 + len(str(max(int(column.max()), -int(column.min())))) for column in columns]
+    # One row of slots per character position, so that every numpy call
+    # runs along the values; the transpose puts each line's slots together.
+    buf = np.zeros((sum(widths) + len(widths), rows), np.uint8)
+    start = 0
+    for column, width in zip(columns, widths):
+        formatter = _format_floats if column.dtype.kind == "f" else _format_ints
+        formatter(column, buf[start:start + width])
+        buf[start + width] = ord(",")
+        start += width + 1
+    buf[-1] = ord("\n")
+    return buf.T.tobytes().translate(None, b"\0")
+
+
 def write_csv(path: Path, header: list[str], columns: Sequence[Sequence]) -> None:
-    """A CSV file from its columns, formatted in one call, every value as fmt
-    writes it.  A float or integer numpy array takes a %.6g or %d field by its
-    dtype; any other column is run through fmt into a %s field."""
-    fields, values = [], []
-    for column in columns:
-        kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
-        if kind in "fiu":
-            fields.append("%.6g" if kind == "f" else "%d")
-            values.append(column.tolist())
-        else:
-            fields.append("%s")
-            values.append(map(fmt, column))
-    line = ",".join(fields) + "\n"
+    """A CSV file from its columns, every value as fmt writes it.  A float or
+    integer numpy array takes a %.6g or %d field by its dtype; any other
+    column is run through fmt into a %s field.  A long table of array
+    columns alone is formatted by _format_array_table, any other in one %
+    call."""
     rows = len(columns[0]) if columns else 0
-    body = (line * rows) % tuple(chain.from_iterable(zip(*values, strict=True)))
+    if rows >= _ARRAY_TABLE_ROWS and all(
+            isinstance(column, np.ndarray) and column.dtype.kind in "fiu" for column in columns):
+        body = _format_array_table(columns)
+    else:
+        fields, values = [], []
+        for column in columns:
+            kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
+            if kind in "fiu":
+                fields.append("%.6g" if kind == "f" else "%d")
+                values.append(column.tolist())
+            else:
+                fields.append("%s")
+                values.append(map(fmt, column))
+        line = ",".join(fields) + "\n"
+        body = ((line * rows) % tuple(chain.from_iterable(zip(*values, strict=True)))
+                ).encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(",".join(header) + "\n" + body, encoding="utf-8")
+    path.write_bytes((",".join(header) + "\n").encode("utf-8") + body)
 
 
 def write_pgm(path: Path, weights: np.ndarray) -> None:

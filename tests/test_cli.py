@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spinsc import experiments, fusion, sbg
+from spinsc import cli, experiments, fusion, sbg
 from spinsc.allocator import allocate, verify_allocation
 from spinsc.cli import apply_overrides, build_parser, main, write_csv, write_pgm
 from spinsc.config import KEYS, RunConfig, load_config
@@ -861,11 +861,30 @@ FLOAT32_BITS = np.append(np.frombuffer(np.random.default_rng(6).bytes(4 * 20_000
                          np.float32([math.inf, -math.inf, 0.0, -0.0]))
 
 
+# Float values where an array formatter's arithmetic could part from
+# '%.6g', both signs: exact binary ties such as 2^-10 = 0.0009765625 (which
+# round half to even) down through the subnormals, 10^k and its neighbours
+# one ulp away across the whole exponent range, values within six ulps of a
+# sixth-digit half (9.999995e-5 and the like) over that range, 999999.5,
+# signed zeros, NaN and the infinities.
+_POWERS = 10.0 ** np.arange(-323, 309)
+_HALVES = np.outer([9.999995, 1.234565], 10.0 ** np.arange(-300, 290)).ravel()
+_TIES = np.concatenate([np.ldexp(1.0, -np.arange(1, 1075)), np.nextafter(_POWERS, 0), _POWERS,
+                        np.nextafter(_POWERS, math.inf),
+                        (_HALVES + np.spacing(_HALVES) * np.arange(-6, 7)[:, None]).ravel(),
+                        [999999.5, 9.999995e-5, 0.0, math.nan, math.inf, 5e-324]])
+EDGE_TABLE_FLOATS = np.concatenate([_TIES, -_TIES])
+# Integers at the ends of each dtype, repeated to a long table.
+EDGE_TABLE_INTS = [np.resize(np.array(values, dtype), 300) for values, dtype in [
+    ([-2 ** 63, 2 ** 63 - 1, -1, 0, 1, -10 ** 18, 999], np.int64),
+    ([2 ** 64 - 1, 2 ** 63, 0, 10 ** 19, 10 ** 19 - 1], np.uint64),
+    ([0, 9, 10, 99, 100, 255], np.uint8)]]
+
+
 @st.composite
-def csv_array_columns(draw):
-    rows = draw(st.integers(0, 12))
-    kinds = draw(st.lists(st.sampled_from(ARRAY_DTYPES + sorted(CSV_VALUES)),
-                          min_size=1, max_size=5))
+def csv_array_columns(draw, rows=st.integers(0, 12), kinds=ARRAY_DTYPES + sorted(CSV_VALUES)):
+    rows = draw(rows)
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=5))
     columns = []
     for kind in kinds:
         if kind in CSV_VALUES:
@@ -876,13 +895,7 @@ def csv_array_columns(draw):
     return columns
 
 
-@settings(max_examples=200, deadline=None)
-@given(columns=csv_array_columns())
-@example(columns=[np.array(EDGE_FLOATS), np.arange(len(EDGE_FLOATS))])
-@example(columns=[np.array(WIDE_FLOATS), np.arange(len(WIDE_FLOATS))])
-@example(columns=[FLOAT32_BITS, np.signbit(FLOAT32_BITS)])
-@example(columns=[np.zeros(0, dtype) for dtype in ARRAY_DTYPES])
-def test_write_csv_formats_array_columns_as_the_oracle(columns):
+def assert_writes_the_oracle(columns):
     header = [f"c{k}" for k in range(len(columns))]
     rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
     with tempfile.TemporaryDirectory() as tmp:
@@ -891,9 +904,56 @@ def test_write_csv_formats_array_columns_as_the_oracle(columns):
         assert path.read_bytes() == csv_text(header, rows).encode("utf-8")
 
 
+@settings(max_examples=200, deadline=None)
+@given(columns=csv_array_columns())
+@example(columns=[np.array(EDGE_FLOATS), np.arange(len(EDGE_FLOATS))])
+@example(columns=[np.array(WIDE_FLOATS), np.arange(len(WIDE_FLOATS))])
+@example(columns=[FLOAT32_BITS, np.signbit(FLOAT32_BITS)])
+@example(columns=[np.zeros(0, dtype) for dtype in ARRAY_DTYPES])
+@example(columns=[EDGE_TABLE_FLOATS, np.arange(len(EDGE_TABLE_FLOATS))])
+@example(columns=EDGE_TABLE_INTS)
+def test_write_csv_formats_array_columns_as_the_oracle(columns):
+    assert_writes_the_oracle(columns)
+
+
+# Tables long enough for write_csv's array formatter, every column an array.
+@settings(max_examples=60, deadline=None)
+@given(columns=csv_array_columns(
+    rows=st.integers(cli._ARRAY_TABLE_ROWS, cli._ARRAY_TABLE_ROWS + 40),
+    kinds=[np.float64, np.float32, np.float16, np.int64, np.int8, np.uint64, np.uint8]))
+@example(columns=[FLOAT32_BITS, np.arange(len(FLOAT32_BITS), dtype=np.uint16)])
+def test_write_csv_formats_long_array_tables_as_the_oracle(columns):
+    assert_writes_the_oracle(columns)
+
+
+@pytest.mark.parametrize("rows", [cli._ARRAY_TABLE_ROWS - 1, cli._ARRAY_TABLE_ROWS])
+def test_write_csv_takes_the_array_formatter_from_the_crossover_on(monkeypatch, rows):
+    """The same bytes on either side of the crossover, and the array formatter
+    only from it on."""
+    calls = []
+
+    def recording(columns):
+        calls.append(len(columns[0]))
+        return format_array_table(columns)
+
+    format_array_table = cli._format_array_table
+    monkeypatch.setattr(cli, "_format_array_table", recording)
+    columns = [np.arange(rows), EDGE_TABLE_FLOATS[-rows:], np.array(WIDE_FLOATS[:rows]),
+               FLOAT32_BITS[:rows], *(column[:rows] for column in EDGE_TABLE_INTS)]
+    assert_writes_the_oracle(columns)
+    # A list column or a bool array keeps any table on the % template.
+    assert_writes_the_oracle([np.arange(rows), list(range(rows))])
+    assert_writes_the_oracle([np.arange(rows), np.arange(rows) % 2 == 0])
+    assert calls == ([rows] if rows >= cli._ARRAY_TABLE_ROWS else [])
+
+
 def test_write_csv_refuses_columns_of_unequal_length(tmp_path):
+    long = cli._ARRAY_TABLE_ROWS
     for columns in ([[1, 2], [3]], [np.arange(2), np.arange(1)], [np.array([0.5, 1.5]), [3]],
-                    [[1.0], np.zeros(2, np.uint8)]):
+                    [[1.0], np.zeros(2, np.uint8)],
+                    [np.arange(long), np.arange(long - 1)],
+                    [np.zeros(long + 1), np.arange(long)],
+                    [np.arange(long), np.zeros(long), np.zeros(long + 5, np.float32)]):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "t.csv", ["a", "b"], columns)
         assert not (tmp_path / "t.csv").exists()

@@ -44,6 +44,12 @@ GOLDEN = {
     "--config {data}/simple.cfg --pv --bitstream-len 16385 array-report": {
         "array_report.csv": "b48241078239c0f3024fd8b9dc6657814854d11b5e90bbe9da13dd61e2e0c60b",
     },
+    # 288 units: a table above write_csv's crossover, float and integer
+    # columns mixed.  Pinned before large numeric tables came to be formatted
+    # in one array pass.
+    "--config {data}/large_array.cfg array-report": {
+        "array_report.csv": "cc72f557a737690252a47c0e97cb245aaa006207adbc22242640f568db3e25c1",
+    },
     # Re-pinned when each SCC table got a seeding domain of its own, again
     # with the exact write voltages, and again with the uniform draws.
     "scc-report": {
@@ -67,6 +73,14 @@ GOLDEN = {
         "posterior.pgm": "35badf3d69e7146cef77d9324003455b85c533a42a47269d5d99dfaf29dc5853",
         "posterior_exact.csv": "fc91fc2766159ed3c1c652b4656aadd3cbac8a490f8ac37eefb1e0573cfa2440",
         "fusion_summary.csv": "92ffc6b7d1752040e14536dffedfef7659b0ccb2c53779666aa1dd4c0d5be713",
+    },
+    # 1024-row posteriors, above write_csv's crossover; pinned with the
+    # large array-report above.
+    "--grid 32x32 fusion-run": {
+        "posterior.csv": "352d0f92a3f0b7839ff01f6503c6e48d2b26c8b984c0dbf90840a8602aa225c9",
+        "posterior.pgm": "ba63a59a7570e9dc94efd5c6fd6795333f0a0d509ef25c6182d14b6dc5919496",
+        "posterior_exact.csv": "1ba0c7bca4cf3d18d6a17739886b41ddd5599cf7f05986f1586ffc97f5444306",
+        "fusion_summary.csv": "0b5a063ec3924e047f84cad6cf7aa319a8973a79f6170869c58967415b0dc34d",
     },
     # A stream length that is not a multiple of 8.
     "--grid 9x7 --bitstream-len 13 fusion-run": {
