@@ -25,7 +25,7 @@ from . import allocator, cost, experiments, fusion
 from .config import ConfigError, RunConfig, apply, load_config
 from .device import WriteDirection, characterization_rows
 from .logic import ScNetlist, cluster_terminals, extract_conflict_sets
-from .sbg import SbgArraySpec, SbgMode, build_array, generate_array
+from .sbg import SbgArraySpec, SbgMode, build_array, counters, generate_array
 
 
 def fmt(value) -> str:
@@ -236,11 +236,13 @@ def cmd_array_report(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     spec = SbgArraySpec(levels, multiplicity, cfg.array.mode)
     array = build_array(spec, cfg.master_seed, cfg.device, pv_sigmas=cfg.pv_sigmas)
     n = cfg.bitstream_len
-    density = generate_array(array, n).sum(axis=1) / n
+    bits, energy = generate_array(array, n)
+    density = bits.sum(axis=1) / n
+    writes, reads = (np.full(len(array), count, dtype=np.int64) for count in counters(spec.mode, n))
     path = out / "array_report.csv"
     write_csv(path, ["unit", "target_p", "density", "abs_error", "energy_nj", "writes", "reads"],
               [np.arange(len(array)), array.targets, density, np.abs(density - array.targets),
-               array.energy_nj, array.writes, array.reads])
+               energy, writes, reads])
     return [path]
 
 

@@ -10,8 +10,7 @@ q = Phi((t - dt)/(sigma_rel * dt)) (switch_probability_at), which the
 generators in sbg draw as one uniform against q.  Reads are ideal and
 non-destructive.  This module holds the switching law, calibrate_voltage,
 which picks every write voltage, and the process-variation draw of a
-device's resistance scale; the junctions' states and random streams are
-columns of sbg.SbgArray.
+device's resistance scale; sbg.generate_array steps the junctions' states.
 
 Voltages are volts, durations nanoseconds, resistances ohms; energies (in the
 generator layer) come out in nanojoules via V^2 * t_ns / R.

@@ -50,7 +50,7 @@ def density_sweep(probs: tuple[float, ...], lengths: tuple[int, ...],
     lengths = tuple(sorted(lengths))
     units = make_units(device, mode, [p for p in probs for _ in range(repeats)],
                        master_seed, pv_sigmas=pv_sigmas)
-    counts = _prefix_counts(generate_array(units, lengths[-1]), lengths)
+    counts = _prefix_counts(generate_array(units, lengths[-1])[0], lengths)
     errors: dict[int, list[float]] = {n: [] for n in lengths}
     for k, p in enumerate(probs):
         block = counts[k * repeats:(k + 1) * repeats]
@@ -73,7 +73,7 @@ def _scc_rows(prob_pairs: tuple[tuple[float, float], ...], lengths: tuple[int, .
     units = make_units(device, mode,
                        [p for pair in prob_pairs for _ in range(pairs) for p in pair],
                        master_seed, domain=domain)
-    bits = generate_array(units, lengths[-1])
+    bits, _ = generate_array(units, lengths[-1])
     x, y = bits[0::2], bits[1::2]
     a = _prefix_counts(x & y, lengths)            # (pairs, lengths): #11
     ab = _prefix_counts(x, lengths)               # ones of x, a + b

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import allocator
-from .sbg import CalibrationCache, SbgArraySpec, SbgDevice, SbgMode, build_array, generate_array
+from .sbg import (CalibrationCache, SbgArraySpec, SbgDevice, SbgMode, build_array, counters,
+                  generate_array)
 from .seeding import DOMAIN_READINGS, rng_for
 
 CHANNELS = ("d1", "b1", "d2", "b2", "d3", "b3")
@@ -197,12 +198,9 @@ def condition_channels(channels: np.ndarray) -> np.ndarray:
 def quantize_levels(values: np.ndarray, level_count: int) -> np.ndarray:
     """Level numbers k in 1..L of (0, 1] values on the uniform grid
     {1/L, ..., 1}; nearest level, exact midpoints toward the lower level,
-    level 0 excluded."""
-    scaled = values * level_count
-    k = np.floor(scaled)
-    frac = scaled - k
-    k = np.where(frac > 0.5, k + 1, k)
-    return np.clip(k, 1, level_count).astype(np.intp)
+    level 0 excluded.  values * L - 0.5 is exact wherever values * L >= 0.25,
+    and a smaller product clips to level 1 either way."""
+    return np.clip(np.ceil(values * level_count - 0.5), 1, level_count).astype(np.intp)
 
 
 @dataclass
@@ -281,7 +279,8 @@ class FusionPipeline:
                             pv_sigmas=pv_sigmas, calibration=self.calibration)
         # Pack each row's bits into 64-bit words (zero-padded, so the padding
         # counts nothing), AND a cell's six rows word by word and popcount.
-        packed = np.packbits(generate_array(array, n), axis=1)
+        bits, energy = generate_array(array, n)
+        packed = np.packbits(bits, axis=1)
         words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
         products = words[self.cell_rows[:, 0]]
         for j in range(1, 6):
@@ -291,11 +290,10 @@ class FusionPipeline:
         grid = PosteriorGrid((counts / n).reshape(w, h)).normalize()
         # Python's sum adds the energies one at a time in row order; np.sum
         # would add pairwise and round differently.
-        stats = FusionRunStats(
-            n_cycles=n, num_units=len(array),
-            total_energy_nj=sum(array.energy_nj.tolist()),
-            writes=int(array.writes.sum()),
-            reads=int(array.reads.sum()))
+        writes, reads = counters(self.spec.mode, n)
+        stats = FusionRunStats(n_cycles=n, num_units=len(array),
+                               total_energy_nj=sum(energy.tolist()),
+                               writes=len(array) * writes, reads=len(array) * reads)
         return grid, stats
 
     def analytic_estimate(self) -> PosteriorGrid:

@@ -10,14 +10,16 @@ Energy bookkeeping: a pulse costs V^2 * t / R(the state it sees) in nJ and a
 read a fixed configurable amount, so a unit's energy is counts times costs.
 
 The generators of a run are one SbgArray, a struct of per-unit columns
-that make_units builds with every junction in P and its write voltages from
-device.calibrate_voltage.  A write switches with the probability q of the
+that make_units builds with its write voltages from device.calibrate_voltage
+and its units' stream seeds.  A write switches with the probability q of the
 device model's switching law; each attempt draws one uniform U and switches
-iff U < q.  generate_array runs a fresh array once, a block of rows at a
-time, with no loop over cycles: it pre-draws each unit's uniforms, scans the
-switching outcomes for the states, and gives the bits, counters and energy
-that stepping each unit one pulse at a time from P would give, energy up to
-rounding.
+iff U < q.  generate_array runs every unit from P on a fresh stream, a block
+of rows at a time, with no loop over cycles: it pre-draws each unit's
+uniforms, scans the switching outcomes for the states, and returns the bits
+and energy that stepping each unit one pulse at a time from P would give,
+energy up to rounding.  It changes nothing in the array, so an array runs
+again to the same result.  counters gives a unit's writes and reads, which
+follow from the mode and the length alone.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .device import (
     draw_process_variation,
     switch_probability_at,
 )
-from .seeding import DOMAIN_DEVICE, DOMAIN_PROCESS_VARIATION, rngs_for
+from .seeding import DOMAIN_DEVICE, DOMAIN_PROCESS_VARIATION, generators, stream_words
 
 # Reset pulse: strong enough that AP->P switching is essentially certain.
 RESET_PULSE = PulseSpec(1.8, 7.0, WriteDirection.AP_TO_P)
@@ -86,9 +88,9 @@ class SbgArray:
     level l's reset and write pulses' constants, the array's one record of
     its calibration, and level[k] is unit k's level.  The other columns are
     per unit: its target, scale (the process-variation factor on its
-    resistances and switching times, exactly 1.0 when nominal), energy_nj,
-    writes, reads and its own random stream.  make_units builds it, with
-    every junction in P, and generate_array fills it, once.
+    resistances and switching times, exactly 1.0 when nominal) and the four
+    words that seed its random stream (seeding.stream_words).  make_units
+    builds it; generate_array reads it and changes nothing.
     """
 
     device: SbgDevice
@@ -97,10 +99,7 @@ class SbgArray:
     level: np.ndarray        # intp
     targets: np.ndarray      # float64
     scale: np.ndarray        # float64
-    energy_nj: np.ndarray    # float64
-    writes: np.ndarray       # int64
-    reads: np.ndarray        # int64
-    rngs: list[np.random.Generator]
+    seeds: np.ndarray        # uint64 (units, 4)
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -137,9 +136,9 @@ def make_units(device: SbgDevice, mode: SbgMode, targets: Sequence[float],
     distinct target and cache (in `calibration`, or a fresh cache), and units
     at one target share its pulses' constants.  Process variation
     (pv_sigmas = (sigma_area, sigma_tox)) perturbs only each unit's scale, as
-    it would on silicon.  The device streams, and the process-variation
-    streams, are each seeded in one rngs_for call, equal to rng_for per unit.
-    Every unit starts in P with no energy and no writes or reads.
+    it would on silicon.  The device streams' seeds, and the process-variation
+    streams', each come from one stream_words call; their Generators equal
+    rng_for's per unit.
     """
     calibration = calibration or CalibrationCache()
     cached = calibration.pulses.setdefault((device, mode), {})
@@ -158,7 +157,8 @@ def make_units(device: SbgDevice, mode: SbgMode, targets: Sequence[float],
     scale = np.ones(count)
     if pv_sigmas is not None and any(pv_sigmas):
         scale = np.array([draw_process_variation(rng, device.params, *pv_sigmas)
-                          for rng in rngs_for(master_seed, DOMAIN_PROCESS_VARIATION, ids)])
+                          for rng in generators(stream_words(master_seed,
+                                                             DOMAIN_PROCESS_VARIATION, ids))])
         # A switching time near the float maximum can overflow once scaled:
         # base_switching_time refuses the first unit's pulse that does.
         with np.errstate(over="ignore"):
@@ -167,9 +167,7 @@ def make_units(device: SbgDevice, mode: SbgMode, targets: Sequence[float],
                     base_switching_time(device.params, pulse, float(scale[k]))
     return SbgArray(device, mode, constants, level=level,
                     targets=np.array(targets, dtype=np.float64), scale=scale,
-                    energy_nj=np.zeros(count), writes=np.zeros(count, dtype=np.int64),
-                    reads=np.zeros(count, dtype=np.int64),
-                    rngs=rngs_for(master_seed, domain, ids))
+                    seeds=stream_words(master_seed, domain, ids))
 
 
 class _Pulse(NamedTuple):
@@ -222,38 +220,38 @@ def _pulses(constants: np.ndarray, params: MtjParams, scale: np.ndarray) -> list
     return list(map(_Pulse, q, heat / (params.r_p * scale), heat / (params.r_ap * scale)))
 
 
-def generate_array(array: SbgArray, n: int) -> np.ndarray:
-    """n bits from every unit of a fresh array, stepped together from P;
-    uint8 (units, n).
+def counters(mode: SbgMode, n: int) -> tuple[int, int]:
+    """The writes and reads one unit of `mode` makes for n bits."""
+    return (2 * n, n) if mode is SbgMode.SIMPLE else (n + 1, n + 1)
 
-    Simple units run reset -> write -> read per bit (2n writes, n reads);
-    self-control units run one initialization cycle (reset, read) and then n
-    write/read cycles toward the opposite of the latched state, emitting
-    XOR(current, last) (n+1 writes and reads).
+
+def generate_array(array: SbgArray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n bits from every unit of the array, stepped together from P on fresh
+    streams, and each unit's energy in nJ: uint8 (units, n) and float64
+    (units,).
+
+    Simple units run reset -> write -> read per bit; self-control units run
+    one initialization cycle (reset, read) and then n write/read cycles
+    toward the opposite of the latched state, emitting XOR(current, last).
+    counters(mode, n) gives the writes and reads.
 
     The result is the per-bit model's from P, bit for bit: each unit draws
     its own uniforms in the order the per-bit model would, a pulse draws only
     when it writes toward the other state and switches iff its draw lies
     below its switching probability.  Energy is each unit's pulse counts, by
     the state each pulse saw, times their energies, plus its reads': the
-    per-bit model's sum in cycle order up to rounding.  An array generates
-    once: its junction states and stream positions after the run are not
-    kept, and a second call raises ValueError.  Nothing loops over cycles:
-    the states come from one scan over the pre-drawn switching outcomes
-    (_switching_scan).  Each block of about _BLOCK_BITS bits stores its
-    energy and counters as it ends, so a run that raises partway is refused
-    a second call too.
+    per-bit model's sum in cycle order up to rounding.  Each block of about
+    _BLOCK_BITS bits builds its units' Generators from their seeds, so the
+    array is only read and a second call returns the same bits and energy.
+    Nothing loops over cycles: the states come from one scan over the
+    pre-drawn switching outcomes (_switching_scan).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if array.writes.any():
-        raise ValueError("an array generates once; build a fresh one")
-    if array.mode is SbgMode.SIMPLE:
-        run, writes, reads = _run_simple, 2 * n, n
-    else:
-        run, writes, reads = _run_self_control, n + 1, n + 1
+    run = _run_simple if array.mode is SbgMode.SIMPLE else _run_self_control
     read = np.float64(array.device.read_energy_nj)    # a float's overflow would not raise
     bits = np.empty((len(array), n), dtype=np.uint8)
+    energy = np.empty(len(array))
     step = max(1, _BLOCK_BITS // n)
     # An extreme junction (a tiny RA product, a huge read energy) would
     # otherwise end in warnings and infinite energies.
@@ -262,9 +260,8 @@ def generate_array(array: SbgArray, n: int) -> np.ndarray:
             rows = slice(first, first + step)
             pulses = _pulses(array.constants[:, :, array.level[rows], None],
                              array.device.params, array.scale[rows, None])
-            bits[rows], array.energy_nj[rows] = run(array.rngs[rows], n, read, *pulses)
-            array.writes[rows], array.reads[rows] = writes, reads
-    return bits
+            bits[rows], energy[rows] = run(generators(array.seeds[rows]), n, read, *pulses)
+    return bits, energy
 
 
 def _switching_scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -4,10 +4,11 @@ Every stochastic component owns a numpy Generator derived from the master
 seed plus a (domain, index) key, so simulations are reproducible bit for bit
 and independent instances never share a stream.
 
-rng_for builds one stream.  rngs_for builds the streams of many indices in
-[0, 2**32) of one (seed, domain) at once and equals rng_for stream for
-stream: it runs numpy's SeedSequence hash (NEP 19) as uint32 array arithmetic
-over all indices, and PCG64 seeds itself from each resulting state.
+rng_for builds one stream.  stream_words gives the PCG64 seed words of many
+indices in [0, 2**32) of one (seed, domain) at once: it runs numpy's
+SeedSequence hash (NEP 19) as uint32 array arithmetic over all indices.
+generators turns such words into Generators, each equal to rng_for's stream
+at its index.
 """
 
 from __future__ import annotations
@@ -62,20 +63,26 @@ def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
     return value
 
 
-def _pcg64_seeds(master_seed: int, domain: int, ids: np.ndarray) -> np.ndarray:
-    """The (ids, 4) uint64 words SeedSequence(master_seed, (domain, id))
-    hands PCG64, for uint32 ids.
+def stream_words(master_seed: int, domain: int, indices: Sequence[int]) -> np.ndarray:
+    """The (indices, 4) uint64 words SeedSequence(master_seed, (domain, index))
+    hands PCG64, for each index.  An index outside [0, 2**32), which
+    SeedSequence would spread over several words, raises ValueError.
 
-    The entropy of (domain, id) is that of (domain,) followed by one id word,
-    so the pool of SeedSequence(master_seed, (domain,)) is the mix up to that
-    word.  Mixing a word after the pool has taken its first four runs four
+    The entropy of (domain, index) is that of (domain,) followed by one
+    index word, so the pool of SeedSequence(master_seed, (domain,)) is the mix
+    up to that word.  Mixing a word after the pool has taken its first four runs four
     hashmix steps, and the pool's mix ran 16 + 4 * (entropy words - 4) of
     them: 4 + 12 for the first four words, which are the seed padded to 4,
     and 4 for each word after them.
     """
+    indices = [int(index) for index in indices]
+    if bad := [index for index in indices if not 0 <= index <= _MASK]:
+        raise ValueError(f"stream index {bad[0]} lies outside [0, 2**32)")
+    master_seed, domain = int(master_seed), int(domain)
     pool = np.random.SeedSequence(entropy=master_seed, spawn_key=(domain,)).pool
     steps = 16 + 4 * (max(_POOL_SIZE, _words(master_seed)) + _words(domain) - _POOL_SIZE)
-    word = _hashmix(ids[:, None], _hash_consts(_INIT_A, _MULT_A, steps, _POOL_SIZE))
+    word = _hashmix(np.array(indices, dtype=np.uint32)[:, None],
+                    _hash_consts(_INIT_A, _MULT_A, steps, _POOL_SIZE))
     mixer = pool * np.uint32(_MIX_MULT_L) - word * np.uint32(_MIX_MULT_R)
     mixer ^= mixer >> np.uint32(16)
     # generate_state(4, uint64): eight uint32 words, cycling over the pool.
@@ -100,18 +107,9 @@ def _seeded_type() -> type:
     return Seeded
 
 
-def rngs_for(master_seed: int, domain: int,
-             indices: Sequence[int]) -> list[np.random.Generator]:
-    """rng_for(master_seed, domain, index) for each index, seeded in one pass.
-
-    An index outside [0, 2**32), which SeedSequence would spread over
-    several words, raises ValueError.
-    """
+def generators(words: np.ndarray) -> list[np.random.Generator]:
+    """A fresh PCG64 Generator for each row of stream_words' words."""
     from numpy.random import PCG64, Generator
 
     seeded = _seeded_type()
-    indices = [int(index) for index in indices]
-    if bad := [index for index in indices if not 0 <= index <= _MASK]:
-        raise ValueError(f"stream index {bad[0]} lies outside [0, 2**32)")
-    words = _pcg64_seeds(int(master_seed), int(domain), np.array(indices, dtype=np.uint32))
     return [Generator(PCG64(seeded(w))) for w in words]

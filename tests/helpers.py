@@ -7,6 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain, product as iter_product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,9 +35,25 @@ from spinsc.logic import (
     extract_conflict_sets,
     first_fit,
 )
-from spinsc.sbg import (SbgArray, SbgArraySpec, SbgMode, _write_pulse, build_array,
+from spinsc.sbg import (SbgArray, SbgArraySpec, SbgMode, _write_pulse, build_array, counters,
                         generate_array, pulse_energy_nj)
-from spinsc.seeding import DOMAIN_DEVICE, rng_for
+from spinsc.seeding import DOMAIN_DEVICE, generators, rng_for, stream_words
+
+
+def rngs_for(master_seed: int, domain: int, indices) -> list[np.random.Generator]:
+    """rng_for(master_seed, domain, index) for each index, through the batched
+    seeding path that sbg.make_units takes (stream_words, then generators)."""
+    return generators(stream_words(master_seed, domain, indices))
+
+
+def quantize_levels_reference(values: np.ndarray, level_count: int) -> np.ndarray:
+    """Oracle for fusion.quantize_levels in three steps: floor, round up a
+    fraction above one half, clip to 1..L."""
+    scaled = values * level_count
+    k = np.floor(scaled)
+    frac = scaled - k
+    k = np.where(frac > 0.5, k + 1, k)
+    return np.clip(k, 1, level_count).astype(np.intp)
 
 
 def brute_force_probability(net: ScNetlist, output_id: str,
@@ -478,19 +495,28 @@ def bisect_voltage(params: MtjParams, target_p: float, duration: float,
     raise TargetUnreachable(f"bisection did not converge to {target_p}")
 
 
-def scalar_generate(array: SbgArray, row: int, n: int) -> tuple[np.ndarray, float]:
-    """Per-bit oracle for sbg.generate_array: steps one row of a freshly built
-    array one pulse and one read at a time through the device model, from P,
-    then writes the row's energy and counters to the array's columns.  The
-    row's write pulses are calibrated again from its target.
+class OracleRun(NamedTuple):
+    """One row's run through scalar_generate."""
+
+    bits: np.ndarray        # uint8 (n,)
+    energy: float           # counts times pulse energies, in generate_array's order
+    writes: int             # pulses, counted one at a time
+    reads: int
+    cycle_energy: float     # the energy summed one pulse and read at a time
+
+
+def scalar_generate(array: SbgArray, row: int, n: int, rng: np.random.Generator) -> OracleRun:
+    """Per-bit oracle for sbg.generate_array: steps one row of an array one
+    pulse and one read at a time through the device model, from P, drawing
+    from rng.  The row's write pulses are calibrated again from its target.
 
     Each pulse is counted by the pulse and the state it sees, and the energy
     is those counts times the pulses' energies, plus the reads', added in
-    generate_array's order.  Returns the bits and the energy summed one
-    pulse and read at a time in cycle order, which rounds differently.
+    generate_array's order.  The energy summed one pulse and read at a time
+    in cycle order rounds differently.
     """
     device = array.device
-    junction = Junction(device.params, array.rngs[row], float(array.scale[row]))
+    junction = Junction(device.params, rng, float(array.scale[row]))
     target = float(array.targets[row])
     reset = device.reset_pulse
     p2ap = _write_pulse(device, target, WriteDirection.P_TO_AP)
@@ -535,10 +561,7 @@ def scalar_generate(array: SbgArray, row: int, n: int) -> tuple[np.ndarray, floa
             last = current
         energy = (term(reset, P) + reads * device.read_energy_nj + term(ap2p, AP)
                   + term(p2ap, P))
-    array.energy_nj[row] = energy
-    array.writes[row] = seen.total()
-    array.reads[row] = reads
-    return np.array(bits, dtype=np.uint8), cycle_energy
+    return OracleRun(np.array(bits, dtype=np.uint8), energy, seen.total(), reads, cycle_energy)
 
 
 def size_array(levels: list[float], conflict_sets: list[set[int]],
@@ -636,13 +659,14 @@ def oracle_run(pipeline: FusionPipeline, n: int, master_seed: int,
     and summed."""
     array = build_array(pipeline.spec, master_seed, pipeline.device,
                         pv_sigmas=pv_sigmas, calibration=pipeline.calibration)
-    gathered = generate_array(array, n)[pipeline.cell_rows]
-    counts = np.bitwise_and.reduce(gathered, axis=1).sum(axis=1).astype(np.float64)
+    bits, energy = generate_array(array, n)
+    counts = np.bitwise_and.reduce(bits[pipeline.cell_rows], axis=1).sum(axis=1).astype(np.float64)
     w, h = pipeline.problem.grid_w, pipeline.problem.grid_h
     grid = PosteriorGrid((counts / n).reshape(w, h)).normalize()
+    writes, reads = counters(array.mode, n)
     stats = FusionRunStats(n_cycles=n, num_units=len(array),
-                           total_energy_nj=sum(array.energy_nj.tolist()),
-                           writes=int(array.writes.sum()), reads=int(array.reads.sum()))
+                           total_energy_nj=sum(energy.tolist()),
+                           writes=len(array) * writes, reads=len(array) * reads)
     return grid, stats
 
 

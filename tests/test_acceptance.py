@@ -33,7 +33,7 @@ from spinsc.experiments import (
 )
 from spinsc.fusion import exact_posterior, likelihood_channels, make_problem
 from spinsc.logic import ScNetlist, extract_conflict_sets
-from spinsc.sbg import SbgArraySpec, SbgDevice, SbgMode, generate_array, make_units
+from spinsc.sbg import SbgArraySpec, SbgDevice, SbgMode, counters, generate_array, make_units
 
 MASTER_SEED = 20260801
 PARAMS = MtjParams()
@@ -67,7 +67,7 @@ def test_criterion_02_bitstream_accuracy_trend():
 
 def test_criterion_03_scc_suite():
     array = make_units(DEVICE, SbgMode.SELF_CONTROL, [0.5], MASTER_SEED)
-    stream = generate_array(array, 256)[0]
+    stream = generate_array(array, 256)[0][0]
     assert 0 < stream.sum() < len(stream)
     assert scc(stream, stream) == 1.0
     assert scc(stream, 1 - stream) == -1.0
@@ -164,15 +164,13 @@ def test_criterion_06_cost_formulas():
 
 def test_criterion_07_operation_counts_and_energy():
     n = 2048
-    simple = make_units(DEVICE, SbgMode.SIMPLE, [0.5], MASTER_SEED)
-    generate_array(simple, n)
-    assert (simple.writes[0], simple.reads[0]) == (2 * n, n)
+    _, simple = generate_array(make_units(DEVICE, SbgMode.SIMPLE, [0.5], MASTER_SEED), n)
+    assert counters(SbgMode.SIMPLE, n) == (2 * n, n)
 
-    ctrl = make_units(DEVICE, SbgMode.SELF_CONTROL, [0.5], MASTER_SEED)
-    generate_array(ctrl, n)
-    assert (ctrl.writes[0], ctrl.reads[0]) == (n + 1, n + 1)
+    _, ctrl = generate_array(make_units(DEVICE, SbgMode.SELF_CONTROL, [0.5], MASTER_SEED), n)
+    assert counters(SbgMode.SELF_CONTROL, n) == (n + 1, n + 1)
 
-    ratio = ctrl.energy_nj[0] / simple.energy_nj[0]
+    ratio = ctrl[0] / simple[0]
     assert ratio <= 0.65
     report(7, f"op counts exact; self-control energy ratio {ratio:.3f} <= 0.65")
 

@@ -107,7 +107,7 @@ def test_end_to_end_reference_network(reference_netlist_text, reference_assignme
     net, levels, sets, spec = reference_setup(reference_netlist_text, reference_assignment)
     matrix = allocate(levels, spec, sets)
     n = 4096
-    row_streams = generate_array(build_array(spec, master_seed=31), n)
+    row_streams, _ = generate_array(build_array(spec, master_seed=31), n)
     terminal_streams = {t: row_streams[row_of(matrix, j)] for j, t in enumerate(net.terminals)}
     t1, t2, t3, t4, t5, t6, t7, t8, t9 = (terminal_streams[f"T{k}"] for k in range(1, 10))
 

@@ -19,7 +19,7 @@ from spinsc.config import KEYS, RunConfig, load_config
 from spinsc.fusion import likelihood_channels
 from spinsc.logic import Product, ScNetlist, expand_products
 from spinsc.sbg import SbgMode, make_units
-from spinsc.seeding import rng_for, rngs_for
+from spinsc.seeding import rng_for, stream_words
 from conftest import REFERENCE_ASSIGNMENT, REFERENCE_NETLIST
 from helpers import csv_text
 
@@ -1036,7 +1036,9 @@ def test_device_keys_reach_every_unit(tmp_path, monkeypatch, command, count):
                                           "scc-report"),
     lambda tmp_path, config_path: run_cli("--config", config_path, "--out-dir", tmp_path,
                                           "--pv", "fusion-run"),
-], ids=["density-sweep-pv", "scc-report", "fusion-run"])
+    lambda tmp_path, config_path: run_cli("--config", config_path, "--out-dir", tmp_path,
+                                          "--pv", "array-report"),
+], ids=["density-sweep-pv", "scc-report", "fusion-run", "array-report-pv"])
 def test_no_two_units_in_a_run_share_a_stream(tmp_path, config_path, monkeypatch, run):
     keys = []
 
@@ -1047,11 +1049,12 @@ def test_no_two_units_in_a_run_share_a_stream(tmp_path, config_path, monkeypatch
     def record_many(master_seed, domain, indices):
         indices = list(indices)
         keys.extend((domain, index) for index in indices)
-        return rngs_for(master_seed, domain, indices)
+        return stream_words(master_seed, domain, indices)
 
-    # Every spinsc module that looks either seeding function up gets the
-    # recording form, so no stream is made unrecorded.
-    recorders = {id(rng_for): record_one, id(rngs_for): record_many}
+    # Every stream starts from rng_for or from stream_words' seed words, and
+    # every spinsc module that looks either function up gets the recording
+    # form, so no stream is made unrecorded.
+    recorders = {id(rng_for): record_one, id(stream_words): record_many}
     for name, module in list(sys.modules.items()):
         if name == "spinsc" or name.startswith("spinsc."):
             for attr, value in list(vars(module).items()):

@@ -19,6 +19,7 @@ from spinsc.seeding import (
     DOMAIN_PROCESS_VARIATION,
     DOMAIN_SELF_SCC,
     rng_for,
+    stream_words,
 )
 
 DEVICE = SbgDevice()
@@ -32,7 +33,7 @@ def reference_unit(p, domain, index, mode, pv_sigmas):
     """A one-unit array on stream `index` of `domain`, with the process
     variation of stream `index` of the process-variation domain."""
     unit = make_units(DEVICE, mode, [p], SEED)
-    unit.rngs[0] = rng_for(SEED, domain, index)
+    unit.seeds[0] = stream_words(SEED, domain, [index])[0]
     if pv_sigmas is not None:
         _, _, unit.scale[0] = variation_draw(rng_for(SEED, DOMAIN_PROCESS_VARIATION, index),
                                              DEVICE.params, *pv_sigmas)
@@ -41,7 +42,7 @@ def reference_unit(p, domain, index, mode, pv_sigmas):
 
 def reference_streams(targets, domain, first, n, mode=SbgMode.SELF_CONTROL, pv_sigmas=None):
     """n bits of each target's unit, the k-th on stream first + k of domain."""
-    return [generate_array(reference_unit(p, domain, first + k, mode, pv_sigmas), n)[0]
+    return [generate_array(reference_unit(p, domain, first + k, mode, pv_sigmas), n)[0][0]
             for k, p in enumerate(targets)]
 
 

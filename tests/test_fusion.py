@@ -28,7 +28,7 @@ from spinsc.logic import extract_conflict_sets
 from spinsc.sbg import SbgMode
 
 from helpers import (angular_residual, build_sc_network, generic_fusion_plan, likelihoods,
-                     oracle_run)
+                     oracle_run, quantize_levels_reference)
 
 
 def problem_64(target=(40.0, 22.0), **kw):
@@ -117,6 +117,21 @@ def test_quantizer_grid_and_ties():
     # and the excluded zero level forces it up to level 1; a true midpoint
     # between two positive levels resolves to the lower one:
     assert quantize_levels(np.array([0.375]), levels).tolist() == [1]
+
+
+@pytest.mark.parametrize("level_count", [1, 3, 64, 1000, 65536])
+def test_quantizer_equals_the_three_step_oracle(level_count):
+    # ceil(scaled - 0.5) in one expression: scaled - 0.5 is exact for
+    # scaled >= 0.25, and below that both forms clip to level 1.  Every
+    # midpoint and level, their one-ulp neighbours, the 0.25 / L edge and
+    # random values.
+    k = np.arange(level_count + 1, dtype=np.float64)
+    points = np.concatenate([(k + 0.5) / level_count, k / level_count, [0.25 / level_count]])
+    values = np.concatenate([points, np.nextafter(points, -1.0), np.nextafter(points, 2.0),
+                             np.random.default_rng(level_count).random(100_000)])
+    out = quantize_levels(values, level_count)
+    assert out.dtype == np.intp
+    np.testing.assert_array_equal(out, quantize_levels_reference(values, level_count))
 
 
 def test_network_scale_and_conflict_structure():

@@ -50,6 +50,12 @@ GOLDEN = {
     "--config {data}/large_array.cfg array-report": {
         "array_report.csv": "cc72f557a737690252a47c0e97cb245aaa006207adbc22242640f568db3e25c1",
     },
+    # The same units with process variation, three blocks of units at the
+    # default length, each block's Generators built from its units' seeds.
+    # Pinned before an array came to hold seeds in place of Generators.
+    "--config {data}/large_array.cfg --pv array-report": {
+        "array_report.csv": "ba9d8961ce4a062918d4ab36df99f65622931bc095cfaefb34f74f8a26147122",
+    },
     # Re-pinned when each SCC table got a seeding domain of its own, again
     # with the exact write voltages, and again with the uniform draws.
     "scc-report": {

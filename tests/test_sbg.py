@@ -17,6 +17,7 @@ from spinsc.sbg import (
     SbgDevice,
     SbgMode,
     build_array,
+    counters,
     generate_array,
     make_units,
     pulse_energy_nj,
@@ -32,15 +33,15 @@ def one_unit(mode, target_p, master_seed, device=DEVICE):
 def test_simple_operation_counts():
     array = one_unit(SbgMode.SIMPLE, 0.5, 1)
     n = 257
-    assert generate_array(array, n).shape == (1, n)
-    assert (array.writes[0], array.reads[0]) == (2 * n, n)
+    assert generate_array(array, n)[0].shape == (1, n)
+    assert counters(SbgMode.SIMPLE, n) == (2 * n, n)
 
 
 def test_self_control_operation_counts():
     array = one_unit(SbgMode.SELF_CONTROL, 0.5, 1)
     n = 257
-    assert generate_array(array, n).shape == (1, n)
-    assert (array.writes[0], array.reads[0]) == (n + 1, n + 1)
+    assert generate_array(array, n)[0].shape == (1, n)
+    assert counters(SbgMode.SELF_CONTROL, n) == (n + 1, n + 1)
 
 
 def test_mode_mismatch_rejected():
@@ -57,18 +58,18 @@ def test_mode_mismatch_rejected():
 
 def test_zero_target_gives_all_zero_stream():
     array = one_unit(SbgMode.SIMPLE, 0.0, 1)
-    assert generate_array(array, 256).sum() == 0
+    assert generate_array(array, 256)[0].sum() == 0
 
 
 def test_full_target_gives_all_ones_stream():
     array = one_unit(SbgMode.SELF_CONTROL, 1.0, 1)
     # every attempt flips, XOR is always 1
-    assert generate_array(array, 256).sum() == 256
+    assert generate_array(array, 256)[0].sum() == 256
 
 
 def test_self_control_density_converges():
     array = make_units(DEVICE, SbgMode.SELF_CONTROL, [0.3] * 200, 5)
-    densities = generate_array(array, 512).sum(axis=1) / 512
+    densities = generate_array(array, 512)[0].sum(axis=1) / 512
     assert np.mean(densities) == pytest.approx(0.30, abs=0.01)
 
 
@@ -84,7 +85,7 @@ def test_switching_frequencies_follow_the_switching_law(target, scale):
     n, draws = 100_000, 1_000_000
     array = one_unit(SbgMode.SELF_CONTROL, target, 8)
     array.scale[0] = scale
-    bits = generate_array(array, n)[0]
+    bits = generate_array(array, n)[0][0]
     before = np.bitwise_xor.accumulate(bits) ^ bits
     params, rng = DEVICE.params, np.random.default_rng(5)
     for state, direction in enumerate(WriteDirection):
@@ -102,25 +103,32 @@ def test_switching_frequencies_follow_the_switching_law(target, scale):
 
 
 def test_energy_starts_at_zero_and_grows():
+    # A run starts from P with no energy spent, and every bit costs some.
     array = one_unit(SbgMode.SIMPLE, 0.5, 1)
-    assert array.energy_nj[0] == 0.0
-    generate_array(array, 16)
-    assert array.energy_nj[0] > 0
-    with pytest.raises(ValueError):
-        generate_array(array, 16)
+    energies = [generate_array(array, n)[1][0] for n in (1, 2, 16)]
+    assert 0 < energies[0] < energies[1] < energies[2]
 
 
 @pytest.mark.parametrize("mode", list(SbgMode))
-def test_generate_array_refuses_a_second_run(mode):
-    # An array generates once, from P: its junction states and stream
-    # positions after a run are not kept, so it cannot continue or restart.
-    array = make_units(DEVICE, mode, [0.3, 0.8], 4)
-    generate_array(array, 8)
-    energy = array.energy_nj.tolist()
-    with pytest.raises(ValueError, match="generates once"):
-        generate_array(array, 8)
-    assert array.energy_nj.tolist() == energy
-    assert array.writes.tolist() == [9 if mode is SbgMode.SELF_CONTROL else 16] * 2
+@pytest.mark.parametrize("pv", [None, (0.05, 0.02)], ids=["nominal", "pv"])
+@pytest.mark.parametrize("count, block_bits", [(3, None), (7, 2 * 40)], ids=["one-block", "blocks"])
+def test_generate_array_runs_again_to_the_same_result(monkeypatch, mode, pv, count, block_bits):
+    # An array holds its units' stream seeds, not their streams: a run reads
+    # it and writes to none of its columns, so a second run starts every unit
+    # afresh from P and returns the same bits and energy.
+    if block_bits:
+        monkeypatch.setattr(sbg, "_BLOCK_BITS", block_bits)
+    array = make_units(DEVICE, mode, np.linspace(0.2, 0.8, count).tolist(), 4, pv_sigmas=pv)
+    assert set(vars(array)) == {"device", "mode", "constants", "level", "targets", "scale",
+                                "seeds"}
+    columns = {name: value.copy() for name, value in vars(array).items()
+               if isinstance(value, np.ndarray)}
+    bits, energy = generate_array(array, 40)
+    again, energy_again = generate_array(array, 40)
+    for name, value in columns.items():
+        assert np.array_equal(getattr(array, name), value)
+    np.testing.assert_array_equal(again, bits)
+    assert energy_again.tolist() == energy.tolist()
 
 
 def test_pulse_energy_hand_computation():
@@ -133,24 +141,22 @@ def test_pulse_energy_hand_computation():
     # A one-bit simple stream from P: the reset and the write both see R_P,
     # and free reads leave only the two pulses.
     array = one_unit(SbgMode.SIMPLE, 0.5, 1, SbgDevice(read_energy_nj=0.0))
-    generate_array(array, 1)
+    _, energy = generate_array(array, 1)
     v = sbg._write_pulse(DEVICE, 0.5, WriteDirection.P_TO_AP).voltage
-    assert array.energy_nj[0] == pytest.approx((1.8 ** 2 * 7.0 + v ** 2 * 5.4) / r_p, rel=1e-12)
+    assert energy[0] == pytest.approx((1.8 ** 2 * 7.0 + v ** 2 * 5.4) / r_p, rel=1e-12)
 
 
 def test_self_control_energy_at_most_065_of_simple():
     n = 2048
-    simple = one_unit(SbgMode.SIMPLE, 0.5, 2)
-    generate_array(simple, n)
-    ctrl = one_unit(SbgMode.SELF_CONTROL, 0.5, 2)
-    generate_array(ctrl, n)
-    assert ctrl.energy_nj[0] <= 0.65 * simple.energy_nj[0]
+    _, simple = generate_array(one_unit(SbgMode.SIMPLE, 0.5, 2), n)
+    _, ctrl = generate_array(one_unit(SbgMode.SELF_CONTROL, 0.5, 2), n)
+    assert ctrl[0] <= 0.65 * simple[0]
 
 
 def test_self_control_energy_monotone_in_probability():
     array = make_units(DEVICE, SbgMode.SELF_CONTROL, np.linspace(0.1, 0.9, 9).tolist(), 7)
-    generate_array(array, 512)
-    per_cycle = (array.energy_nj / array.writes).tolist()
+    _, energy = generate_array(array, 512)
+    per_cycle = (energy / counters(SbgMode.SELF_CONTROL, 512)[0]).tolist()
     assert all(b > a for a, b in zip(per_cycle, per_cycle[1:]))
 
 
@@ -186,7 +192,7 @@ def test_array_spec_validation():
 
 def test_build_array_units_are_independent():
     spec = SbgArraySpec((0.5,), (3,))
-    streams = generate_array(build_array(spec, master_seed=11), 512)
+    streams, _ = generate_array(build_array(spec, master_seed=11), 512)
     for i in range(3):
         for j in range(i + 1, 3):
             assert not np.array_equal(streams[i], streams[j])

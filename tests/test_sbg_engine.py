@@ -1,21 +1,25 @@
 """generate_array against the per-bit oracle in helpers.scalar_generate.
 
-Each case builds two identical arrays (same seeds and ids), runs one
-through the array engine and the other, row by row, through the oracle, and
-demands exact equality: bits, counters and energy (==, not approx), and in
-self-control mode, which draws exactly n uniforms a unit, the next draw of
-every unit's random stream.  Energy is also checked against the oracle's sum
-in cycle order, within ENERGY_RTOL.
+Each case builds an array, runs it through the array engine and, row by
+row, through the oracle on rng_for's stream of the row, and demands exact
+equality: bits and energy (==, not approx), the oracle's pulse-by-pulse
+writes and reads against sbg.counters, and in self-control mode, which draws
+exactly n uniforms a unit, the next draw of every unit's random stream.
+Energy is also checked against the oracle's sum in cycle order, within
+ENERGY_RTOL.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import make_junction, scalar_generate, variation_draw
+from helpers import scalar_generate, variation_draw
 from spinsc import sbg
 from spinsc.device import PulseSpec, WriteDirection
-from spinsc.sbg import RESET_PULSE, CalibrationCache, SbgDevice, SbgMode, generate_array, make_units
+from spinsc.sbg import (RESET_PULSE, CalibrationCache, SbgDevice, SbgMode, counters,
+                        generate_array, make_units)
 from spinsc.seeding import (
     DOMAIN_CROSS_SCC,
     DOMAIN_DEVICE,
@@ -58,29 +62,49 @@ def build(mode, targets, seed, pv, device=None, calibration=None):
     return array
 
 
-def twins(mode, pv=lambda k: False, reset_pulse=RESET_PULSE, seed=9, targets=TARGETS):
-    device = SbgDevice(reset_pulse=reset_pulse)
-    return tuple(build(mode, targets, seed, pv, device) for _ in range(2))
+SEED = 9
 
 
-def assert_same(engine, oracle, n):
-    engine_bits = generate_array(engine, n)
-    oracle_bits, cycle_energy = zip(*(scalar_generate(oracle, row, n)
-                                      for row in range(len(oracle))))
-    assert engine_bits.dtype == np.uint8
-    assert engine_bits.shape == (len(engine), n)
-    np.testing.assert_array_equal(engine_bits, np.stack(oracle_bits))
-    assert engine.writes.tolist() == oracle.writes.tolist()
-    assert engine.reads.tolist() == oracle.reads.tolist()
-    assert engine.energy_nj.tolist() == oracle.energy_nj.tolist()
-    np.testing.assert_allclose(engine.energy_nj, cycle_energy, rtol=ENERGY_RTOL, atol=0)
-    if engine.mode is SbgMode.SELF_CONTROL:
-        assert_same_next_draw(engine, oracle)
+def array_of(mode, pv=lambda k: False, reset_pulse=RESET_PULSE, targets=TARGETS):
+    return build(mode, targets, SEED, pv, SbgDevice(reset_pulse=reset_pulse))
 
 
-def assert_same_next_draw(engine, oracle):
-    for a, b in zip(engine.rngs, oracle.rngs):
-        assert a.random() == b.random()
+def run_engine(array, n):
+    """generate_array's bits and energy, and the Generators it drew from in
+    row order, captured by wrapping seeding.generators."""
+    made = []
+
+    def recording(words):
+        rngs = real(words)
+        made.extend(rngs)
+        return rngs
+
+    real = sbg.generators
+    with mock.patch.object(sbg, "generators", recording):
+        bits, energy = generate_array(array, n)
+    return bits, energy, made
+
+
+def assert_same(array, n, seed=SEED, domain=DOMAIN_DEVICE):
+    """The engine against the oracle, row k of the oracle on
+    rng_for(seed, domain, k)."""
+    bits, energy, engine_rngs = run_engine(array, n)
+    oracle_rngs = [rng_for(seed, domain, row) for row in range(len(array))]
+    oracle = [scalar_generate(array, row, n, rng) for row, rng in enumerate(oracle_rngs)]
+    assert bits.dtype == np.uint8
+    assert bits.shape == (len(array), n)
+    assert energy.dtype == np.float64
+    assert energy.shape == (len(array),)
+    np.testing.assert_array_equal(bits, np.array([run.bits for run in oracle]).reshape(bits.shape))
+    assert all((run.writes, run.reads) == counters(array.mode, n) for run in oracle)
+    assert energy.tolist() == [run.energy for run in oracle]
+    np.testing.assert_allclose(energy, [run.cycle_energy for run in oracle],
+                               rtol=ENERGY_RTOL, atol=0)
+    if array.mode is SbgMode.SELF_CONTROL:
+        assert len(engine_rngs) == len(oracle_rngs)
+        for a, b in zip(engine_rngs, oracle_rngs):
+            assert a.random() == b.random()
+    return bits, energy
 
 
 @pytest.mark.parametrize("mode", list(SbgMode))
@@ -88,21 +112,20 @@ def assert_same_next_draw(engine, oracle):
 @pytest.mark.parametrize("reset_pulse", [RESET_PULSE, WEAK_RESET], ids=["reset", "weak-reset"])
 @pytest.mark.parametrize("n", [1, 2, 97])
 def test_engine_matches_per_bit_oracle(mode, pv, reset_pulse, n):
-    engine, oracle = twins(mode, lambda k: pv is not None, reset_pulse)
-    assert_same(engine, oracle, n)
+    assert_same(array_of(mode, lambda k: pv is not None, reset_pulse), n)
 
 
 @pytest.mark.parametrize("mode", list(SbgMode))
 def test_mixed_process_variation_in_one_array(mode):
-    engine, oracle = twins(mode, lambda k: k % 2)
-    assert_same(engine, oracle, 33)
+    assert_same(array_of(mode, lambda k: k % 2), 33)
 
 
 def test_bad_length_and_empty_array():
     array = make_units(DEVICE, SbgMode.SIMPLE, [0.5], 1)
     with pytest.raises(ValueError):
         generate_array(array, 0)
-    assert generate_array(make_units(DEVICE, SbgMode.SIMPLE, [], 1), 4).shape == (0, 4)
+    bits, energy = generate_array(make_units(DEVICE, SbgMode.SIMPLE, [], 1), 4)
+    assert (bits.shape, energy.shape) == ((0, 4), (0,))
 
 
 @pytest.mark.parametrize("mode", list(SbgMode))
@@ -111,8 +134,7 @@ def test_bad_length_and_empty_array():
 def test_long_runs_at_edge_targets(mode, reset_pulse, n):
     # Self-control at 1.0 negates the state every cycle and at 0 keeps it;
     # simple units at 0 behind the strong reset set it to P every token.
-    engine, oracle = twins(mode, reset_pulse=reset_pulse, targets=EDGE_TARGETS)
-    assert_same(engine, oracle, n)
+    assert_same(array_of(mode, reset_pulse=reset_pulse, targets=EDGE_TARGETS), n)
 
 
 @pytest.mark.parametrize("mode", list(SbgMode))
@@ -120,8 +142,7 @@ def test_units_across_several_blocks(mode):
     n = 700
     count = 2 * (sbg._BLOCK_BITS // n) + 3
     targets = [TARGETS[k % len(TARGETS)] for k in range(count)]
-    engine, oracle = twins(mode, lambda k: k % 2, WEAK_RESET, targets=targets)
-    assert_same(engine, oracle, n)
+    assert_same(array_of(mode, lambda k: k % 2, WEAK_RESET, targets=targets), n)
 
 
 @pytest.mark.parametrize("mode", list(SbgMode))
@@ -139,14 +160,13 @@ def test_energy_is_summed_in_cycle_order_at_every_block_size(monkeypatch, mode, 
     # unit, and the oracle's (assert_same: ==, and the sum in cycle order
     # within ENERGY_RTOL).
     targets = [TARGETS[k % len(TARGETS)] for k in range(count)]
-    engine, oracle = twins(mode, lambda k: pv, WEAK_RESET, targets=targets)
-    whole, _ = twins(mode, lambda k: pv, WEAK_RESET, targets=targets)
+    array = array_of(mode, lambda k: pv, WEAK_RESET, targets=targets)
     default = sbg._BLOCK_BITS
     monkeypatch.setattr(sbg, "_BLOCK_BITS", count * n)
-    generate_array(whole, n)
+    _, whole = generate_array(array, n)
     monkeypatch.setattr(sbg, "_BLOCK_BITS", block_bits or default)
-    assert_same(engine, oracle, n)
-    assert engine.energy_nj.tolist() == whole.energy_nj.tolist()
+    _, energy = assert_same(array, n)
+    assert energy.tolist() == whole.tolist()
 
 
 @pytest.mark.parametrize("mode", list(SbgMode))
@@ -159,7 +179,7 @@ def test_a_run_is_the_prefix_of_every_longer_run(mode, pv, n, seed):
     device = SbgDevice(reset_pulse=WEAK_RESET)
 
     def run(length):
-        return generate_array(make_units(device, mode, TARGETS, seed, pv_sigmas=pv), length)
+        return generate_array(make_units(device, mode, TARGETS, seed, pv_sigmas=pv), length)[0]
 
     np.testing.assert_array_equal(run(200)[:, :n], run(n))
 
@@ -177,9 +197,7 @@ def test_engine_matches_oracle_on_random_arrays(mode, specs, reset_voltage, n, s
     device = SbgDevice(reset_pulse=PulseSpec(reset_voltage, 7.0, WriteDirection.AP_TO_P))
     calibration = CalibrationCache()
     targets, pv = zip(*specs)
-    engine, oracle = (build(mode, targets, seed, pv.__getitem__, device, calibration)
-                      for _ in range(2))
-    assert_same(engine, oracle, n)
+    assert_same(build(mode, targets, seed, pv.__getitem__, device, calibration), n, seed)
 
 
 def test_make_units_matches_one_unit_at_a_time():
@@ -188,7 +206,6 @@ def test_make_units_matches_one_unit_at_a_time():
     targets = [0.3, 0.7, 0.3, 1e-6, 0.7]
     for domain in (DOMAIN_DEVICE, DOMAIN_SELF_SCC, DOMAIN_CROSS_SCC):
         batch = make_units(DEVICE, SbgMode.SELF_CONTROL, targets, 4, domain=domain, pv_sigmas=PV)
-        oracle = make_units(DEVICE, SbgMode.SELF_CONTROL, targets, 4)
         for k, p in enumerate(targets):
             single = make_units(DEVICE, SbgMode.SELF_CONTROL, [p], 4)
             assert batch.targets[k] == p
@@ -196,9 +213,7 @@ def test_make_units_matches_one_unit_at_a_time():
             rng = rng_for(4, DOMAIN_PROCESS_VARIATION, k)
             _, _, scale = variation_draw(rng, DEVICE.params, *PV)
             assert batch.scale[k] == scale
-            oracle.scale[k] = batch.scale[k]
-            oracle.rngs[k] = make_junction(DEVICE.params, 4, k, domain=domain).rng
-        assert_same(batch, oracle, 40)
+        assert_same(batch, 40, 4, domain)
         # One level of constants per distinct target.
         assert batch.level.tolist() == [0, 1, 0, 2, 1]
         assert batch.constants.shape == (4, 3, 3)

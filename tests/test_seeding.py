@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from helpers import variation_draw
+from helpers import rngs_for, variation_draw
 from spinsc import fusion, sbg
 from spinsc.fusion import FusionPipeline, make_problem
 from spinsc.sbg import SbgDevice, SbgMode, make_units
-from spinsc.seeding import DOMAIN_DEVICE, DOMAIN_PROCESS_VARIATION, rng_for, rngs_for
+from spinsc.seeding import (DOMAIN_DEVICE, DOMAIN_PROCESS_VARIATION, generators, rng_for,
+                            stream_words)
 
 EDGE_IDS = [0, 2**32 - 1]
 
@@ -36,7 +37,7 @@ def test_rngs_for_refuses_ids_past_one_word(index):
     # SeedSequence would spread such an id over several words; none may
     # wrap onto another id's stream.
     with pytest.raises(ValueError, match=f"stream index {index} lies outside"):
-        rngs_for(1, DOMAIN_DEVICE, [0, index])
+        stream_words(1, DOMAIN_DEVICE, [0, index])
 
 
 def test_rngs_for_streams_are_independent_objects():
@@ -54,7 +55,8 @@ def test_make_units_streams_and_variation_equal_the_single_stream_forms():
         _, _, scale = variation_draw(rng_for(4, DOMAIN_PROCESS_VARIATION, row), params, 0.05, 0.02)
         single = rng_for(4, DOMAIN_DEVICE, row)
         assert array.scale[row] == scale
-        assert array.rngs[row].bit_generator.state == single.bit_generator.state
+        rng, = generators(array.seeds[row:row + 1])
+        assert rng.bit_generator.state == single.bit_generator.state
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():
@@ -75,8 +77,9 @@ def test_pipeline_runs_calibrate_once(monkeypatch):
     real_generate = fusion.generate_array
 
     def recording_generate(units, n):
-        rows.append(real_generate(units, n))
-        return rows[-1]
+        result = real_generate(units, n)
+        rows.append(result[0])
+        return result
 
     calls = []
     real_calibrate = sbg.calibrate_voltage
