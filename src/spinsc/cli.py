@@ -329,26 +329,24 @@ def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     return [matrix_path, summary_path]
 
 
-def _problem(cfg: RunConfig) -> fusion.FusionProblem:
+def _pipeline(cfg: RunConfig) -> fusion.FusionPipeline:
     fus = cfg.fusion
     grid_w, grid_h = fus.grid
-    return fusion.make_problem(
+    problem = fusion.make_problem(
         grid_w=grid_w, grid_h=grid_h, target_xy=fus.target,
         noise_d=fus.noise_d, noise_b=fus.noise_b, master_seed=cfg.master_seed,
         plane=fus.plane, sensors=fus.sensors, sigma_b=fus.sigma_b,
         sigma_d_base=fus.sigma_d_base, sigma_d_slope=fus.sigma_d_slope)
+    return fusion.FusionPipeline(problem, fus.level_count, cfg.device, cfg.array.mode)
 
 
 def cmd_fusion_run(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     out = Path(cfg.out_dir)
-    problem = _problem(cfg)
+    pipeline = _pipeline(cfg)
     grid_w, grid_h = cfg.fusion.grid
-    pipeline = fusion.FusionPipeline(problem, cfg.fusion.level_count, cfg.device, cfg.array.mode)
     n = cfg.bitstream_len
     estimate, stats = pipeline.run(n, cfg.master_seed, pv_sigmas=cfg.pv_sigmas)
-    exact = fusion.exact_posterior(pipeline.likelihood)
-    kl = fusion.kl_divergence(exact, estimate,
-                              zero_floor=fusion.default_zero_floor(n, grid_w, grid_h))
+    kl = fusion.kl_divergence(pipeline.exact, estimate, n)
     ax, ay = estimate.argmax()
 
     # One (x, y, weight) line per grid cell, x-major.
@@ -358,7 +356,7 @@ def cmd_fusion_run(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     pgm_path = out / "posterior.pgm"
     write_pgm(pgm_path, estimate.weights)
     exact_path = out / "posterior_exact.csv"
-    write_csv(exact_path, ["x", "y", "weight"], [xs, ys, exact.weights.ravel()])
+    write_csv(exact_path, ["x", "y", "weight"], [xs, ys, pipeline.exact.weights.ravel()])
     summary_path = out / "fusion_summary.csv"
     write_csv(summary_path, ["n", "kl", "argmax_x", "argmax_y"], [[n], [kl], [ax], [ay]])
     print(f"{n},{fmt(kl)},{ax},{ay}")
@@ -392,12 +390,11 @@ def cmd_kl_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     """KL divergence against stream length, without and with process variation."""
     out = Path(cfg.out_dir)
     rep = cfg.report
-    problem = _problem(cfg)
-    pipeline = fusion.FusionPipeline(problem, cfg.fusion.level_count, cfg.device, cfg.array.mode)
+    pipeline = _pipeline(cfg)
     seeds = tuple(cfg.master_seed + k for k in range(rep.sweep_repeats))
     rows = []
     for label, sigmas in (("off", None), ("on", (cfg.pv_sigma_area, cfg.pv_sigma_tox))):
-        table = experiments.kl_by_length(problem, rep.sweep_lengths, seeds,
+        table = experiments.kl_by_length(pipeline.problem, rep.sweep_lengths, seeds,
                                          pv_sigmas=sigmas, pipeline=pipeline)
         rows.extend((n, label, np.mean(table[n]), min(table[n]), max(table[n]))
                     for n in rep.sweep_lengths)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stochastic
-from .fusion import FusionPipeline, FusionProblem, default_zero_floor, exact_posterior, kl_divergence
+from .fusion import FusionPipeline, FusionProblem, kl_divergence
 from .sbg import SbgDevice, SbgMode, generate_array, make_units
 from .seeding import DOMAIN_CROSS_SCC, DOMAIN_SELF_SCC
 
@@ -113,16 +113,14 @@ def kl_by_length(problem: FusionProblem, lengths: tuple[int, ...],
     """Per-seed KL(exact || stochastic estimate) for each stream length.
 
     `pipeline`, prepared from `problem`, is run in place of one prepared
-    here at `level_count` with the default device and mode.  The exact
-    posterior comes from the pipeline's likelihood grids.
+    here at `level_count` with the default device and mode; each run is
+    scored against the pipeline's exact posterior.
     """
     if pipeline is None:
         pipeline = FusionPipeline(problem, level_count=level_count)
-    exact = exact_posterior(pipeline.likelihood)
     out: dict[int, list[float]] = {n: [] for n in lengths}
     for n in lengths:
-        floor = default_zero_floor(n, problem.grid_w, problem.grid_h)
         for seed in seeds:
             estimate, _ = pipeline.run(n, seed, pv_sigmas=pv_sigmas)
-            out[n].append(kl_divergence(exact, estimate, zero_floor=floor))
+            out[n].append(kl_divergence(pipeline.exact, estimate, n))
     return out

@@ -31,10 +31,6 @@ DEFAULT_SIGMA_D_SLOPE = 0.1
 MAX_LEVEL_COUNT = 2**16
 
 
-class ShapeMismatch(ValueError):
-    """Posterior grids of different shapes were compared."""
-
-
 @dataclass(frozen=True)
 class SensorReading:
     mu_d: float  # distance, plane units
@@ -90,10 +86,6 @@ class PosteriorGrid:
         if np.any(self.weights < 0):
             raise ValueError("posterior weights must be non-negative")
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.weights.shape  # type: ignore[return-value]
-
     def total(self) -> float:
         return float(self.weights.sum())
 
@@ -106,15 +98,20 @@ class PosteriorGrid:
 
     def argmax(self) -> tuple[int, int]:
         """Peak cell; ties resolve to the lowest (x, y) lexicographically."""
-        flat = int(np.argmax(np.ascontiguousarray(self.weights)))
+        flat = int(np.argmax(self.weights))
         x, y = divmod(flat, self.weights.shape[1])
         return x, y
 
 
+def _wrap_deg(angle: float) -> float:
+    """angle % 360.0, save that the 360.0 it rounds to for a tiny negative angle is 0.0."""
+    wrapped = angle % 360.0
+    return 0.0 if wrapped == 360.0 else wrapped
+
+
 def bearing_deg(from_xy: tuple[float, float], to_xy: tuple[float, float]) -> float:
     """Viewing angle in degrees within [0, 360)."""
-    angle = math.degrees(math.atan2(to_xy[1] - from_xy[1], to_xy[0] - from_xy[0]))
-    return angle % 360.0
+    return _wrap_deg(math.degrees(math.atan2(to_xy[1] - from_xy[1], to_xy[0] - from_xy[0])))
 
 
 def synthesize_readings(sensors: tuple[tuple[float, float], ...],
@@ -131,7 +128,7 @@ def synthesize_readings(sensors: tuple[tuple[float, float], ...],
         if noise_d > 0.0:
             d = max(0.0, d + noise_d * rng.standard_normal())
         if noise_b > 0.0:
-            b = (b + noise_b * rng.standard_normal()) % 360.0
+            b = _wrap_deg(b + noise_b * rng.standard_normal())
         readings.append(SensorReading(mu_d=d, mu_b=b))
     return tuple(readings)
 
@@ -221,8 +218,8 @@ class FusionPipeline:
     Preparation is seed-independent; run() draws fresh generator streams for
     a given seed.  Cells re-use shared rows exactly as the switch matrix
     prescribes, so results are deterministic in (problem, seed, n).
-    `likelihood` keeps the (6, W, H) grids preparation started from, for
-    exact_posterior.
+    `exact` is the exact posterior of the grids preparation started from,
+    which kl_divergence scores a run against.
     """
 
     def __init__(self, problem: FusionProblem, level_count: int = 64,
@@ -240,8 +237,10 @@ class FusionPipeline:
         # same-level terminals then puts a terminal in its level's cluster
         # number `rank`, the count of earlier channels of its cell with the
         # same level (see README, "Preparation").
-        self.likelihood = likelihood_channels(problem)
-        k = quantize_levels(condition_channels(self.likelihood), level_count).reshape(6, -1)
+        channels = likelihood_channels(problem)
+        k = quantize_levels(condition_channels(channels), level_count).reshape(6, -1)
+        # Built once condition_channels has refused a non-finite grid, on which np.prod warns.
+        self.exact = exact_posterior(channels)
         rank = np.zeros_like(k)                     # (6, cells), cells in (x, y) order
         for j in range(1, 6):
             for i in range(j):
@@ -304,26 +303,20 @@ class FusionPipeline:
         return PosteriorGrid(prods.reshape(w, h)).normalize()
 
 
-def kl_divergence(exact: PosteriorGrid, estimate: PosteriorGrid,
-                  zero_floor: float = 1e-300) -> float:
-    """KL(exact || estimate) in nats.
+def kl_divergence(exact: PosteriorGrid, estimate: PosteriorGrid, n: int) -> float:
+    """KL(exact || estimate) in nats, for an estimate from n-bit streams.
 
-    Estimated cells with zero mass are floored at zero_floor (callers use
-    1/(10*n*W*H) for n-bit runs) and the estimate is renormalized, which
+    Estimated cells with zero mass are floored at 1/(10*n*W*H), one tenth
+    of a single count's weight, and the estimate is renormalized, which
     keeps the divergence finite and non-negative.
     """
-    if exact.shape != estimate.shape:
-        raise ShapeMismatch(f"grid shapes differ: {exact.shape} vs {estimate.shape}")
+    p = exact.weights
+    if p.shape != estimate.weights.shape:
+        raise ValueError(f"grid shapes differ: {p.shape} vs {estimate.weights.shape}")
     for grid, name in ((exact, "exact"), (estimate, "estimate")):
         if abs(grid.total() - 1.0) > 1e-9:
             raise ValueError(f"{name} grid must be normalized")
-    p = exact.weights
-    q = np.where(estimate.weights > 0.0, estimate.weights, zero_floor)
+    q = np.where(estimate.weights > 0.0, estimate.weights, 1.0 / (10.0 * n * p.size))
     q = q / q.sum()
     mask = p > 0.0
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-
-
-def default_zero_floor(n: int, grid_w: int, grid_h: int) -> float:
-    """Floor for zero ones-counts: one tenth of a single-count weight."""
-    return 1.0 / (10.0 * n * grid_w * grid_h)

@@ -98,6 +98,16 @@ def test_fusion_two_cell_toy_problem(tmp_path, config_path):
     assert sum(weights) == pytest.approx(1.0, abs=1e-4)
 
 
+def test_fusion_run_with_a_target_just_below_a_sensor_axis(tmp_path, capsys):
+    # Its bearing from the sensor at (0, 32) is a tiny negative angle, which
+    # wraps to 0, not to the 360 a reading refuses.
+    cfg = tmp_path / "below-axis.cfg"
+    cfg.write_text("[fusion]\ntarget = 40, 31.999999999999996\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "--grid", "4x4",
+                 "fusion-run"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_scc_report_output(tmp_path, config_path):
     out = tmp_path / "out"
     run_cli("--config", config_path, "--out-dir", out, "scc-report")

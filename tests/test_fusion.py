@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -13,10 +14,8 @@ from spinsc.fusion import (
     FusionProblem,
     PosteriorGrid,
     SensorReading,
-    ShapeMismatch,
     bearing_deg,
     condition_channels,
-    default_zero_floor,
     exact_posterior,
     kl_divergence,
     likelihood_channels,
@@ -83,6 +82,24 @@ def test_uniform_weights_normalize_to_uniform():
     grid = PosteriorGrid(np.ones((4, 4))).normalize()
     assert np.allclose(grid.weights, 1.0 / 16.0)
     assert grid.argmax() == (0, 0)  # ties resolve lexicographically
+
+
+def test_argmax_ties_resolve_in_cell_order_for_any_layout():
+    # Memory order would pick (3, 2) first in a Fortran-ordered grid.
+    weights = np.zeros((5, 7))
+    weights[1, 6] = weights[3, 2] = 1.0
+    fortran = PosteriorGrid(np.asfortranarray(weights))
+    assert fortran.weights.flags.f_contiguous and not fortran.weights.flags.c_contiguous
+    assert fortran.argmax() == (1, 6)
+    assert PosteriorGrid(weights.T).argmax() == (2, 3)
+    assert PosteriorGrid(weights[::-1, ::-1]).argmax() == (1, 4)
+
+
+def test_bearing_just_below_the_axis_wraps_to_zero():
+    # atan2 gives a tiny negative angle, whose % 360.0 rounds to 360.0.
+    target = (40.0, 31.999999999999996)
+    assert bearing_deg((0.0, 32.0), target) == 0.0
+    assert make_problem(grid_w=4, grid_h=4, target_xy=target).readings[1].mu_b == 0.0
 
 
 def test_synthesized_readings_noise_free_geometry():
@@ -254,31 +271,61 @@ def test_rescaling_before_quantization_preserves_sc_argmax():
 def test_kl_identical_grids_is_zero():
     problem = make_problem(grid_w=8, grid_h=8)
     post = exact_posterior(likelihood_channels(problem))
-    assert kl_divergence(post, post) == pytest.approx(0.0, abs=1e-15)
+    assert kl_divergence(post, post, 64) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_kl_hand_computed_two_by_two():
     # Uniform truth against a point mass floored at eps and renormalized.
-    eps = default_zero_floor(64, 2, 2)
+    eps = 1.0 / (10 * 64 * 4)
     exact = PosteriorGrid(np.full((2, 2), 0.25))
     est = PosteriorGrid(np.array([[1.0, 0.0], [0.0, 0.0]]))
     z = 1.0 + 3.0 * eps
     expected = 0.25 * (math.log(0.25 * z / 1.0) + 3.0 * math.log(0.25 * z / eps))
-    assert kl_divergence(exact, est, zero_floor=eps) == pytest.approx(expected, rel=1e-12)
+    assert kl_divergence(exact, est, 64) == pytest.approx(expected, rel=1e-12)
+
+
+def kl_with_floor(exact, estimate, zero_floor):
+    """KL(exact || estimate) with zero estimate cells floored at zero_floor."""
+    p = exact.weights
+    q = np.where(estimate.weights > 0.0, estimate.weights, zero_floor)
+    q = q / q.sum()
+    mask = p > 0.0
+    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+
+
+@pytest.mark.parametrize("grid", [(12, 20), (9, 7)])
+@pytest.mark.parametrize("n", [1, 13, 128, 16385])
+def test_kl_floors_zero_cells_at_a_tenth_of_one_count(grid, n):
+    # The floor 1/(10*n*W*H) is computed as 1/(10*n*(W*H)); both are the
+    # same float, so the divergence keeps every bit.
+    w, h = grid
+    exact = exact_posterior(likelihood_channels(make_problem(grid_w=w, grid_h=h)))
+    counts = np.random.default_rng(n).integers(0, 3, size=grid)
+    estimate = PosteriorGrid(counts / n).normalize()
+    assert np.any(counts == 0)
+    assert kl_divergence(exact, estimate, n) == \
+        kl_with_floor(exact, estimate, 1.0 / (10.0 * n * w * h))
+
+
+@pytest.mark.parametrize("grid", [(12, 20), (9, 7), (32, 32)])
+def test_pipeline_keeps_the_exact_posterior(grid):
+    problem = make_problem(grid_w=grid[0], grid_h=grid[1])
+    expected = exact_posterior(likelihood_channels(problem)).weights
+    assert FusionPipeline(problem).exact.weights.tobytes() == expected.tobytes()
 
 
 def test_kl_shape_mismatch():
     a = PosteriorGrid(np.ones((2, 2)) / 4)
     b = PosteriorGrid(np.ones((2, 3)) / 6)
-    with pytest.raises(ShapeMismatch):
-        kl_divergence(a, b)
+    with pytest.raises(ValueError, match=re.escape("grid shapes differ: (2, 2) vs (2, 3)")):
+        kl_divergence(a, b, 64)
 
 
 def test_kl_requires_normalized_grids():
     a = PosteriorGrid(np.ones((2, 2)))
     b = PosteriorGrid(np.ones((2, 2)) / 4)
     with pytest.raises(ValueError):
-        kl_divergence(a, b)
+        kl_divergence(a, b, 64)
 
 
 @settings(max_examples=100)
@@ -287,21 +334,18 @@ def test_kl_non_negative_random_grids(seed):
     rng = np.random.default_rng(seed)
     p = PosteriorGrid(rng.random((3, 3)) + 1e-9).normalize()
     q = PosteriorGrid(rng.random((3, 3)) + 1e-9).normalize()
-    assert kl_divergence(p, q) >= 0.0
-    assert kl_divergence(p, q, zero_floor=1e-6) >= -1e-12
+    assert kl_divergence(p, q, 1) >= 0.0
 
 
 def test_kl_decreases_with_length_small_grid():
     problem = make_problem(grid_w=16, grid_h=16)
     pipeline = FusionPipeline(problem)
-    exact = exact_posterior(likelihood_channels(problem))
     means = []
     for n in (64, 256):
         vals = []
         for seed in range(5):
             est, _ = pipeline.run(n, seed)
-            vals.append(kl_divergence(exact, est,
-                                      zero_floor=default_zero_floor(n, 16, 16)))
+            vals.append(kl_divergence(pipeline.exact, est, n))
         means.append(np.mean(vals))
     assert means[0] > means[1]
 
@@ -309,14 +353,12 @@ def test_kl_decreases_with_length_small_grid():
 def test_process_variation_degrades_but_preserves_trend():
     problem = make_problem(grid_w=16, grid_h=16)
     pipeline = FusionPipeline(problem)
-    exact = exact_posterior(likelihood_channels(problem))
 
     def mean_kl(n, pv):
         vals = []
         for seed in range(5):
             est, _ = pipeline.run(n, seed, pv_sigmas=pv)
-            vals.append(kl_divergence(exact, est,
-                                      zero_floor=default_zero_floor(n, 16, 16)))
+            vals.append(kl_divergence(pipeline.exact, est, n))
         return float(np.mean(vals))
 
     lengths = (64, 128, 256)
@@ -337,7 +379,7 @@ def test_run_stats_accounting():
     assert stats.writes == stats.num_units * 33
     assert stats.reads == stats.num_units * 33
     assert stats.total_energy_nj > 0
-    assert est.shape == (8, 8)
+    assert est.weights.shape == (8, 8)
 
 
 def test_cluster_count_bounded_by_levels_times_set_size():
