@@ -15,7 +15,7 @@ and its units' stream seeds.  A write switches with the probability q of the
 device model's switching law; each attempt draws one uniform U and switches
 iff U < q.  generate_array runs every unit from P on a fresh stream, a block
 of rows at a time, with no loop over cycles: it pre-draws each unit's
-uniforms, scans the switching outcomes for the states, and returns the bits
+uniforms, takes the states from the switching outcomes, and returns the bits
 and energy that stepping each unit one pulse at a time from P would give,
 energy up to rounding.  It changes nothing in the array, so an array runs
 again to the same result.  counters gives a unit's writes and reads, which
@@ -45,7 +45,7 @@ from .seeding import DOMAIN_DEVICE, DOMAIN_PROCESS_VARIATION, generators, stream
 RESET_PULSE = PulseSpec(1.8, 7.0, WriteDirection.AP_TO_P)
 
 # generate_array runs units in blocks of about this many bits: its
-# temporaries peak near 55 bytes per bit in simple mode and 20 in
+# temporaries peak near 55 bytes per bit in simple mode and 16 to 22 in
 # self-control mode, and a unit's run never depends on its block.
 _BLOCK_BITS = 1 << 14
 
@@ -244,7 +244,8 @@ def generate_array(array: SbgArray, n: int) -> tuple[np.ndarray, np.ndarray]:
     _BLOCK_BITS bits builds its units' Generators from their seeds, so the
     array is only read and a second call returns the same bits and energy.
     Nothing loops over cycles: the states come from one scan over the
-    pre-drawn switching outcomes (_switching_scan).
+    pre-drawn switching outcomes (_switching_scan) or, for a self-control row
+    whose outcomes never depend on its state, from their running XOR.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -324,11 +325,19 @@ def _run_self_control(rngs: Sequence[np.random.Generator], n: int, read: np.floa
     u = np.zeros((len(rngs), n))
     for row, rng in zip(u, rngs):
         rng.random(out=row)
-    after = _switching_scan(u < p2ap.q, u < ap2p.q)
+    # Write k's bit is a[k] = u[k] < q(P->AP) from P and b[k] = u[k] < q(AP->P)
+    # from AP, so a row with a == b throughout emits a, and its states are a's
+    # running XOR.  Rows with a draw between their two q's take the scan.
+    bits, b = u < p2ap.q, u < ap2p.q
+    after = np.logical_xor.accumulate(bits, axis=1)
+    mixed = np.flatnonzero((bits != b).any(axis=1))
+    if mixed.size:
+        after[mixed] = _switching_scan(bits[mixed], b[mixed])
+        bits[mixed] = np.diff(after[mixed], axis=1, prepend=False)    # before XOR after
     # Write k sees the state after write k - 1 (write 0 sees P), AP->P from AP.
     ap = after[:, :-1].sum(axis=1, dtype=np.int32, keepdims=True)
     energy = reset.energy_p + (n + 1) * read + ap * ap2p.energy_ap + (n - ap) * p2ap.energy_p
-    return np.diff(after, axis=1, prepend=False), energy[:, 0]    # before XOR after
+    return bits, energy[:, 0]
 
 
 @dataclass(frozen=True)

@@ -48,10 +48,14 @@ def _words(value: int) -> int:
     return max(1, (value.bit_length() + 31) // 32)
 
 
+@cache
 def _hash_consts(init: int, mult: int, first: int, count: int) -> np.ndarray:
-    """init * mult**k mod 2**32 for k = first .. first + count, as uint32."""
-    return np.array([init * pow(mult, k, 1 << 32) & _MASK
-                     for k in range(first, first + count + 1)], dtype=np.uint32)
+    """init * mult**k mod 2**32 for k = first .. first + count, as uint32;
+    read-only, since every call with these arguments returns this array."""
+    consts = np.array([init * pow(mult, k, 1 << 32) & _MASK
+                       for k in range(first, first + count + 1)], dtype=np.uint32)
+    consts.flags.writeable = False
+    return consts
 
 
 def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:

@@ -6,16 +6,19 @@ equality: bits and energy (==, not approx), the oracle's pulse-by-pulse
 writes and reads against sbg.counters, and in self-control mode, which draws
 exactly n uniforms a unit, the next draw of every unit's random stream.
 Energy is also checked against the oracle's sum in cycle order, within
-ENERGY_RTOL.
+ENERGY_RTOL.  Self-control arrays whose write probabilities are set by hand,
+which the oracle would calibrate away, are checked against a loop one write
+at a time over the array's own constants (self_control_loop).
 """
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import scalar_generate, variation_draw
+from helpers import rngs_for, scalar_generate, variation_draw
 from spinsc import sbg
 from spinsc.device import PulseSpec, WriteDirection
 from spinsc.sbg import (RESET_PULSE, CalibrationCache, SbgDevice, SbgMode, counters,
@@ -234,3 +237,64 @@ def test_simple_mode_refuses_reset_toward_ap():
     # Every generator resets toward P, so the device refuses any other reset.
     with pytest.raises(ValueError, match="reset pulse must write toward P"):
         SbgDevice(reset_pulse=PulseSpec(1.8, 7.0, WriteDirection.P_TO_AP))
+
+
+def self_control_loop(array, n, seed=SEED):
+    """Self-control bits and energy one write at a time, read straight from
+    the array's constants: from P, write k draws one uniform of the row's
+    stream and switches iff it lies below q of the direction it writes in;
+    its bit is whether it switched.  The energy is the engine's expression
+    over the loop's counts, in the engine's order."""
+    params, read = array.device.params, np.float64(array.device.read_energy_nj)
+    bits, energy = [], []
+    for row, rng in enumerate(rngs_for(seed, DOMAIN_DEVICE, range(len(array)))):
+        heat, q = array.constants[2:, :, array.level[row]]
+        state, ap = 0, 0
+        for _ in range(n):
+            ap += state
+            switched = int(rng.random() < q[2 if state else 1])
+            state ^= switched
+            bits.append(switched)
+        energy.append(heat[0] / params.r_p + (n + 1) * read + ap * (heat[2] / params.r_ap)
+                      + (n - ap) * (heat[1] / params.r_p))
+    return np.array(bits, dtype=np.uint8).reshape(len(array), n), energy
+
+
+def first_draw_seen_from_ap(u):
+    """The first k whose write sees AP when both of a row's q sit at u[k], so
+    that draw k alone lies between them (the last k if no write sees AP): the
+    state before k is the parity of the earlier draws below u[k]."""
+    seen = [k for k in range(len(u)) if np.count_nonzero(u[:k] < u[k]) % 2]
+    return seen[0] if seen else len(u) - 1
+
+
+@pytest.mark.parametrize("pairs", ["equal", "one-ulp", "far", "pure-and-mixed", "ambiguous"])
+@pytest.mark.parametrize("n", [1, 2, 97, 513])
+def test_self_control_rows_with_and_without_ambiguous_draws(pairs, n):
+    # A row takes the switching scan only where a draw lies between its P->AP
+    # and AP->P probabilities.  Each row gets its own constants, with the two
+    # write probabilities (constants[3, 1] and [3, 2]) equal, one ulp apart,
+    # far apart or, in two rows, u and the float above it for one draw u that
+    # a write sees from AP, where the bit depends on the state.  70 rows at
+    # n = 513 span three blocks.
+    array = make_units(DEVICE, SbgMode.SELF_CONTROL, [TARGETS[k % 6] for k in range(70)], SEED)
+    c = array.constants[..., array.level].copy()
+    q = c[3]
+    for row in range(len(array)):
+        kind = ("equal", "one-ulp", "far")[row % 3] if pairs == "pure-and-mixed" else pairs
+        if kind == "one-ulp":
+            q[2, row] = np.nextafter(q[1, row], row % 2)
+        elif kind == "far":
+            q[1:, row] = (0.2, 0.7) if row % 2 else (0.7, 0.2)
+        else:
+            q[2, row] = q[1, row]
+    if pairs == "ambiguous":
+        for row, lo in ((3, 1), (40, 2)):
+            u = rngs_for(SEED, DOMAIN_DEVICE, [row])[0].random(n)
+            k = first_draw_seen_from_ap(u)
+            q[lo, row], q[3 - lo, row] = u[k], np.nextafter(u[k], 1)
+    array = replace(array, constants=c, level=np.arange(len(array)))
+    bits, energy = generate_array(array, n)
+    expected_bits, expected_energy = self_control_loop(array, n)
+    np.testing.assert_array_equal(bits, expected_bits)
+    assert energy.tolist() == expected_energy
