@@ -11,7 +11,6 @@ first file written to it, so a refused run leaves none behind.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from collections import Counter
 from collections.abc import Sequence
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import allocator, cost, experiments, fusion
-from .config import ConfigError, RunConfig, apply, load_config
+from .config import ConfigError, RunConfig, apply, level, load_config
 from .device import WriteDirection, characterization_rows
 from .logic import ScNetlist, cluster_terminals, extract_conflict_sets
 from .sbg import SbgArraySpec, SbgMode, build_array, counters, generate_array
@@ -268,21 +267,16 @@ def _load_assignment(path: Path) -> dict[str, float]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'terminal = probability'")
-        name, _, value = line.partition("=")
+        name, eq, value = line.partition("=")
         name = name.strip()
+        if not (eq and name):
+            raise ConfigError(f"{path}:{lineno}: expected 'terminal = probability'")
         if name in values:
             raise ConfigError(f"{path}:{lineno}: terminal {name!r} is assigned twice")
         try:
-            p = float(value)
+            values[name] = level(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        if not math.isfinite(p):
-            raise ConfigError(f"{path}:{lineno}: must be finite")
-        if not 0.0 < p <= 1.0:
-            raise ConfigError(f"{path}:{lineno}: must lie in (0, 1]")
-        values[name] = p
     return values
 
 

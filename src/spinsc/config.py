@@ -12,15 +12,9 @@ it with the same message.  The [device] keys make RunConfig.device, one
 sbg.SbgDevice that every command hands whole to the layers that build
 generators.
 
-A count below 1, alone or in a list, is a ConfigError, as are [fusion]
-levels above fusion.MAX_LEVEL_COUNT, a float that is not finite (nan, inf),
-an empty list key, a blank out_dir, a negative master seed, a non-positive
-plane, sigma_b, sigma_d_base, reset_voltage, write_duration or characterize
-voltage, a negative sigma_d_slope, noise, reset_duration, read_energy,
-process-variation sigma or characterize duration, a report probability
-outside [0, 1], array levels outside (0, 1] or not strictly increasing, a
-repeated [report] stream length, SCC probability or pair, a bad junction
-value and an unknown section or key.
+What a key refuses is written once, in the parser KEYS names for it, each
+bound on one line beside its reason.  An unknown section or key, and a file
+configparser cannot read, are refused too.
 """
 
 from __future__ import annotations
@@ -40,104 +34,65 @@ class ConfigError(ValueError):
     """Unparseable or unknown configuration content."""
 
 
-def _float(text: str) -> float:
-    """A finite float: nan and inf are refused."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("must be finite")
-    return value
+def _checked(parse: Callable[[str], object], ok: Callable, reason: str) -> Callable:
+    """A parser of what parse makes of a text, refusing with reason a value
+    that ok refuses."""
+    def checked(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(reason)
+        return value
+    return checked
 
 
-def _floats(text: str, parse: Callable[[str], float] = _float) -> tuple[float, ...]:
-    return _nonempty(tuple(parse(tok) for tok in text.replace(";", ",").split(",")
-                           if tok.strip()))
-
-
-def count(text: str) -> int:
-    """The count rule: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise ValueError("a count must be at least 1")
-    return value
-
-
-def _counts(text: str) -> tuple[int, ...]:
-    return _nonempty(tuple(count(tok) for tok in text.split(",") if tok.strip()))
-
-
-def _level_count(text: str) -> int:
-    value = count(text)
-    if value > fusion.MAX_LEVEL_COUNT:
-        raise ValueError(f"must be at most {fusion.MAX_LEVEL_COUNT}")
-    return value
+def _nonempty(parse: Callable[[str], tuple]) -> Callable[[str], tuple]:
+    return _checked(parse, len, "a list needs at least one value")
 
 
 def _distinct(parse: Callable[[str], tuple], what: str) -> Callable[[str], tuple]:
     """parse, refusing a repeated value: a report writes one row per value."""
-    def distinct(text: str) -> tuple:
-        values = parse(text)
-        if len(set(values)) < len(values):
-            raise ValueError(f"{what} may not repeat")
-        return values
-    return distinct
+    return _checked(parse, lambda values: len(set(values)) == len(values), f"{what} may not repeat")
 
 
-def _out_dir(text: str) -> str:
-    path = text.strip()
-    if not path:
-        raise ValueError("must name a directory")
-    return path
+_float = _checked(float, math.isfinite, "must be finite")
+_positive = _checked(_float, lambda value: value > 0, "must be strictly positive")
+_nonnegative = _checked(_float, lambda value: value >= 0, "must be at least 0")
+_seed = _checked(int, lambda value: value >= 0, "must be at least 0")
+# The count rule: an integer of at least 1.
+count = _checked(int, lambda value: value >= 1, "a count must be at least 1")
+_level_count = _checked(count, lambda value: value <= fusion.MAX_LEVEL_COUNT,
+                        f"must be at most {fusion.MAX_LEVEL_COUNT}")
+_out_dir = _checked(str.strip, len, "must name a directory")
 
 
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError("must be at least 0")
-    return value
+def _in_level_range(p: float) -> bool:
+    return 0.0 < p <= 1.0
 
 
-def _probability(value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError("must lie in [0, 1]")
-    return value
+# A generator level: a finite probability in (0, 1].
+level = _checked(_float, _in_level_range, "must lie in (0, 1]")
 
 
-def _probs(text: str) -> tuple[float, ...]:
-    return tuple(map(_probability, _floats(text)))
+def _floats(parse: Callable[[str], float] = _float) -> Callable[[str], tuple[float, ...]]:
+    """A parser of a list of values parse takes, split at "," or ";"."""
+    return _nonempty(lambda text: tuple(parse(tok) for tok in text.replace(";", ",").split(",")
+                                        if tok.strip()))
 
 
-def _prob_pairs(text: str) -> tuple[tuple[float, float], ...]:
-    return _nonempty(tuple((_probability(a), _probability(b)) for a, b in _pairs(text)))
+_counts = _nonempty(lambda text: tuple(count(tok) for tok in text.split(",") if tok.strip()))
+# Array levels: all finite (so `1.5, nan` names the nan), then each in (0, 1],
+# then strictly increasing.
+_levels = _checked(_checked(_floats(), lambda levels: all(map(_in_level_range, levels)),
+                            "must lie in (0, 1]"),
+                   lambda levels: all(a < b for a, b in zip(levels, levels[1:])),
+                   "must be strictly increasing")
 
 
-def _levels(text: str) -> tuple[float, ...]:
-    """Array levels: each in (0, 1], strictly increasing."""
-    levels = _floats(text)
-    if not all(0.0 < p <= 1.0 for p in levels):
-        raise ValueError("must lie in (0, 1]")
-    if any(a >= b for a, b in zip(levels, levels[1:])):
-        raise ValueError("must be strictly increasing")
-    return levels
+def _probabilities(values) -> bool:
+    return all(0.0 <= p <= 1.0 for p in values)
 
 
-def _positive(text: str) -> float:
-    value = _float(text)
-    if not value > 0:
-        raise ValueError("must be strictly positive")
-    return value
-
-
-def _nonnegative(text: str) -> float:
-    value = _float(text)
-    if value < 0:
-        raise ValueError("must be at least 0")
-    return value
-
-
-def _nonempty(values: tuple) -> tuple:
-    if not values:
-        raise ValueError("a list needs at least one value")
-    return values
+_probs = _checked(_floats(), _probabilities, "must lie in [0, 1]")
 
 
 def _bool(text: str) -> bool:
@@ -165,18 +120,10 @@ def _pairs(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
-def _target(text: str) -> tuple[float, float]:
-    pairs = _pairs(text)
-    if len(pairs) != 1:
-        raise ValueError("needs exactly one x,y pair")
-    return pairs[0]
-
-
-def _sensors(text: str) -> tuple[tuple[float, float], ...]:
-    pairs = _pairs(text)
-    if len(pairs) != 3:
-        raise ValueError("needs exactly three x,y pairs")
-    return pairs
+_prob_pairs = _nonempty(_checked(_pairs, lambda pairs: all(map(_probabilities, pairs)),
+                                 "must lie in [0, 1]"))
+_target = _checked(_pairs, lambda pairs: len(pairs) == 1, "needs exactly one x,y pair")
+_sensors = _checked(_pairs, lambda pairs: len(pairs) == 3, "needs exactly three x,y pairs")
 
 
 @dataclass(frozen=True)
@@ -253,7 +200,7 @@ KEYS: dict[tuple[str, str], tuple[tuple[str, ...], Callable[[str], object]]] = {
     ("array", "mode"): (("array", "mode"), SbgMode),
     ("fusion", "grid"): (("fusion", "grid"), _grid),
     ("fusion", "plane"): (("fusion", "plane"), _positive),
-    ("fusion", "target"): (("fusion", "target"), _target),
+    ("fusion", "target"): (("fusion", "target"), lambda text: _target(text)[0]),
     ("fusion", "sensors"): (("fusion", "sensors"), _sensors),
     ("fusion", "sigma_b"): (("fusion", "sigma_b"), _positive),
     ("fusion", "sigma_d_base"): (("fusion", "sigma_d_base"), _positive),
@@ -268,10 +215,9 @@ KEYS: dict[tuple[str, str], tuple[tuple[str, ...], Callable[[str], object]]] = {
     ("report", "sweep_repeats"): (("report", "sweep_repeats"), count),
     ("report", "sweep_lengths"): (("report", "sweep_lengths"), _distinct(_counts, "a length")),
     ("report", "sweep_probs"): (("report", "sweep_probs"), _probs),
-    ("report", "characterize_voltages"): (("report", "characterize_voltages"),
-                                          lambda text: _floats(text, _positive)),
+    ("report", "characterize_voltages"): (("report", "characterize_voltages"), _floats(_positive)),
     ("report", "characterize_durations"): (("report", "characterize_durations"),
-                                           lambda text: _floats(text, _nonnegative)),
+                                           _floats(_nonnegative)),
 }
 
 
@@ -318,6 +264,15 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     text = Path(path).read_text(encoding="utf-8")
     try:
         parser.read_string(text, source=str(path))
+    except configparser.MissingSectionHeaderError as exc:
+        raise ConfigError(f"cannot parse {path}:{exc.lineno}: expected a [section] header, "
+                          f"got {exc.line.strip()!r}") from exc
+    except configparser.ParsingError as exc:
+        # configparser reads on past a bad line and lists every one: name the first.
+        lineno = exc.errors[0][0]
+        line = text.split("\n")[lineno - 1].strip()
+        raise ConfigError(f"cannot parse {path}:{lineno}: expected 'key = value', "
+                          f"got {line!r}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     sections = {section for section, _ in KEYS}

@@ -17,7 +17,7 @@ import numpy as np
 from . import allocator
 from .sbg import (CalibrationCache, SbgArraySpec, SbgDevice, SbgMode, build_array, counters,
                   generate_array)
-from .seeding import DOMAIN_READINGS, rng_for
+from .seeding import DOMAIN_READINGS, generators, stream_words
 
 CHANNELS = ("d1", "b1", "d2", "b2", "d3", "b3")
 
@@ -120,7 +120,7 @@ def synthesize_readings(sensors: tuple[tuple[float, float], ...],
                         master_seed: int = 0) -> tuple[SensorReading, ...]:
     """Readings a target at target_xy would produce, plus optional Gaussian
     measurement noise per channel (deterministic in master_seed)."""
-    rng = rng_for(master_seed, DOMAIN_READINGS, 0)
+    rng, = generators(stream_words(master_seed, DOMAIN_READINGS, [0]))
     readings = []
     for sx, sy in sensors:
         d = math.hypot(target_xy[0] - sx, target_xy[1] - sy)

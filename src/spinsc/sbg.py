@@ -137,8 +137,7 @@ def make_units(device: SbgDevice, mode: SbgMode, targets: Sequence[float],
     at one target share its pulses' constants.  Process variation
     (pv_sigmas = (sigma_area, sigma_tox)) perturbs only each unit's scale, as
     it would on silicon.  The device streams' seeds, and the process-variation
-    streams', each come from one stream_words call; their Generators equal
-    rng_for's per unit.
+    streams', each come from one stream_words call, one index per unit.
     """
     calibration = calibration or CalibrationCache()
     cached = calibration.pulses.setdefault((device, mode), {})

@@ -4,11 +4,11 @@ Every stochastic component owns a numpy Generator derived from the master
 seed plus a (domain, index) key, so simulations are reproducible bit for bit
 and independent instances never share a stream.
 
-rng_for builds one stream.  stream_words gives the PCG64 seed words of many
-indices in [0, 2**32) of one (seed, domain) at once: it runs numpy's
+Every stream comes from stream_words, which gives the PCG64 seed words of
+many indices in [0, 2**32) of one (seed, domain) at once: it runs numpy's
 SeedSequence hash (NEP 19) as uint32 array arithmetic over all indices.
-generators turns such words into Generators, each equal to rng_for's stream
-at its index.
+generators turns such words into Generators, each equal to numpy's
+default_rng(SeedSequence(seed, spawn_key=(domain, index))).
 """
 
 from __future__ import annotations
@@ -35,12 +35,6 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _POOL_SIZE = 4
-
-
-def rng_for(master_seed: int, domain: int, index: int = 0) -> np.random.Generator:
-    """Generator for one simulated instance, unique per (seed, domain, index)."""
-    seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(domain), int(index)))
-    return np.random.default_rng(seq)
 
 
 def _words(value: int) -> int:

@@ -37,7 +37,14 @@ from spinsc.logic import (
 )
 from spinsc.sbg import (SbgArray, SbgArraySpec, SbgMode, _write_pulse, build_array, counters,
                         generate_array, pulse_energy_nj)
-from spinsc.seeding import DOMAIN_DEVICE, generators, rng_for, stream_words
+from spinsc.seeding import DOMAIN_DEVICE, generators, stream_words
+
+
+def rng_for(master_seed: int, domain: int, index: int = 0) -> np.random.Generator:
+    """The reference stream of (seed, domain, index): numpy's own SeedSequence,
+    which seeding.stream_words re-implements."""
+    seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(domain), int(index)))
+    return np.random.default_rng(seq)
 
 
 def rngs_for(master_seed: int, domain: int, indices) -> list[np.random.Generator]:

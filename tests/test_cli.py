@@ -19,7 +19,7 @@ from spinsc.config import KEYS, RunConfig, load_config
 from spinsc.fusion import likelihood_channels
 from spinsc.logic import Product, ScNetlist, expand_products
 from spinsc.sbg import SbgMode, make_units
-from spinsc.seeding import rng_for, stream_words
+from spinsc.seeding import stream_words
 from conftest import REFERENCE_ASSIGNMENT, REFERENCE_NETLIST
 from helpers import csv_text
 
@@ -458,7 +458,10 @@ def test_allocate_rejects_terminals_missing_from_netlist(tmp_path, config_path, 
     ("a = 1e400\nb = 0.5\n", 1, "must be finite"),
     ("a = 0.5\n\nb = 0\n", 3, "must lie in (0, 1]"),
     ("a = 1.5\nb = 0.5\n", 1, "must lie in (0, 1]"),
-], ids=["assigned-twice", "non-numeric", "nan", "overflow", "zero", "above-one"])
+    ("a = 0.5\nb = 0.5\n= 0.5\n", 3, "expected 'terminal = probability'"),
+    ("a = 0.5\n  = 0.5\nb = 0.5\n", 2, "expected 'terminal = probability'"),
+], ids=["assigned-twice", "non-numeric", "nan", "overflow", "zero", "above-one", "no-name",
+        "blank-name"])
 def test_allocate_rejects_bad_assignment_lines(tmp_path, config_path, capsys, text, line, reason):
     netlist, assignment = tmp_path / "and.net", tmp_path / "and.assign"
     netlist.write_text("terminal a\nterminal b\ngate g AND a b\noutput g\n", encoding="utf-8")
@@ -804,6 +807,22 @@ def test_default_section_is_unknown(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("bitstream_len = 3\n", "1: expected a [section] header, got 'bitstream_len = 3'"),
+    ("[run\nbitstream_len = 3\n", "1: expected a [section] header, got '[run'"),
+    ("# note\nhello\n[run]\n", "2: expected a [section] header, got 'hello'"),
+    ("[run]\npv = false\ngarbage line\nmore\n", "3: expected 'key = value', got 'garbage line'"),
+], ids=["key-before-header", "bad-header", "bare-word", "unparseable-line"])
+def test_unreadable_config_file_is_one_line(tmp_path, capsys, text, reason):
+    # configparser's own message for these runs over several lines.
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(bad), "--out-dir", str(out), "cost-report"]) == 2
+    assert capsys.readouterr().err == f"configuration error: cannot parse {bad}:{reason}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["4%x4", "%(x)s"])
 def test_percent_in_a_value_is_taken_as_written(tmp_path, capsys, value):
     bad = tmp_path / "bad.cfg"
@@ -1052,24 +1071,19 @@ def test_device_keys_reach_every_unit(tmp_path, monkeypatch, command, count):
 def test_no_two_units_in_a_run_share_a_stream(tmp_path, config_path, monkeypatch, run):
     keys = []
 
-    def record_one(master_seed, domain, index=0):
-        keys.append((domain, index))
-        return rng_for(master_seed, domain, index)
-
-    def record_many(master_seed, domain, indices):
+    def record(master_seed, domain, indices):
         indices = list(indices)
         keys.extend((domain, index) for index in indices)
         return stream_words(master_seed, domain, indices)
 
-    # Every stream starts from rng_for or from stream_words' seed words, and
-    # every spinsc module that looks either function up gets the recording
-    # form, so no stream is made unrecorded.
-    recorders = {id(rng_for): record_one, id(stream_words): record_many}
+    # Every stream starts from stream_words' seed words, and every spinsc
+    # module that looks it up gets the recording form, so no stream is made
+    # unrecorded.
     for name, module in list(sys.modules.items()):
         if name == "spinsc" or name.startswith("spinsc."):
             for attr, value in list(vars(module).items()):
-                if id(value) in recorders:
-                    monkeypatch.setattr(module, attr, recorders[id(value)])
+                if value is stream_words:
+                    monkeypatch.setattr(module, attr, record)
     run(tmp_path, config_path)
     assert keys
     assert len(set(keys)) == len(keys)
@@ -1110,6 +1124,20 @@ def test_sigma_d_keys_change_exact_posterior(tmp_path, config_path, key, value):
     exact = "posterior_exact.csv"
     assert (tmp_path / "default" / exact).read_bytes() != \
         (tmp_path / "changed" / exact).read_bytes()
+
+
+@pytest.mark.parametrize("sensors, moves", [
+    ("0,0;0,32;32,0", False), ("0,0;0,40;32,0", True)], ids=["default", "moved"])
+def test_sensors_key_places_the_sensors(tmp_path, config_path, sensors, moves):
+    # The default sensors leave the exact posterior as it is; moving one moves it.
+    changed = tmp_path / "changed.cfg"
+    changed.write_text(SMALL_CONFIG.replace("[fusion]\n", f"[fusion]\nsensors = {sensors}\n"),
+                       encoding="utf-8")
+    run_cli("--config", config_path, "--out-dir", tmp_path / "default", "fusion-run")
+    run_cli("--config", changed, "--out-dir", tmp_path / "changed", "fusion-run")
+    exact = "posterior_exact.csv"
+    assert ((tmp_path / "default" / exact).read_bytes() !=
+            (tmp_path / "changed" / exact).read_bytes()) == moves
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
@@ -1259,7 +1287,9 @@ FLOAT_KEYS = [key for key, (path, _) in KEYS.items() if "float" in _field_type(p
 @pytest.mark.parametrize("section, key", FLOAT_KEYS, ids=[f"{s}.{k}" for s, k in FLOAT_KEYS])
 def test_float_keys_refuse_non_finite_text(tmp_path, capsys, section, key, value):
     path, _ = KEYS[section, key]
-    text = value if _field_type(path) == "float" else f"0.5,{value}"
+    # 1.5 lies outside every probability range, so a list key shows that the
+    # finite check runs on every value before any range check.
+    text = value if _field_type(path) == "float" else f"1.5,{value}"
     bad = tmp_path / "bad.cfg"
     bad.write_text(f"[{section}]\n{key} = {text}\n", encoding="utf-8")
     out = tmp_path / "o"

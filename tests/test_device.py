@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from helpers import (MtjState, apply_write, bisect_voltage, make_junction, read_state, rngs_for,
-                     scc, variation_draw)
+from helpers import (MtjState, apply_write, bisect_voltage, make_junction, read_state, rng_for,
+                     rngs_for, scc, variation_draw)
 from spinsc import sbg
 from spinsc.config import ArrayConfig
 from spinsc.device import (
@@ -26,7 +26,7 @@ from spinsc.device import (
     switch_probability_at,
 )
 from spinsc.sbg import SbgDevice, SbgMode, generate_array, make_units
-from spinsc.seeding import DOMAIN_PROCESS_VARIATION, rng_for
+from spinsc.seeding import DOMAIN_PROCESS_VARIATION
 
 PARAMS = MtjParams()
 RESET = PulseSpec(1.8, 7.0, WriteDirection.AP_TO_P)

@@ -10,7 +10,7 @@ a density per prefix; the tables must equal them exactly (==, not approx).
 import numpy as np
 import pytest
 
-from helpers import overlap_counts, scc, variation_draw
+from helpers import overlap_counts, rng_for, scc, variation_draw
 from spinsc.experiments import cross_scc_table, density_sweep, self_scc_table
 from spinsc.sbg import SbgDevice, SbgMode, generate_array, make_units
 from spinsc.seeding import (
@@ -18,7 +18,6 @@ from spinsc.seeding import (
     DOMAIN_DEVICE,
     DOMAIN_PROCESS_VARIATION,
     DOMAIN_SELF_SCC,
-    rng_for,
     stream_words,
 )
 

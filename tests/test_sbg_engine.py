@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import rngs_for, scalar_generate, variation_draw
+from helpers import rng_for, rngs_for, scalar_generate, variation_draw
 from spinsc import sbg
 from spinsc.device import PulseSpec, WriteDirection
 from spinsc.sbg import (RESET_PULSE, CalibrationCache, SbgDevice, SbgMode, counters,
@@ -28,7 +28,6 @@ from spinsc.seeding import (
     DOMAIN_DEVICE,
     DOMAIN_PROCESS_VARIATION,
     DOMAIN_SELF_SCC,
-    rng_for,
 )
 
 DEVICE = SbgDevice()

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from helpers import rngs_for, variation_draw
+from helpers import rng_for, rngs_for, variation_draw
 from spinsc import fusion, sbg
 from spinsc.fusion import FusionPipeline, make_problem
 from spinsc.sbg import SbgDevice, SbgMode, make_units
-from spinsc.seeding import (DOMAIN_DEVICE, DOMAIN_PROCESS_VARIATION, generators, rng_for,
-                            stream_words)
+from spinsc.seeding import DOMAIN_DEVICE, DOMAIN_PROCESS_VARIATION, generators, stream_words
 
 EDGE_IDS = [0, 2**32 - 1]
 
