@@ -263,7 +263,7 @@ def cmd_scc_report(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
 
 def _load_assignment(path: Path) -> dict[str, float]:
     values: dict[str, float] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -282,7 +282,7 @@ def _load_assignment(path: Path) -> dict[str, float]:
 
 def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     out = Path(cfg.out_dir)
-    net = ScNetlist.parse(args.netlist.read_text(encoding="utf-8"))
+    net = ScNetlist.parse(args.netlist.read_text(encoding="utf-8-sig"))
     assignment = _load_assignment(args.assignment)
     missing = [t for t in net.terminals if t not in assignment]
     if missing:

@@ -261,7 +261,7 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     # section instead of keys merged into every other.
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None,
                                        default_section="")
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     try:
         parser.read_string(text, source=str(path))
     except configparser.MissingSectionHeaderError as exc:

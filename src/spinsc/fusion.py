@@ -165,8 +165,11 @@ def likelihood_channels(problem: FusionProblem) -> np.ndarray:
             sd = problem.sigma_d(i)
             channels[2 * i] = np.exp(-0.5 * ((dist - reading.mu_d) / sd) ** 2) \
                 / (math.sqrt(2.0 * math.pi) * sd)
-            bearing = np.degrees(np.arctan2(ys - cy, xs - cx)) % 360.0
-            diff = np.abs(bearing - reading.mu_b) % 360.0
+            # arctan2 lies in [-180, 180]: adding 360 below 0 is % 360, and
+            # |bearing - mu_b| <= 360 needs no wrap, 360 and 0 giving one minimum.
+            bearing = np.degrees(np.arctan2(ys - cy, xs - cx))
+            np.add(bearing, 360.0, out=bearing, where=bearing < 0)
+            diff = np.abs(bearing - reading.mu_b)
             residual = np.minimum(diff, 360.0 - diff)
             channels[2 * i + 1] = np.exp(-0.5 * (residual / problem.sigma_b) ** 2) \
                 / (math.sqrt(2.0 * math.pi) * problem.sigma_b)
@@ -246,12 +249,12 @@ class FusionPipeline:
             for i in range(j):
                 rank[j] += k[i] == k[j]
         # A level's ranks run 0 .. its largest rank, so the ranks it shows
-        # count its clusters.
-        seen = np.zeros((level_count + 1, 6), dtype=bool)
-        seen[k, rank] = True
-        clusters = seen.sum(axis=1)                 # indexed by level number k
+        # count its clusters, marked on a flat table read as (levels x 6).
+        seen = np.zeros((level_count + 1) * 6, dtype=bool)
+        seen[k * 6 + rank] = True
+        clusters = seen.reshape(-1, 6).sum(axis=1)  # indexed by level number k
         first = np.cumsum(clusters) - clusters
-        cluster_ids = (first[k] + rank).T
+        cluster_ids = (first.take(k) + rank).T
         levels = np.flatnonzero(clusters)
         values, per_level = levels / level_count, clusters[levels]
 
@@ -277,14 +280,15 @@ class FusionPipeline:
         array = build_array(self.spec, master_seed, self.device,
                             pv_sigmas=pv_sigmas, calibration=self.calibration)
         # Pack each row's bits into 64-bit words (zero-padded, so the padding
-        # counts nothing), AND a cell's six rows word by word and popcount.
+        # counts nothing) laid out words x rows, so one take gathers a channel's
+        # row for every cell; AND a cell's six rows and popcount down the words.
         bits, energy = generate_array(array, n)
         packed = np.packbits(bits, axis=1)
-        words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
-        products = words[self.cell_rows[:, 0]]
+        words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64).T.copy()
+        products = words.take(self.cell_rows[:, 0], axis=1)
         for j in range(1, 6):
-            products &= words[self.cell_rows[:, j]]
-        counts = np.bitwise_count(products).sum(axis=1).astype(np.float64)
+            products &= words.take(self.cell_rows[:, j], axis=1)
+        counts = np.bitwise_count(products).sum(axis=0, dtype=np.int64).astype(np.float64)
         w, h = self.problem.grid_w, self.problem.grid_h
         grid = PosteriorGrid((counts / n).reshape(w, h)).normalize()
         # Python's sum adds the energies one at a time in row order; np.sum

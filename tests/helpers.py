@@ -63,6 +63,29 @@ def quantize_levels_reference(values: np.ndarray, level_count: int) -> np.ndarra
     return np.clip(k, 1, level_count).astype(np.intp)
 
 
+def likelihood_channels_reference(problem: FusionProblem) -> np.ndarray:
+    """Oracle for fusion.likelihood_channels that wraps both bearing steps
+    with numpy's floored remainder, % 360.0."""
+    w, h = problem.grid_w, problem.grid_h
+    sx, sy = problem.cell_scale
+    xs = np.arange(w)[:, None] * sx
+    ys = np.arange(h)[None, :] * sy
+    channels = np.empty((6, w, h), dtype=np.float64)
+    with np.errstate(over="ignore"):
+        for i, (cx, cy) in enumerate(problem.sensors):
+            reading = problem.readings[i]
+            dist = np.hypot(xs - cx, ys - cy)
+            sd = problem.sigma_d(i)
+            channels[2 * i] = np.exp(-0.5 * ((dist - reading.mu_d) / sd) ** 2) \
+                / (math.sqrt(2.0 * math.pi) * sd)
+            bearing = np.degrees(np.arctan2(ys - cy, xs - cx)) % 360.0
+            diff = np.abs(bearing - reading.mu_b) % 360.0
+            residual = np.minimum(diff, 360.0 - diff)
+            channels[2 * i + 1] = np.exp(-0.5 * (residual / problem.sigma_b) ** 2) \
+                / (math.sqrt(2.0 * math.pi) * problem.sigma_b)
+    return channels
+
+
 def brute_force_probability(net: ScNetlist, output_id: str,
                             values: dict[str, float]) -> float:
     """Exact output probability by enumerating every terminal assignment.

@@ -823,6 +823,49 @@ def test_unreadable_config_file_is_one_line(tmp_path, capsys, text, reason):
     assert not out.exists()
 
 
+def test_section_names_are_case_sensitive_and_keys_are_not(tmp_path, capsys):
+    path = tmp_path / "keys.cfg"
+    path.write_text("[run]\nBitstream_Len = 5\n", encoding="utf-8")
+    assert load_config(path).bitstream_len == 5
+    path.write_text("[RUN]\nbitstream_len = 5\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(path), "--out-dir", str(out), "cost-report"]) == 2
+    assert capsys.readouterr().err == "configuration error: unknown section [RUN]\n"
+    assert not out.exists()
+
+
+BOM = "\ufeff"
+
+
+def outputs_of(capsys, out, *args):
+    """stdout, with the output directory's name taken out, and every output
+    file's bytes of one successful command."""
+    run_cli("--out-dir", out, *args)
+    return (capsys.readouterr().out.replace(str(out), "<out>"),
+            {f.name: f.read_bytes() for f in sorted(out.iterdir())})
+
+
+def test_config_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(SMALL_CONFIG, encoding="utf-8")
+    marked.write_text(BOM + SMALL_CONFIG, encoding="utf-8")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf[run]")
+    assert load_config(marked) == load_config(plain)
+    assert outputs_of(capsys, tmp_path / "m", "--config", marked, "fusion-run") \
+        == outputs_of(capsys, tmp_path / "p", "--config", plain, "fusion-run")
+
+
+@pytest.mark.parametrize("marked_file", ["netlist", "assignment"])
+def test_allocate_input_with_a_byte_order_mark_reads_as_without(tmp_path, config_path, capsys,
+                                                                 marked_file):
+    netlist, assignment = write_reference_inputs(tmp_path)
+    marked = {"netlist": netlist, "assignment": assignment}[marked_file]
+    args = ("--config", config_path, "allocate", "--netlist", netlist, "--assignment", assignment)
+    expected = outputs_of(capsys, tmp_path / "p", *args)
+    marked.write_text(BOM + marked.read_text(encoding="utf-8"), encoding="utf-8")
+    assert outputs_of(capsys, tmp_path / "m", *args) == expected
+
+
 @pytest.mark.parametrize("value", ["4%x4", "%(x)s"])
 def test_percent_in_a_value_is_taken_as_written(tmp_path, capsys, value):
     bad = tmp_path / "bad.cfg"

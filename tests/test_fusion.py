@@ -26,8 +26,9 @@ from spinsc.fusion import (
 from spinsc.logic import extract_conflict_sets
 from spinsc.sbg import SbgMode
 
-from helpers import (angular_residual, build_sc_network, generic_fusion_plan, likelihoods,
-                     oracle_run, quantize_levels_reference)
+from helpers import (angular_residual, build_sc_network, generic_fusion_plan,
+                     likelihood_channels_reference, likelihoods, oracle_run,
+                     quantize_levels_reference)
 
 
 def problem_64(target=(40.0, 22.0), **kw):
@@ -100,6 +101,49 @@ def test_bearing_just_below_the_axis_wraps_to_zero():
     target = (40.0, 31.999999999999996)
     assert bearing_deg((0.0, 32.0), target) == 0.0
     assert make_problem(grid_w=4, grid_h=4, target_xy=target).readings[1].mu_b == 0.0
+
+
+BELOW_360 = float(np.nextafter(360.0, 0.0))
+
+
+def _random_bearing_problem(rng):
+    # Sensors on cell positions (bearings arctan2(0, x) and arctan2(y, 0)) or
+    # anywhere around the plane, bearing readings anywhere or at the ends of
+    # [0, 360).
+    w, h = (int(v) for v in rng.integers(1, 49, size=2))
+    plane = float(rng.uniform(1.0, 100.0))
+    if rng.random() < 0.5:
+        cells = rng.integers(-2, 2 + max(w, h), size=(3, 2))
+        sensors = tuple((float(x) * plane / w, float(y) * plane / h) for x, y in cells)
+    else:
+        sensors = tuple(tuple(float(v) for v in xy)
+                        for xy in rng.uniform(-0.5 * plane, 1.5 * plane, size=(3, 2)))
+    readings = tuple(SensorReading(float(rng.uniform(0.0, plane)),
+                                   float(rng.choice([0.0, BELOW_360, 180.0, 90.0,
+                                                     rng.uniform(0.0, 360.0)])))
+                     for _ in range(3))
+    return FusionProblem(grid_w=w, grid_h=h, plane=plane, sensors=sensors, readings=readings,
+                         sigma_b=float(rng.uniform(0.5, 40.0)))
+
+
+def test_likelihood_channels_equal_the_remainder_form_bytewise():
+    below_axis = (40.0, 31.999999999999996)
+    # A sensor just above a row of cells sees it at tiny negative angles,
+    # whose % 360.0 rounds to 360.0.
+    just_off = ((0.0, 32.000000000000007), (64.0, 0.0), (32.0, 64.0))
+    edges = (SensorReading(10.0, 0.0), SensorReading(20.0, BELOW_360), SensorReading(30.0, 180.0))
+    problems = [make_problem(grid_w=4, grid_h=4, target_xy=below_axis),
+                make_problem(grid_w=32, grid_h=32, target_xy=below_axis),
+                make_problem(grid_w=40, grid_h=3, noise_b=20.0, master_seed=7),
+                make_problem(grid_w=1, grid_h=1),
+                FusionProblem(grid_w=32, grid_h=32, readings=edges),
+                FusionProblem(grid_w=9, grid_h=7, sensors=just_off, readings=edges[::-1]),
+                FusionProblem(grid_w=32, grid_h=16, sensors=just_off, readings=edges)]
+    rng = np.random.default_rng(40)
+    problems += [_random_bearing_problem(rng) for _ in range(200)]
+    for problem in problems:
+        assert likelihood_channels(problem).tobytes() \
+            == likelihood_channels_reference(problem).tobytes(), problem
 
 
 def test_synthesized_readings_noise_free_geometry():
@@ -243,7 +287,7 @@ def test_sc_posterior_deterministic_and_normalized():
     assert not np.array_equal(a.weights, c.weights)
 
 
-@pytest.mark.parametrize("grid", [(3, 5), (16, 16)])
+@pytest.mark.parametrize("grid", [(3, 5), (16, 16), (1, 1), (40, 3)])
 @pytest.mark.parametrize("mode", list(SbgMode))
 @pytest.mark.parametrize("pv", [None, (0.05, 0.02)])
 def test_run_counts_equal_bytewise_oracle(grid, mode, pv):
