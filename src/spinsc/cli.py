@@ -4,8 +4,8 @@ Subcommands: sbg-characterize, array-report, scc-report, allocate, fusion-run,
 cost-report, pv-sweep, kl-sweep.  Every output is a UTF-8 CSV with a one-line
 header and floats at 6 significant digits (heat maps are binary 8-bit PGM),
 and every run is a pure function of the configuration, so re-running a command
-reproduces its files byte for byte.  The output directory is made by the
-first file written to it, so a refused run leaves none behind.
+reproduces its files byte for byte.  Only _emit, a command's last step,
+makes the output directory, so a refused run leaves none behind.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import allocator, cost, experiments, fusion
-from .config import ConfigError, RunConfig, apply, level, load_config
+from .config import ConfigError, RunConfig, apply, level, load_config, read_input
 from .device import WriteDirection, characterization_rows
 from .logic import ScNetlist, cluster_terminals, extract_conflict_sets
 from .sbg import SbgArraySpec, SbgMode, build_array, counters, generate_array
@@ -176,11 +176,11 @@ def _format_array_table(columns: Sequence[np.ndarray]) -> bytes:
 
 
 def write_csv(path: Path, header: list[str], columns: Sequence[Sequence]) -> None:
-    """A CSV file from its columns, every value as fmt writes it.  A float or
-    integer numpy array takes a %.6g or %d field by its dtype; any other
-    column is run through fmt into a %s field.  A long table of array
-    columns alone is formatted by _format_array_table, any other in one %
-    call."""
+    """A CSV file, in a directory that exists, from its columns, every value
+    as fmt writes it.  A float or integer numpy array takes a %.6g or %d
+    field by its dtype; any other column is run through fmt into a %s field.
+    A long table of array columns alone is formatted by _format_array_table,
+    any other in one % call."""
     rows = len(columns[0]) if columns else 0
     if rows >= _ARRAY_TABLE_ROWS and all(
             isinstance(column, np.ndarray) and column.dtype.kind in "fiu" for column in columns):
@@ -198,36 +198,41 @@ def write_csv(path: Path, header: list[str], columns: Sequence[Sequence]) -> Non
         line = ",".join(fields) + "\n"
         body = ((line * rows) % tuple(chain.from_iterable(zip(*values, strict=True)))
                 ).encode("utf-8")
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes((",".join(header) + "\n").encode("utf-8") + body)
 
 
 def write_pgm(path: Path, weights: np.ndarray) -> None:
-    """Max-normalized 8-bit binary PGM heat map."""
+    """Max-normalized 8-bit binary PGM heat map, in a directory that exists."""
     peak = float(weights.max())
     scale = 255.0 / peak if peak > 0 else 0.0
     gray = np.round(weights * scale).astype(np.uint8)
     header = f"P5\n{gray.shape[1]} {gray.shape[0]}\n255\n".encode("ascii")
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(header + gray.tobytes())
 
 
-def cmd_sbg_characterize(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
+def _emit(cfg: RunConfig, files: dict) -> list[Path]:
+    """Write a command's files, in order, into cfg.out_dir, made here: a .pgm
+    name maps to a weight grid, a CSV name to its (header, columns)."""
     out = Path(cfg.out_dir)
-    # Both tables are computed before either is written, so a refused run
-    # leaves no directory.
-    tables = {out / f"characterize_{direction.value}.csv": characterization_rows(
-        cfg.device.params, list(cfg.report.characterize_voltages),
-        list(cfg.report.characterize_durations), direction)
-        for direction in (WriteDirection.P_TO_AP, WriteDirection.AP_TO_P)}
-    for path, rows in tables.items():
-        write_csv(path, ["voltage", "duration", "probability"], list(zip(*rows)))
-    return list(tables)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        if name.endswith(".pgm"):
+            write_pgm(out / name, content)
+        else:
+            write_csv(out / name, *content)
+    return [out / name for name in files]
+
+
+def cmd_sbg_characterize(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
+    return _emit(cfg, {f"characterize_{direction.value}.csv": (
+        ["voltage", "duration", "probability"], list(zip(*characterization_rows(
+            cfg.device.params, list(cfg.report.characterize_voltages),
+            list(cfg.report.characterize_durations), direction))))
+        for direction in (WriteDirection.P_TO_AP, WriteDirection.AP_TO_P)})
 
 
 def cmd_array_report(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     """Per-unit density error and energy for the configured generator array."""
-    out = Path(cfg.out_dir)
     levels = cfg.array.levels
     multiplicity = cfg.array.multiplicity or tuple(1 for _ in levels)
     if len(multiplicity) != len(levels):
@@ -238,15 +243,13 @@ def cmd_array_report(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     bits, energy = generate_array(array, n)
     density = bits.sum(axis=1) / n
     writes, reads = (np.full(len(array), count, dtype=np.int64) for count in counters(spec.mode, n))
-    path = out / "array_report.csv"
-    write_csv(path, ["unit", "target_p", "density", "abs_error", "energy_nj", "writes", "reads"],
-              [np.arange(len(array)), array.targets, density, np.abs(density - array.targets),
-               energy, writes, reads])
-    return [path]
+    return _emit(cfg, {"array_report.csv": (
+        ["unit", "target_p", "density", "abs_error", "energy_nj", "writes", "reads"],
+        [np.arange(len(array)), array.targets, density, np.abs(density - array.targets),
+         energy, writes, reads])})
 
 
 def cmd_scc_report(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
-    out = Path(cfg.out_dir)
     rep = cfg.report
     self_rows = experiments.self_scc_table(
         rep.scc_probs, rep.scc_lengths, rep.scc_pairs, cfg.master_seed,
@@ -254,16 +257,14 @@ def cmd_scc_report(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     cross_rows = experiments.cross_scc_table(
         rep.scc_cross, rep.scc_lengths, rep.scc_pairs, cfg.master_seed,
         mode=cfg.array.mode, device=cfg.device)
-    self_path = out / "self_scc.csv"
-    cross_path = out / "cross_scc.csv"
-    write_csv(self_path, ["p", "n", "mean_abs_scc"], list(zip(*self_rows)))
-    write_csv(cross_path, ["p1", "p2", "n", "mean_abs_scc"], list(zip(*cross_rows)))
-    return [self_path, cross_path]
+    return _emit(cfg, {"self_scc.csv": (["p", "n", "mean_abs_scc"], list(zip(*self_rows))),
+                       "cross_scc.csv": (["p1", "p2", "n", "mean_abs_scc"],
+                                         list(zip(*cross_rows)))})
 
 
 def _load_assignment(path: Path) -> dict[str, float]:
     values: dict[str, float] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), 1):
+    for lineno, raw in enumerate(read_input(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -281,8 +282,7 @@ def _load_assignment(path: Path) -> dict[str, float]:
 
 
 def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
-    out = Path(cfg.out_dir)
-    net = ScNetlist.parse(args.netlist.read_text(encoding="utf-8-sig"))
+    net = ScNetlist.parse(read_input(args.netlist))
     assignment = _load_assignment(args.assignment)
     missing = [t for t in net.terminals if t not in assignment]
     if missing:
@@ -306,21 +306,18 @@ def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     spec = SbgArraySpec(levels, tuple(per_level[lvl] for lvl in levels), cfg.array.mode)
     matrix = allocator.allocate(
         col_levels, spec, [{cluster_of[t] for t in group} for group in conflict_sets])
-
-    matrix_path = out / "matrix.csv"
-    # np.nonzero lists the entries row by row, each row's columns ascending.
-    write_csv(matrix_path, ["row", "col"], np.nonzero(matrix.control))
-
     m = spec.total_units
     n_terminals = len(net.terminals)
     n_prime = len(col_levels)
     k_energy, k_cmos = cost.cost_metrics(n_terminals, m, n_prime)
-    summary_path = out / "allocate_summary.csv"
-    write_csv(summary_path, ["m", "n_terminals", "n_clustered", "k_energy", "k_cmos"],
-              [[m], [n_terminals], [n_prime], [k_energy], [k_cmos]])
+    files = _emit(cfg, {
+        # np.nonzero lists the entries row by row, each row's columns ascending.
+        "matrix.csv": (["row", "col"], np.nonzero(matrix.control)),
+        "allocate_summary.csv": (["m", "n_terminals", "n_clustered", "k_energy", "k_cmos"],
+                                 [[m], [n_terminals], [n_prime], [k_energy], [k_cmos]])})
     print(f"allocated {n_terminals} terminals onto {m} generators "
           f"({n_prime} clustered columns)")
-    return [matrix_path, summary_path]
+    return files
 
 
 def _pipeline(cfg: RunConfig) -> fusion.FusionPipeline:
@@ -335,7 +332,6 @@ def _pipeline(cfg: RunConfig) -> fusion.FusionPipeline:
 
 
 def cmd_fusion_run(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
-    out = Path(cfg.out_dir)
     pipeline = _pipeline(cfg)
     grid_w, grid_h = cfg.fusion.grid
     n = cfg.bitstream_len
@@ -345,44 +341,37 @@ def cmd_fusion_run(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
 
     # One (x, y, weight) line per grid cell, x-major.
     xs, ys = np.repeat(np.arange(grid_w), grid_h), np.tile(np.arange(grid_h), grid_w)
-    posterior_path = out / "posterior.csv"
-    write_csv(posterior_path, ["x", "y", "weight"], [xs, ys, estimate.weights.ravel()])
-    pgm_path = out / "posterior.pgm"
-    write_pgm(pgm_path, estimate.weights)
-    exact_path = out / "posterior_exact.csv"
-    write_csv(exact_path, ["x", "y", "weight"], [xs, ys, pipeline.exact.weights.ravel()])
-    summary_path = out / "fusion_summary.csv"
-    write_csv(summary_path, ["n", "kl", "argmax_x", "argmax_y"], [[n], [kl], [ax], [ay]])
+    files = _emit(cfg, {
+        "posterior.csv": (["x", "y", "weight"], [xs, ys, estimate.weights.ravel()]),
+        "posterior.pgm": estimate.weights,
+        "posterior_exact.csv": (["x", "y", "weight"], [xs, ys, pipeline.exact.weights.ravel()]),
+        "fusion_summary.csv": (["n", "kl", "argmax_x", "argmax_y"], [[n], [kl], [ax], [ay]])})
     print(f"{n},{fmt(kl)},{ax},{ay}")
-    return [posterior_path, pgm_path, exact_path, summary_path]
+    return files
 
 
 def cmd_cost_report(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
-    path = Path(cfg.out_dir) / "cost_report.csv"
-    write_csv(path, *cost.comparison_table())
+    files = _emit(cfg, {"cost_report.csv": cost.comparison_table()})
     reference = cost.SHARED_ARRAY_REFERENCE
     for profile in (cost.MTJ_BASELINE, cost.FPGA_BASELINE):
         ratio = cost.compare(profile, reference)
         print(f"{profile.label} / {reference.label} energy ratio: {fmt(ratio)}")
-    return [path]
+    return files
 
 
 def cmd_pv_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
-    out = Path(cfg.out_dir)
     rep = cfg.report
     sigmas = (cfg.pv_sigma_area, cfg.pv_sigma_tox)
     results = experiments.density_sweep(
         rep.sweep_probs, rep.sweep_lengths, rep.sweep_repeats, cfg.master_seed,
         mode=SbgMode.SIMPLE, device=cfg.device, pv_sigmas=sigmas)
-    path = out / "pv_sweep.csv"
-    write_csv(path, ["n", "avg_error", "max_error"],
-              list(zip(*((r.length, r.avg_error, r.max_error) for r in results))))
-    return [path]
+    return _emit(cfg, {"pv_sweep.csv": (
+        ["n", "avg_error", "max_error"],
+        list(zip(*((r.length, r.avg_error, r.max_error) for r in results))))})
 
 
 def cmd_kl_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     """KL divergence against stream length, without and with process variation."""
-    out = Path(cfg.out_dir)
     rep = cfg.report
     pipeline = _pipeline(cfg)
     seeds = tuple(cfg.master_seed + k for k in range(rep.sweep_repeats))
@@ -392,13 +381,12 @@ def cmd_kl_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
                                          pv_sigmas=sigmas, pipeline=pipeline)
         rows.extend((n, label, np.mean(table[n]), min(table[n]), max(table[n]))
                     for n in rep.sweep_lengths)
-    path = out / "kl_sweep.csv"
-    write_csv(path, ["n", "variation", "mean_kl", "min_kl", "max_kl"], list(zip(*rows)))
-    return [path]
+    return _emit(cfg, {"kl_sweep.csv": (["n", "variation", "mean_kl", "min_kl", "max_kl"],
+                                        list(zip(*rows)))})
 
 
 # Subcommand -> (handler, help).  A handler takes the run configuration and
-# the parsed arguments and returns the files it wrote.
+# the parsed arguments and returns what its closing _emit call wrote.
 COMMANDS = {
     "sbg-characterize": (cmd_sbg_characterize, "voltage/duration/probability sweep"),
     "array-report": (cmd_array_report, "per-unit density error and energy"),

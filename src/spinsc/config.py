@@ -13,8 +13,9 @@ sbg.SbgDevice that every command hands whole to the layers that build
 generators.
 
 What a key refuses is written once, in the parser KEYS names for it, each
-bound on one line beside its reason.  An unknown section or key, and a file
-configparser cannot read, are refused too.
+bound on one line beside its reason.  An unknown section or key, an input
+file that is not UTF-8 (read_input) and a file configparser cannot read are
+refused too.
 """
 
 from __future__ import annotations
@@ -251,6 +252,15 @@ def apply(cfg: RunConfig, section: str, texts: dict[str, str]) -> RunConfig:
         raise ConfigError(f"[{section}] {keys}: {exc}") from exc
 
 
+def read_input(path: str | Path) -> str:
+    """The text of a UTF-8 input file, read past a leading byte-order mark;
+    a file that is not UTF-8 is refused, naming it and the failing byte."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
 def load_config(path: str | Path | None = None) -> RunConfig:
     """RunConfig from a key-value file; all keys optional."""
     cfg = RunConfig()
@@ -261,7 +271,7 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     # section instead of keys merged into every other.
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None,
                                        default_section="")
-    text = Path(path).read_text(encoding="utf-8-sig")
+    text = read_input(path)
     try:
         parser.read_string(text, source=str(path))
     except configparser.MissingSectionHeaderError as exc:

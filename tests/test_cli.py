@@ -20,7 +20,8 @@ from spinsc.fusion import likelihood_channels
 from spinsc.logic import Product, ScNetlist, expand_products
 from spinsc.sbg import SbgMode, make_units
 from spinsc.seeding import stream_words
-from conftest import REFERENCE_ASSIGNMENT, REFERENCE_NETLIST
+from conftest import (REFERENCE_ASSIGNMENT, REFERENCE_ASSIGNMENT_PATH, REFERENCE_NETLIST,
+                      REFERENCE_NETLIST_PATH)
 from helpers import csv_text
 
 SMALL_CONFIG = """\
@@ -864,6 +865,35 @@ def test_allocate_input_with_a_byte_order_mark_reads_as_without(tmp_path, config
     expected = outputs_of(capsys, tmp_path / "p", *args)
     marked.write_text(BOM + marked.read_text(encoding="utf-8"), encoding="utf-8")
     assert outputs_of(capsys, tmp_path / "m", *args) == expected
+
+
+@pytest.mark.parametrize("bad_file", ["config", "netlist", "assignment"])
+def test_input_that_is_not_utf8_is_one_line_naming_the_file(tmp_path, config_path, capsys,
+                                                            bad_file):
+    netlist, assignment = write_reference_inputs(tmp_path)
+    bad = {"config": config_path, "netlist": netlist, "assignment": assignment}[bad_file]
+    # A stray byte past the first line: the message counts it from the file's start.
+    text = bad.read_bytes()
+    offset = text.index(b"\n") + 1
+    bad.write_bytes(text[:offset] + b"\xff" + text[offset:])
+    out = tmp_path / "o"
+    assert main(["--config", str(config_path), "--out-dir", str(out), "allocate",
+                 "--netlist", str(netlist), "--assignment", str(assignment)]) == 2
+    assert capsys.readouterr() == ("", f"configuration error: cannot read {bad}: 'utf-8' codec "
+                                       f"can't decode byte 0xff in position {offset}: "
+                                       "invalid start byte\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fusion-run", "allocate"])
+def test_out_dir_that_names_a_file_is_one_line_error(tmp_path, config_path, capsys, command):
+    out = tmp_path / "o"
+    out.write_bytes(b"kept\n")
+    args = ["allocate", "--netlist", str(REFERENCE_NETLIST_PATH),
+            "--assignment", str(REFERENCE_ASSIGNMENT_PATH)] if command == "allocate" else [command]
+    assert main(["--config", str(config_path), "--out-dir", str(out), *args]) == 1
+    assert capsys.readouterr() == ("", f"error: [Errno 17] File exists: '{out}'\n")
+    assert out.read_bytes() == b"kept\n"
 
 
 @pytest.mark.parametrize("value", ["4%x4", "%(x)s"])

@@ -1,4 +1,4 @@
-"""Every byte the commands write, pinned by SHA-256.
+"""Every byte the commands write, pinned by SHA-256, and what they print.
 
 The digests were taken from the files the commands wrote at their defaults
 before the generator array became one struct-of-arrays value, so any change
@@ -109,12 +109,28 @@ GOLDEN = {
 }
 
 
+# What a command prints before its `wrote` lines, which name its files in
+# the order GOLDEN lists them.  Pinned from the commands' stdout before every
+# command came to write its files through one emitter.
+PRINTED = {
+    "cost-report": "mtj-direct / shared-sbg energy ratio: 11.7436\n"
+                   "fpga / shared-sbg energy ratio: 26.4103\n",
+    "--grid 8x8 fusion-run": "128,0.0527475,5,3\n",
+    "--grid 8x8 --pv --bitstream-len 16 fusion-run": "16,0.335031,5,3\n",
+    "--grid 32x32 fusion-run": "128,0.039521,20,11\n",
+    "--grid 9x7 --bitstream-len 13 fusion-run": "13,0.293234,6,2\n",
+    "allocate --netlist {data}/reference.net --assignment {data}/reference.assign":
+        "allocated 9 terminals onto 7 generators (7 clustered columns)\n",
+}
+
+
 @pytest.mark.parametrize("args", list(GOLDEN))
 def test_command_writes_pinned_bytes(tmp_path, capsys, args):
     out = tmp_path / "out"
     argv = [arg.format(data=DATA) for arg in args.split()]
     assert main(["--out-dir", str(out), *argv]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().out.replace(str(out), "<out>") == PRINTED.get(args, "") + "".join(
+        f"wrote <out>/{name}\n" for name in GOLDEN[args])
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in out.iterdir()}
     assert written == GOLDEN[args]
