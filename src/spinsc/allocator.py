@@ -18,6 +18,7 @@ metrics of an allocation are cost.cost_metrics.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Collection, Sequence
@@ -25,7 +26,7 @@ from typing import Collection, Sequence
 import numpy as np
 
 from .logic import first_fit
-from .sbg import SbgArraySpec
+from .sbg import SbgArraySpec, SbgMode
 
 
 class CapacityExceeded(RuntimeError):
@@ -54,6 +55,16 @@ class SwitchMatrix:
     @property
     def num_rows(self) -> int:
         return int(self.control.shape[0])
+
+
+def size_array(levels: Sequence[float], mode: SbgMode) -> SbgArraySpec:
+    """The array for clustered columns, column j of level levels[j]: one row per cluster, levels
+    ascending.  This is exact: a cluster opens only for a terminal that conflicts with a member
+    of every earlier cluster of its level, so they conflict pairwise and each takes its own row."""
+    per_level = sorted(Counter(levels).items())
+    if not per_level:
+        raise ValueError("at least one level is required")
+    return SbgArraySpec(*map(tuple, zip(*per_level)), mode)
 
 
 def allocate(levels: Sequence[float], spec: SbgArraySpec,

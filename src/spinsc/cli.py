@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 from collections.abc import Sequence
 from functools import cache
 from itertools import chain
@@ -282,7 +281,11 @@ def _load_assignment(path: Path) -> dict[str, float]:
 
 
 def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
-    net = ScNetlist.parse(read_input(args.netlist))
+    text = read_input(args.netlist)
+    try:
+        net = ScNetlist.parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{args.netlist}: {exc}") from exc
     assignment = _load_assignment(args.assignment)
     missing = [t for t in net.terminals if t not in assignment]
     if missing:
@@ -296,14 +299,7 @@ def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
     col_levels = [0.0] * len(set(cluster_of.values()))
     for t, k in cluster_of.items():
         col_levels[k] = assignment[t]
-    # The clusters of one level pairwise conflict (cluster_terminals opens a
-    # new one only for a terminal that conflicts with every earlier one), so
-    # each cluster takes its own row.
-    per_level = Counter(col_levels)
-    if not per_level:
-        raise ValueError("at least one level is required")
-    levels = tuple(sorted(per_level))
-    spec = SbgArraySpec(levels, tuple(per_level[lvl] for lvl in levels), cfg.array.mode)
+    spec = allocator.size_array(col_levels, cfg.array.mode)
     matrix = allocator.allocate(
         col_levels, spec, [{cluster_of[t] for t in group} for group in conflict_sets])
     m = spec.total_units

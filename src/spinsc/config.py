@@ -254,9 +254,10 @@ def apply(cfg: RunConfig, section: str, texts: dict[str, str]) -> RunConfig:
 
 def read_input(path: str | Path) -> str:
     """The text of a UTF-8 input file, read past a leading byte-order mark;
-    a file that is not UTF-8 is refused, naming it and the failing byte."""
+    a file that is not UTF-8 is refused, naming it and the failing byte by
+    its offset from the file's start, the mark included."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 

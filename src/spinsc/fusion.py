@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import allocator
-from .sbg import (CalibrationCache, SbgArraySpec, SbgDevice, SbgMode, build_array, counters,
-                  generate_array)
+from .sbg import CalibrationCache, SbgDevice, SbgMode, build_array, counters, generate_array
 from .seeding import DOMAIN_READINGS, generators, stream_words
 
 CHANNELS = ("d1", "b1", "d2", "b2", "d3", "b3")
@@ -148,14 +147,14 @@ def make_problem(grid_w: int = 32, grid_h: int = 32,
 
 
 def likelihood_channels(problem: FusionProblem) -> np.ndarray:
-    """All six likelihood grids (d1, b1, d2, b2, d3, b3), shape (6, W, H):
+    """A distance and a bearing grid per sensor (CHANNELS), shape (2 x sensors, W, H):
     Gaussian densities of each cell's distance residual and of its bearing
     residual, the minimal angle on [0, 180] (359 against 1 is 2, not 358)."""
     w, h = problem.grid_w, problem.grid_h
     sx, sy = problem.cell_scale
     xs = np.arange(w)[:, None] * sx
     ys = np.arange(h)[None, :] * sy
-    channels = np.empty((6, w, h), dtype=np.float64)
+    channels = np.empty((2 * len(problem.sensors), w, h), dtype=np.float64)
     # A residual over a tiny sigma overflows to inf, and exp(-inf) = 0 is the
     # exact tail.
     with np.errstate(over="ignore"):
@@ -177,8 +176,8 @@ def likelihood_channels(problem: FusionProblem) -> np.ndarray:
 
 
 def exact_posterior(channels: np.ndarray) -> PosteriorGrid:
-    """Normalized product of the six (W, H) likelihood grids that
-    likelihood_channels returns (uniform prior)."""
+    """Normalized product of the (2 x sensors, W, H) likelihood stack that
+    likelihood_channels returns over its first axis (uniform prior)."""
     return PosteriorGrid(np.prod(channels, axis=0)).normalize()
 
 
@@ -216,7 +215,7 @@ class FusionRunStats:
 
 class FusionPipeline:
     """Clustering and allocation for one fusion problem, prepared from its
-    quantized channel grid.
+    quantized (2 x sensors, W, H) likelihood stack of C channels.
 
     Preparation is seed-independent; run() draws fresh generator streams for
     a given seed.  Cells re-use shared rows exactly as the switch matrix
@@ -235,37 +234,37 @@ class FusionPipeline:
         self.device = device
         self.calibration = CalibrationCache()
 
-        # Each cell is one 6-input AND chain, so its six terminals form one
+        # Each cell is one C-input AND chain, so its C terminals form one
         # conflict set and cells share no terminal.  First-fit clustering of
         # same-level terminals then puts a terminal in its level's cluster
         # number `rank`, the count of earlier channels of its cell with the
         # same level (see README, "Preparation").
         channels = likelihood_channels(problem)
-        k = quantize_levels(condition_channels(channels), level_count).reshape(6, -1)
+        c = len(channels)
+        k = quantize_levels(condition_channels(channels), level_count).reshape(c, -1)
         # Built once condition_channels has refused a non-finite grid, on which np.prod warns.
         self.exact = exact_posterior(channels)
-        rank = np.zeros_like(k)                     # (6, cells), cells in (x, y) order
-        for j in range(1, 6):
+        rank = np.zeros_like(k)                     # (C, cells), cells in (x, y) order
+        for j in range(1, c):
             for i in range(j):
                 rank[j] += k[i] == k[j]
         # A level's ranks run 0 .. its largest rank, so the ranks it shows
-        # count its clusters, marked on a flat table read as (levels x 6).
-        seen = np.zeros((level_count + 1) * 6, dtype=bool)
-        seen[k * 6 + rank] = True
-        clusters = seen.reshape(-1, 6).sum(axis=1)  # indexed by level number k
+        # count its clusters, marked on a flat table read as (levels x C).
+        seen = np.zeros((level_count + 1) * c, dtype=bool)
+        seen[k * c + rank] = True
+        clusters = seen.reshape(-1, c).sum(axis=1)  # indexed by level number k
         first = np.cumsum(clusters) - clusters
         cluster_ids = (first.take(k) + rank).T
         levels = np.flatnonzero(clusters)
-        values, per_level = levels / level_count, clusters[levels]
+        per_level = clusters[levels]
+        col_levels = np.repeat(levels / level_count, per_level).tolist()
 
-        # The clusters of one level pairwise conflict (the cell that opens
-        # cluster `rank` holds ranks 0 .. rank), so one set per level is the
-        # conflict graph first-fit sees, and each cluster takes its own row.
-        self.cluster_sets = [range(f, f + c) for f, c in zip(first[levels].tolist(),
-                                                             per_level.tolist()) if c > 1]
-        self.spec = SbgArraySpec(tuple(values.tolist()), tuple(per_level.tolist()), mode)
-        self.matrix = allocator.allocate(np.repeat(values, per_level).tolist(), self.spec,
-                                         self.cluster_sets)
+        # The cell that opens cluster `rank` of a level holds its ranks
+        # 0 .. rank, so one set per level is the conflict graph first-fit sees.
+        self.cluster_sets = [range(f, f + n) for f, n in zip(first[levels].tolist(),
+                                                             per_level.tolist()) if n > 1]
+        self.spec = allocator.size_array(col_levels, mode)
+        self.matrix = allocator.allocate(col_levels, self.spec, self.cluster_sets)
         # Row index of each cell terminal, cells in (x, y) order.
         self.cell_rows = np.argmax(self.matrix.control, axis=0)[cluster_ids]
 
@@ -281,12 +280,12 @@ class FusionPipeline:
                             pv_sigmas=pv_sigmas, calibration=self.calibration)
         # Pack each row's bits into 64-bit words (zero-padded, so the padding
         # counts nothing) laid out words x rows, so one take gathers a channel's
-        # row for every cell; AND a cell's six rows and popcount down the words.
+        # row for every cell; AND all of a cell's rows and popcount down the words.
         bits, energy = generate_array(array, n)
         packed = np.packbits(bits, axis=1)
         words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64).T.copy()
         products = words.take(self.cell_rows[:, 0], axis=1)
-        for j in range(1, 6):
+        for j in range(1, self.cell_rows.shape[1]):
             products &= words.take(self.cell_rows[:, j], axis=1)
         counts = np.bitwise_count(products).sum(axis=0, dtype=np.int64).astype(np.float64)
         w, h = self.problem.grid_w, self.problem.grid_h

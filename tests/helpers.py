@@ -594,9 +594,10 @@ def scalar_generate(array: SbgArray, row: int, n: int, rng: np.random.Generator)
     return OracleRun(np.array(bits, dtype=np.uint8), energy, seen.total(), reads, cycle_energy)
 
 
-def size_array(levels: list[float], conflict_sets: list[set[int]],
-               mode: SbgMode) -> SbgArraySpec:
-    """Per-level multiplicities phi(i) for the columns' levels.
+def first_fit_size(levels: list[float], conflict_sets: list[set[int]],
+                   mode: SbgMode) -> SbgArraySpec:
+    """Per-level multiplicities phi(i) for the columns' levels, unclustered
+    or not; the oracle of allocator.size_array on clustered columns.
 
     One first-fit pass with unbounded rows, in allocate's walk: each level
     gets exactly the rows the switch controller consumes, its highest slot
@@ -670,7 +671,7 @@ def generic_fusion_plan(problem: FusionProblem, level_count: int = 64,
     cluster_of = cluster_terminals(net, conflict_sets, assignment)
     levels = [assignment[members[0]] for members in clusters_of(cluster_of).values()]
     cluster_sets = [{cluster_of[t] for t in group} for group in conflict_sets]
-    spec = size_array(levels, cluster_sets, mode)
+    spec = first_fit_size(levels, cluster_sets, mode)
     matrix = allocate(levels, spec, cluster_sets)
 
     row_of_col = np.argmax(matrix.control, axis=0)

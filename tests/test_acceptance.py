@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import as_columns, rows_in_use, scc, size_array
+from helpers import as_columns, first_fit_size, rows_in_use, scc
 from conftest import (REFERENCE_ASSIGNMENT, REFERENCE_ASSIGNMENT_PATH, REFERENCE_NETLIST,
                       REFERENCE_NETLIST_PATH)
 from spinsc.allocator import (
@@ -95,7 +95,7 @@ def test_criterion_04_conflict_extraction_golden():
                     frozenset({"T3", "T4", "T5"}),
                     frozenset({"T6", "T7", "T8", "T9"})]
     levels, columns = as_columns(REFERENCE_ASSIGNMENT, sets, net.terminals)
-    spec = size_array(levels, columns, SbgMode.SELF_CONTROL)
+    spec = first_fit_size(levels, columns, SbgMode.SELF_CONTROL)
     matrix = allocate(levels, spec, columns)
     assert spec.total_units == 7
     assert len(rows_in_use(matrix)) == 7
@@ -116,7 +116,7 @@ def test_criterion_05_allocation_legality_property():
         assignment = helpers.random_assignment(rng, net, [float(v) for v in levels])
 
         col_levels, columns = as_columns(assignment, sets, net.terminals)
-        spec = size_array(col_levels, columns, SbgMode.SELF_CONTROL)
+        spec = first_fit_size(col_levels, columns, SbgMode.SELF_CONTROL)
         matrix = allocate(col_levels, spec, columns)
         assert verify_allocation(matrix, columns, col_levels) == []
         checked += 1

@@ -1,14 +1,13 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 
 import helpers
-from helpers import as_columns, row_of, rows_in_use, size_array
+from helpers import as_columns, first_fit_size, row_of, rows_in_use
 from spinsc.allocator import (
     CapacityExceeded,
     UnknownLevel,
     allocate,
+    size_array,
     verify_allocation,
 )
 from spinsc.logic import (
@@ -25,7 +24,7 @@ def reference_setup(reference_netlist_text, reference_assignment):
     (column j is terminal net.terminals[j]) and the sized array."""
     net = ScNetlist.parse(reference_netlist_text)
     levels, sets = as_columns(reference_assignment, extract_conflict_sets(net), net.terminals)
-    return net, levels, sets, size_array(levels, sets, SbgMode.SELF_CONTROL)
+    return net, levels, sets, first_fit_size(levels, sets, SbgMode.SELF_CONTROL)
 
 
 def test_reference_sizing_needs_seven_generators(reference_netlist_text, reference_assignment):
@@ -53,10 +52,8 @@ def test_one_row_per_cluster_is_the_sized_array():
         col_levels = [assignment[members[0]]
                       for members in helpers.clusters_of(cluster_of).values()]
         cluster_sets = [{cluster_of[t] for t in group} for group in sets]
-        per_level = Counter(col_levels)
-        levels = tuple(sorted(per_level))
-        spec = SbgArraySpec(levels, tuple(per_level[lvl] for lvl in levels))
-        assert size_array(col_levels, cluster_sets, SbgMode.SELF_CONTROL) == spec
+        spec = size_array(col_levels, SbgMode.SELF_CONTROL)
+        assert first_fit_size(col_levels, cluster_sets, SbgMode.SELF_CONTROL) == spec
         matrix = allocate(col_levels, spec, cluster_sets)
         assert verify_allocation(matrix, cluster_sets, col_levels) == []
 
@@ -127,7 +124,7 @@ def test_sharing_never_worse_than_no_sharing():
         net = helpers.random_netlist(rng, max_terminals=20, max_gates=8)
         assignment = helpers.random_assignment(rng, net, levels)
         col_levels, sets = as_columns(assignment, extract_conflict_sets(net), net.terminals)
-        spec = size_array(col_levels, sets, SbgMode.SELF_CONTROL)
+        spec = first_fit_size(col_levels, sets, SbgMode.SELF_CONTROL)
         matrix = allocate(col_levels, spec, sets)
         assert len(rows_in_use(matrix)) <= len(net.terminals)
         assert verify_allocation(matrix, sets, col_levels) == []

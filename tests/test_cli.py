@@ -872,16 +872,37 @@ def test_input_that_is_not_utf8_is_one_line_naming_the_file(tmp_path, config_pat
                                                             bad_file):
     netlist, assignment = write_reference_inputs(tmp_path)
     bad = {"config": config_path, "netlist": netlist, "assignment": assignment}[bad_file]
-    # A stray byte past the first line: the message counts it from the file's start.
     text = bad.read_bytes()
-    offset = text.index(b"\n") + 1
-    bad.write_bytes(text[:offset] + b"\xff" + text[offset:])
+    cut = text.index(b"\n") + 1
+    # A stray byte past the first line, after a byte-order mark or none: the
+    # message counts it from the file's start, the mark included.
+    for mark in (b"", BOM.encode("utf-8")):
+        bad.write_bytes(mark + text[:cut] + b"\xff" + text[cut:])
+        out = tmp_path / "o"
+        assert main(["--config", str(config_path), "--out-dir", str(out), "allocate",
+                     "--netlist", str(netlist), "--assignment", str(assignment)]) == 2
+        assert capsys.readouterr() == (
+            "", f"configuration error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff "
+                f"in position {len(mark) + cut}: invalid start byte\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("terminal a\ngate g XOR a\noutput g\n", "line 2: 'XOR' is not a valid GateKind"),
+    ("terminal a\nterminal b\ngate g MUX a b\noutput g\n",
+     "line 3: MUX takes exactly (data0, data1, select)"),
+    ("terminal a\nterminal a\n", "line 2: duplicate node id 'a'"),
+    ("terminal a\ngate g AND a b\noutput g\n", "gate 'g' references unknown node 'b'"),
+    ("terminal a\ngate g AND a h\ngate h AND g\noutput h\n", "gate graph contains a cycle"),
+], ids=["unknown-kind", "mux-arity", "duplicate-id", "unknown-node", "cycle"])
+def test_netlist_that_cannot_be_parsed_is_one_line_naming_the_file(tmp_path, config_path,
+                                                                   capsys, text, message):
+    netlist = tmp_path / "bad.net"
+    netlist.write_text(text, encoding="utf-8")
     out = tmp_path / "o"
     assert main(["--config", str(config_path), "--out-dir", str(out), "allocate",
-                 "--netlist", str(netlist), "--assignment", str(assignment)]) == 2
-    assert capsys.readouterr() == ("", f"configuration error: cannot read {bad}: 'utf-8' codec "
-                                       f"can't decode byte 0xff in position {offset}: "
-                                       "invalid start byte\n")
+                 "--netlist", str(netlist), "--assignment", str(REFERENCE_ASSIGNMENT_PATH)]) == 1
+    assert capsys.readouterr() == ("", f"error: {netlist}: {message}\n")
     assert not out.exists()
 
 

@@ -301,6 +301,26 @@ def test_run_counts_equal_bytewise_oracle(grid, mode, pv):
         assert stats == oracle_stats
 
 
+@pytest.mark.parametrize("mode", list(SbgMode))
+def test_run_ands_every_column_of_cell_rows(mode):
+    # run() takes a cell's fan-in from cell_rows: three of its rows, or a
+    # seventh column on a row the cell does not use, count as the oracle does.
+    pipeline = FusionPipeline(make_problem(grid_w=5, grid_h=4), mode=mode)
+    six = pipeline.cell_rows
+    rows = set(range(pipeline.spec.total_units))
+    extra = np.array([[min(rows - set(cell))] for cell in six.tolist()])
+    for n in (9, 64, 129):
+        six_estimate = oracle_run(pipeline, n, 11)[0]
+        for cell_rows in (six[:, :3], np.hstack([six, extra])):
+            pipeline.cell_rows = cell_rows
+            estimate, stats = pipeline.run(n, 11)
+            oracle_estimate, oracle_stats = oracle_run(pipeline, n, 11)
+            assert np.array_equal(estimate.weights, oracle_estimate.weights)
+            assert stats == oracle_stats
+            assert not np.array_equal(estimate.weights, six_estimate.weights)
+            pipeline.cell_rows = six
+
+
 def test_rescaling_before_quantization_preserves_sc_argmax():
     # An extra per-channel scale constant cancels inside the max-rescaling
     # conditioner, so the stochastic estimate is unchanged bit for bit.
