@@ -286,6 +286,8 @@ def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> list[Path]:
         net = ScNetlist.parse(text)
     except ValueError as exc:
         raise ValueError(f"{args.netlist}: {exc}") from exc
+    if not net.terminals:
+        raise ValueError(f"{args.netlist}: the netlist declares no terminal")
     assignment = _load_assignment(args.assignment)
     missing = [t for t in net.terminals if t not in assignment]
     if missing:

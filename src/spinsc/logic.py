@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 from itertools import accumulate, takewhile
-from typing import Collection, Hashable, Iterable, Mapping, Sequence
+from math import inf
+from typing import Collection, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 
 class CyclicNetlist(ValueError):
@@ -27,19 +29,17 @@ class GateKind(Enum):
     MUX = "MUX"
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     gate_id: str
     kind: GateKind
     inputs: tuple[str, ...]  # MUX order: (data0, data1, select)
 
-    def __post_init__(self) -> None:
-        if self.kind is GateKind.NOT and len(self.inputs) != 1:
-            raise ValueError("NOT takes exactly one input")
-        if self.kind is GateKind.MUX and len(self.inputs) != 3:
-            raise ValueError("MUX takes exactly (data0, data1, select)")
-        if self.kind is GateKind.AND and len(self.inputs) < 1:
-            raise ValueError("AND takes at least one input")
+
+# Each kind's fewest and most inputs, and the refusal of any other count.
+_ARITY = {GateKind.NOT: (1, 1, "NOT takes exactly one input"),
+          GateKind.MUX: (3, 3, "MUX takes exactly (data0, data1, select)"),
+          GateKind.AND: (1, inf, "AND takes at least one input")}
+_KINDS = {kind.value: kind for kind in GateKind}
 
 
 @dataclass
@@ -67,7 +67,11 @@ class ScNetlist:
     def add_gate(self, gate_id: str, kind: GateKind, inputs: Iterable[str]) -> None:
         if gate_id in self.gates or gate_id in self._bit:
             raise ValueError(f"duplicate node id {gate_id!r}")
-        self.gates[gate_id] = Gate(gate_id, kind, tuple(inputs))
+        inputs = tuple(inputs)
+        fewest, most, refusal = _ARITY[kind]
+        if not fewest <= len(inputs) <= most:
+            raise ValueError(refusal)
+        self.gates[gate_id] = Gate(gate_id, kind, inputs)
         self._order = None
 
     def add_output(self, node_id: str) -> None:
@@ -85,28 +89,26 @@ class ScNetlist:
         """
         if self._order is not None:
             return self._order
-        known = self._bit
-        for gate in self.gates.values():
-            for src in gate.inputs:
-                if src not in known and src not in self.gates:
-                    raise CyclicNetlist(f"gate {gate.gate_id!r} references unknown node {src!r}")
-        for out in self.outputs:
-            if out not in known and out not in self.gates:
-                raise CyclicNetlist(f"output references unknown node {out!r}")
-        indeg = {gid: 0 for gid in self.gates}
+        gates, known = self.gates, self._bit
+        indeg = dict.fromkeys(gates, 0)
         fanout: dict[str, list[str]] = {}
-        for gid, g in self.gates.items():
-            for s in g.inputs:
-                if s in self.gates:
+        for gid, (_, _, inputs) in gates.items():
+            for src in inputs:
+                if src in gates:
                     indeg[gid] += 1
-                    fanout.setdefault(s, []).append(gid)
+                    fanout.setdefault(src, []).append(gid)
+                elif src not in known:
+                    raise CyclicNetlist(f"gate {gid!r} references unknown node {src!r}")
+        for out in self.outputs:
+            if out not in known and out not in gates:
+                raise CyclicNetlist(f"output references unknown node {out!r}")
         order = [gid for gid, d in indeg.items() if d == 0]
         for gid in order:  # grows while it is walked
             for nxt in fanout.get(gid, ()):
                 indeg[nxt] -= 1
                 if indeg[nxt] == 0:
                     order.append(nxt)
-        if len(order) != len(self.gates):
+        if len(order) != len(gates):
             raise CyclicNetlist("gate graph contains a cycle")
         self._order = order
         return order
@@ -124,16 +126,16 @@ class ScNetlist:
         CyclicNetlist."""
         net = cls()
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            parts = raw.partition("#")[0].split()
+            if not parts:
                 continue
-            parts = line.split()
             kind = parts[0].lower()
             try:
                 if kind == "terminal" and len(parts) == 2:
                     net.add_terminal(parts[1])
                 elif kind == "gate" and len(parts) >= 4:
-                    net.add_gate(parts[1], GateKind(parts[2].upper()), parts[3:])
+                    word = parts[2].upper()  # GateKind(word) refuses an unknown kind
+                    net.add_gate(parts[1], _KINDS.get(word) or GateKind(word), parts[3:])
                 elif kind == "output" and len(parts) == 2:
                     net.add_output(parts[1])
                 else:
@@ -193,78 +195,78 @@ def _prune(terms: list[Term], free: int) -> list[Term]:
 
 
 def _expand(net: ScNetlist, order: list[str], roots: Iterable[str], free: int = 0,
-            reach: Mapping[str, int] | None = None) -> dict[tuple[str, bool], list[Term]]:
-    """Products of every (node, negated) key the positive roots need.
+            reach: Mapping[str, int] | None = None) -> tuple[dict[str, list[Term]], ...]:
+    """The product families the positive roots need: [False] maps a node to
+    its products, [True] to its negation's.
 
-    order is net.topo_order().  Needed keys are marked consumers first
+    order is net.topo_order().  Needed families are marked consumers first
     (reverse order), then filled producers first, so the depth of the
     netlist never reaches the Python stack.
 
     free masks read-once terminals (see extract_conflict_sets) and reach
     maps each gate to the terminals of its cone.  A free terminal's negated
-    literal is stored in pos, and every family whose cone holds one drops
-    its dominated products (_prune).  free = 0 gives the disjoint expansion.
+    literal is stored in pos.  A pure gate, all of whose cone is free, has
+    no dominated product and keeps only the last NOT-AND chain term; any
+    other family whose cone holds a free terminal drops its dominated
+    products (_prune).  free = 0 gives the disjoint expansion.
     """
-    needed = {(r, False) for r in roots}
+    AND, NOT = GateKind.AND, GateKind.NOT  # local: each Enum member lookup takes ~0.1 µs
+    pure = {gid for gid in order if not reach[gid] & ~free} if free else set()
+    needed = (set(roots), set())
     for gid in reversed(order):
-        gate = net.gates[gid]
+        _, kind, inputs = net.gates[gid]
         for negated in (False, True):
-            if (gid, negated) not in needed:
+            if gid not in needed[negated]:
                 continue
-            if gate.kind is GateKind.NOT:
-                needed.add((gate.inputs[0], not negated))
-            elif gate.kind is GateKind.AND:
-                needed.update((src, negated) for src in gate.inputs)
-                if negated:  # the chain's prefixes
-                    needed.update((src, False) for src in gate.inputs[:-1])
-            else:
-                d0, d1, sel = gate.inputs
-                needed.update(((sel, False), (sel, True), (d1, negated), (d0, negated)))
+            if kind is NOT:
+                needed[not negated].add(inputs[0])
+            elif kind is AND and negated:  # the chain's prefixes and terms
+                needed[False].update(inputs[:-1])
+                needed[True].update(inputs[-1:] if gid in pure else inputs)
+            elif kind is AND:
+                needed[False].update(inputs)
+            else:  # MUX: its data inputs in this polarity, its select in both
+                needed[negated].update(inputs[:2])
+                for side in needed:
+                    side.add(inputs[2])
 
-    memo: dict[tuple[str, bool], list[Term]] = {}
+    families = pos, neg = {}, {}
     for t, bit in net._bit.items():
-        memo[(t, False)] = leaf = [(bit, 0)]
-        memo[(t, True)] = leaf if free & bit else [(0, bit)]
+        pos[t] = leaf = [(bit, 0)]
+        neg[t] = leaf if free & bit else [(0, bit)]
     for gid in order:
-        gate = net.gates[gid]
-        shrinks = free and free & reach[gid]
+        _, kind, inputs = net.gates[gid]
+        prunes = free and free & reach[gid] and gid not in pure
         for negated in (False, True):
-            if (gid, negated) not in needed:
+            if gid not in needed[negated]:
                 continue
-            if gate.kind is GateKind.NOT:  # its input's family, pruned already
-                memo[(gid, negated)] = memo[(gate.inputs[0], not negated)]
+            if kind is NOT:  # its input's family, pruned already
+                families[negated][gid] = families[not negated][inputs[0]]
                 continue
-            if gate.kind is GateKind.AND and not negated:
-                out = [(0, 0)]
-                for src in gate.inputs:
-                    out = _conjoin(out, memo[(src, False)])
-            elif gate.kind is GateKind.AND:
+            if kind is AND and not negated:
+                out = reduce(_conjoin, [pos[src] for src in inputs])
+            elif kind is AND:
                 # NOT(x1..xk) as the disjoint chain: !x1 + x1*!x2 + x1*x2*!x3 ...
-                out = []
-                prefix = [(0, 0)]
-                last = len(gate.inputs) - 1
-                for k, src in enumerate(gate.inputs):
-                    out.extend(_conjoin(prefix, memo[(src, True)]))
-                    if k < last:
-                        prefix = _conjoin(prefix, memo[(src, False)])
-                        if shrinks and len(prefix) > 1:
-                            prefix = _prune(prefix, free)
+                # In a pure gate the last term's products contain the others'.
+                out, prefix = [], [(0, 0)]
+                for src in inputs[:-1]:
+                    if gid not in pure:
+                        out.extend(_conjoin(prefix, neg[src]))
+                    prefix = _conjoin(prefix, pos[src])
+                    if prunes and len(prefix) > 1:
+                        prefix = _prune(prefix, free)
+                out.extend(_conjoin(prefix, neg[inputs[-1]]))
             else:  # MUX(d0, d1, sel): sel ? d1 : d0
-                d0, d1, sel = gate.inputs
-                out = (_conjoin(memo[(sel, False)], memo[(d1, negated)])
-                       + _conjoin(memo[(sel, True)], memo[(d0, negated)]))
-            memo[(gid, negated)] = _prune(out, free) if shrinks and len(out) > 1 else out
-    return memo
+                d0, d1, sel = inputs
+                data = families[negated]
+                out = _conjoin(pos[sel], data[d1]) + _conjoin(neg[sel], data[d0])
+            families[negated][gid] = _prune(out, free) if prunes and len(out) > 1 else out
+    return families
 
 
 def _bits(mask: int) -> list[int]:
     """Indices of the set bits of mask, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    return [i for i, digit in enumerate(reversed(bin(mask))) if digit == "1"]
 
 
 def expand_products(net: ScNetlist, output_id: str) -> list[Product]:
@@ -277,7 +279,7 @@ def expand_products(net: ScNetlist, output_id: str) -> list[Product]:
     order = net.topo_order()
     if output_id not in net.gates and not net.is_terminal(output_id):
         raise CyclicNetlist(f"unknown output node {output_id!r}")
-    terms = _expand(net, order, [output_id])[(output_id, False)]
+    terms = _expand(net, order, [output_id])[False][output_id]
     names = net.terminals
     return [Product(frozenset(names[i] for i in _bits(pos)),
                     frozenset(names[i] for i in _bits(neg)))
@@ -311,21 +313,9 @@ def extract_conflict_sets(net: ScNetlist) -> list[frozenset[str]]:
             cone |= bits
         reach[gid] = cone
     free = ((1 << len(net.terminals)) - 1) & ~multi
-    terms = _expand(net, order, net.outputs, free, reach)
-    maximal = _prune([(pos | neg, 0) for out in net.outputs for pos, neg in terms[(out, False)]],
-                     -1)
+    terms = _expand(net, order, net.outputs, free, reach)[False]
+    maximal = _prune([(pos | neg, 0) for out in net.outputs for pos, neg in terms[out]], -1)
     return [frozenset(net.terminals[i] for i in _bits(sup)) for sup, _ in maximal]
-
-
-def conflict_neighbors(conflict_sets: list[Collection[Hashable]]) -> dict[Hashable, set]:
-    """Adjacency of the conflict graph implied by the sets (cliques)."""
-    adj: dict[Hashable, set] = {}
-    for group in conflict_sets:
-        for t in group:
-            adj.setdefault(t, set()).update(group)
-    for t, neighbors in adj.items():
-        neighbors.discard(t)
-    return adj
 
 
 def first_fit(order: Iterable[Hashable], conflict_sets: list[Collection[Hashable]],
@@ -337,16 +327,24 @@ def first_fit(order: Iterable[Hashable], conflict_sets: list[Collection[Hashable
     member's level.  A member visited twice keeps its first slot; the result
     lists the members in placement order.
     """
-    adj = conflict_neighbors(conflict_sets)
+    # Per conflict set and key, the slots its placed members hold.
+    held: dict[Hashable, list[set[int]]] = {}
+    for group in conflict_sets:
+        by_key: dict[Hashable, set[int]] = {}
+        for t in group:
+            held.setdefault(t, []).append(by_key.setdefault(key[t], set()))
     slot: dict[Hashable, int] = {}
     for t in order:
         if t in slot:
             continue
-        blocked = {slot[nb] for nb in adj.get(t, ()) if nb in slot and key[nb] == key[t]}
+        buckets = held.get(t, ())
+        blocked = set().union(*buckets)
         s = 0
         while s in blocked:
             s += 1
         slot[t] = s
+        for bucket in buckets:
+            bucket.add(s)
     return slot
 
 

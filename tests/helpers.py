@@ -31,7 +31,6 @@ from spinsc.logic import (
     Product,
     ScNetlist,
     cluster_terminals,
-    conflict_neighbors,
     extract_conflict_sets,
     first_fit,
 )
@@ -346,6 +345,17 @@ def random_assignment(rng: np.random.Generator, net: ScNetlist,
                       levels: list[float]) -> dict[str, float]:
     return {t: float(levels[int(rng.integers(0, len(levels)))])
             for t in net.terminals}
+
+
+def conflict_neighbors(conflict_sets: list[frozenset[str]]) -> dict[str, set[str]]:
+    """Adjacency of the conflict graph implied by the sets (cliques)."""
+    adj: dict[str, set[str]] = {}
+    for group in conflict_sets:
+        for t in group:
+            adj.setdefault(t, set()).update(group)
+    for t, neighbors in adj.items():
+        neighbors.discard(t)
+    return adj
 
 
 def cluster_terminals_per_class(net: ScNetlist, conflict_sets: list[frozenset[str]],

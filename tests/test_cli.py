@@ -432,14 +432,16 @@ def test_memory_error_is_one_line_error(tmp_path, config_path, capsys, monkeypat
 
 
 def test_allocate_empty_netlist_is_one_line_error(tmp_path, config_path, capsys):
+    # Refused before sizing, naming the file: an empty array has no level to size.
     netlist, assignment = tmp_path / "empty.net", tmp_path / "empty.assign"
-    netlist.write_text("", encoding="utf-8")
     assignment.write_text("", encoding="utf-8")
     out = tmp_path / "o"
-    assert main(["--config", str(config_path), "--out-dir", str(out), "allocate",
-                 "--netlist", str(netlist), "--assignment", str(assignment)]) == 1
-    assert capsys.readouterr().err == "error: at least one level is required\n"
-    assert not out.exists()
+    for text in ("", "# comments and blank lines only\n\n"):
+        netlist.write_text(text, encoding="utf-8")
+        assert main(["--config", str(config_path), "--out-dir", str(out), "allocate",
+                     "--netlist", str(netlist), "--assignment", str(assignment)]) == 1
+        assert capsys.readouterr().err == f"error: {netlist}: the netlist declares no terminal\n"
+        assert not out.exists()
 
 
 def test_allocate_rejects_terminals_missing_from_netlist(tmp_path, config_path, capsys):

@@ -7,6 +7,7 @@ from helpers import netlist_text
 from spinsc import logic
 from spinsc.logic import (
     CyclicNetlist,
+    Gate,
     GateKind,
     Product,
     ScNetlist,
@@ -53,6 +54,28 @@ def test_parse_errors_name_their_line(text, message):
     with pytest.raises(ValueError) as info:
         ScNetlist.parse(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind, inputs, message", [
+    (GateKind.NOT, ("a", "b"), "NOT takes exactly one input"),
+    (GateKind.MUX, ("a", "b"), "MUX takes exactly (data0, data1, select)"),
+    (GateKind.AND, (), "AND takes at least one input"),
+], ids=["not-two", "mux-two", "and-none"])
+def test_add_gate_refuses_a_wrong_input_count(kind, inputs, message):
+    net = ScNetlist(terminals=["a", "b"])
+    with pytest.raises(ValueError) as info:
+        net.add_gate("g", kind, inputs)
+    assert str(info.value) == message
+    assert net.gates == {}
+
+
+def test_gates_are_immutable_records():
+    gate = ScNetlist.parse("terminal a\ngate g NOT a\n").gates["g"]
+    assert gate == Gate("g", GateKind.NOT, ("a",))
+    assert repr(gate) == "Gate(gate_id='g', kind=<GateKind.NOT: 'NOT'>, inputs=('a',))"
+    for field in ("gate_id", "kind", "inputs"):
+        with pytest.raises(AttributeError):
+            setattr(gate, field, None)
 
 
 def test_reference_products(reference_netlist_text):
@@ -383,6 +406,43 @@ def test_read_once_subformula_under_a_gate_used_in_both_polarities():
     assert_matches_oracle(net)
 
 
+def read_once_tree(net, rng, nodes, prefix):
+    """Gates over nodes that read each node once, added to net; the root.
+    Every gate reads fresh nodes, so a tree over read-once terminals is a
+    pure cone, whose NOT-AND chains and MUXes can hold several products."""
+    pool = list(nodes)
+    while len(pool) > 1:
+        kind = ("AND", "NOT", "MUX")[int(rng.integers(0, 3 if len(pool) > 2 else 2))]
+        arity = {"AND": int(rng.integers(2, min(len(pool), 3) + 1)), "NOT": 1, "MUX": 3}[kind]
+        picks = sorted(rng.choice(len(pool), arity, replace=False), reverse=True)
+        inputs = [pool.pop(int(k)) for k in picks]
+        gid = f"{prefix}{len(net.gates)}"
+        net.add_gate(gid, GateKind(kind), inputs)
+        pool.append(gid)
+    return pool[0]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pure_cones_inside_netlists_with_shared_terminals_match_oracle(seed):
+    # Two pure trees meet shared terminals: h and b reach s along two paths
+    # and j reads u in both polarities.  The trees take the pure-cone
+    # shortcut; the NAND a over a tree and s must keep its whole chain, since
+    # b contradicts its last term and keeps the first.
+    rng = np.random.default_rng(seed)
+    net = ScNetlist(terminals=[f"t{i}" for i in range(12)] + ["s", "u"])
+    left = read_once_tree(net, rng, [f"t{i}" for i in range(6)], "L")
+    right = read_once_tree(net, rng, [f"t{i}" for i in range(6, 12)], "R")
+    for gid, kind, ins in [("nl", "NOT", [left]), ("m", "MUX", [left, right, "s"]),
+                           ("h", "AND", ["m", "s"]), ("nh", "NOT", ["h"]),
+                           ("q", "AND", ["nh", "u"]), ("a", "AND", [right, "s"]),
+                           ("na", "NOT", ["a"]), ("b", "AND", ["na", "s"]), ("nu", "NOT", ["u"]),
+                           ("k", "AND", ["nl", "u"]), ("j", "MUX", [right, "k", "nu"])]:
+        net.add_gate(gid, GateKind(kind), ins)
+    for out in ("q", "b", "j", right):
+        net.add_output(out)
+    assert_matches_oracle(net)
+
+
 @pytest.mark.parametrize("clauses", range(1, 7))
 def test_read_once_families_hold_one_product_per_maximal_support(monkeypatch, clauses):
     # Every terminal of a MUX-of-NAND-chains netlist is read once, so each
@@ -393,15 +453,16 @@ def test_read_once_families_hold_one_product_per_maximal_support(monkeypatch, cl
     expand = logic._expand
 
     def spy(*args):
-        families.update(expand(*args))
-        return families
+        result = expand(*args)
+        families.update(result[False])
+        return result
 
     monkeypatch.setattr(logic, "_expand", spy)
     sets = extract_conflict_sets(net)
     monkeypatch.undo()
     assert [frozenset(net.terminals[i] for i in range(40) if pos >> i & 1)
-            for out in net.outputs for pos, neg in families[(out, False)]] == sets
-    assert all(neg == 0 for out in net.outputs for _, neg in families[(out, False)])
+            for out in net.outputs for pos, neg in families[out]] == sets
+    assert all(neg == 0 for out in net.outputs for _, neg in families[out])
     assert len(sets) == 2 * len(net.outputs)
     for out in net.outputs:
         assert len(expand_products(net, out)) == 2 * 3**clauses
